@@ -11,8 +11,11 @@ the wire share the exact same integers.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain, repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,6 +30,7 @@ __all__ = [
     "encode_flags",
     "decode_flags",
     "FlagReader",
+    "SymbolTables",
     "CdfTable",
     "gaussian_cdf_table",
 ]
@@ -34,6 +38,10 @@ __all__ = [
 _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
 _P16_ONE = 1 << 16
+_P16_HALF = 1 << 15  # direction flags are coded at an even split
+_BLOCK_BITS = 4  # the inverse lookup resolves a target to a block of 16
+_TABLE_SHIFT = 16 - _BLOCK_BITS  # a table's blocks take the low 12 bits
+_ENDED = "range-coded stream ended early"
 
 
 def prob_to_p16(v: float) -> int:
@@ -52,6 +60,82 @@ def prob_to_p16_array(v) -> np.ndarray:
     return np.clip(p, 1, 65535)
 
 
+def _p16_list(p16s) -> list[int]:
+    p = np.asarray(p16s, dtype=np.int64)
+    if p.size and (p.min() < 1 or p.max() > 65535):
+        raise InvalidInputError("Prob16 outside [1, 65535]")
+    return p.tolist()
+
+
+def _uint32_view(values) -> memoryview:
+    """Integers as a memoryview, which a loop iterates without a list of
+    int objects being built first."""
+    return memoryview(np.ascontiguousarray(values, dtype=np.uintc))
+
+
+class SymbolTables:
+    """The cumulative tables one stream codes its symbols against.
+
+    The tables sit end to end in one flat array: table ``t`` is
+    ``cum[base[t] : base[t] + size[t] + 1]``, and flat index ``j`` names the
+    symbol whose slice of 65536 is ``spans[j] = (cum[j], cum[j + 1])``.
+    """
+
+    def __init__(self, cums: Sequence[Sequence[int]]) -> None:
+        lengths = np.array([len(c) for c in cums], dtype=np.int64)
+        if lengths.shape[0] == 0 or np.any(lengths < 2):
+            raise InvalidInputError("every table needs at least one symbol")
+        cum = np.fromiter(chain.from_iterable(cums), np.int64, count=lengths.sum())
+        self.size = lengths - 1
+        self.base = np.cumsum(lengths) - lengths
+        ends = cum[self.base + self.size]
+        if np.any(cum[self.base] != 0) or np.any(ends != _P16_ONE):
+            raise InvalidInputError("cumulative table must span [0, 65536]")
+        steps = np.diff(cum)
+        steps[self.base[1:] - 1] = 1  # from one table to the next
+        if np.any(steps < 1):
+            raise InvalidInputError("every symbol needs a frequency of at least 1")
+        self.cum = cum
+        flat = cum.tolist()
+        self.spans = list(zip(flat, flat[1:]))
+
+    def __len__(self) -> int:
+        return int(self.size.shape[0])
+
+    @cached_property
+    def inverse(self) -> memoryview:
+        """Decoder lookup: ``(t << 12) | (target >> 4)`` to the flat index of
+        the symbol that owns the first target of that 16-wide block of table
+        ``t``.  The decoder steps forward from there past the symbols that
+        start inside the block.  At 4 bytes an entry it takes 16 KiB a table.
+        """
+        # block b starts at target 16*b: a symbol owns the blocks that start
+        # inside its slice, and the end of each table owns none
+        first = (self.cum + (1 << _BLOCK_BITS) - 1) >> _BLOCK_BITS
+        owned = np.diff(first, append=0)
+        owned[self.base + self.size] = 0
+        symbols = np.arange(self.cum.shape[0], dtype=np.uintc)
+        return _uint32_view(np.repeat(symbols, owned))
+
+    def _checked_ids(self, table_ids) -> np.ndarray:
+        t = np.asarray(table_ids, dtype=np.int64).reshape(-1)
+        if t.shape[0] and (t.min() < 0 or t.max() >= len(self)):
+            raise InvalidInputError("table id outside the table set")
+        return t
+
+    def ranges(self, table_ids, symbols) -> tuple[np.ndarray, np.ndarray]:
+        """Start and size, out of 65536, of each symbol in its table."""
+        t = self._checked_ids(table_ids)
+        s = np.asarray(symbols, dtype=np.int64).reshape(-1)
+        if s.shape != t.shape:
+            raise InvalidInputError("one table id per symbol is needed")
+        if np.any(s < 0) or np.any(s >= self.size[t]):
+            raise InvalidInputError("symbol outside its table")
+        at = self.base[t] + s
+        start = self.cum[at]
+        return start, self.cum[at + 1] - start
+
+
 class RangeEncoder:
     """Arithmetic encoder writing most-significant bytes first."""
 
@@ -60,71 +144,22 @@ class RangeEncoder:
         self.range = _MASK32
         self._buf = bytearray()
 
-    def _carry(self) -> None:
-        # nested coding intervals guarantee a byte exists to receive it
-        buf = self._buf
-        i = len(buf) - 1
-        while buf[i] == 0xFF:
-            buf[i] = 0
-            i -= 1
-        buf[i] += 1
-
     def encode_bit(self, bit: int, p16: int) -> None:
-        r0 = (self.range >> 16) * p16
-        if bit:
-            low = self.low + r0
-            if low > _MASK32:
-                self._carry()
-                low &= _MASK32
-            self.low = low
-            self.range -= r0
-        else:
-            self.range = r0
-        while self.range < _TOP:
-            self._buf.append(self.low >> 24)
-            self.low = (self.low << 8) & _MASK32
-            self.range <<= 8
+        _encode_bits(self, (bit,), _p16_list((p16,)))
 
     def encode_bits(self, bits, p16s) -> None:
-        """Hot path: same coding as encode_bit, loop kept local."""
-        low = self.low
-        rng = self.range
-        buf = self._buf
-        for bit, p16 in zip(bits.tolist(), p16s.tolist()):
-            r0 = (rng >> 16) * p16
-            if bit:
-                low += r0
-                if low > _MASK32:
-                    i = len(buf) - 1
-                    while buf[i] == 0xFF:
-                        buf[i] = 0
-                        i -= 1
-                    buf[i] += 1
-                    low &= _MASK32
-                rng -= r0
-            else:
-                rng = r0
-            while rng < _TOP:
-                buf.append(low >> 24)
-                low = (low << 8) & _MASK32
-                rng <<= 8
-        self.low = low
-        self.range = rng
+        """Code ``bits[i]`` (any nonzero value is a one) at ``p16s[i]``, the
+        Prob16 of a zero."""
+        _encode_bits(self, (np.asarray(bits) != 0).tobytes(), _p16_list(p16s))
 
-    def encode_symbol(self, cum: tuple[int, ...], sym: int) -> None:
+    def encode_symbol(self, cum: Sequence[int], sym: int) -> None:
         """Code one symbol against a cumulative table summing to 65536."""
-        r = self.range >> 16
-        lo_cum = cum[sym]
-        low = self.low + r * lo_cum
-        if low > _MASK32:
-            self._carry()
-            low &= _MASK32
-        self.low = low
-        self.range = r * (cum[sym + 1] - lo_cum)
-        while self.range < _TOP:
-            self._buf.append(self.low >> 24)
-            self.low = (self.low << 8) & _MASK32
-            self.range <<= 8
+        self.encode_symbols(SymbolTables((cum,)), (0,), (sym,))
+
+    def encode_symbols(self, tables: SymbolTables, table_ids, symbols) -> None:
+        """Code ``symbols[i]`` against table ``table_ids[i]`` of ``tables``."""
+        start, size = tables.ranges(table_ids, symbols)
+        _encode_ranges(self, _uint32_view(start), _uint32_view(size))
 
     def finish(self) -> bytes:
         for _ in range(4):
@@ -137,81 +172,190 @@ class RangeDecoder:
     """Mirror of RangeEncoder; raises TruncatedStreamError past the end."""
 
     def __init__(self, data: bytes) -> None:
+        if len(data) < 4:
+            raise TruncatedStreamError(_ENDED)
         self._data = data
-        self._pos = 0
+        self._pos = 4
         self.range = _MASK32
-        self.code = 0
-        for _ in range(4):
-            self.code = (self.code << 8) | self._next_byte()
-
-    def _next_byte(self) -> int:
-        if self._pos >= len(self._data):
-            raise TruncatedStreamError("range-coded stream ended early")
-        b = self._data[self._pos]
-        self._pos += 1
-        return b
+        self.code = int.from_bytes(data[:4], "big")
 
     def decode_bit(self, p16: int) -> int:
-        r0 = (self.range >> 16) * p16
-        if self.code < r0:
-            bit = 0
-            self.range = r0
-        else:
-            bit = 1
-            self.code -= r0
-            self.range -= r0
-        while self.range < _TOP:
-            self.code = ((self.code << 8) | self._next_byte()) & _MASK32
-            self.range <<= 8
-        return bit
+        return _decode_bits(self, _p16_list((p16,)), 1)[0]
 
     def decode_bits(self, p16s) -> np.ndarray:
-        n = len(p16s)
-        out = np.empty(n, dtype=np.uint8)
-        code = self.code
-        rng = self.range
-        data = self._data
-        pos = self._pos
-        end = len(data)
-        for i, p16 in enumerate(p16s.tolist()):
+        """One bit per Prob16, as a uint8 array."""
+        p16s = _p16_list(p16s)
+        return np.frombuffer(_decode_bits(self, p16s, len(p16s)), dtype=np.uint8)
+
+    def decode_symbol(self, cum: Sequence[int]) -> int:
+        return int(self.decode_symbols(SymbolTables((cum,)), (0,))[0])
+
+    def decode_symbols(self, tables: SymbolTables, table_ids) -> np.ndarray:
+        """One symbol per entry of ``table_ids``, each against its table."""
+        t = tables._checked_ids(table_ids)
+        keys = _uint32_view(t << _TABLE_SHIFT)
+        flat = _decode_symbols(self, keys, tables.inverse, tables.spans)
+        return np.frombuffer(flat, dtype=np.uintc) - tables.base[t]
+
+
+# ---------------------------------------------------------------------------
+# the coding loops
+#
+# Each coding step exists once, in one of the loops below.  The coder
+# methods, the scalar ones included, only convert their arguments and call
+# a loop, which keeps the coder state in locals for the whole batch.  The
+# flag coder calls the loops directly rather than through the methods.  In
+# the decoders, reading past the end of the data is the only IndexError.
+
+
+def _carry(buf: bytearray) -> None:
+    # nested coding intervals guarantee a byte exists to receive it
+    i = len(buf) - 1
+    while buf[i] == 0xFF:
+        buf[i] = 0
+        i -= 1
+    buf[i] += 1
+
+
+def _encode_bits(enc: RangeEncoder, bits: Iterable[int], p16s: Iterable[int]) -> None:
+    """Code each bit at the Prob16 of a zero paired with it."""
+    top, mask = _TOP, _MASK32
+    low, rng, buf = enc.low, enc.range, enc._buf
+    for bit, p16 in zip(bits, p16s):
+        r0 = (rng >> 16) * p16
+        if bit:
+            low += r0
+            if low > mask:
+                _carry(buf)
+                low &= mask
+            rng -= r0
+        else:
+            rng = r0
+        while rng < top:
+            buf.append(low >> 24)
+            low = (low << 8) & mask
+            rng <<= 8
+    enc.low, enc.range = low, rng
+
+
+def _encode_ranges(
+    enc: RangeEncoder, starts: Iterable[int], sizes: Iterable[int]
+) -> None:
+    """Code each symbol as its slice ``[start, start + size)`` of 65536."""
+    top, mask = _TOP, _MASK32
+    low, rng, buf = enc.low, enc.range, enc._buf
+    for start, size in zip(starts, sizes):
+        r = rng >> 16
+        low += r * start
+        if low > mask:
+            _carry(buf)
+            low &= mask
+        rng = r * size
+        while rng < top:
+            buf.append(low >> 24)
+            low = (low << 8) & mask
+            rng <<= 8
+    enc.low, enc.range = low, rng
+
+
+def _decode_bits(dec: RangeDecoder, p16s: Iterable[int], n: int) -> bytearray:
+    """The next ``n`` bits, one for each of the ``n`` Prob16s of a zero."""
+    top, mask = _TOP, _MASK32
+    out = bytearray(n)
+    code, rng, data, pos = dec.code, dec.range, dec._data, dec._pos
+    try:
+        for i, p16 in enumerate(p16s):
             r0 = (rng >> 16) * p16
             if code < r0:
-                out[i] = 0
                 rng = r0
             else:
                 out[i] = 1
                 code -= r0
                 rng -= r0
-            while rng < _TOP:
-                if pos >= end:
-                    raise TruncatedStreamError("range-coded stream ended early")
-                code = ((code << 8) | data[pos]) & _MASK32
+            while rng < top:
+                code = ((code << 8) | data[pos]) & mask
                 pos += 1
                 rng <<= 8
-        self.code = code
-        self.range = rng
-        self._pos = pos
-        return out
+    except IndexError:
+        raise TruncatedStreamError(_ENDED) from None
+    dec.code, dec.range, dec._pos = code, rng, pos
+    return out
 
-    def decode_symbol(self, cum: tuple[int, ...]) -> int:
-        r = self.range >> 16
-        target = self.code // r
-        if target > 65535:
-            target = 65535
-        # cum is sorted; bisect for the owning symbol
-        lo, hi = 0, len(cum) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) >> 1
-            if cum[mid] <= target:
-                lo = mid
+
+def _decode_full_flags(
+    dec: RangeDecoder, p0: int, n: int
+) -> tuple[bytearray, bytearray]:
+    """The next ``n`` risky flags at ``p0``, each risky one followed by its
+    direction bit at an even split; directions read 0xFF where absent."""
+    top, mask, half = _TOP, _MASK32, _P16_HALF
+    fr = bytearray(n)
+    fd = bytearray(b"\xff") * n
+    code, rng, data, pos = dec.code, dec.range, dec._data, dec._pos
+    try:
+        for i in range(n):
+            r0 = (rng >> 16) * p0
+            if code < r0:
+                rng = r0
             else:
-                hi = mid
-        self.code -= r * cum[lo]
-        self.range = r * (cum[lo + 1] - cum[lo])
-        while self.range < _TOP:
-            self.code = ((self.code << 8) | self._next_byte()) & _MASK32
-            self.range <<= 8
-        return lo
+                fr[i] = 1
+                code -= r0
+                rng -= r0
+                while rng < top:
+                    code = ((code << 8) | data[pos]) & mask
+                    pos += 1
+                    rng <<= 8
+                r0 = (rng >> 16) * half
+                if code < r0:
+                    fd[i] = 0
+                    rng = r0
+                else:
+                    fd[i] = 1
+                    code -= r0
+                    rng -= r0
+            while rng < top:
+                code = ((code << 8) | data[pos]) & mask
+                pos += 1
+                rng <<= 8
+    except IndexError:
+        raise TruncatedStreamError(_ENDED) from None
+    dec.code, dec.range, dec._pos = code, rng, pos
+    return fr, fd
+
+
+def _decode_symbols(
+    dec: RangeDecoder,
+    keys: Iterable[int],
+    inverse: memoryview,
+    spans: list[tuple[int, int]],
+) -> array:
+    """One symbol per key ``t << 12`` of its table, as flat indices (see
+    SymbolTables)."""
+    top, mask, block_bits = _TOP, _MASK32, _BLOCK_BITS
+    out = array("I")
+    put = out.append
+    code, rng, data, pos = dec.code, dec.range, dec._data, dec._pos
+    try:
+        for key in keys:
+            r = rng >> 16
+            target = code // r
+            if target > 65535:
+                target = 65535
+            s = inverse[key | (target >> block_bits)]
+            lo, hi = spans[s]
+            while hi <= target:
+                s += 1
+                lo, hi = spans[s]
+            code -= r * lo
+            rng = r * (hi - lo)
+            while rng < top:
+                code = ((code << 8) | data[pos]) & mask
+                pos += 1
+                rng <<= 8
+            put(s)
+    except IndexError:
+        raise TruncatedStreamError(_ENDED) from None
+    dec.code, dec.range, dec._pos = code, rng, pos
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +368,19 @@ def encode_flags(stream: FlagStream, mode: GuardMode) -> bytes:
     if len(stream) == 0:
         return b""
     enc = RangeEncoder()
-    p0 = stream.p0_q16
-    full = mode == GuardMode.FULL
-    fr = stream.f_r.tolist()
-    fd = stream.f_d.tolist()
-    for r, d in zip(fr, fd):
-        enc.encode_bit(r, p0)
-        if full and r:
-            if d < 0:
-                raise InvalidInputError("risky flag without direction in FULL mode")
-            enc.encode_bit(d, 32768)
+    fr = np.asarray(stream.f_r) != 0
+    if mode == GuardMode.FULL:
+        risky = np.flatnonzero(fr)
+        fd = np.asarray(stream.f_d)[risky]
+        if np.any(fd < 0):
+            raise InvalidInputError("risky flag without direction in FULL mode")
+        # one pass of the shared bit loop over the interleaved sequence
+        bits = np.insert(fr, risky + 1, fd != 0)
+        p16s = np.full(bits.shape[0], stream.p0_q16, dtype=np.ushort)
+        p16s[risky + np.arange(1, risky.shape[0] + 1)] = _P16_HALF
+        _encode_bits(enc, bits.tobytes(), memoryview(p16s))
+    else:
+        _encode_bits(enc, fr.tobytes(), repeat(stream.p0_q16))
     return enc.finish()
 
 
@@ -253,16 +400,16 @@ class FlagReader:
         """Next ``k`` (f_r, f_d) pairs; f_d is -1 where absent."""
         if self._taken + k > self._count:
             raise MalformedStreamError("more flags requested than declared")
-        fr = np.empty(k, dtype=np.uint8)
-        fd = np.full(k, -1, dtype=np.int8)
-        dec = self._dec
-        for i in range(k):
-            r = dec.decode_bit(self._p0)
-            fr[i] = r
-            if self._full and r:
-                fd[i] = dec.decode_bit(32768)
+        if k == 0:
+            return np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int8)
+        if self._full:
+            fr, fd = _decode_full_flags(self._dec, self._p0, k)
+            f_d = np.frombuffer(fd, dtype=np.int8)
+        else:
+            fr = _decode_bits(self._dec, repeat(self._p0, k), k)
+            f_d = np.full(k, -1, dtype=np.int8)
         self._taken += k
-        return fr, fd
+        return np.frombuffer(fr, dtype=np.uint8), f_d
 
     @property
     def exhausted(self) -> bool:

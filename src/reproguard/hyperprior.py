@@ -20,6 +20,7 @@ from .entropy import (
     FlagReader,
     RangeDecoder,
     RangeEncoder,
+    SymbolTables,
     encode_flags,
     gaussian_cdf_table,
 )
@@ -204,8 +205,15 @@ def _check_image_config(cfg: GuardConfig) -> None:
         raise ConfigError("scale clipping must match the table edges")
 
 
-def _bin_midpoints(grid: QuantGrid, idx: np.ndarray) -> np.ndarray:
-    return dequantize_array(grid, idx)
+def _stream_tables(grid: QuantGrid, idx: np.ndarray) -> tuple[SymbolTables, np.ndarray]:
+    """One CDF table per scale bin in use, built once for the stream, and the
+    table each position codes against."""
+    used = np.flatnonzero(np.bincount(idx))
+    mids = dequantize_array(grid, used).tolist()
+    tables = SymbolTables([gaussian_cdf_table(m, _AMPLITUDE).cum for m in mids])
+    slot = np.zeros(used[-1] + 1, dtype=np.int64)
+    slot[used] = np.arange(used.shape[0])
+    return tables, slot[idx]
 
 
 def encode(
@@ -233,13 +241,10 @@ def encode(
         p0_q16 = 32768
         flag_count = 0
 
-    mids = _bin_midpoints(cfg.grid, idx)
-    syms = (quantize_latents(lat.y).reshape(-1) + _AMPLITUDE).tolist()
+    tables, table_ids = _stream_tables(cfg.grid, idx)
     enc = RangeEncoder()
-    mids_list = mids.tolist()
-    for i, sym in enumerate(syms):
-        table = gaussian_cdf_table(mids_list[i], _AMPLITUDE)
-        enc.encode_symbol(table.cum, sym)
+    syms = quantize_latents(lat.y).reshape(-1) + _AMPLITUDE
+    enc.encode_symbols(tables, table_ids, syms)
 
     z_blob = lat.z.astype(">f8").tobytes()
     return GuardedStream(
@@ -275,12 +280,15 @@ def decode(
     if header.scale_table_id != stream.grid_desc.table_id:
         raise FieldValueError("payload and grid descriptor disagree on the table")
     grid = get_table(stream.grid_desc.table_id)
-    cfg = GuardConfig(
-        grid=grid,
-        epsilon=stream.epsilon,
-        mode=stream.mode,
-        edge_clip=(grid.domain[0], grid.domain[1]),
-    )
+    try:
+        cfg = GuardConfig(
+            grid=grid,
+            epsilon=stream.epsilon,
+            mode=stream.mode,
+            edge_clip=(grid.domain[0], grid.domain[1]),
+        )
+    except ConfigError as exc:
+        raise FieldValueError(f"stream unusable for the scale table: {exc}") from None
 
     h, w, c = header.height, header.width, header.channels
     z = np.frombuffer(header.z_blob, dtype=">f8").astype(np.float64)
@@ -302,12 +310,6 @@ def decode(
     else:
         idx = quantize_array(grid, np.clip(sig, *grid.domain))
 
-    mids = _bin_midpoints(grid, idx)
-    dec = RangeDecoder(stream.main)
-    n = h * w * c
-    out = np.empty(n, dtype=np.int64)
-    mids_list = mids.tolist()
-    for i in range(n):
-        table = gaussian_cdf_table(mids_list[i], _AMPLITUDE)
-        out[i] = table.value_of(dec.decode_symbol(table.cum))
-    return out.reshape(h, w, c)
+    tables, table_ids = _stream_tables(grid, idx)
+    syms = RangeDecoder(stream.main).decode_symbols(tables, table_ids)
+    return (syms - _AMPLITUDE).reshape(h, w, c)

@@ -19,7 +19,7 @@ from .container import (
     grid_from_desc,
 )
 from .entropy import FlagReader, encode_flags
-from .errors import FieldValueError, InvalidInputError
+from .errors import ConfigError, FieldValueError, InvalidInputError
 from .safeguard import (
     FlagStream,
     GuardConfig,
@@ -62,13 +62,18 @@ def encode_values(
 
 
 def config_for_stream(stream: GuardedStream) -> GuardConfig:
-    grid = grid_from_desc(stream.grid_desc)
-    return GuardConfig(
-        grid=grid,
-        epsilon=stream.epsilon,
-        mode=stream.mode,
-        edge_clip=_canonical_clip(grid),
-    )
+    """The stream's guard configuration; one the grid cannot honor (such as
+    an epsilon that breaks the 4*epsilon margin) is a malformed stream."""
+    try:
+        grid = grid_from_desc(stream.grid_desc)
+        return GuardConfig(
+            grid=grid,
+            epsilon=stream.epsilon,
+            mode=stream.mode,
+            edge_clip=_canonical_clip(grid),
+        )
+    except ConfigError as exc:
+        raise FieldValueError(f"stream grid unusable for raw values: {exc}") from None
 
 
 def reference_values(stream: GuardedStream) -> np.ndarray:

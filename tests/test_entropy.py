@@ -10,6 +10,7 @@ from reproguard.entropy import (
     FlagReader,
     RangeDecoder,
     RangeEncoder,
+    SymbolTables,
     decode_flags,
     encode_flags,
     gaussian_cdf_table,
@@ -21,6 +22,8 @@ from reproguard.errors import (
     MalformedStreamError,
     TruncatedStreamError,
 )
+from reproguard.hyperprior import SCALE_TABLE_ID
+from reproguard.quantizer import dequantize_array, get_table
 from reproguard.safeguard import FlagStream, GuardMode
 
 
@@ -273,3 +276,157 @@ def test_mixed_bits_and_symbols_share_one_stream():
     assert dec.decode_symbol(t.cum) == 3
     assert dec.decode_bit(22222) == 0
     assert dec.decode_symbol(t.cum) == 8
+
+
+# ---------------------------------------------------------------------------
+# flag reader in chunks
+
+
+def _chunked_flags(mode, seed, sizes):
+    """Flags at a 5% risky rate with risky ones forced onto both sides of
+    every chunk edge; ``sizes`` are the chunk sizes the reader will take."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    fr = (rng.random(n) < 0.05).astype(np.uint8)
+    edges = np.cumsum(sizes)[:-1]
+    fr[edges[edges < n]] = 1
+    fr[edges[edges > 0] - 1] = 1
+    fd = np.where(fr == 1, rng.integers(0, 2, n), -1).astype(np.int8)
+    return _flags(fr, fd if mode == GuardMode.FULL else None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    mode=st.sampled_from(list(GuardMode)),
+    sizes=st.lists(st.integers(0, 40), min_size=1, max_size=25),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flag_reader_chunks_match_one_shot(mode, sizes, seed):
+    fs = _chunked_flags(mode, seed, sizes)
+    n = len(fs)
+    data = encode_flags(fs, mode)
+    whole = decode_flags(data, n, fs.p0_q16, mode)
+    assert np.array_equal(whole.f_r, fs.f_r)
+    assert np.array_equal(whole.f_d, fs.f_d)
+
+    reader = FlagReader(data, n, fs.p0_q16, mode)
+    parts = [reader.take(k) for k in sizes]
+    assert reader.exhausted
+    assert np.array_equal(np.concatenate([fr for fr, _ in parts]), whole.f_r)
+    assert np.array_equal(np.concatenate([fd for _, fd in parts]), whole.f_d)
+    assert all(fr.dtype == np.uint8 and fd.dtype == np.int8 for fr, fd in parts)
+    with pytest.raises(MalformedStreamError):
+        reader.take(1)
+
+
+@pytest.mark.parametrize("mode", list(GuardMode))
+def test_flag_reader_take_zero(mode):
+    reader = FlagReader(b"", 0, 32768, mode)
+    fr, fd = reader.take(0)
+    assert fr.shape == (0,) and fd.shape == (0,)
+    assert reader.exhausted
+    with pytest.raises(MalformedStreamError):
+        reader.take(1)
+
+
+@pytest.mark.parametrize("mode", list(GuardMode))
+def test_cut_safeguard_section_raises_truncated(mode):
+    fs = _chunked_flags(mode, 5, [700])
+    data = encode_flags(fs, mode)
+    assert len(data) > 5
+    # the decoder consumes every byte, so one byte short fails mid-loop
+    reader = FlagReader(data[:-1], len(fs), fs.p0_q16, mode)
+    with pytest.raises(TruncatedStreamError):
+        reader.take(len(fs))
+
+
+def test_bit_batches_give_uint8_and_reject_bad_p16():
+    p16 = np.array([9000, 50000, 30000])
+    enc = RangeEncoder()
+    enc.encode_bits(np.array([1, 0, 1], dtype=np.uint8), p16)
+    out = RangeDecoder(enc.finish()).decode_bits(p16)
+    assert out.dtype == np.uint8 and out.tolist() == [1, 0, 1]
+    # a zero-width interval would never renormalize
+    for bad in (0, 65536):
+        with pytest.raises(InvalidInputError):
+            RangeEncoder().encode_bits(np.array([0]), np.array([bad]))
+
+
+# ---------------------------------------------------------------------------
+# per-stream symbol tables
+
+
+def _scale_bin_tables():
+    grid = get_table(SCALE_TABLE_ID)
+    mids = dequantize_array(grid, np.arange(len(grid.boundaries) - 1)).tolist()
+    return SymbolTables([gaussian_cdf_table(m, 32).cum for m in mids])
+
+
+def _bisect(cum, targets):
+    """The v1 decoder's symbol search, over many targets at once."""
+    lo = np.zeros(targets.shape, dtype=np.int64)
+    hi = np.full(targets.shape, len(cum) - 1, dtype=np.int64)
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) >> 1
+        below = cum[mid] <= targets
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return lo
+
+
+def test_inverse_lookup_matches_bisect_for_every_target():
+    tables = _scale_bin_tables()
+    assert len(tables) == 63
+    inverse = np.array(tables.inverse, dtype=np.int64)
+    cum = np.array(tables.cum, dtype=np.int64)
+    targets = np.arange(65536, dtype=np.int64)
+    for t in range(len(tables)):
+        # the decoder's lookup: a block entry, then forward steps
+        s = inverse[(t << 12) | (targets >> 4)]
+        while True:
+            step = cum[s + 1] <= targets
+            if not step.any():
+                break
+            s += step
+        base = int(tables.base[t])
+        table_cum = cum[base: base + int(tables.size[t]) + 1]
+        assert np.array_equal(s - base, _bisect(table_cum, targets)), t
+
+
+def test_symbol_batch_roundtrip_over_every_scale_bin():
+    tables = _scale_bin_tables()
+    rng = np.random.default_rng(4)
+    n = 20000
+    table_ids = rng.integers(0, len(tables), n)
+    # uniform symbols reach the one-count tails of narrow tables
+    syms = rng.integers(0, 65, n)
+    enc = RangeEncoder()
+    enc.encode_symbols(tables, table_ids, syms)
+    data = enc.finish()
+    assert np.array_equal(RangeDecoder(data).decode_symbols(tables, table_ids), syms)
+
+
+def test_symbol_batch_matches_scalar_calls():
+    t = gaussian_cdf_table(1.7, 8)
+    tables = SymbolTables([t.cum])
+    syms = np.random.default_rng(6).integers(0, 17, 500)
+    scalar = RangeEncoder()
+    for s in syms.tolist():
+        scalar.encode_symbol(t.cum, s)
+    batch = RangeEncoder()
+    batch.encode_symbols(tables, np.zeros(500, dtype=np.int64), syms)
+    assert scalar.finish() == batch.finish()
+
+
+def test_symbol_tables_reject_bad_input():
+    with pytest.raises(InvalidInputError):
+        SymbolTables([])
+    with pytest.raises(InvalidInputError):
+        SymbolTables([(0, 100, 65535)])
+    with pytest.raises(InvalidInputError):
+        SymbolTables([(0, 100, 100, 65536)])
+    tables = SymbolTables([gaussian_cdf_table(1.0, 4).cum])
+    with pytest.raises(InvalidInputError):
+        RangeEncoder().encode_symbols(tables, [0], [9])
+    with pytest.raises(InvalidInputError):
+        RangeEncoder().encode_symbols(tables, [1], [0])
