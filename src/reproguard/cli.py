@@ -6,9 +6,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,31 +36,43 @@ def _overhead_pct(stream: container.GuardedStream) -> float:
     return (len(stream.safeguard) + _GUARD_HEADER_BYTES) / len(stream.main) * 100.0
 
 
-def _workers() -> int:
-    raw = os.environ.get("REPROGUARD_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"REPROGUARD_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError("REPROGUARD_THREADS must be >= 1")
-    return n
-
-
-def _map_jobs(fn, jobs):
-    n = _workers()
-    if n == 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, jobs))
-
-
 def _perturbation(e: float, dist: str, seed: int) -> Perturbation | None:
     if e < 0.0:
         raise ConfigError("perturbation magnitude must be >= 0")
     if e == 0.0 or dist == "none":
         return None
     return Perturbation(e_max=e, dist=dist, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# one encode -> decode -> compare path per payload
+
+_IMAGE_SIZE = (64, 64, 8)
+
+
+def _roundtrip(payload, cfg, size, seed, pert, protect=True):
+    """Encode a seeded synthetic input of ``size``, decode it under ``pert``
+    and compare; returns (stream, coded symbols, exact).  A decode that
+    fails on the stream raises MalformedStreamError."""
+    if payload == "pc":
+        cloud = octree.synth_cloud("dense", *size, seed)
+        stream = octree.encode(cloud, cfg, protect=protect)
+        got, want = octree.decode(stream, perturb=pert).codes, cloud.codes
+    else:
+        lat = hyperprior.synth_latents(*size, seed)
+        stream = hyperprior.encode(lat, cfg, protect=protect)
+        got = hyperprior.decode(stream, perturb=pert)
+        want = hyperprior.quantize_latents(lat.y)
+    return stream, want.size, bool(np.array_equal(got, want))
+
+
+def _trial(payload, cfg, size, seed, pert, protect=True) -> str:
+    """EXACT, MISMATCH, or FAILURE when the decode desynchronizes outright."""
+    try:
+        _, _, exact = _roundtrip(payload, cfg, size, seed, pert, protect)
+    except MalformedStreamError:
+        return "FAILURE"
+    return "EXACT" if exact else "MISMATCH"
 
 
 # ---------------------------------------------------------------------------
@@ -133,49 +143,25 @@ _CSV_FIELDS = [
 ]
 
 
-def _sweep_pc_row(job):
-    k, eps, seed, depth, count = job
-    cfg = octree.make_pc_config(eps, k=k)
-    cloud = octree.synth_cloud("dense", depth, count, seed)
-    stream = octree.encode(cloud, cfg)
+def _q_column(k: int | None) -> str:
+    return "" if k is None else repr(1.0 / k)
+
+
+def _sweep_row(payload, cfg, k, eps, seed, size):
     pert = Perturbation(e_max=eps / 2.0, dist="uniform", seed=seed + 7777)
-    out = octree.decode(stream, perturb=pert)
-    exact = np.array_equal(out.codes, cloud.codes)
+    stream, n, exact = _roundtrip(payload, cfg, size, seed, pert)
     return {
-        "payload": "pc",
-        "kind": "uniform",
-        "n": len(cloud),
-        "q": repr(1.0 / k),
+        "payload": payload,
+        "kind": "uniform" if k is not None else f"table:{hyperprior.SCALE_TABLE_ID}",
+        "n": n,
+        "q": _q_column(k),
         "epsilon": repr(eps),
         "seed": seed,
         "main_bytes": len(stream.main),
         "guard_bytes": len(stream.safeguard),
         "overhead_pct": f"{_overhead_pct(stream):.6f}",
         "p0": f"{stream.p0_q16 / 65536.0:.6f}",
-        "exact": str(bool(exact)).lower(),
-    }
-
-
-def _sweep_image_row(job):
-    eps, seed = job
-    cfg = hyperprior.make_image_config(eps)
-    lat = hyperprior.synth_latents(64, 64, 8, seed)
-    stream = hyperprior.encode(lat, cfg)
-    pert = Perturbation(e_max=eps / 2.0, dist="uniform", seed=seed + 7777)
-    got = hyperprior.decode(stream, perturb=pert)
-    exact = np.array_equal(got, hyperprior.quantize_latents(lat.y))
-    return {
-        "payload": "image",
-        "kind": f"table:{hyperprior.SCALE_TABLE_ID}",
-        "n": got.size,
-        "q": "",
-        "epsilon": repr(eps),
-        "seed": seed,
-        "main_bytes": len(stream.main),
-        "guard_bytes": len(stream.safeguard),
-        "overhead_pct": f"{_overhead_pct(stream):.6f}",
-        "p0": f"{stream.p0_q16 / 65536.0:.6f}",
-        "exact": str(bool(exact)).lower(),
+        "exact": str(exact).lower(),
     }
 
 
@@ -190,31 +176,26 @@ def _skip_row(payload, q, eps, reason):
 def _cmd_sweep(args) -> int:
     epsilons = [float(x) for x in args.epsilons.split(",") if x]
     seeds = [int(x) for x in args.seeds.split(",")] if args.seeds else []
-    rows = []
     if args.payload == "pc":
         ks = [int(x) for x in args.ks.split(",") if x]
-        jobs = []
-        for k in ks:
-            for eps in epsilons:
-                try:
-                    octree.make_pc_config(eps, k=k)
-                except (ConfigError, InvalidInputError) as exc:
-                    print(f"warning: skipping k={k} eps={eps}: {exc}", file=sys.stderr)
-                    rows.append(_skip_row("pc", repr(1.0 / k), eps, exc))
-                    continue
-                jobs.extend((k, eps, s, args.depth, args.count) for s in seeds)
-        rows.extend(_map_jobs(_sweep_pc_row, jobs))
+        size = (args.depth, args.count)
     else:
-        jobs = []
+        ks = [None]  # the latent codec has one grid, the scale table
+        size = _IMAGE_SIZE
+    rows = []
+    for k in ks:
         for eps in epsilons:
             try:
-                hyperprior.make_image_config(eps)
+                if k is None:
+                    cfg = hyperprior.make_image_config(eps)
+                else:
+                    cfg = octree.make_pc_config(eps, k=k)
             except (ConfigError, InvalidInputError) as exc:
-                print(f"warning: skipping eps={eps}: {exc}", file=sys.stderr)
-                rows.append(_skip_row("image", "", eps, exc))
+                where = "" if k is None else f"k={k} "
+                print(f"warning: skipping {where}eps={eps}: {exc}", file=sys.stderr)
+                rows.append(_skip_row(args.payload, _q_column(k), eps, exc))
                 continue
-            jobs.extend((eps, s) for s in seeds)
-        rows.extend(_map_jobs(_sweep_image_row, jobs))
+            rows.extend(_sweep_row(args.payload, cfg, k, eps, s, size) for s in seeds)
 
     rows.sort(
         key=lambda r: (
@@ -320,37 +301,16 @@ def _write_svg(path, rows) -> None:
 # interop / demo-image
 
 
-def _interop_trial_pc(job):
-    eps, e, dist, seed = job
-    cfg = octree.make_pc_config(eps)
-    cloud = octree.synth_cloud("dense", 8, 4000, seed)
-    stream = octree.encode(cloud, cfg)
-    pert = _perturbation(e, dist, seed + 31337)
-    try:
-        out = octree.decode(stream, perturb=pert)
-    except MalformedStreamError:
-        return False
-    return bool(np.array_equal(out.codes, cloud.codes))
-
-
-def _interop_trial_image(job):
-    eps, e, dist, seed = job
-    cfg = hyperprior.make_image_config(eps)
-    lat = hyperprior.synth_latents(16, 16, 4, seed)
-    stream = hyperprior.encode(lat, cfg)
-    pert = _perturbation(e, dist, seed + 31337)
-    try:
-        got = hyperprior.decode(stream, perturb=pert)
-    except MalformedStreamError:
-        return False
-    return bool(np.array_equal(got, hyperprior.quantize_latents(lat.y)))
-
-
 def _cmd_interop(args) -> int:
-    trial = _interop_trial_pc if args.payload == "pc" else _interop_trial_image
-    jobs = [(args.epsilon, args.e, args.dist, s) for s in range(args.trials)]
-    results = _map_jobs(trial, jobs)
-    exact = sum(results)
+    if args.payload == "pc":
+        make_config, size = octree.make_pc_config, (8, 4000)
+    else:
+        make_config, size = hyperprior.make_image_config, (16, 16, 4)
+    exact = 0
+    for seed in range(args.trials):
+        cfg = make_config(args.epsilon)
+        pert = _perturbation(args.e, args.dist, seed + 31337)
+        exact += _trial(args.payload, cfg, size, seed, pert) == "EXACT"
     in_contract = args.e < args.epsilon
     tag = "" if in_contract else "  [OUT OF CONTRACT]"
     print(f"exact {exact}/{args.trials}{tag}")
@@ -364,16 +324,8 @@ def _cmd_demo_image(args) -> int:
     failures = 0
     for t in range(args.trials):
         seed = args.seed + t
-        lat = hyperprior.synth_latents(64, 64, 8, seed)
-        stream = hyperprior.encode(lat, cfg, protect=not args.no_protect)
         pert = _perturbation(args.e, args.dist, seed + 424242)
-        status = "EXACT"
-        try:
-            got = hyperprior.decode(stream, perturb=pert)
-            if not np.array_equal(got, hyperprior.quantize_latents(lat.y)):
-                status = "MISMATCH"
-        except MalformedStreamError:
-            status = "FAILURE"
+        status = _trial("image", cfg, _IMAGE_SIZE, seed, pert, not args.no_protect)
         if status != "EXACT":
             failures += 1
         print(f"trial {t}: {status}")

@@ -8,12 +8,14 @@ declared lengths, and accepted buffers round-trip byte-identically through
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
     BadMagicError,
+    ConfigError,
     FieldValueError,
     LengthOverflowError,
     TrailingDataError,
@@ -21,7 +23,7 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .quantizer import QuantGrid, get_table
-from .safeguard import GuardMode
+from .safeguard import GuardConfig, GuardMode
 
 __all__ = [
     "MAGIC",
@@ -39,6 +41,7 @@ __all__ = [
     "read_file",
     "grid_desc_for",
     "grid_from_desc",
+    "config_for_stream",
 ]
 
 MAGIC = b"RGRD"
@@ -102,12 +105,31 @@ class GuardedStream:
     main: bytes
 
 
-def grid_desc_for(grid: QuantGrid, table_id: int | None = None):
-    if grid.is_uniform:
-        return UniformDesc(q=grid.q, s=grid.s)
-    if table_id is None:
-        raise FieldValueError("boundary grids serialize by table id")
-    return TableDesc(table_id=table_id)
+def grid_desc_for(
+    grid: QuantGrid,
+    table_id: int | None = None,
+    domain: tuple[float, float] | None = None,
+) -> UniformDesc | TableDesc:
+    """The header descriptor of ``grid``: registered table ``table_id``, or
+    the uniform step and offset.
+
+    A decoder rebuilds the grid from the header plus the ``domain`` its
+    payload fixes, so this raises ConfigError unless that rebuild is exactly
+    ``grid``: the header must name the grid the encoder guards with.
+    """
+    if table_id is not None:
+        desc: UniformDesc | TableDesc = TableDesc(table_id=table_id)
+    elif grid.is_uniform:
+        desc = UniformDesc(q=grid.q, s=grid.s)
+    else:
+        raise ConfigError("a boundary grid is named by its table id")
+    try:
+        named = grid_from_desc(desc, domain)
+    except FieldValueError:  # table id not registered
+        named = None
+    if named != grid:
+        raise ConfigError(f"stream header {desc} cannot name the guard grid")
+    return desc
 
 
 def grid_from_desc(desc, domain: tuple[float, float] | None = None) -> QuantGrid:
@@ -116,9 +138,21 @@ def grid_from_desc(desc, domain: tuple[float, float] | None = None) -> QuantGrid
     return get_table(desc.table_id)
 
 
-def _check_stream(stream: GuardedStream) -> None:
-    import math
+def config_for_stream(
+    stream: GuardedStream, domain: tuple[float, float] | None = None
+) -> GuardConfig:
+    """The guard configuration the stream's header describes, with
+    ``domain`` the range the payload fixes for a uniform grid.  A header the
+    configuration rejects (such as an epsilon that breaks the 4*epsilon
+    margin) is a malformed stream."""
+    try:
+        grid = grid_from_desc(stream.grid_desc, domain)
+        return GuardConfig(grid=grid, epsilon=stream.epsilon, mode=stream.mode)
+    except ConfigError as exc:
+        raise FieldValueError(f"stream header unusable: {exc}") from None
 
+
+def _check_stream(stream: GuardedStream) -> None:
     if not isinstance(stream.mode, GuardMode):
         raise FieldValueError(f"bad mode {stream.mode!r}")
     if stream.payload_kind not in (
@@ -230,8 +264,6 @@ class _Reader:
 
 
 def read(data: bytes) -> GuardedStream:
-    import math
-
     r = _Reader(bytes(data))
     magic = r.take(4, "magic")
     if magic != MAGIC:
@@ -244,47 +276,25 @@ def read(data: bytes) -> GuardedStream:
         mode = GuardMode(mode_b)
     except ValueError:
         raise FieldValueError(f"bad mode byte {mode_b}") from None
-    if kind not in (PayloadKind.OCTREE, PayloadKind.HYPERPRIOR, PayloadKind.RAW):
-        raise FieldValueError(f"bad payload kind {kind}")
     (epsilon,) = r.unpack(">d", "epsilon")
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise FieldValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
     (grid_kind,) = r.unpack(">B", "grid kind")
     if grid_kind == 0:
         q, s = r.unpack(">dd", "uniform grid")
-        if not (math.isfinite(q) and q > 0.0):
-            raise FieldValueError("grid step must be finite and > 0")
-        if not (math.isfinite(s) and 0.0 <= s < 1.0):
-            raise FieldValueError("grid offset must be in [0, 1)")
         grid_desc: UniformDesc | TableDesc = UniformDesc(q=q, s=s)
     elif grid_kind == 1:
         (table_id,) = r.unpack(">H", "table id")
-        if table_id == 0:
-            raise FieldValueError("table id 0 is reserved")
         grid_desc = TableDesc(table_id=table_id)
     else:
         raise FieldValueError(f"bad grid kind {grid_kind}")
     p0_q16, flag_count, guard_len, main_len = r.unpack(">HIII", "stream lengths")
-    if not 1 <= p0_q16 <= 65535:
-        raise FieldValueError("p0_q16 must be in [1, 65535]")
 
     if kind == PayloadKind.OCTREE:
         bit_depth, point_count = r.unpack(">BQ", "octree header")
-        if not 1 <= bit_depth <= 21:
-            raise FieldValueError(f"bit depth {bit_depth} outside [1, 21]")
-        if not 1 <= point_count <= 1 << (3 * bit_depth):
-            raise FieldValueError("point count impossible for this bit depth")
         payload: OctreeHeader | HyperpriorHeader | RawHeader = OctreeHeader(
             bit_depth=bit_depth, point_count=point_count
         )
     elif kind == PayloadKind.HYPERPRIOR:
         h, w, c, scale_table_id = r.unpack(">IIIH", "hyperprior header")
-        if h < 1 or w < 1 or c < 1:
-            raise FieldValueError("latent dimensions must be positive")
-        if h % 4 or w % 4:
-            raise FieldValueError("latent height and width must be multiples of 4")
-        if scale_table_id == 0:
-            raise FieldValueError("scale table id 0 is reserved")
         z_len = (h // 4) * (w // 4) * c * 8
         if z_len > r.remaining:
             raise LengthOverflowError("declared z blob exceeds the buffer")
@@ -292,9 +302,11 @@ def read(data: bytes) -> GuardedStream:
         payload = HyperpriorHeader(
             height=h, width=w, channels=c, scale_table_id=scale_table_id, z_blob=z_blob
         )
-    else:
+    elif kind == PayloadKind.RAW:
         (value_count,) = r.unpack(">Q", "raw header")
         payload = RawHeader(value_count=value_count)
+    else:
+        raise FieldValueError(f"bad payload kind {kind}")
 
     if guard_len + main_len > r.remaining:
         raise TruncatedStreamError("declared section lengths exceed the buffer")
@@ -303,7 +315,7 @@ def read(data: bytes) -> GuardedStream:
     if r.remaining:
         raise TrailingDataError(f"{r.remaining} bytes after the container end")
 
-    return GuardedStream(
+    stream = GuardedStream(
         mode=mode,
         payload_kind=kind,
         epsilon=epsilon,
@@ -314,6 +326,8 @@ def read(data: bytes) -> GuardedStream:
         safeguard=safeguard,
         main=main,
     )
+    _check_stream(stream)
+    return stream
 
 
 def write_file(path: str | Path, stream: GuardedStream) -> None:

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import GuardedStream, HyperpriorHeader, PayloadKind, TableDesc
+from .container import (
+    GuardedStream,
+    HyperpriorHeader,
+    PayloadKind,
+    TableDesc,
+    config_for_stream,
+    grid_desc_for,
+)
 from .entropy import (
     FlagReader,
     RangeDecoder,
@@ -24,7 +31,7 @@ from .entropy import (
     encode_flags,
     gaussian_cdf_table,
 )
-from .errors import ConfigError, FieldValueError, InvalidInputError
+from .errors import FieldValueError, InvalidInputError
 from .platform_sim import Perturbation, splitmix64_array, unit_from_u64
 from .quantizer import (
     QuantGrid,
@@ -90,10 +97,7 @@ if SCALE_TABLE_ID not in registered_tables():
 def make_image_config(
     epsilon: float, mode: GuardMode | str = GuardMode.CENTER
 ) -> GuardConfig:
-    table = get_table(SCALE_TABLE_ID)
-    return GuardConfig(
-        grid=table, epsilon=epsilon, mode=mode, edge_clip=(_SCALE_LO, _SCALE_HI)
-    )
+    return GuardConfig(grid=get_table(SCALE_TABLE_ID), epsilon=epsilon, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +202,6 @@ def quantize_latents(y: np.ndarray) -> np.ndarray:
 # codec
 
 
-def _check_image_config(cfg: GuardConfig) -> None:
-    if cfg.grid.is_uniform:
-        raise ConfigError("latent coding needs the non-uniform scale table")
-    if cfg.edge_clip != (cfg.grid.domain[0], cfg.grid.domain[1]):
-        raise ConfigError("scale clipping must match the table edges")
-
-
 def _stream_tables(grid: QuantGrid, idx: np.ndarray) -> tuple[SymbolTables, np.ndarray]:
     """One CDF table per scale bin in use, built once for the stream, and the
     table each position codes against."""
@@ -223,7 +220,7 @@ def encode(
     protect: bool = True,
 ) -> GuardedStream:
     """Code rounded latents conditioned on safeguarded scale bins."""
-    _check_image_config(cfg)
+    grid_desc = grid_desc_for(cfg.grid, SCALE_TABLE_ID)
     h, w, c = lat.dims
     field = hyper_synthesis(lat.z, hs_seed)
     sig = field.sigma.reshape(-1)
@@ -251,7 +248,7 @@ def encode(
         mode=cfg.mode,
         payload_kind=PayloadKind.HYPERPRIOR,
         epsilon=cfg.epsilon,
-        grid_desc=TableDesc(table_id=SCALE_TABLE_ID),
+        grid_desc=grid_desc,
         p0_q16=p0_q16,
         flag_count=flag_count,
         payload=HyperpriorHeader(
@@ -279,23 +276,16 @@ def decode(
     header: HyperpriorHeader = stream.payload
     if header.scale_table_id != stream.grid_desc.table_id:
         raise FieldValueError("payload and grid descriptor disagree on the table")
-    grid = get_table(stream.grid_desc.table_id)
-    try:
-        cfg = GuardConfig(
-            grid=grid,
-            epsilon=stream.epsilon,
-            mode=stream.mode,
-            edge_clip=(grid.domain[0], grid.domain[1]),
-        )
-    except ConfigError as exc:
-        raise FieldValueError(f"stream unusable for the scale table: {exc}") from None
+    cfg = config_for_stream(stream)
 
     h, w, c = header.height, header.width, header.channels
     z = np.frombuffer(header.z_blob, dtype=">f8").astype(np.float64)
+    if not np.all(np.isfinite(z)):
+        raise FieldValueError("z holds a non-finite value")
     z = z.reshape(h // _POOL, w // _POOL, c)
     sig = hyper_synthesis(z, hs_seed).sigma.reshape(-1)
     if perturb is not None:
-        sig = perturb.perturb_array(sig, grid)
+        sig = perturb.perturb_array(sig, cfg.grid)
 
     protected = stream.flag_count > 0
     if protected:
@@ -306,10 +296,10 @@ def decode(
         if not reader.exhausted:
             raise FieldValueError("flag count does not match the latent count")
         v_out = guard_decode_array(cfg, sig, fr, fd)
-        idx = quantize_array(grid, v_out)
+        idx = quantize_array(cfg.grid, v_out)
     else:
-        idx = quantize_array(grid, np.clip(sig, *grid.domain))
+        idx = quantize_array(cfg.grid, np.clip(sig, *cfg.grid.domain))
 
-    tables, table_ids = _stream_tables(grid, idx)
+    tables, table_ids = _stream_tables(cfg.grid, idx)
     syms = RangeDecoder(stream.main).decode_symbols(tables, table_ids)
     return (syms - _AMPLITUDE).reshape(h, w, c)

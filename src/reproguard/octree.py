@@ -19,6 +19,8 @@ from .container import (
     OctreeHeader,
     PayloadKind,
     UniformDesc,
+    config_for_stream,
+    grid_desc_for,
 )
 from .entropy import (
     FlagReader,
@@ -288,22 +290,17 @@ def predict(ctx: OctreeContext) -> float:
 # codec
 
 
+_UNIT = (0.0, 1.0)  # the probability domain every octree grid clips to
+
+
 def make_pc_config(
     epsilon: float, k: int = 250, mode: GuardMode | str = GuardMode.CENTER
 ) -> GuardConfig:
     """Probability grid q = 1/k on [0, 1] with both edges clipped."""
     if k < 1:
         raise ConfigError("k must be a positive integer")
-    grid = QuantGrid.uniform(1.0 / k, 0.0, domain=(0.0, 1.0))
-    return GuardConfig(grid=grid, epsilon=epsilon, mode=mode, edge_clip=(0.0, 1.0))
-
-
-def _check_pc_config(cfg: GuardConfig) -> None:
-    g = cfg.grid
-    if not g.is_uniform or g.s != 0.0 or g.domain != (0.0, 1.0):
-        raise ConfigError("octree coding needs a uniform grid with s=0 on [0, 1]")
-    if cfg.edge_clip != (0.0, 1.0):
-        raise ConfigError("octree coding clips probabilities to [0, 1]")
+    grid = QuantGrid.uniform(1.0 / k, 0.0, domain=_UNIT)
+    return GuardConfig(grid=grid, epsilon=epsilon, mode=mode)
 
 
 def _level_codes(cloud: VoxelCloud) -> list[np.ndarray]:
@@ -336,7 +333,7 @@ def encode(
     trace: list | None = None,
 ) -> GuardedStream:
     """Code a voxel cloud; returns the container object."""
-    _check_pc_config(cfg)
+    grid_desc = grid_desc_for(cfg.grid, domain=_UNIT)
     levels = _level_codes(cloud)
     n = cloud.bit_depth
     enc = RangeEncoder()
@@ -389,7 +386,7 @@ def encode(
         mode=cfg.mode,
         payload_kind=PayloadKind.OCTREE,
         epsilon=cfg.epsilon,
-        grid_desc=UniformDesc(q=cfg.grid.q, s=cfg.grid.s),
+        grid_desc=grid_desc,
         p0_q16=p0_q16,
         flag_count=flag_count,
         payload=OctreeHeader(bit_depth=n, point_count=len(cloud)),
@@ -409,18 +406,7 @@ def decode(
         raise FieldValueError("not an octree stream")
     if not isinstance(stream.grid_desc, UniformDesc):
         raise FieldValueError("octree streams carry a uniform grid")
-    try:
-        cfg = GuardConfig(
-            grid=QuantGrid.uniform(
-                stream.grid_desc.q, stream.grid_desc.s, domain=(0.0, 1.0)
-            ),
-            epsilon=stream.epsilon,
-            mode=stream.mode,
-            edge_clip=(0.0, 1.0),
-        )
-        _check_pc_config(cfg)
-    except ConfigError as exc:
-        raise FieldValueError(f"stream grid unusable for octree payload: {exc}") from None
+    cfg = config_for_stream(stream, domain=_UNIT)
 
     header: OctreeHeader = stream.payload
     n = header.bit_depth

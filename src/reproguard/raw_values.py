@@ -15,11 +15,11 @@ from .container import (
     GuardedStream,
     PayloadKind,
     RawHeader,
+    config_for_stream,
     grid_desc_for,
-    grid_from_desc,
 )
 from .entropy import FlagReader, encode_flags
-from .errors import ConfigError, FieldValueError, InvalidInputError
+from .errors import FieldValueError, InvalidInputError
 from .safeguard import (
     FlagStream,
     GuardConfig,
@@ -27,13 +27,7 @@ from .safeguard import (
     guard_encode_array,
 )
 
-__all__ = ["encode_values", "decode_values", "reference_values", "config_for_stream"]
-
-
-def _canonical_clip(cfg_grid) -> tuple[float, float] | None:
-    # values are clipped to the grid's domain when it has one; a bare
-    # uniform grid guards the whole real line
-    return cfg_grid.domain
+__all__ = ["encode_values", "decode_values", "reference_values"]
 
 
 def encode_values(
@@ -42,17 +36,14 @@ def encode_values(
     v = np.asarray(values, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(v)):
         raise InvalidInputError("values must be finite")
-    if cfg.edge_clip != _canonical_clip(cfg.grid):
-        raise InvalidInputError(
-            "raw payload clips to the grid domain; pass a matching edge_clip"
-        )
+    grid_desc = grid_desc_for(cfg.grid, table_id)
     v_out, fr, fd = guard_encode_array(cfg, v)
     flags = FlagStream.from_arrays(fr, fd)
     return GuardedStream(
         mode=cfg.mode,
         payload_kind=PayloadKind.RAW,
         epsilon=cfg.epsilon,
-        grid_desc=grid_desc_for(cfg.grid, table_id),
+        grid_desc=grid_desc,
         p0_q16=flags.p0_q16,
         flag_count=len(flags),
         payload=RawHeader(value_count=v.shape[0]),
@@ -61,25 +52,12 @@ def encode_values(
     )
 
 
-def config_for_stream(stream: GuardedStream) -> GuardConfig:
-    """The stream's guard configuration; one the grid cannot honor (such as
-    an epsilon that breaks the 4*epsilon margin) is a malformed stream."""
-    try:
-        grid = grid_from_desc(stream.grid_desc)
-        return GuardConfig(
-            grid=grid,
-            epsilon=stream.epsilon,
-            mode=stream.mode,
-            edge_clip=_canonical_clip(grid),
-        )
-    except ConfigError as exc:
-        raise FieldValueError(f"stream grid unusable for raw values: {exc}") from None
-
-
 def reference_values(stream: GuardedStream) -> np.ndarray:
     """The encoder's protected doubles, exactly as shipped."""
     if stream.payload_kind != PayloadKind.RAW:
         raise FieldValueError("not a raw-values stream")
+    if len(stream.main) != 8 * stream.payload.value_count:
+        raise FieldValueError("main stream length does not match the value count")
     return np.frombuffer(stream.main, dtype=">f8").astype(np.float64)
 
 

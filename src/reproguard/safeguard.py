@@ -18,13 +18,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
 from .quantizer import (
     QuantGrid,
+    _clamp_domain_array,
     boundary_value_array,
     dequantize_array,
     gap_above_array,
@@ -37,13 +37,9 @@ from .quantizer import (
 __all__ = [
     "GuardMode",
     "GuardConfig",
-    "GuardedValue",
     "FlagStream",
-    "guard_encode",
-    "guard_decode",
     "guard_encode_array",
     "guard_decode_array",
-    "finalize_flags",
 ]
 
 
@@ -78,69 +74,30 @@ def parse_mode(name: str | int | GuardMode) -> GuardMode:
         raise ConfigError(f"unknown guard mode {name!r}") from None
 
 
-def _on_boundary(grid: QuantGrid, x: float) -> bool:
-    if grid.is_uniform:
-        t = x / grid.q + grid.s
-        return abs(t - round(t)) <= 1e-9 * max(1.0, abs(t))
-    b = np.asarray(grid.boundaries)
-    return bool(np.min(np.abs(b - x)) <= 1e-9 * max(1.0, abs(x)))
-
-
 @dataclass(frozen=True)
 class GuardConfig:
-    """Grid, margin, mode, and optional hard clipping range for the values."""
+    """Grid, margin and mode; values are clipped to the grid's domain."""
 
     grid: QuantGrid
     epsilon: float
     mode: GuardMode = GuardMode.FULL
-    edge_clip: tuple[float, float | None] | None = None
 
     def __post_init__(self) -> None:
         validate(self.grid, self.epsilon)
         object.__setattr__(self, "mode", parse_mode(self.mode))
-        if self.edge_clip is not None:
-            lo, hi = self.edge_clip
-            lo = float(lo)
-            hi = None if hi is None else float(hi)
-            if not math.isfinite(lo) or (hi is not None and not math.isfinite(hi)):
-                raise ConfigError("edge clip values must be finite")
-            if hi is not None and hi <= lo:
-                raise ConfigError("edge clip needs lo < hi")
-            for edge in (lo,) if hi is None else (lo, hi):
-                if not _on_boundary(self.grid, edge):
-                    raise ConfigError(
-                        f"edge clip value {edge!r} is not a grid boundary"
-                    )
-            object.__setattr__(self, "edge_clip", (lo, hi))
 
-
-@dataclass(frozen=True)
-class GuardedValue:
-    v_out: float
-    f_r: int
-    f_d: int | None = None
-
-
-def _clip_edges(cfg: GuardConfig, v: np.ndarray) -> np.ndarray:
-    if cfg.edge_clip is None:
-        return v
-    lo, hi = cfg.edge_clip
-    v = np.maximum(v, lo)
-    if hi is not None:
-        v = np.minimum(v, hi)
-    return v
+    @property
+    def edge_clip(self) -> tuple[float, float] | None:
+        """The range values are clipped to: the grid's domain, if any."""
+        return self.grid.domain
 
 
 def _edge_zone(cfg: GuardConfig, v: np.ndarray) -> np.ndarray:
-    """Values within epsilon of a clipped edge are forced onto the safe path."""
-    zone = np.zeros(v.shape, dtype=bool)
-    if cfg.edge_clip is None:
-        return zone
-    lo, hi = cfg.edge_clip
-    zone |= v <= lo + cfg.epsilon
-    if hi is not None:
-        zone |= v >= hi - cfg.epsilon
-    return zone
+    """Values within epsilon of a domain edge are forced onto the safe path."""
+    if cfg.grid.domain is None:
+        return np.zeros(v.shape, dtype=bool)
+    lo, hi = cfg.grid.domain
+    return (v <= lo + cfg.epsilon) | (v >= hi - cfg.epsilon)
 
 
 def _shift_vout(grid: QuantGrid, m: np.ndarray, go_left: np.ndarray) -> np.ndarray:
@@ -170,7 +127,7 @@ def guard_encode_array(
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise InvalidInputError("values must be finite")
-    v = _clip_edges(cfg, v)
+    v = _clamp_domain_array(cfg.grid, v)
 
     m, bv = round_index_array(cfg.grid, v)
     dist = np.abs(bv - v)
@@ -205,7 +162,7 @@ def guard_decode_array(cfg: GuardConfig, v_prime, f_r, f_d=None) -> np.ndarray:
     f_r = np.asarray(f_r)
     if f_r.shape != vp.shape:
         raise InvalidInputError("flag array shape mismatch")
-    vp = _clip_edges(cfg, vp)
+    vp = _clamp_domain_array(cfg.grid, vp)
 
     v_out = dequantize_array(cfg.grid, quantize_array(cfg.grid, vp))
     risky = f_r != 0
@@ -229,22 +186,6 @@ def guard_decode_array(cfg: GuardConfig, v_prime, f_r, f_d=None) -> np.ndarray:
     return v_out
 
 
-def guard_encode(cfg: GuardConfig, v: float) -> GuardedValue:
-    v_out, f_r, f_d = guard_encode_array(cfg, np.array([v]))
-    fd = None if f_d[0] < 0 else int(f_d[0])
-    return GuardedValue(v_out=float(v_out[0]), f_r=int(f_r[0]), f_d=fd)
-
-
-def guard_decode(
-    cfg: GuardConfig, v_prime: float, f_r: int, f_d: int | None = None
-) -> float:
-    fd = np.array([-1 if f_d is None else f_d], dtype=np.int8)
-    out = guard_decode_array(
-        cfg, np.array([v_prime]), np.array([f_r], dtype=np.uint8), fd
-    )
-    return float(out[0])
-
-
 # ---------------------------------------------------------------------------
 # flag bookkeeping
 
@@ -265,12 +206,6 @@ class FlagStream:
     def __len__(self) -> int:
         return int(self.f_r.shape[0])
 
-    def pairs(self) -> list[tuple[int, int | None]]:
-        return [
-            (int(r), None if d < 0 else int(d))
-            for r, d in zip(self.f_r, self.f_d)
-        ]
-
     @classmethod
     def from_arrays(cls, f_r, f_d=None) -> "FlagStream":
         fr = np.asarray(f_r, dtype=np.uint8)
@@ -287,12 +222,3 @@ class FlagStream:
         p0_q16 = int(min(max(math.floor(p0 * 65536.0 + 0.5), 1), 65535))
         return cls(fr, fd, p0, p0_q16)
 
-
-def finalize_flags(flags: Iterable[tuple[int, int | None]] | Sequence) -> FlagStream:
-    """Freeze a flag list and derive the quantized zero-probability."""
-    pairs = list(flags)
-    fr = np.array([p[0] for p in pairs], dtype=np.uint8)
-    fd = np.array(
-        [-1 if p[1] is None else int(p[1]) for p in pairs], dtype=np.int8
-    )
-    return FlagStream.from_arrays(fr, fd)

@@ -78,7 +78,6 @@ def test_reproduction_guarantee_bit_exact(capsys):
                     grid=QuantGrid.uniform(q, 0.0),
                     epsilon=eps,
                     mode=mode,
-                    edge_clip=None,
                 )
                 v, delta = planted_cases(rng, per_combo, q, eps)
                 v_out, fr, fd = guard_encode_array(cfg, v)

@@ -137,23 +137,6 @@ class TestSweep:
         assert rows[0]["kind"] == "table:1"
         assert rows[0]["exact"] == "true"
 
-    def test_thread_pool_output_is_identical(self, tmp_path, monkeypatch):
-        argv = ["sweep", "--payload", "pc", "--epsilons", "1e-5,1e-6",
-                "--ks", "200,250", "--seeds", "0,1", "--depth", "6",
-                "--count", "1000"]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.setenv("REPROGUARD_THREADS", "1")
-        assert cli.main(argv + ["--out", str(a)]) == 0
-        monkeypatch.setenv("REPROGUARD_THREADS", "4")
-        assert cli.main(argv + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_bad_thread_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPROGUARD_THREADS", "lots")
-        assert run("sweep", "--payload", "pc", "--epsilons", "1e-6",
-                   "--seeds", "0,1", "--depth", "5", "--count", "200",
-                   "--out", str(tmp_path / "s.csv")) == cli.EXIT_CONFIG
-
 
 class TestInterop:
     def test_in_contract_pc(self, capsys):

@@ -196,18 +196,18 @@ class TestConfig:
             QuantGrid.uniform(0.3, 0.0, domain=(0.0, 1.0))
 
     def test_clip_edges_must_sit_on_boundaries(self):
-        with pytest.raises(ConfigError):
-            GuardConfig(grid=QuantGrid.uniform(0.3, 0.0), epsilon=1e-6,
-                        mode=GuardMode.CENTER, edge_clip=(0.0, 1.0))
-        with pytest.raises(ConfigError):
-            GuardConfig(grid=QuantGrid.uniform(0.01, 0.5), epsilon=1e-6,
-                        mode=GuardMode.CENTER, edge_clip=(0.0, 1.0))
+        # the header names [0, 1] as the domain, so both edges must be
+        # boundaries of the grid the encoder guards with
+        cloud = synth_cloud("sparse", 3, 10, 0)
+        for grid in (QuantGrid.uniform(0.3, 0.0), QuantGrid.uniform(0.01, 0.5)):
+            cfg = GuardConfig(grid=grid, epsilon=1e-6, mode=GuardMode.CENTER)
+            with pytest.raises(ConfigError):
+                encode(cloud, cfg)
 
     def test_domainless_grid_rejected(self):
         # valid safeguard config, but the codec needs the [0, 1] domain
         grid = QuantGrid.uniform(0.01, 0.0)
-        cfg = GuardConfig(grid=grid, epsilon=1e-6, mode=GuardMode.CENTER,
-                          edge_clip=(0.0, 1.0))
+        cfg = GuardConfig(grid=grid, epsilon=1e-6, mode=GuardMode.CENTER)
         cloud = synth_cloud("sparse", 3, 10, 0)
         with pytest.raises(ConfigError):
             encode(cloud, cfg)

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from reproguard.container import GuardedStream, read, write
+from reproguard.container import GuardedStream, config_for_stream, read, write
 from reproguard.errors import FieldValueError, InvalidInputError
 from reproguard.quantizer import QuantGrid, get_table
 from reproguard.raw_values import (
-    config_for_stream,
     decode_values,
     encode_values,
     reference_values,
@@ -19,7 +18,7 @@ EPS = 1e-3
 
 
 def cfg_for(mode):
-    return GuardConfig(grid=GRID, epsilon=EPS, mode=mode, edge_clip=None)
+    return GuardConfig(grid=GRID, epsilon=EPS, mode=mode)
 
 
 def sample_values(n, seed):
@@ -66,9 +65,7 @@ def test_identity_decode_without_perturbation():
 
 def test_table_grid_payload():
     grid = get_table(1)
-    cfg = GuardConfig(
-        grid=grid, epsilon=1e-4, mode=GuardMode.CENTER, edge_clip=grid.domain
-    )
+    cfg = GuardConfig(grid=grid, epsilon=1e-4, mode=GuardMode.CENTER)
     rng = np.random.default_rng(5)
     v = rng.uniform(0.11, 256.0, size=500)
     stream = encode_values(v, cfg, table_id=1)
@@ -108,14 +105,6 @@ def test_empty_vector():
 def test_nonfinite_rejected():
     with pytest.raises(InvalidInputError):
         encode_values(np.array([1.0, np.inf]), cfg_for(GuardMode.CENTER))
-
-
-def test_edge_clip_must_match_domain():
-    grid = QuantGrid.uniform(0.01, 0.0, domain=(0.0, 1.0))
-    cfg = GuardConfig(grid=grid, epsilon=EPS, mode=GuardMode.CENTER,
-                      edge_clip=None)
-    with pytest.raises(InvalidInputError):
-        encode_values(np.array([0.5]), cfg)
 
 
 def test_count_mismatch():

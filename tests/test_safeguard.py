@@ -9,10 +9,7 @@ from reproguard.safeguard import (
     FlagStream,
     GuardConfig,
     GuardMode,
-    finalize_flags,
-    guard_decode,
     guard_decode_array,
-    guard_encode,
     guard_encode_array,
     parse_mode,
 )
@@ -32,41 +29,41 @@ def cfg_for(mode):
 
 
 def test_full_risky_below_boundary():
-    gv = guard_encode(cfg_for(GuardMode.FULL), 0.0195)
-    assert (gv.f_r, gv.f_d) == (1, 0)
-    assert gv.v_out == 0.015
+    v_out, fr, fd = guard_encode_array(cfg_for(GuardMode.FULL), [0.0195])
+    assert (fr[0], fd[0]) == (1, 0)
+    assert v_out[0] == 0.015
 
 
 def test_full_risky_above_boundary():
-    gv = guard_encode(cfg_for(GuardMode.FULL), 0.0204)
-    assert (gv.f_r, gv.f_d) == (1, 1)
-    assert gv.v_out == 0.025
+    v_out, fr, fd = guard_encode_array(cfg_for(GuardMode.FULL), [0.0204])
+    assert (fr[0], fd[0]) == (1, 1)
+    assert v_out[0] == 0.025
 
 
 @pytest.mark.parametrize("mode", ALL_MODES)
 def test_safe_value_any_mode(mode):
-    gv = guard_encode(cfg_for(mode), 0.016)
-    assert gv.f_r == 0
-    assert gv.f_d is None
-    assert gv.v_out == 0.015
+    v_out, fr, fd = guard_encode_array(cfg_for(mode), [0.016])
+    assert fr[0] == 0
+    assert fd[0] == -1  # no direction flag
+    assert v_out[0] == 0.015
 
 
 def test_center_major_outputs_boundary():
-    gv = guard_encode(cfg_for(GuardMode.CENTER), 0.0195)
-    assert gv.f_r == 1
-    assert gv.v_out == 0.02
+    v_out, fr, _ = guard_encode_array(cfg_for(GuardMode.CENTER), [0.0195])
+    assert fr[0] == 1
+    assert v_out[0] == 0.02
 
 
 def test_left_major_shifts_left_even_from_the_right():
-    gv = guard_encode(cfg_for(GuardMode.LEFT), 0.0204)
-    assert gv.f_r == 1
-    assert gv.v_out == 0.015
+    v_out, fr, _ = guard_encode_array(cfg_for(GuardMode.LEFT), [0.0204])
+    assert fr[0] == 1
+    assert v_out[0] == 0.015
 
 
 def test_right_major_mirrors():
-    gv = guard_encode(cfg_for(GuardMode.RIGHT), 0.0196)
-    assert gv.f_r == 1
-    assert gv.v_out == 0.025
+    v_out, fr, _ = guard_encode_array(cfg_for(GuardMode.RIGHT), [0.0196])
+    assert fr[0] == 1
+    assert v_out[0] == 0.025
 
 
 # ---------------------------------------------------------------------------
@@ -74,39 +71,39 @@ def test_right_major_mirrors():
 
 
 def test_decode_full_left_direction():
-    assert guard_decode(cfg_for(GuardMode.FULL), 0.0203, 1, 0) == 0.015
+    assert guard_decode_array(cfg_for(GuardMode.FULL), [0.0203], [1], [0])[0] == 0.015
 
 
 def test_decode_safe_path():
-    assert guard_decode(cfg_for(GuardMode.FULL), 0.0168, 0) == 0.015
+    assert guard_decode_array(cfg_for(GuardMode.FULL), [0.0168], [0])[0] == 0.015
 
 
 def test_decode_center_major():
-    assert guard_decode(cfg_for(GuardMode.CENTER), 0.0186, 1) == 0.02
+    assert guard_decode_array(cfg_for(GuardMode.CENTER), [0.0186], [1])[0] == 0.02
 
 
 def test_decode_full_missing_direction():
     with pytest.raises(InvalidInputError):
-        guard_decode(cfg_for(GuardMode.FULL), 0.0203, 1)
+        guard_decode_array(cfg_for(GuardMode.FULL), [0.0203], [1], [-1])
 
 
 # ---------------------------------------------------------------------------
-# finalize_flags
+# flag streams
 
 
 def test_finalize_mostly_safe():
-    fs = finalize_flags([(0, None)] * 999 + [(1, None)])
+    fs = FlagStream.from_arrays(np.array([0] * 999 + [1]))
     assert fs.p0 == pytest.approx(0.999)
     assert fs.p0_q16 == 65470
 
 
 def test_finalize_all_safe_clamps():
-    fs = finalize_flags([(0, None)] * 100)
+    fs = FlagStream.from_arrays(np.zeros(100))
     assert fs.p0_q16 == 65535
 
 
 def test_finalize_empty_default():
-    fs = finalize_flags([])
+    fs = FlagStream.from_arrays(np.empty(0))
     assert fs.p0_q16 == 32768
 
 
@@ -115,7 +112,8 @@ def test_from_arrays_counts_directions():
     fd = np.array([0, -1, 1], dtype=np.int8)
     fs = FlagStream.from_arrays(fr, fd)
     assert len(fs) == 3
-    assert list(fs.pairs()) == [(1, 0), (0, None), (1, 1)]
+    assert fs.f_r.tolist() == [1, 0, 1]
+    assert fs.f_d.tolist() == [0, -1, 1]  # -1: no direction flag
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +134,7 @@ def _rng_cases(rng, grid, eps, n):
 @pytest.mark.parametrize("q,eps", [(0.004, 1e-5), (0.008, 1e-6)])
 def test_guarantee_randomized(mode, q, eps):
     grid = QuantGrid.uniform(q, 0.0, domain=(0.0, 1.0))
-    cfg = GuardConfig(grid=grid, epsilon=eps, mode=mode, edge_clip=(0.0, 1.0))
+    cfg = GuardConfig(grid=grid, epsilon=eps, mode=mode)
     rng = np.random.default_rng(1234)
     v = _rng_cases(rng, grid, eps, 20000)
     delta = rng.uniform(-0.999 * eps, 0.999 * eps, v.shape[0])
@@ -152,7 +150,7 @@ def test_guarantee_randomized(mode, q, eps):
 def test_guarantee_table_grid(mode):
     grid = QuantGrid.from_boundaries((0.0, 0.07, 0.21, 0.5, 0.55, 1.0))
     eps = 0.01
-    cfg = GuardConfig(grid=grid, epsilon=eps, mode=mode, edge_clip=(0.0, 1.0))
+    cfg = GuardConfig(grid=grid, epsilon=eps, mode=mode)
     rng = np.random.default_rng(99)
     v = rng.uniform(0.0, 1.0, 30000)
     planted = np.concatenate(
@@ -176,10 +174,10 @@ def test_guarantee_table_grid(mode):
 )
 def test_guarantee_scalar(mode, v, u):
     grid = QuantGrid.uniform(0.01, 0.0, domain=(0.0, 1.0))
-    cfg = GuardConfig(grid=grid, epsilon=0.001, mode=mode, edge_clip=(0.0, 1.0))
-    gv = guard_encode(cfg, v)
-    got = guard_decode(cfg, v + u * 0.001, gv.f_r, gv.f_d)
-    assert got == gv.v_out
+    cfg = GuardConfig(grid=grid, epsilon=0.001, mode=mode)
+    v_out, fr, fd = guard_encode_array(cfg, [v])
+    got = guard_decode_array(cfg, [v + u * 0.001], fr, fd)
+    assert got[0] == v_out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -218,25 +216,24 @@ def test_safe_bin_is_stable():
 
 @pytest.mark.parametrize("mode", ALL_MODES)
 def test_modes_agree_on_safe_values(mode):
-    base = guard_encode(cfg_for(GuardMode.FULL), 0.0163)
-    gv = guard_encode(cfg_for(mode), 0.0163)
-    assert gv.f_r == 0 and gv.v_out == base.v_out
+    base, _, _ = guard_encode_array(cfg_for(GuardMode.FULL), [0.0163])
+    v_out, fr, _ = guard_encode_array(cfg_for(mode), [0.0163])
+    assert fr[0] == 0 and v_out[0] == base[0]
 
 
 def test_safe_vout_is_bin_center():
     cfg = cfg_for(GuardMode.CENTER)
     for v in (0.013, 0.0442, 0.7):
-        gv = guard_encode(cfg, v)
-        if gv.f_r == 0:
-            assert gv.v_out == dequantize(GRID, quantize(GRID, v))
+        v_out, fr, _ = guard_encode_array(cfg, [v])
+        if fr[0] == 0:
+            assert v_out[0] == dequantize(GRID, quantize(GRID, v))
 
 
 def test_flag_rate_matches_two_epsilon_per_bin():
     rng = np.random.default_rng(7)
     grid = QuantGrid.uniform(1.0 / 250.0, 0.0, domain=(0.0, 1.0))
     eps = 1e-4
-    cfg = GuardConfig(grid=grid, epsilon=eps, mode=GuardMode.CENTER,
-                      edge_clip=(0.0, 1.0))
+    cfg = GuardConfig(grid=grid, epsilon=eps, mode=GuardMode.CENTER)
     n = 500000
     v = rng.uniform(0.0, 1.0, n)
     _, fr, _ = guard_encode_array(cfg, v)
@@ -251,22 +248,14 @@ def test_flag_rate_matches_two_epsilon_per_bin():
 
 def test_edge_zone_forces_safe_flag():
     grid = QuantGrid.uniform(0.01, 0.0, domain=(0.0, 1.0))
-    cfg = GuardConfig(grid=grid, epsilon=0.001, mode=GuardMode.CENTER,
-                      edge_clip=(0.0, 1.0))
-    for v in (0.0, 0.0005, 0.001, 0.9995, 1.0):
-        gv = guard_encode(cfg, v)
-        assert gv.f_r == 0
+    cfg = GuardConfig(grid=grid, epsilon=0.001, mode=GuardMode.CENTER)
+    _, fr, _ = guard_encode_array(cfg, [0.0, 0.0005, 0.001, 0.9995, 1.0])
+    assert not fr.any()
 
     # and clipping itself
-    assert guard_encode(cfg, 1.7).v_out == guard_encode(cfg, 1.0).v_out
-    assert guard_encode(cfg, -0.2).v_out == guard_encode(cfg, 0.0).v_out
-
-
-def test_edge_clip_must_sit_on_boundary():
-    grid = QuantGrid.uniform(0.01, 0.0)
-    with pytest.raises(ConfigError):
-        GuardConfig(grid=grid, epsilon=0.001, mode=GuardMode.CENTER,
-                    edge_clip=(0.005, None))
+    v_out, _, _ = guard_encode_array(cfg, [1.7, 1.0, -0.2, 0.0])
+    assert v_out[0] == v_out[1]
+    assert v_out[2] == v_out[3]
 
 
 def test_config_requires_margin():
