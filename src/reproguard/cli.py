@@ -144,7 +144,8 @@ _CSV_FIELDS = [
 
 
 def _q_column(k: int | None) -> str:
-    return "" if k is None else repr(1.0 / k)
+    # no k (the latent codec) or k = 0 (rejected by make_pc_config) has no q
+    return repr(1.0 / k) if k else ""
 
 
 def _sweep_row(payload, cfg, k, eps, seed, size):

@@ -17,6 +17,7 @@ from .errors import (
     BadMagicError,
     ConfigError,
     FieldValueError,
+    InvalidInputError,
     LengthOverflowError,
     TrailingDataError,
     TruncatedStreamError,
@@ -144,11 +145,11 @@ def config_for_stream(
     """The guard configuration the stream's header describes, with
     ``domain`` the range the payload fixes for a uniform grid.  A header the
     configuration rejects (such as an epsilon that breaks the 4*epsilon
-    margin) is a malformed stream."""
+    margin, or a non-finite epsilon or step) is a malformed stream."""
     try:
         grid = grid_from_desc(stream.grid_desc, domain)
         return GuardConfig(grid=grid, epsilon=stream.epsilon, mode=stream.mode)
-    except ConfigError as exc:
+    except (ConfigError, InvalidInputError) as exc:
         raise FieldValueError(f"stream header unusable: {exc}") from None
 
 

@@ -50,8 +50,6 @@ __all__ = [
     "VoxelCloud",
     "voxelize",
     "synth_cloud",
-    "OctreeContext",
-    "predict",
     "make_pc_config",
     "encode",
     "decode",
@@ -224,19 +222,6 @@ def _ancestral_unit(parent_codes: np.ndarray, depth: int, octant: int) -> np.nda
     return unit_from_u64(splitmix64_array(x))
 
 
-@dataclass(frozen=True)
-class OctreeContext:
-    """Causal context of one child node."""
-
-    depth: int
-    octant: int
-    coded_siblings: int
-    parent_siblings: int
-    grandparent: int
-    parent_code: int
-    bit_depth: int
-
-
 def _features(
     depth: int,
     bit_depth: int,
@@ -262,28 +247,6 @@ def _predict_batch(f: np.ndarray) -> np.ndarray:
     for j in range(_N_FEATURES):
         t += _W[j] * f[:, j]
     return 1.0 / (1.0 + np.exp(-t))
-
-
-def predict(ctx: OctreeContext) -> float:
-    """Occupancy probability of one child; strictly inside (0, 1)."""
-    if not 0 <= ctx.octant <= 7:
-        raise InvalidInputError("octant outside [0, 7]")
-    if not 0 <= ctx.coded_siblings <= 7:
-        raise InvalidInputError("coded sibling count outside [0, 7]")
-    if not 0 <= ctx.parent_siblings <= 8:
-        raise InvalidInputError("parent sibling count outside [0, 8]")
-    if ctx.grandparent not in (0, 1):
-        raise InvalidInputError("grandparent flag must be a bit")
-    f = _features(
-        ctx.depth,
-        ctx.bit_depth,
-        ctx.octant,
-        np.array([ctx.coded_siblings], dtype=np.float64),
-        np.array([ctx.parent_siblings], dtype=np.float64),
-        np.array([ctx.parent_code], dtype=np.uint64),
-    )
-    f[:, 4] = float(ctx.grandparent)
-    return float(_predict_batch(f)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +289,40 @@ def _membership(sorted_codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return (sorted_codes[pos] == queries).astype(np.uint8)
 
 
-def encode(
-    cloud: VoxelCloud,
-    cfg: GuardConfig,
-    protect: bool = True,
-    trace: list | None = None,
-) -> GuardedStream:
+def _walk(bit_depth: int, point_count: int, code_pass) -> np.ndarray:
+    """The level and octant walk that encoder and decoder share.
+
+    Everything both sides must compute alike lives here: sibling counts,
+    features, the predictor and its clip, and the next level, built from
+    the coded bits.  ``code_pass(depth, child_codes, p)`` codes one octant
+    pass from its predicted probabilities and returns its occupancy bits.
+    Returns the leaf codes.
+    """
+    current = np.zeros(1, dtype=np.uint64)  # the root
+    for depth in range(1, bit_depth + 1):
+        parents = current
+        n_par = _sibling_counts(parents).astype(np.float64)
+        occ = np.zeros(parents.shape[0], dtype=np.int64)
+        next_parts: list[np.ndarray] = []
+        for octant in range(8):
+            child_codes = (parents << _U(3)) | _U(octant)
+            feats = _features(
+                depth, bit_depth, octant, occ.astype(np.float64), n_par, parents
+            )
+            p = np.clip(_predict_batch(feats), 0.0, 1.0)
+            bits = code_pass(depth, child_codes, p)
+            occ += bits
+            next_parts.append(child_codes[bits == 1])
+        current = np.concatenate(next_parts)
+        current.sort()
+        if current.shape[0] > point_count:
+            raise MalformedStreamError(
+                "decoded occupancy exceeds the declared point count"
+            )
+    return current
+
+
+def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> GuardedStream:
     """Code a voxel cloud; returns the container object."""
     grid_desc = grid_desc_for(cfg.grid, domain=_UNIT)
     levels = _level_codes(cloud)
@@ -340,40 +331,19 @@ def encode(
     fr_parts: list[np.ndarray] = []
     fd_parts: list[np.ndarray] = []
 
-    for lvl in range(n):
-        parents = levels[lvl]
-        children = levels[lvl + 1]
-        depth = lvl + 1
-        if lvl == 0:
-            n_par = np.ones(parents.shape[0], dtype=np.int64)
-        else:
-            n_par = _sibling_counts(parents)
-        occ = np.zeros(parents.shape[0], dtype=np.int64)
-        for octant in range(8):
-            child_codes = (parents << _U(3)) | _U(octant)
-            bits = _membership(children, child_codes)
-            feats = _features(
-                depth, n, octant, occ.astype(np.float64), n_par.astype(np.float64),
-                parents,
-            )
-            p = np.clip(_predict_batch(feats), 0.0, 1.0)
-            if protect:
-                v_out, fr, fd = guard_encode_array(cfg, p)
-                fr_parts.append(fr)
-                fd_parts.append(fd)
-                p16 = prob_to_p16_array(v_out)
-            else:
-                p16 = prob_to_p16_array(p)
-            enc.encode_bits(bits, p16)
-            if trace is not None:
-                trace.append((depth, octant, parents.shape[0], feats))
-            occ += bits
+    def code_pass(depth, child_codes, p):
+        bits = _membership(levels[depth], child_codes)
+        if protect:
+            p, fr, fd = guard_encode_array(cfg, p)
+            fr_parts.append(fr)
+            fd_parts.append(fd)
+        enc.encode_bits(bits, prob_to_p16_array(p))
+        return bits
+
+    _walk(n, len(cloud), code_pass)
 
     if protect:
-        flags = FlagStream.from_arrays(
-            np.concatenate(fr_parts) if fr_parts else np.empty(0, dtype=np.uint8),
-            np.concatenate(fd_parts) if fd_parts else np.empty(0, dtype=np.int8),
-        )
+        flags = FlagStream.from_arrays(np.concatenate(fr_parts), np.concatenate(fd_parts))
         guard_bytes = encode_flags(flags, cfg.mode)
         p0_q16 = flags.p0_q16
         flag_count = len(flags)
@@ -395,11 +365,7 @@ def encode(
     )
 
 
-def decode(
-    stream: GuardedStream,
-    perturb: Perturbation | None = None,
-    trace: list | None = None,
-) -> VoxelCloud:
+def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> VoxelCloud:
     """Decode a voxel cloud, optionally recomputing probabilities through a
     simulated platform.  flag_count == 0 means the stream was unprotected."""
     if stream.payload_kind != PayloadKind.OCTREE:
@@ -409,50 +375,22 @@ def decode(
     cfg = config_for_stream(stream, domain=_UNIT)
 
     header: OctreeHeader = stream.payload
-    n = header.bit_depth
     protected = stream.flag_count > 0
     flags = FlagReader(stream.safeguard, stream.flag_count, stream.p0_q16, stream.mode)
     dec = RangeDecoder(stream.main)
 
-    current = np.zeros(1, dtype=np.uint64)  # the root
-    for lvl in range(n):
-        parents = current
-        depth = lvl + 1
-        if lvl == 0:
-            n_par = np.ones(parents.shape[0], dtype=np.int64)
-        else:
-            n_par = _sibling_counts(parents)
-        occ = np.zeros(parents.shape[0], dtype=np.int64)
-        next_parts: list[np.ndarray] = []
-        for octant in range(8):
-            child_codes = (parents << _U(3)) | _U(octant)
-            feats = _features(
-                depth, n, octant, occ.astype(np.float64), n_par.astype(np.float64),
-                parents,
-            )
-            p = np.clip(_predict_batch(feats), 0.0, 1.0)
-            if perturb is not None:
-                p = np.clip(perturb.perturb_array(p, cfg.grid), 0.0, 1.0)
-            if protected:
-                fr, fd = flags.take(p.shape[0])
-                v_out = guard_decode_array(cfg, p, fr, fd)
-                p16 = prob_to_p16_array(v_out)
-            else:
-                p16 = prob_to_p16_array(p)
-            bits = dec.decode_bits(p16)
-            if trace is not None:
-                trace.append((depth, octant, parents.shape[0], feats))
-            occ += bits
-            next_parts.append(child_codes[bits == 1])
-        current = np.sort(np.concatenate(next_parts))
-        if current.shape[0] > header.point_count:
-            raise MalformedStreamError(
-                "decoded occupancy exceeds the declared point count"
-            )
+    def code_pass(depth, child_codes, p):
+        if perturb is not None:
+            p = np.clip(perturb.perturb_array(p, cfg.grid), 0.0, 1.0)
+        if protected:
+            fr, fd = flags.take(p.shape[0])
+            p = guard_decode_array(cfg, p, fr, fd)
+        return dec.decode_bits(prob_to_p16_array(p))
 
+    codes = _walk(header.bit_depth, header.point_count, code_pass)
     if protected and not flags.exhausted:
         raise MalformedStreamError("flag count does not match the decoded tree")
-    return VoxelCloud(bit_depth=n, codes=current)
+    return VoxelCloud(bit_depth=header.bit_depth, codes=codes)
 
 
 # ---------------------------------------------------------------------------

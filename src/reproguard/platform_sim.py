@@ -116,9 +116,6 @@ class Perturbation:
             out = np.minimum(np.maximum(out, lo), hi)
         return out
 
-    def perturb(self, v: float, grid: QuantGrid) -> float:
-        return float(self.perturb_array(np.array([v]), grid)[0])
-
 
 def preset(name: str, dist: str = "uniform", seed: int = 0) -> Perturbation:
     try:

@@ -3,8 +3,9 @@
 A grid is either uniform (step ``q``, offset ``s``) or an explicit sorted
 boundary table.  Bins are half-open ``[b_i, b_{i+1})``; a value exactly on
 the last boundary belongs to the top bin.  All arithmetic is IEEE-754
-double precision, and every operator has an array form that performs the
-same operations elementwise so batched callers see bit-identical results.
+double precision.  Operators work on whole arrays; ``quantize`` and
+``dequantize`` are the one-value forms of ``quantize_array`` and
+``dequantize_array``.
 """
 
 from __future__ import annotations
@@ -22,15 +23,8 @@ __all__ = [
     "dequantize",
     "quantize_array",
     "dequantize_array",
-    "floor_b",
-    "ceil_b",
-    "round_b",
-    "round_index",
     "round_index_array",
-    "boundary_value",
     "boundary_value_array",
-    "gap_below",
-    "gap_above",
     "gap_below_array",
     "gap_above_array",
     "validate",
@@ -130,13 +124,6 @@ class QuantGrid:
         if self.is_uniform:
             return float(self.q)
         return float(np.min(np.diff(self._b)))
-
-    @property
-    def num_bins(self) -> int | None:
-        """Bin count for boundary grids; None for (unbounded) uniform grids."""
-        if self.is_uniform:
-            return None
-        return len(self.boundaries) - 1
 
     def domain_bin_range(self) -> tuple[int, int]:
         """(first bin index, one past last) for grids with a domain."""
@@ -255,24 +242,16 @@ def boundary_value_array(grid: QuantGrid, m) -> np.ndarray:
     return b[m]
 
 
-def boundary_value(grid: QuantGrid, m: int) -> float:
-    return float(boundary_value_array(grid, np.array([m]))[0])
-
-
-def _prep_boundary_input(grid: QuantGrid, v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError("values must be finite")
-    return _clamp_domain_array(grid, v)
-
-
 def round_index_array(grid: QuantGrid, v) -> tuple[np.ndarray, np.ndarray]:
     """(boundary index, boundary value) of the nearest boundary; ties go down.
 
     The index form is what decoders rely on: a perturbed value on the other
     side of the boundary still maps to the same index.
     """
-    v = _prep_boundary_input(grid, v)
+    v = np.asarray(v, dtype=np.float64)
+    if not np.all(np.isfinite(v)):
+        raise InvalidInputError("values must be finite")
+    v = _clamp_domain_array(grid, v)
     if grid.is_uniform:
         fi = _floor_index_uniform_array(grid, v)
         bl = boundary_value_array(grid, fi)
@@ -288,38 +267,6 @@ def round_index_array(grid: QuantGrid, v) -> tuple[np.ndarray, np.ndarray]:
         m = np.where((v - bl) > (bu - v), fi_safe + 1, fi_safe)
         m = np.where(top, fi, m)
     return m, boundary_value_array(grid, m)
-
-
-def round_index(grid: QuantGrid, v: float) -> tuple[int, float]:
-    m, bv = round_index_array(grid, np.array([v]))
-    return int(m[0]), float(bv[0])
-
-
-def floor_b(grid: QuantGrid, v: float) -> float:
-    """Nearest boundary at or below ``v``."""
-    a = _prep_boundary_input(grid, np.array([v]))
-    if grid.is_uniform:
-        fi = _floor_index_uniform_array(grid, a)
-    else:
-        fi = _floor_index_table_array(grid, a)
-    return float(boundary_value_array(grid, fi)[0])
-
-
-def ceil_b(grid: QuantGrid, v: float) -> float:
-    """Nearest boundary strictly above ``v``."""
-    a = _prep_boundary_input(grid, np.array([v]))
-    if grid.is_uniform:
-        fi = _floor_index_uniform_array(grid, a)
-    else:
-        fi = _floor_index_table_array(grid, a)
-        if fi[0] >= len(grid._b) - 1:
-            raise GuardError("no boundary above the top of the table")
-    return float(boundary_value_array(grid, fi + 1)[0])
-
-
-def round_b(grid: QuantGrid, v: float) -> float:
-    """Nearest boundary; a tie rounds down."""
-    return round_index(grid, v)[1]
 
 
 def gap_below_array(grid: QuantGrid, m) -> np.ndarray:
@@ -342,14 +289,6 @@ def gap_above_array(grid: QuantGrid, m) -> np.ndarray:
     if np.any(m < 0) or np.any(m >= len(b) - 1):
         raise GuardError("no bin above this boundary")
     return b[m + 1] - b[m]
-
-
-def gap_below(grid: QuantGrid, m: int) -> float:
-    return float(gap_below_array(grid, np.array([m]))[0])
-
-
-def gap_above(grid: QuantGrid, m: int) -> float:
-    return float(gap_above_array(grid, np.array([m]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,17 @@ class TestSweep:
         skip = [r for r in rows if r["exact"].startswith("skipped:")]
         assert len(skip) == 1 and skip[0]["epsilon"] == "0.002"
 
+    def test_zero_k_becomes_skip_row(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--payload", "pc", "--epsilons", "1e-6",
+                   "--ks", "0", "--seeds", "0", "--out", str(out)) == 0
+        assert "skipping k=0" in capsys.readouterr().err
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1
+        assert rows[0]["exact"].startswith("skipped:")
+        assert rows[0]["q"] == ""
+
     def test_empty_seeds_header_only(self, tmp_path):
         out = tmp_path / "s.csv"
         assert run("sweep", "--payload", "pc", "--epsilons", "1e-6",

@@ -12,8 +12,8 @@ from reproguard.errors import (
     PlyParseError,
     ReproGuardError,
 )
+from reproguard import octree
 from reproguard.octree import (
-    OctreeContext,
     VoxelCloud,
     _level_codes,
     decode,
@@ -21,7 +21,6 @@ from reproguard.octree import (
     make_pc_config,
     morton_decode,
     morton_encode,
-    predict,
     read_ply,
     synth_cloud,
     voxelize,
@@ -126,60 +125,65 @@ class TestSynth:
             synth_cloud("shell", 10, 100, 0)
 
 
-def ctx(depth=3, octant=0, coded=0, parent=4, g=1, code=0, n=10):
-    return OctreeContext(
-        depth=depth,
-        octant=octant,
-        coded_siblings=coded,
-        parent_siblings=parent,
-        grandparent=g,
-        parent_code=code,
-        bit_depth=n,
-    )
+def record_passes(monkeypatch):
+    """Record (depth, octant, parent count, features) of every octant pass."""
+    passes = []
+    features = octree._features
+
+    def recording(depth, bit_depth, octant, coded, parent_siblings, parent_codes):
+        f = features(depth, bit_depth, octant, coded, parent_siblings, parent_codes)
+        passes.append((depth, octant, parent_codes.shape[0], f))
+        return f
+
+    monkeypatch.setattr(octree, "_features", recording)
+    return passes
+
+
+def feature_rows(depth=3, n=10, contexts=()):
+    """Feature rows of (octant, coded, parent, grandparent, parent code)."""
+    rows = []
+    for octant, coded, parent, g, code in contexts:
+        f = octree._features(
+            depth, n, octant, np.array([coded], dtype=np.float64),
+            np.array([parent], dtype=np.float64), np.array([code], dtype=np.uint64),
+        )
+        f[:, 4] = float(g)
+        rows.append(f)
+    return np.concatenate(rows)
+
+
+def predict(depth=3, octant=0, coded=0, parent=4, g=1, code=0, n=10):
+    return octree._predict_batch(feature_rows(depth, n, [(octant, coded, parent, g, code)]))
 
 
 class TestPredict:
     def test_deterministic(self):
-        a = predict(ctx())
-        b = predict(ctx())
-        assert a == b
-        assert np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64)
+        a = predict()
+        b = predict()
+        assert a[0] == b[0]
+        assert a.view(np.uint64)[0] == b.view(np.uint64)[0]
 
     def test_open_interval_over_feasible_contexts(self):
         for depth in (1, 2, 3, 10):
             for octant in range(8):
-                for coded in range(8):
-                    for parent in range(9):
-                        for g in (0, 1):
-                            p = predict(ctx(depth, octant, coded, parent, g))
-                            assert 0.0 < p < 1.0
+                ctxs = [
+                    (octant, coded, parent, g, 0)
+                    for coded in range(8) for parent in range(9) for g in (0, 1)
+                ]
+                p = octree._predict_batch(feature_rows(depth, 10, ctxs))
+                assert np.all((0.0 < p) & (p < 1.0))
 
     def test_parent_code_moves_the_output(self):
-        vals = {predict(ctx(code=c)) for c in range(40)}
+        vals = {float(predict(code=c)[0]) for c in range(40)}
         assert len(vals) > 30
 
     def test_monotone_in_parent_siblings(self):
-        from reproguard.octree import _W
-
-        ps = [predict(ctx(parent=k)) for k in range(9)]
+        ps = [float(predict(parent=k)[0]) for k in range(9)]
         diffs = np.diff(ps)
-        if _W[3] > 0:
+        if octree._W[3] > 0:
             assert np.all(diffs > 0)
         else:
             assert np.all(diffs < 0)
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            dict(octant=8),
-            dict(coded=-1),
-            dict(parent=9),
-            dict(g=2),
-        ],
-    )
-    def test_field_validation(self, bad):
-        with pytest.raises(InvalidInputError):
-            predict(ctx(**bad))
 
 
 class TestConfig:
@@ -218,12 +222,12 @@ class TestConfig:
 
 
 class TestRoundtrip:
-    def test_single_voxel_smallest_tree(self):
+    def test_single_voxel_smallest_tree(self, monkeypatch):
         cloud = VoxelCloud.from_voxels(np.array([[1, 0, 1]]), 1)
-        trace: list = []
-        stream = encode(cloud, make_pc_config(1e-6), trace=trace)
+        passes = record_passes(monkeypatch)
+        stream = encode(cloud, make_pc_config(1e-6))
         # one level, eight octant passes over the single root
-        assert [t[:3] for t in trace] == [(1, o, 1) for o in range(8)]
+        assert [t[:3] for t in passes] == [(1, o, 1) for o in range(8)]
         assert stream.flag_count == 8
         out = decode(stream)
         assert np.array_equal(out.codes, cloud.codes)
@@ -239,24 +243,27 @@ class TestRoundtrip:
         assert out.bit_depth == cloud.bit_depth
         assert np.array_equal(out.codes, cloud.codes)
 
-    def test_octant_schedule_is_causal(self):
+    def test_octant_schedule_is_causal(self, monkeypatch):
         cloud = synth_cloud("dense", 6, 2000, 1)
-        trace: list = []
-        encode(cloud, make_pc_config(1e-6), trace=trace)
+        passes = record_passes(monkeypatch)
+        encode(cloud, make_pc_config(1e-6))
         seen = []
-        for depth, octant, n_parents, feats in trace:
+        for depth, octant, n_parents, feats in passes:
             seen.append((depth, octant))
             # a child can have seen at most `octant` coded siblings
             assert np.all(feats[:, 2] * 7.0 <= octant + 1e-12)
+        assert len(seen) == 6 * 8
         assert seen == sorted(seen)
 
-    def test_decoder_trace_matches_encoder(self):
+    def test_decoder_trace_matches_encoder(self, monkeypatch):
         cloud = synth_cloud("dense", 6, 2000, 4)
-        te: list = []
-        td: list = []
-        stream = encode(cloud, make_pc_config(1e-6), trace=te)
-        decode(stream, trace=td)
-        assert len(te) == len(td)
+        passes = record_passes(monkeypatch)
+        stream = encode(cloud, make_pc_config(1e-6))
+        te = passes[:]
+        passes.clear()
+        decode(stream)
+        td = passes
+        assert len(te) == len(td) > 0
         for a, b in zip(te, td):
             assert a[:3] == b[:3]
             assert np.array_equal(a[3], b[3])

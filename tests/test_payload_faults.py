@@ -124,6 +124,32 @@ def test_hyperprior_non_finite_z_is_a_malformed_stream(bad):
         decode(dataclasses.replace(stream, payload=payload))
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "payload,fields",
+    [
+        ("octree", dict(epsilon=_NAN)),
+        ("octree", dict(epsilon=_INF)),
+        ("octree", dict(grid_desc=UniformDesc(_NAN, 0.0))),
+        ("hyperprior", dict(epsilon=_NAN)),
+        ("hyperprior", dict(epsilon=_INF)),
+        ("raw", dict(epsilon=_NAN)),
+        ("raw", dict(epsilon=-_INF)),
+        ("raw", dict(grid_desc=UniformDesc(_NAN, 0.0))),
+    ],
+    ids=["octree-eps-nan", "octree-eps-inf", "octree-q-nan", "hyperprior-eps-nan",
+         "hyperprior-eps-inf", "raw-eps-nan", "raw-eps-neg-inf", "raw-q-nan"],
+)
+def test_non_finite_header_field_is_a_malformed_stream(payload, fields):
+    # an in-memory stream skips container.read's checks, so the decoder's
+    # own config builder must type the fault
+    stream, decode = PAYLOADS[payload]()
+    with pytest.raises(FieldValueError):
+        decode(dataclasses.replace(stream, **fields))
+
+
 # ---------------------------------------------------------------------------
 # read rejects every field fault write rejects
 

@@ -34,7 +34,7 @@ class TestSplitmix:
 class TestNone:
     def test_identity(self):
         p = Perturbation.none()
-        assert p.perturb(0.42, GRID) == 0.42
+        assert p.perturb_array([0.42], GRID)[0] == 0.42
 
     def test_identity_array(self):
         p = Perturbation.none()
@@ -64,8 +64,8 @@ class TestUniform:
 
     def test_counter_advances(self):
         p = Perturbation(e_max=1e-6, dist="uniform", seed=5)
-        first = p.perturb(0.5, GRID)
-        second = p.perturb(0.5, GRID)
+        first = p.perturb_array([0.5], GRID)[0]
+        second = p.perturb_array([0.5], GRID)[0]
         assert first != second
         assert p.counter == 2
 
@@ -103,14 +103,14 @@ class TestUniform:
 class TestAdversarial:
     def test_crosses_nearby_boundary(self):
         p = Perturbation(e_max=1e-6, dist="adversarial", seed=0)
-        out = p.perturb(0.0199995, GRID)
+        out = p.perturb_array([0.0199995], GRID)[0]
         assert out == pytest.approx(0.0200005, abs=1e-12)
         assert quantize(GRID, out) != quantize(GRID, 0.0199995)
 
     def test_far_value_moves_full_step_toward_boundary(self):
         p = Perturbation(e_max=1e-6, dist="adversarial", seed=0)
         # nearest boundary of 0.014 is 0.01, too far to reach
-        out = p.perturb(0.014, GRID)
+        out = p.perturb_array([0.014], GRID)[0]
         assert out == pytest.approx(0.014 - 1e-6, abs=1e-12)
         assert quantize(GRID, out) == quantize(GRID, 0.014)
 
@@ -123,8 +123,8 @@ class TestAdversarial:
     def test_domain_clip(self):
         grid = QuantGrid.uniform(0.01, 0.0, domain=(0.0, 1.0))
         p = Perturbation(e_max=1e-3, dist="adversarial", seed=0)
-        assert p.perturb(0.0, grid) >= 0.0
-        assert p.perturb(1.0, grid) <= 1.0
+        assert p.perturb_array([0.0], grid)[0] >= 0.0
+        assert p.perturb_array([1.0], grid)[0] <= 1.0
 
     def test_deterministic(self):
         v = np.linspace(0.0, 1.0, 257)
@@ -147,7 +147,7 @@ class TestValidation:
 
         p = Perturbation(e_max=1e-6, dist="uniform", seed=0)
         with pytest.raises(InvalidInputError):
-            p.perturb(float("nan"), GRID)
+            p.perturb_array([float("nan")], GRID)[0]
 
 
 class TestPresets:

@@ -8,22 +8,40 @@ import hypothesis.strategies as st
 from reproguard.errors import ConfigError, GuardError, InvalidInputError
 from reproguard.quantizer import (
     QuantGrid,
-    boundary_value,
-    ceil_b,
+    boundary_value_array,
     dequantize,
     dequantize_array,
-    floor_b,
-    gap_above,
-    gap_below,
+    gap_above_array,
+    gap_below_array,
     get_table,
     quantize,
     quantize_array,
     register_table,
-    round_b,
-    round_index,
     round_index_array,
     validate,
 )
+
+
+def round_index(g, v):
+    m, bv = round_index_array(g, np.array([v]))
+    return int(m[0]), float(bv[0])
+
+
+def round_b(g, v):
+    """Nearest boundary; a tie rounds down."""
+    return round_index(g, v)[1]
+
+
+def floor_b(g, v):
+    """Nearest boundary at or below ``v``, from the nearest one."""
+    m, bv = round_index(g, v)
+    return bv if bv <= v else float(boundary_value_array(g, [m - 1])[0])
+
+
+def ceil_b(g, v):
+    """Nearest boundary strictly above ``v``, from the nearest one."""
+    m, bv = round_index(g, v)
+    return float(boundary_value_array(g, [m + 1])[0]) if bv <= v else bv
 
 
 def grids():
@@ -133,7 +151,7 @@ class TestRoundIndex:
         for v in [0.0101, -3.7, 0.002, 0.25]:
             m, bv = round_index(g, v)
             assert bv == round_b(g, v)
-            assert boundary_value(g, m) == bv
+            assert boundary_value_array(g, [m])[0] == bv
 
     def test_array_agrees_with_scalar(self):
         g = QuantGrid.from_boundaries((0.0, 0.1, 0.45, 1.0))
@@ -155,17 +173,17 @@ class TestRoundIndex:
 class TestGaps:
     def test_uniform_gap_is_q(self):
         g = QuantGrid.uniform(0.25, 0.0)
-        assert gap_below(g, 3) == 0.25
-        assert gap_above(g, 3) == 0.25
+        assert gap_below_array(g, [3])[0] == 0.25
+        assert gap_above_array(g, [3])[0] == 0.25
 
     def test_table_gaps(self):
         g = QuantGrid.from_boundaries((0.0, 0.1, 0.45, 1.0))
-        assert gap_below(g, 1) == pytest.approx(0.1)
-        assert gap_above(g, 1) == pytest.approx(0.35)
+        assert gap_below_array(g, [1])[0] == pytest.approx(0.1)
+        assert gap_above_array(g, [1])[0] == pytest.approx(0.35)
         with pytest.raises(GuardError):
-            gap_below(g, 0)
+            gap_below_array(g, [0])
         with pytest.raises(GuardError):
-            gap_above(g, 3)
+            gap_above_array(g, [3])
 
 
 class TestValidate:
