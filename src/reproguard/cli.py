@@ -144,8 +144,8 @@ _CSV_FIELDS = [
 
 
 def _q_column(k: int | None) -> str:
-    # no k (the latent codec) or k = 0 (rejected by make_pc_config) has no q
-    return repr(1.0 / k) if k else ""
+    # no k (the latent codec) or k < 1 (rejected by make_pc_config) has no q
+    return repr(1.0 / k) if k is not None and k >= 1 else ""
 
 
 def _sweep_row(payload, cfg, k, eps, seed, size):

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 MAGIC = b"RGRD"
-VERSION = 1
+VERSION = 2
 
 _MAX_U32 = 0xFFFFFFFF
 _MAX_U64 = 0xFFFFFFFFFFFFFFFF

@@ -1,11 +1,13 @@
-"""Binary/multi-symbol range coder and probability tables.
+"""Binary/multi-symbol range coder, the flag section and probability tables.
 
 Pure integer arithmetic throughout: a 32-bit range, a low accumulator that
 may momentarily exceed 32 bits before its carry is folded into already
 buffered bytes, and byte-at-a-time renormalization that keeps
 ``range >= 2**24`` between symbols.  Probabilities are 16-bit
 (``Prob16``, the chance of bit 0, clamped to [1, 65535]) so both ends of
-the wire share the exact same integers.
+the wire share the exact same integers.  The safeguard's flags do not go
+through the range coder: their section is a Rice code of the gaps between
+risky flags, coded and parsed with whole-array numpy operations.
 """
 
 from __future__ import annotations
@@ -14,12 +16,17 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, MalformedStreamError, TruncatedStreamError
+from .errors import (
+    InvalidInputError,
+    MalformedStreamError,
+    TrailingDataError,
+    TruncatedStreamError,
+)
 from .safeguard import FlagStream, GuardMode
 
 __all__ = [
@@ -38,7 +45,6 @@ __all__ = [
 _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
 _P16_ONE = 1 << 16
-_P16_HALF = 1 << 15  # direction flags are coded at an even split
 _BLOCK_BITS = 4  # the inverse lookup resolves a target to a block of 16
 _TABLE_SHIFT = 16 - _BLOCK_BITS  # a table's blocks take the low 12 bits
 _ENDED = "range-coded stream ended early"
@@ -203,8 +209,7 @@ class RangeDecoder:
 #
 # Each coding step exists once, in one of the loops below.  The coder
 # methods, the scalar ones included, only convert their arguments and call
-# a loop, which keeps the coder state in locals for the whole batch.  The
-# flag coder calls the loops directly rather than through the methods.  In
+# a loop, which keeps the coder state in locals for the whole batch.  In
 # the decoders, reading past the end of the data is the only IndexError.
 
 
@@ -282,46 +287,6 @@ def _decode_bits(dec: RangeDecoder, p16s: Iterable[int], n: int) -> bytearray:
     return out
 
 
-def _decode_full_flags(
-    dec: RangeDecoder, p0: int, n: int
-) -> tuple[bytearray, bytearray]:
-    """The next ``n`` risky flags at ``p0``, each risky one followed by its
-    direction bit at an even split; directions read 0xFF where absent."""
-    top, mask, half = _TOP, _MASK32, _P16_HALF
-    fr = bytearray(n)
-    fd = bytearray(b"\xff") * n
-    code, rng, data, pos = dec.code, dec.range, dec._data, dec._pos
-    try:
-        for i in range(n):
-            r0 = (rng >> 16) * p0
-            if code < r0:
-                rng = r0
-            else:
-                fr[i] = 1
-                code -= r0
-                rng -= r0
-                while rng < top:
-                    code = ((code << 8) | data[pos]) & mask
-                    pos += 1
-                    rng <<= 8
-                r0 = (rng >> 16) * half
-                if code < r0:
-                    fd[i] = 0
-                    rng = r0
-                else:
-                    fd[i] = 1
-                    code -= r0
-                    rng -= r0
-            while rng < top:
-                code = ((code << 8) | data[pos]) & mask
-                pos += 1
-                rng <<= 8
-    except IndexError:
-        raise TruncatedStreamError(_ENDED) from None
-    dec.code, dec.range, dec._pos = code, rng, pos
-    return fr, fd
-
-
 def _decode_symbols(
     dec: RangeDecoder,
     keys: Iterable[int],
@@ -360,56 +325,157 @@ def _decode_symbols(
 
 # ---------------------------------------------------------------------------
 # flag stream coding
+#
+# The safeguard section codes where the risky flags are, not every flag:
+#
+#   varint R        the number of risky flags (LEB128, minimal, <= 5 bytes)
+#   R remainders    k bits each, most significant bit first
+#   R quotients     unary: q one-bits, then a zero
+#   R directions    FULL mode only: 0 where the value went left
+#   padding         zero bits up to a whole byte
+#
+# The gap before a risky flag, the count of safe flags since the one before
+# it, is q * 2**k + remainder: a Rice code (Golomb 1966) whose parameter k
+# the header's p0_q16 fixes.  A stream without flags has an empty section.
+# Each set of flags has exactly one section, and a parse of any other bytes
+# raises a MalformedStreamError.
+
+_PHI_Q16 = 40504  # the least Prob16 above phi - 1 = 0.6180339887...
+_VARINT_BYTES = 5  # enough for any 32-bit flag count
+
+
+def _rice_k(p0_q16: int) -> int:
+    """The Rice parameter for flags that are zero at ``p0_q16 / 65536``.
+
+    Gaps between risky flags are geometric, and the best power-of-two
+    parameter for them is the number of times p0 can be squared while it
+    stays above phi - 1 (Kiely, "Selecting the Golomb parameter in Rice
+    coding", 2004).  The squares are taken in integers, so every platform
+    derives the same k, from 0 at p0_q16 = 1 to 15 at 65535.
+    """
+    k, t = 0, p0_q16
+    while t >= _PHI_Q16:
+        k += 1
+        t = (t * t) >> 16
+    return k
+
+
+def _varint(n: int) -> bytes:
+    out = bytearray()
+    while n > 0x7F:
+        out.append(0x80 | (n & 0x7F))
+        n >>= 7
+    out.append(n)
+    return bytes(out)
 
 
 def encode_flags(stream: FlagStream, mode: GuardMode) -> bytes:
-    """Code risky flags at p0_q16; FULL interleaves each direction flag
-    right after its risky flag at an even split."""
+    """The safeguard section of ``stream``: Rice-coded gaps between its
+    risky flags at the stream's p0_q16, then their directions in FULL mode."""
     if len(stream) == 0:
         return b""
-    enc = RangeEncoder()
-    fr = np.asarray(stream.f_r) != 0
+    if not 1 <= stream.p0_q16 <= 65535:
+        raise InvalidInputError("p0_q16 outside [1, 65535]")
+    k = _rice_k(stream.p0_q16)
+    risky = np.flatnonzero(np.asarray(stream.f_r))
+    gaps = np.diff(risky, prepend=-1) - 1
+    quotients = gaps >> k
+    unary = np.ones(int(quotients.sum()) + risky.shape[0], dtype=np.uint8)
+    unary[np.cumsum(quotients + 1) - 1] = 0
+    parts = [(gaps[:, None] >> np.arange(k - 1, -1, -1)).ravel() & 1, unary]
     if mode == GuardMode.FULL:
-        risky = np.flatnonzero(fr)
         fd = np.asarray(stream.f_d)[risky]
         if np.any(fd < 0):
             raise InvalidInputError("risky flag without direction in FULL mode")
-        # one pass of the shared bit loop over the interleaved sequence
-        bits = np.insert(fr, risky + 1, fd != 0)
-        p16s = np.full(bits.shape[0], stream.p0_q16, dtype=np.ushort)
-        p16s[risky + np.arange(1, risky.shape[0] + 1)] = _P16_HALF
-        _encode_bits(enc, bits.tobytes(), memoryview(p16s))
+        parts.append(fd != 0)
+    bits = np.concatenate(parts).astype(np.uint8)
+    return _varint(risky.shape[0]) + np.packbits(bits).tobytes()
+
+
+def _parse_flags(
+    data: bytes, count: int, k: int, full: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted positions of the risky flags of a section and their
+    direction bits.  The work and memory are bounded by ``len(data)``."""
+    if count == 0:
+        if data:
+            raise TrailingDataError("safeguard section of a stream without flags")
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8)
+    n_risky = 0
+    for head, byte in enumerate(data[:_VARINT_BYTES], 1):
+        n_risky |= (byte & 0x7F) << (7 * (head - 1))
+        if byte < 0x80:
+            break
     else:
-        _encode_bits(enc, fr.tobytes(), repeat(stream.p0_q16))
-    return enc.finish()
+        if len(data) < _VARINT_BYTES:
+            raise TruncatedStreamError("safeguard section ended inside its flag count")
+        raise MalformedStreamError("risky flag count takes more than 5 bytes")
+    if head > 1 and byte == 0:
+        raise MalformedStreamError("risky flag count is not minimally coded")
+    if n_risky > count:
+        raise MalformedStreamError(f"{n_risky} risky flags declared among {count}")
+    n_directions = n_risky if full else 0
+    if n_risky * (k + 1) + n_directions > 8 * (len(data) - head):
+        raise TruncatedStreamError("safeguard section too short for its flag count")
+
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=head))
+    cut = n_risky * k
+    remainders = bits[:cut].reshape(n_risky, k) @ (1 << np.arange(k - 1, -1, -1))
+    ends = np.flatnonzero(bits[cut:] == 0)[:n_risky]  # the zero closing each quotient
+    if ends.shape[0] < n_risky:
+        raise TruncatedStreamError("safeguard section ended inside a quotient")
+    end = cut + (int(ends[-1]) + 1 if n_risky else 0) + n_directions
+    if end > bits.shape[0]:
+        raise TruncatedStreamError("safeguard section ended inside the directions")
+    if end + 7 < bits.shape[0]:
+        raise TrailingDataError("bytes after the end of the safeguard section")
+    if bits[end:].any():
+        raise MalformedStreamError("nonzero padding in the safeguard section")
+    directions = bits[end - n_directions : end]
+    gaps = ((np.diff(ends, prepend=-1) - 1) << k) + remainders
+    positions = np.cumsum(gaps + 1) - 1
+    if n_risky and positions[-1] >= count:
+        raise MalformedStreamError("a risky flag lies past the flag count")
+    return positions, directions.astype(np.int8)
 
 
 class FlagReader:
-    """Sequential flag decoder, consumed in lockstep with critical values."""
+    """Sequential flag decoder, consumed in lockstep with critical values.
+
+    The section is parsed on the first ``take``; each take then hands out
+    the next chunk of flags from the parsed risky positions."""
 
     def __init__(self, data: bytes, count: int, p0_q16: int, mode: GuardMode) -> None:
         if not 1 <= p0_q16 <= 65535:
             raise MalformedStreamError(f"p0_q16 {p0_q16} outside [1, 65535]")
+        self._data = data
         self._count = count
         self._taken = 0
-        self._p0 = p0_q16
+        self._rice_k = _rice_k(p0_q16)
         self._full = mode == GuardMode.FULL
-        self._dec = RangeDecoder(data) if count > 0 else None
+        self._risky: np.ndarray | None = None
+        self._directions: np.ndarray | None = None
+        self._next = 0  # index of the first risky position not yet taken
 
     def take(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Next ``k`` (f_r, f_d) pairs; f_d is -1 where absent."""
         if self._taken + k > self._count:
             raise MalformedStreamError("more flags requested than declared")
-        if k == 0:
-            return np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int8)
-        if self._full:
-            fr, fd = _decode_full_flags(self._dec, self._p0, k)
-            f_d = np.frombuffer(fd, dtype=np.int8)
-        else:
-            fr = _decode_bits(self._dec, repeat(self._p0, k), k)
-            f_d = np.full(k, -1, dtype=np.int8)
+        if self._risky is None:
+            self._risky, self._directions = _parse_flags(
+                self._data, self._count, self._rice_k, self._full
+            )
+        lo, hi = self._next, int(self._risky.searchsorted(self._taken + k))
+        f_r = np.zeros(k, dtype=np.uint8)
+        f_d = np.full(k, -1, dtype=np.int8)
+        if hi > lo:
+            at = self._risky[lo:hi] - self._taken
+            f_r[at] = 1
+            if self._full:
+                f_d[at] = self._directions[lo:hi]
         self._taken += k
-        return np.frombuffer(fr, dtype=np.uint8), f_d
+        self._next = hi
+        return f_r, f_d
 
     @property
     def exhausted(self) -> bool:

@@ -129,6 +129,18 @@ class TestSweep:
         assert rows[0]["exact"].startswith("skipped:")
         assert rows[0]["q"] == ""
 
+    @pytest.mark.parametrize("k", ["-2", "-1"])
+    def test_negative_k_skip_row_has_no_q(self, k, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--payload", "pc", "--epsilons", "1e-6",
+                   "--ks", k, "--seeds", "0", "--out", str(out)) == 0
+        assert f"skipping k={k}" in capsys.readouterr().err
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1
+        assert rows[0]["exact"].startswith("skipped:")
+        assert rows[0]["q"] == ""
+
     def test_empty_seeds_header_only(self, tmp_path):
         out = tmp_path / "s.csv"
         assert run("sweep", "--payload", "pc", "--epsilons", "1e-6",

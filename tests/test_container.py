@@ -116,6 +116,15 @@ def test_unsupported_version():
         read(bytes(data))
 
 
+def test_version_1_streams_are_unsupported():
+    # v1 range-coded its flags; v2 Rice-codes the gaps between risky flags
+    data = bytearray(write(raw_stream()))
+    assert data[4] == 2
+    data[4] = 1
+    with pytest.raises(UnsupportedVersionError):
+        read(bytes(data))
+
+
 def test_truncated_header():
     data = write(octree_stream())
     with pytest.raises(TruncatedStreamError):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from reproguard.entropy import (
+    _rice_k,
     CdfTable,
     FlagReader,
     RangeDecoder,
@@ -20,6 +21,7 @@ from reproguard.entropy import (
 from reproguard.errors import (
     InvalidInputError,
     MalformedStreamError,
+    TrailingDataError,
     TruncatedStreamError,
 )
 from reproguard.hyperprior import SCALE_TABLE_ID
@@ -210,6 +212,178 @@ def test_missing_direction_rejected_in_full_mode():
 
 
 # ---------------------------------------------------------------------------
+# the Rice-coded flag section
+
+
+def test_rice_k_is_pinned():
+    # the least p0_q16 at which k reaches 1, 2, ..., 15; Kiely's closed form
+    # in floats, 1 + floor(log2(log(phi - 1) / log(p0))), puts three of
+    # them one lower (58108, 64558, 65413)
+    ks = [_rice_k(p) for p in range(1, 65536)]
+    assert ks[0] == 0 and max(ks) == 15
+    assert all(a <= b for a, b in zip(ks, ks[1:]))
+    assert [ks.index(j) + 1 for j in range(1, 16)] == [
+        40504, 51522, 58109, 61711, 63595, 64559, 65046, 65291,
+        65414, 65475, 65506, 65521, 65529, 65533, 65535,
+    ]
+
+
+def _section(bits: str) -> bytes:
+    """Bytes of a bit string, zero-padded to a whole byte."""
+    bits = bits.replace(" ", "")
+    bits += "0" * (-len(bits) % 8)
+    return bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
+
+
+def _rice_reference(fs: FlagStream, mode: GuardMode) -> bytes:
+    """The section layout written out one gap at a time, as a bit string."""
+    k = _rice_k(fs.p0_q16)
+    risky = [i for i, f in enumerate(fs.f_r.tolist()) if f]
+    gaps = [b - a - 1 for a, b in zip([-1] + risky, risky)]
+    count, varint = len(risky), bytearray()
+    while count > 0x7F:
+        varint.append(0x80 | (count & 0x7F))
+        count >>= 7
+    varint.append(count)
+    bits = "".join(format(g % (1 << k), f"0{k}b") if k else "" for g in gaps)
+    bits += "".join("1" * (g >> k) + "0" for g in gaps)
+    if mode == GuardMode.FULL:
+        bits += "".join(str(int(fs.f_d[pos])) for pos in risky)
+    return bytes(varint) + _section(bits)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    mode=st.sampled_from(list(GuardMode)),
+    n=st.integers(1, 3000),
+    rate=st.sampled_from([0.0, 0.001, 0.02, 0.3, 0.9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_section_matches_a_gap_by_gap_reference(mode, n, rate, seed):
+    rng = np.random.default_rng(seed)
+    fr = (rng.random(n) < rate).astype(np.uint8)
+    fd = np.where(fr == 1, rng.integers(0, 2, n), -1).astype(np.int8)
+    fs = _flags(fr, fd if mode == GuardMode.FULL else None)
+    data = encode_flags(fs, mode)
+    assert data == _rice_reference(fs, mode)
+    out = decode_flags(data, n, fs.p0_q16, mode)
+    assert np.array_equal(out.f_r, fs.f_r) and np.array_equal(out.f_d, fs.f_d)
+
+
+@pytest.mark.parametrize("mode", list(GuardMode))
+def test_no_risky_flags_take_one_byte(mode):
+    fs = _flags(np.zeros(1000, dtype=np.uint8))
+    data = encode_flags(fs, mode)
+    assert data == b"\x00"
+    assert not decode_flags(data, 1000, fs.p0_q16, mode).f_r.any()
+
+
+@pytest.mark.parametrize("mode", [GuardMode.FULL, GuardMode.CENTER])
+def test_every_flag_risky(mode):
+    fd = (np.arange(500) % 3 == 0).astype(np.int8)
+    fs = _flags(np.ones(500, dtype=np.uint8), fd)
+    assert fs.p0_q16 == 1 and _rice_k(1) == 0
+    data = encode_flags(fs, mode)
+    # a 2-byte count, then one zero bit per gap and one bit per direction
+    directions = 500 if mode == GuardMode.FULL else 0
+    assert len(data) == 2 + math.ceil((500 + directions) / 8)
+    out = decode_flags(data, 500, 1, mode)
+    assert out.f_r.all()
+    if mode == GuardMode.FULL:
+        assert np.array_equal(out.f_d, fd)
+
+
+def test_p0_at_its_ceiling():
+    fr = np.zeros(100_000, dtype=np.uint8)
+    fr[[0, 70_000, 99_999]] = 1
+    fd = np.full(100_000, -1, dtype=np.int8)
+    fd[[0, 70_000, 99_999]] = [1, 0, 1]
+    fs = FlagStream(fr, fd, 1.0, 65535)
+    assert _rice_k(65535) == 15
+    data = encode_flags(fs, GuardMode.FULL)
+    # gaps 0, 69999 and 29998: three 15-bit remainders, quotients 0, 2 and 0
+    assert len(data) == 1 + math.ceil((3 * 15 + 5 + 3) / 8)
+    out = decode_flags(data, 100_000, 65535, GuardMode.FULL)
+    assert np.array_equal(out.f_r, fr) and np.array_equal(out.f_d, fd)
+
+
+def test_section_is_parsed_on_the_first_take():
+    reader = FlagReader(b"\xff", 10, 32768, GuardMode.CENTER)
+    with pytest.raises(TruncatedStreamError):
+        reader.take(0)
+
+
+# p0_q16 = 1 gives k = 0: a gap is its unary quotient alone
+@pytest.mark.parametrize(
+    "data, count, error",
+    [
+        # the count of risky flags: 6 bytes, 5 bytes past any 32-bit count,
+        # a non-minimal zero, and more risky flags than flags
+        (b"\x80\x80\x80\x80\x80\x01\x00", 10, MalformedStreamError),
+        (b"\xff\xff\xff\xff\x7f" + bytes(8), 10, MalformedStreamError),
+        (b"\x80\x00", 10, MalformedStreamError),
+        (b"\x0b\x00\x00", 10, MalformedStreamError),
+        # a count the section is too short to hold: no allocation follows
+        # from it or from the declared flag count
+        (b"\xff\xff\xff\xff\x0f\x00", 2**32 - 1, TruncatedStreamError),
+        (b"\x80", 10, TruncatedStreamError),
+        (b"", 10, TruncatedStreamError),
+        # a quotient that never ends
+        (b"\x01\xff", 100, TruncatedStreamError),
+        # nonzero padding, a trailing byte, and a gap past the flag count
+        (b"\x01" + _section("0 0000001"), 3, MalformedStreamError),
+        (b"\x01" + _section("0") + b"\x00", 3, TrailingDataError),
+        (b"\x01" + _section("1110"), 3, MalformedStreamError),
+        # a stream without flags has an empty section
+        (b"\x00", 0, TrailingDataError),
+    ],
+)
+def test_hostile_sections_raise_typed(data, count, error):
+    reader = FlagReader(data, count, 1, GuardMode.CENTER)
+    with pytest.raises(error) as info:
+        reader.take(0)
+    assert type(info.value) is error
+
+
+def test_gap_that_ends_at_the_last_flag_is_accepted():
+    out = decode_flags(b"\x01" + _section("110"), 3, 1, GuardMode.CENTER)
+    assert out.f_r.tolist() == [0, 0, 1]
+
+
+def _parses_canonically(data, count, p0_q16, mode) -> bool:
+    """Whether ``data`` parses; if it does, it must be the one coding of the
+    flags it decodes to."""
+    try:
+        out = decode_flags(data, count, p0_q16, mode)
+    except MalformedStreamError:
+        return False
+    assert encode_flags(out, mode) == data
+    return True
+
+
+@pytest.mark.parametrize("mode", list(GuardMode))
+def test_random_and_bit_flipped_sections(mode):
+    # a flipped remainder bit moves a risky flag to another legal position,
+    # which no check can see; every other change must raise typed
+    rng = np.random.default_rng(2024)
+    fs = _chunked_flags(mode, 12, [400])
+    data = encode_flags(fs, mode)
+    parsed = 0
+    for i in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[i // 8] ^= 0x80 >> (i % 8)
+        parsed += _parses_canonically(bytes(flipped), len(fs), fs.p0_q16, mode)
+    assert 0 < parsed < 8 * len(data)
+    parsed = 0
+    for _ in range(500):
+        junk = rng.bytes(int(rng.integers(0, 24)))
+        count = int(rng.integers(0, 300))
+        p0 = int(rng.integers(1, 65536))
+        parsed += _parses_canonically(junk, count, p0, mode)
+    assert parsed < 500
+
+
+# ---------------------------------------------------------------------------
 # Gaussian tables
 
 
@@ -334,10 +508,11 @@ def test_cut_safeguard_section_raises_truncated(mode):
     fs = _chunked_flags(mode, 5, [700])
     data = encode_flags(fs, mode)
     assert len(data) > 5
-    # the decoder consumes every byte, so one byte short fails mid-loop
-    reader = FlagReader(data[:-1], len(fs), fs.p0_q16, mode)
-    with pytest.raises(TruncatedStreamError):
-        reader.take(len(fs))
+    # every byte holds coded bits, so a section cut anywhere is too short
+    for end in range(len(data)):
+        reader = FlagReader(data[:end], len(fs), fs.p0_q16, mode)
+        with pytest.raises(TruncatedStreamError):
+            reader.take(len(fs))
 
 
 def test_bit_batches_give_uint8_and_reject_bad_p16():
