@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, Sequence
@@ -32,13 +31,10 @@ from .safeguard import FlagStream, GuardMode
 __all__ = [
     "RangeEncoder",
     "RangeDecoder",
-    "prob_to_p16",
     "prob_to_p16_array",
     "encode_flags",
-    "decode_flags",
     "FlagReader",
     "SymbolTables",
-    "CdfTable",
     "gaussian_cdf_table",
 ]
 
@@ -50,15 +46,8 @@ _TABLE_SHIFT = 16 - _BLOCK_BITS  # a table's blocks take the low 12 bits
 _ENDED = "range-coded stream ended early"
 
 
-def prob_to_p16(v: float) -> int:
-    """Prob16 of bit 0 for a bit-1 probability ``v`` in [0, 1]."""
-    if not 0.0 <= v <= 1.0:
-        raise InvalidInputError(f"probability {v!r} outside [0, 1] after clipping")
-    p = 65536 - int(math.floor(v * 65536.0 + 0.5))
-    return min(max(p, 1), 65535)
-
-
 def prob_to_p16_array(v) -> np.ndarray:
+    """Prob16 of bit 0 for each bit-1 probability in ``v``, all in [0, 1]."""
     v = np.asarray(v, dtype=np.float64)
     if np.any(v < 0.0) or np.any(v > 1.0):
         raise InvalidInputError("probability outside [0, 1] after clipping")
@@ -150,17 +139,10 @@ class RangeEncoder:
         self.range = _MASK32
         self._buf = bytearray()
 
-    def encode_bit(self, bit: int, p16: int) -> None:
-        _encode_bits(self, (bit,), _p16_list((p16,)))
-
     def encode_bits(self, bits, p16s) -> None:
         """Code ``bits[i]`` (any nonzero value is a one) at ``p16s[i]``, the
         Prob16 of a zero."""
         _encode_bits(self, (np.asarray(bits) != 0).tobytes(), _p16_list(p16s))
-
-    def encode_symbol(self, cum: Sequence[int], sym: int) -> None:
-        """Code one symbol against a cumulative table summing to 65536."""
-        self.encode_symbols(SymbolTables((cum,)), (0,), (sym,))
 
     def encode_symbols(self, tables: SymbolTables, table_ids, symbols) -> None:
         """Code ``symbols[i]`` against table ``table_ids[i]`` of ``tables``."""
@@ -185,16 +167,10 @@ class RangeDecoder:
         self.range = _MASK32
         self.code = int.from_bytes(data[:4], "big")
 
-    def decode_bit(self, p16: int) -> int:
-        return _decode_bits(self, _p16_list((p16,)), 1)[0]
-
     def decode_bits(self, p16s) -> np.ndarray:
         """One bit per Prob16, as a uint8 array."""
         p16s = _p16_list(p16s)
         return np.frombuffer(_decode_bits(self, p16s, len(p16s)), dtype=np.uint8)
-
-    def decode_symbol(self, cum: Sequence[int]) -> int:
-        return int(self.decode_symbols(SymbolTables((cum,)), (0,))[0])
 
     def decode_symbols(self, tables: SymbolTables, table_ids) -> np.ndarray:
         """One symbol per entry of ``table_ids``, each against its table."""
@@ -208,9 +184,9 @@ class RangeDecoder:
 # the coding loops
 #
 # Each coding step exists once, in one of the loops below.  The coder
-# methods, the scalar ones included, only convert their arguments and call
-# a loop, which keeps the coder state in locals for the whole batch.  In
-# the decoders, reading past the end of the data is the only IndexError.
+# methods only convert their arguments and call a loop, which keeps the
+# coder state in locals for the whole batch.  In the decoders, reading past
+# the end of the data is the only IndexError.
 
 
 def _carry(buf: bytearray) -> None:
@@ -398,8 +374,6 @@ def _parse_flags(
     """The sorted positions of the risky flags of a section and their
     direction bits.  The work and memory are bounded by ``len(data)``."""
     if count == 0:
-        if data:
-            raise TrailingDataError("safeguard section of a stream without flags")
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8)
     n_risky = 0
     for head, byte in enumerate(data[:_VARINT_BYTES], 1):
@@ -443,11 +417,14 @@ class FlagReader:
     """Sequential flag decoder, consumed in lockstep with critical values.
 
     The section is parsed on the first ``take``; each take then hands out
-    the next chunk of flags from the parsed risky positions."""
+    the next chunk of flags from the parsed risky positions.  A stream
+    without flags must have an empty section."""
 
     def __init__(self, data: bytes, count: int, p0_q16: int, mode: GuardMode) -> None:
         if not 1 <= p0_q16 <= 65535:
             raise MalformedStreamError(f"p0_q16 {p0_q16} outside [1, 65535]")
+        if count == 0 and data:
+            raise TrailingDataError("safeguard section of a stream without flags")
         self._data = data
         self._count = count
         self._taken = 0
@@ -482,14 +459,6 @@ class FlagReader:
         return self._taken == self._count
 
 
-def decode_flags(data: bytes, count: int, p0_q16: int, mode: GuardMode) -> FlagStream:
-    reader = FlagReader(data, count, p0_q16, mode)
-    fr, fd = reader.take(count)
-    stream = FlagStream.from_arrays(fr, fd if mode == GuardMode.FULL else None)
-    # keep the wire probability, not one re-derived from the decoded flags
-    return FlagStream(stream.f_r, stream.f_d, stream.p0, p0_q16)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian cumulative tables
 
@@ -510,32 +479,10 @@ def _phi(x: float) -> float:
     return 0.5 * (1.0 + sign * erf)
 
 
-@dataclass(frozen=True)
-class CdfTable:
-    """Frequencies over symbols -A..A summing to 65536, each at least 1."""
-
-    amplitude: int
-    freq: tuple[int, ...]
-    cum: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.freq) != 2 * self.amplitude + 1:
-            raise InvalidInputError("frequency table size mismatch")
-        if self.cum[0] != 0 or self.cum[-1] != _P16_ONE:
-            raise InvalidInputError("cumulative table must span [0, 65536]")
-
-    def symbol_of(self, value: int) -> int:
-        if abs(value) > self.amplitude:
-            raise InvalidInputError("value outside table amplitude")
-        return value + self.amplitude
-
-    def value_of(self, sym: int) -> int:
-        return sym - self.amplitude
-
-
 @lru_cache(maxsize=512)
-def gaussian_cdf_table(sigma: float, amplitude: int = 32) -> CdfTable:
-    """Quantized zero-mean Gaussian over integers in [-amplitude, amplitude].
+def gaussian_cdf_table(sigma: float, amplitude: int = 32) -> tuple[int, ...]:
+    """Cumulative table of a quantized zero-mean Gaussian over the integers
+    in [-amplitude, amplitude]; symbol ``s`` stands for ``s - amplitude``.
 
     The distribution is truncated to the alphabet and renormalized (so a very
     wide Gaussian tends to a uniform table), every frequency is at least one,
@@ -583,4 +530,4 @@ def gaussian_cdf_table(sigma: float, amplitude: int = 32) -> CdfTable:
     cum = [0]
     for f in freq:
         cum.append(cum[-1] + f)
-    return CdfTable(amplitude=a, freq=tuple(freq), cum=tuple(cum))
+    return tuple(cum)

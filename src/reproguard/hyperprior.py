@@ -34,12 +34,12 @@ from .entropy import (
 from .errors import FieldValueError, InvalidInputError
 from .platform_sim import Perturbation, splitmix64_array, unit_from_u64
 from .quantizer import (
+    SCALE_TABLE_ID,
     QuantGrid,
+    default_scale_table,
     dequantize_array,
     get_table,
     quantize_array,
-    register_table,
-    registered_tables,
 )
 from .safeguard import (
     FlagStream,
@@ -51,7 +51,6 @@ from .safeguard import (
 
 __all__ = [
     "LatentGrid",
-    "ScaleField",
     "synth_latents",
     "hyper_synthesis",
     "default_scale_table",
@@ -67,31 +66,6 @@ _AMPLITUDE = 32
 _U = np.uint64
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
-
-
-# ---------------------------------------------------------------------------
-# scale table
-
-SCALE_TABLE_ID = 1
-_SCALE_LO = 0.11
-_SCALE_HI = 256.0
-_SCALE_STEPS = 64
-
-
-def default_scale_table() -> QuantGrid:
-    """Geometric boundary ladder standing in for learned scale boundaries."""
-    k = np.arange(_SCALE_STEPS, dtype=np.float64)
-    b = np.exp(
-        math.log(_SCALE_LO)
-        + k * (math.log(_SCALE_HI) - math.log(_SCALE_LO)) / (_SCALE_STEPS - 1)
-    )
-    b[0] = _SCALE_LO
-    b[-1] = _SCALE_HI
-    return QuantGrid.from_boundaries(tuple(b.tolist()))
-
-
-if SCALE_TABLE_ID not in registered_tables():
-    register_table(SCALE_TABLE_ID, default_scale_table())
 
 
 def make_image_config(
@@ -128,18 +102,6 @@ class LatentGrid:
         return self.y.shape  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class ScaleField:
-    """Per-position Gaussian scales and the table they are coded against."""
-
-    sigma: np.ndarray
-    scale_table_id: int = SCALE_TABLE_ID
-
-    @property
-    def boundaries(self) -> QuantGrid:
-        return get_table(self.scale_table_id)
-
-
 def synth_latents(h: int, w: int, c: int, seed: int) -> LatentGrid:
     """Gaussian latents with per-channel scales drawn log-uniform in
     [0.2, 64], pooled 4x4 and mixed across channels into z."""
@@ -168,7 +130,7 @@ def _unit_draws(seed: int, tag: int, n: int) -> np.ndarray:
     return unit_from_u64(splitmix64_array(keys))
 
 
-def hyper_synthesis(z: np.ndarray, seed: int = 0) -> ScaleField:
+def hyper_synthesis(z: np.ndarray, seed: int = 0) -> np.ndarray:
     """sigma = softplus(A z + c) per pooled cell, nearest-upsampled with a
     fixed per-cell-position offset, computed entirely in double precision.
     The final clip at zero is a no-op for softplus but kept as written."""
@@ -188,7 +150,7 @@ def hyper_synthesis(z: np.ndarray, seed: int = 0) -> ScaleField:
     # numerically stable softplus
     sigma = np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
     np.maximum(sigma, 0.0, out=sigma)
-    return ScaleField(sigma=sigma)
+    return sigma
 
 
 def quantize_latents(y: np.ndarray) -> np.ndarray:
@@ -207,7 +169,7 @@ def _stream_tables(grid: QuantGrid, idx: np.ndarray) -> tuple[SymbolTables, np.n
     table each position codes against."""
     used = np.flatnonzero(np.bincount(idx))
     mids = dequantize_array(grid, used).tolist()
-    tables = SymbolTables([gaussian_cdf_table(m, _AMPLITUDE).cum for m in mids])
+    tables = SymbolTables([gaussian_cdf_table(m, _AMPLITUDE) for m in mids])
     slot = np.zeros(used[-1] + 1, dtype=np.int64)
     slot[used] = np.arange(used.shape[0])
     return tables, slot[idx]
@@ -222,8 +184,7 @@ def encode(
     """Code rounded latents conditioned on safeguarded scale bins."""
     grid_desc = grid_desc_for(cfg.grid, SCALE_TABLE_ID)
     h, w, c = lat.dims
-    field = hyper_synthesis(lat.z, hs_seed)
-    sig = field.sigma.reshape(-1)
+    sig = hyper_synthesis(lat.z, hs_seed).reshape(-1)
 
     if protect:
         v_out, fr, fd = guard_encode_array(cfg, sig)
@@ -283,15 +244,12 @@ def decode(
     if not np.all(np.isfinite(z)):
         raise FieldValueError("z holds a non-finite value")
     z = z.reshape(h // _POOL, w // _POOL, c)
-    sig = hyper_synthesis(z, hs_seed).sigma.reshape(-1)
+    sig = hyper_synthesis(z, hs_seed).reshape(-1)
     if perturb is not None:
         sig = perturb.perturb_array(sig, cfg.grid)
 
-    protected = stream.flag_count > 0
-    if protected:
-        reader = FlagReader(
-            stream.safeguard, stream.flag_count, stream.p0_q16, stream.mode
-        )
+    reader = FlagReader(stream.safeguard, stream.flag_count, stream.p0_q16, stream.mode)
+    if stream.flag_count > 0:
         fr, fd = reader.take(sig.shape[0])
         if not reader.exhausted:
             raise FieldValueError("flag count does not match the latent count")

@@ -81,13 +81,6 @@ class Perturbation:
         self.seed = int(self.seed) & _M64
         self.counter = int(self.counter)
 
-    @classmethod
-    def none(cls) -> "Perturbation":
-        return cls(e_max=0.0, dist="none")
-
-    def reset(self, counter: int = 0) -> None:
-        self.counter = counter
-
     def _draw_units(self, n: int) -> np.ndarray:
         with np.errstate(over="ignore"):
             idx = np.arange(self.counter, self.counter + n, dtype=np.uint64)

@@ -3,15 +3,15 @@
 A grid is either uniform (step ``q``, offset ``s``) or an explicit sorted
 boundary table.  Bins are half-open ``[b_i, b_{i+1})``; a value exactly on
 the last boundary belongs to the top bin.  All arithmetic is IEEE-754
-double precision.  Operators work on whole arrays; ``quantize`` and
-``dequantize`` are the one-value forms of ``quantize_array`` and
-``dequantize_array``.
+double precision.  Operators work on whole arrays.  Boundary tables that
+stream headers name by id are fixed: table 1 is the hyperprior scale ladder.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -19,8 +19,6 @@ from .errors import ConfigError, FieldValueError, GuardError, InvalidInputError
 
 __all__ = [
     "QuantGrid",
-    "quantize",
-    "dequantize",
     "quantize_array",
     "dequantize_array",
     "round_index_array",
@@ -28,9 +26,9 @@ __all__ = [
     "gap_below_array",
     "gap_above_array",
     "validate",
-    "register_table",
+    "SCALE_TABLE_ID",
+    "default_scale_table",
     "get_table",
-    "registered_tables",
 ]
 
 # Relative tolerance when checking that a domain edge sits on a grid
@@ -50,7 +48,8 @@ class QuantGrid:
     """Uniform or boundary-table quantization grid.
 
     Use :meth:`uniform` or :meth:`from_boundaries` instead of the raw
-    constructor.
+    constructor; a boundary grid built without a domain rejects values
+    outside its table instead of clamping them.
     """
 
     q: float | None = None
@@ -105,15 +104,11 @@ class QuantGrid:
         return cls(q=float(q), s=float(s), domain=domain)
 
     @classmethod
-    def from_boundaries(cls, boundaries, clamped: bool = True) -> "QuantGrid":
-        """Build a boundary-table grid.
-
-        With ``clamped`` (the default) the domain is the outer boundary pair
-        and out-of-range values clamp onto it; otherwise they are errors.
-        """
+    def from_boundaries(cls, boundaries) -> "QuantGrid":
+        """A boundary-table grid whose domain is the outer boundary pair, so
+        out-of-range values clamp onto it."""
         b = tuple(float(x) for x in boundaries)
-        domain = (b[0], b[-1]) if clamped else None
-        return cls(boundaries=b, domain=domain)
+        return cls(boundaries=b, domain=(b[0], b[-1]))
 
     @property
     def is_uniform(self) -> bool:
@@ -193,16 +188,6 @@ def dequantize_array(grid: QuantGrid, n) -> np.ndarray:
     if np.any(n < 0) or np.any(n >= len(b) - 1):
         raise InvalidInputError("bin index outside boundary table")
     return (b[n] + b[n + 1]) * 0.5
-
-
-def quantize(grid: QuantGrid, v: float) -> int:
-    """Bin index of ``v``: floor(v/q + s) on uniform grids."""
-    return int(quantize_array(grid, np.array([v]))[0])
-
-
-def dequantize(grid: QuantGrid, n: int) -> float:
-    """Center of bin ``n``: (n + 0.5 - s) * q on uniform grids."""
-    return float(dequantize_array(grid, np.array([n]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +277,27 @@ def gap_above_array(grid: QuantGrid, m) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# boundary-table registry (16-bit ids used in serialized headers)
+# boundary tables named in stream headers by a 16-bit id
 
-_TABLES: dict[int, QuantGrid] = {}
+SCALE_TABLE_ID = 1
+_SCALE_LO = 0.11
+_SCALE_HI = 256.0
+_SCALE_STEPS = 64
 
 
-def register_table(table_id: int, grid: QuantGrid) -> None:
-    if not 1 <= table_id <= 0xFFFF:
-        raise ConfigError(f"table id must fit in 16 bits, got {table_id}")
-    if grid.is_uniform:
-        raise ConfigError("only boundary-table grids can be registered")
-    _TABLES[table_id] = grid
+def default_scale_table() -> QuantGrid:
+    """Geometric boundary ladder standing in for learned scale boundaries."""
+    k = np.arange(_SCALE_STEPS, dtype=np.float64)
+    b = np.exp(
+        math.log(_SCALE_LO)
+        + k * (math.log(_SCALE_HI) - math.log(_SCALE_LO)) / (_SCALE_STEPS - 1)
+    )
+    b[0] = _SCALE_LO
+    b[-1] = _SCALE_HI
+    return QuantGrid.from_boundaries(tuple(b.tolist()))
+
+
+_TABLES = MappingProxyType({SCALE_TABLE_ID: default_scale_table()})
 
 
 def get_table(table_id: int) -> QuantGrid:
@@ -310,7 +305,3 @@ def get_table(table_id: int) -> QuantGrid:
         return _TABLES[table_id]
     except KeyError:
         raise FieldValueError(f"unknown boundary table id {table_id}") from None
-
-
-def registered_tables() -> tuple[int, ...]:
-    return tuple(sorted(_TABLES))

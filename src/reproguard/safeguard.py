@@ -200,7 +200,6 @@ class FlagStream:
 
     f_r: np.ndarray
     f_d: np.ndarray
-    p0: float
     p0_q16: int
 
     def __len__(self) -> int:
@@ -217,8 +216,8 @@ class FlagStream:
                 raise InvalidInputError("flag array shape mismatch")
         n = int(fr.shape[0])
         if n == 0:
-            return cls(fr, fd, 0.5, 32768)
+            return cls(fr, fd, 32768)
         p0 = float(np.count_nonzero(fr == 0)) / n
         p0_q16 = int(min(max(math.floor(p0 * 65536.0 + 0.5), 1), 65535))
-        return cls(fr, fd, p0, p0_q16)
+        return cls(fr, fd, p0_q16)
 

@@ -7,15 +7,12 @@ import hypothesis.strategies as st
 
 from reproguard.entropy import (
     _rice_k,
-    CdfTable,
     FlagReader,
     RangeDecoder,
     RangeEncoder,
     SymbolTables,
-    decode_flags,
     encode_flags,
     gaussian_cdf_table,
-    prob_to_p16,
     prob_to_p16_array,
 )
 from reproguard.errors import (
@@ -33,24 +30,27 @@ from reproguard.safeguard import FlagStream, GuardMode
 # probability mapping
 
 
+def _p16_reference(v: float) -> int:
+    """Prob16 of bit 0 for one bit-1 probability, in Python integers."""
+    p = 65536 - int(math.floor(v * 65536.0 + 0.5))
+    return min(max(p, 1), 65535)
+
+
 def test_p16_known_values():
-    assert prob_to_p16(0.015) == 64553
-    assert prob_to_p16(0.5) == 32768
-    assert prob_to_p16(1.0) == 1
-    assert prob_to_p16(0.0) == 65535
+    assert prob_to_p16_array([0.015, 0.5, 1.0, 0.0]).tolist() == [64553, 32768, 1, 65535]
 
 
 def test_p16_rejects_out_of_range():
     with pytest.raises(InvalidInputError):
-        prob_to_p16(-0.01)
+        prob_to_p16_array([-0.01])
     with pytest.raises(InvalidInputError):
-        prob_to_p16(1.01)
+        prob_to_p16_array([1.01])
 
 
 def test_p16_array_matches_scalar():
     v = np.linspace(0.0, 1.0, 1001)
     arr = prob_to_p16_array(v)
-    assert arr.tolist() == [prob_to_p16(float(x)) for x in v]
+    assert arr.tolist() == [_p16_reference(float(x)) for x in v]
 
 
 # ---------------------------------------------------------------------------
@@ -68,15 +68,15 @@ def test_skewed_zeros_compress_hard():
 
 def test_single_symmetric_bit():
     enc = RangeEncoder()
-    enc.encode_bit(1, 32768)
-    assert RangeDecoder(enc.finish()).decode_bit(32768) == 1
+    enc.encode_bits([1], [32768])
+    assert RangeDecoder(enc.finish()).decode_bits([32768]).tolist() == [1]
 
 
 def test_efficiency_near_shannon():
     rng = np.random.default_rng(42)
     n = 1000000
     bits = (rng.random(n) < 0.9).astype(np.uint8)
-    p16 = np.full(n, prob_to_p16(0.9), dtype=np.int64)
+    p16 = np.full(n, _p16_reference(0.9), dtype=np.int64)
     enc = RangeEncoder()
     enc.encode_bits(bits, p16)
     data = enc.finish()
@@ -102,9 +102,9 @@ def test_deterministic_output():
 def test_roundtrip_arbitrary_sequences(pairs):
     enc = RangeEncoder()
     for bit, p in pairs:
-        enc.encode_bit(bit, p)
+        enc.encode_bits([bit], [p])
     dec = RangeDecoder(enc.finish())
-    assert [dec.decode_bit(p) for _, p in pairs] == [b for b, _ in pairs]
+    assert [dec.decode_bits([p])[0] for _, p in pairs] == [b for b, _ in pairs]
 
 
 def test_fuzz_roundtrip_many_streams():
@@ -121,12 +121,12 @@ def test_fuzz_roundtrip_many_streams():
 
 def test_decode_past_end_raises():
     enc = RangeEncoder()
-    enc.encode_bit(1, 100)
+    enc.encode_bits([1], [100])
     data = enc.finish()
     dec = RangeDecoder(data)
     with pytest.raises(TruncatedStreamError):
         for _ in range(10000):
-            dec.decode_bit(30000)
+            dec.decode_bits([30000])
 
 
 def test_truncated_stream_rejected_at_init():
@@ -145,11 +145,17 @@ def _flags(fr, fd=None):
     return FlagStream.from_arrays(fr, np.asarray(fd, dtype=np.int8))
 
 
+def _take_all(data, count, p0_q16, mode) -> FlagStream:
+    """Every flag of a section in one take, kept with the wire's p0_q16."""
+    fr, fd = FlagReader(data, count, p0_q16, mode).take(count)
+    return FlagStream(fr, fd, p0_q16)
+
+
 def test_sparse_flags_stay_small():
     fr = np.zeros(1000, dtype=np.uint8)
     fr[123] = 1
     fs = _flags(fr)
-    fs = FlagStream(fs.f_r, fs.f_d, fs.p0, 65470)
+    fs = FlagStream(fs.f_r, fs.f_d, 65470)
     data = encode_flags(fs, GuardMode.CENTER)
     assert len(data) <= 6
 
@@ -157,7 +163,7 @@ def test_sparse_flags_stay_small():
 def test_zero_flags_empty_stream():
     fs = _flags([])
     assert encode_flags(fs, GuardMode.CENTER) == b""
-    out = decode_flags(b"", 0, 32768, GuardMode.CENTER)
+    out = _take_all(b"", 0, 32768, GuardMode.CENTER)
     assert len(out.f_r) == 0
 
 
@@ -166,7 +172,7 @@ def test_full_mode_interleaves_directions():
     fd = [0, -1, 1]
     fs = _flags(fr, fd)
     data = encode_flags(fs, GuardMode.FULL)
-    out = decode_flags(data, 3, fs.p0_q16, GuardMode.FULL)
+    out = _take_all(data, 3, fs.p0_q16, GuardMode.FULL)
     assert out.f_r.tolist() == fr
     assert out.f_d.tolist() == fd
 
@@ -180,7 +186,7 @@ def test_flag_roundtrip_fuzz():
             fd = np.where(fr == 1, rng.integers(0, 2, n), -1).astype(np.int8)
             fs = _flags(fr, fd if mode == GuardMode.FULL else None)
             data = encode_flags(fs, mode)
-            out = decode_flags(data, n, fs.p0_q16, mode)
+            out = _take_all(data, n, fs.p0_q16, mode)
             assert np.array_equal(out.f_r, fr)
             if mode == GuardMode.FULL:
                 assert np.array_equal(out.f_d, fd)
@@ -266,7 +272,7 @@ def test_section_matches_a_gap_by_gap_reference(mode, n, rate, seed):
     fs = _flags(fr, fd if mode == GuardMode.FULL else None)
     data = encode_flags(fs, mode)
     assert data == _rice_reference(fs, mode)
-    out = decode_flags(data, n, fs.p0_q16, mode)
+    out = _take_all(data, n, fs.p0_q16, mode)
     assert np.array_equal(out.f_r, fs.f_r) and np.array_equal(out.f_d, fs.f_d)
 
 
@@ -275,7 +281,7 @@ def test_no_risky_flags_take_one_byte(mode):
     fs = _flags(np.zeros(1000, dtype=np.uint8))
     data = encode_flags(fs, mode)
     assert data == b"\x00"
-    assert not decode_flags(data, 1000, fs.p0_q16, mode).f_r.any()
+    assert not _take_all(data, 1000, fs.p0_q16, mode).f_r.any()
 
 
 @pytest.mark.parametrize("mode", [GuardMode.FULL, GuardMode.CENTER])
@@ -287,7 +293,7 @@ def test_every_flag_risky(mode):
     # a 2-byte count, then one zero bit per gap and one bit per direction
     directions = 500 if mode == GuardMode.FULL else 0
     assert len(data) == 2 + math.ceil((500 + directions) / 8)
-    out = decode_flags(data, 500, 1, mode)
+    out = _take_all(data, 500, 1, mode)
     assert out.f_r.all()
     if mode == GuardMode.FULL:
         assert np.array_equal(out.f_d, fd)
@@ -298,12 +304,12 @@ def test_p0_at_its_ceiling():
     fr[[0, 70_000, 99_999]] = 1
     fd = np.full(100_000, -1, dtype=np.int8)
     fd[[0, 70_000, 99_999]] = [1, 0, 1]
-    fs = FlagStream(fr, fd, 1.0, 65535)
+    fs = FlagStream(fr, fd, 65535)
     assert _rice_k(65535) == 15
     data = encode_flags(fs, GuardMode.FULL)
     # gaps 0, 69999 and 29998: three 15-bit remainders, quotients 0, 2 and 0
     assert len(data) == 1 + math.ceil((3 * 15 + 5 + 3) / 8)
-    out = decode_flags(data, 100_000, 65535, GuardMode.FULL)
+    out = _take_all(data, 100_000, 65535, GuardMode.FULL)
     assert np.array_equal(out.f_r, fr) and np.array_equal(out.f_d, fd)
 
 
@@ -339,14 +345,13 @@ def test_section_is_parsed_on_the_first_take():
     ],
 )
 def test_hostile_sections_raise_typed(data, count, error):
-    reader = FlagReader(data, count, 1, GuardMode.CENTER)
     with pytest.raises(error) as info:
-        reader.take(0)
+        FlagReader(data, count, 1, GuardMode.CENTER).take(0)
     assert type(info.value) is error
 
 
 def test_gap_that_ends_at_the_last_flag_is_accepted():
-    out = decode_flags(b"\x01" + _section("110"), 3, 1, GuardMode.CENTER)
+    out = _take_all(b"\x01" + _section("110"), 3, 1, GuardMode.CENTER)
     assert out.f_r.tolist() == [0, 0, 1]
 
 
@@ -354,7 +359,7 @@ def _parses_canonically(data, count, p0_q16, mode) -> bool:
     """Whether ``data`` parses; if it does, it must be the one coding of the
     flags it decodes to."""
     try:
-        out = decode_flags(data, count, p0_q16, mode)
+        out = _take_all(data, count, p0_q16, mode)
     except MalformedStreamError:
         return False
     assert encode_flags(out, mode) == data
@@ -388,25 +393,26 @@ def test_random_and_bit_flipped_sections(mode):
 
 
 def test_wide_sigma_tends_to_uniform():
-    t = gaussian_cdf_table(1e6, 2)
-    assert all(13100 <= f <= 13110 for f in t.freq)
+    freq = np.diff(gaussian_cdf_table(1e6, 2))
+    assert all(13100 <= f <= 13110 for f in freq)
 
 
 def test_table_symmetry():
     for sigma in (0.2, 0.7, 3.0, 64.0):
-        t = gaussian_cdf_table(sigma, 32)
-        n = len(t.freq)
-        assert all(t.freq[i] == t.freq[n - 1 - i] for i in range(n))
+        freq = np.diff(gaussian_cdf_table(sigma, 32))
+        n = len(freq)
+        assert all(freq[i] == freq[n - 1 - i] for i in range(n))
 
 
 def test_totals_and_floors_over_many_sigmas():
     rng = np.random.default_rng(11)
     for _ in range(1000):
         sigma = float(10.0 ** rng.uniform(-2, 3))
-        t = gaussian_cdf_table.__wrapped__(sigma, 32)
-        assert t.cum[-1] == 65536
-        assert t.cum[0] == 0
-        assert min(t.freq) >= 1
+        cum = gaussian_cdf_table.__wrapped__(sigma, 32)
+        assert len(cum) == 2 * 32 + 2
+        assert cum[-1] == 65536
+        assert cum[0] == 0
+        assert min(np.diff(cum)) >= 1
 
 
 def test_bad_sigma_rejected():
@@ -418,38 +424,29 @@ def test_bad_sigma_rejected():
         gaussian_cdf_table(float("nan"), 32)
 
 
-def test_symbol_value_mapping():
-    t = gaussian_cdf_table(1.0, 4)
-    assert t.symbol_of(-4) == 0
-    assert t.symbol_of(4) == 8
-    assert t.value_of(t.symbol_of(2)) == 2
-    with pytest.raises(InvalidInputError):
-        t.symbol_of(5)
-
-
 def test_symbol_roundtrip_through_coder():
     rng = np.random.default_rng(21)
-    t = gaussian_cdf_table(1.7, 8)
+    tables = SymbolTables([gaussian_cdf_table(1.7, 8)])
     syms = rng.integers(0, 17, 3000).tolist()
     enc = RangeEncoder()
     for s in syms:
-        enc.encode_symbol(t.cum, s)
+        enc.encode_symbols(tables, [0], [s])
     dec = RangeDecoder(enc.finish())
-    assert [dec.decode_symbol(t.cum) for _ in syms] == syms
+    assert [dec.decode_symbols(tables, [0])[0] for _ in syms] == syms
 
 
 def test_mixed_bits_and_symbols_share_one_stream():
-    t = gaussian_cdf_table(0.9, 4)
+    tables = SymbolTables([gaussian_cdf_table(0.9, 4)])
     enc = RangeEncoder()
-    enc.encode_bit(1, 40000)
-    enc.encode_symbol(t.cum, 3)
-    enc.encode_bit(0, 22222)
-    enc.encode_symbol(t.cum, 8)
+    enc.encode_bits([1], [40000])
+    enc.encode_symbols(tables, [0], [3])
+    enc.encode_bits([0], [22222])
+    enc.encode_symbols(tables, [0], [8])
     dec = RangeDecoder(enc.finish())
-    assert dec.decode_bit(40000) == 1
-    assert dec.decode_symbol(t.cum) == 3
-    assert dec.decode_bit(22222) == 0
-    assert dec.decode_symbol(t.cum) == 8
+    assert dec.decode_bits([40000]).tolist() == [1]
+    assert dec.decode_symbols(tables, [0]).tolist() == [3]
+    assert dec.decode_bits([22222]).tolist() == [0]
+    assert dec.decode_symbols(tables, [0]).tolist() == [8]
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +476,7 @@ def test_flag_reader_chunks_match_one_shot(mode, sizes, seed):
     fs = _chunked_flags(mode, seed, sizes)
     n = len(fs)
     data = encode_flags(fs, mode)
-    whole = decode_flags(data, n, fs.p0_q16, mode)
+    whole = _take_all(data, n, fs.p0_q16, mode)
     assert np.array_equal(whole.f_r, fs.f_r)
     assert np.array_equal(whole.f_d, fs.f_d)
 
@@ -534,7 +531,7 @@ def test_bit_batches_give_uint8_and_reject_bad_p16():
 def _scale_bin_tables():
     grid = get_table(SCALE_TABLE_ID)
     mids = dequantize_array(grid, np.arange(len(grid.boundaries) - 1)).tolist()
-    return SymbolTables([gaussian_cdf_table(m, 32).cum for m in mids])
+    return SymbolTables([gaussian_cdf_table(m, 32) for m in mids])
 
 
 def _bisect(cum, targets):
@@ -582,12 +579,11 @@ def test_symbol_batch_roundtrip_over_every_scale_bin():
 
 
 def test_symbol_batch_matches_scalar_calls():
-    t = gaussian_cdf_table(1.7, 8)
-    tables = SymbolTables([t.cum])
+    tables = SymbolTables([gaussian_cdf_table(1.7, 8)])
     syms = np.random.default_rng(6).integers(0, 17, 500)
     scalar = RangeEncoder()
     for s in syms.tolist():
-        scalar.encode_symbol(t.cum, s)
+        scalar.encode_symbols(tables, [0], [s])
     batch = RangeEncoder()
     batch.encode_symbols(tables, np.zeros(500, dtype=np.int64), syms)
     assert scalar.finish() == batch.finish()
@@ -600,7 +596,7 @@ def test_symbol_tables_reject_bad_input():
         SymbolTables([(0, 100, 65535)])
     with pytest.raises(InvalidInputError):
         SymbolTables([(0, 100, 100, 65536)])
-    tables = SymbolTables([gaussian_cdf_table(1.0, 4).cum])
+    tables = SymbolTables([gaussian_cdf_table(1.0, 4)])
     with pytest.raises(InvalidInputError):
         RangeEncoder().encode_symbols(tables, [0], [9])
     with pytest.raises(InvalidInputError):

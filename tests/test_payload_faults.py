@@ -29,19 +29,20 @@ from reproguard.errors import (
     ConfigError,
     FieldValueError,
     MalformedStreamError,
+    TrailingDataError,
     TruncatedStreamError,
 )
 
 
-def _octree():
+def _octree(protect=True):
     cloud = octree.synth_cloud("dense", 5, 300, seed=1)
-    stream = octree.encode(cloud, octree.make_pc_config(1e-4, 250))
+    stream = octree.encode(cloud, octree.make_pc_config(1e-4, 250), protect=protect)
     return stream, lambda s: octree.decode(s)
 
 
-def _hyperprior():
+def _hyperprior(protect=True):
     lat = hyperprior.synth_latents(8, 8, 4, seed=1)
-    stream = hyperprior.encode(lat, hyperprior.make_image_config(1e-4))
+    stream = hyperprior.encode(lat, hyperprior.make_image_config(1e-4), protect=protect)
     return stream, lambda s: hyperprior.decode(s)
 
 
@@ -90,8 +91,7 @@ def test_raw_grid_domain_the_header_cannot_name_is_rejected_at_encode():
     "grid",
     [
         QuantGrid.from_boundaries(np.geomspace(0.11, 256.0, 32)),
-        QuantGrid.from_boundaries(get_table(hyperprior.SCALE_TABLE_ID).boundaries,
-                                  clamped=False),
+        QuantGrid(boundaries=get_table(hyperprior.SCALE_TABLE_ID).boundaries),
     ],
     ids=["foreign-table", "domainless-table"],
 )
@@ -112,6 +112,16 @@ def test_raw_main_length_must_match_the_value_count(cut):
         raw_values.reference_values(
             dataclasses.replace(stream, main=stream.main[:-cut])
         )
+
+
+@pytest.mark.parametrize("payload", ["octree", "hyperprior"])
+def test_unprotected_stream_with_a_safeguard_section_is_trailing_data(payload):
+    stream, decode = PAYLOADS[payload](protect=False)
+    assert stream.flag_count == 0
+    decode(stream)  # the untouched stream decodes
+    bad = dataclasses.replace(stream, safeguard=b"\x01\x02\x03")
+    with pytest.raises(TrailingDataError):
+        decode(container.read(container.write(bad)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -9,17 +9,22 @@ from reproguard.errors import ConfigError, GuardError, InvalidInputError
 from reproguard.quantizer import (
     QuantGrid,
     boundary_value_array,
-    dequantize,
     dequantize_array,
     gap_above_array,
     gap_below_array,
     get_table,
-    quantize,
     quantize_array,
-    register_table,
     round_index_array,
     validate,
 )
+
+
+def quantize(g, v):
+    return int(quantize_array(g, np.array([v]))[0])
+
+
+def dequantize(g, n):
+    return float(dequantize_array(g, np.array([n]))[0])
 
 
 def round_index(g, v):
@@ -117,7 +122,7 @@ class TestBoundaryOps:
         assert round_b(g, 7.0) == 7.0
 
     def test_past_table_end_is_error(self):
-        g = QuantGrid.from_boundaries((0.0, 0.25, 1.0), clamped=False)
+        g = QuantGrid(boundaries=(0.0, 0.25, 1.0))
         with pytest.raises(InvalidInputError):
             ceil_b(g, 1.5)
         # the top boundary itself has no boundary above it
@@ -218,7 +223,7 @@ class TestDomain:
         assert quantize(g, 9.0) == 3
 
     def test_table_without_domain_rejects_outside(self):
-        g = QuantGrid.from_boundaries((0.0, 0.5, 1.0), clamped=False)
+        g = QuantGrid(boundaries=(0.0, 0.5, 1.0))
         with pytest.raises(InvalidInputError):
             quantize(g, -0.1)
 
@@ -249,14 +254,7 @@ class TestBinDrift:
 
 
 class TestRegistry:
-    def test_register_and_get(self):
-        g = QuantGrid.from_boundaries((0.0, 1.0, 2.0))
-        register_table(901, g)
-        assert get_table(901) is g
-
-    def test_uniform_grid_rejected(self):
-        with pytest.raises(ConfigError):
-            register_table(902, QuantGrid.uniform(0.1, 0.0))
+    """The fixed map from header table ids to boundary tables."""
 
     def test_unknown_id(self):
         from reproguard.errors import FieldValueError

@@ -1,6 +1,8 @@
-"""The public surface: every exported name resolves, and README's library
-quickstart runs as written."""
+"""The public surface: the package exports exactly the listed names, every
+exported name resolves, names deleted from the surface stay deleted, and
+README's library quickstart runs as written."""
 
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -12,6 +14,57 @@ import reproguard
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(reproguard.__path__))
+
+
+# Changing the surface means changing this list on purpose.
+PACKAGE_ALL = [
+    "BadMagicError", "ConfigError", "FieldValueError", "FlagReader", "FlagStream",
+    "GuardConfig", "GuardError", "GuardMode", "GuardedStream", "HyperpriorHeader",
+    "InvalidInputError", "LengthOverflowError", "MalformedStreamError",
+    "OctreeHeader", "PRESETS", "PayloadKind", "Perturbation", "PlyParseError",
+    "QuantGrid", "RangeDecoder", "RangeEncoder", "RawHeader", "ReproGuardError",
+    "TableDesc", "TrailingDataError", "TruncatedStreamError", "UniformDesc",
+    "UnsupportedVersionError", "__version__", "dequantize_array", "encode_flags",
+    "gaussian_cdf_table", "get_table", "guard_decode_array", "guard_encode_array",
+    "hyperprior", "octree", "preset", "quantize_array", "raw_values", "read",
+    "read_file", "validate", "write", "write_file",
+]
+
+# Scalar twins of the batch forms, and helpers nothing but tests called.
+DELETED = [
+    "entropy.RangeEncoder.encode_bit",
+    "entropy.RangeEncoder.encode_symbol",
+    "entropy.RangeDecoder.decode_bit",
+    "entropy.RangeDecoder.decode_symbol",
+    "entropy.prob_to_p16",
+    "entropy.decode_flags",
+    "entropy.CdfTable",
+    "quantizer.quantize",
+    "quantizer.dequantize",
+    "quantizer.register_table",
+    "quantizer.registered_tables",
+    "hyperprior.ScaleField",
+    "safeguard.FlagStream.p0",
+    "platform_sim.Perturbation.none",
+    "platform_sim.Perturbation.reset",
+]
+
+
+def test_package_all_is_pinned():
+    assert sorted(reproguard.__all__) == PACKAGE_ALL
+
+
+@pytest.mark.parametrize("path", DELETED)
+def test_deleted_name_stays_deleted(path):
+    module, *attrs = path.split(".")
+    owner = importlib.import_module(f"reproguard.{module}")
+    for attr in attrs[:-1]:
+        owner = getattr(owner, attr)
+    assert not hasattr(owner, attrs[-1])
+    if dataclasses.is_dataclass(owner):  # a field without a default
+        assert attrs[-1] not in {f.name for f in dataclasses.fields(owner)}
+    assert attrs[-1] not in reproguard.__all__
+    assert attrs[-1] not in getattr(owner, "__all__", ())
 
 
 def test_package_exports_resolve():
