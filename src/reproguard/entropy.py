@@ -49,7 +49,8 @@ _ENDED = "range-coded stream ended early"
 def prob_to_p16_array(v) -> np.ndarray:
     """Prob16 of bit 0 for each bit-1 probability in ``v``, all in [0, 1]."""
     v = np.asarray(v, dtype=np.float64)
-    if np.any(v < 0.0) or np.any(v > 1.0):
+    # written so that a NaN, which compares false, fails it too
+    if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):
         raise InvalidInputError("probability outside [0, 1] after clipping")
     p = 65536 - np.floor(v * 65536.0 + 0.5).astype(np.int64)
     return np.clip(p, 1, 65535)
@@ -57,6 +58,8 @@ def prob_to_p16_array(v) -> np.ndarray:
 
 def _p16_list(p16s) -> list[int]:
     p = np.asarray(p16s, dtype=np.int64)
+    if p.ndim != 1:
+        raise InvalidInputError("Prob16s must be a 1-D sequence")
     if p.size and (p.min() < 1 or p.max() > 65535):
         raise InvalidInputError("Prob16 outside [1, 65535]")
     return p.tolist()
@@ -141,8 +144,12 @@ class RangeEncoder:
 
     def encode_bits(self, bits, p16s) -> None:
         """Code ``bits[i]`` (any nonzero value is a one) at ``p16s[i]``, the
-        Prob16 of a zero."""
-        _encode_bits(self, (np.asarray(bits) != 0).tobytes(), _p16_list(p16s))
+        Prob16 of a zero.  Both are 1-D and of one length."""
+        bits = np.asarray(bits)
+        p16s = _p16_list(p16s)
+        if bits.ndim != 1 or bits.shape[0] != len(p16s):
+            raise InvalidInputError("one Prob16 per bit, both 1-D, is needed")
+        _encode_bits(self, (bits != 0).tobytes(), p16s)
 
     def encode_symbols(self, tables: SymbolTables, table_ids, symbols) -> None:
         """Code ``symbols[i]`` against table ``table_ids[i]`` of ``tables``."""
@@ -168,7 +175,7 @@ class RangeDecoder:
         self.code = int.from_bytes(data[:4], "big")
 
     def decode_bits(self, p16s) -> np.ndarray:
-        """One bit per Prob16, as a uint8 array."""
+        """One bit per Prob16 of the 1-D ``p16s``, as a uint8 array."""
         p16s = _p16_list(p16s)
         return np.frombuffer(_decode_bits(self, p16s, len(p16s)), dtype=np.uint8)
 

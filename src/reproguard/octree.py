@@ -3,9 +3,12 @@
 Geometry is stored as Morton codes.  Coding walks the tree one level at a
 time with exactly eight octant passes per level; within a pass the context
 of a child depends only on data coded in earlier passes or levels, so both
-sides can evaluate the predictor on whole batches.  Every predicted
-occupancy probability is a coder-critical value: it is safeguarded, and the
-entropy coder only ever sees the protected copy.
+sides can evaluate the predictor on whole batches.  The coding order is the
+same on both sides, but the decoder codes one pass at a time, since each
+pass needs the bits of the passes before it, while the encoder knows every
+bit in advance and codes a group of consecutive passes per call.  Every
+predicted occupancy probability is a coder-critical value: it is
+safeguarded, and the entropy coder only ever sees the protected copy.
 """
 
 from __future__ import annotations
@@ -212,7 +215,9 @@ _HASH_C1 = 0xD6E8FEB86659FD93
 _HASH_C2 = 0xA5A5A5A5A5A5A5A5
 
 
-def _ancestral_unit(parent_codes: np.ndarray, depth: int, octant: int) -> np.ndarray:
+def _ancestral_unit(
+    parent_codes: np.ndarray, depth: int, octant: int | np.ndarray
+) -> np.ndarray:
     with np.errstate(over="ignore"):
         x = (
             parent_codes.astype(np.uint64) * _U(_HASH_C1)
@@ -225,20 +230,27 @@ def _ancestral_unit(parent_codes: np.ndarray, depth: int, octant: int) -> np.nda
 def _features(
     depth: int,
     bit_depth: int,
-    octant: int,
+    octants: range,
     coded_siblings: np.ndarray,
     parent_siblings: np.ndarray,
     parent_codes: np.ndarray,
 ) -> np.ndarray:
+    """Feature rows of the children in ``octants`` of every parent, one
+    octant after another; ``coded_siblings`` holds one count per row."""
     n = parent_codes.shape[0]
-    f = np.empty((n, _N_FEATURES), dtype=np.float64)
-    f[:, 0] = depth / bit_depth
-    f[:, 1] = octant / 7.0
-    f[:, 2] = coded_siblings / 7.0
-    f[:, 3] = parent_siblings / 8.0
-    f[:, 4] = 1.0 if depth >= 3 else 0.0
-    f[:, 5] = _ancestral_unit(parent_codes, depth, octant)
-    return f
+    # one octant is a scalar, as a decoder pass has it; a group of them a
+    # column that broadcasts over the parents
+    octant = octants.start
+    if len(octants) > 1:
+        octant = np.arange(octants.start, octants.stop)[:, None]
+    f = np.empty((len(octants), n, _N_FEATURES), dtype=np.float64)
+    f[..., 0] = depth / bit_depth
+    f[..., 1] = octant / 7.0
+    f[..., 2] = coded_siblings.reshape(len(octants), n) / 7.0
+    f[..., 3] = parent_siblings / 8.0
+    f[..., 4] = 1.0 if depth >= 3 else 0.0
+    f[..., 5] = _ancestral_unit(parent_codes, depth, octant)
+    return f.reshape(-1, _N_FEATURES)
 
 
 def _predict_batch(f: np.ndarray) -> np.ndarray:
@@ -249,11 +261,33 @@ def _predict_batch(f: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-t))
 
 
+def _probabilities(
+    depth: int,
+    bit_depth: int,
+    octants: range,
+    coded_siblings: np.ndarray,
+    parent_siblings: np.ndarray,
+    parent_codes: np.ndarray,
+) -> np.ndarray:
+    """Clipped occupancy probabilities of the children in ``octants`` of
+    every parent, octant-major: the only way either side gets them."""
+    f = _features(
+        depth, bit_depth, octants, coded_siblings, parent_siblings, parent_codes
+    )
+    return np.clip(_predict_batch(f), 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # codec
 
 
 _UNIT = (0.0, 1.0)  # the probability domain every octree grid clips to
+
+# How many values one encoder call may predict, guard and code, unless one
+# octant pass alone is larger: a level of n parents is coded in groups of
+# max(1, min(8, _GROUP_BUDGET // n)) octants.  It bounds the arrays of one
+# call, and with them what grouping adds to the encoder's memory.
+_GROUP_BUDGET = 1 << 15
 
 
 def make_pc_config(
@@ -281,40 +315,26 @@ def _sibling_counts(codes: np.ndarray) -> np.ndarray:
     return counts[np.searchsorted(uniq, parents)].astype(np.int64)
 
 
-def _membership(sorted_codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    if sorted_codes.shape[0] == 0:
-        return np.zeros(queries.shape[0], dtype=np.uint8)
-    pos = np.searchsorted(sorted_codes, queries)
-    pos = np.minimum(pos, sorted_codes.shape[0] - 1)
-    return (sorted_codes[pos] == queries).astype(np.uint8)
+def _walk(bit_depth: int, point_count: int, code_level) -> np.ndarray:
+    """The level walk that encoder and decoder share.
 
-
-def _walk(bit_depth: int, point_count: int, code_pass) -> np.ndarray:
-    """The level and octant walk that encoder and decoder share.
-
-    Everything both sides must compute alike lives here: sibling counts,
-    features, the predictor and its clip, and the next level, built from
-    the coded bits.  ``code_pass(depth, child_codes, p)`` codes one octant
-    pass from its predicted probabilities and returns its occupancy bits.
-    Returns the leaf codes.
+    ``code_level(depth, parents, predict)`` codes the eight octant passes
+    of one level and returns the sorted codes of the occupied children.
+    ``predict(octants, coded_siblings)`` gives the probabilities of the
+    children in the range ``octants``, octant-major, from how many earlier
+    siblings of each were coded occupied.  Returns the leaf codes.
     """
     current = np.zeros(1, dtype=np.uint64)  # the root
     for depth in range(1, bit_depth + 1):
         parents = current
         n_par = _sibling_counts(parents).astype(np.float64)
-        occ = np.zeros(parents.shape[0], dtype=np.int64)
-        next_parts: list[np.ndarray] = []
-        for octant in range(8):
-            child_codes = (parents << _U(3)) | _U(octant)
-            feats = _features(
-                depth, bit_depth, octant, occ.astype(np.float64), n_par, parents
+
+        def predict(octants, coded_siblings):
+            return _probabilities(
+                depth, bit_depth, octants, coded_siblings, n_par, parents
             )
-            p = np.clip(_predict_batch(feats), 0.0, 1.0)
-            bits = code_pass(depth, child_codes, p)
-            occ += bits
-            next_parts.append(child_codes[bits == 1])
-        current = np.concatenate(next_parts)
-        current.sort()
+
+        current = code_level(depth, parents, predict)
         if current.shape[0] > point_count:
             raise MalformedStreamError(
                 "decoded occupancy exceeds the declared point count"
@@ -331,16 +351,26 @@ def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> Guarded
     fr_parts: list[np.ndarray] = []
     fd_parts: list[np.ndarray] = []
 
-    def code_pass(depth, child_codes, p):
-        bits = _membership(levels[depth], child_codes)
-        if protect:
-            p, fr, fd = guard_encode_array(cfg, p)
-            fr_parts.append(fr)
-            fd_parts.append(fd)
-        enc.encode_bits(bits, prob_to_p16_array(p))
-        return bits
+    def code_level(depth, parents, predict):
+        # every child's occupancy is known, so a child's coded siblings are
+        # an exclusive cumsum over octants, and a group of octant passes
+        # codes in one call, in the order the decoder codes them one by one
+        children = levels[depth]
+        occ = np.zeros((8, parents.shape[0]), dtype=np.uint8)
+        occ[children & _U(7), np.searchsorted(parents, children >> _U(3))] = 1
+        coded = np.cumsum(occ, axis=0, dtype=np.uint8) - occ
+        g = max(1, min(8, _GROUP_BUDGET // parents.shape[0]))
+        for lo in range(0, 8, g):
+            octants = range(lo, min(lo + g, 8))
+            p = predict(octants, coded[lo : octants.stop].ravel())
+            if protect:
+                p, fr, fd = guard_encode_array(cfg, p)
+                fr_parts.append(fr)
+                fd_parts.append(fd)
+            enc.encode_bits(occ[lo : octants.stop].ravel(), prob_to_p16_array(p))
+        return children
 
-    _walk(n, len(cloud), code_pass)
+    _walk(n, len(cloud), code_level)
 
     if protect:
         flags = FlagStream.from_arrays(np.concatenate(fr_parts), np.concatenate(fd_parts))
@@ -379,15 +409,26 @@ def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> VoxelC
     flags = FlagReader(stream.safeguard, stream.flag_count, stream.p0_q16, stream.mode)
     dec = RangeDecoder(stream.main)
 
-    def code_pass(depth, child_codes, p):
-        if perturb is not None:
-            p = np.clip(perturb.perturb_array(p, cfg.grid), 0.0, 1.0)
-        if protected:
-            fr, fd = flags.take(p.shape[0])
-            p = guard_decode_array(cfg, p, fr, fd)
-        return dec.decode_bits(prob_to_p16_array(p))
+    def code_level(depth, parents, predict):
+        # one pass per octant: each needs the bits of the passes before it
+        coded = np.zeros(parents.shape[0], dtype=np.uint8)
+        first_child = parents << _U(3)
+        children: list[np.ndarray] = []
+        for octant in range(8):
+            p = predict(range(octant, octant + 1), coded)
+            if perturb is not None:
+                p = np.clip(perturb.perturb_array(p, cfg.grid), 0.0, 1.0)
+            if protected:
+                fr, fd = flags.take(p.shape[0])
+                p = guard_decode_array(cfg, p, fr, fd)
+            bits = dec.decode_bits(prob_to_p16_array(p))
+            coded += bits
+            children.append((first_child | _U(octant))[bits == 1])
+        codes = np.concatenate(children)
+        codes.sort()
+        return codes
 
-    codes = _walk(header.bit_depth, header.point_count, code_pass)
+    codes = _walk(header.bit_depth, header.point_count, code_level)
     if protected and not flags.exhausted:
         raise MalformedStreamError("flag count does not match the decoded tree")
     return VoxelCloud(bit_depth=header.bit_depth, codes=codes)

@@ -47,6 +47,14 @@ def test_p16_rejects_out_of_range():
         prob_to_p16_array([1.01])
 
 
+def test_p16_rejects_nan():
+    # NaN fails every comparison, so a check for values outside [0, 1] lets
+    # it through, and its cast to an integer differs between platforms
+    for v in ([float("nan")], [0.5, float("nan"), 0.25]):
+        with pytest.raises(InvalidInputError):
+            prob_to_p16_array(v)
+
+
 def test_p16_array_matches_scalar():
     v = np.linspace(0.0, 1.0, 1001)
     arr = prob_to_p16_array(v)
@@ -522,6 +530,33 @@ def test_bit_batches_give_uint8_and_reject_bad_p16():
     for bad in (0, 65536):
         with pytest.raises(InvalidInputError):
             RangeEncoder().encode_bits(np.array([0]), np.array([bad]))
+
+
+def test_bit_batches_need_one_prob16_per_bit():
+    # a length slip once coded the shorter of the two without a word:
+    # both of these gave the same bytes
+    for bits, p16 in (([1, 0, 1, 1, 0], [30000, 30000]), ([1], [30000, 30000, 40000])):
+        enc = RangeEncoder()
+        with pytest.raises(InvalidInputError):
+            enc.encode_bits(bits, p16)
+        assert enc.finish() == RangeEncoder().finish()
+
+
+def test_bit_batches_must_be_one_dimensional():
+    enc = RangeEncoder()
+    for bits, p16 in (
+        ([[1, 0]], [[30000, 30000]]),
+        (np.zeros((2, 2), dtype=np.uint8), [30000] * 4),
+        ([1, 0, 1, 1], np.full((2, 2), 30000)),
+        (1, [30000]),
+    ):
+        with pytest.raises(InvalidInputError):
+            enc.encode_bits(bits, p16)
+    assert enc.finish() == RangeEncoder().finish()
+    dec = RangeDecoder(bytes(8))
+    for p16 in ([[30000]], 30000):
+        with pytest.raises(InvalidInputError):
+            dec.decode_bits(p16)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,20 @@
 """Octree occupancy codec tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from reproguard.container import GuardedStream, PayloadKind, RawHeader, UniformDesc
+from reproguard import container
+from reproguard.container import (
+    GuardedStream,
+    OctreeHeader,
+    PayloadKind,
+    RawHeader,
+    UniformDesc,
+    grid_desc_for,
+)
+from reproguard.entropy import RangeEncoder, encode_flags, prob_to_p16_array
 from reproguard.errors import (
     ConfigError,
     FieldValueError,
@@ -27,7 +38,7 @@ from reproguard.octree import (
     write_ply,
 )
 from reproguard.platform_sim import Perturbation
-from reproguard.safeguard import GuardConfig, GuardMode
+from reproguard.safeguard import FlagStream, GuardConfig, GuardMode, guard_encode_array
 from reproguard.quantizer import QuantGrid
 
 
@@ -126,17 +137,25 @@ class TestSynth:
 
 
 def record_passes(monkeypatch):
-    """Record (depth, octant, parent count, features) of every octant pass."""
-    passes = []
-    features = octree._features
+    """Record (depth, octant, parent count, coded siblings, probabilities)
+    of every octant pass, one row per octant also where a call predicts a
+    group of them."""
+    rows = []
+    probabilities = octree._probabilities
 
-    def recording(depth, bit_depth, octant, coded, parent_siblings, parent_codes):
-        f = features(depth, bit_depth, octant, coded, parent_siblings, parent_codes)
-        passes.append((depth, octant, parent_codes.shape[0], f))
-        return f
+    def recording(depth, bit_depth, octants, coded, parent_siblings, parent_codes):
+        p = probabilities(
+            depth, bit_depth, octants, coded, parent_siblings, parent_codes
+        )
+        n = parent_codes.shape[0]
+        for i, octant in enumerate(octants):
+            row = slice(i * n, (i + 1) * n)
+            # the decoder goes on counting in its array after the call
+            rows.append((depth, octant, n, coded[row].copy(), p[row]))
+        return p
 
-    monkeypatch.setattr(octree, "_features", recording)
-    return passes
+    monkeypatch.setattr(octree, "_probabilities", recording)
+    return rows
 
 
 def feature_rows(depth=3, n=10, contexts=()):
@@ -144,7 +163,7 @@ def feature_rows(depth=3, n=10, contexts=()):
     rows = []
     for octant, coded, parent, g, code in contexts:
         f = octree._features(
-            depth, n, octant, np.array([coded], dtype=np.float64),
+            depth, n, range(octant, octant + 1), np.array([coded], dtype=np.float64),
             np.array([parent], dtype=np.float64), np.array([code], dtype=np.uint64),
         )
         f[:, 4] = float(g)
@@ -228,6 +247,7 @@ class TestRoundtrip:
         stream = encode(cloud, make_pc_config(1e-6))
         # one level, eight octant passes over the single root
         assert [t[:3] for t in passes] == [(1, o, 1) for o in range(8)]
+        assert [t[3].tolist() for t in passes] == [[0]] * 6 + [[1]] * 2
         assert stream.flag_count == 8
         out = decode(stream)
         assert np.array_equal(out.codes, cloud.codes)
@@ -248,10 +268,11 @@ class TestRoundtrip:
         passes = record_passes(monkeypatch)
         encode(cloud, make_pc_config(1e-6))
         seen = []
-        for depth, octant, n_parents, feats in passes:
+        for depth, octant, n_parents, coded, p in passes:
             seen.append((depth, octant))
             # a child can have seen at most `octant` coded siblings
-            assert np.all(feats[:, 2] * 7.0 <= octant + 1e-12)
+            assert coded.shape == p.shape == (n_parents,)
+            assert np.all(coded <= octant)
         assert len(seen) == 6 * 8
         assert seen == sorted(seen)
 
@@ -267,6 +288,7 @@ class TestRoundtrip:
         for a, b in zip(te, td):
             assert a[:3] == b[:3]
             assert np.array_equal(a[3], b[3])
+            assert np.array_equal(a[4].view(np.uint64), b[4].view(np.uint64))
 
     def test_protected_survives_uniform_noise(self):
         cloud = synth_cloud("dense", 10, 20_000, 7)
@@ -310,6 +332,106 @@ class TestRoundtrip:
             assert stream.mode == mode
             out = decode(stream, perturb=Perturbation(5e-7, "uniform", 3))
             assert np.array_equal(out.codes, cloud.codes)
+
+
+def reference_encode(cloud, cfg, protect):
+    """The encoder as it was before it grouped octant passes: every stage
+    runs once per octant pass, on that pass's children alone."""
+    levels = _level_codes(cloud)
+    enc = RangeEncoder()
+    fr_parts, fd_parts = [], []
+    current = np.zeros(1, dtype=np.uint64)
+    for depth in range(1, cloud.bit_depth + 1):
+        parents = current
+        n_par = octree._sibling_counts(parents).astype(np.float64)
+        occ = np.zeros(parents.shape[0], dtype=np.int64)
+        next_parts = []
+        for octant in range(8):
+            child_codes = (parents << np.uint64(3)) | np.uint64(octant)
+            f = np.empty((parents.shape[0], 6), dtype=np.float64)
+            f[:, 0] = depth / cloud.bit_depth
+            f[:, 1] = octant / 7.0
+            f[:, 2] = occ.astype(np.float64) / 7.0
+            f[:, 3] = n_par / 8.0
+            f[:, 4] = 1.0 if depth >= 3 else 0.0
+            f[:, 5] = octree._ancestral_unit(parents, depth, octant)
+            p = np.clip(octree._predict_batch(f), 0.0, 1.0)
+            bits = np.isin(child_codes, levels[depth]).astype(np.uint8)
+            if protect:
+                p, fr, fd = guard_encode_array(cfg, p)
+                fr_parts.append(fr)
+                fd_parts.append(fd)
+            enc.encode_bits(bits, prob_to_p16_array(p))
+            occ += bits
+            next_parts.append(child_codes[bits == 1])
+        current = np.sort(np.concatenate(next_parts))
+    assert np.array_equal(current, cloud.codes)
+    flags = FlagStream.from_arrays(
+        np.concatenate(fr_parts) if protect else np.empty(0, dtype=np.uint8),
+        np.concatenate(fd_parts) if protect else None,
+    )
+    return GuardedStream(
+        mode=cfg.mode,
+        payload_kind=PayloadKind.OCTREE,
+        epsilon=cfg.epsilon,
+        grid_desc=grid_desc_for(cfg.grid, domain=(0.0, 1.0)),
+        p0_q16=flags.p0_q16,
+        flag_count=len(flags),
+        payload=OctreeHeader(bit_depth=cloud.bit_depth, point_count=len(cloud)),
+        safeguard=encode_flags(flags, cfg.mode),
+        main=enc.finish(),
+    )
+
+
+CLOUDS = {
+    "voxel-depth1": lambda: VoxelCloud.from_voxels(np.array([[1, 0, 1]]), 1),
+    "sparse-depth6": lambda: synth_cloud("sparse", 6, 500, 2),
+    "sparse-depth12": lambda: synth_cloud("sparse", 12, 2000, 9),
+    "dense-depth8": lambda: synth_cloud("dense", 8, 5000, 5),
+}
+
+
+class TestGroupedEncoder:
+    @pytest.mark.parametrize("protect", [True, False], ids=["protected", "unprotected"])
+    @pytest.mark.parametrize("mode", list(GuardMode), ids=lambda m: m.name)
+    @pytest.mark.parametrize("cloud_name", list(CLOUDS))
+    def test_bytes_equal_one_pass_per_call(
+        self, monkeypatch, cloud_name, mode, protect
+    ):
+        cloud = CLOUDS[cloud_name]()
+        cfg = make_pc_config(1e-6, mode=mode)
+        want = container.write(reference_encode(cloud, cfg, protect))
+        # one octant per call, groups that split a level unevenly (7 + 1
+        # at the root), and the default budget
+        for budget in (1, 7, octree._GROUP_BUDGET):
+            monkeypatch.setattr(octree, "_GROUP_BUDGET", budget)
+            assert container.write(encode(cloud, cfg, protect=protect)) == want
+
+    def test_group_sizes_follow_the_budget(self, monkeypatch):
+        calls = []
+        probabilities = octree._probabilities
+
+        def recording(depth, bit_depth, octants, *rest):
+            calls.append((depth, octants.start, octants.stop))
+            return probabilities(depth, bit_depth, octants, *rest)
+
+        monkeypatch.setattr(octree, "_probabilities", recording)
+        monkeypatch.setattr(octree, "_GROUP_BUDGET", 7)
+        encode(VoxelCloud.from_voxels(np.array([[1, 0, 1]]), 1), make_pc_config(1e-6))
+        assert calls == [(1, 0, 7), (1, 7, 8)]
+
+    def test_peak_memory_of_a_dense_depth10_encode(self):
+        # the budget bounds every call's arrays; coding whole levels at once
+        # would hold an (8, n, 6) feature tensor of the widest level
+        cloud = synth_cloud("dense", 10, 100_000, 1)
+        cfg = make_pc_config(1e-6)
+        tracemalloc.start()
+        try:
+            encode(cloud, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9.5 * 2**20
 
 
 class TestDecodeErrors:
