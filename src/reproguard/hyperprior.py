@@ -185,19 +185,11 @@ def encode(
     grid_desc = grid_desc_for(cfg.grid, SCALE_TABLE_ID)
     h, w, c = lat.dims
     sig = hyper_synthesis(lat.z, hs_seed).reshape(-1)
-
+    fr = fd = np.empty(0, dtype=np.int8)  # an unprotected stream has no flags
     if protect:
-        v_out, fr, fd = guard_encode_array(cfg, sig)
-        idx = quantize_array(cfg.grid, v_out)
-        flags = FlagStream.from_arrays(fr, fd)
-        guard_bytes = encode_flags(flags, cfg.mode)
-        p0_q16 = flags.p0_q16
-        flag_count = len(flags)
-    else:
-        idx = quantize_array(cfg.grid, np.clip(sig, *cfg.grid.domain))
-        guard_bytes = b""
-        p0_q16 = 32768
-        flag_count = 0
+        sig, fr, fd = guard_encode_array(cfg, sig)
+    idx = quantize_array(cfg.grid, sig)
+    flags = FlagStream.from_arrays(fr, fd)
 
     tables, table_ids = _stream_tables(cfg.grid, idx)
     enc = RangeEncoder()
@@ -210,8 +202,8 @@ def encode(
         payload_kind=PayloadKind.HYPERPRIOR,
         epsilon=cfg.epsilon,
         grid_desc=grid_desc,
-        p0_q16=p0_q16,
-        flag_count=flag_count,
+        p0_q16=flags.p0_q16,
+        flag_count=len(flags),
         payload=HyperpriorHeader(
             height=h,
             width=w,
@@ -219,7 +211,7 @@ def encode(
             scale_table_id=SCALE_TABLE_ID,
             z_blob=z_blob,
         ),
-        safeguard=guard_bytes,
+        safeguard=encode_flags(flags, cfg.mode),
         main=enc.finish(),
     )
 
@@ -253,10 +245,8 @@ def decode(
         fr, fd = reader.take(sig.shape[0])
         if not reader.exhausted:
             raise FieldValueError("flag count does not match the latent count")
-        v_out = guard_decode_array(cfg, sig, fr, fd)
-        idx = quantize_array(cfg.grid, v_out)
-    else:
-        idx = quantize_array(cfg.grid, np.clip(sig, *cfg.grid.domain))
+        sig = guard_decode_array(cfg, sig, fr, fd)
+    idx = quantize_array(cfg.grid, sig)
 
     tables, table_ids = _stream_tables(cfg.grid, idx)
     syms = RangeDecoder(stream.main).decode_symbols(tables, table_ids)

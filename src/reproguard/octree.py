@@ -348,8 +348,9 @@ def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> Guarded
     levels = _level_codes(cloud)
     n = cloud.bit_depth
     enc = RangeEncoder()
-    fr_parts: list[np.ndarray] = []
-    fd_parts: list[np.ndarray] = []
+    # an unprotected stream keeps just these empty flag arrays
+    fr_parts = [np.empty(0, dtype=np.uint8)]
+    fd_parts = [np.empty(0, dtype=np.int8)]
 
     def code_level(depth, parents, predict):
         # every child's occupancy is known, so a child's coded siblings are
@@ -371,26 +372,16 @@ def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> Guarded
         return children
 
     _walk(n, len(cloud), code_level)
-
-    if protect:
-        flags = FlagStream.from_arrays(np.concatenate(fr_parts), np.concatenate(fd_parts))
-        guard_bytes = encode_flags(flags, cfg.mode)
-        p0_q16 = flags.p0_q16
-        flag_count = len(flags)
-    else:
-        guard_bytes = b""
-        p0_q16 = 32768
-        flag_count = 0
-
+    flags = FlagStream.from_arrays(np.concatenate(fr_parts), np.concatenate(fd_parts))
     return GuardedStream(
         mode=cfg.mode,
         payload_kind=PayloadKind.OCTREE,
         epsilon=cfg.epsilon,
         grid_desc=grid_desc,
-        p0_q16=p0_q16,
-        flag_count=flag_count,
+        p0_q16=flags.p0_q16,
+        flag_count=len(flags),
         payload=OctreeHeader(bit_depth=n, point_count=len(cloud)),
-        safeguard=guard_bytes,
+        safeguard=encode_flags(flags, cfg.mode),
         main=enc.finish(),
     )
 
@@ -417,7 +408,7 @@ def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> VoxelC
         for octant in range(8):
             p = predict(range(octant, octant + 1), coded)
             if perturb is not None:
-                p = np.clip(perturb.perturb_array(p, cfg.grid), 0.0, 1.0)
+                p = perturb.perturb_array(p, cfg.grid)
             if protected:
                 fr, fd = flags.take(p.shape[0])
                 p = guard_decode_array(cfg, p, fr, fd)

@@ -2,9 +2,11 @@
 
 A grid is either uniform (step ``q``, offset ``s``) or an explicit sorted
 boundary table.  Bins are half-open ``[b_i, b_{i+1})``; a value exactly on
-the last boundary belongs to the top bin.  All arithmetic is IEEE-754
-double precision.  Operators work on whole arrays.  Boundary tables that
-stream headers name by id are fixed: table 1 is the hyperprior scale ladder.
+the last boundary belongs to the top bin.  Values beyond a grid's domain
+clamp onto it, and a table's domain is its outer boundary pair.  All
+arithmetic is IEEE-754 double precision.  Operators work on whole arrays.
+Boundary tables that stream headers name by id are fixed: table 1 is the
+hyperprior scale ladder.
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ def _check_finite(name: str, x: float) -> float:
 class QuantGrid:
     """Uniform or boundary-table quantization grid.
 
-    Use :meth:`uniform` or :meth:`from_boundaries` instead of the raw
-    constructor; a boundary grid built without a domain rejects values
-    outside its table instead of clamping them.
+    Build a uniform grid with :meth:`uniform`; its optional domain must
+    hold at least one whole bin, with both edges on grid boundaries.  Build
+    a table with ``QuantGrid(boundaries=b)``; its domain is always
+    ``(b[0], b[-1])``, and naming any other domain is a ConfigError.
     """
 
     q: float | None = None
@@ -57,6 +60,10 @@ class QuantGrid:
     boundaries: tuple[float, ...] | None = None
     domain: tuple[float, float] | None = None
     _b: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # boundary indices of the domain's edges, None without a domain
+    _edges: tuple[int, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if (self.q is None) == (self.boundaries is None):
@@ -74,12 +81,19 @@ class QuantGrid:
                 hi = _check_finite("domain hi", hi)
                 if lo >= hi:
                     raise ConfigError("domain lo must be < hi")
+                edges = []
                 for name, edge in (("lo", lo), ("hi", hi)):
                     t = edge / q + s
                     if abs(t - round(t)) > _EDGE_REL_TOL * max(1.0, abs(t)):
                         raise ConfigError(
                             f"domain {name}={edge!r} does not lie on a grid boundary"
                         )
+                    edges.append(round(t))
+                if edges[0] == edges[1]:
+                    raise ConfigError(
+                        f"domain {self.domain!r} holds no whole bin of step {q!r}"
+                    )
+                object.__setattr__(self, "_edges", tuple(edges))
         else:
             b = np.asarray(self.boundaries, dtype=np.float64)
             if b.ndim != 1 or b.size < 2:
@@ -90,25 +104,19 @@ class QuantGrid:
                 raise ConfigError("boundaries must be strictly increasing")
             object.__setattr__(self, "boundaries", tuple(float(x) for x in b))
             object.__setattr__(self, "_b", b)
-            if self.domain is not None:
-                lo, hi = self.domain
-                if lo != b[0] or hi != b[-1]:
-                    raise ConfigError(
-                        "boundary-grid domain must coincide with the outer boundaries"
-                    )
+            if self.domain is None:
+                object.__setattr__(self, "domain", (float(b[0]), float(b[-1])))
+            elif tuple(self.domain) != (b[0], b[-1]):
+                raise ConfigError(
+                    "boundary-grid domain must coincide with the outer boundaries"
+                )
+            object.__setattr__(self, "_edges", (0, b.size - 1))
 
     @classmethod
     def uniform(
         cls, q: float, s: float = 0.0, domain: tuple[float, float] | None = None
     ) -> "QuantGrid":
         return cls(q=float(q), s=float(s), domain=domain)
-
-    @classmethod
-    def from_boundaries(cls, boundaries) -> "QuantGrid":
-        """A boundary-table grid whose domain is the outer boundary pair, so
-        out-of-range values clamp onto it."""
-        b = tuple(float(x) for x in boundaries)
-        return cls(boundaries=b, domain=(b[0], b[-1]))
 
     @property
     def is_uniform(self) -> bool:
@@ -119,17 +127,6 @@ class QuantGrid:
         if self.is_uniform:
             return float(self.q)
         return float(np.min(np.diff(self._b)))
-
-    def domain_bin_range(self) -> tuple[int, int]:
-        """(first bin index, one past last) for grids with a domain."""
-        if self.domain is None:
-            raise ConfigError("grid has no domain")
-        if self.is_uniform:
-            lo, hi = self.domain
-            n_lo = int(round(lo / self.q + self.s))
-            n_hi = int(round(hi / self.q + self.s))
-            return n_lo, n_hi
-        return 0, len(self.boundaries) - 1
 
 
 def validate(grid: QuantGrid, epsilon: float) -> None:
@@ -165,18 +162,12 @@ def quantize_array(grid: QuantGrid, v) -> np.ndarray:
         raise InvalidInputError("values must be finite")
     if grid.is_uniform:
         n = np.floor(v / grid.q + grid.s).astype(np.int64)
-        if grid.domain is not None:
-            n_lo, n_hi = grid.domain_bin_range()
-            n = np.clip(n, n_lo, n_hi - 1)
-        return n
-    b = grid._b
-    if grid.domain is not None:
-        v = _clamp_domain_array(grid, v)
-    elif np.any(v < b[0]) or np.any(v > b[-1]):
-        raise InvalidInputError("value outside boundary table and grid has no domain")
-    n = np.searchsorted(b, v, side="right").astype(np.int64) - 1
-    # v exactly on the last boundary belongs to the top bin
-    return np.clip(n, 0, len(b) - 2)
+    else:
+        n = np.searchsorted(grid._b, v, side="right").astype(np.int64) - 1
+    if grid._edges is not None:
+        # values beyond the domain, and on its top edge, land in end bins
+        n = np.clip(n, grid._edges[0], grid._edges[1] - 1)
+    return n
 
 
 def dequantize_array(grid: QuantGrid, n) -> np.ndarray:
@@ -209,14 +200,6 @@ def _floor_index_uniform_array(grid: QuantGrid, v: np.ndarray) -> np.ndarray:
     return n
 
 
-def _floor_index_table_array(grid: QuantGrid, v: np.ndarray) -> np.ndarray:
-    b = grid._b
-    if np.any(v < b[0]) or np.any(v > b[-1]):
-        raise InvalidInputError("value outside boundary table")
-    i = np.searchsorted(b, v, side="right").astype(np.int64) - 1
-    return np.minimum(i, len(b) - 1)
-
-
 def boundary_value_array(grid: QuantGrid, m) -> np.ndarray:
     m = np.asarray(m, dtype=np.int64)
     if grid.is_uniform:
@@ -243,14 +226,12 @@ def round_index_array(grid: QuantGrid, v) -> tuple[np.ndarray, np.ndarray]:
         bu = boundary_value_array(grid, fi + 1)
         m = np.where((v - bl) > (bu - v), fi + 1, fi)
     else:
+        # the bin each value falls in; the top boundary is nearest to itself
         b = grid._b
-        fi = _floor_index_table_array(grid, v)
-        top = fi >= len(b) - 1  # exactly on the last boundary: distance 0
-        fi_safe = np.minimum(fi, len(b) - 2)
-        bl = b[fi_safe]
-        bu = b[fi_safe + 1]
-        m = np.where((v - bl) > (bu - v), fi_safe + 1, fi_safe)
-        m = np.where(top, fi, m)
+        fi = quantize_array(grid, v)
+        bl = b[fi]
+        bu = b[fi + 1]
+        m = np.where((v - bl) > (bu - v), fi + 1, fi)
     return m, boundary_value_array(grid, m)
 
 
@@ -294,7 +275,7 @@ def default_scale_table() -> QuantGrid:
     )
     b[0] = _SCALE_LO
     b[-1] = _SCALE_HI
-    return QuantGrid.from_boundaries(tuple(b.tolist()))
+    return QuantGrid(boundaries=tuple(b.tolist()))
 
 
 _TABLES = MappingProxyType({SCALE_TABLE_ID: default_scale_table()})

@@ -66,16 +66,14 @@ def decode_values(stream: GuardedStream, observed: np.ndarray) -> np.ndarray:
     if stream.payload_kind != PayloadKind.RAW:
         raise FieldValueError("not a raw-values stream")
     header: RawHeader = stream.payload
+    if stream.flag_count != header.value_count:
+        raise FieldValueError("flag count does not match the value count")
     v = np.asarray(observed, dtype=np.float64).reshape(-1)
     if v.shape[0] != header.value_count:
         raise InvalidInputError(
             f"expected {header.value_count} values, got {v.shape[0]}"
         )
-    if stream.flag_count != header.value_count:
-        raise FieldValueError("flag count does not match the value count")
     cfg = config_for_stream(stream)
     reader = FlagReader(stream.safeguard, stream.flag_count, stream.p0_q16, stream.mode)
     fr, fd = reader.take(v.shape[0])
-    if not reader.exhausted:
-        raise FieldValueError("flag stream longer than the value count")
     return guard_decode_array(cfg, v, fr, fd)

@@ -8,9 +8,10 @@ protected value bit-exactly from its own perturbed copy, provided the
 perturbation stays under ``epsilon`` and every bin is wider than
 ``4 * epsilon``.
 
-Encoder and decoder derive the protected value through the same shared
-helpers, so equality of the chosen boundary index implies equality of the
-output doubles.
+Encoder and decoder derive the protected value through one shared rule,
+so equality of the chosen boundary index implies equality of the output
+doubles.  A boundary on a domain edge is never risky, since values beyond
+it clamp onto it; a stream with a risky flag there is malformed.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, FieldValueError, InvalidInputError
 from .quantizer import (
     QuantGrid,
     _clamp_domain_array,
-    boundary_value_array,
     dequantize_array,
     gap_above_array,
     gap_below_array,
@@ -92,28 +92,36 @@ class GuardConfig:
         return self.grid.domain
 
 
-def _edge_zone(cfg: GuardConfig, v: np.ndarray) -> np.ndarray:
-    """Values within epsilon of a domain edge are forced onto the safe path."""
-    if cfg.grid.domain is None:
-        return np.zeros(v.shape, dtype=bool)
-    lo, hi = cfg.grid.domain
-    return (v <= lo + cfg.epsilon) | (v >= hi - cfg.epsilon)
+def _inside(grid: QuantGrid, m: np.ndarray) -> np.ndarray:
+    """Whether boundary ``m`` has a bin of the domain on both sides.
 
-
-def _shift_vout(grid: QuantGrid, m: np.ndarray, go_left: np.ndarray) -> np.ndarray:
-    """Center of the bin on the chosen side of boundary ``m``.
-
-    Shared by encoder and decoder: identical expressions keep the outputs
-    bit-identical once the boundary indices agree.
+    Only such a boundary can be risky: values beyond a domain edge clamp
+    onto it, so no drift carries a value across the edge.
     """
-    bv = boundary_value_array(grid, m)
-    out = np.empty_like(bv)
-    if np.any(go_left):
-        out[go_left] = bv[go_left] - gap_below_array(grid, m[go_left]) * 0.5
-    keep_right = ~go_left
-    if np.any(keep_right):
-        out[keep_right] = bv[keep_right] + gap_above_array(grid, m[keep_right]) * 0.5
-    return out
+    if grid._edges is None:
+        return np.ones(m.shape, dtype=bool)
+    lo, hi = grid._edges
+    return (m > lo) & (m < hi)
+
+
+def _protected(
+    cfg: GuardConfig, m: np.ndarray, bv: np.ndarray, full_left: np.ndarray | None
+) -> np.ndarray:
+    """The protected value of risky values nearest boundary ``m`` (at ``bv``).
+
+    CENTER gives the boundary.  The other modes give the center of the bin
+    on the side that FULL's direction (``full_left``), LEFT or RIGHT picks.
+    Encoder and decoder both call this, so once the boundary indices agree
+    the outputs are bit-identical.
+    """
+    if cfg.mode == GuardMode.CENTER:
+        return bv
+    left = full_left if cfg.mode == GuardMode.FULL else cfg.mode == GuardMode.LEFT
+    return np.where(
+        left,
+        bv - gap_below_array(cfg.grid, m) * 0.5,
+        bv + gap_above_array(cfg.grid, m) * 0.5,
+    )
 
 
 def guard_encode_array(
@@ -130,32 +138,25 @@ def guard_encode_array(
     v = _clamp_domain_array(cfg.grid, v)
 
     m, bv = round_index_array(cfg.grid, v)
-    dist = np.abs(bv - v)
-    risky = (dist < cfg.epsilon) & ~_edge_zone(cfg, v)
+    risky = (np.abs(bv - v) < cfg.epsilon) & _inside(cfg.grid, m)
 
     v_out = dequantize_array(cfg.grid, quantize_array(cfg.grid, v))
     f_r = risky.astype(np.uint8)
     f_d = np.full(v.shape, -1, dtype=np.int8)
 
     if np.any(risky):
-        mr = m[risky]
+        # a risky value strictly below its boundary has the nearer bin
+        # center on its left
+        go_left = bv[risky] > v[risky]
         if cfg.mode == GuardMode.FULL:
-            # risky value strictly below its boundary means the boundary is
-            # its ceiling, i.e. the nearer bin center lies to the left
-            go_left = bv[risky] > v[risky]
-            f_d[risky] = np.where(go_left, 0, 1).astype(np.int8)
-            v_out[risky] = _shift_vout(cfg.grid, mr, go_left)
-        elif cfg.mode == GuardMode.LEFT:
-            v_out[risky] = _shift_vout(cfg.grid, mr, np.ones(mr.shape, dtype=bool))
-        elif cfg.mode == GuardMode.RIGHT:
-            v_out[risky] = _shift_vout(cfg.grid, mr, np.zeros(mr.shape, dtype=bool))
-        else:  # CENTER: the boundary itself
-            v_out[risky] = bv[risky]
+            f_d[risky] = ~go_left
+        v_out[risky] = _protected(cfg, m[risky], bv[risky], go_left)
     return v_out, f_r, f_d
 
 
 def guard_decode_array(cfg: GuardConfig, v_prime, f_r, f_d=None) -> np.ndarray:
-    """Reproduce the encoder's protected values from perturbed copies."""
+    """Reproduce the encoder's protected values from perturbed copies; a
+    risky flag on a domain edge raises FieldValueError."""
     vp = np.asarray(v_prime, dtype=np.float64)
     if not np.all(np.isfinite(vp)):
         raise InvalidInputError("values must be finite")
@@ -170,19 +171,17 @@ def guard_decode_array(cfg: GuardConfig, v_prime, f_r, f_d=None) -> np.ndarray:
         return v_out
 
     m, bv = round_index_array(cfg.grid, vp[risky])
+    if not np.all(_inside(cfg.grid, m)):
+        raise FieldValueError("risky flag on a domain edge, where no encoder sets one")
+    full_left = None
     if cfg.mode == GuardMode.FULL:
         if f_d is None:
             raise InvalidInputError("FULL mode needs direction flags")
         fd = np.asarray(f_d)[risky]
         if np.any(fd < 0):
             raise InvalidInputError("missing direction flag on a risky value")
-        v_out[risky] = _shift_vout(cfg.grid, m, fd == 0)
-    elif cfg.mode == GuardMode.LEFT:
-        v_out[risky] = _shift_vout(cfg.grid, m, np.ones(m.shape, dtype=bool))
-    elif cfg.mode == GuardMode.RIGHT:
-        v_out[risky] = _shift_vout(cfg.grid, m, np.zeros(m.shape, dtype=bool))
-    else:
-        v_out[risky] = bv
+        full_left = fd == 0
+    v_out[risky] = _protected(cfg, m, bv, full_left)
     return v_out
 
 

@@ -34,6 +34,17 @@ def _raw(mode: GuardMode):
     return raw_values.encode_values(values, cfg)
 
 
+def _octree_unprotected(mode: GuardMode):
+    cloud = octree.synth_cloud("dense", 6, 600, seed=5)
+    return octree.encode(cloud, octree.make_pc_config(5e-4, 250, mode), protect=False)
+
+
+def _hyperprior_unprotected(mode: GuardMode):
+    lat = hyperprior.synth_latents(8, 8, 6, seed=7)
+    cfg = hyperprior.make_image_config(1e-3, mode)
+    return hyperprior.encode(lat, cfg, protect=False)
+
+
 # name: (build, SHA-256 of the container, SHA-256 of its main section)
 GOLDEN = {
     "octree-center": (lambda: _octree(GuardMode.CENTER),
@@ -73,3 +84,26 @@ def test_stream_bytes_match_v1(name):
 def test_main_section_kept_its_v1_bytes(name):
     build, _, main_digest = GOLDEN[name]
     assert hashlib.sha256(build().main).hexdigest() == main_digest
+
+
+# Unprotected streams: no flags, so the header carries p0_q16 32768, a flag
+# count of 0 and an empty safeguard section.  Digests of the container.
+UNPROTECTED = {
+    "octree-center": (lambda: _octree_unprotected(GuardMode.CENTER),
+        "6106dd084a1b39c329c74112b0065a39736bb1188f01d19db483d73ee01e2e6b",
+    ),
+    "octree-full": (lambda: _octree_unprotected(GuardMode.FULL),
+        "db258c98694bdb43d76e7d3f584f3d054500ab4913720b7caec8a8b6360a15aa",
+    ),
+    "hyperprior-center": (lambda: _hyperprior_unprotected(GuardMode.CENTER),
+        "24acf8d7848a3b15859f615350a2e0ad26cd8393065045c0f7c64fa5571aa0d5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNPROTECTED))
+def test_unprotected_stream_bytes(name):
+    build, digest = UNPROTECTED[name]
+    stream = build()
+    assert (stream.flag_count, stream.p0_q16, stream.safeguard) == (0, 32768, b"")
+    assert hashlib.sha256(container.write(stream)).hexdigest() == digest

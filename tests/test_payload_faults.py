@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from reproguard import (
+    FlagReader,
+    FlagStream,
     GuardConfig,
     GuardMode,
     QuantGrid,
+    cli,
     container,
+    encode_flags,
     get_table,
     hyperprior,
     octree,
@@ -89,11 +93,8 @@ def test_raw_grid_domain_the_header_cannot_name_is_rejected_at_encode():
 
 @pytest.mark.parametrize(
     "grid",
-    [
-        QuantGrid.from_boundaries(np.geomspace(0.11, 256.0, 32)),
-        QuantGrid(boundaries=get_table(hyperprior.SCALE_TABLE_ID).boundaries),
-    ],
-    ids=["foreign-table", "domainless-table"],
+    [QuantGrid(boundaries=np.geomspace(0.11, 256.0, 32))],
+    ids=["foreign-table"],
 )
 def test_hyperprior_encode_rejects_a_grid_other_than_its_table(grid):
     cfg = GuardConfig(grid=grid, epsilon=1e-4, mode=GuardMode.CENTER)
@@ -158,6 +159,110 @@ def test_non_finite_header_field_is_a_malformed_stream(payload, fields):
     stream, decode = PAYLOADS[payload]()
     with pytest.raises(FieldValueError):
         decode(dataclasses.replace(stream, **fields))
+
+
+# ---------------------------------------------------------------------------
+# a risky flag on a domain edge, where no encoder sets one
+#
+# Values beyond an edge clamp onto it, so the edge boundary is never risky.
+# A flag there names a bin outside the domain in LEFT, RIGHT and FULL mode,
+# and the boundary itself in CENTER mode; every mode refuses it.
+
+
+def _with_flag(stream, at: int, outward: int):
+    """``stream`` with one more risky flag, at value ``at``; in FULL mode its
+    direction is ``outward`` (0 left, 1 right)."""
+    n = stream.flag_count
+    fr, fd = FlagReader(stream.safeguard, n, stream.p0_q16, stream.mode).take(n)
+    fr[at] = 1
+    if stream.mode == GuardMode.FULL:
+        fd[at] = outward
+    flags = FlagStream.from_arrays(fr, fd)
+    return dataclasses.replace(
+        stream, p0_q16=flags.p0_q16, safeguard=encode_flags(flags, stream.mode)
+    )
+
+
+def _octree_edge_flag(mode, monkeypatch):
+    """A depth-6 octree stream with a flag on the first probability the
+    decoder rounds to the top edge, 1.  The flags before it are the
+    encoder's, so the decoder reaches it on the encoder's tree."""
+    cloud = octree.synth_cloud("dense", 6, 600, seed=5)
+    cfg = octree.make_pc_config(5e-4, 250, mode)
+    stream = octree.encode(cloud, cfg)
+    seen = []
+    guard = octree.guard_decode_array
+
+    def record(cfg, v, f_r, f_d=None):
+        seen.append(np.asarray(v))
+        return guard(cfg, v, f_r, f_d)
+
+    with monkeypatch.context() as m:
+        m.setattr(octree, "guard_decode_array", record)
+        octree.decode(stream)
+    at = np.flatnonzero(np.concatenate(seen) > 1.0 - cfg.grid.q / 2)[0]
+    return _with_flag(stream, int(at), outward=1)
+
+
+@pytest.mark.parametrize("mode", list(GuardMode), ids=lambda m: m.name)
+def test_octree_flag_on_the_domain_edge_is_malformed(mode, monkeypatch):
+    bad = _octree_edge_flag(mode, monkeypatch)
+    with pytest.raises(FieldValueError):
+        octree.decode(container.read(container.write(bad)))
+
+
+@pytest.mark.parametrize("mode", list(GuardMode), ids=lambda m: m.name)
+def test_hyperprior_flag_on_the_domain_edge_is_malformed(mode):
+    # z this large drives every scale past an end of the table, 0.11 or 256
+    lat = hyperprior.synth_latents(8, 8, 4, seed=1)
+    lat = dataclasses.replace(lat, z=np.full(lat.z.shape, 1e6))
+    stream = hyperprior.encode(lat, hyperprior.make_image_config(1e-4, mode))
+    sig = hyperprior.hyper_synthesis(lat.z).reshape(-1)
+    top = mode == GuardMode.RIGHT
+    at = np.flatnonzero(sig >= 256.0 if top else sig <= 0.11)[0]
+    bad = _with_flag(stream, int(at), outward=int(top))
+    with pytest.raises(FieldValueError):
+        hyperprior.decode(container.read(container.write(bad)))
+
+
+@pytest.mark.parametrize("mode", list(GuardMode), ids=lambda m: m.name)
+def test_raw_flag_on_the_domain_edge_is_malformed(mode):
+    table = hyperprior.SCALE_TABLE_ID
+    cfg = GuardConfig(grid=get_table(table), epsilon=1e-4, mode=mode)
+    values = np.array([0.05, 1.0, 300.0, 2.0])  # 0.05 clamps to 0.11, 300 to 256
+    stream = raw_values.encode_values(values, cfg, table_id=table)
+    top = mode == GuardMode.RIGHT
+    bad = _with_flag(stream, 2 if top else 0, outward=int(top))
+    with pytest.raises(FieldValueError):
+        raw_values.decode_values(container.read(container.write(bad)), values)
+
+
+# ---------------------------------------------------------------------------
+# a uniform domain narrower than one bin
+
+
+def test_octree_step_wider_than_the_unit_domain_is_a_malformed_stream():
+    # both edges of [0, 1] round to boundary 0 of a 1e300 step
+    stream, decode = _octree()
+    bad = dataclasses.replace(stream, grid_desc=UniformDesc(1e300, 0.0))
+    parsed = container.read(container.write(bad))
+    with pytest.raises(FieldValueError):
+        container.config_for_stream(parsed, domain=(0.0, 1.0))
+    with pytest.raises(FieldValueError):
+        decode(parsed)
+
+
+def test_decode_pc_exits_malformed_on_hostile_streams(tmp_path, monkeypatch, capsys):
+    stream, _ = _octree()
+    hostile = {
+        "edge-flag": _octree_edge_flag(GuardMode.RIGHT, monkeypatch),
+        "wide-step": dataclasses.replace(stream, grid_desc=UniformDesc(1e300, 0.0)),
+    }
+    for name, bad in hostile.items():
+        path = tmp_path / f"{name}.rgd"
+        container.write_file(path, bad)
+        assert cli.main(["decode-pc", "--input", str(path)]) == cli.EXIT_MALFORMED
+        assert "DECODE FAILURE" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -67,11 +67,11 @@ class TestQuantize:
         assert quantize(g, 0.0) == 0
 
     def test_table_half_open_membership(self):
-        g = QuantGrid.from_boundaries((0.0, 0.25, 1.0))
+        g = QuantGrid(boundaries=(0.0, 0.25, 1.0))
         assert quantize(g, 0.3) == 1
 
     def test_table_top_value_maps_to_last_bin(self):
-        g = QuantGrid.from_boundaries((0.0, 0.25, 1.0))
+        g = QuantGrid(boundaries=(0.0, 0.25, 1.0))
         assert quantize(g, 1.0) == 1
 
     def test_non_finite_rejected(self):
@@ -92,11 +92,11 @@ class TestDequantize:
         assert dequantize(g, 0) == 0.0
 
     def test_table_midpoint(self):
-        g = QuantGrid.from_boundaries((0.0, 0.25, 1.0))
+        g = QuantGrid(boundaries=(0.0, 0.25, 1.0))
         assert dequantize(g, 1) == 0.625
 
     def test_table_bad_index(self):
-        g = QuantGrid.from_boundaries((0.0, 0.25, 1.0))
+        g = QuantGrid(boundaries=(0.0, 0.25, 1.0))
         with pytest.raises(InvalidInputError):
             dequantize(g, 2)
         with pytest.raises(InvalidInputError):
@@ -123,11 +123,12 @@ class TestBoundaryOps:
 
     def test_past_table_end_is_error(self):
         g = QuantGrid(boundaries=(0.0, 0.25, 1.0))
-        with pytest.raises(InvalidInputError):
-            ceil_b(g, 1.5)
-        # the top boundary itself has no boundary above it
-        with pytest.raises(GuardError):
-            ceil_b(g, 1.0)
+        # a value past the end clamps onto the top boundary, and the top
+        # boundary itself has no boundary above it
+        assert round_index(g, 1.5) == (2, 1.0)
+        for v in (1.0, 1.5):
+            with pytest.raises(GuardError):
+                ceil_b(g, v)
 
     @given(grids(), st.floats(-100, 100))
     def test_sandwich(self, g, v):
@@ -159,7 +160,7 @@ class TestRoundIndex:
             assert boundary_value_array(g, [m])[0] == bv
 
     def test_array_agrees_with_scalar(self):
-        g = QuantGrid.from_boundaries((0.0, 0.1, 0.45, 1.0))
+        g = QuantGrid(boundaries=(0.0, 0.1, 0.45, 1.0))
         vs = np.array([0.0, 0.09, 0.3, 0.71, 1.0])
         ms, bvs = round_index_array(g, vs)
         for v, m, bv in zip(vs, ms, bvs):
@@ -182,7 +183,7 @@ class TestGaps:
         assert gap_above_array(g, [3])[0] == 0.25
 
     def test_table_gaps(self):
-        g = QuantGrid.from_boundaries((0.0, 0.1, 0.45, 1.0))
+        g = QuantGrid(boundaries=(0.0, 0.1, 0.45, 1.0))
         assert gap_below_array(g, [1])[0] == pytest.approx(0.1)
         assert gap_above_array(g, [1])[0] == pytest.approx(0.35)
         with pytest.raises(GuardError):
@@ -200,7 +201,7 @@ class TestValidate:
             validate(QuantGrid.uniform(0.004, 0.0), 0.002)
 
     def test_table_margin_uses_min_gap(self):
-        g = QuantGrid.from_boundaries((0.0, 0.1, 0.2, 1.0))
+        g = QuantGrid(boundaries=(0.0, 0.1, 0.2, 1.0))
         validate(g, 0.02)
         with pytest.raises(ConfigError):
             validate(g, 0.025)
@@ -222,10 +223,32 @@ class TestDomain:
         assert quantize(g, 1.0) == 3
         assert quantize(g, 9.0) == 3
 
-    def test_table_without_domain_rejects_outside(self):
+    def test_table_domain_is_its_outer_boundaries(self):
+        b = (0.0, 0.5, 1.0)
+        assert QuantGrid(boundaries=b).domain == (b[0], b[-1])
+        assert QuantGrid(boundaries=b, domain=(0.0, 1.0)) == QuantGrid(boundaries=b)
+        for domain in [(0.0, 0.5), (0.5, 1.0), (-1.0, 1.0), (0.0, 2.0)]:
+            with pytest.raises(ConfigError):
+                QuantGrid(boundaries=b, domain=domain)
+
+    def test_table_clamps_outside_values(self):
         g = QuantGrid(boundaries=(0.0, 0.5, 1.0))
-        with pytest.raises(InvalidInputError):
-            quantize(g, -0.1)
+        assert quantize(g, -0.1) == 0
+        assert quantize(g, 7.0) == 1
+        assert round_index(g, -0.1) == (0, 0.0)
+
+    @pytest.mark.parametrize(
+        "q,s,domain",
+        [
+            (1e300, 0.0, (0.0, 1.0)),
+            (4.0, 0.0, (0.0, 1e-12)),
+            (1.0, 0.5, (-0.5, -0.5 + 1e-10)),
+        ],
+    )
+    def test_uniform_domain_holds_a_whole_bin(self, q, s, domain):
+        with pytest.raises(ConfigError):
+            QuantGrid.uniform(q, s, domain=domain)
+        QuantGrid.uniform(q, s, domain=(domain[0], domain[0] + q))
 
 
 class TestBinDrift:
@@ -270,7 +293,7 @@ class TestConstruction:
 
     def test_boundaries_must_increase(self):
         with pytest.raises(ConfigError):
-            QuantGrid.from_boundaries((0.0, 0.5, 0.5, 1.0))
+            QuantGrid(boundaries=(0.0, 0.5, 0.5, 1.0))
 
     def test_bad_step(self):
         with pytest.raises(ConfigError):
@@ -279,6 +302,6 @@ class TestConstruction:
             QuantGrid.uniform(0.1, 1.0)
 
     def test_min_gap(self):
-        g = QuantGrid.from_boundaries((0.0, 0.1, 0.45, 1.0))
+        g = QuantGrid(boundaries=(0.0, 0.1, 0.45, 1.0))
         assert g.min_gap == pytest.approx(0.1)
         assert QuantGrid.uniform(0.25, 0.0).min_gap == 0.25

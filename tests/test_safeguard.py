@@ -148,7 +148,7 @@ def test_guarantee_randomized(mode, q, eps):
 
 @pytest.mark.parametrize("mode", ALL_MODES)
 def test_guarantee_table_grid(mode):
-    grid = QuantGrid.from_boundaries((0.0, 0.07, 0.21, 0.5, 0.55, 1.0))
+    grid = QuantGrid(boundaries=(0.0, 0.07, 0.21, 0.5, 0.55, 1.0))
     eps = 0.01
     cfg = GuardConfig(grid=grid, epsilon=eps, mode=mode)
     rng = np.random.default_rng(99)

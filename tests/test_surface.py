@@ -43,6 +43,8 @@ DELETED = [
     "quantizer.dequantize",
     "quantizer.register_table",
     "quantizer.registered_tables",
+    "quantizer.QuantGrid.from_boundaries",
+    "quantizer.QuantGrid.domain_bin_range",
     "hyperprior.ScaleField",
     "safeguard.FlagStream.p0",
     "platform_sim.Perturbation.none",
