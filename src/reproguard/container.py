@@ -239,9 +239,8 @@ def write(stream: GuardedStream) -> bytes:
         out += p.z_blob
     else:
         out += struct.pack(">Q", p.value_count)
-    out += stream.safeguard
-    out += stream.main
-    return bytes(out)
+    # one join after the header, so that each section is copied once
+    return b"".join((out, stream.safeguard, stream.main))
 
 
 class _Reader:

@@ -7,6 +7,15 @@ clamp onto it, and a table's domain is its outer boundary pair.  All
 arithmetic is IEEE-754 double precision.  Operators work on whole arrays.
 Boundary tables that stream headers name by id are fixed: table 1 is the
 hyperprior scale ladder.
+
+Each value array is checked once, where it enters: one min/max pair finds
+non-finite values and, on a uniform grid, bin indices of magnitude 2**53 or
+more, which are refused (a uniform domain's edges are held to the same
+bound).  Below that bound float64 holds every index exactly, so one
+uniform-grid kernel works on indices as floats: from a few in-place passes
+over three work arrays it gives each value's bin, its nearest boundary and
+that boundary's distance, with the same bits as integer indices would.
+Table grids find bins with ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -36,6 +45,15 @@ __all__ = [
 # Relative tolerance when checking that a domain edge sits on a grid
 # boundary; domain edges are user input and cannot be trusted to be exact.
 _EDGE_REL_TOL = 1e-9
+
+# Bound on the magnitude of a bin index.  Below it float64 holds every
+# integer exactly, so the uniform-grid kernel keeps indices as floats; an
+# index beyond it would name some other bin.
+_MAX_INDEX = 2.0**53
+
+# Values per block of the uniform-grid kernel: a block's work arrays stay
+# in a core's cache across the kernel's passes.
+_BLOCK = 1 << 15
 
 
 def _check_finite(name: str, x: float) -> float:
@@ -84,6 +102,11 @@ class QuantGrid:
                 edges = []
                 for name, edge in (("lo", lo), ("hi", hi)):
                     t = edge / q + s
+                    if not abs(t) < _MAX_INDEX:
+                        raise ConfigError(
+                            f"domain {name}={edge!r} lies at bin index {t!r} of "
+                            f"step {q!r}, beyond 2**53"
+                        )
                     if abs(t - round(t)) > _EDGE_REL_TOL * max(1.0, abs(t)):
                         raise ConfigError(
                             f"domain {name}={edge!r} does not lie on a grid boundary"
@@ -145,59 +168,145 @@ def validate(grid: QuantGrid, epsilon: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# quantize / dequantize
-
-
-def _clamp_domain_array(grid: QuantGrid, v: np.ndarray) -> np.ndarray:
-    if grid.domain is None:
-        return v
-    lo, hi = grid.domain
-    return np.minimum(np.maximum(v, lo), hi)
-
-
-def quantize_array(grid: QuantGrid, v) -> np.ndarray:
-    """Bin index of each value (int64 array)."""
-    v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError("values must be finite")
-    if grid.is_uniform:
-        n = np.floor(v / grid.q + grid.s).astype(np.int64)
-    else:
-        n = np.searchsorted(grid._b, v, side="right").astype(np.int64) - 1
-    if grid._edges is not None:
-        # values beyond the domain, and on its top edge, land in end bins
-        n = np.clip(n, grid._edges[0], grid._edges[1] - 1)
-    return n
-
-
-def dequantize_array(grid: QuantGrid, n) -> np.ndarray:
-    """Bin center of each index (float64 array)."""
-    n = np.asarray(n, dtype=np.int64)
-    if grid.is_uniform:
-        return (n.astype(np.float64) + (0.5 - grid.s)) * grid.q
-    b = grid._b
-    if np.any(n < 0) or np.any(n >= len(b) - 1):
-        raise InvalidInputError("bin index outside boundary table")
-    return (b[n] + b[n + 1]) * 0.5
-
-
-# ---------------------------------------------------------------------------
-# boundary operators
+# value entry, bins and boundaries
 #
 # Boundary index m names the boundary below bin m, so bin n spans boundary
 # indices [n, n+1].  On uniform grids the lattice extends beyond any domain;
 # on boundary grids indices are confined to the table.
 
 
-def _floor_index_uniform_array(grid: QuantGrid, v: np.ndarray) -> np.ndarray:
+def _checked(grid: QuantGrid, v, range_error=InvalidInputError) -> np.ndarray:
+    """``v`` as float64 and clamped to the grid's domain: the one check a
+    value array gets, where it enters an operator.
+
+    One min/max pair finds non-finite values (NaN and inf propagate through
+    it) and, on a uniform grid without a domain, values whose bin index
+    reaches 2**53, which raise ``range_error``.  ``v`` itself is never
+    written to.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if v.size == 0:
+        return v
+    lo, hi = v.min(), v.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidInputError("values must be finite")
+    if grid.domain is not None:  # every table grid has one
+        d_lo, d_hi = grid.domain
+        if lo < d_lo or hi > d_hi:
+            v = np.maximum(v, d_lo, out=np.empty_like(v))
+            np.minimum(v, d_hi, out=v)
+    else:
+        with np.errstate(over="ignore"):
+            ends = np.floor(np.array([lo, hi]) / grid.q + grid.s)
+        if not np.all(np.abs(ends) < _MAX_INDEX):
+            raise range_error(
+                f"values in [{lo!r}, {hi!r}] reach bin index "
+                f"{float(np.max(np.abs(ends)))!r} of step {grid.q!r}, beyond 2**53"
+            )
+    return v
+
+
+def _uniform_bins(grid: QuantGrid, v: np.ndarray, nearest: bool):
+    """The uniform-grid kernel over clamped values ``v``.
+
+    Returns ``(n, m, d)``: the bin index of each value, clamped to the
+    domain's bins; with ``nearest``, the index of its nearest boundary
+    (ties go down) and that boundary's distance ``|b_m - v|``, else None
+    twice.  Indices are float64, exact below 2**53.  Every operation writes
+    in place into the three returned arrays, one block of values at a time.
+    """
     q, s = grid.q, grid.s
-    n = np.floor(v / q + s).astype(np.int64)
-    # one-ulp repair: division may round across the boundary
-    bl = (n.astype(np.float64) - s) * q
-    n = np.where(bl > v, n - 1, n)
-    bu = (n.astype(np.float64) + (1.0 - s)) * q
-    n = np.where(bu <= v, n + 1, n)
-    return n
+    flat = v.reshape(-1)
+    n = np.empty(flat.size)
+    m = np.empty(flat.size) if nearest else None
+    d = np.empty(flat.size) if nearest else None
+    for i in range(0, flat.size, _BLOCK):
+        part = slice(i, i + _BLOCK)
+        vb, nb = flat[part], n[part]
+        np.divide(vb, q, out=nb)
+        nb += s
+        np.floor(nb, out=nb)
+        if not nearest:
+            continue
+        mb, db = m[part], d[part]
+        # one-ulp repair of n into fi: the division may round across the
+        # boundary, and b_fi <= v need not hold after it either
+        np.subtract(nb, s, out=db)
+        db *= q
+        down = np.greater(db, vb)  # (n - s)q > v
+        np.subtract(nb, down, out=mb)
+        np.add(mb, 1.0 - s, out=db)
+        db *= q
+        up1 = np.less_equal(db, vb)  # (fi + (1 - s))q <= v
+        mb += up1
+        # nearest boundary m = fi + up, ties going down: v - b_fi against
+        # b_{fi+1} - v, the latter written over fi, then m rebuilt from n
+        np.subtract(mb, s, out=db)
+        db *= q
+        np.subtract(vb, db, out=db)
+        mb += 1.0
+        mb -= s
+        mb *= q
+        mb -= vb
+        up = np.greater(db, mb)
+        np.subtract(nb, down, out=mb)
+        mb += up1
+        mb += up
+        # |b_m - v|, with b_m written as for any boundary index
+        np.subtract(mb, s, out=db)
+        db *= q
+        db -= vb
+        np.abs(db, out=db)
+    if grid._edges is not None:
+        np.clip(n, grid._edges[0], grid._edges[1] - 1, out=n)
+    return tuple(None if a is None else a.reshape(v.shape) for a in (n, m, d))
+
+
+def _bins(grid: QuantGrid, v: np.ndarray, nearest: bool = False):
+    """``(n, m, d)`` as :func:`_uniform_bins` gives them, for either grid;
+    a table's indices are int64 and come from one ``searchsorted``."""
+    if grid.is_uniform:
+        return _uniform_bins(grid, v, nearest)
+    b = grid._b
+    # values beyond the domain, and on its top edge, land in end bins
+    n = np.clip(np.searchsorted(b, v, side="right") - 1, 0, b.size - 2)
+    if not nearest:
+        return n, None, None
+    bl = b[n]
+    bu = b[n + 1]
+    up = (v - bl) > (bu - v)
+    return n, n + up, np.abs(np.where(up, bu, bl) - v)
+
+
+def _center(grid: QuantGrid, n: np.ndarray) -> np.ndarray:
+    """Center of each bin ``n``; a uniform grid's float ``n`` becomes it."""
+    if grid.is_uniform:
+        n += 0.5 - grid.s
+        n *= grid.q
+        return n
+    b = grid._b
+    return (b[n] + b[n + 1]) * 0.5
+
+
+def _nearest(grid: QuantGrid, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(int64 index, value) of the nearest boundary of each clamped value."""
+    m = np.asarray(_bins(grid, v, nearest=True)[1], dtype=np.int64)
+    return m, boundary_value_array(grid, m)
+
+
+def quantize_array(grid: QuantGrid, v) -> np.ndarray:
+    """Bin index of each value (int64 array)."""
+    return _bins(grid, _checked(grid, v))[0].astype(np.int64, copy=False)
+
+
+def dequantize_array(grid: QuantGrid, n) -> np.ndarray:
+    """Bin center of each index (float64 array)."""
+    n = np.asarray(n, dtype=np.int64)
+    if grid.is_uniform:
+        return _center(grid, n.astype(np.float64))
+    if np.any(n < 0) or np.any(n >= len(grid._b) - 1):
+        raise InvalidInputError("bin index outside boundary table")
+    return _center(grid, n)
 
 
 def boundary_value_array(grid: QuantGrid, m) -> np.ndarray:
@@ -216,23 +325,7 @@ def round_index_array(grid: QuantGrid, v) -> tuple[np.ndarray, np.ndarray]:
     The index form is what decoders rely on: a perturbed value on the other
     side of the boundary still maps to the same index.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError("values must be finite")
-    v = _clamp_domain_array(grid, v)
-    if grid.is_uniform:
-        fi = _floor_index_uniform_array(grid, v)
-        bl = boundary_value_array(grid, fi)
-        bu = boundary_value_array(grid, fi + 1)
-        m = np.where((v - bl) > (bu - v), fi + 1, fi)
-    else:
-        # the bin each value falls in; the top boundary is nearest to itself
-        b = grid._b
-        fi = quantize_array(grid, v)
-        bl = b[fi]
-        bu = b[fi + 1]
-        m = np.where((v - bl) > (bu - v), fi + 1, fi)
-    return m, boundary_value_array(grid, m)
+    return _nearest(grid, _checked(grid, v))
 
 
 def gap_below_array(grid: QuantGrid, m) -> np.ndarray:

@@ -9,6 +9,8 @@ the flags, and must land on the identical doubles.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .container import (
@@ -34,11 +36,13 @@ def encode_values(
     values: np.ndarray, cfg: GuardConfig, table_id: int | None = None
 ) -> GuardedStream:
     v = np.asarray(values, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError("values must be finite")
     grid_desc = grid_desc_for(cfg.grid, table_id)
     v_out, fr, fd = guard_encode_array(cfg, v)
     flags = FlagStream.from_arrays(fr, fd)
+    # v_out is this encoder's own array: put it in big-endian order in
+    # place, so that the bytes object is the only copy of it
+    if sys.byteorder == "little":
+        v_out.byteswap(inplace=True)
     return GuardedStream(
         mode=cfg.mode,
         payload_kind=PayloadKind.RAW,
@@ -48,7 +52,7 @@ def encode_values(
         flag_count=len(flags),
         payload=RawHeader(value_count=v.shape[0]),
         safeguard=encode_flags(flags, cfg.mode),
-        main=v_out.astype(">f8").tobytes(),
+        main=v_out.tobytes(),
     )
 
 

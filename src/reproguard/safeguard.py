@@ -10,8 +10,12 @@ perturbation stays under ``epsilon`` and every bin is wider than
 
 Encoder and decoder derive the protected value through one shared rule,
 so equality of the chosen boundary index implies equality of the output
-doubles.  A boundary on a domain edge is never risky, since values beyond
-it clamp onto it; a stream with a risky flag there is malformed.
+doubles.  Both sides get bin centers, and the encoder nearest boundaries
+and their distances, from one pass of the grid's kernel in ``quantizer``;
+boundary indices, boundary values and protected values are then built for
+the risky values alone.  A boundary on a domain edge is never risky, since
+values beyond it clamp onto it; a stream with a risky flag there is
+malformed.
 """
 
 from __future__ import annotations
@@ -25,12 +29,13 @@ import numpy as np
 from .errors import ConfigError, FieldValueError, InvalidInputError
 from .quantizer import (
     QuantGrid,
-    _clamp_domain_array,
-    dequantize_array,
+    _bins,
+    _center,
+    _checked,
+    _nearest,
+    boundary_value_array,
     gap_above_array,
     gap_below_array,
-    quantize_array,
-    round_index_array,
     validate,
 )
 
@@ -96,10 +101,11 @@ def _inside(grid: QuantGrid, m: np.ndarray) -> np.ndarray:
     """Whether boundary ``m`` has a bin of the domain on both sides.
 
     Only such a boundary can be risky: values beyond a domain edge clamp
-    onto it, so no drift carries a value across the edge.
+    onto it, so no drift carries a value across the edge.  Without a domain
+    every boundary is inside.
     """
     if grid._edges is None:
-        return np.ones(m.shape, dtype=bool)
+        return np.True_
     lo, hi = grid._edges
     return (m > lo) & (m < hi)
 
@@ -130,48 +136,48 @@ def guard_encode_array(
     """Protect a batch of values.
 
     Returns ``(v_out, f_r, f_d)`` where ``f_d`` is int8 and -1 wherever no
-    direction flag applies (non-FULL modes, or safe values).
+    direction flag applies (non-FULL modes, or safe values).  One pass of
+    the grid's kernel gives every value's bin center, nearest boundary and
+    distance to it; boundary values and protected values are built for the
+    risky values only.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError("values must be finite")
-    v = _clamp_domain_array(cfg.grid, v)
-
-    m, bv = round_index_array(cfg.grid, v)
-    risky = (np.abs(bv - v) < cfg.epsilon) & _inside(cfg.grid, m)
-
-    v_out = dequantize_array(cfg.grid, quantize_array(cfg.grid, v))
-    f_r = risky.astype(np.uint8)
+    grid = cfg.grid
+    v = _checked(grid, v)
+    n, m, d = _bins(grid, v, nearest=True)
+    v_out = _center(grid, n)
+    risky = d < cfg.epsilon
+    risky &= _inside(grid, m)
     f_d = np.full(v.shape, -1, dtype=np.int8)
 
     if np.any(risky):
+        m = m[risky].astype(np.int64)
+        bv = boundary_value_array(grid, m)
         # a risky value strictly below its boundary has the nearer bin
         # center on its left
-        go_left = bv[risky] > v[risky]
+        go_left = bv > v[risky]
         if cfg.mode == GuardMode.FULL:
             f_d[risky] = ~go_left
-        v_out[risky] = _protected(cfg, m[risky], bv[risky], go_left)
-    return v_out, f_r, f_d
+        v_out[risky] = _protected(cfg, m, bv, go_left)
+    return v_out, risky.view(np.uint8), f_d
 
 
 def guard_decode_array(cfg: GuardConfig, v_prime, f_r, f_d=None) -> np.ndarray:
     """Reproduce the encoder's protected values from perturbed copies; a
-    risky flag on a domain edge raises FieldValueError."""
-    vp = np.asarray(v_prime, dtype=np.float64)
-    if not np.all(np.isfinite(vp)):
-        raise InvalidInputError("values must be finite")
+    risky flag on a domain edge, or a value whose bin index reaches 2**53,
+    raises FieldValueError."""
+    grid = cfg.grid
+    vp = _checked(grid, v_prime, range_error=FieldValueError)
     f_r = np.asarray(f_r)
     if f_r.shape != vp.shape:
         raise InvalidInputError("flag array shape mismatch")
-    vp = _clamp_domain_array(cfg.grid, vp)
 
-    v_out = dequantize_array(cfg.grid, quantize_array(cfg.grid, vp))
+    v_out = _center(grid, _bins(grid, vp)[0])
     risky = f_r != 0
     if not np.any(risky):
         return v_out
 
-    m, bv = round_index_array(cfg.grid, vp[risky])
-    if not np.all(_inside(cfg.grid, m)):
+    m, bv = _nearest(grid, vp[risky])
+    if not np.all(_inside(grid, m)):
         raise FieldValueError("risky flag on a domain edge, where no encoder sets one")
     full_left = None
     if cfg.mode == GuardMode.FULL:

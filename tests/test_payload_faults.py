@@ -32,6 +32,7 @@ from reproguard.container import (
 from reproguard.errors import (
     ConfigError,
     FieldValueError,
+    InvalidInputError,
     MalformedStreamError,
     TrailingDataError,
     TruncatedStreamError,
@@ -250,6 +251,50 @@ def test_octree_step_wider_than_the_unit_domain_is_a_malformed_stream():
         container.config_for_stream(parsed, domain=(0.0, 1.0))
     with pytest.raises(FieldValueError):
         decode(parsed)
+
+
+# ---------------------------------------------------------------------------
+# bin indices beyond 2**53, where float64 stops holding every integer
+
+
+def test_raw_stream_with_bin_indices_beyond_2_53_is_malformed():
+    # every value's bin index under a 1e-300 step is near 1e300
+    stream, decode = _raw()
+    bad = dataclasses.replace(
+        stream, grid_desc=UniformDesc(1e-300, 0.0), epsilon=1e-310
+    )
+    with pytest.raises(FieldValueError):
+        decode(container.read(container.write(bad)))
+
+
+def test_raw_encode_rejects_bin_indices_beyond_2_53():
+    cfg = GuardConfig(grid=QuantGrid.uniform(1e-300), epsilon=1e-310)
+    with pytest.raises(InvalidInputError):
+        raw_values.encode_values(np.array([0.25, -0.5]), cfg)
+
+
+def _octree_tiny_step():
+    """An octree stream whose header names a 1e-200 step: the unit domain's
+    top edge sits at bin index 1e200."""
+    stream, _ = _octree()
+    return dataclasses.replace(
+        stream, grid_desc=UniformDesc(1e-200, 0.0), epsilon=1e-210
+    )
+
+
+def test_octree_stream_with_bin_indices_beyond_2_53_is_malformed():
+    parsed = container.read(container.write(_octree_tiny_step()))
+    with pytest.raises(FieldValueError, match="2\\*\\*53"):
+        container.config_for_stream(parsed, domain=(0.0, 1.0))
+    with pytest.raises(FieldValueError, match="2\\*\\*53"):
+        octree.decode(parsed)
+
+
+def test_decode_pc_exits_malformed_on_a_tiny_step(tmp_path, capsys):
+    path = tmp_path / "tiny-step.rgd"
+    container.write_file(path, _octree_tiny_step())
+    assert cli.main(["decode-pc", "--input", str(path)]) == cli.EXIT_MALFORMED
+    assert "DECODE FAILURE" in capsys.readouterr().out
 
 
 def test_decode_pc_exits_malformed_on_hostile_streams(tmp_path, monkeypatch, capsys):

@@ -250,6 +250,50 @@ class TestDomain:
             QuantGrid.uniform(q, s, domain=domain)
         QuantGrid.uniform(q, s, domain=(domain[0], domain[0] + q))
 
+    @pytest.mark.parametrize(
+        "q,domain",
+        [
+            (1.0, (0.0, 2.0**53)),
+            (1.0, (-(2.0**53), 0.0)),
+            (1e-200, (0.0, 1.0)),
+            (1e-310, (0.0, 1.0)),  # 1 / q overflows to inf
+        ],
+    )
+    def test_domain_edge_index_stays_below_2_53(self, q, domain):
+        with pytest.raises(ConfigError, match="2\\*\\*53"):
+            QuantGrid.uniform(q, 0.0, domain=domain)
+
+    def test_domain_edge_just_below_2_53(self):
+        g = QuantGrid.uniform(1.0, 0.0, domain=(0.0, 2.0**53 - 1.0))
+        assert quantize(g, 2.0**60) == 2**53 - 2
+
+
+class TestIndexRange:
+    """Bin indices of a domainless grid stay below 2**53 in magnitude."""
+
+    @pytest.mark.parametrize("v", [2.0**53, -(2.0**53) - 2.0, 1e300])
+    def test_values_beyond_are_rejected(self, v):
+        g = QuantGrid.uniform(1.0, 0.0)
+        for op in (quantize_array, round_index_array):
+            with pytest.raises(InvalidInputError, match="2\\*\\*53"):
+                op(g, np.array([0.5, v]))
+
+    def test_values_just_inside_are_exact(self):
+        g = QuantGrid.uniform(1.0, 0.0)
+        v = np.array([2.0**53 - 1.0, -(2.0**53) + 1.0])
+        assert quantize_array(g, v).tolist() == [2**53 - 1, -(2**53) + 1]
+
+    def test_tiny_step_overflowing_to_inf_is_rejected(self):
+        g = QuantGrid.uniform(1e-300, 0.0)
+        with pytest.raises(InvalidInputError):
+            quantize_array(g, np.array([1e10]))
+
+    def test_empty_input(self):
+        g = QuantGrid.uniform(1.0, 0.0)
+        assert quantize_array(g, np.array([])).shape == (0,)
+        m, bv = round_index_array(g, np.array([]))
+        assert m.shape == bv.shape == (0,)
+
 
 class TestBinDrift:
     """A bounded perturbation moves the bin index by at most one."""
