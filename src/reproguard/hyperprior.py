@@ -175,16 +175,11 @@ def _stream_tables(grid: QuantGrid, idx: np.ndarray) -> tuple[SymbolTables, np.n
     return tables, slot[idx]
 
 
-def encode(
-    lat: LatentGrid,
-    cfg: GuardConfig,
-    hs_seed: int = 0,
-    protect: bool = True,
-) -> GuardedStream:
+def encode(lat: LatentGrid, cfg: GuardConfig, protect: bool = True) -> GuardedStream:
     """Code rounded latents conditioned on safeguarded scale bins."""
     grid_desc = grid_desc_for(cfg.grid, SCALE_TABLE_ID)
     h, w, c = lat.dims
-    sig = hyper_synthesis(lat.z, hs_seed).reshape(-1)
+    sig = hyper_synthesis(lat.z).reshape(-1)
     fr = fd = np.empty(0, dtype=np.int8)  # an unprotected stream has no flags
     if protect:
         sig, fr, fd = guard_encode_array(cfg, sig)
@@ -216,11 +211,7 @@ def encode(
     )
 
 
-def decode(
-    stream: GuardedStream,
-    perturb: Perturbation | None = None,
-    hs_seed: int = 0,
-) -> np.ndarray:
+def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> np.ndarray:
     """Recover the quantized latents; flag_count == 0 means unprotected."""
     if stream.payload_kind != PayloadKind.HYPERPRIOR:
         raise FieldValueError("not a latent stream")
@@ -236,7 +227,7 @@ def decode(
     if not np.all(np.isfinite(z)):
         raise FieldValueError("z holds a non-finite value")
     z = z.reshape(h // _POOL, w // _POOL, c)
-    sig = hyper_synthesis(z, hs_seed).reshape(-1)
+    sig = hyper_synthesis(z).reshape(-1)
     if perturb is not None:
         sig = perturb.perturb_array(sig, cfg.grid)
 

@@ -39,7 +39,7 @@ from .errors import (
     MalformedStreamError,
     PlyParseError,
 )
-from .platform_sim import Perturbation, splitmix64, splitmix64_array, unit_from_u64
+from .platform_sim import Perturbation, splitmix64_array, unit_from_u64
 from .quantizer import QuantGrid
 from .safeguard import (
     FlagStream,
@@ -196,17 +196,13 @@ def synth_cloud(kind: str, bit_depth: int, count: int, seed: int) -> VoxelCloud:
 # that varies smoothly per node.
 
 _WEIGHT_SEED = 0xC0DEC0DE
-_N_FEATURES = 6
 
 
 def _draw_weights() -> tuple[np.ndarray, float]:
-    vals = [
-        unit_from_u64(splitmix64((_WEIGHT_SEED + i * 0x9E3779B97F4A7C15) & (2**64 - 1)))
-        * 4.0
-        - 2.0
-        for i in range(_N_FEATURES + 1)
-    ]
-    return np.array(vals[:_N_FEATURES], dtype=np.float64), float(vals[_N_FEATURES])
+    # six term weights, then the bias
+    x = _U(_WEIGHT_SEED) + np.arange(7, dtype=np.uint64) * _U(0x9E3779B97F4A7C15)
+    vals = unit_from_u64(splitmix64_array(x)) * 4.0 - 2.0
+    return vals[:-1], float(vals[-1])
 
 
 _W, _BIAS = _draw_weights()
@@ -234,30 +230,26 @@ def _features(
     coded_siblings: np.ndarray,
     parent_siblings: np.ndarray,
     parent_codes: np.ndarray,
-) -> np.ndarray:
-    """Feature rows of the children in ``octants`` of every parent, one
-    octant after another; ``coded_siblings`` holds one count per row."""
-    n = parent_codes.shape[0]
-    # one octant is a scalar, as a decoder pass has it; a group of them a
-    # column that broadcasts over the parents
-    octant = octants.start
-    if len(octants) > 1:
-        octant = np.arange(octants.start, octants.stop)[:, None]
-    f = np.empty((len(octants), n, _N_FEATURES), dtype=np.float64)
-    f[..., 0] = depth / bit_depth
-    f[..., 1] = octant / 7.0
-    f[..., 2] = coded_siblings.reshape(len(octants), n) / 7.0
-    f[..., 3] = parent_siblings / 8.0
-    f[..., 4] = 1.0 if depth >= 3 else 0.0
-    f[..., 5] = _ancestral_unit(parent_codes, depth, octant)
-    return f.reshape(-1, _N_FEATURES)
+) -> tuple:
+    """The six model terms of the children in ``octants`` of every parent,
+    each a scalar or an array that broadcasts to (octants, parents);
+    ``coded_siblings`` holds one count per child, octant-major."""
+    octant = np.arange(octants.start, octants.stop)[:, None]
+    return (
+        depth / bit_depth,
+        octant / 7.0,
+        coded_siblings.reshape(len(octants), -1) / 7.0,
+        parent_siblings / 8.0,
+        1.0 if depth >= 3 else 0.0,
+        _ancestral_unit(parent_codes, depth, octant),
+    )
 
 
-def _predict_batch(f: np.ndarray) -> np.ndarray:
+def _predict_batch(terms: tuple) -> np.ndarray:
     # fixed evaluation order keeps both sides bit-identical
-    t = np.full(f.shape[0], _BIAS, dtype=np.float64)
-    for j in range(_N_FEATURES):
-        t += _W[j] * f[:, j]
+    t = np.full(np.broadcast(*terms).shape, _BIAS)
+    for w, x in zip(_W, terms):
+        t += w * x
     return 1.0 / (1.0 + np.exp(-t))
 
 
@@ -271,10 +263,10 @@ def _probabilities(
 ) -> np.ndarray:
     """Clipped occupancy probabilities of the children in ``octants`` of
     every parent, octant-major: the only way either side gets them."""
-    f = _features(
+    terms = _features(
         depth, bit_depth, octants, coded_siblings, parent_siblings, parent_codes
     )
-    return np.clip(_predict_batch(f), 0.0, 1.0)
+    return np.clip(_predict_batch(terms), 0.0, 1.0).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -308,38 +300,36 @@ def _level_codes(cloud: VoxelCloud) -> list[np.ndarray]:
     return levels
 
 
-def _sibling_counts(codes: np.ndarray) -> np.ndarray:
-    """For each node, how many nodes (itself included) share its parent."""
-    parents = codes >> _U(3)
-    uniq, counts = np.unique(parents, return_counts=True)
-    return counts[np.searchsorted(uniq, parents)].astype(np.int64)
-
-
 def _walk(bit_depth: int, point_count: int, code_level) -> np.ndarray:
     """The level walk that encoder and decoder share.
 
     ``code_level(depth, parents, predict)`` codes the eight octant passes
-    of one level and returns the sorted codes of the occupied children.
+    of one level and returns its (8, parents) uint8 occupancy.
     ``predict(octants, coded_siblings)`` gives the probabilities of the
     children in the range ``octants``, octant-major, from how many earlier
-    siblings of each were coded occupied.  Returns the leaf codes.
+    siblings of each were coded occupied.  The occupied children come out
+    of the occupancy parent-major, so their codes are sorted, and each
+    one's sibling count is its parent's occupied-child count.  Returns the
+    leaf codes.
     """
-    current = np.zeros(1, dtype=np.uint64)  # the root
+    parents = np.zeros(1, dtype=np.uint64)  # the root
+    siblings = np.ones(1, dtype=np.uint8)  # the root is an only child
     for depth in range(1, bit_depth + 1):
-        parents = current
-        n_par = _sibling_counts(parents).astype(np.float64)
 
         def predict(octants, coded_siblings):
             return _probabilities(
-                depth, bit_depth, octants, coded_siblings, n_par, parents
+                depth, bit_depth, octants, coded_siblings, siblings, parents
             )
 
-        current = code_level(depth, parents, predict)
-        if current.shape[0] > point_count:
+        occ = code_level(depth, parents, predict)
+        at, octant = np.nonzero(occ.T)
+        if at.shape[0] > point_count:
             raise MalformedStreamError(
                 "decoded occupancy exceeds the declared point count"
             )
-    return current
+        siblings = occ.sum(axis=0, dtype=np.uint8)[at]
+        parents = (parents[at] << _U(3)) | octant.astype(np.uint64)
+    return parents
 
 
 def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> GuardedStream:
@@ -369,7 +359,7 @@ def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> Guarded
                 fr_parts.append(fr)
                 fd_parts.append(fd)
             enc.encode_bits(occ[lo : octants.stop].ravel(), prob_to_p16_array(p))
-        return children
+        return occ
 
     _walk(n, len(cloud), code_level)
     flags = FlagStream.from_arrays(np.concatenate(fr_parts), np.concatenate(fd_parts))
@@ -402,9 +392,8 @@ def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> VoxelC
 
     def code_level(depth, parents, predict):
         # one pass per octant: each needs the bits of the passes before it
+        occ = np.empty((8, parents.shape[0]), dtype=np.uint8)
         coded = np.zeros(parents.shape[0], dtype=np.uint8)
-        first_child = parents << _U(3)
-        children: list[np.ndarray] = []
         for octant in range(8):
             p = predict(range(octant, octant + 1), coded)
             if perturb is not None:
@@ -412,12 +401,9 @@ def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> VoxelC
             if protected:
                 fr, fd = flags.take(p.shape[0])
                 p = guard_decode_array(cfg, p, fr, fd)
-            bits = dec.decode_bits(prob_to_p16_array(p))
-            coded += bits
-            children.append((first_child | _U(octant))[bits == 1])
-        codes = np.concatenate(children)
-        codes.sort()
-        return codes
+            occ[octant] = dec.decode_bits(prob_to_p16_array(p))
+            coded += occ[octant]
+        return occ
 
     codes = _walk(header.bit_depth, header.point_count, code_level)
     if protected and not flags.exhausted:

@@ -18,7 +18,6 @@ from .errors import ConfigError, InvalidInputError
 from .quantizer import QuantGrid, round_index_array
 
 __all__ = [
-    "splitmix64",
     "splitmix64_array",
     "unit_from_u64",
     "Perturbation",
@@ -32,15 +31,8 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def splitmix64(x: int) -> int:
-    """One splitmix64 finalization of a 64-bit state."""
-    z = (x + _GOLDEN) & _M64
-    z = ((z ^ (z >> 30)) * _MIX1) & _M64
-    z = ((z ^ (z >> 27)) * _MIX2) & _M64
-    return z ^ (z >> 31)
-
-
 def splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """One splitmix64 finalization of each 64-bit state."""
     with np.errstate(over="ignore"):
         z = (x + np.uint64(_GOLDEN)).astype(np.uint64)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
@@ -48,11 +40,9 @@ def splitmix64_array(x: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def unit_from_u64(z) -> np.ndarray | float:
+def unit_from_u64(z: np.ndarray) -> np.ndarray:
     """Map 64-bit words to doubles in [0, 1) using the top 53 bits."""
-    if isinstance(z, np.ndarray):
-        return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-    return float(z >> 11) * (2.0 ** -53)
+    return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
 _DISTS = ("none", "uniform", "adversarial")

@@ -279,13 +279,16 @@ def _bins(grid: QuantGrid, v: np.ndarray, nearest: bool = False):
 
 
 def _center(grid: QuantGrid, n: np.ndarray) -> np.ndarray:
-    """Center of each bin ``n``; a uniform grid's float ``n`` becomes it."""
+    """Center of each bin ``n``, an array of ``n``'s shape; a uniform
+    grid's float ``n`` becomes it."""
     if grid.is_uniform:
         n += 0.5 - grid.s
         n *= grid.q
         return n
     b = grid._b
-    return (b[n] + b[n + 1]) * 0.5
+    c = np.add(b[n], b[n + 1], out=np.empty(np.shape(n)))
+    c *= 0.5
+    return c
 
 
 def _nearest(grid: QuantGrid, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

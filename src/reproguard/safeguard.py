@@ -57,14 +57,6 @@ class GuardMode(enum.IntEnum):
     CENTER = 3
 
 
-_MODE_NAMES = {
-    "full": GuardMode.FULL,
-    "left": GuardMode.LEFT,
-    "right": GuardMode.RIGHT,
-    "center": GuardMode.CENTER,
-}
-
-
 def parse_mode(name: str | int | GuardMode) -> GuardMode:
     if isinstance(name, GuardMode):
         return name
@@ -74,7 +66,7 @@ def parse_mode(name: str | int | GuardMode) -> GuardMode:
         except ValueError:
             raise ConfigError(f"unknown guard mode {name!r}") from None
     try:
-        return _MODE_NAMES[name.lower()]
+        return GuardMode[name.upper()]
     except (KeyError, AttributeError):
         raise ConfigError(f"unknown guard mode {name!r}") from None
 

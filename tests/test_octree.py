@@ -159,20 +159,22 @@ def record_passes(monkeypatch):
 
 
 def feature_rows(depth=3, n=10, contexts=()):
-    """Feature rows of (octant, coded, parent, grandparent, parent code)."""
+    """The six model terms of (octant, coded, parent, grandparent, parent
+    code) contexts, each term a (1, contexts) row."""
     rows = []
     for octant, coded, parent, g, code in contexts:
-        f = octree._features(
+        terms = list(octree._features(
             depth, n, range(octant, octant + 1), np.array([coded], dtype=np.float64),
             np.array([parent], dtype=np.float64), np.array([code], dtype=np.uint64),
-        )
-        f[:, 4] = float(g)
-        rows.append(f)
-    return np.concatenate(rows)
+        ))
+        terms[4] = float(g)
+        rows.append([np.broadcast_to(t, (1, 1)) for t in terms])
+    return tuple(np.concatenate(column, axis=1) for column in zip(*rows))
 
 
 def predict(depth=3, octant=0, coded=0, parent=4, g=1, code=0, n=10):
-    return octree._predict_batch(feature_rows(depth, n, [(octant, coded, parent, g, code)]))
+    terms = feature_rows(depth, n, [(octant, coded, parent, g, code)])
+    return octree._predict_batch(terms).ravel()
 
 
 class TestPredict:
@@ -334,16 +336,33 @@ class TestRoundtrip:
             assert np.array_equal(out.codes, cloud.codes)
 
 
+def sibling_counts(codes):
+    """For each node, how many nodes (itself included) share its parent."""
+    parents = codes >> np.uint64(3)
+    uniq, counts = np.unique(parents, return_counts=True)
+    return counts[np.searchsorted(uniq, parents)].astype(np.int64)
+
+
+def predict_rows(f):
+    """The model over an (n, 6) feature tensor, one weight column at a time."""
+    t = np.full(f.shape[0], octree._BIAS, dtype=np.float64)
+    for j in range(6):
+        t += octree._W[j] * f[:, j]
+    return 1.0 / (1.0 + np.exp(-t))
+
+
 def reference_encode(cloud, cfg, protect):
     """The encoder as it was before it grouped octant passes: every stage
-    runs once per octant pass, on that pass's children alone."""
+    runs once per octant pass, on that pass's children alone, with the
+    next level and sibling counts taken from the codes and the model
+    evaluated over a feature tensor."""
     levels = _level_codes(cloud)
     enc = RangeEncoder()
     fr_parts, fd_parts = [], []
     current = np.zeros(1, dtype=np.uint64)
     for depth in range(1, cloud.bit_depth + 1):
         parents = current
-        n_par = octree._sibling_counts(parents).astype(np.float64)
+        n_par = sibling_counts(parents).astype(np.float64)
         occ = np.zeros(parents.shape[0], dtype=np.int64)
         next_parts = []
         for octant in range(8):
@@ -355,7 +374,7 @@ def reference_encode(cloud, cfg, protect):
             f[:, 3] = n_par / 8.0
             f[:, 4] = 1.0 if depth >= 3 else 0.0
             f[:, 5] = octree._ancestral_unit(parents, depth, octant)
-            p = np.clip(octree._predict_batch(f), 0.0, 1.0)
+            p = np.clip(predict_rows(f), 0.0, 1.0)
             bits = np.isin(child_codes, levels[depth]).astype(np.uint8)
             if protect:
                 p, fr, fd = guard_encode_array(cfg, p)
@@ -422,16 +441,34 @@ class TestGroupedEncoder:
 
     def test_peak_memory_of_a_dense_depth10_encode(self):
         # the budget bounds every call's arrays; coding whole levels at once
-        # would hold an (8, n, 6) feature tensor of the widest level
+        # would hold (8, n) float arrays of the widest level
         cloud = synth_cloud("dense", 10, 100_000, 1)
-        cfg = make_pc_config(1e-6)
-        tracemalloc.start()
-        try:
-            encode(cloud, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 9.5 * 2**20
+        assert traced_peak(lambda: encode(cloud, make_pc_config(1e-6))) <= 9.5 * 2**20
+
+
+def traced_peak(run):
+    """The peak of the memory ``tracemalloc`` sees while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLevelStepMemory:
+    # the model sums its terms as they broadcast, without an (n, 6) float64
+    # feature tensor, and the walk takes the next level from the occupancy
+
+    def test_peak_memory_of_a_dense_depth8_encode(self):
+        cloud = synth_cloud("dense", 8, 4000, 3001)
+        assert traced_peak(lambda: encode(cloud, make_pc_config(1e-6))) <= 0.85 * 2**20
+
+    def test_peak_memory_of_a_dense_depth10_decode(self):
+        cloud = synth_cloud("dense", 10, 100_000, 1)
+        stream = encode(cloud, make_pc_config(1e-6))
+        drift = Perturbation(5e-7, "uniform", 1)
+        assert traced_peak(lambda: decode(stream, perturb=drift)) <= 4.5 * 2**20
 
 
 class TestDecodeErrors:

@@ -8,7 +8,7 @@ from reproguard.platform_sim import (
     PRESETS,
     Perturbation,
     preset,
-    splitmix64,
+    splitmix64_array,
     unit_from_u64,
 )
 from reproguard.quantizer import QuantGrid, quantize_array
@@ -16,18 +16,20 @@ from reproguard.quantizer import QuantGrid, quantize_array
 GRID = QuantGrid.uniform(0.01, 0.0)
 
 
+def splitmix64(*states):
+    return splitmix64_array(np.array(states, dtype=np.uint64)).tolist()
+
+
 class TestSplitmix:
     def test_known_zero_input(self):
         # splitmix64(0): first output of the reference stream
-        assert splitmix64(0) == 0xE220A8397B1DCDAF
+        assert splitmix64(0) == [0xE220A8397B1DCDAF]
 
     def test_sequence_values(self):
-        assert splitmix64(1) == 0x910A2DEC89025CC1
-        assert splitmix64(2) == 0x975835DE1C9756CE
+        assert splitmix64(1, 2) == [0x910A2DEC89025CC1, 0x975835DE1C9756CE]
 
     def test_unit_range(self):
-        zs = np.array([splitmix64(i) for i in range(1000)], dtype=np.uint64)
-        us = unit_from_u64(zs)
+        us = unit_from_u64(splitmix64_array(np.arange(1000, dtype=np.uint64)))
         assert np.all((us >= 0.0) & (us < 1.0))
 
 

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from reproguard.errors import ConfigError, InvalidInputError
-from reproguard.quantizer import QuantGrid, dequantize_array, quantize_array
+from reproguard.quantizer import (
+    SCALE_TABLE_ID,
+    QuantGrid,
+    dequantize_array,
+    get_table,
+    quantize_array,
+)
 from reproguard.safeguard import (
     FlagStream,
     GuardConfig,
@@ -164,6 +170,20 @@ def test_guarantee_table_grid(mode):
     v_out, fr, fd = guard_encode_array(cfg, v)
     got = guard_decode_array(cfg, v + delta, fr, fd if mode == GuardMode.FULL else None)
     assert np.array_equal(v_out.view(np.uint64), got.view(np.uint64))
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_zero_d_risky_value_on_a_table_grid(mode):
+    # a 0-d value takes the same path as a 1-element array, on both sides
+    cfg = GuardConfig(grid=get_table(SCALE_TABLE_ID), epsilon=1e-4, mode=mode)
+    v = np.asarray(cfg.grid.boundaries[10] + 1e-5)
+    v_out, fr, fd = guard_encode_array(cfg, v)
+    want, want_fr, want_fd = guard_encode_array(cfg, v.reshape(1))
+    assert np.shape(v_out) == () and int(fr) == want_fr[0] == 1
+    assert v_out.item() == want[0] and int(fd) == want_fd[0]
+    got = guard_decode_array(cfg, np.asarray(v - 5e-5), fr, fd)
+    assert isinstance(got, np.ndarray) and got.shape == ()
+    assert got.view(np.uint64) == v_out.view(np.uint64)
 
 
 @settings(max_examples=200)

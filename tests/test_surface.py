@@ -49,6 +49,7 @@ DELETED = [
     "safeguard.FlagStream.p0",
     "platform_sim.Perturbation.none",
     "platform_sim.Perturbation.reset",
+    "platform_sim.splitmix64",
 ]
 
 
