@@ -19,7 +19,7 @@ from .errors import (
     ReproGuardError,
 )
 from .platform_sim import Perturbation
-from .safeguard import GuardMode, parse_mode
+from .safeguard import parse_mode
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2

@@ -23,8 +23,9 @@ from .errors import (
     TruncatedStreamError,
     UnsupportedVersionError,
 )
-from .quantizer import QuantGrid, get_table
-from .safeguard import GuardConfig, GuardMode
+from .entropy import FlagReader
+from .quantizer import _TABLES, QuantGrid, get_table
+from .safeguard import FlagStream, GuardConfig, GuardMode
 
 __all__ = [
     "MAGIC",
@@ -41,8 +42,9 @@ __all__ = [
     "write_file",
     "read_file",
     "grid_desc_for",
-    "grid_from_desc",
+    "guarded_stream",
     "config_for_stream",
+    "open_stream",
 ]
 
 MAGIC = b"RGRD"
@@ -103,65 +105,93 @@ class GuardedStream:
     flag_count: int
     payload: OctreeHeader | HyperpriorHeader | RawHeader
     safeguard: bytes
-    main: bytes
+    main: bytes | memoryview  # ``read`` gives a read-only view of its input
 
 
-def grid_desc_for(
-    grid: QuantGrid,
-    table_id: int | None = None,
-    domain: tuple[float, float] | None = None,
-) -> UniformDesc | TableDesc:
-    """The header descriptor of ``grid``: registered table ``table_id``, or
-    the uniform step and offset.
+_UNIT = (0.0, 1.0)  # the probability domain every octree grid clips to
 
-    A decoder rebuilds the grid from the header plus the ``domain`` its
-    payload fixes, so this raises ConfigError unless that rebuild is exactly
-    ``grid``: the header must name the grid the encoder guards with.
-    """
-    if table_id is not None:
-        desc: UniformDesc | TableDesc = TableDesc(table_id=table_id)
-    elif grid.is_uniform:
-        desc = UniformDesc(q=grid.q, s=grid.s)
-    else:
-        raise ConfigError("a boundary grid is named by its table id")
-    try:
-        named = grid_from_desc(desc, domain)
-    except FieldValueError:  # table id not registered
-        named = None
-    if named != grid:
-        raise ConfigError(f"stream header {desc} cannot name the guard grid")
-    return desc
+# Per payload kind: its header type, the descriptor kinds its header may
+# name the grid by, and the domain a uniform grid is rebuilt on (a table
+# carries its own).
+_FRAMES = {
+    PayloadKind.OCTREE: (OctreeHeader, (UniformDesc,), _UNIT),
+    PayloadKind.HYPERPRIOR: (HyperpriorHeader, (TableDesc,), None),
+    PayloadKind.RAW: (RawHeader, (UniformDesc, TableDesc), None),
+}
 
 
-def grid_from_desc(desc, domain: tuple[float, float] | None = None) -> QuantGrid:
+def _grid(desc: UniformDesc | TableDesc, kind: int) -> QuantGrid:
+    """The grid ``desc`` names in the header of a payload ``kind`` stream."""
+    _, kinds, domain = _FRAMES.get(kind, (None, (), None))
+    if not isinstance(desc, kinds):
+        raise ConfigError(f"a payload kind {kind!r} header cannot carry {desc!r}")
     if isinstance(desc, UniformDesc):
         return QuantGrid.uniform(desc.q, desc.s, domain=domain)
     return get_table(desc.table_id)
 
 
-def config_for_stream(
-    stream: GuardedStream, domain: tuple[float, float] | None = None
-) -> GuardConfig:
-    """The guard configuration the stream's header describes, with
-    ``domain`` the range the payload fixes for a uniform grid.  A header the
-    configuration rejects (such as an epsilon that breaks the 4*epsilon
-    margin, or a non-finite epsilon or step) is a malformed stream."""
+def grid_desc_for(grid: QuantGrid, kind: int) -> UniformDesc | TableDesc:
+    """The header descriptor of ``grid`` in a stream of payload ``kind``:
+    the uniform step and offset, or the grid's id in the table registry.
+    A decoder rebuilds the grid from the header alone, so this raises
+    ConfigError unless that rebuild is exactly ``grid``."""
+    if grid.is_uniform:
+        desc: UniformDesc | TableDesc = UniformDesc(q=grid.q, s=grid.s)
+    else:
+        ids = [i for i, table in _TABLES.items() if table == grid]
+        if not ids:
+            raise ConfigError("a boundary grid outside the table registry has no name")
+        desc = TableDesc(table_id=ids[0])
+    if _grid(desc, kind) != grid:
+        raise ConfigError(f"stream header {desc} cannot name the guard grid")
+    return desc
+
+
+def guarded_stream(
+    cfg: GuardConfig, desc: UniformDesc | TableDesc, flags: FlagStream,
+    safeguard: bytes, payload: OctreeHeader | HyperpriorHeader | RawHeader,
+    main: bytes,
+) -> GuardedStream:
+    """The stream of ``payload`` guarded by ``cfg`` under the descriptor
+    ``grid_desc_for`` gave, with ``safeguard`` the coded ``flags``."""
+    return GuardedStream(
+        mode=cfg.mode,
+        payload_kind=next(k for k, f in _FRAMES.items() if type(payload) is f[0]),
+        epsilon=cfg.epsilon,
+        grid_desc=desc,
+        p0_q16=flags.p0_q16,
+        flag_count=len(flags),
+        payload=payload,
+        safeguard=safeguard,
+        main=main,
+    )
+
+
+def config_for_stream(stream: GuardedStream) -> GuardConfig:
+    """The guard configuration the stream's header describes.  A header the
+    configuration rejects (such as a descriptor its payload kind does not
+    carry, an epsilon that breaks the 4*epsilon margin, or a non-finite
+    epsilon or step) is a malformed stream."""
     try:
-        grid = grid_from_desc(stream.grid_desc, domain)
+        grid = _grid(stream.grid_desc, stream.payload_kind)
         return GuardConfig(grid=grid, epsilon=stream.epsilon, mode=stream.mode)
     except (ConfigError, InvalidInputError) as exc:
         raise FieldValueError(f"stream header unusable: {exc}") from None
 
 
+def open_stream(stream: GuardedStream, kind: int) -> tuple[GuardConfig, FlagReader]:
+    """What every decoder starts from: the guard configuration of a payload
+    ``kind`` stream, and the reader of its safeguard section."""
+    if stream.payload_kind != kind:
+        raise FieldValueError(f"payload kind {stream.payload_kind!r}, expected {kind}")
+    return config_for_stream(stream), FlagReader(
+        stream.safeguard, stream.flag_count, stream.p0_q16, stream.mode
+    )
+
+
 def _check_stream(stream: GuardedStream) -> None:
     if not isinstance(stream.mode, GuardMode):
         raise FieldValueError(f"bad mode {stream.mode!r}")
-    if stream.payload_kind not in (
-        PayloadKind.OCTREE,
-        PayloadKind.HYPERPRIOR,
-        PayloadKind.RAW,
-    ):
-        raise FieldValueError(f"bad payload kind {stream.payload_kind!r}")
     if not (math.isfinite(stream.epsilon) and stream.epsilon > 0.0):
         raise FieldValueError(f"epsilon must be finite and > 0, got {stream.epsilon!r}")
     if isinstance(stream.grid_desc, UniformDesc):
@@ -184,16 +214,14 @@ def _check_stream(stream: GuardedStream) -> None:
         raise FieldValueError("section too large for a 32-bit length")
 
     p = stream.payload
+    if type(p) is not _FRAMES.get(stream.payload_kind, (None,))[0]:
+        raise FieldValueError(f"payload kind {stream.payload_kind!r} with a {type(p)}")
     if stream.payload_kind == PayloadKind.OCTREE:
-        if not isinstance(p, OctreeHeader):
-            raise FieldValueError("octree payload needs an OctreeHeader")
         if not 1 <= p.bit_depth <= 21:
             raise FieldValueError(f"bit depth {p.bit_depth} outside [1, 21]")
         if not 1 <= p.point_count <= min(_MAX_U64, 1 << (3 * p.bit_depth)):
             raise FieldValueError("point count impossible for this bit depth")
     elif stream.payload_kind == PayloadKind.HYPERPRIOR:
-        if not isinstance(p, HyperpriorHeader):
-            raise FieldValueError("hyperprior payload needs a HyperpriorHeader")
         for name, val in (
             ("height", p.height),
             ("width", p.width),
@@ -207,11 +235,8 @@ def _check_stream(stream: GuardedStream) -> None:
             raise FieldValueError("scale table id must fit in 16 bits and be nonzero")
         if len(p.z_blob) != p.z_count * 8:
             raise FieldValueError("z blob length does not match the dimensions")
-    else:
-        if not isinstance(p, RawHeader):
-            raise FieldValueError("raw payload needs a RawHeader")
-        if not 0 <= p.value_count <= _MAX_U64:
-            raise FieldValueError("value count out of range")
+    elif not 0 <= p.value_count <= _MAX_U64:
+        raise FieldValueError("value count out of range")
 
 
 def write(stream: GuardedStream) -> bytes:
@@ -311,7 +336,9 @@ def read(data: bytes) -> GuardedStream:
     if guard_len + main_len > r.remaining:
         raise TruncatedStreamError("declared section lengths exceed the buffer")
     safeguard = r.take(guard_len, "safeguard stream")
-    main = r.take(main_len, "main stream")
+    # a read-only view of the input, not a copy: main can be megabytes
+    main = memoryview(r.data)[r.pos : r.pos + main_len]
+    r.pos += main_len
     if r.remaining:
         raise TrailingDataError(f"{r.remaining} bytes after the container end")
 

@@ -169,7 +169,7 @@ class RangeDecoder:
     def __init__(self, data: bytes) -> None:
         if len(data) < 4:
             raise TruncatedStreamError(_ENDED)
-        self._data = data
+        self._data = bytes(data)  # a memoryview indexes ~20% slower, per byte
         self._pos = 4
         self.range = _MASK32
         self.code = int.from_bytes(data[:4], "big")

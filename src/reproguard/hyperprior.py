@@ -19,12 +19,11 @@ from .container import (
     GuardedStream,
     HyperpriorHeader,
     PayloadKind,
-    TableDesc,
-    config_for_stream,
     grid_desc_for,
+    guarded_stream,
+    open_stream,
 )
 from .entropy import (
-    FlagReader,
     RangeDecoder,
     RangeEncoder,
     SymbolTables,
@@ -177,7 +176,7 @@ def _stream_tables(grid: QuantGrid, idx: np.ndarray) -> tuple[SymbolTables, np.n
 
 def encode(lat: LatentGrid, cfg: GuardConfig, protect: bool = True) -> GuardedStream:
     """Code rounded latents conditioned on safeguarded scale bins."""
-    grid_desc = grid_desc_for(cfg.grid, SCALE_TABLE_ID)
+    desc = grid_desc_for(cfg.grid, PayloadKind.HYPERPRIOR)
     h, w, c = lat.dims
     sig = hyper_synthesis(lat.z).reshape(-1)
     fr = fd = np.empty(0, dtype=np.int8)  # an unprotected stream has no flags
@@ -191,36 +190,18 @@ def encode(lat: LatentGrid, cfg: GuardConfig, protect: bool = True) -> GuardedSt
     syms = quantize_latents(lat.y).reshape(-1) + _AMPLITUDE
     enc.encode_symbols(tables, table_ids, syms)
 
+    safeguard = encode_flags(flags, cfg.mode)
     z_blob = lat.z.astype(">f8").tobytes()
-    return GuardedStream(
-        mode=cfg.mode,
-        payload_kind=PayloadKind.HYPERPRIOR,
-        epsilon=cfg.epsilon,
-        grid_desc=grid_desc,
-        p0_q16=flags.p0_q16,
-        flag_count=len(flags),
-        payload=HyperpriorHeader(
-            height=h,
-            width=w,
-            channels=c,
-            scale_table_id=SCALE_TABLE_ID,
-            z_blob=z_blob,
-        ),
-        safeguard=encode_flags(flags, cfg.mode),
-        main=enc.finish(),
-    )
+    header = HyperpriorHeader(h, w, c, scale_table_id=desc.table_id, z_blob=z_blob)
+    return guarded_stream(cfg, desc, flags, safeguard, header, enc.finish())
 
 
 def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> np.ndarray:
     """Recover the quantized latents; flag_count == 0 means unprotected."""
-    if stream.payload_kind != PayloadKind.HYPERPRIOR:
-        raise FieldValueError("not a latent stream")
-    if not isinstance(stream.grid_desc, TableDesc):
-        raise FieldValueError("latent streams carry a table id")
+    cfg, flags = open_stream(stream, PayloadKind.HYPERPRIOR)
     header: HyperpriorHeader = stream.payload
     if header.scale_table_id != stream.grid_desc.table_id:
         raise FieldValueError("payload and grid descriptor disagree on the table")
-    cfg = config_for_stream(stream)
 
     h, w, c = header.height, header.width, header.channels
     z = np.frombuffer(header.z_blob, dtype=">f8").astype(np.float64)
@@ -231,10 +212,9 @@ def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> np.nda
     if perturb is not None:
         sig = perturb.perturb_array(sig, cfg.grid)
 
-    reader = FlagReader(stream.safeguard, stream.flag_count, stream.p0_q16, stream.mode)
     if stream.flag_count > 0:
-        fr, fd = reader.take(sig.shape[0])
-        if not reader.exhausted:
+        fr, fd = flags.take(sig.shape[0])
+        if not flags.exhausted:
             raise FieldValueError("flag count does not match the latent count")
         sig = guard_decode_array(cfg, sig, fr, fd)
     idx = quantize_array(cfg.grid, sig)

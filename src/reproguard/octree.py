@@ -18,15 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import (
+    _UNIT,
     GuardedStream,
     OctreeHeader,
     PayloadKind,
-    UniformDesc,
-    config_for_stream,
     grid_desc_for,
+    guarded_stream,
+    open_stream,
 )
 from .entropy import (
-    FlagReader,
     RangeDecoder,
     RangeEncoder,
     encode_flags,
@@ -34,7 +34,6 @@ from .entropy import (
 )
 from .errors import (
     ConfigError,
-    FieldValueError,
     InvalidInputError,
     MalformedStreamError,
     PlyParseError,
@@ -273,8 +272,6 @@ def _probabilities(
 # codec
 
 
-_UNIT = (0.0, 1.0)  # the probability domain every octree grid clips to
-
 # How many values one encoder call may predict, guard and code, unless one
 # octant pass alone is larger: a level of n parents is coded in groups of
 # max(1, min(8, _GROUP_BUDGET // n)) octants.  It bounds the arrays of one
@@ -300,17 +297,27 @@ def _level_codes(cloud: VoxelCloud) -> list[np.ndarray]:
     return levels
 
 
-def _walk(bit_depth: int, point_count: int, code_level) -> np.ndarray:
+def _children(parents: np.ndarray, occ: np.ndarray, point_count: int) -> tuple:
+    """The parent index and the code of every occupied child in a level's
+    (8, parents) occupancy, parent-major, so the codes come out sorted."""
+    at, octant = np.nonzero(occ.T)
+    if at.shape[0] > point_count:
+        raise MalformedStreamError(
+            "decoded occupancy exceeds the declared point count"
+        )
+    return at, (parents[at] << _U(3)) | octant.astype(np.uint64)
+
+
+def _walk(bit_depth: int, point_count: int, code_level) -> tuple:
     """The level walk that encoder and decoder share.
 
     ``code_level(depth, parents, predict)`` codes the eight octant passes
     of one level and returns its (8, parents) uint8 occupancy.
     ``predict(octants, coded_siblings)`` gives the probabilities of the
     children in the range ``octants``, octant-major, from how many earlier
-    siblings of each were coded occupied.  The occupied children come out
-    of the occupancy parent-major, so their codes are sorted, and each
-    one's sibling count is its parent's occupied-child count.  Returns the
-    leaf codes.
+    siblings of each were coded occupied.  A child's sibling count is its
+    parent's occupied-child count.  Returns the leaf level's parents and
+    occupancy, which only the decoder turns into codes.
     """
     parents = np.zeros(1, dtype=np.uint64)  # the root
     siblings = np.ones(1, dtype=np.uint8)  # the root is an only child
@@ -322,19 +329,15 @@ def _walk(bit_depth: int, point_count: int, code_level) -> np.ndarray:
             )
 
         occ = code_level(depth, parents, predict)
-        at, octant = np.nonzero(occ.T)
-        if at.shape[0] > point_count:
-            raise MalformedStreamError(
-                "decoded occupancy exceeds the declared point count"
-            )
+        if depth == bit_depth:
+            return parents, occ
+        at, parents = _children(parents, occ, point_count)
         siblings = occ.sum(axis=0, dtype=np.uint8)[at]
-        parents = (parents[at] << _U(3)) | octant.astype(np.uint64)
-    return parents
 
 
 def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> GuardedStream:
     """Code a voxel cloud; returns the container object."""
-    grid_desc = grid_desc_for(cfg.grid, domain=_UNIT)
+    desc = grid_desc_for(cfg.grid, PayloadKind.OCTREE)
     levels = _level_codes(cloud)
     n = cloud.bit_depth
     enc = RangeEncoder()
@@ -363,31 +366,16 @@ def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> Guarded
 
     _walk(n, len(cloud), code_level)
     flags = FlagStream.from_arrays(np.concatenate(fr_parts), np.concatenate(fd_parts))
-    return GuardedStream(
-        mode=cfg.mode,
-        payload_kind=PayloadKind.OCTREE,
-        epsilon=cfg.epsilon,
-        grid_desc=grid_desc,
-        p0_q16=flags.p0_q16,
-        flag_count=len(flags),
-        payload=OctreeHeader(bit_depth=n, point_count=len(cloud)),
-        safeguard=encode_flags(flags, cfg.mode),
-        main=enc.finish(),
-    )
+    safeguard = encode_flags(flags, cfg.mode)
+    header = OctreeHeader(bit_depth=n, point_count=len(cloud))
+    return guarded_stream(cfg, desc, flags, safeguard, header, enc.finish())
 
 
 def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> VoxelCloud:
     """Decode a voxel cloud, optionally recomputing probabilities through a
     simulated platform.  flag_count == 0 means the stream was unprotected."""
-    if stream.payload_kind != PayloadKind.OCTREE:
-        raise FieldValueError("not an octree stream")
-    if not isinstance(stream.grid_desc, UniformDesc):
-        raise FieldValueError("octree streams carry a uniform grid")
-    cfg = config_for_stream(stream, domain=_UNIT)
-
+    cfg, flags = open_stream(stream, PayloadKind.OCTREE)
     header: OctreeHeader = stream.payload
-    protected = stream.flag_count > 0
-    flags = FlagReader(stream.safeguard, stream.flag_count, stream.p0_q16, stream.mode)
     dec = RangeDecoder(stream.main)
 
     def code_level(depth, parents, predict):
@@ -398,15 +386,16 @@ def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> VoxelC
             p = predict(range(octant, octant + 1), coded)
             if perturb is not None:
                 p = perturb.perturb_array(p, cfg.grid)
-            if protected:
+            if stream.flag_count > 0:
                 fr, fd = flags.take(p.shape[0])
                 p = guard_decode_array(cfg, p, fr, fd)
             occ[octant] = dec.decode_bits(prob_to_p16_array(p))
             coded += occ[octant]
         return occ
 
-    codes = _walk(header.bit_depth, header.point_count, code_level)
-    if protected and not flags.exhausted:
+    parents, occ = _walk(header.bit_depth, header.point_count, code_level)
+    codes = _children(parents, occ, header.point_count)[1]
+    if not flags.exhausted:
         raise MalformedStreamError("flag count does not match the decoded tree")
     return VoxelCloud(bit_depth=header.bit_depth, codes=codes)
 

@@ -17,10 +17,11 @@ from .container import (
     GuardedStream,
     PayloadKind,
     RawHeader,
-    config_for_stream,
     grid_desc_for,
+    guarded_stream,
+    open_stream,
 )
-from .entropy import FlagReader, encode_flags
+from .entropy import encode_flags
 from .errors import FieldValueError, InvalidInputError
 from .safeguard import (
     FlagStream,
@@ -32,28 +33,18 @@ from .safeguard import (
 __all__ = ["encode_values", "decode_values", "reference_values"]
 
 
-def encode_values(
-    values: np.ndarray, cfg: GuardConfig, table_id: int | None = None
-) -> GuardedStream:
+def encode_values(values: np.ndarray, cfg: GuardConfig) -> GuardedStream:
     v = np.asarray(values, dtype=np.float64).reshape(-1)
-    grid_desc = grid_desc_for(cfg.grid, table_id)
+    desc = grid_desc_for(cfg.grid, PayloadKind.RAW)
     v_out, fr, fd = guard_encode_array(cfg, v)
     flags = FlagStream.from_arrays(fr, fd)
     # v_out is this encoder's own array: put it in big-endian order in
     # place, so that the bytes object is the only copy of it
     if sys.byteorder == "little":
         v_out.byteswap(inplace=True)
-    return GuardedStream(
-        mode=cfg.mode,
-        payload_kind=PayloadKind.RAW,
-        epsilon=cfg.epsilon,
-        grid_desc=grid_desc,
-        p0_q16=flags.p0_q16,
-        flag_count=len(flags),
-        payload=RawHeader(value_count=v.shape[0]),
-        safeguard=encode_flags(flags, cfg.mode),
-        main=v_out.tobytes(),
-    )
+    safeguard = encode_flags(flags, cfg.mode)
+    header = RawHeader(value_count=v.shape[0])
+    return guarded_stream(cfg, desc, flags, safeguard, header, v_out.tobytes())
 
 
 def reference_values(stream: GuardedStream) -> np.ndarray:
@@ -67,8 +58,7 @@ def reference_values(stream: GuardedStream) -> np.ndarray:
 
 def decode_values(stream: GuardedStream, observed: np.ndarray) -> np.ndarray:
     """Apply the stream's flags to the decoder's recomputed values."""
-    if stream.payload_kind != PayloadKind.RAW:
-        raise FieldValueError("not a raw-values stream")
+    cfg, flags = open_stream(stream, PayloadKind.RAW)
     header: RawHeader = stream.payload
     if stream.flag_count != header.value_count:
         raise FieldValueError("flag count does not match the value count")
@@ -77,7 +67,5 @@ def decode_values(stream: GuardedStream, observed: np.ndarray) -> np.ndarray:
         raise InvalidInputError(
             f"expected {header.value_count} values, got {v.shape[0]}"
         )
-    cfg = config_for_stream(stream)
-    reader = FlagReader(stream.safeguard, stream.flag_count, stream.p0_q16, stream.mode)
-    fr, fd = reader.take(v.shape[0])
+    fr, fd = flags.take(v.shape[0])
     return guard_decode_array(cfg, v, fr, fd)

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from reproguard.container import (
     GuardedStream,

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from reproguard import cli, container, octree
+from reproguard import cli, octree
 
 
 def run(*argv):

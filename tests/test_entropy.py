@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from reproguard.entropy import (
+    _phi,
     _rice_k,
     FlagReader,
     RangeDecoder,
@@ -430,6 +431,51 @@ def test_bad_sigma_rejected():
         gaussian_cdf_table(-1.0, 32)
     with pytest.raises(InvalidInputError):
         gaussian_cdf_table(float("nan"), 32)
+
+
+def _table_margins(sigma, amplitude=32):
+    """``gaussian_cdf_table``'s float steps, mirrored, and how far they are
+    from a decision that would change the table: the least relative
+    distance of an ``ideal`` frequency >= 0.5 from an integer (``floor``
+    and the center-frequency stop compare against integers), and the gap
+    between the last remainder the ``order`` loop bumps and the first it
+    does not (None without such a cutoff).  Also returns the frequencies
+    the mirror builds, without the ``shrink`` loop."""
+    w = [2.0 * (_phi(0.5 / sigma) - _phi(0.0))]
+    for k in range(1, amplitude + 1):
+        w.append(_phi((k + 0.5) / sigma) - _phi((k - 0.5) / sigma))
+    total = w[0] + 2.0 * sum(w[1:])
+    ideal = [x * 65536.0 / total for x in w]
+    to_integer = min(abs(x - round(x)) / x for x in ideal if x >= 0.5)
+
+    m = [max(1, math.floor(x)) for x in ideal[1:]]
+    rem = [x - math.floor(x) for x in ideal[1:]]
+    order = sorted(range(amplitude), key=lambda i: (-rem[i], i))
+    bumped = 0
+    while 65536 - 2 * sum(m) > ideal[0] + 1.0 and bumped < amplitude:
+        m[order[bumped]] += 1
+        bumped += 1
+    cutoff = None
+    if 0 < bumped < amplitude:
+        cutoff = rem[order[bumped - 1]] - rem[order[bumped]]
+    return to_integer, cutoff, m[::-1] + [65536 - 2 * sum(m)] + m
+
+
+def test_scale_bin_tables_hold_a_float_margin():
+    # Both sides build each scale bin's table with math.exp, unguarded: a
+    # libm's exp error (an ulp, ~1e-16) must stay far from every decision.
+    # Over the 63 bin centres of table 1 the margins are 6.2e-8 and 4.8e-4.
+    grid = get_table(SCALE_TABLE_ID)
+    mids = dequantize_array(grid, np.arange(len(grid.boundaries) - 1)).tolist()
+    margins = [_table_margins(m) for m in mids]
+    # the mirror builds every table, so the shrink loop never runs
+    for sigma, (_, _, freq) in zip(mids, margins):
+        assert freq == np.diff(gaussian_cdf_table(sigma, 32)).tolist()
+    assert len(margins) == 63
+    assert min(t for t, _, _ in margins) >= 1e-9
+    cutoffs = [c for _, c, _ in margins if c is not None]
+    assert len(cutoffs) == 31
+    assert min(cutoffs) >= 1e-9
 
 
 def test_symbol_roundtrip_through_coder():

@@ -12,7 +12,6 @@ from reproguard.container import (
     PayloadKind,
     RawHeader,
     UniformDesc,
-    grid_desc_for,
 )
 from reproguard.entropy import RangeEncoder, encode_flags, prob_to_p16_array
 from reproguard.errors import (
@@ -393,7 +392,7 @@ def reference_encode(cloud, cfg, protect):
         mode=cfg.mode,
         payload_kind=PayloadKind.OCTREE,
         epsilon=cfg.epsilon,
-        grid_desc=grid_desc_for(cfg.grid, domain=(0.0, 1.0)),
+        grid_desc=UniformDesc(q=cfg.grid.q, s=cfg.grid.s),
         p0_q16=flags.p0_q16,
         flag_count=len(flags),
         payload=OctreeHeader(bit_depth=cloud.bit_depth, point_count=len(cloud)),

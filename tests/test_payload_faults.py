@@ -94,13 +94,45 @@ def test_raw_grid_domain_the_header_cannot_name_is_rejected_at_encode():
 
 @pytest.mark.parametrize(
     "grid",
-    [QuantGrid(boundaries=np.geomspace(0.11, 256.0, 32))],
-    ids=["foreign-table"],
+    [QuantGrid(boundaries=np.geomspace(0.11, 256.0, 32)), QuantGrid.uniform(0.5)],
+    ids=["foreign-table", "uniform"],
 )
 def test_hyperprior_encode_rejects_a_grid_other_than_its_table(grid):
     cfg = GuardConfig(grid=grid, epsilon=1e-4, mode=GuardMode.CENTER)
     with pytest.raises(ConfigError):
         hyperprior.encode(hyperprior.synth_latents(8, 8, 4, seed=1), cfg)
+
+
+def test_octree_encode_rejects_a_table_grid():
+    cfg = GuardConfig(grid=get_table(1), epsilon=1e-6, mode=GuardMode.CENTER)
+    with pytest.raises(ConfigError):
+        octree.encode(octree.synth_cloud("sparse", 3, 10, 0), cfg)
+
+
+def test_raw_encode_rejects_a_table_outside_the_registry():
+    grid = QuantGrid(boundaries=np.geomspace(0.11, 256.0, 32))
+    cfg = GuardConfig(grid=grid, epsilon=1e-4, mode=GuardMode.CENTER)
+    with pytest.raises(ConfigError):
+        raw_values.encode_values(np.array([0.5, 2.0]), cfg)
+
+
+@pytest.mark.parametrize(
+    "payload, desc",
+    [
+        ("octree", TableDesc(1)),
+        ("hyperprior", UniformDesc(0.5, 0.0)),
+        ("raw", TableDesc(2)),
+    ],
+)
+def test_decoders_reject_a_descriptor_their_header_cannot_carry(payload, desc):
+    # the container carries any descriptor; the payload kind decides
+    stream, decode = PAYLOADS[payload]()
+    bad = dataclasses.replace(stream, grid_desc=desc)
+    parsed = container.read(container.write(bad))
+    with pytest.raises(FieldValueError):
+        container.config_for_stream(parsed)
+    with pytest.raises(FieldValueError):
+        decode(parsed)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +263,7 @@ def test_raw_flag_on_the_domain_edge_is_malformed(mode):
     table = hyperprior.SCALE_TABLE_ID
     cfg = GuardConfig(grid=get_table(table), epsilon=1e-4, mode=mode)
     values = np.array([0.05, 1.0, 300.0, 2.0])  # 0.05 clamps to 0.11, 300 to 256
-    stream = raw_values.encode_values(values, cfg, table_id=table)
+    stream = raw_values.encode_values(values, cfg)
     top = mode == GuardMode.RIGHT
     bad = _with_flag(stream, 2 if top else 0, outward=int(top))
     with pytest.raises(FieldValueError):
@@ -248,7 +280,7 @@ def test_octree_step_wider_than_the_unit_domain_is_a_malformed_stream():
     bad = dataclasses.replace(stream, grid_desc=UniformDesc(1e300, 0.0))
     parsed = container.read(container.write(bad))
     with pytest.raises(FieldValueError):
-        container.config_for_stream(parsed, domain=(0.0, 1.0))
+        container.config_for_stream(parsed)
     with pytest.raises(FieldValueError):
         decode(parsed)
 
@@ -285,7 +317,7 @@ def _octree_tiny_step():
 def test_octree_stream_with_bin_indices_beyond_2_53_is_malformed():
     parsed = container.read(container.write(_octree_tiny_step()))
     with pytest.raises(FieldValueError, match="2\\*\\*53"):
-        container.config_for_stream(parsed, domain=(0.0, 1.0))
+        container.config_for_stream(parsed)
     with pytest.raises(FieldValueError, match="2\\*\\*53"):
         octree.decode(parsed)
 

@@ -1,9 +1,17 @@
 """Tests for the generic guarded-value payload."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from reproguard.container import GuardedStream, config_for_stream, read, write
+from reproguard.container import (
+    GuardedStream,
+    TableDesc,
+    config_for_stream,
+    read,
+    write,
+)
 from reproguard.errors import FieldValueError, InvalidInputError
 from reproguard.quantizer import QuantGrid, get_table
 from reproguard.raw_values import (
@@ -68,11 +76,18 @@ def test_table_grid_payload():
     cfg = GuardConfig(grid=grid, epsilon=1e-4, mode=GuardMode.CENTER)
     rng = np.random.default_rng(5)
     v = rng.uniform(0.11, 256.0, size=500)
-    stream = encode_values(v, cfg, table_id=1)
+    stream = encode_values(v, cfg)
     want = reference_values(stream)
     delta = rng.uniform(-0.999e-4, 0.999e-4, size=v.shape)
     got = decode_values(stream, np.clip(v + delta, 0.11, 256.0))
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_table_grid_is_named_by_its_registered_id():
+    cfg = GuardConfig(grid=get_table(1), epsilon=1e-4, mode=GuardMode.CENTER)
+    stream = encode_values(np.array([0.5, 2.0, 300.0]), cfg)
+    assert stream.grid_desc == TableDesc(table_id=1)
+    assert config_for_stream(read(write(stream))) == cfg
 
 
 def test_container_roundtrip_keeps_the_contract():
@@ -82,6 +97,21 @@ def test_container_roundtrip_keeps_the_contract():
     assert np.array_equal(
         got.view(np.uint64), reference_values(stream).view(np.uint64)
     )
+
+
+def test_read_gives_main_as_a_view_of_its_input():
+    # 1M values: an 8 MB main section, which a copy would add to the peak
+    v = sample_values(1_000_000, seed=4)
+    blob = write(encode_values(v, cfg_for(GuardMode.FULL)))
+    tracemalloc.start()
+    try:
+        stream = read(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+    assert isinstance(stream.main, memoryview) and stream.main.readonly
+    assert stream.main == blob[-8_000_000:]
 
 
 def test_config_for_stream_reconstructs():

@@ -50,6 +50,7 @@ DELETED = [
     "platform_sim.Perturbation.none",
     "platform_sim.Perturbation.reset",
     "platform_sim.splitmix64",
+    "container.grid_from_desc",
 ]
 
 
