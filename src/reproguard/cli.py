@@ -19,7 +19,6 @@ from .errors import (
     ReproGuardError,
 )
 from .platform_sim import Perturbation
-from .safeguard import parse_mode
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -81,7 +80,7 @@ def _trial(payload, cfg, size, seed, pert, protect=True) -> str:
 
 def _cmd_encode_pc(args) -> int:
     cloud = octree.read_ply(args.input, bit_depth=args.depth)
-    cfg = octree.make_pc_config(args.epsilon, k=args.k, mode=parse_mode(args.mode))
+    cfg = octree.make_pc_config(args.epsilon, k=args.k, mode=args.mode)
     stream = octree.encode(cloud, cfg, protect=not args.no_protect)
     container.write_file(args.output, stream)
     bpp = len(stream.main) * 8.0 / len(cloud)

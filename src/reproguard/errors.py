@@ -18,10 +18,6 @@ class InvalidInputError(ReproGuardError):
     """Caller passed a value outside the documented domain (NaN, inf, ...)."""
 
 
-class GuardError(ReproGuardError):
-    """Safeguarding asked for a bin that does not exist on this grid."""
-
-
 class MalformedStreamError(ReproGuardError):
     """Container or payload bytes violate the format."""
 

@@ -194,17 +194,20 @@ def synth_cloud(kind: str, bit_depth: int, count: int, seed: int) -> VoxelCloud:
 # sibling occupancy, grandparent presence, and a hashed ancestral identity
 # that varies smoothly per node.
 
-_WEIGHT_SEED = 0xC0DEC0DE
-
-
-def _draw_weights() -> tuple[np.ndarray, float]:
-    # six term weights, then the bias
-    x = _U(_WEIGHT_SEED) + np.arange(7, dtype=np.uint64) * _U(0x9E3779B97F4A7C15)
-    vals = unit_from_u64(splitmix64_array(x)) * 4.0 - 2.0
-    return vals[:-1], float(vals[-1])
-
-
-_W, _BIAS = _draw_weights()
+# six term weights, then the bias (once drawn from splitmix64 at seed
+# 0xC0DEC0DE), written in hex so that every platform reads the same doubles
+_W = tuple(
+    float.fromhex(w)
+    for w in (
+        "0x1.c0f0b428ef518p-2",
+        "0x1.ba6e44342ae0cp+0",
+        "0x1.d68ae201a7616p+0",
+        "0x1.85f84b1046f02p+0",
+        "0x1.1358a5ff2e2e8p+0",
+        "0x1.24f4eff1af4b6p+0",
+    )
+)
+_BIAS = float.fromhex("0x1.dd1dc93d4de8ap+0")
 
 _HASH_C1 = 0xD6E8FEB86659FD93
 _HASH_C2 = 0xA5A5A5A5A5A5A5A5
@@ -395,6 +398,10 @@ def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> VoxelC
 
     parents, occ = _walk(header.bit_depth, header.point_count, code_level)
     codes = _children(parents, occ, header.point_count)[1]
+    if codes.shape[0] != header.point_count:
+        raise MalformedStreamError(
+            "decoded leaves fall short of the declared point count"
+        )
     if not flags.exhausted:
         raise MalformedStreamError("flag count does not match the decoded tree")
     return VoxelCloud(bit_depth=header.bit_depth, codes=codes)

@@ -78,26 +78,24 @@ class Perturbation:
         return unit_from_u64(splitmix64_array(state))
 
     def perturb_array(self, v, grid: QuantGrid) -> np.ndarray:
+        """``v`` perturbed, in any shape: value ``i`` of its flat order
+        takes draw ``counter + i``, as in a 1-D call."""
         v = np.asarray(v, dtype=np.float64)
         if not np.all(np.isfinite(v)):
             raise InvalidInputError("values must be finite")
-        n = v.shape[0]
         if self.dist == "none" or self.e_max == 0.0:
-            self.counter += n
             out = v.copy()
         elif self.dist == "uniform":
-            u = self._draw_units(n)
-            self.counter += n
+            u = self._draw_units(v.size).reshape(v.shape)
             out = v + (2.0 * u - 1.0) * self.e_max
         else:  # adversarial: full-budget shift toward the nearest boundary
             _, bv = round_index_array(grid, v)
-            step = np.where(bv >= v, self.e_max, -self.e_max)
-            self.counter += n
-            out = v + step
+            out = v + np.where(bv >= v, self.e_max, -self.e_max)
+        self.counter += v.size
         if grid.domain is not None:
             lo, hi = grid.domain
             out = np.minimum(np.maximum(out, lo), hi)
-        return out
+        return np.asarray(out)  # numpy gives 0-d results as scalars
 
 
 def preset(name: str, dist: str = "uniform", seed: int = 0) -> Perturbation:

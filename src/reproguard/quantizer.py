@@ -15,7 +15,9 @@ bound).  Below that bound float64 holds every index exactly, so one
 uniform-grid kernel works on indices as floats: from a few in-place passes
 over three work arrays it gives each value's bin, its nearest boundary and
 that boundary's distance, with the same bits as integer indices would.
-Table grids find bins with ``searchsorted``.
+Table grids find bins with ``searchsorted``.  No other module reads a
+grid's boundaries or edges: the guard gets boundary values, half-bins and
+the domain-edge rule from private helpers here.
 """
 
 from __future__ import annotations
@@ -26,16 +28,13 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigError, FieldValueError, GuardError, InvalidInputError
+from .errors import ConfigError, FieldValueError, InvalidInputError
 
 __all__ = [
     "QuantGrid",
     "quantize_array",
     "dequantize_array",
     "round_index_array",
-    "boundary_value_array",
-    "gap_below_array",
-    "gap_above_array",
     "validate",
     "SCALE_TABLE_ID",
     "default_scale_table",
@@ -294,7 +293,37 @@ def _center(grid: QuantGrid, n: np.ndarray) -> np.ndarray:
 def _nearest(grid: QuantGrid, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(int64 index, value) of the nearest boundary of each clamped value."""
     m = np.asarray(_bins(grid, v, nearest=True)[1], dtype=np.int64)
-    return m, boundary_value_array(grid, m)
+    return m, _boundary(grid, m)
+
+
+def _boundary(grid: QuantGrid, m: np.ndarray) -> np.ndarray:
+    """Value of each int64 boundary index ``m``."""
+    if grid.is_uniform:
+        return (m.astype(np.float64) - grid.s) * grid.q
+    return grid._b[m]
+
+
+def _inside(grid: QuantGrid, m: np.ndarray) -> np.ndarray:
+    """Whether boundary ``m`` has a bin of the domain on both sides, which
+    is where :func:`_half_bins` is defined.
+
+    Only such a boundary can be risky: values beyond a domain edge clamp
+    onto it, so no drift carries a value across the edge.  Without a domain
+    every boundary is inside.
+    """
+    if grid._edges is None:
+        return np.True_
+    lo, hi = grid._edges
+    return (m > lo) & (m < hi)
+
+
+def _half_bins(grid: QuantGrid, m: np.ndarray) -> tuple:
+    """Half the width of the bin below and of the bin above each boundary
+    ``m`` that is :func:`_inside`."""
+    if grid.is_uniform:
+        return grid.q * 0.5, grid.q * 0.5
+    b = grid._b
+    return (b[m] - b[m - 1]) * 0.5, (b[m + 1] - b[m]) * 0.5
 
 
 def quantize_array(grid: QuantGrid, v) -> np.ndarray:
@@ -312,16 +341,6 @@ def dequantize_array(grid: QuantGrid, n) -> np.ndarray:
     return _center(grid, n)
 
 
-def boundary_value_array(grid: QuantGrid, m) -> np.ndarray:
-    m = np.asarray(m, dtype=np.int64)
-    if grid.is_uniform:
-        return (m.astype(np.float64) - grid.s) * grid.q
-    b = grid._b
-    if np.any(m < 0) or np.any(m >= len(b)):
-        raise GuardError("boundary index outside table")
-    return b[m]
-
-
 def round_index_array(grid: QuantGrid, v) -> tuple[np.ndarray, np.ndarray]:
     """(boundary index, boundary value) of the nearest boundary; ties go down.
 
@@ -329,28 +348,6 @@ def round_index_array(grid: QuantGrid, v) -> tuple[np.ndarray, np.ndarray]:
     side of the boundary still maps to the same index.
     """
     return _nearest(grid, _checked(grid, v))
-
-
-def gap_below_array(grid: QuantGrid, m) -> np.ndarray:
-    """Width of the bin just below boundary ``m``."""
-    m = np.asarray(m, dtype=np.int64)
-    if grid.is_uniform:
-        return np.full(m.shape, grid.q, dtype=np.float64)
-    b = grid._b
-    if np.any(m < 1) or np.any(m >= len(b)):
-        raise GuardError("no bin below this boundary")
-    return b[m] - b[m - 1]
-
-
-def gap_above_array(grid: QuantGrid, m) -> np.ndarray:
-    """Width of the bin just above boundary ``m``."""
-    m = np.asarray(m, dtype=np.int64)
-    if grid.is_uniform:
-        return np.full(m.shape, grid.q, dtype=np.float64)
-    b = grid._b
-    if np.any(m < 0) or np.any(m >= len(b) - 1):
-        raise GuardError("no bin above this boundary")
-    return b[m + 1] - b[m]
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,12 @@ from .errors import ConfigError, FieldValueError, InvalidInputError
 from .quantizer import (
     QuantGrid,
     _bins,
+    _boundary,
     _center,
     _checked,
+    _half_bins,
+    _inside,
     _nearest,
-    boundary_value_array,
-    gap_above_array,
-    gap_below_array,
     validate,
 )
 
@@ -89,19 +89,6 @@ class GuardConfig:
         return self.grid.domain
 
 
-def _inside(grid: QuantGrid, m: np.ndarray) -> np.ndarray:
-    """Whether boundary ``m`` has a bin of the domain on both sides.
-
-    Only such a boundary can be risky: values beyond a domain edge clamp
-    onto it, so no drift carries a value across the edge.  Without a domain
-    every boundary is inside.
-    """
-    if grid._edges is None:
-        return np.True_
-    lo, hi = grid._edges
-    return (m > lo) & (m < hi)
-
-
 def _protected(
     cfg: GuardConfig, m: np.ndarray, bv: np.ndarray, full_left: np.ndarray | None
 ) -> np.ndarray:
@@ -115,11 +102,8 @@ def _protected(
     if cfg.mode == GuardMode.CENTER:
         return bv
     left = full_left if cfg.mode == GuardMode.FULL else cfg.mode == GuardMode.LEFT
-    return np.where(
-        left,
-        bv - gap_below_array(cfg.grid, m) * 0.5,
-        bv + gap_above_array(cfg.grid, m) * 0.5,
-    )
+    below, above = _half_bins(cfg.grid, m)
+    return np.where(left, bv - below, bv + above)
 
 
 def guard_encode_array(
@@ -143,7 +127,7 @@ def guard_encode_array(
 
     if np.any(risky):
         m = m[risky].astype(np.int64)
-        bv = boundary_value_array(grid, m)
+        bv = _boundary(grid, m)
         # a risky value strictly below its boundary has the nearer bin
         # center on its left
         go_left = bv > v[risky]

@@ -36,7 +36,7 @@ from reproguard.octree import (
     voxelize,
     write_ply,
 )
-from reproguard.platform_sim import Perturbation
+from reproguard.platform_sim import Perturbation, splitmix64_array, unit_from_u64
 from reproguard.safeguard import FlagStream, GuardConfig, GuardMode, guard_encode_array
 from reproguard.quantizer import QuantGrid
 
@@ -204,6 +204,16 @@ class TestPredict:
             assert np.all(diffs > 0)
         else:
             assert np.all(diffs < 0)
+
+
+class TestWeights:
+    def test_literals_are_the_splitmix_draw(self):
+        # the seven values in [-2, 2) that splitmix64 gives at seed 0xC0DEC0DE
+        step = np.arange(7, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        x = np.uint64(0xC0DEC0DE) + step
+        draw = unit_from_u64(splitmix64_array(x)) * 4.0 - 2.0
+        literals = [*octree._W, octree._BIAS]
+        assert [w.hex() for w in literals] == [float(d).hex() for d in draw]
 
 
 class TestConfig:

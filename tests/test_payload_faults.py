@@ -329,11 +329,27 @@ def test_decode_pc_exits_malformed_on_a_tiny_step(tmp_path, capsys):
     assert "DECODE FAILURE" in capsys.readouterr().out
 
 
+def _octree_short_of_points():
+    """A depth-6 stream whose header declares 50 more points than its tree
+    has leaves."""
+    cloud = octree.synth_cloud("sparse", 6, 300, seed=2)
+    stream = octree.encode(cloud, octree.make_pc_config(1e-6))
+    header = dataclasses.replace(stream.payload, point_count=len(cloud) + 50)
+    return dataclasses.replace(stream, payload=header)
+
+
+def test_octree_point_count_above_the_decoded_leaves_is_malformed():
+    parsed = container.read(container.write(_octree_short_of_points()))
+    with pytest.raises(MalformedStreamError, match="point count"):
+        octree.decode(parsed)
+
+
 def test_decode_pc_exits_malformed_on_hostile_streams(tmp_path, monkeypatch, capsys):
     stream, _ = _octree()
     hostile = {
         "edge-flag": _octree_edge_flag(GuardMode.RIGHT, monkeypatch),
         "wide-step": dataclasses.replace(stream, grid_desc=UniformDesc(1e300, 0.0)),
+        "short-of-points": _octree_short_of_points(),
     }
     for name, bad in hostile.items():
         path = tmp_path / f"{name}.rgd"

@@ -102,6 +102,23 @@ class TestUniform:
         assert abs(d.mean()) < 1e-8
 
 
+class TestShapes:
+    """Any input shape gets, element for element, the values of its
+    flattened 1-D call, and advances the counter by its size."""
+
+    @pytest.mark.parametrize("dist", ["none", "uniform", "adversarial"])
+    @pytest.mark.parametrize("shape", [(), (3, 2), (2, 2)])
+    def test_matches_the_flat_call(self, dist, shape):
+        v = np.linspace(0.1, 0.9, int(np.prod(shape))).reshape(shape)
+        flat = Perturbation(e_max=1e-6, dist=dist, seed=7, counter=3)
+        shaped = Perturbation(e_max=1e-6, dist=dist, seed=7, counter=3)
+        want = flat.perturb_array(v.ravel(), GRID)
+        got = shaped.perturb_array(v, GRID)
+        assert isinstance(got, np.ndarray) and got.shape == shape
+        assert np.array_equal(got.ravel().view(np.uint64), want.view(np.uint64))
+        assert shaped.counter == flat.counter == 3 + v.size
+
+
 class TestAdversarial:
     def test_crosses_nearby_boundary(self):
         p = Perturbation(e_max=1e-6, dist="adversarial", seed=0)

@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from reproguard.errors import ConfigError, GuardError, InvalidInputError
+from reproguard.errors import ConfigError, InvalidInputError
 from reproguard.quantizer import (
     QuantGrid,
-    boundary_value_array,
+    _half_bins,
     dequantize_array,
-    gap_above_array,
-    gap_below_array,
     get_table,
     quantize_array,
     round_index_array,
@@ -30,6 +28,11 @@ def round_index(g, v):
     return int(m[0]), float(bv[0])
 
 
+def boundary_value(g, m):
+    """Value of boundary index ``m`` of a uniform grid."""
+    return (m - g.s) * g.q
+
+
 def round_b(g, v):
     """Nearest boundary; a tie rounds down."""
     return round_index(g, v)[1]
@@ -38,13 +41,13 @@ def round_b(g, v):
 def floor_b(g, v):
     """Nearest boundary at or below ``v``, from the nearest one."""
     m, bv = round_index(g, v)
-    return bv if bv <= v else float(boundary_value_array(g, [m - 1])[0])
+    return bv if bv <= v else boundary_value(g, m - 1)
 
 
 def ceil_b(g, v):
     """Nearest boundary strictly above ``v``, from the nearest one."""
     m, bv = round_index(g, v)
-    return float(boundary_value_array(g, [m + 1])[0]) if bv <= v else bv
+    return boundary_value(g, m + 1) if bv <= v else bv
 
 
 def grids():
@@ -119,14 +122,10 @@ class TestBoundaryOps:
         assert ceil_b(g, 7.0) == 8.0
         assert round_b(g, 7.0) == 7.0
 
-    def test_past_table_end_is_error(self):
+    def test_past_table_end_clamps_onto_top(self):
         g = QuantGrid(boundaries=(0.0, 0.25, 1.0))
-        # a value past the end clamps onto the top boundary, and the top
-        # boundary itself has no boundary above it
+        # a value past the end clamps onto the top boundary
         assert round_index(g, 1.5) == (2, 1.0)
-        for v in (1.0, 1.5):
-            with pytest.raises(GuardError):
-                ceil_b(g, v)
 
     @given(grids(), st.floats(-100, 100))
     def test_sandwich(self, g, v):
@@ -155,7 +154,7 @@ class TestRoundIndex:
         for v in [0.0101, -3.7, 0.002, 0.25]:
             m, bv = round_index(g, v)
             assert bv == round_b(g, v)
-            assert boundary_value_array(g, [m])[0] == bv
+            assert boundary_value(g, m) == bv
 
     def test_array_agrees_with_scalar(self):
         g = QuantGrid(boundaries=(0.0, 0.1, 0.45, 1.0))
@@ -175,19 +174,19 @@ class TestRoundIndex:
 
 
 class TestGaps:
+    """Half the bin below and above a boundary, as the guard's protected
+    values use them."""
+
     def test_uniform_gap_is_q(self):
         g = QuantGrid.uniform(0.25, 0.0)
-        assert gap_below_array(g, [3])[0] == 0.25
-        assert gap_above_array(g, [3])[0] == 0.25
+        below, above = _half_bins(g, np.array([3]))
+        assert below == above == 0.125
 
     def test_table_gaps(self):
         g = QuantGrid(boundaries=(0.0, 0.1, 0.45, 1.0))
-        assert gap_below_array(g, [1])[0] == pytest.approx(0.1)
-        assert gap_above_array(g, [1])[0] == pytest.approx(0.35)
-        with pytest.raises(GuardError):
-            gap_below_array(g, [0])
-        with pytest.raises(GuardError):
-            gap_above_array(g, [3])
+        below, above = _half_bins(g, np.array([1]))
+        assert below[0] == pytest.approx(0.05)
+        assert above[0] == pytest.approx(0.175)
 
 
 class TestValidate:

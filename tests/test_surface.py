@@ -19,7 +19,7 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(reproguard.__path__))
 # Changing the surface means changing this list on purpose.
 PACKAGE_ALL = [
     "BadMagicError", "ConfigError", "FieldValueError", "FlagReader", "FlagStream",
-    "GuardConfig", "GuardError", "GuardMode", "GuardedStream", "HyperpriorHeader",
+    "GuardConfig", "GuardMode", "GuardedStream", "HyperpriorHeader",
     "InvalidInputError", "LengthOverflowError", "MalformedStreamError",
     "OctreeHeader", "PRESETS", "PayloadKind", "Perturbation", "PlyParseError",
     "QuantGrid", "RangeDecoder", "RangeEncoder", "RawHeader", "ReproGuardError",
@@ -30,7 +30,8 @@ PACKAGE_ALL = [
     "read_file", "validate", "write", "write_file",
 ]
 
-# Scalar twins of the batch forms, and helpers nothing but tests called.
+# Scalar twins of the batch forms, helpers nothing but tests called, and
+# boundary operators and their error that only the guard needed.
 DELETED = [
     "entropy.RangeEncoder.encode_bit",
     "entropy.RangeEncoder.encode_symbol",
@@ -51,6 +52,10 @@ DELETED = [
     "platform_sim.Perturbation.reset",
     "platform_sim.splitmix64",
     "container.grid_from_desc",
+    "quantizer.boundary_value_array",
+    "quantizer.gap_below_array",
+    "quantizer.gap_above_array",
+    "errors.GuardError",
 ]
 
 
