@@ -302,6 +302,8 @@ def _write_svg(path, rows) -> None:
 
 
 def _cmd_interop(args) -> int:
+    if args.trials < 1:  # "exact 0/0" is no evidence of a pass
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     if args.payload == "pc":
         make_config, size = octree.make_pc_config, (8, 4000)
     else:
@@ -320,6 +322,8 @@ def _cmd_interop(args) -> int:
 
 
 def _cmd_demo_image(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     cfg = hyperprior.make_image_config(args.epsilon)
     failures = 0
     for t in range(args.trials):

@@ -1,9 +1,10 @@
 """Serialized ``.rgd`` container: header, safeguard stream, main stream.
 
-Everything is big-endian.  The parser is hardened: any byte buffer either
-parses or raises a subclass of MalformedStreamError, it never reads past
-declared lengths, and accepted buffers round-trip byte-identically through
-``read`` then ``write``.
+Everything is big-endian.  Each header layout is declared once, in the wire
+table below, and ``write``, ``read`` and the field checks all work from it.
+The parser is hardened: any byte buffer either parses or raises a subclass
+of MalformedStreamError, it never reads past declared lengths, and accepted
+buffers round-trip byte-identically through ``read`` then ``write``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .errors import (
     BadMagicError,
@@ -50,9 +52,6 @@ __all__ = [
 MAGIC = b"RGRD"
 VERSION = 2
 
-_MAX_U32 = 0xFFFFFFFF
-_MAX_U64 = 0xFFFFFFFFFFFFFFFF
-
 
 class PayloadKind:
     OCTREE = 0
@@ -87,7 +86,7 @@ class HyperpriorHeader:
 
     @property
     def z_count(self) -> int:
-        return (self.height // 4) * (self.width // 4) * self.channels
+        return _z_len(self.height, self.width, self.channels) // 8
 
 
 @dataclass(frozen=True)
@@ -108,25 +107,53 @@ class GuardedStream:
     main: bytes | memoryview  # ``read`` gives a read-only view of its input
 
 
+def _z_len(height: int, width: int, channels: int, *_) -> int:
+    """Bytes of a hyperprior header's z blob: a double per pooled value."""
+    return (height // 4) * (width // 4) * channels * 8
+
+
+# The wire table.  A stream is _HEAD (magic, version, mode, payload kind,
+# epsilon, grid kind), the grid descriptor the grid-kind byte names in
+# _GRIDS, _COUNTS (p0_q16, flag_count, safeguard and main lengths), the
+# payload header of the kind's frame, then the safeguard and main sections.
+_HEAD = ">4sBBBdB"
+_COUNTS = ">HIII"
+_GRIDS = {0: (UniformDesc, ">dd"), 1: (TableDesc, ">H")}
+_MODES = frozenset(GuardMode)  # the mode byte's values
+
 _UNIT = (0.0, 1.0)  # the probability domain every octree grid clips to
 
-# Per payload kind: its header type, the descriptor kinds its header may
-# name the grid by, and the domain a uniform grid is rebuilt on (a table
-# carries its own).
+
+class _Frame(NamedTuple):
+    header: type  # the payload header type; its fields in order are ...
+    layout: str  # ... this struct format's, then the blob if there is one
+    blob: Callable[..., int] | None  # the blob's length, from the layout's fields
+    descs: tuple  # the descriptor kinds the header may name the grid by
+    domain: tuple | None = None  # a uniform grid's domain (a table has its own)
+
+
 _FRAMES = {
-    PayloadKind.OCTREE: (OctreeHeader, (UniformDesc,), _UNIT),
-    PayloadKind.HYPERPRIOR: (HyperpriorHeader, (TableDesc,), None),
-    PayloadKind.RAW: (RawHeader, (UniformDesc, TableDesc), None),
+    PayloadKind.OCTREE: _Frame(OctreeHeader, ">BQ", None, (UniformDesc,), _UNIT),
+    PayloadKind.HYPERPRIOR: _Frame(HyperpriorHeader, ">IIIH", _z_len, (TableDesc,)),
+    PayloadKind.RAW: _Frame(RawHeader, ">Q", None, (UniformDesc, TableDesc)),
 }
+
+
+def _kind_of(value: object, table: dict) -> int | None:
+    """The key of the ``table`` row whose type ``value`` is, or None."""
+    for key, row in table.items():
+        if type(value) is row[0]:
+            return key
+    return None
 
 
 def _grid(desc: UniformDesc | TableDesc, kind: int) -> QuantGrid:
     """The grid ``desc`` names in the header of a payload ``kind`` stream."""
-    _, kinds, domain = _FRAMES.get(kind, (None, (), None))
-    if not isinstance(desc, kinds):
+    frame = _FRAMES.get(kind)
+    if frame is None or not isinstance(desc, frame.descs):
         raise ConfigError(f"a payload kind {kind!r} header cannot carry {desc!r}")
     if isinstance(desc, UniformDesc):
-        return QuantGrid.uniform(desc.q, desc.s, domain=domain)
+        return QuantGrid.uniform(desc.q, desc.s, domain=frame.domain)
     return get_table(desc.table_id)
 
 
@@ -156,7 +183,7 @@ def guarded_stream(
     ``grid_desc_for`` gave, with ``safeguard`` the coded ``flags``."""
     return GuardedStream(
         mode=cfg.mode,
-        payload_kind=next(k for k, f in _FRAMES.items() if type(payload) is f[0]),
+        payload_kind=_kind_of(payload, _FRAMES),
         epsilon=cfg.epsilon,
         grid_desc=desc,
         p0_q16=flags.p0_q16,
@@ -190,82 +217,63 @@ def open_stream(stream: GuardedStream, kind: int) -> tuple[GuardConfig, FlagRead
 
 
 def _check_stream(stream: GuardedStream) -> None:
+    """What the field widths of the wire table do not already check."""
     if not isinstance(stream.mode, GuardMode):
         raise FieldValueError(f"bad mode {stream.mode!r}")
     if not (math.isfinite(stream.epsilon) and stream.epsilon > 0.0):
         raise FieldValueError(f"epsilon must be finite and > 0, got {stream.epsilon!r}")
-    if isinstance(stream.grid_desc, UniformDesc):
-        if not (math.isfinite(stream.grid_desc.q) and stream.grid_desc.q > 0.0):
+    desc = stream.grid_desc
+    if _kind_of(desc, _GRIDS) is None:
+        raise FieldValueError(f"bad grid descriptor {desc!r}")
+    if isinstance(desc, UniformDesc):
+        if not (math.isfinite(desc.q) and desc.q > 0.0):
             raise FieldValueError("grid step must be finite and > 0")
-        if not (
-            math.isfinite(stream.grid_desc.s) and 0.0 <= stream.grid_desc.s < 1.0
-        ):
+        if not (math.isfinite(desc.s) and 0.0 <= desc.s < 1.0):
             raise FieldValueError("grid offset must be in [0, 1)")
-    elif isinstance(stream.grid_desc, TableDesc):
-        if not 1 <= stream.grid_desc.table_id <= 0xFFFF:
-            raise FieldValueError("table id must fit in 16 bits and be nonzero")
-    else:
-        raise FieldValueError(f"bad grid descriptor {stream.grid_desc!r}")
-    if not 1 <= stream.p0_q16 <= 65535:
-        raise FieldValueError("p0_q16 must be in [1, 65535]")
-    if not 0 <= stream.flag_count <= _MAX_U32:
-        raise FieldValueError("flag count out of range")
-    if len(stream.safeguard) > _MAX_U32 or len(stream.main) > _MAX_U32:
-        raise FieldValueError("section too large for a 32-bit length")
+    elif desc.table_id == 0:
+        raise FieldValueError("table id 0 is reserved")
+    if stream.p0_q16 == 0:
+        raise FieldValueError("p0_q16 must be nonzero")
 
     p = stream.payload
-    if type(p) is not _FRAMES.get(stream.payload_kind, (None,))[0]:
+    if _kind_of(p, _FRAMES) != stream.payload_kind:
         raise FieldValueError(f"payload kind {stream.payload_kind!r} with a {type(p)}")
-    if stream.payload_kind == PayloadKind.OCTREE:
+    if isinstance(p, OctreeHeader):
         if not 1 <= p.bit_depth <= 21:
             raise FieldValueError(f"bit depth {p.bit_depth} outside [1, 21]")
-        if not 1 <= p.point_count <= min(_MAX_U64, 1 << (3 * p.bit_depth)):
+        if not 1 <= p.point_count <= 1 << (3 * p.bit_depth):
             raise FieldValueError("point count impossible for this bit depth")
-    elif stream.payload_kind == PayloadKind.HYPERPRIOR:
-        for name, val in (
-            ("height", p.height),
-            ("width", p.width),
-            ("channels", p.channels),
-        ):
-            if not 1 <= val <= _MAX_U32:
-                raise FieldValueError(f"{name} out of range")
+    elif isinstance(p, HyperpriorHeader):
+        if min(p.height, p.width, p.channels) < 1:
+            raise FieldValueError("latent height, width and channels must be >= 1")
         if p.height % 4 or p.width % 4:
             raise FieldValueError("latent height and width must be multiples of 4")
-        if not 1 <= p.scale_table_id <= 0xFFFF:
-            raise FieldValueError("scale table id must fit in 16 bits and be nonzero")
+        if p.scale_table_id == 0:
+            raise FieldValueError("scale table id 0 is reserved")
         if len(p.z_blob) != p.z_count * 8:
             raise FieldValueError("z blob length does not match the dimensions")
-    elif not 0 <= p.value_count <= _MAX_U64:
-        raise FieldValueError("value count out of range")
 
 
 def write(stream: GuardedStream) -> bytes:
     _check_stream(stream)
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack(">BBB", VERSION, int(stream.mode), stream.payload_kind)
-    out += struct.pack(">d", stream.epsilon)
-    if isinstance(stream.grid_desc, UniformDesc):
-        out += struct.pack(">Bdd", 0, stream.grid_desc.q, stream.grid_desc.s)
-    else:
-        out += struct.pack(">BH", 1, stream.grid_desc.table_id)
-    out += struct.pack(
-        ">HIII",
-        stream.p0_q16,
-        stream.flag_count,
-        len(stream.safeguard),
-        len(stream.main),
-    )
-    p = stream.payload
-    if stream.payload_kind == PayloadKind.OCTREE:
-        out += struct.pack(">BQ", p.bit_depth, p.point_count)
-    elif stream.payload_kind == PayloadKind.HYPERPRIOR:
-        out += struct.pack(">IIIH", p.height, p.width, p.channels, p.scale_table_id)
-        out += p.z_blob
-    else:
-        out += struct.pack(">Q", p.value_count)
-    # one join after the header, so that each section is copied once
-    return b"".join((out, stream.safeguard, stream.main))
+    grid_kind = _kind_of(stream.grid_desc, _GRIDS)
+    frame = _FRAMES[_kind_of(stream.payload, _FRAMES)]
+    # vars(), not dataclasses.astuple: the header's fields in order, uncopied
+    fields = tuple(vars(stream.payload).values())
+    n = len(fields) - (frame.blob is not None)
+    try:
+        head = (
+            struct.pack(_HEAD, MAGIC, VERSION, stream.mode, stream.payload_kind,
+                        stream.epsilon, grid_kind),
+            struct.pack(_GRIDS[grid_kind][1], *vars(stream.grid_desc).values()),
+            struct.pack(_COUNTS, stream.p0_q16, stream.flag_count,
+                        len(stream.safeguard), len(stream.main)),
+            struct.pack(frame.layout, *fields[:n]),
+        )
+    except struct.error as exc:
+        raise FieldValueError(f"a header field does not fit its width: {exc}") from None
+    # one join, so that each section is copied once
+    return b"".join((*head, *fields[n:], stream.safeguard, stream.main))
 
 
 class _Reader:
@@ -280,79 +288,50 @@ class _Reader:
         self.pos += n
         return chunk
 
-    def unpack(self, fmt: str, what: str):
+    def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
-
-    @property
-    def remaining(self) -> int:
-        return len(self.data) - self.pos
 
 
 def read(data: bytes) -> GuardedStream:
     r = _Reader(bytes(data))
-    magic = r.take(4, "magic")
-    if magic != MAGIC:
+    # each head field is checked once the buffer holds it (the mode with the
+    # kind after it), so a short buffer with a bad magic is a BadMagicError
+    size = struct.calcsize(_HEAD)
+    have, head = len(r.data), r.data[:size].ljust(size, b"\0")
+    magic, version, mode_b, kind, epsilon, grid_kind = struct.unpack(_HEAD, head)
+    if have >= 4 and magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r}")
-    (version,) = r.unpack(">B", "version")
-    if version != VERSION:
+    if have >= 5 and version != VERSION:
         raise UnsupportedVersionError(f"unsupported container version {version}")
-    mode_b, kind = r.unpack(">BB", "mode/payload kind")
-    try:
-        mode = GuardMode(mode_b)
-    except ValueError:
-        raise FieldValueError(f"bad mode byte {mode_b}") from None
-    (epsilon,) = r.unpack(">d", "epsilon")
-    (grid_kind,) = r.unpack(">B", "grid kind")
-    if grid_kind == 0:
-        q, s = r.unpack(">dd", "uniform grid")
-        grid_desc: UniformDesc | TableDesc = UniformDesc(q=q, s=s)
-    elif grid_kind == 1:
-        (table_id,) = r.unpack(">H", "table id")
-        grid_desc = TableDesc(table_id=table_id)
-    else:
+    if have >= 7 and mode_b not in _MODES:
+        raise FieldValueError(f"bad mode byte {mode_b}")
+    r.take(size, "header")
+    if grid_kind not in _GRIDS:
         raise FieldValueError(f"bad grid kind {grid_kind}")
-    p0_q16, flag_count, guard_len, main_len = r.unpack(">HIII", "stream lengths")
-
-    if kind == PayloadKind.OCTREE:
-        bit_depth, point_count = r.unpack(">BQ", "octree header")
-        payload: OctreeHeader | HyperpriorHeader | RawHeader = OctreeHeader(
-            bit_depth=bit_depth, point_count=point_count
-        )
-    elif kind == PayloadKind.HYPERPRIOR:
-        h, w, c, scale_table_id = r.unpack(">IIIH", "hyperprior header")
-        z_len = (h // 4) * (w // 4) * c * 8
-        if z_len > r.remaining:
-            raise LengthOverflowError("declared z blob exceeds the buffer")
-        z_blob = r.take(z_len, "z blob")
-        payload = HyperpriorHeader(
-            height=h, width=w, channels=c, scale_table_id=scale_table_id, z_blob=z_blob
-        )
-    elif kind == PayloadKind.RAW:
-        (value_count,) = r.unpack(">Q", "raw header")
-        payload = RawHeader(value_count=value_count)
-    else:
+    desc_type, fmt = _GRIDS[grid_kind]
+    grid_desc = desc_type(*r.unpack(fmt, desc_type.__name__))
+    p0_q16, flag_count, guard_len, main_len = r.unpack(_COUNTS, "stream lengths")
+    if kind not in _FRAMES:
         raise FieldValueError(f"bad payload kind {kind}")
+    frame = _FRAMES[kind]
+    fields = r.unpack(frame.layout, frame.header.__name__)
+    if frame.blob is not None:
+        blob_len = frame.blob(*fields)
+        if blob_len > len(r.data) - r.pos:
+            raise LengthOverflowError("declared z blob exceeds the buffer")
+        fields += (r.take(blob_len, "z blob"),)
 
-    if guard_len + main_len > r.remaining:
+    extra = len(r.data) - r.pos - guard_len - main_len
+    if extra < 0:
         raise TruncatedStreamError("declared section lengths exceed the buffer")
+    if extra:
+        raise TrailingDataError(f"{extra} bytes after the container end")
     safeguard = r.take(guard_len, "safeguard stream")
     # a read-only view of the input, not a copy: main can be megabytes
-    main = memoryview(r.data)[r.pos : r.pos + main_len]
-    r.pos += main_len
-    if r.remaining:
-        raise TrailingDataError(f"{r.remaining} bytes after the container end")
-
-    stream = GuardedStream(
-        mode=mode,
-        payload_kind=kind,
-        epsilon=epsilon,
-        grid_desc=grid_desc,
-        p0_q16=p0_q16,
-        flag_count=flag_count,
-        payload=payload,
-        safeguard=safeguard,
-        main=main,
-    )
+    main = memoryview(r.data)[r.pos :]
+    # the stream's fields are in wire order
+    stream = GuardedStream(GuardMode(mode_b), kind, epsilon, grid_desc, p0_q16,
+                           flag_count, frame.header(*fields), safeguard, main)
     _check_stream(stream)
     return stream
 

@@ -111,6 +111,12 @@ def morton_decode(codes: np.ndarray) -> np.ndarray:
 # voxel clouds
 
 
+def _check_depth(bit_depth: int, error: type[Exception] = ConfigError) -> None:
+    """The one bit-depth rule; run it before any ``1 << bit_depth``."""
+    if not 1 <= bit_depth <= 21:
+        raise error(f"bit depth {bit_depth} outside [1, 21]")
+
+
 @dataclass(frozen=True)
 class VoxelCloud:
     """Deduplicated voxels of a point cloud, Morton-sorted."""
@@ -119,8 +125,7 @@ class VoxelCloud:
     codes: np.ndarray  # sorted unique uint64
 
     def __post_init__(self) -> None:
-        if not 1 <= self.bit_depth <= 21:
-            raise ConfigError(f"bit depth {self.bit_depth} outside [1, 21]")
+        _check_depth(self.bit_depth)
 
     def __len__(self) -> int:
         return int(self.codes.shape[0])
@@ -130,6 +135,7 @@ class VoxelCloud:
 
     @classmethod
     def from_voxels(cls, voxels: np.ndarray, bit_depth: int) -> "VoxelCloud":
+        _check_depth(bit_depth)
         v = np.asarray(voxels, dtype=np.int64)
         if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 1:
             raise InvalidInputError("voxels must be a non-empty (N, 3) array")
@@ -141,6 +147,7 @@ class VoxelCloud:
 
 def voxelize(points: np.ndarray, bit_depth: int) -> VoxelCloud:
     """Min-max normalize raw points onto the integer grid, then dedupe."""
+    _check_depth(bit_depth)
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
         raise InvalidInputError("points must be a non-empty (N, 3) array")
@@ -159,6 +166,7 @@ def voxelize(points: np.ndarray, bit_depth: int) -> VoxelCloud:
 def synth_cloud(kind: str, bit_depth: int, count: int, seed: int) -> VoxelCloud:
     """Seeded synthetic clouds: a contiguous deformed-sphere shell (dense)
     or uniform random voxels (sparse)."""
+    _check_depth(bit_depth)
     if count < 1:
         raise InvalidInputError("count must be >= 1")
     rng = np.random.default_rng(seed)
@@ -488,6 +496,8 @@ def read_ply(path, bit_depth: int | None = None) -> VoxelCloud:
             raise PlyParseError("missing format line")
         if vertex_count is None:
             raise PlyParseError("missing vertex element")
+        if vertex_count < 0:
+            raise PlyParseError(f"negative vertex count {vertex_count}")
         names = [p[1] for p in props]
         try:
             cols = [names.index(axis) for axis in ("x", "y", "z")]
@@ -497,6 +507,7 @@ def read_ply(path, bit_depth: int | None = None) -> VoxelCloud:
         depth = bit_depth if bit_depth is not None else header_depth
         if depth is None:
             raise PlyParseError("bit depth unknown: pass one or add the comment")
+        _check_depth(depth, ConfigError if bit_depth is not None else PlyParseError)
 
         pts = np.empty((vertex_count, 3), dtype=np.float64)
         for i in range(vertex_count):

@@ -80,6 +80,14 @@ class TestEncodeDecode:
         assert run("encode-pc", "--input", str(bad),
                    "--output", str(tmp_path / "x.rgd")) == cli.EXIT_PARSE
 
+    def test_negative_vertex_count_is_a_parse_error(self, tmp_path):
+        bad = tmp_path / "bad.ply"
+        bad.write_text("ply\nformat ascii 1.0\ncomment bit_depth 4\n"
+                       "element vertex -1\nproperty int x\nproperty int y\n"
+                       "property int z\nend_header\n0 0 0\n")
+        assert run("encode-pc", "--input", str(bad),
+                   "--output", str(tmp_path / "x.rgd")) == cli.EXIT_PARSE
+
     def test_corrupt_container(self, small_ply, tmp_path):
         rgd = tmp_path / "c.rgd"
         run("encode-pc", "--input", str(small_ply), "--output", str(rgd))
@@ -87,6 +95,25 @@ class TestEncodeDecode:
         data[0] ^= 0xFF
         rgd.write_bytes(bytes(data))
         assert run("decode-pc", "--input", str(rgd)) == cli.EXIT_MALFORMED
+
+
+@pytest.mark.parametrize("case", ["synth-pc", "sweep", "encode-pc", "ply-comment"])
+def test_negative_bit_depth_is_a_typed_error(case, small_ply, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    neg = tmp_path / "neg.ply"
+    neg.write_text(small_ply.read_text().replace("comment bit_depth 8",
+                                                 "comment bit_depth -1"))
+    argv = {
+        "synth-pc": ["synth-pc", "--depth", "-1", "--out", out],
+        "sweep": ["sweep", "--payload", "pc", "--epsilons", "1e-6", "--depth", "-1",
+                  "--out", out],
+        "encode-pc": ["encode-pc", "--input", str(small_ply), "--depth", "-1",
+                      "--output", out],
+        "ply-comment": ["encode-pc", "--input", str(neg), "--output", out],
+    }[case]
+    want = cli.EXIT_PARSE if case == "ply-comment" else cli.EXIT_CONFIG
+    assert run(*argv) == want
+    assert "bit depth -1 outside [1, 21]" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -183,6 +210,17 @@ class TestInterop:
         out = capsys.readouterr().out
         assert code == 0
         assert "[OUT OF CONTRACT]" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["interop", "--payload", "pc", "--trials", "-1"],
+    ["interop", "--payload", "image", "--trials", "0"],
+    ["demo-image", "--trials", "0"],
+])
+def test_no_trials_is_a_config_error(argv, capsys):
+    assert run(*argv) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert "exact" not in out and "--trials must be >= 1" in err
 
 
 class TestDemoImage:

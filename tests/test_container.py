@@ -1,9 +1,18 @@
 """Round-trip and hardening tests for the .rgd byte format."""
 
+import dataclasses
+import re
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from reproguard.container import (
+    _COUNTS,
+    _FRAMES,
+    _GRIDS,
+    _HEAD,
     GuardedStream,
     HyperpriorHeader,
     OctreeHeader,
@@ -212,6 +221,58 @@ def test_z_blob_length_must_match_dims():
         )
 
 
+def _with(make, payload=None, **fields):
+    """``make()`` with stream ``fields`` and payload header fields replaced."""
+    s = make()
+    if payload:
+        fields["payload"] = dataclasses.replace(s.payload, **payload)
+    return dataclasses.replace(s, **fields)
+
+
+def _octree_at_depth_21(point_count):
+    return _with(octree_stream, payload=dict(bit_depth=21, point_count=point_count))
+
+
+# each header field: a stream with the field set to a value, and the
+# largest value its width (or, for the point count, its bit depth) allows
+FIELD_LIMITS = {
+    "p0_q16": (lambda v: _with(raw_stream, p0_q16=v), 65535),
+    "flag_count": (lambda v: _with(raw_stream, flag_count=v), 2**32 - 1),
+    "table_id": (lambda v: _with(raw_stream, grid_desc=TableDesc(v)), 0xFFFF),
+    "scale_table_id": (
+        lambda v: _with(hyper_stream, payload=dict(scale_table_id=v)), 0xFFFF
+    ),
+    "value_count": (
+        lambda v: _with(raw_stream, payload=dict(value_count=v)), 2**64 - 1
+    ),
+    "point_count": (_octree_at_depth_21, 2**63),
+}
+
+
+@pytest.mark.parametrize("field", sorted(FIELD_LIMITS))
+def test_field_at_its_widest_round_trips(field):
+    make, widest = FIELD_LIMITS[field]
+    s = make(widest)
+    data = write(s)
+    assert read(data) == s
+    assert write(read(data)) == data
+
+
+@pytest.mark.parametrize("field", sorted(FIELD_LIMITS))
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_field_past_its_width_is_a_field_error(field, side):
+    make, widest = FIELD_LIMITS[field]
+    with pytest.raises(FieldValueError):  # never a bare struct.error
+        write(make(widest + 1 if side == "above" else -1))
+
+
+@pytest.mark.parametrize("dim", ["height", "width", "channels"])
+def test_latent_dim_past_32_bits_is_a_field_error(dim):
+    # only one past the limit: a dim at 2**32 - 1 needs a z blob of gigabytes
+    with pytest.raises(FieldValueError):
+        write(_with(hyper_stream, payload={dim: 2**32}))
+
+
 def test_epsilon_travels_bit_exact():
     eps = 7.23e-7
     s = raw_stream()
@@ -302,3 +363,55 @@ def test_parser_survives_random_garbage():
             read(blob)
         except MalformedStreamError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# README's layout tables match the declared layouts
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_layout_rows():
+    """The cells of every table row in README's "Container format" section."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Container format\n")[1].split("\n## ")[0]
+    return [
+        [cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("| ")
+    ]
+
+
+def _field_sizes(fmt):
+    """The size in bytes of each field of a struct format, in order."""
+    items = re.findall(r"\d*\D", fmt[1:])  # "4s" is one field of 4 bytes
+    return [str(struct.calcsize(fmt[0] + item)) for item in items]
+
+
+def test_readme_container_table_matches_the_declared_layouts():
+    rows = [r for r in _readme_layout_rows() if len(r) == 3]
+    head = ["magic", "version", "mode", "payload kind", "epsilon", "grid kind"]
+    counts = ["p0_q16", "flag_count", "guard_len", "main_len"]
+    names = head + ["grid params"] + counts
+    start = [r[0] for r in rows].index("magic")
+    assert [r[0] for r in rows[start : start + len(names)]] == names  # wire order
+    sizes = {r[0]: r[1] for r in rows}
+    assert [sizes[n] for n in head] == _field_sizes(_HEAD)
+    assert [sizes[n] for n in counts] == _field_sizes(_COUNTS)
+    grid_sizes = [str(struct.calcsize(fmt)) for _, fmt in _GRIDS.values()]
+    assert sizes["grid params"] == " or ".join(grid_sizes)
+
+
+@pytest.mark.parametrize(
+    "payload, kind",
+    [("octree", PayloadKind.OCTREE), ("hyperprior", PayloadKind.HYPERPRIOR),
+     ("raw values", PayloadKind.RAW)],
+)
+def test_readme_payload_table_matches_the_declared_layouts(payload, kind):
+    rows = [r[1:3] for r in _readme_layout_rows() if len(r) == 4 and r[0] == payload]
+    frame = _FRAMES[kind]
+    names = [f.name for f in dataclasses.fields(frame.header)]
+    fixed = list(zip(names, _field_sizes(frame.layout)))
+    assert [tuple(r) for r in rows[: len(fixed)]] == fixed
+    # a blob after the fixed fields is the header's last field
+    assert [r[0] for r in rows[len(fixed) :]] == names[len(fixed) :]

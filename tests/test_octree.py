@@ -99,6 +99,15 @@ class TestVoxelize:
         with pytest.raises(ConfigError):
             voxelize(np.array([[0.0, 0.0, 0.0]]), 22)
 
+    @pytest.mark.parametrize("build", [
+        lambda depth: voxelize(np.zeros((1, 3)), depth),
+        lambda depth: VoxelCloud.from_voxels(np.zeros((1, 3)), depth),
+        lambda depth: synth_cloud("sparse", depth, 10, 0),
+    ], ids=["voxelize", "from_voxels", "synth_cloud"])
+    def test_negative_depth_rejected_before_any_shift(self, build):
+        with pytest.raises(ConfigError, match=r"outside \[1, 21\]"):
+            build(-1)
+
     def test_from_voxels_sorts_and_dedups(self):
         vox = np.array([[3, 3, 3], [0, 0, 0], [3, 3, 3]], dtype=np.int64)
         cloud = VoxelCloud.from_voxels(vox, 2)
