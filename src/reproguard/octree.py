@@ -3,17 +3,22 @@
 Geometry is stored as Morton codes.  Coding walks the tree one level at a
 time with exactly eight octant passes per level; within a pass the context
 of a child depends only on data coded in earlier passes or levels, so both
-sides can evaluate the predictor on whole batches.  The coding order is the
-same on both sides, but the decoder codes one pass at a time, since each
-pass needs the bits of the passes before it, while the encoder knows every
-bit in advance and codes a group of consecutive passes per call.  Every
-predicted occupancy probability is a coder-critical value: it is
-safeguarded, and the entropy coder only ever sees the protected copy.
+sides can evaluate the predictor on whole batches.  Each level is split
+into groups of consecutive passes, and both sides build a group's model
+context once: every term but the count of coded siblings.  The coding
+order is the same on both sides, but the decoder codes one pass at a time,
+adding only the coded-sibling term, since each pass needs the bits of the
+passes before it, while the encoder knows every bit in advance and codes a
+whole group per call.  Every predicted occupancy probability is a
+coder-critical value: it is safeguarded, and the entropy coder only ever
+sees the protected copy.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -225,68 +230,77 @@ def _ancestral_unit(
     parent_codes: np.ndarray, depth: int, octant: int | np.ndarray
 ) -> np.ndarray:
     with np.errstate(over="ignore"):
-        x = (
-            parent_codes.astype(np.uint64) * _U(_HASH_C1)
-            + _U(depth) * _U(_HASH_C2)
-            + _U(octant)
-        )
-    return unit_from_u64(splitmix64_array(x))
+        x = parent_codes.astype(np.uint64) * _U(_HASH_C1) + _U(depth) * _U(_HASH_C2)
+        # the broadcast to (octants, parents) is freed before the unit map
+        return unit_from_u64(splitmix64_array(x + _U(octant)))
 
 
-def _features(
+# coded siblings are always 0..7, so their term is one of eight values
+_SIBLING_TERM = _W[2] * (np.arange(8) / 7.0)
+
+
+class _GroupTerms(NamedTuple):
+    """The model terms of one group of consecutive octant passes that do not
+    depend on coded siblings, built once per group: rows are the group's
+    octants, columns its level's parents."""
+
+    depth: int
+    octants: range
+    head: np.ndarray  # bias, level phase and octant terms, (octants, 1)
+    parent: np.ndarray  # parent-sibling term, (parents,)
+    grandparent: float
+    ancestral: np.ndarray  # (octants, parents)
+
+
+def _group_terms(
     depth: int,
     bit_depth: int,
     octants: range,
-    coded_siblings: np.ndarray,
     parent_siblings: np.ndarray,
     parent_codes: np.ndarray,
-) -> tuple:
-    """The six model terms of the children in ``octants`` of every parent,
-    each a scalar or an array that broadcasts to (octants, parents);
-    ``coded_siblings`` holds one count per child, octant-major."""
+) -> _GroupTerms:
     octant = np.arange(octants.start, octants.stop)[:, None]
-    return (
-        depth / bit_depth,
-        octant / 7.0,
-        coded_siblings.reshape(len(octants), -1) / 7.0,
-        parent_siblings / 8.0,
-        1.0 if depth >= 3 else 0.0,
-        _ancestral_unit(parent_codes, depth, octant),
+    return _GroupTerms(
+        depth,
+        octants,
+        _BIAS + _W[0] * (depth / bit_depth) + _W[1] * (octant / 7.0),
+        _W[3] * (parent_siblings / 8.0),
+        _W[4] * (1.0 if depth >= 3 else 0.0),
+        _W[5] * _ancestral_unit(parent_codes, depth, octant),
     )
-
-
-def _predict_batch(terms: tuple) -> np.ndarray:
-    # fixed evaluation order keeps both sides bit-identical
-    t = np.full(np.broadcast(*terms).shape, _BIAS)
-    for w, x in zip(_W, terms):
-        t += w * x
-    return 1.0 / (1.0 + np.exp(-t))
 
 
 def _probabilities(
-    depth: int,
-    bit_depth: int,
-    octants: range,
-    coded_siblings: np.ndarray,
-    parent_siblings: np.ndarray,
-    parent_codes: np.ndarray,
+    terms: _GroupTerms, octants: range, coded_siblings: np.ndarray
 ) -> np.ndarray:
-    """Clipped occupancy probabilities of the children in ``octants`` of
-    every parent, octant-major: the only way either side gets them."""
-    terms = _features(
-        depth, bit_depth, octants, coded_siblings, parent_siblings, parent_codes
+    """Clipped occupancy probabilities of the children in ``octants`` (a run
+    of ``terms.octants``) of every parent, octant-major: the only way either
+    side gets them.  ``coded_siblings`` holds, in the same order, how many
+    earlier siblings of each child were coded occupied."""
+    rows = slice(
+        octants.start - terms.octants.start, octants.stop - terms.octants.start
     )
-    return np.clip(_predict_batch(terms), 0.0, 1.0).ravel()
+    # the terms add in one fixed order, so both sides get the same doubles
+    t = terms.head[rows] + _SIBLING_TERM[coded_siblings.reshape(len(octants), -1)]
+    t += terms.parent
+    t += terms.grandparent
+    t += terms.ancestral[rows]
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    t += 1.0
+    np.divide(1.0, t, out=t)
+    return np.clip(t, 0.0, 1.0, out=t).ravel()
 
 
 # ---------------------------------------------------------------------------
 # codec
 
 
-# How many values one encoder call may predict, guard and code, unless one
-# octant pass alone is larger: a level of n parents is coded in groups of
-# max(1, min(8, _GROUP_BUDGET // n)) octants.  It bounds the arrays of one
-# call, and with them what grouping adds to the encoder's memory.
+# How many values one group of octant passes may hold, unless one pass alone
+# is larger: a level of n parents is coded in groups of
+# max(1, min(8, _GROUP_BUDGET // n)) octants.  It bounds a group's model
+# context on both sides and the arrays of one encoder call, and with them
+# what grouping adds to either side's memory.
 _GROUP_BUDGET = 1 << 15
 
 
@@ -322,24 +336,24 @@ def _children(parents: np.ndarray, occ: np.ndarray, point_count: int) -> tuple:
 def _walk(bit_depth: int, point_count: int, code_level) -> tuple:
     """The level walk that encoder and decoder share.
 
-    ``code_level(depth, parents, predict)`` codes the eight octant passes
-    of one level and returns its (8, parents) uint8 occupancy.
-    ``predict(octants, coded_siblings)`` gives the probabilities of the
-    children in the range ``octants``, octant-major, from how many earlier
-    siblings of each were coded occupied.  A child's sibling count is its
-    parent's occupied-child count.  Returns the leaf level's parents and
-    occupancy, which only the decoder turns into codes.
+    ``code_level(depth, parents, groups)`` codes the eight octant passes of
+    one level and returns its (8, parents) uint8 occupancy.  ``groups``
+    yields, in coding order, the ``_GroupTerms`` of each group of
+    consecutive octants, built only when the group is reached: a level of n
+    parents has groups of max(1, min(8, _GROUP_BUDGET // n)) octants.  A
+    child's sibling count is its parent's occupied-child count.  Returns
+    the leaf level's parents and occupancy, which only the decoder turns
+    into codes.
     """
     parents = np.zeros(1, dtype=np.uint64)  # the root
     siblings = np.ones(1, dtype=np.uint8)  # the root is an only child
     for depth in range(1, bit_depth + 1):
-
-        def predict(octants, coded_siblings):
-            return _probabilities(
-                depth, bit_depth, octants, coded_siblings, siblings, parents
-            )
-
-        occ = code_level(depth, parents, predict)
+        g = max(1, min(8, _GROUP_BUDGET // parents.shape[0]))
+        groups = (
+            _group_terms(depth, bit_depth, range(lo, min(lo + g, 8)), siblings, parents)
+            for lo in range(0, 8, g)
+        )
+        occ = code_level(depth, parents, groups)
         if depth == bit_depth:
             return parents, occ
         at, parents = _children(parents, occ, point_count)
@@ -356,7 +370,7 @@ def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> Guarded
     fr_parts = [np.empty(0, dtype=np.uint8)]
     fd_parts = [np.empty(0, dtype=np.int8)]
 
-    def code_level(depth, parents, predict):
+    def code_level(depth, parents, groups):
         # every child's occupancy is known, so a child's coded siblings are
         # an exclusive cumsum over octants, and a group of octant passes
         # codes in one call, in the order the decoder codes them one by one
@@ -364,15 +378,15 @@ def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> Guarded
         occ = np.zeros((8, parents.shape[0]), dtype=np.uint8)
         occ[children & _U(7), np.searchsorted(parents, children >> _U(3))] = 1
         coded = np.cumsum(occ, axis=0, dtype=np.uint8) - occ
-        g = max(1, min(8, _GROUP_BUDGET // parents.shape[0]))
-        for lo in range(0, 8, g):
-            octants = range(lo, min(lo + g, 8))
-            p = predict(octants, coded[lo : octants.stop].ravel())
+        for terms in groups:
+            rows = slice(terms.octants.start, terms.octants.stop)
+            p = _probabilities(terms, terms.octants, coded[rows].ravel())
+            del terms  # freed before the guard makes its arrays
             if protect:
                 p, fr, fd = guard_encode_array(cfg, p)
                 fr_parts.append(fr)
                 fd_parts.append(fd)
-            enc.encode_bits(occ[lo : octants.stop].ravel(), prob_to_p16_array(p))
+            enc.encode_bits(occ[rows].ravel(), prob_to_p16_array(p))
         return occ
 
     _walk(n, len(cloud), code_level)
@@ -389,19 +403,22 @@ def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> VoxelC
     header: OctreeHeader = stream.payload
     dec = RangeDecoder(stream.main)
 
-    def code_level(depth, parents, predict):
-        # one pass per octant: each needs the bits of the passes before it
+    def code_level(depth, parents, groups):
+        # one pass per octant: each needs the bits of the passes before it,
+        # and adds only their coded-sibling term to its group's context
         occ = np.empty((8, parents.shape[0]), dtype=np.uint8)
         coded = np.zeros(parents.shape[0], dtype=np.uint8)
-        for octant in range(8):
-            p = predict(range(octant, octant + 1), coded)
-            if perturb is not None:
-                p = perturb.perturb_array(p, cfg.grid)
-            if stream.flag_count > 0:
-                fr, fd = flags.take(p.shape[0])
-                p = guard_decode_array(cfg, p, fr, fd)
-            occ[octant] = dec.decode_bits(prob_to_p16_array(p))
-            coded += occ[octant]
+        for terms in groups:
+            for octant in terms.octants:
+                p = _probabilities(terms, range(octant, octant + 1), coded)
+                if perturb is not None:
+                    p = perturb.perturb_array(p, cfg.grid)
+                if stream.flag_count > 0:
+                    fr, fd = flags.take(p.shape[0])
+                    p = guard_decode_array(cfg, p, fr, fd)
+                occ[octant] = dec.decode_bits(prob_to_p16_array(p))
+                coded += occ[octant]
+            del terms  # the next group's context is built without this one
         return occ
 
     parents, occ = _walk(header.bit_depth, header.point_count, code_level)
@@ -509,7 +526,8 @@ def read_ply(path, bit_depth: int | None = None) -> VoxelCloud:
             raise PlyParseError("bit depth unknown: pass one or add the comment")
         _check_depth(depth, ConfigError if bit_depth is not None else PlyParseError)
 
-        pts = np.empty((vertex_count, 3), dtype=np.float64)
+        # grown as rows are read, so a declared count reserves no memory
+        coords = array("d")
         for i in range(vertex_count):
             line = fh.readline()
             if not line:
@@ -520,11 +538,11 @@ def read_ply(path, bit_depth: int | None = None) -> VoxelCloud:
             if len(fields) < len(props):
                 raise PlyParseError(f"short vertex row {i}")
             try:
-                for j, c in enumerate(cols):
-                    pts[i, j] = float(fields[c])
+                coords.extend([float(fields[c]) for c in cols])
             except ValueError:
                 raise PlyParseError(f"non-numeric vertex row {i}") from None
 
+    pts = np.frombuffer(coords, dtype=np.float64).reshape(vertex_count, 3)
     if not np.all(np.isfinite(pts)):
         raise PlyParseError("non-finite vertex coordinates")
     side = 1 << depth

@@ -34,10 +34,13 @@ _MIX2 = 0x94D049BB133111EB
 def splitmix64_array(x: np.ndarray) -> np.ndarray:
     """One splitmix64 finalization of each 64-bit state."""
     with np.errstate(over="ignore"):
-        z = (x + np.uint64(_GOLDEN)).astype(np.uint64)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        z = np.add(x, np.uint64(_GOLDEN), dtype=np.uint64)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z
 
 
 def unit_from_u64(z: np.ndarray) -> np.ndarray:

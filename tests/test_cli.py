@@ -88,6 +88,14 @@ class TestEncodeDecode:
         assert run("encode-pc", "--input", str(bad),
                    "--output", str(tmp_path / "x.rgd")) == cli.EXIT_PARSE
 
+    def test_huge_vertex_count_is_a_parse_error(self, tmp_path):
+        bad = tmp_path / "bad.ply"
+        bad.write_text("ply\nformat ascii 1.0\ncomment bit_depth 4\n"
+                       "element vertex 100000000000000\nproperty int x\n"
+                       "property int y\nproperty int z\nend_header\n0 0 0\n")
+        assert run("encode-pc", "--input", str(bad),
+                   "--output", str(tmp_path / "x.rgd")) == cli.EXIT_PARSE
+
     def test_corrupt_container(self, small_ply, tmp_path):
         rgd = tmp_path / "c.rgd"
         run("encode-pc", "--input", str(small_ply), "--output", str(rgd))

@@ -151,38 +151,36 @@ def record_passes(monkeypatch):
     rows = []
     probabilities = octree._probabilities
 
-    def recording(depth, bit_depth, octants, coded, parent_siblings, parent_codes):
-        p = probabilities(
-            depth, bit_depth, octants, coded, parent_siblings, parent_codes
-        )
-        n = parent_codes.shape[0]
+    def recording(terms, octants, coded):
+        p = probabilities(terms, octants, coded)
+        n = terms.parent.shape[0]
         for i, octant in enumerate(octants):
             row = slice(i * n, (i + 1) * n)
             # the decoder goes on counting in its array after the call
-            rows.append((depth, octant, n, coded[row].copy(), p[row]))
+            rows.append((terms.depth, octant, n, coded[row].copy(), p[row]))
         return p
 
     monkeypatch.setattr(octree, "_probabilities", recording)
     return rows
 
 
-def feature_rows(depth=3, n=10, contexts=()):
-    """The six model terms of (octant, coded, parent, grandparent, parent
-    code) contexts, each term a (1, contexts) row."""
-    rows = []
+def predict_contexts(depth=3, n=10, contexts=()):
+    """The model's probability of each (octant, coded, parent, grandparent,
+    parent code) context, each from a group of one octant and one parent."""
+    out = []
     for octant, coded, parent, g, code in contexts:
-        terms = list(octree._features(
-            depth, n, range(octant, octant + 1), np.array([coded], dtype=np.float64),
-            np.array([parent], dtype=np.float64), np.array([code], dtype=np.uint64),
-        ))
-        terms[4] = float(g)
-        rows.append([np.broadcast_to(t, (1, 1)) for t in terms])
-    return tuple(np.concatenate(column, axis=1) for column in zip(*rows))
+        octants = range(octant, octant + 1)
+        terms = octree._group_terms(
+            depth, n, octants, np.array([parent], dtype=np.uint8),
+            np.array([code], dtype=np.uint64),
+        )._replace(grandparent=octree._W[4] * float(g))
+        coded_siblings = np.array([coded], dtype=np.uint8)
+        out.append(octree._probabilities(terms, octants, coded_siblings))
+    return np.concatenate(out)
 
 
 def predict(depth=3, octant=0, coded=0, parent=4, g=1, code=0, n=10):
-    terms = feature_rows(depth, n, [(octant, coded, parent, g, code)])
-    return octree._predict_batch(terms).ravel()
+    return predict_contexts(depth, n, [(octant, coded, parent, g, code)])
 
 
 class TestPredict:
@@ -199,7 +197,7 @@ class TestPredict:
                     (octant, coded, parent, g, 0)
                     for coded in range(8) for parent in range(9) for g in (0, 1)
                 ]
-                p = octree._predict_batch(feature_rows(depth, 10, ctxs))
+                p = predict_contexts(depth, 10, ctxs)
                 assert np.all((0.0 < p) & (p < 1.0))
 
     def test_parent_code_moves_the_output(self):
@@ -448,9 +446,9 @@ class TestGroupedEncoder:
         calls = []
         probabilities = octree._probabilities
 
-        def recording(depth, bit_depth, octants, *rest):
-            calls.append((depth, octants.start, octants.stop))
-            return probabilities(depth, bit_depth, octants, *rest)
+        def recording(terms, octants, coded):
+            calls.append((terms.depth, octants.start, octants.stop))
+            return probabilities(terms, octants, coded)
 
         monkeypatch.setattr(octree, "_probabilities", recording)
         monkeypatch.setattr(octree, "_GROUP_BUDGET", 7)
@@ -462,6 +460,44 @@ class TestGroupedEncoder:
         # would hold (8, n) float arrays of the widest level
         cloud = synth_cloud("dense", 10, 100_000, 1)
         assert traced_peak(lambda: encode(cloud, make_pc_config(1e-6))) <= 9.5 * 2**20
+
+
+class TestGroupedDecoder:
+    @pytest.mark.parametrize("cloud_name", list(CLOUDS))
+    def test_passes_equal_the_encoders_at_any_budget(self, monkeypatch, cloud_name):
+        cloud = CLOUDS[cloud_name]()
+        passes = record_passes(monkeypatch)
+        stream = encode(cloud, make_pc_config(1e-6))
+        want = passes[:]
+        # one octant per group, groups that split a level unevenly (7 + 1
+        # at the root), and the default budget
+        for budget in (1, 7, octree._GROUP_BUDGET):
+            monkeypatch.setattr(octree, "_GROUP_BUDGET", budget)
+            passes.clear()
+            out = decode(stream)
+            assert np.array_equal(out.codes, cloud.codes)
+            assert len(passes) == len(want)
+            for a, b in zip(want, passes):
+                assert a[:3] == b[:3]
+                assert np.array_equal(a[3], b[3])
+                assert np.array_equal(a[4].view(np.uint64), b[4].view(np.uint64))
+
+    def test_context_is_built_once_per_group(self, monkeypatch):
+        cloud = synth_cloud("dense", 8, 4000, 3001)
+        # every level fits the budget, so each codes as one group of eight
+        assert max(map(len, _level_codes(cloud))) * 8 <= octree._GROUP_BUDGET
+        stream = encode(cloud, make_pc_config(1e-6))
+        calls = []
+        ancestral = octree._ancestral_unit
+
+        def counting(*args):
+            calls.append(args[1])
+            return ancestral(*args)
+
+        monkeypatch.setattr(octree, "_ancestral_unit", counting)
+        out = decode(stream)
+        assert np.array_equal(out.codes, cloud.codes)
+        assert calls == list(range(1, 9))
 
 
 def traced_peak(run):
@@ -585,6 +621,17 @@ class TestPly:
             "end_header\n1 2 3\n4 5 6\n"
         )
         with pytest.raises(PlyParseError):
+            read_ply(path)
+
+    def test_declared_count_past_the_rows_is_a_parse_error(self, tmp_path):
+        # a count far past memory reserves nothing: the body ends first
+        path = tmp_path / "x.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\ncomment bit_depth 4\n"
+            "element vertex 100000000000000\nproperty int x\nproperty int y\n"
+            "property int z\nend_header\n0 0 0\n"
+        )
+        with pytest.raises(PlyParseError, match=r"truncated at row 1 of 10{14}$"):
             read_ply(path)
 
     def test_non_numeric_row(self, tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the deterministic perturbation simulator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,15 @@ def splitmix64(*states):
     return splitmix64_array(np.array(states, dtype=np.uint64)).tolist()
 
 
+def splitmix64_int(state):
+    """The splitmix64 finalizer on Python ints, reduced mod 2^64 by hand."""
+    m = (1 << 64) - 1
+    z = (state + 0x9E3779B97F4A7C15) & m
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & m
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & m
+    return z ^ (z >> 31)
+
+
 class TestSplitmix:
     def test_known_zero_input(self):
         # splitmix64(0): first output of the reference stream
@@ -27,6 +38,21 @@ class TestSplitmix:
 
     def test_sequence_values(self):
         assert splitmix64(1, 2) == [0x910A2DEC89025CC1, 0x975835DE1C9756CE]
+
+    @pytest.mark.parametrize("state", [0, 1, 2, 2**63, 2**64 - 1])
+    def test_matches_python_int_finalizer(self, state):
+        assert splitmix64(state) == [splitmix64_int(state)]
+
+    def test_zero_dim_input_warns_of_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = splitmix64_array(np.array(2**64 - 1, dtype=np.uint64))
+        assert int(z) == splitmix64_int(2**64 - 1)
+
+    def test_input_left_unchanged(self):
+        x = np.array([0, 1, 2**64 - 1], dtype=np.uint64)
+        splitmix64_array(x)
+        assert x.tolist() == [0, 1, 2**64 - 1]
 
     def test_unit_range(self):
         us = unit_from_u64(splitmix64_array(np.arange(1000, dtype=np.uint64)))
