@@ -173,11 +173,19 @@ def _skip_row(payload, q, eps, reason):
     return row
 
 
+def _list_arg(flag: str, text: str, kind) -> list:
+    """The items of a comma-separated option as ``kind``, empty ones skipped."""
+    try:
+        return [kind(item) for item in text.split(",") if item]
+    except ValueError as exc:  # its message quotes the bad item
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def _cmd_sweep(args) -> int:
-    epsilons = [float(x) for x in args.epsilons.split(",") if x]
-    seeds = [int(x) for x in args.seeds.split(",")] if args.seeds else []
+    epsilons = _list_arg("--epsilons", args.epsilons, float)
+    seeds = _list_arg("--seeds", args.seeds, int)
     if args.payload == "pc":
-        ks = [int(x) for x in args.ks.split(",") if x]
+        ks = _list_arg("--ks", args.ks, int)
         size = (args.depth, args.count)
     else:
         ks = [None]  # the latent codec has one grid, the scale table

@@ -84,10 +84,6 @@ class HyperpriorHeader:
     scale_table_id: int
     z_blob: bytes  # raw big-endian doubles, kept opaque for byte fidelity
 
-    @property
-    def z_count(self) -> int:
-        return _z_len(self.height, self.width, self.channels) // 8
-
 
 @dataclass(frozen=True)
 class RawHeader:
@@ -250,7 +246,7 @@ def _check_stream(stream: GuardedStream) -> None:
             raise FieldValueError("latent height and width must be multiples of 4")
         if p.scale_table_id == 0:
             raise FieldValueError("scale table id 0 is reserved")
-        if len(p.z_blob) != p.z_count * 8:
+        if len(p.z_blob) != _z_len(p.height, p.width, p.channels):
             raise FieldValueError("z blob length does not match the dimensions")
 
 

@@ -21,8 +21,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    FieldValueError,
     InvalidInputError,
-    MalformedStreamError,
     TrailingDataError,
     TruncatedStreamError,
 )
@@ -53,7 +53,7 @@ def prob_to_p16_array(v) -> np.ndarray:
     if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):
         raise InvalidInputError("probability outside [0, 1] after clipping")
     p = 65536 - np.floor(v * 65536.0 + 0.5).astype(np.int64)
-    return np.clip(p, 1, 65535)
+    return np.minimum(np.maximum(p, 1), 65535)  # np.clip's wrapper costs more
 
 
 def _p16_list(p16s) -> list[int]:
@@ -390,11 +390,11 @@ def _parse_flags(
     else:
         if len(data) < _VARINT_BYTES:
             raise TruncatedStreamError("safeguard section ended inside its flag count")
-        raise MalformedStreamError("risky flag count takes more than 5 bytes")
+        raise FieldValueError("risky flag count takes more than 5 bytes")
     if head > 1 and byte == 0:
-        raise MalformedStreamError("risky flag count is not minimally coded")
+        raise FieldValueError("risky flag count is not minimally coded")
     if n_risky > count:
-        raise MalformedStreamError(f"{n_risky} risky flags declared among {count}")
+        raise FieldValueError(f"{n_risky} risky flags declared among {count}")
     n_directions = n_risky if full else 0
     if n_risky * (k + 1) + n_directions > 8 * (len(data) - head):
         raise TruncatedStreamError("safeguard section too short for its flag count")
@@ -411,12 +411,12 @@ def _parse_flags(
     if end + 7 < bits.shape[0]:
         raise TrailingDataError("bytes after the end of the safeguard section")
     if bits[end:].any():
-        raise MalformedStreamError("nonzero padding in the safeguard section")
+        raise FieldValueError("nonzero padding in the safeguard section")
     directions = bits[end - n_directions : end]
     gaps = ((np.diff(ends, prepend=-1) - 1) << k) + remainders
     positions = np.cumsum(gaps + 1) - 1
     if n_risky and positions[-1] >= count:
-        raise MalformedStreamError("a risky flag lies past the flag count")
+        raise FieldValueError("a risky flag lies past the flag count")
     return positions, directions.astype(np.int8)
 
 
@@ -429,7 +429,7 @@ class FlagReader:
 
     def __init__(self, data: bytes, count: int, p0_q16: int, mode: GuardMode) -> None:
         if not 1 <= p0_q16 <= 65535:
-            raise MalformedStreamError(f"p0_q16 {p0_q16} outside [1, 65535]")
+            raise FieldValueError(f"p0_q16 {p0_q16} outside [1, 65535]")
         if count == 0 and data:
             raise TrailingDataError("safeguard section of a stream without flags")
         self._data = data
@@ -444,7 +444,7 @@ class FlagReader:
     def take(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Next ``k`` (f_r, f_d) pairs; f_d is -1 where absent."""
         if self._taken + k > self._count:
-            raise MalformedStreamError("more flags requested than declared")
+            raise FieldValueError("more flags requested than declared")
         if self._risky is None:
             self._risky, self._directions = _parse_flags(
                 self._data, self._count, self._rice_k, self._full

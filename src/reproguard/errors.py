@@ -2,7 +2,7 @@
 
 Stream-parsing problems all derive from MalformedStreamError so callers can
 catch one type; the concrete subclasses exist because tests and the CLI need
-to tell the failure classes apart.
+to tell the failure classes apart: no stream fault raises the base itself.
 """
 
 
@@ -39,7 +39,8 @@ class LengthOverflowError(MalformedStreamError):
 
 
 class FieldValueError(MalformedStreamError):
-    """A header field holds a value outside its legal range."""
+    """A header field holds a value outside its legal range, or a payload
+    section disagrees with its header or with itself."""
 
 
 class TrailingDataError(MalformedStreamError):

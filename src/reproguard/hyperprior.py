@@ -31,7 +31,7 @@ from .entropy import (
     gaussian_cdf_table,
 )
 from .errors import FieldValueError, InvalidInputError
-from .platform_sim import Perturbation, splitmix64_array, unit_from_u64
+from .platform_sim import Perturbation, unit_draws
 from .quantizer import (
     SCALE_TABLE_ID,
     QuantGrid,
@@ -62,9 +62,6 @@ __all__ = [
 
 _POOL = 4
 _AMPLITUDE = 32
-_U = np.uint64
-_GOLDEN = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
 
 
 def make_image_config(
@@ -121,15 +118,11 @@ def synth_latents(h: int, w: int, c: int, seed: int) -> LatentGrid:
 # hyper-synthesis (the critical module)
 
 
-def _unit_draws(seed: int, tag: int, n: int) -> np.ndarray:
-    base = (seed * _GOLDEN + tag * 0xD1B54A32D192ED03) & _MASK64
-    idx = np.arange(n, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        keys = _U(base) + idx * _U(_GOLDEN)
-    return unit_from_u64(splitmix64_array(keys))
+def _unit_draws(tag: int, n: int) -> np.ndarray:
+    return unit_draws(tag * 0xD1B54A32D192ED03, 0, n)
 
 
-def hyper_synthesis(z: np.ndarray, seed: int = 0) -> np.ndarray:
+def hyper_synthesis(z: np.ndarray) -> np.ndarray:
     """sigma = softplus(A z + c) per pooled cell, nearest-upsampled with a
     fixed per-cell-position offset, computed entirely in double precision.
     The final clip at zero is a no-op for softplus but kept as written."""
@@ -139,9 +132,9 @@ def hyper_synthesis(z: np.ndarray, seed: int = 0) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise InvalidInputError("z must be finite")
     c = z.shape[2]
-    a = (_unit_draws(seed, 1, c * c) * 2.0 - 1.0).reshape(c, c) * (0.9 / c)
-    bias = -0.6 + (_unit_draws(seed, 2, c) * 2.0 - 1.0) * 0.3
-    pos = (_unit_draws(seed, 3, _POOL * _POOL) * 2.0 - 1.0).reshape(_POOL, _POOL) * 0.5
+    a = (_unit_draws(1, c * c) * 2.0 - 1.0).reshape(c, c) * (0.9 / c)
+    bias = -0.6 + (_unit_draws(2, c) * 2.0 - 1.0) * 0.3
+    pos = (_unit_draws(3, _POOL * _POOL) * 2.0 - 1.0).reshape(_POOL, _POOL) * 0.5
 
     t = z @ a + bias  # (H/4, W/4, C)
     t = np.repeat(np.repeat(t, _POOL, axis=0), _POOL, axis=1)

@@ -9,7 +9,8 @@ context once: every term but the count of coded siblings.  The coding
 order is the same on both sides, but the decoder codes one pass at a time,
 adding only the coded-sibling term, since each pass needs the bits of the
 passes before it, while the encoder knows every bit in advance and codes a
-whole group per call.  Every predicted occupancy probability is a
+whole group per call, taking each level's occupancy from the leaf codes
+and the walk's parents.  Every predicted occupancy probability is a
 coder-critical value: it is safeguarded, and the entropy coder only ever
 sees the protected copy.
 """
@@ -39,8 +40,8 @@ from .entropy import (
 )
 from .errors import (
     ConfigError,
+    FieldValueError,
     InvalidInputError,
-    MalformedStreamError,
     PlyParseError,
 )
 from .platform_sim import Perturbation, splitmix64_array, unit_from_u64
@@ -273,7 +274,7 @@ def _group_terms(
 def _probabilities(
     terms: _GroupTerms, octants: range, coded_siblings: np.ndarray
 ) -> np.ndarray:
-    """Clipped occupancy probabilities of the children in ``octants`` (a run
+    """Occupancy probabilities of the children in ``octants`` (a run
     of ``terms.octants``) of every parent, octant-major: the only way either
     side gets them.  ``coded_siblings`` holds, in the same order, how many
     earlier siblings of each child were coded occupied."""
@@ -288,8 +289,9 @@ def _probabilities(
     np.negative(t, out=t)
     np.exp(t, out=t)
     t += 1.0
-    np.divide(1.0, t, out=t)
-    return np.clip(t, 0.0, 1.0, out=t).ravel()
+    # no clip: for finite terms 1 + exp(-t) is at least 1, so the sigmoid
+    # already lies in [0, 1], as any other model must keep it
+    return np.divide(1.0, t, out=t).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -314,22 +316,12 @@ def make_pc_config(
     return GuardConfig(grid=grid, epsilon=epsilon, mode=mode)
 
 
-def _level_codes(cloud: VoxelCloud) -> list[np.ndarray]:
-    levels = [None] * (cloud.bit_depth + 1)
-    levels[cloud.bit_depth] = cloud.codes
-    for lvl in range(cloud.bit_depth - 1, -1, -1):
-        levels[lvl] = np.unique(levels[lvl + 1] >> _U(3))
-    return levels
-
-
 def _children(parents: np.ndarray, occ: np.ndarray, point_count: int) -> tuple:
     """The parent index and the code of every occupied child in a level's
     (8, parents) occupancy, parent-major, so the codes come out sorted."""
     at, octant = np.nonzero(occ.T)
     if at.shape[0] > point_count:
-        raise MalformedStreamError(
-            "decoded occupancy exceeds the declared point count"
-        )
+        raise FieldValueError("decoded occupancy exceeds the declared point count")
     return at, (parents[at] << _U(3)) | octant.astype(np.uint64)
 
 
@@ -363,7 +355,6 @@ def _walk(bit_depth: int, point_count: int, code_level) -> tuple:
 def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> GuardedStream:
     """Code a voxel cloud; returns the container object."""
     desc = grid_desc_for(cfg.grid, PayloadKind.OCTREE)
-    levels = _level_codes(cloud)
     n = cloud.bit_depth
     enc = RangeEncoder()
     # an unprotected stream keeps just these empty flag arrays
@@ -373,8 +364,9 @@ def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> Guarded
     def code_level(depth, parents, groups):
         # every child's occupancy is known, so a child's coded siblings are
         # an exclusive cumsum over octants, and a group of octant passes
-        # codes in one call, in the order the decoder codes them one by one
-        children = levels[depth]
+        # codes in one call, in the order the decoder codes them one by one;
+        # the level's children are the leaves' ancestors, sorted with repeats
+        children = cloud.codes >> _U(3 * (n - depth))
         occ = np.zeros((8, parents.shape[0]), dtype=np.uint8)
         occ[children & _U(7), np.searchsorted(parents, children >> _U(3))] = 1
         coded = np.cumsum(occ, axis=0, dtype=np.uint8) - occ
@@ -424,11 +416,9 @@ def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> VoxelC
     parents, occ = _walk(header.bit_depth, header.point_count, code_level)
     codes = _children(parents, occ, header.point_count)[1]
     if codes.shape[0] != header.point_count:
-        raise MalformedStreamError(
-            "decoded leaves fall short of the declared point count"
-        )
+        raise FieldValueError("decoded leaves fall short of the declared point count")
     if not flags.exhausted:
-        raise MalformedStreamError("flag count does not match the decoded tree")
+        raise FieldValueError("flag count does not match the decoded tree")
     return VoxelCloud(bit_depth=header.bit_depth, codes=codes)
 
 

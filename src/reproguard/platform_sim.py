@@ -20,6 +20,7 @@ from .quantizer import QuantGrid, round_index_array
 __all__ = [
     "splitmix64_array",
     "unit_from_u64",
+    "unit_draws",
     "Perturbation",
     "PRESETS",
     "preset",
@@ -48,6 +49,15 @@ def unit_from_u64(z: np.ndarray) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
+def unit_draws(base: int, start: int, n: int) -> np.ndarray:
+    """Draws ``start`` to ``start + n - 1`` of the stream at ``base``: draw
+    ``i`` is ``splitmix64(base + i * golden)`` mod 2**64, mapped to [0, 1)."""
+    with np.errstate(over="ignore"):
+        idx = np.arange(start, start + n, dtype=np.uint64)
+        state = np.uint64(base & _M64) + idx * np.uint64(_GOLDEN)
+    return unit_from_u64(splitmix64_array(state))
+
+
 _DISTS = ("none", "uniform", "adversarial")
 
 # worst observed reconstruction errors for the supported platform pairs
@@ -74,12 +84,6 @@ class Perturbation:
         self.seed = int(self.seed) & _M64
         self.counter = int(self.counter)
 
-    def _draw_units(self, n: int) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            idx = np.arange(self.counter, self.counter + n, dtype=np.uint64)
-            state = np.uint64(self.seed) + idx * np.uint64(_GOLDEN)
-        return unit_from_u64(splitmix64_array(state))
-
     def perturb_array(self, v, grid: QuantGrid) -> np.ndarray:
         """``v`` perturbed, in any shape: value ``i`` of its flat order
         takes draw ``counter + i``, as in a 1-D call."""
@@ -89,7 +93,7 @@ class Perturbation:
         if self.dist == "none" or self.e_max == 0.0:
             out = v.copy()
         elif self.dist == "uniform":
-            u = self._draw_units(v.size).reshape(v.shape)
+            u = unit_draws(self.seed, self.counter, v.size).reshape(v.shape)
             out = v + (2.0 * u - 1.0) * self.e_max
         else:  # adversarial: full-budget shift toward the nearest boundary
             _, bv = round_index_array(grid, v)

@@ -76,7 +76,7 @@ class QuantGrid:
     s: float = 0.0
     boundaries: tuple[float, ...] | None = None
     domain: tuple[float, float] | None = None
-    _b: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _b: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     # boundary indices of the domain's edges, None without a domain
     _edges: tuple[int, int] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -257,7 +257,8 @@ def _uniform_bins(grid: QuantGrid, v: np.ndarray, nearest: bool):
         db -= vb
         np.abs(db, out=db)
     if grid._edges is not None:
-        np.clip(n, grid._edges[0], grid._edges[1] - 1, out=n)
+        np.maximum(n, grid._edges[0], out=n)
+        np.minimum(n, grid._edges[1] - 1, out=n)
     return tuple(None if a is None else a.reshape(v.shape) for a in (n, m, d))
 
 
@@ -268,7 +269,7 @@ def _bins(grid: QuantGrid, v: np.ndarray, nearest: bool = False):
         return _uniform_bins(grid, v, nearest)
     b = grid._b
     # values beyond the domain, and on its top edge, land in end bins
-    n = np.clip(np.searchsorted(b, v, side="right") - 1, 0, b.size - 2)
+    n = np.minimum(np.maximum(np.searchsorted(b, v, side="right") - 1, 0), b.size - 2)
     if not nearest:
         return n, None, None
     bl = b[n]

@@ -184,6 +184,32 @@ class TestSweep:
         assert len(lines) == 1
         assert lines[0].split(",") == cli._CSV_FIELDS
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--epsilons", "abc"),
+        ("--epsilons", "1e-6,x"),
+        ("--ks", "x"),
+        ("--ks", "250.5"),
+        ("--seeds", "a"),
+        ("--seeds", "0,1.5"),
+    ])
+    def test_bad_list_item_is_a_config_error(self, flag, value, tmp_path, capsys):
+        argv = {"--epsilons": "1e-6", "--ks": "250", "--seeds": "0", flag: value}
+        args = [a for item in argv.items() for a in item]
+        assert run("sweep", "--payload", "pc", *args,
+                   "--out", str(tmp_path / "s.csv")) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_trailing_comma_is_skipped(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--payload", "pc", "--epsilons", "1e-6,", "--ks", "250,",
+                   "--seeds", "0,", "--depth", "5", "--count", "200",
+                   "--out", str(out)) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["epsilon"], r["seed"]) for r in rows] == [("1e-06", "0")]
+
     def test_image_payload(self, tmp_path):
         out = tmp_path / "s.csv"
         assert run("sweep", "--payload", "image", "--epsilons", "1e-4",

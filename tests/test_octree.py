@@ -25,7 +25,6 @@ from reproguard.errors import (
 from reproguard import octree
 from reproguard.octree import (
     VoxelCloud,
-    _level_codes,
     decode,
     encode,
     make_pc_config,
@@ -39,6 +38,15 @@ from reproguard.octree import (
 from reproguard.platform_sim import Perturbation, splitmix64_array, unit_from_u64
 from reproguard.safeguard import FlagStream, GuardConfig, GuardMode, guard_encode_array
 from reproguard.quantizer import QuantGrid
+
+
+def _level_codes(cloud):
+    """The sorted codes of every level, root first, each level the unique
+    parents of the one below it."""
+    levels = [cloud.codes]
+    for _ in range(cloud.bit_depth):
+        levels.insert(0, np.unique(levels[0] >> np.uint64(3)))
+    return levels
 
 
 class TestMorton:

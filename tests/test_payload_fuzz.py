@@ -2,8 +2,9 @@
 
 Small containers of every payload in every mode get a few seeded bit flips
 each.  Every flipped container that ``container.read`` accepts is decoded,
-and the decode either succeeds or raises a MalformedStreamError: hostile
-bytes never surface as a config, input or guard error."""
+and the decode either succeeds or raises a typed subclass of
+MalformedStreamError: hostile bytes never surface as a config, input or
+guard error, nor as the bare base class."""
 
 from collections import Counter
 
@@ -45,6 +46,12 @@ def _decode(stream):
     )
 
 
+def _typed(exc):
+    """Whether ``exc`` is a typed stream fault: a subclass of
+    MalformedStreamError, and not that base class itself."""
+    return isinstance(exc, MalformedStreamError) and type(exc) is not MalformedStreamError
+
+
 BUILDERS = {"octree": _octree, "hyperprior": _hyperprior, "raw": _raw}
 TRIALS = 120  # flipped copies of each container
 
@@ -63,16 +70,18 @@ def test_flipped_containers_decode_or_raise_malformed(seed):
                     flipped[bit // 8] ^= 1 << (bit % 8)
                 try:
                     stream = container.read(bytes(flipped))
-                except MalformedStreamError:
+                except MalformedStreamError as exc:
                     outcomes["rejected by read"] += 1
+                    if not _typed(exc):
+                        untyped.append((payload, mode.name, repr(exc)))
                     continue
                 try:
                     _decode(stream)
                     outcomes["decoded"] += 1
-                except MalformedStreamError:
-                    outcomes["malformed"] += 1
                 except Exception as exc:  # noqa: BLE001 - the fault under test
-                    untyped.append((payload, mode.name, repr(exc)))
+                    outcomes["malformed"] += 1
+                    if not _typed(exc):
+                        untyped.append((payload, mode.name, repr(exc)))
     assert untyped == []
     # enough flips get past the reader for the decoders to be exercised
     assert outcomes["decoded"] + outcomes["malformed"] > 1000

@@ -5,12 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
+from reproguard import hyperprior
 from reproguard.errors import ConfigError
 from reproguard.platform_sim import (
     PRESETS,
     Perturbation,
     preset,
     splitmix64_array,
+    unit_draws,
     unit_from_u64,
 )
 from reproguard.quantizer import QuantGrid, quantize_array
@@ -57,6 +59,59 @@ class TestSplitmix:
     def test_unit_range(self):
         us = unit_from_u64(splitmix64_array(np.arange(1000, dtype=np.uint64)))
         assert np.all((us >= 0.0) & (us < 1.0))
+
+
+GOLDEN = 0x9E3779B97F4A7C15
+SEEDS = [0, 5, 2**64 - 1]
+COUNTERS = [0, 3, 10**6]
+
+
+def perturbation_draws(seed, counter, n):
+    """The draw formula ``Perturbation`` once wrote out for itself."""
+    with np.errstate(over="ignore"):
+        idx = np.arange(counter, counter + n, dtype=np.uint64)
+        state = np.uint64(seed) + idx * np.uint64(GOLDEN)
+    return unit_from_u64(splitmix64_array(state))
+
+
+def hyperprior_base(seed, tag):
+    return (seed * GOLDEN + tag * 0xD1B54A32D192ED03) & ((1 << 64) - 1)
+
+
+def hyperprior_draws(seed, tag, n):
+    """The draw formula ``hyperprior`` once wrote out for its weights."""
+    idx = np.arange(n, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        keys = np.uint64(hyperprior_base(seed, tag)) + idx * np.uint64(GOLDEN)
+    return unit_from_u64(splitmix64_array(keys))
+
+
+def bits(u):
+    return u.view(np.uint64).tolist()
+
+
+class TestUnitDraws:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("counter", COUNTERS)
+    def test_matches_the_perturbation_formula(self, seed, counter):
+        assert bits(unit_draws(seed, counter, 64)) == bits(
+            perturbation_draws(seed, counter, 64)
+        )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("counter", COUNTERS)
+    def test_matches_the_hyperprior_formula(self, seed, counter):
+        old = hyperprior_draws(seed, 2, counter + 64)[counter:]
+        assert bits(unit_draws(hyperprior_base(seed, 2), counter, 64)) == bits(old)
+
+    @pytest.mark.parametrize("tag", [1, 2, 3])
+    def test_hyperprior_weights_keep_their_seed_zero_draws(self, tag):
+        assert bits(hyperprior._unit_draws(tag, 40)) == bits(hyperprior_draws(0, tag, 40))
+
+    def test_perturbation_draws_from_its_seed_and_counter(self):
+        pert = Perturbation(e_max=1.0, seed=5, counter=3)
+        out = pert.perturb_array(np.zeros(16), GRID)
+        assert bits(out) == bits(2.0 * unit_draws(5, 3, 16) - 1.0)
 
 
 class TestNone:

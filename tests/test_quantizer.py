@@ -346,3 +346,10 @@ class TestConstruction:
         g = QuantGrid(boundaries=(0.0, 0.1, 0.45, 1.0))
         assert g.min_gap == pytest.approx(0.1)
         assert QuantGrid.uniform(0.25, 0.0).min_gap == 0.25
+
+    def test_boundary_array_is_derived_not_passed(self):
+        with pytest.raises(TypeError):
+            QuantGrid(q=0.1, _b=np.array([0.0, 5.0]))
+        assert QuantGrid.uniform(0.1)._b is None
+        g = QuantGrid(boundaries=(0.0, 0.5, 2.0))
+        assert g._b.tolist() == [0.0, 0.5, 2.0]

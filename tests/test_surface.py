@@ -30,8 +30,9 @@ PACKAGE_ALL = [
     "read_file", "validate", "write", "write_file",
 ]
 
-# Scalar twins of the batch forms, helpers nothing but tests called, and
-# boundary operators and their error that only the guard needed.
+# Scalar twins of the batch forms, helpers nothing but tests called,
+# boundary operators and their error that only the guard needed, and a
+# second derivation of a header's z-blob length.
 DELETED = [
     "entropy.RangeEncoder.encode_bit",
     "entropy.RangeEncoder.encode_symbol",
@@ -56,6 +57,7 @@ DELETED = [
     "quantizer.gap_below_array",
     "quantizer.gap_above_array",
     "errors.GuardError",
+    "container.HyperpriorHeader.z_count",
 ]
 
 
