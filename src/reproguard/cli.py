@@ -19,6 +19,7 @@ from .errors import (
     ReproGuardError,
 )
 from .platform_sim import Perturbation
+from .safeguard import GuardMode
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -360,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--input", required=True)
     enc.add_argument("--output", required=True)
     enc.add_argument("--mode", default="center",
-                     choices=["full", "left", "right", "center"])
+                     choices=[m.name.lower() for m in GuardMode])
     enc.add_argument("--epsilon", type=float, default=1e-6)
     enc.add_argument("--k", type=int, default=250, help="probability step 1/k")
     enc.add_argument("--depth", type=int, default=None,

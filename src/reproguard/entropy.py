@@ -7,7 +7,8 @@ buffered bytes, and byte-at-a-time renormalization that keeps
 (``Prob16``, the chance of bit 0, clamped to [1, 65535]) so both ends of
 the wire share the exact same integers.  The safeguard's flags do not go
 through the range coder: their section is a Rice code of the gaps between
-risky flags, coded and parsed with whole-array numpy operations.
+risky flags, then, in FULL mode, one direction bit per risky flag, coded
+and parsed with whole-array numpy operations.
 """
 
 from __future__ import annotations
@@ -314,7 +315,7 @@ def _decode_symbols(
 #   varint R        the number of risky flags (LEB128, minimal, <= 5 bytes)
 #   R remainders    k bits each, most significant bit first
 #   R quotients     unary: q one-bits, then a zero
-#   R directions    FULL mode only: 0 where the value went left
+#   R directions    FULL mode only, one per risky flag: 0 where it went left
 #   padding         zero bits up to a whole byte
 #
 # The gap before a risky flag, the count of safe flags since the one before
@@ -354,7 +355,8 @@ def _varint(n: int) -> bytes:
 
 def encode_flags(stream: FlagStream, mode: GuardMode) -> bytes:
     """The safeguard section of ``stream``: Rice-coded gaps between its
-    risky flags at the stream's p0_q16, then their directions in FULL mode."""
+    risky flags at the stream's p0_q16, then, in FULL mode, its direction
+    bits as they are, one per risky flag."""
     if len(stream) == 0:
         return b""
     if not 1 <= stream.p0_q16 <= 65535:
@@ -367,10 +369,10 @@ def encode_flags(stream: FlagStream, mode: GuardMode) -> bytes:
     unary[np.cumsum(quotients + 1) - 1] = 0
     parts = [(gaps[:, None] >> np.arange(k - 1, -1, -1)).ravel() & 1, unary]
     if mode == GuardMode.FULL:
-        fd = np.asarray(stream.f_d)[risky]
-        if np.any(fd < 0):
-            raise InvalidInputError("risky flag without direction in FULL mode")
-        parts.append(fd != 0)
+        fd = np.asarray(stream.f_d)
+        if fd.shape != risky.shape:
+            raise InvalidInputError("FULL mode needs one direction bit per risky flag")
+        parts.append(fd)
     bits = np.concatenate(parts).astype(np.uint8)
     return _varint(risky.shape[0]) + np.packbits(bits).tobytes()
 
@@ -381,7 +383,7 @@ def _parse_flags(
     """The sorted positions of the risky flags of a section and their
     direction bits.  The work and memory are bounded by ``len(data)``."""
     if count == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
     n_risky = 0
     for head, byte in enumerate(data[:_VARINT_BYTES], 1):
         n_risky |= (byte & 0x7F) << (7 * (head - 1))
@@ -412,20 +414,21 @@ def _parse_flags(
         raise TrailingDataError("bytes after the end of the safeguard section")
     if bits[end:].any():
         raise FieldValueError("nonzero padding in the safeguard section")
-    directions = bits[end - n_directions : end]
+    directions = bits[end - n_directions : end].copy()  # frees the unpacked bits
     gaps = ((np.diff(ends, prepend=-1) - 1) << k) + remainders
     positions = np.cumsum(gaps + 1) - 1
     if n_risky and positions[-1] >= count:
         raise FieldValueError("a risky flag lies past the flag count")
-    return positions, directions.astype(np.int8)
+    return positions, directions
 
 
 class FlagReader:
     """Sequential flag decoder, consumed in lockstep with critical values.
 
     The section is parsed on the first ``take``; each take then hands out
-    the next chunk of flags from the parsed risky positions.  A stream
-    without flags must have an empty section."""
+    the next chunk of flags from the parsed risky positions, with the
+    direction bits of that chunk's risky flags.  A stream without flags
+    must have an empty section."""
 
     def __init__(self, data: bytes, count: int, p0_q16: int, mode: GuardMode) -> None:
         if not 1 <= p0_q16 <= 65535:
@@ -442,7 +445,8 @@ class FlagReader:
         self._next = 0  # index of the first risky position not yet taken
 
     def take(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Next ``k`` (f_r, f_d) pairs; f_d is -1 where absent."""
+        """The next ``k`` risky flags, and one direction bit per risky flag
+        among them (none in CENTER mode)."""
         if self._taken + k > self._count:
             raise FieldValueError("more flags requested than declared")
         if self._risky is None:
@@ -451,15 +455,10 @@ class FlagReader:
             )
         lo, hi = self._next, int(self._risky.searchsorted(self._taken + k))
         f_r = np.zeros(k, dtype=np.uint8)
-        f_d = np.full(k, -1, dtype=np.int8)
-        if hi > lo:
-            at = self._risky[lo:hi] - self._taken
-            f_r[at] = 1
-            if self._full:
-                f_d[at] = self._directions[lo:hi]
+        f_r[self._risky[lo:hi] - self._taken] = 1
         self._taken += k
         self._next = hi
-        return f_r, f_d
+        return f_r, self._directions[lo:hi]
 
     @property
     def exhausted(self) -> bool:

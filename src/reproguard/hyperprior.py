@@ -124,8 +124,7 @@ def _unit_draws(tag: int, n: int) -> np.ndarray:
 
 def hyper_synthesis(z: np.ndarray) -> np.ndarray:
     """sigma = softplus(A z + c) per pooled cell, nearest-upsampled with a
-    fixed per-cell-position offset, computed entirely in double precision.
-    The final clip at zero is a no-op for softplus but kept as written."""
+    fixed per-cell-position offset, computed entirely in double precision."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 3:
         raise InvalidInputError("z must be (H/4, W/4, C)")
@@ -140,9 +139,7 @@ def hyper_synthesis(z: np.ndarray) -> np.ndarray:
     t = np.repeat(np.repeat(t, _POOL, axis=0), _POOL, axis=1)
     t = t + np.tile(pos, (z.shape[0], z.shape[1]))[:, :, None]
     # numerically stable softplus
-    sigma = np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
-    np.maximum(sigma, 0.0, out=sigma)
-    return sigma
+    return np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
 
 
 def quantize_latents(y: np.ndarray) -> np.ndarray:

@@ -359,7 +359,7 @@ def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> Guarded
     enc = RangeEncoder()
     # an unprotected stream keeps just these empty flag arrays
     fr_parts = [np.empty(0, dtype=np.uint8)]
-    fd_parts = [np.empty(0, dtype=np.int8)]
+    fd_parts = [np.empty(0, dtype=np.uint8)]
 
     def code_level(depth, parents, groups):
         # every child's occupancy is known, so a child's coded siblings are
@@ -403,6 +403,8 @@ def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> VoxelC
         for terms in groups:
             for octant in terms.octants:
                 p = _probabilities(terms, range(octant, octant + 1), coded)
+                if octant + 1 == terms.octants.stop:
+                    terms = None  # freed before the group's last pass is guarded
                 if perturb is not None:
                     p = perturb.perturb_array(p, cfg.grid)
                 if stream.flag_count > 0:
@@ -410,7 +412,6 @@ def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> VoxelC
                     p = guard_decode_array(cfg, p, fr, fd)
                 occ[octant] = dec.decode_bits(prob_to_p16_array(p))
                 coded += occ[octant]
-            del terms  # the next group's context is built without this one
         return occ
 
     parents, occ = _walk(header.bit_depth, header.point_count, code_level)

@@ -2,11 +2,12 @@
 
 A value that lands within ``epsilon`` of a bin boundary is *risky*: an
 error-bounded recomputation on another platform may fall on the other side
-and derail entropy decoding.  The encoder emits a risky flag per value (plus
-a direction flag in FULL mode) so the decoder reproduces the encoder's
-protected value bit-exactly from its own perturbed copy, provided the
-perturbation stays under ``epsilon`` and every bin is wider than
-``4 * epsilon``.
+and derail entropy decoding.  The encoder emits a risky flag per value, and
+in FULL mode one direction bit per risky value, so the decoder reproduces
+the encoder's protected value bit-exactly from its own perturbed copy,
+provided the perturbation stays under ``epsilon`` and every bin is wider
+than ``4 * epsilon``.  CENTER protects a risky value to its boundary, FULL
+to the nearer bin center, which its direction bit names.
 
 Encoder and decoder derive the protected value through one shared rule,
 so equality of the chosen boundary index implies equality of the output
@@ -49,11 +50,9 @@ __all__ = [
 
 
 class GuardMode(enum.IntEnum):
-    """Wire values; FULL carries a direction flag, the rest are one-sided."""
+    """Wire values; FULL carries a direction bit per risky value, CENTER none."""
 
     FULL = 0
-    LEFT = 1
-    RIGHT = 2
     CENTER = 3
 
 
@@ -90,18 +89,17 @@ class GuardConfig:
 
 
 def _protected(
-    cfg: GuardConfig, m: np.ndarray, bv: np.ndarray, full_left: np.ndarray | None
+    cfg: GuardConfig, m: np.ndarray, bv: np.ndarray, left: np.ndarray | None
 ) -> np.ndarray:
     """The protected value of risky values nearest boundary ``m`` (at ``bv``).
 
-    CENTER gives the boundary.  The other modes give the center of the bin
-    on the side that FULL's direction (``full_left``), LEFT or RIGHT picks.
-    Encoder and decoder both call this, so once the boundary indices agree
-    the outputs are bit-identical.
+    CENTER gives the boundary; FULL gives the center of the bin below it
+    where ``left`` holds, and of the bin above it elsewhere.  Encoder and
+    decoder both call this, so once the boundary indices agree the outputs
+    are bit-identical.
     """
     if cfg.mode == GuardMode.CENTER:
         return bv
-    left = full_left if cfg.mode == GuardMode.FULL else cfg.mode == GuardMode.LEFT
     below, above = _half_bins(cfg.grid, m)
     return np.where(left, bv - below, bv + above)
 
@@ -111,9 +109,10 @@ def guard_encode_array(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Protect a batch of values.
 
-    Returns ``(v_out, f_r, f_d)`` where ``f_d`` is int8 and -1 wherever no
-    direction flag applies (non-FULL modes, or safe values).  One pass of
-    the grid's kernel gives every value's bin center, nearest boundary and
+    Returns ``(v_out, f_r, f_d)``: ``f_r`` is the uint8 risky flag of each
+    value, and ``f_d`` the uint8 direction bit of each risky value in flag
+    order (1 where it went right), empty in CENTER mode.  One pass of the
+    grid's kernel gives every value's bin center, nearest boundary and
     distance to it; boundary values and protected values are built for the
     risky values only.
     """
@@ -123,7 +122,7 @@ def guard_encode_array(
     v_out = _center(grid, n)
     risky = d < cfg.epsilon
     risky &= _inside(grid, m)
-    f_d = np.full(v.shape, -1, dtype=np.int8)
+    f_d = np.empty(0, dtype=np.uint8)
 
     if np.any(risky):
         m = m[risky].astype(np.int64)
@@ -132,13 +131,16 @@ def guard_encode_array(
         # center on its left
         go_left = bv > v[risky]
         if cfg.mode == GuardMode.FULL:
-            f_d[risky] = ~go_left
+            f_d = (~go_left).view(np.uint8)
         v_out[risky] = _protected(cfg, m, bv, go_left)
     return v_out, risky.view(np.uint8), f_d
 
 
-def guard_decode_array(cfg: GuardConfig, v_prime, f_r, f_d=None) -> np.ndarray:
-    """Reproduce the encoder's protected values from perturbed copies; a
+def guard_decode_array(cfg: GuardConfig, v_prime, f_r, f_d=()) -> np.ndarray:
+    """Reproduce the encoder's protected values from perturbed copies.
+
+    In FULL mode ``f_d`` holds one direction bit per risky flag, in flag
+    order; a length other than the risky count raises InvalidInputError.  A
     risky flag on a domain edge, or a value whose bin index reaches 2**53,
     raises FieldValueError."""
     grid = cfg.grid
@@ -155,15 +157,13 @@ def guard_decode_array(cfg: GuardConfig, v_prime, f_r, f_d=None) -> np.ndarray:
     m, bv = _nearest(grid, vp[risky])
     if not np.all(_inside(grid, m)):
         raise FieldValueError("risky flag on a domain edge, where no encoder sets one")
-    full_left = None
+    left = None
     if cfg.mode == GuardMode.FULL:
-        if f_d is None:
-            raise InvalidInputError("FULL mode needs direction flags")
-        fd = np.asarray(f_d)[risky]
-        if np.any(fd < 0):
-            raise InvalidInputError("missing direction flag on a risky value")
-        full_left = fd == 0
-    v_out[risky] = _protected(cfg, m, bv, full_left)
+        fd = np.asarray(f_d)
+        if fd.shape != (m.shape[0],):
+            raise InvalidInputError("FULL mode needs one direction bit per risky flag")
+        left = fd == 0
+    v_out[risky] = _protected(cfg, m, bv, left)
     return v_out
 
 
@@ -173,10 +173,12 @@ def guard_decode_array(cfg: GuardConfig, v_prime, f_r, f_d=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FlagStream:
-    """Ordered risky/direction flags plus the zero-rate used to code them.
+    """Ordered risky flags, the direction bits of the risky ones, and the
+    zero-rate used to code them.
 
-    ``f_d`` holds -1 wherever no direction flag exists.  ``p0_q16`` is the
-    only probability either side of the wire ever sees.
+    ``f_d`` holds one bit per risky flag in flag order under FULL, and is
+    empty otherwise.  ``p0_q16`` is the only probability either side of the
+    wire ever sees.
     """
 
     f_r: np.ndarray
@@ -187,14 +189,9 @@ class FlagStream:
         return int(self.f_r.shape[0])
 
     @classmethod
-    def from_arrays(cls, f_r, f_d=None) -> "FlagStream":
+    def from_arrays(cls, f_r, f_d=()) -> "FlagStream":
         fr = np.asarray(f_r, dtype=np.uint8)
-        if f_d is None:
-            fd = np.full(fr.shape, -1, dtype=np.int8)
-        else:
-            fd = np.asarray(f_d, dtype=np.int8)
-            if fd.shape != fr.shape:
-                raise InvalidInputError("flag array shape mismatch")
+        fd = np.asarray(f_d, dtype=np.uint8)
         n = int(fr.shape[0])
         if n == 0:
             return cls(fr, fd, 32768)

@@ -41,7 +41,7 @@ from reproguard.safeguard import (
     guard_encode_array,
 )
 
-MODES = [GuardMode.FULL, GuardMode.LEFT, GuardMode.RIGHT, GuardMode.CENTER]
+MODES = list(GuardMode)
 
 
 def report(capsys, index, name, ok, detail):
@@ -66,7 +66,7 @@ def planted_cases(rng, n, q, eps):
 
 def test_reproduction_guarantee_bit_exact(capsys):
     rng = np.random.default_rng(20240811)
-    per_combo = 256_000
+    per_combo = 512_000
     t0 = time.monotonic()
     total = 0
     mismatches = 0
@@ -309,7 +309,7 @@ def valid_corpus(rng, count):
             )
         streams.append(
             GuardedStream(
-                mode=MODES[int(rng.integers(0, 4))],
+                mode=MODES[int(rng.integers(0, len(MODES)))],
                 payload_kind=kind,
                 epsilon=eps,
                 grid_desc=desc,

@@ -1,13 +1,17 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
+import argparse
 import csv
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from reproguard import cli, octree
+from reproguard.safeguard import GuardMode
 
 
 def run(*argv):
@@ -281,3 +285,22 @@ def test_module_entry_point():
     assert proc.returncode == 0
     for sub in ("encode-pc", "decode-pc", "sweep", "interop", "demo-image"):
         assert sub in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# one list of guard modes: GuardMode, README's bullets and --mode's choices
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_modes_and_mode_choices_follow_guard_mode():
+    names = [m.name.lower() for m in GuardMode]
+    section = README.read_text(encoding="utf-8").split("\n## Protection modes\n")[1]
+    section = section.split("\n## ")[0]
+    assert re.findall(r"^- \*\*(\w+)\*\*:", section, re.MULTILINE) == names
+    sub = next(
+        a for a in cli._build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    mode = next(a for a in sub.choices["encode-pc"]._actions if a.dest == "mode")
+    assert list(mode.choices) == names

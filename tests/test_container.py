@@ -168,6 +168,15 @@ def test_bad_mode_byte():
         read(bytes(data))
 
 
+@pytest.mark.parametrize("mode_byte", [1, 2])
+def test_one_sided_mode_bytes_are_refused(mode_byte):
+    # 1 and 2 named the deleted LEFT and RIGHT modes
+    data = bytearray(write(raw_stream(count=3, safeguard=b"\x00")))
+    data[5] = mode_byte
+    with pytest.raises(FieldValueError, match="mode"):
+        read(bytes(data))
+
+
 def test_bad_payload_kind():
     data = bytearray(write(raw_stream()))
     data[6] = 5
@@ -282,9 +291,9 @@ def test_epsilon_travels_bit_exact():
 
 def test_roundtrip_fuzzed_valid_streams():
     rng = np.random.default_rng(2024)
-    modes = [GuardMode.FULL, GuardMode.LEFT, GuardMode.RIGHT, GuardMode.CENTER]
+    modes = list(GuardMode)
     for i in range(1000):
-        mode = modes[int(rng.integers(0, 4))]
+        mode = modes[int(rng.integers(0, len(modes)))]
         kind = int(rng.integers(0, 3))
         guard = rng.bytes(int(rng.integers(0, 50)))
         main = rng.bytes(int(rng.integers(0, 200)))

@@ -148,11 +148,15 @@ def test_truncated_stream_rejected_at_init():
 # flag streams
 
 
-def _flags(fr, fd=None):
-    fr = np.asarray(fr, dtype=np.uint8)
-    if fd is None:
-        fd = np.full(fr.shape[0], -1, dtype=np.int8)
-    return FlagStream.from_arrays(fr, np.asarray(fd, dtype=np.int8))
+def _flags(fr, fd=()):
+    """A flag stream of the risky flags ``fr`` and, in FULL mode, ``fd``:
+    one direction bit per risky flag, in flag order."""
+    return FlagStream.from_arrays(np.asarray(fr, dtype=np.uint8), fd)
+
+
+def _directions(rng, fr):
+    """A random direction bit for each risky flag of ``fr``."""
+    return rng.integers(0, 2, int(np.count_nonzero(fr))).astype(np.uint8)
 
 
 def _take_all(data, count, p0_q16, mode) -> FlagStream:
@@ -179,7 +183,7 @@ def test_zero_flags_empty_stream():
 
 def test_full_mode_interleaves_directions():
     fr = [1, 0, 1]
-    fd = [0, -1, 1]
+    fd = [0, 1]
     fs = _flags(fr, fd)
     data = encode_flags(fs, GuardMode.FULL)
     out = _take_all(data, 3, fs.p0_q16, GuardMode.FULL)
@@ -189,12 +193,12 @@ def test_full_mode_interleaves_directions():
 
 def test_flag_roundtrip_fuzz():
     rng = np.random.default_rng(77)
-    for mode in (GuardMode.FULL, GuardMode.LEFT, GuardMode.CENTER):
+    for mode in GuardMode:
         for _ in range(50):
             n = int(rng.integers(0, 400))
             fr = (rng.random(n) < 0.02).astype(np.uint8)
-            fd = np.where(fr == 1, rng.integers(0, 2, n), -1).astype(np.int8)
-            fs = _flags(fr, fd if mode == GuardMode.FULL else None)
+            fd = _directions(rng, fr)
+            fs = _flags(fr, fd if mode == GuardMode.FULL else ())
             data = encode_flags(fs, mode)
             out = _take_all(data, n, fs.p0_q16, mode)
             assert np.array_equal(out.f_r, fr)
@@ -220,11 +224,11 @@ def test_flag_reader_validates_p0():
 
 
 def test_missing_direction_rejected_in_full_mode():
-    fr = np.array([1], dtype=np.uint8)
-    fd = np.array([-1], dtype=np.int8)
-    fs = FlagStream.from_arrays(fr, fd)
-    with pytest.raises(InvalidInputError):
-        encode_flags(fs, GuardMode.FULL)
+    fr = np.array([1, 0, 1], dtype=np.uint8)
+    for fd in ([], [0], [0, 1, 1]):  # one direction bit per risky flag, or none
+        with pytest.raises(InvalidInputError):
+            encode_flags(FlagStream.from_arrays(fr, fd), GuardMode.FULL)
+    assert encode_flags(FlagStream.from_arrays(fr, []), GuardMode.CENTER)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +268,7 @@ def _rice_reference(fs: FlagStream, mode: GuardMode) -> bytes:
     bits = "".join(format(g % (1 << k), f"0{k}b") if k else "" for g in gaps)
     bits += "".join("1" * (g >> k) + "0" for g in gaps)
     if mode == GuardMode.FULL:
-        bits += "".join(str(int(fs.f_d[pos])) for pos in risky)
+        bits += "".join(str(int(d)) for d in fs.f_d)
     return bytes(varint) + _section(bits)
 
 
@@ -278,8 +282,8 @@ def _rice_reference(fs: FlagStream, mode: GuardMode) -> bytes:
 def test_section_matches_a_gap_by_gap_reference(mode, n, rate, seed):
     rng = np.random.default_rng(seed)
     fr = (rng.random(n) < rate).astype(np.uint8)
-    fd = np.where(fr == 1, rng.integers(0, 2, n), -1).astype(np.int8)
-    fs = _flags(fr, fd if mode == GuardMode.FULL else None)
+    fd = _directions(rng, fr)
+    fs = _flags(fr, fd if mode == GuardMode.FULL else ())
     data = encode_flags(fs, mode)
     assert data == _rice_reference(fs, mode)
     out = _take_all(data, n, fs.p0_q16, mode)
@@ -305,15 +309,13 @@ def test_every_flag_risky(mode):
     assert len(data) == 2 + math.ceil((500 + directions) / 8)
     out = _take_all(data, 500, 1, mode)
     assert out.f_r.all()
-    if mode == GuardMode.FULL:
-        assert np.array_equal(out.f_d, fd)
+    assert np.array_equal(out.f_d, fd if mode == GuardMode.FULL else [])
 
 
 def test_p0_at_its_ceiling():
     fr = np.zeros(100_000, dtype=np.uint8)
     fr[[0, 70_000, 99_999]] = 1
-    fd = np.full(100_000, -1, dtype=np.int8)
-    fd[[0, 70_000, 99_999]] = [1, 0, 1]
+    fd = np.array([1, 0, 1], dtype=np.uint8)
     fs = FlagStream(fr, fd, 65535)
     assert _rice_k(65535) == 15
     data = encode_flags(fs, GuardMode.FULL)
@@ -519,8 +521,7 @@ def _chunked_flags(mode, seed, sizes):
     edges = np.cumsum(sizes)[:-1]
     fr[edges[edges < n]] = 1
     fr[edges[edges > 0] - 1] = 1
-    fd = np.where(fr == 1, rng.integers(0, 2, n), -1).astype(np.int8)
-    return _flags(fr, fd if mode == GuardMode.FULL else None)
+    return _flags(fr, _directions(rng, fr) if mode == GuardMode.FULL else ())
 
 
 @settings(max_examples=80, deadline=None)
@@ -537,12 +538,22 @@ def test_flag_reader_chunks_match_one_shot(mode, sizes, seed):
     assert np.array_equal(whole.f_r, fs.f_r)
     assert np.array_equal(whole.f_d, fs.f_d)
 
+    # the reference takes each chunk's directions from dense flags: the
+    # chunk's risky flags pick theirs, and CENTER has none
+    dense = np.zeros(n, dtype=np.uint8)
+    dense[fs.f_r == 1] = fs.f_d if mode == GuardMode.FULL else 0
     reader = FlagReader(data, n, fs.p0_q16, mode)
-    parts = [reader.take(k) for k in sizes]
+    at = 0
+    for k in sizes:
+        fr, fd = reader.take(k)
+        want_fr = fs.f_r[at : at + k]
+        want_fd = dense[at : at + k][want_fr == 1]
+        if mode == GuardMode.CENTER:
+            want_fd = want_fd[:0]
+        assert fr.dtype == np.uint8 and np.array_equal(fr, want_fr)
+        assert fd.dtype == np.uint8 and np.array_equal(fd, want_fd)
+        at += k
     assert reader.exhausted
-    assert np.array_equal(np.concatenate([fr for fr, _ in parts]), whole.f_r)
-    assert np.array_equal(np.concatenate([fd for _, fd in parts]), whole.f_d)
-    assert all(fr.dtype == np.uint8 and fd.dtype == np.int8 for fr, fd in parts)
     with pytest.raises(MalformedStreamError):
         reader.take(1)
 

@@ -63,10 +63,6 @@ GOLDEN = {
         "fc1ac61dd38afc459dea55f2260a5de92d5ea59aec4a41ae3d82edb5460feb6e",
         "e471a22b937b0fdd9cee3cffcca47e2628d0966dfd560b4850b1ee7d48746680",
     ),
-    "raw-left": (lambda: _raw(GuardMode.LEFT),
-        "e24bb55ea7f33efb7e63ea447f545a7f839ce6f5abe7b4bc1da21b1ca3ddf348",
-        "819a0a64956f215cee8dbc6887a3fe435fc724452421895d137fe0e9d8280f79",
-    ),
 }
 
 

@@ -198,35 +198,45 @@ def test_non_finite_header_field_is_a_malformed_stream(payload, fields):
 # a risky flag on a domain edge, where no encoder sets one
 #
 # Values beyond an edge clamp onto it, so the edge boundary is never risky.
-# A flag there names a bin outside the domain in LEFT, RIGHT and FULL mode,
-# and the boundary itself in CENTER mode; every mode refuses it.
+# A FULL flag there whose direction bit points out of the domain, left at a
+# lower edge (LEFT) or right at an upper one (RIGHT), names a bin outside
+# it; one whose bit points in (FULL) names the edge bin, and a CENTER flag
+# the boundary itself.  Each is refused.  An octree has only its upper edge
+# in reach, so its LEFT flag points in as well.
+EDGE_FLAGS = {  # name: (mode, direction bit, 0 left and 1 right)
+    "FULL": (GuardMode.FULL, None),  # None: the bit that points in
+    "LEFT": (GuardMode.FULL, 0),
+    "RIGHT": (GuardMode.FULL, 1),
+    "CENTER": (GuardMode.CENTER, None),
+}
 
 
-def _with_flag(stream, at: int, outward: int):
+def _with_flag(stream, at: int, direction: int):
     """``stream`` with one more risky flag, at value ``at``; in FULL mode its
-    direction is ``outward`` (0 left, 1 right)."""
+    direction bit is ``direction`` (0 left, 1 right)."""
     n = stream.flag_count
     fr, fd = FlagReader(stream.safeguard, n, stream.p0_q16, stream.mode).take(n)
     fr[at] = 1
     if stream.mode == GuardMode.FULL:
-        fd[at] = outward
+        fd = np.insert(fd, np.count_nonzero(fr[:at]), direction)
     flags = FlagStream.from_arrays(fr, fd)
     return dataclasses.replace(
         stream, p0_q16=flags.p0_q16, safeguard=encode_flags(flags, stream.mode)
     )
 
 
-def _octree_edge_flag(mode, monkeypatch):
-    """A depth-6 octree stream with a flag on the first probability the
-    decoder rounds to the top edge, 1.  The flags before it are the
-    encoder's, so the decoder reaches it on the encoder's tree."""
+def _octree_edge_flag(mode, direction, monkeypatch):
+    """A depth-6 octree stream with a flag, of ``direction`` in FULL mode,
+    on the first probability the decoder rounds to the top edge, 1.  The
+    flags before it are the encoder's, so the decoder reaches it on the
+    encoder's tree."""
     cloud = octree.synth_cloud("dense", 6, 600, seed=5)
     cfg = octree.make_pc_config(5e-4, 250, mode)
     stream = octree.encode(cloud, cfg)
     seen = []
     guard = octree.guard_decode_array
 
-    def record(cfg, v, f_r, f_d=None):
+    def record(cfg, v, f_r, f_d=()):
         seen.append(np.asarray(v))
         return guard(cfg, v, f_r, f_d)
 
@@ -234,39 +244,41 @@ def _octree_edge_flag(mode, monkeypatch):
         m.setattr(octree, "guard_decode_array", record)
         octree.decode(stream)
     at = np.flatnonzero(np.concatenate(seen) > 1.0 - cfg.grid.q / 2)[0]
-    return _with_flag(stream, int(at), outward=1)
+    return _with_flag(stream, int(at), 0 if direction is None else direction)
 
 
-@pytest.mark.parametrize("mode", list(GuardMode), ids=lambda m: m.name)
-def test_octree_flag_on_the_domain_edge_is_malformed(mode, monkeypatch):
-    bad = _octree_edge_flag(mode, monkeypatch)
-    with pytest.raises(FieldValueError):
+@pytest.mark.parametrize("case", list(EDGE_FLAGS))
+def test_octree_flag_on_the_domain_edge_is_malformed(case, monkeypatch):
+    bad = _octree_edge_flag(*EDGE_FLAGS[case], monkeypatch)
+    with pytest.raises(FieldValueError, match="domain edge"):
         octree.decode(container.read(container.write(bad)))
 
 
-@pytest.mark.parametrize("mode", list(GuardMode), ids=lambda m: m.name)
-def test_hyperprior_flag_on_the_domain_edge_is_malformed(mode):
+@pytest.mark.parametrize("case", list(EDGE_FLAGS))
+def test_hyperprior_flag_on_the_domain_edge_is_malformed(case):
+    mode, direction = EDGE_FLAGS[case]
     # z this large drives every scale past an end of the table, 0.11 or 256
     lat = hyperprior.synth_latents(8, 8, 4, seed=1)
     lat = dataclasses.replace(lat, z=np.full(lat.z.shape, 1e6))
     stream = hyperprior.encode(lat, hyperprior.make_image_config(1e-4, mode))
     sig = hyperprior.hyper_synthesis(lat.z).reshape(-1)
-    top = mode == GuardMode.RIGHT
+    top = direction == 1
     at = np.flatnonzero(sig >= 256.0 if top else sig <= 0.11)[0]
-    bad = _with_flag(stream, int(at), outward=int(top))
-    with pytest.raises(FieldValueError):
+    bad = _with_flag(stream, int(at), 1 if direction is None else direction)
+    with pytest.raises(FieldValueError, match="domain edge"):
         hyperprior.decode(container.read(container.write(bad)))
 
 
-@pytest.mark.parametrize("mode", list(GuardMode), ids=lambda m: m.name)
-def test_raw_flag_on_the_domain_edge_is_malformed(mode):
+@pytest.mark.parametrize("case", list(EDGE_FLAGS))
+def test_raw_flag_on_the_domain_edge_is_malformed(case):
+    mode, direction = EDGE_FLAGS[case]
     table = hyperprior.SCALE_TABLE_ID
     cfg = GuardConfig(grid=get_table(table), epsilon=1e-4, mode=mode)
     values = np.array([0.05, 1.0, 300.0, 2.0])  # 0.05 clamps to 0.11, 300 to 256
     stream = raw_values.encode_values(values, cfg)
-    top = mode == GuardMode.RIGHT
-    bad = _with_flag(stream, 2 if top else 0, outward=int(top))
-    with pytest.raises(FieldValueError):
+    top = direction == 1
+    bad = _with_flag(stream, 2 if top else 0, 1 if direction is None else direction)
+    with pytest.raises(FieldValueError, match="domain edge"):
         raw_values.decode_values(container.read(container.write(bad)), values)
 
 
@@ -347,7 +359,7 @@ def test_octree_point_count_above_the_decoded_leaves_is_malformed():
 def test_decode_pc_exits_malformed_on_hostile_streams(tmp_path, monkeypatch, capsys):
     stream, _ = _octree()
     hostile = {
-        "edge-flag": _octree_edge_flag(GuardMode.RIGHT, monkeypatch),
+        "edge-flag": _octree_edge_flag(GuardMode.FULL, 1, monkeypatch),
         "wide-step": dataclasses.replace(stream, grid_desc=UniformDesc(1e300, 0.0)),
         "short-of-points": _octree_short_of_points(),
     }

@@ -53,7 +53,7 @@ def _typed(exc):
 
 
 BUILDERS = {"octree": _octree, "hyperprior": _hyperprior, "raw": _raw}
-TRIALS = 120  # flipped copies of each container
+TRIALS = 240  # flipped copies of each container in each mode
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -40,9 +40,7 @@ def sample_values(n, seed):
     return v
 
 
-@pytest.mark.parametrize(
-    "mode", [GuardMode.FULL, GuardMode.LEFT, GuardMode.RIGHT, GuardMode.CENTER]
-)
+@pytest.mark.parametrize("mode", list(GuardMode))
 def test_perturbed_decode_matches_reference(mode):
     v = sample_values(4000, seed=hash(mode) % 1000)
     stream = encode_values(v, cfg_for(mode))
@@ -64,7 +62,7 @@ def test_reference_values_are_the_shipped_doubles():
 
 def test_identity_decode_without_perturbation():
     v = sample_values(1000, seed=8)
-    stream = encode_values(v, cfg_for(GuardMode.LEFT))
+    stream = encode_values(v, cfg_for(GuardMode.FULL))
     got = decode_values(stream, v)
     assert np.array_equal(
         got.view(np.uint64), reference_values(stream).view(np.uint64)
@@ -116,10 +114,10 @@ def test_read_gives_main_as_a_view_of_its_input():
 
 def test_config_for_stream_reconstructs():
     v = sample_values(50, seed=2)
-    stream = encode_values(v, cfg_for(GuardMode.RIGHT))
+    stream = encode_values(v, cfg_for(GuardMode.FULL))
     cfg = config_for_stream(stream)
     assert cfg.grid == GRID
-    assert cfg.mode == GuardMode.RIGHT
+    assert cfg.mode == GuardMode.FULL
     assert cfg.epsilon == EPS
     assert cfg.edge_clip is None
 

@@ -23,7 +23,7 @@ from reproguard.safeguard import (
 GRID = QuantGrid.uniform(0.01, 0.0)
 EPS = 0.001
 
-ALL_MODES = [GuardMode.FULL, GuardMode.LEFT, GuardMode.RIGHT, GuardMode.CENTER]
+ALL_MODES = list(GuardMode)
 
 
 def cfg_for(mode):
@@ -36,21 +36,34 @@ def cfg_for(mode):
 
 def test_full_risky_below_boundary():
     v_out, fr, fd = guard_encode_array(cfg_for(GuardMode.FULL), [0.0195])
-    assert (fr[0], fd[0]) == (1, 0)
+    assert (fr[0], fd.tolist()) == (1, [0])
     assert v_out[0] == 0.015
 
 
 def test_full_risky_above_boundary():
     v_out, fr, fd = guard_encode_array(cfg_for(GuardMode.FULL), [0.0204])
-    assert (fr[0], fd[0]) == (1, 1)
+    assert (fr[0], fd.tolist()) == (1, [1])
     assert v_out[0] == 0.025
+
+
+def test_full_directions_are_one_per_risky_value_in_flag_order():
+    v = [0.0204, 0.016, 0.0195, 0.0805, 0.0330, 0.0398]
+    v_out, fr, fd = guard_encode_array(cfg_for(GuardMode.FULL), v)
+    assert fr.tolist() == [1, 0, 1, 1, 0, 1]
+    assert fd.dtype == np.uint8 and fd.tolist() == [1, 0, 1, 0]
+    assert v_out.tolist() == [0.025, 0.015, 0.015, 0.085, 0.035, 0.035]
+
+
+def test_center_ships_no_directions():
+    _, fr, fd = guard_encode_array(cfg_for(GuardMode.CENTER), [0.0204, 0.0195])
+    assert fr.tolist() == [1, 1] and fd.shape == (0,)
 
 
 @pytest.mark.parametrize("mode", ALL_MODES)
 def test_safe_value_any_mode(mode):
     v_out, fr, fd = guard_encode_array(cfg_for(mode), [0.016])
     assert fr[0] == 0
-    assert fd[0] == -1  # no direction flag
+    assert fd.shape == (0,)  # no risky value, so no direction bit
     assert v_out[0] == 0.015
 
 
@@ -60,24 +73,24 @@ def test_center_major_outputs_boundary():
     assert v_out[0] == 0.02
 
 
-def test_left_major_shifts_left_even_from_the_right():
-    v_out, fr, _ = guard_encode_array(cfg_for(GuardMode.LEFT), [0.0204])
-    assert fr[0] == 1
-    assert v_out[0] == 0.015
-
-
-def test_right_major_mirrors():
-    v_out, fr, _ = guard_encode_array(cfg_for(GuardMode.RIGHT), [0.0196])
-    assert fr[0] == 1
-    assert v_out[0] == 0.025
-
-
 # ---------------------------------------------------------------------------
 # decoder examples
 
 
 def test_decode_full_left_direction():
+    assert guard_decode_array(cfg_for(GuardMode.FULL), [0.0197], [1], [0])[0] == 0.015
+
+
+# LeftMajor's and RightMajor's rules, the bin below or above, are FULL's two
+# direction bits: the bit, not the side the decoder's copy lies on, picks it.
+
+
+def test_left_major_shifts_left_even_from_the_right():
     assert guard_decode_array(cfg_for(GuardMode.FULL), [0.0203], [1], [0])[0] == 0.015
+
+
+def test_right_major_mirrors():
+    assert guard_decode_array(cfg_for(GuardMode.FULL), [0.0197], [1], [1])[0] == 0.025
 
 
 def test_decode_safe_path():
@@ -89,8 +102,10 @@ def test_decode_center_major():
 
 
 def test_decode_full_missing_direction():
-    with pytest.raises(InvalidInputError):
-        guard_decode_array(cfg_for(GuardMode.FULL), [0.0203], [1], [-1])
+    # one direction bit per risky flag: none, two or a 2-d one are refused
+    for f_d in ([], [0, 1], [[0]]):
+        with pytest.raises(InvalidInputError):
+            guard_decode_array(cfg_for(GuardMode.FULL), [0.0203, 0.0168], [1, 0], f_d)
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +130,11 @@ def test_finalize_empty_default():
 
 def test_from_arrays_counts_directions():
     fr = np.array([1, 0, 1], dtype=np.uint8)
-    fd = np.array([0, -1, 1], dtype=np.int8)
-    fs = FlagStream.from_arrays(fr, fd)
+    fs = FlagStream.from_arrays(fr, [0, 1])
     assert len(fs) == 3
     assert fs.f_r.tolist() == [1, 0, 1]
-    assert fs.f_d.tolist() == [0, -1, 1]  # -1: no direction flag
+    assert fs.f_d.dtype == np.uint8 and fs.f_d.tolist() == [0, 1]
+    assert FlagStream.from_arrays(fr).f_d.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +161,7 @@ def test_guarantee_randomized(mode, q, eps):
     delta = rng.uniform(-0.999 * eps, 0.999 * eps, v.shape[0])
 
     v_out, fr, fd = guard_encode_array(cfg, v)
-    got = guard_decode_array(cfg, v + delta, fr, fd if mode == GuardMode.FULL else None)
+    got = guard_decode_array(cfg, v + delta, fr, fd)
     assert np.array_equal(
         v_out.view(np.uint64), got.view(np.uint64)
     ), "decoder output differs bitwise"
@@ -168,7 +183,7 @@ def test_guarantee_table_grid(mode):
     delta = rng.uniform(-0.999 * eps, 0.999 * eps, v.shape[0])
 
     v_out, fr, fd = guard_encode_array(cfg, v)
-    got = guard_decode_array(cfg, v + delta, fr, fd if mode == GuardMode.FULL else None)
+    got = guard_decode_array(cfg, v + delta, fr, fd)
     assert np.array_equal(v_out.view(np.uint64), got.view(np.uint64))
 
 
@@ -180,7 +195,7 @@ def test_zero_d_risky_value_on_a_table_grid(mode):
     v_out, fr, fd = guard_encode_array(cfg, v)
     want, want_fr, want_fd = guard_encode_array(cfg, v.reshape(1))
     assert np.shape(v_out) == () and int(fr) == want_fr[0] == 1
-    assert v_out.item() == want[0] and int(fd) == want_fd[0]
+    assert v_out.item() == want[0] and np.array_equal(fd, want_fd)
     got = guard_decode_array(cfg, np.asarray(v - 5e-5), fr, fd)
     assert isinstance(got, np.ndarray) and got.shape == ()
     assert got.view(np.uint64) == v_out.view(np.uint64)
@@ -284,11 +299,13 @@ def test_config_requires_margin():
 
 
 def test_parse_mode_accepts_names_and_ints():
-    assert parse_mode("left") == GuardMode.LEFT
+    assert parse_mode("center") == GuardMode.CENTER
     assert parse_mode(3) == GuardMode.CENTER
     assert parse_mode(GuardMode.FULL) == GuardMode.FULL
-    with pytest.raises(ConfigError):
-        parse_mode("sideways")
+    # the one-sided modes, wire values 1 and 2, are gone
+    for gone in ("sideways", "left", "right", 1, 2):
+        with pytest.raises(ConfigError):
+            parse_mode(gone)
 
 
 def test_decode_array_requires_directions_in_full_mode():

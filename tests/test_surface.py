@@ -31,8 +31,8 @@ PACKAGE_ALL = [
 ]
 
 # Scalar twins of the batch forms, helpers nothing but tests called,
-# boundary operators and their error that only the guard needed, and a
-# second derivation of a header's z-blob length.
+# boundary operators and their error that only the guard needed, a second
+# derivation of a header's z-blob length, and the one-sided guard modes.
 DELETED = [
     "entropy.RangeEncoder.encode_bit",
     "entropy.RangeEncoder.encode_symbol",
@@ -58,6 +58,8 @@ DELETED = [
     "quantizer.gap_above_array",
     "errors.GuardError",
     "container.HyperpriorHeader.z_count",
+    "safeguard.GuardMode.LEFT",
+    "safeguard.GuardMode.RIGHT",
 ]
 
 

@@ -28,7 +28,15 @@ from reproguard.safeguard import (
     guard_encode_array,
 )
 
-ALL_MODES = [GuardMode.FULL, GuardMode.LEFT, GuardMode.RIGHT, GuardMode.CENTER]
+# Each guard mode, and FULL decoded with every direction bit naming the bin
+# below (LEFT) or above (RIGHT) the boundary, so that every risky value,
+# whichever side the decoder's copy lies on, meets that side's half-bin.
+CASES = {
+    "FULL": (GuardMode.FULL, None),
+    "LEFT": (GuardMode.FULL, 0),
+    "RIGHT": (GuardMode.FULL, 1),
+    "CENTER": (GuardMode.CENTER, None),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +90,9 @@ def _ref_inside(grid, m):
     return (m > lo) & (m < hi)
 
 
-def _ref_protected(cfg, bv, full_left):
+def _ref_protected(cfg, bv, left):
     if cfg.mode == GuardMode.CENTER:
         return bv
-    left = full_left if cfg.mode == GuardMode.FULL else cfg.mode == GuardMode.LEFT
     gap = np.full(bv.shape, cfg.grid.q)
     return np.where(left, bv - gap * 0.5, bv + gap * 0.5)
 
@@ -97,11 +104,11 @@ def _ref_encode(cfg, v):
     risky = (np.abs(bv - v) < cfg.epsilon) & _ref_inside(grid, m)
     v_out = _ref_dequantize(grid, _ref_quantize(grid, v))
     f_r = risky.astype(np.uint8)
-    f_d = np.full(v.shape, -1, dtype=np.int8)
+    f_d = np.empty(0, dtype=np.uint8)
     if np.any(risky):
         go_left = bv[risky] > v[risky]
         if cfg.mode == GuardMode.FULL:
-            f_d[risky] = ~go_left
+            f_d = (~go_left).astype(np.uint8)
         v_out[risky] = _ref_protected(cfg, bv[risky], go_left)
     return v_out, f_r, f_d
 
@@ -116,8 +123,7 @@ def _ref_decode(cfg, vp, f_r, f_d):
     m, bv = _ref_round_index(grid, vp[risky])
     if not np.all(_ref_inside(grid, m)):
         raise FieldValueError("risky flag on a domain edge")
-    full_left = f_d[risky] == 0 if cfg.mode == GuardMode.FULL else None
-    v_out[risky] = _ref_protected(cfg, bv, full_left)
+    v_out[risky] = _ref_protected(cfg, bv, f_d == 0)
     return v_out
 
 
@@ -207,10 +213,11 @@ def test_operators_match_the_int_path(name):
     assert _same(m, rm) and _same(bv, rbv)
 
 
-@pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.name)
+@pytest.mark.parametrize("case", list(CASES))
 @pytest.mark.parametrize("name", sorted(GRIDS))
-def test_guard_matches_the_int_path(name, mode):
+def test_guard_matches_the_int_path(name, case):
     grid = GRIDS[name]
+    mode, direction = CASES[case]
     for eps in _epsilons(grid):
         cfg = GuardConfig(grid=grid, epsilon=eps, mode=mode)
         v = _families(grid, eps)
@@ -218,11 +225,12 @@ def test_guard_matches_the_int_path(name, mode):
         want = _ref_encode(cfg, v)
         for g, w in zip(got, want):
             assert _same(g, w)
-        _, f_r, f_d = want
-        fd = f_d if mode == GuardMode.FULL else None
+        _, f_r, fd = want
+        if direction is not None:
+            fd = np.full_like(fd, direction)
         for vp in (v, v + 0.5 * eps, v - 0.5 * eps, np.nextafter(v, np.inf)):
             try:
-                expected = _ref_decode(cfg, vp, f_r, f_d)
+                expected = _ref_decode(cfg, vp, f_r, fd)
             except FieldValueError:
                 with pytest.raises(FieldValueError):
                     guard_decode_array(cfg, vp, f_r, fd)
