@@ -1,9 +1,11 @@
 """Binary/multi-symbol range coder, the flag section and probability tables.
 
-Pure integer arithmetic throughout: a 32-bit range, a low accumulator that
-may momentarily exceed 32 bits before its carry is folded into already
-buffered bytes, and byte-at-a-time renormalization that keeps
-``range >= 2**24`` between symbols.  Probabilities are 16-bit
+Pure integer arithmetic throughout: a 32-bit range and byte-at-a-time
+renormalization that keeps ``range >= 2**24`` between symbols.  The
+encoder's loop carries only the range and the count of bytes emitted; each
+addend to the interval's low end is recorded with that count, and
+``finish()`` sums the addends, shifted into place, with their carries, in
+numpy and big-integer arithmetic.  Probabilities are 16-bit
 (``Prob16``, the chance of bit 0, clamped to [1, 65535]) so both ends of
 the wire share the exact same integers.  The safeguard's flags do not go
 through the range coder: their section is a Rice code of the gaps between
@@ -136,12 +138,18 @@ class SymbolTables:
 
 
 class RangeEncoder:
-    """Arithmetic encoder writing most-significant bytes first."""
+    """Arithmetic encoder writing most-significant bytes first.
+
+    The coded stream is the sum of the addends to the interval's low end,
+    each shifted by the bytes emitted before it was added.  The coding
+    loops record each addend and that byte count; ``finish()`` sums them.
+    """
 
     def __init__(self) -> None:
-        self.low = 0
         self.range = _MASK32
-        self._buf = bytearray()
+        self._nb = 0  # bytes emitted so far
+        self._adds = array("I")
+        self._at = array("I")  # the byte count at each addend, never falling
 
     def encode_bits(self, bits, p16s) -> None:
         """Code ``bits[i]`` (any nonzero value is a one) at ``p16s[i]``, the
@@ -158,10 +166,24 @@ class RangeEncoder:
         _encode_ranges(self, _uint32_view(start), _uint32_view(size))
 
     def finish(self) -> bytes:
-        for _ in range(4):
-            self._buf.append(self.low >> 24)
-            self.low = (self.low << 8) & _MASK32
-        return bytes(self._buf)
+        """The stream so far: the emitted bytes and four bytes of the low
+        end.  The encoder is left as it was."""
+        nb = self._nb
+        # the addends at one byte count and the range left after them sum
+        # to at most the range at that count, so each sum fits 32 bits
+        acc = np.zeros(nb + 1, dtype=">u4")
+        if self._adds:
+            at = np.frombuffer(self._at, dtype=np.uintc)
+            first = np.flatnonzero(np.r_[True, at[1:] != at[:-1]])
+            adds = np.frombuffer(self._adds, dtype=np.uintc)
+            acc[at[first]] = np.add.reduceat(adds, first)
+        # the sum at count i fills bytes i to i + 3, most significant first;
+        # adding its four byte planes as big integers carries across them
+        planes = acc.view(np.uint8)
+        low = 0
+        for k in range(4):
+            low += int.from_bytes(planes[k::4].tobytes(), "big") << (24 - 8 * k)
+        return low.to_bytes(nb + 4, "big")
 
 
 class RangeDecoder:
@@ -193,58 +215,48 @@ class RangeDecoder:
 #
 # Each coding step exists once, in one of the loops below.  The coder
 # methods only convert their arguments and call a loop, which keeps the
-# coder state in locals for the whole batch.  In the decoders, reading past
-# the end of the data is the only IndexError.
-
-
-def _carry(buf: bytearray) -> None:
-    # nested coding intervals guarantee a byte exists to receive it
-    i = len(buf) - 1
-    while buf[i] == 0xFF:
-        buf[i] = 0
-        i -= 1
-    buf[i] += 1
+# coder state in locals for the whole batch.  The encoder loops carry only
+# the range and the byte count: an addend to the low end is appended with
+# the count, and RangeEncoder.finish() sums them with their carries.  In the
+# decoders, reading past the end of the data is the only IndexError.
 
 
 def _encode_bits(enc: RangeEncoder, bits: Iterable[int], p16s: Iterable[int]) -> None:
     """Code each bit at the Prob16 of a zero paired with it."""
-    top, mask = _TOP, _MASK32
-    low, rng, buf = enc.low, enc.range, enc._buf
+    top = _TOP
+    rng, nb = enc.range, enc._nb
+    add, at = enc._adds.append, enc._at.append
     for bit, p16 in zip(bits, p16s):
         r0 = (rng >> 16) * p16
         if bit:
-            low += r0
-            if low > mask:
-                _carry(buf)
-                low &= mask
+            add(r0)
+            at(nb)
             rng -= r0
         else:
             rng = r0
         while rng < top:
-            buf.append(low >> 24)
-            low = (low << 8) & mask
             rng <<= 8
-    enc.low, enc.range = low, rng
+            nb += 1
+    enc.range, enc._nb = rng, nb
 
 
 def _encode_ranges(
     enc: RangeEncoder, starts: Iterable[int], sizes: Iterable[int]
 ) -> None:
     """Code each symbol as its slice ``[start, start + size)`` of 65536."""
-    top, mask = _TOP, _MASK32
-    low, rng, buf = enc.low, enc.range, enc._buf
+    top = _TOP
+    rng, nb = enc.range, enc._nb
+    add, at = enc._adds.append, enc._at.append
     for start, size in zip(starts, sizes):
         r = rng >> 16
-        low += r * start
-        if low > mask:
-            _carry(buf)
-            low &= mask
+        if start:
+            add(r * start)
+            at(nb)
         rng = r * size
         while rng < top:
-            buf.append(low >> 24)
-            low = (low << 8) & mask
             rng <<= 8
-    enc.low, enc.range = low, rng
+            nb += 1
+    enc.range, enc._nb = rng, nb
 
 
 def _decode_bits(dec: RangeDecoder, p16s: Iterable[int], n: int) -> bytearray:

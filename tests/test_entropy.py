@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -696,3 +697,210 @@ def test_symbol_tables_reject_bad_input():
         RangeEncoder().encode_symbols(tables, [0], [9])
     with pytest.raises(InvalidInputError):
         RangeEncoder().encode_symbols(tables, [1], [0])
+
+
+# ---------------------------------------------------------------------------
+# the encoder against its reference
+#
+# The reference carries the low end of the interval in its loops and folds
+# each carry into the bytes already written, one byte at a time.  Its
+# _carry also counts the 0xFF bytes a carry runs through, so a corpus can
+# show that it exercised long carries.
+
+_MASK32 = 0xFFFFFFFF
+
+
+class _ReferenceEncoder:
+    def __init__(self):
+        self.low = 0
+        self.range = _MASK32
+        self._buf = bytearray()
+        self.longest_carry = 0
+
+    def encode_bits(self, bits, p16s):
+        bits = (np.asarray(bits) != 0).tolist()
+        _reference_bits(self, bits, np.asarray(p16s, dtype=np.int64).tolist())
+
+    def encode_symbols(self, tables, table_ids, symbols):
+        start, size = tables.ranges(table_ids, symbols)
+        _reference_ranges(self, start.tolist(), size.tolist())
+
+    def finish(self):
+        for _ in range(4):
+            self._buf.append(self.low >> 24)
+            self.low = (self.low << 8) & _MASK32
+        return bytes(self._buf)
+
+
+def _carry(enc):
+    # nested coding intervals guarantee a byte exists to receive it
+    buf = enc._buf
+    i = len(buf) - 1
+    while buf[i] == 0xFF:
+        buf[i] = 0
+        i -= 1
+    buf[i] += 1
+    enc.longest_carry = max(enc.longest_carry, len(buf) - 1 - i)
+
+
+def _reference_bits(enc, bits, p16s):
+    top, mask = 1 << 24, _MASK32
+    low, rng, buf = enc.low, enc.range, enc._buf
+    for bit, p16 in zip(bits, p16s):
+        r0 = (rng >> 16) * p16
+        if bit:
+            low += r0
+            if low > mask:
+                _carry(enc)
+                low &= mask
+            rng -= r0
+        else:
+            rng = r0
+        while rng < top:
+            buf.append(low >> 24)
+            low = (low << 8) & mask
+            rng <<= 8
+    enc.low, enc.range = low, rng
+
+
+def _reference_ranges(enc, starts, sizes):
+    top, mask = 1 << 24, _MASK32
+    low, rng, buf = enc.low, enc.range, enc._buf
+    for start, size in zip(starts, sizes):
+        r = rng >> 16
+        low += r * start
+        if low > mask:
+            _carry(enc)
+            low &= mask
+        rng = r * size
+        while rng < top:
+            buf.append(low >> 24)
+            low = (low << 8) & mask
+            rng <<= 8
+    enc.low, enc.range = low, rng
+
+
+def _both_encoders(calls):
+    """The bytes of the encoder and of the reference after the same calls,
+    each ``(method name, args)``, and the reference's longest carry."""
+    enc, ref = RangeEncoder(), _ReferenceEncoder()
+    for name, args in calls:
+        getattr(enc, name)(*args)
+        getattr(ref, name)(*args)
+    return enc.finish(), ref.finish(), ref.longest_carry
+
+
+@pytest.mark.parametrize("p16_kind", ["one", "max", "uniform"])
+@pytest.mark.parametrize("p_one", [0.0, 0.02, 0.5, 0.98, 1.0])
+def test_bit_batches_match_reference(p16_kind, p_one):
+    rng = np.random.default_rng(17)
+    n = 20000
+    bits = (rng.random(n) < p_one).astype(np.uint8)
+    p16 = {
+        "one": np.ones(n, dtype=np.int64),
+        "max": np.full(n, 65535),
+        "uniform": rng.integers(1, 65536, n),
+    }[p16_kind]
+    got, want, _ = _both_encoders([("encode_bits", (bits, p16))])
+    assert got == want
+
+
+def test_symbol_batches_match_reference_over_every_scale_bin():
+    tables = _scale_bin_tables()
+    rng = np.random.default_rng(18)
+    for t in range(len(tables)):
+        n = 400
+        ids = np.full(n, t)
+        syms = rng.integers(0, int(tables.size[t]), n)
+        got, want, _ = _both_encoders([("encode_symbols", (tables, ids, syms))])
+        assert got == want, t
+
+
+def test_interleaved_batches_match_reference():
+    tables = _scale_bin_tables()
+    rng = np.random.default_rng(19)
+    calls = []
+    for _ in range(400):
+        n = int(rng.integers(0, 60))
+        if rng.random() < 0.5:
+            bits = rng.integers(0, 2, n).astype(np.uint8)
+            calls.append(("encode_bits", (bits, rng.integers(1, 65536, n))))
+        else:
+            ids = rng.integers(0, len(tables), n)
+            syms = rng.integers(0, tables.size[ids])
+            calls.append(("encode_symbols", (tables, ids, syms)))
+    got, want, _ = _both_encoders(calls)
+    assert got == want
+
+
+def test_one_item_batches_match_reference():
+    tables = _scale_bin_tables()
+    rng = np.random.default_rng(20)
+    calls = []
+    for _ in range(3000):
+        if rng.random() < 0.5:
+            bit, p16 = int(rng.integers(0, 2)), int(rng.integers(1, 65536))
+            calls.append(("encode_bits", ([bit], [p16])))
+        else:
+            t = int(rng.integers(0, len(tables)))
+            s = int(rng.integers(0, tables.size[t]))
+            calls.append(("encode_symbols", (tables, [t], [s])))
+    got, want, _ = _both_encoders(calls)
+    assert got == want
+
+
+def test_empty_encoder_matches_reference():
+    assert RangeEncoder().finish() == _ReferenceEncoder().finish() == bytes(4)
+
+
+def test_long_carries_match_reference():
+    # Prob16s at both extremes push the low end up against round points of
+    # the stream, so emitted 0xFF runs and carries through them are common
+    longest = 0
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        n = 4000
+        p16 = rng.integers(1, 65536, n)
+        kind = rng.integers(0, 3, n)
+        p16[kind == 0], p16[kind == 1] = 1, 65535
+        bits = rng.integers(0, 2, n).astype(np.uint8)
+        got, want, carry = _both_encoders([("encode_bits", (bits, p16))])
+        assert got == want, seed
+        longest = max(longest, carry)
+    assert longest >= 3
+
+
+def test_finish_leaves_the_encoder_as_it_was():
+    tables = _scale_bin_tables()
+    rng = np.random.default_rng(22)
+    bits, p16 = rng.integers(0, 2, 3000), rng.integers(1, 65536, 3000)
+    ids = rng.integers(0, len(tables), 3000)
+    syms = rng.integers(0, tables.size[ids])
+    once, twice = RangeEncoder(), RangeEncoder()
+    for enc in (once, twice):
+        enc.encode_bits(bits, p16)
+    first = twice.finish()
+    assert twice.finish() == first == once.finish()
+    # coding goes on from where it was, as if finish had not been called
+    for enc in (once, twice):
+        enc.encode_symbols(tables, ids, syms)
+    assert twice.finish() == once.finish()
+
+
+def test_encoder_keeps_about_eight_bytes_per_addend():
+    n = 10**6
+    bits = np.random.default_rng(23).integers(0, 2, n).astype(np.uint8)
+    p16 = np.full(n, 32768)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        enc = RangeEncoder()
+        enc.encode_bits(bits, p16)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    addends = int(bits.sum())  # each one-bit adds to the low end once
+    # two 4-byte entries an addend and their arrays' spare room; Python
+    # lists would hold an 8-byte pointer and an int object per entry
+    assert retained <= 9 * addends
+    assert len(enc.finish()) > n // 8
