@@ -45,23 +45,28 @@ def _hyperprior_unprotected(mode: GuardMode):
     return hyperprior.encode(lat, cfg, protect=False)
 
 
-# name: (build, SHA-256 of the container, SHA-256 of its main section)
+# name: (build, SHA-256 of the container, SHA-256 of its main section,
+#        SHA-256 of its safeguard section)
 GOLDEN = {
     "octree-center": (lambda: _octree(GuardMode.CENTER),
         "90f31ac448d3f5c7097d04615b7c2d8bdb5897300f16552bde32b758af9c0557",
         "4f964bf18cda4736b00b0678e586f245cd39213c0097fd716105d9aa95da1bbd",
+        "632450b055558aeadf3073af31e5e34d210fc68c4e340b55b5b070130d21f8c8",
     ),
     "octree-full": (lambda: _octree(GuardMode.FULL),
         "ea4cac0aca46659cc32129eb33b5cffcf27f50a285d10b1760359db4a9b319b4",
         "a17f1b739e84b4f99ec3eb1a87bfe92ccccc5e77f5d5f3d2c519b471a1229655",
+        "8653d21a328e0b75f37535a0f548e7a533e5ca564160507fdf3935afbf92bc90",
     ),
     "hyperprior-center": (_hyperprior,
         "dc5a2ea113106638029f795a4643d4289d142732971fcf5bf2e4984b3d8c276c",
         "c9be78233bcdcb4146f00d8d175b3a16b4f658173abc47cffb01e13efdbf5a75",
+        "a387131f02a0d8e0ec45a4994514a1b420af84b5a07b7bb7e559aa54f1e58675",
     ),
     "raw-full": (lambda: _raw(GuardMode.FULL),
         "fc1ac61dd38afc459dea55f2260a5de92d5ea59aec4a41ae3d82edb5460feb6e",
         "e471a22b937b0fdd9cee3cffcca47e2628d0966dfd560b4850b1ee7d48746680",
+        "0a058eec8a2f0a07144a8624459eed522ed1177f57abba9e7397f869ae22f6e7",
     ),
 }
 
@@ -70,7 +75,7 @@ GOLDEN = {
 def test_stream_bytes_match_v1(name):
     # the name predates v2 and is kept so the test ids stay stable; the
     # digests are those of the v2 format
-    build, digest, _ = GOLDEN[name]
+    build, digest, *_ = GOLDEN[name]
     stream = build()
     assert stream.flag_count > 0 and any(stream.safeguard)
     assert hashlib.sha256(container.write(stream)).hexdigest() == digest
@@ -78,8 +83,14 @@ def test_stream_bytes_match_v1(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_main_section_kept_its_v1_bytes(name):
-    build, _, main_digest = GOLDEN[name]
+    build, _, main_digest, _ = GOLDEN[name]
     assert hashlib.sha256(build().main).hexdigest() == main_digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_safeguard_section_kept_its_v2_bytes(name):
+    build, _, _, guard_digest = GOLDEN[name]
+    assert hashlib.sha256(build().safeguard).hexdigest() == guard_digest
 
 
 # Unprotected streams: no flags, so the header carries p0_q16 32768, a flag
