@@ -21,7 +21,6 @@ from .quantizer import (
     validate,
 )
 from .safeguard import (
-    FlagStream,
     GuardConfig,
     GuardMode,
     guard_decode_array,
@@ -72,7 +71,6 @@ __all__ = [
     "get_table",
     "GuardMode",
     "GuardConfig",
-    "FlagStream",
     "guard_encode_array",
     "guard_decode_array",
     "RangeEncoder",

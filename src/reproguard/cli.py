@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from . import container, hyperprior, octree
+from . import container, entropy, hyperprior, octree
 from .errors import (
     ConfigError,
     InvalidInputError,
@@ -28,8 +28,8 @@ EXIT_CONFIG = 4
 EXIT_PARSE = 5
 EXIT_IO = 6
 
-# header bytes attributable to safeguarding: p0_q16 (2) + flag_count (4)
-_GUARD_HEADER_BYTES = 6
+# header bytes attributable to safeguarding: flag_count (4)
+_GUARD_HEADER_BYTES = 4
 
 
 def _overhead_pct(stream: container.GuardedStream) -> float:
@@ -151,6 +151,8 @@ def _q_column(k: int | None) -> str:
 def _sweep_row(payload, cfg, k, eps, seed, size):
     pert = Perturbation(e_max=eps / 2.0, dist="uniform", seed=seed + 7777)
     stream, n, exact = _roundtrip(payload, cfg, size, seed, pert)
+    # the zero rate the flags were coded at, as the flag coder derives it
+    p0 = entropy._zero_p16(stream.flag_count, entropy._risky_count(stream.safeguard)[0])
     return {
         "payload": payload,
         "kind": "uniform" if k is not None else f"table:{hyperprior.SCALE_TABLE_ID}",
@@ -161,7 +163,7 @@ def _sweep_row(payload, cfg, k, eps, seed, size):
         "main_bytes": len(stream.main),
         "guard_bytes": len(stream.safeguard),
         "overhead_pct": f"{_overhead_pct(stream):.6f}",
-        "p0": f"{stream.p0_q16 / 65536.0:.6f}",
+        "p0": f"{p0 / 65536.0:.6f}",
         "exact": str(exact).lower(),
     }
 

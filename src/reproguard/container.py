@@ -2,6 +2,9 @@
 
 Everything is big-endian.  Each header layout is declared once, in the wire
 table below, and ``write``, ``read`` and the field checks all work from it.
+Each fact is stated once on the wire: the payload kind byte is the type of
+the payload header, the grid descriptor alone names a table, and the flag
+section's coding rate follows from the flag count and the section itself.
 The parser is hardened: any byte buffer either parses or raises a subclass
 of MalformedStreamError, it never reads past declared lengths, and accepted
 buffers round-trip byte-identically through ``read`` then ``write``.
@@ -27,7 +30,7 @@ from .errors import (
 )
 from .entropy import FlagReader
 from .quantizer import _TABLES, QuantGrid, get_table
-from .safeguard import FlagStream, GuardConfig, GuardMode
+from .safeguard import GuardConfig, GuardMode
 
 __all__ = [
     "MAGIC",
@@ -50,7 +53,7 @@ __all__ = [
 ]
 
 MAGIC = b"RGRD"
-VERSION = 2
+VERSION = 3
 
 
 class PayloadKind:
@@ -81,7 +84,6 @@ class HyperpriorHeader:
     height: int
     width: int
     channels: int
-    scale_table_id: int
     z_blob: bytes  # raw big-endian doubles, kept opaque for byte fidelity
 
 
@@ -93,27 +95,40 @@ class RawHeader:
 @dataclass(frozen=True)
 class GuardedStream:
     mode: GuardMode
-    payload_kind: int
     epsilon: float
     grid_desc: UniformDesc | TableDesc
-    p0_q16: int
     flag_count: int
     payload: OctreeHeader | HyperpriorHeader | RawHeader
     safeguard: bytes
     main: bytes | memoryview  # ``read`` gives a read-only view of its input
 
+    @property
+    def payload_kind(self) -> int | None:
+        """The payload kind byte: the one the payload header's type has."""
+        return _kind_of(self.payload, _FRAMES)
 
-def _z_len(height: int, width: int, channels: int, *_) -> int:
+
+_MAX_DEPTH = 21  # an octree's bit depth is in [1, _MAX_DEPTH]
+_POOL = 4  # a latent grid's height and width per z value
+
+
+def _check_depth(bit_depth: int, error: type[Exception] = ConfigError) -> None:
+    """The one bit-depth rule; run it before any ``1 << bit_depth``."""
+    if not 1 <= bit_depth <= _MAX_DEPTH:
+        raise error(f"bit depth {bit_depth} outside [1, {_MAX_DEPTH}]")
+
+
+def _z_len(height: int, width: int, channels: int) -> int:
     """Bytes of a hyperprior header's z blob: a double per pooled value."""
-    return (height // 4) * (width // 4) * channels * 8
+    return (height // _POOL) * (width // _POOL) * channels * 8
 
 
 # The wire table.  A stream is _HEAD (magic, version, mode, payload kind,
 # epsilon, grid kind), the grid descriptor the grid-kind byte names in
-# _GRIDS, _COUNTS (p0_q16, flag_count, safeguard and main lengths), the
-# payload header of the kind's frame, then the safeguard and main sections.
+# _GRIDS, _COUNTS (flag_count, safeguard and main lengths), the payload
+# header of the kind's frame, then the safeguard and main sections.
 _HEAD = ">4sBBBdB"
-_COUNTS = ">HIII"
+_COUNTS = ">III"
 _GRIDS = {0: (UniformDesc, ">dd"), 1: (TableDesc, ">H")}
 _MODES = frozenset(GuardMode)  # the mode byte's values
 
@@ -130,7 +145,7 @@ class _Frame(NamedTuple):
 
 _FRAMES = {
     PayloadKind.OCTREE: _Frame(OctreeHeader, ">BQ", None, (UniformDesc,), _UNIT),
-    PayloadKind.HYPERPRIOR: _Frame(HyperpriorHeader, ">IIIH", _z_len, (TableDesc,)),
+    PayloadKind.HYPERPRIOR: _Frame(HyperpriorHeader, ">III", _z_len, (TableDesc,)),
     PayloadKind.RAW: _Frame(RawHeader, ">Q", None, (UniformDesc, TableDesc)),
 }
 
@@ -171,19 +186,18 @@ def grid_desc_for(grid: QuantGrid, kind: int) -> UniformDesc | TableDesc:
 
 
 def guarded_stream(
-    cfg: GuardConfig, desc: UniformDesc | TableDesc, flags: FlagStream,
+    cfg: GuardConfig, desc: UniformDesc | TableDesc, flag_count: int,
     safeguard: bytes, payload: OctreeHeader | HyperpriorHeader | RawHeader,
     main: bytes,
 ) -> GuardedStream:
     """The stream of ``payload`` guarded by ``cfg`` under the descriptor
-    ``grid_desc_for`` gave, with ``safeguard`` the coded ``flags``."""
+    ``grid_desc_for`` gave, with ``safeguard`` its ``flag_count`` coded
+    flags."""
     return GuardedStream(
         mode=cfg.mode,
-        payload_kind=_kind_of(payload, _FRAMES),
         epsilon=cfg.epsilon,
         grid_desc=desc,
-        p0_q16=flags.p0_q16,
-        flag_count=len(flags),
+        flag_count=flag_count,
         payload=payload,
         safeguard=safeguard,
         main=main,
@@ -208,7 +222,7 @@ def open_stream(stream: GuardedStream, kind: int) -> tuple[GuardConfig, FlagRead
     if stream.payload_kind != kind:
         raise FieldValueError(f"payload kind {stream.payload_kind!r}, expected {kind}")
     return config_for_stream(stream), FlagReader(
-        stream.safeguard, stream.flag_count, stream.p0_q16, stream.mode
+        stream.safeguard, stream.flag_count, stream.mode
     )
 
 
@@ -228,24 +242,21 @@ def _check_stream(stream: GuardedStream) -> None:
             raise FieldValueError("grid offset must be in [0, 1)")
     elif desc.table_id == 0:
         raise FieldValueError("table id 0 is reserved")
-    if stream.p0_q16 == 0:
-        raise FieldValueError("p0_q16 must be nonzero")
 
     p = stream.payload
-    if _kind_of(p, _FRAMES) != stream.payload_kind:
-        raise FieldValueError(f"payload kind {stream.payload_kind!r} with a {type(p)}")
+    if stream.payload_kind is None:
+        raise FieldValueError(f"bad payload header {type(p)}")
     if isinstance(p, OctreeHeader):
-        if not 1 <= p.bit_depth <= 21:
-            raise FieldValueError(f"bit depth {p.bit_depth} outside [1, 21]")
+        _check_depth(p.bit_depth, FieldValueError)
         if not 1 <= p.point_count <= 1 << (3 * p.bit_depth):
             raise FieldValueError("point count impossible for this bit depth")
     elif isinstance(p, HyperpriorHeader):
         if min(p.height, p.width, p.channels) < 1:
             raise FieldValueError("latent height, width and channels must be >= 1")
-        if p.height % 4 or p.width % 4:
-            raise FieldValueError("latent height and width must be multiples of 4")
-        if p.scale_table_id == 0:
-            raise FieldValueError("scale table id 0 is reserved")
+        if p.height % _POOL or p.width % _POOL:
+            raise FieldValueError(
+                f"latent height and width must be multiples of {_POOL}"
+            )
         if len(p.z_blob) != _z_len(p.height, p.width, p.channels):
             raise FieldValueError("z blob length does not match the dimensions")
 
@@ -253,17 +264,18 @@ def _check_stream(stream: GuardedStream) -> None:
 def write(stream: GuardedStream) -> bytes:
     _check_stream(stream)
     grid_kind = _kind_of(stream.grid_desc, _GRIDS)
-    frame = _FRAMES[_kind_of(stream.payload, _FRAMES)]
+    kind = stream.payload_kind
+    frame = _FRAMES[kind]
     # vars(), not dataclasses.astuple: the header's fields in order, uncopied
     fields = tuple(vars(stream.payload).values())
     n = len(fields) - (frame.blob is not None)
     try:
         head = (
-            struct.pack(_HEAD, MAGIC, VERSION, stream.mode, stream.payload_kind,
-                        stream.epsilon, grid_kind),
+            struct.pack(_HEAD, MAGIC, VERSION, stream.mode, kind, stream.epsilon,
+                        grid_kind),
             struct.pack(_GRIDS[grid_kind][1], *vars(stream.grid_desc).values()),
-            struct.pack(_COUNTS, stream.p0_q16, stream.flag_count,
-                        len(stream.safeguard), len(stream.main)),
+            struct.pack(_COUNTS, stream.flag_count, len(stream.safeguard),
+                        len(stream.main)),
             struct.pack(frame.layout, *fields[:n]),
         )
     except struct.error as exc:
@@ -306,7 +318,7 @@ def read(data: bytes) -> GuardedStream:
         raise FieldValueError(f"bad grid kind {grid_kind}")
     desc_type, fmt = _GRIDS[grid_kind]
     grid_desc = desc_type(*r.unpack(fmt, desc_type.__name__))
-    p0_q16, flag_count, guard_len, main_len = r.unpack(_COUNTS, "stream lengths")
+    flag_count, guard_len, main_len = r.unpack(_COUNTS, "stream lengths")
     if kind not in _FRAMES:
         raise FieldValueError(f"bad payload kind {kind}")
     frame = _FRAMES[kind]
@@ -326,8 +338,8 @@ def read(data: bytes) -> GuardedStream:
     # a read-only view of the input, not a copy: main can be megabytes
     main = memoryview(r.data)[r.pos :]
     # the stream's fields are in wire order
-    stream = GuardedStream(GuardMode(mode_b), kind, epsilon, grid_desc, p0_q16,
-                           flag_count, frame.header(*fields), safeguard, main)
+    stream = GuardedStream(GuardMode(mode_b), epsilon, grid_desc, flag_count,
+                           frame.header(*fields), safeguard, main)
     _check_stream(stream)
     return stream
 

@@ -10,7 +10,9 @@ numpy and big-integer arithmetic.  Probabilities are 16-bit
 the wire share the exact same integers.  The safeguard's flags do not go
 through the range coder: their section is a Rice code of the gaps between
 risky flags, then, in FULL mode, one direction bit per risky flag, coded
-and parsed with whole-array numpy operations.
+and parsed with whole-array numpy operations.  The Rice parameter follows
+from the flag count and the risky count the section opens with, so it is
+derived here alone and never travels.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     TrailingDataError,
     TruncatedStreamError,
 )
-from .safeguard import FlagStream, GuardMode
+from .safeguard import GuardMode
 
 __all__ = [
     "RangeEncoder",
@@ -332,24 +334,34 @@ def _decode_symbols(
 #
 # The gap before a risky flag, the count of safe flags since the one before
 # it, is q * 2**k + remainder: a Rice code (Golomb 1966) whose parameter k
-# the header's p0_q16 fixes.  A stream without flags has an empty section.
-# Each set of flags has exactly one section, and a parse of any other bytes
-# raises a MalformedStreamError.
+# the header's flag count and R fix.  A stream without flags has an empty
+# section.  Each set of flags has exactly one section, and a parse of any
+# other bytes raises a MalformedStreamError.
 
 _PHI_Q16 = 40504  # the least Prob16 above phi - 1 = 0.6180339887...
 _VARINT_BYTES = 5  # enough for any 32-bit flag count
 
 
-def _rice_k(p0_q16: int) -> int:
-    """The Rice parameter for flags that are zero at ``p0_q16 / 65536``.
+def _zero_p16(count: int, risky: int) -> int:
+    """The Prob16 of a safe flag among ``count`` flags of which ``risky``
+    are risky, rounded and clamped to [1, 65535]."""
+    if count == 0:
+        return 32768  # no flags, no rate: their section is empty
+    p0 = float(count - risky) / count
+    return int(min(max(math.floor(p0 * 65536.0 + 0.5), 1), 65535))
+
+
+def _rice_k(count: int, risky: int) -> int:
+    """The Rice parameter for ``count`` flags of which ``risky`` are risky.
 
     Gaps between risky flags are geometric, and the best power-of-two
-    parameter for them is the number of times p0 can be squared while it
-    stays above phi - 1 (Kiely, "Selecting the Golomb parameter in Rice
-    coding", 2004).  The squares are taken in integers, so every platform
-    derives the same k, from 0 at p0_q16 = 1 to 15 at 65535.
+    parameter for them is the number of times the zero rate p0 can be
+    squared while it stays above phi - 1 (Kiely, "Selecting the Golomb
+    parameter in Rice coding", 2004).  p0 is taken to 16 bits and squared in
+    integers, so every platform derives the same k, from 0 at a Prob16 of 1
+    to 15 at 65535.
     """
-    k, t = 0, p0_q16
+    k, t = 0, _zero_p16(count, risky)
     while t >= _PHI_Q16:
         k += 1
         t = (t * t) >> 16
@@ -365,23 +377,22 @@ def _varint(n: int) -> bytes:
     return bytes(out)
 
 
-def encode_flags(stream: FlagStream, mode: GuardMode) -> bytes:
-    """The safeguard section of ``stream``: Rice-coded gaps between its
-    risky flags at the stream's p0_q16, then, in FULL mode, its direction
-    bits as they are, one per risky flag."""
-    if len(stream) == 0:
+def encode_flags(f_r, f_d, mode: GuardMode) -> bytes:
+    """The safeguard section of the risky flags ``f_r``: Rice-coded gaps
+    between the risky ones, then, in FULL mode, their direction bits ``f_d``
+    as they are, one per risky flag."""
+    f_r = np.asarray(f_r)
+    if f_r.shape[0] == 0:
         return b""
-    if not 1 <= stream.p0_q16 <= 65535:
-        raise InvalidInputError("p0_q16 outside [1, 65535]")
-    k = _rice_k(stream.p0_q16)
-    risky = np.flatnonzero(np.asarray(stream.f_r))
+    risky = np.flatnonzero(f_r)
+    k = _rice_k(f_r.shape[0], risky.shape[0])
     gaps = np.diff(risky, prepend=-1) - 1
     quotients = gaps >> k
     unary = np.ones(int(quotients.sum()) + risky.shape[0], dtype=np.uint8)
     unary[np.cumsum(quotients + 1) - 1] = 0
     parts = [(gaps[:, None] >> np.arange(k - 1, -1, -1)).ravel() & 1, unary]
     if mode == GuardMode.FULL:
-        fd = np.asarray(stream.f_d)
+        fd = np.asarray(f_d)
         if fd.shape != risky.shape:
             raise InvalidInputError("FULL mode needs one direction bit per risky flag")
         parts.append(fd)
@@ -389,13 +400,9 @@ def encode_flags(stream: FlagStream, mode: GuardMode) -> bytes:
     return _varint(risky.shape[0]) + np.packbits(bits).tobytes()
 
 
-def _parse_flags(
-    data: bytes, count: int, k: int, full: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted positions of the risky flags of a section and their
-    direction bits.  The work and memory are bounded by ``len(data)``."""
-    if count == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
+def _risky_count(data: bytes) -> tuple[int, int]:
+    """The risky flag count R a safeguard section opens with, and the
+    bytes its varint takes."""
     n_risky = 0
     for head, byte in enumerate(data[:_VARINT_BYTES], 1):
         n_risky |= (byte & 0x7F) << (7 * (head - 1))
@@ -407,8 +414,20 @@ def _parse_flags(
         raise FieldValueError("risky flag count takes more than 5 bytes")
     if head > 1 and byte == 0:
         raise FieldValueError("risky flag count is not minimally coded")
+    return n_risky, head
+
+
+def _parse_flags(
+    data: bytes, count: int, full: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted positions of the risky flags of a section and their
+    direction bits.  The work and memory are bounded by ``len(data)``."""
+    if count == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
+    n_risky, head = _risky_count(data)
     if n_risky > count:
         raise FieldValueError(f"{n_risky} risky flags declared among {count}")
+    k = _rice_k(count, n_risky)
     n_directions = n_risky if full else 0
     if n_risky * (k + 1) + n_directions > 8 * (len(data) - head):
         raise TruncatedStreamError("safeguard section too short for its flag count")
@@ -442,15 +461,12 @@ class FlagReader:
     direction bits of that chunk's risky flags.  A stream without flags
     must have an empty section."""
 
-    def __init__(self, data: bytes, count: int, p0_q16: int, mode: GuardMode) -> None:
-        if not 1 <= p0_q16 <= 65535:
-            raise FieldValueError(f"p0_q16 {p0_q16} outside [1, 65535]")
+    def __init__(self, data: bytes, count: int, mode: GuardMode) -> None:
         if count == 0 and data:
             raise TrailingDataError("safeguard section of a stream without flags")
         self._data = data
         self._count = count
         self._taken = 0
-        self._rice_k = _rice_k(p0_q16)
         self._full = mode == GuardMode.FULL
         self._risky: np.ndarray | None = None
         self._directions: np.ndarray | None = None
@@ -463,7 +479,7 @@ class FlagReader:
             raise FieldValueError("more flags requested than declared")
         if self._risky is None:
             self._risky, self._directions = _parse_flags(
-                self._data, self._count, self._rice_k, self._full
+                self._data, self._count, self._full
             )
         lo, hi = self._next, int(self._risky.searchsorted(self._taken + k))
         f_r = np.zeros(k, dtype=np.uint8)

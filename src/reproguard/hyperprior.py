@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import (
+    _POOL,
     GuardedStream,
     HyperpriorHeader,
     PayloadKind,
@@ -41,7 +42,6 @@ from .quantizer import (
     quantize_array,
 )
 from .safeguard import (
-    FlagStream,
     GuardConfig,
     GuardMode,
     guard_decode_array,
@@ -60,7 +60,6 @@ __all__ = [
     "decode",
 ]
 
-_POOL = 4
 _AMPLITUDE = 32
 
 
@@ -173,26 +172,21 @@ def encode(lat: LatentGrid, cfg: GuardConfig, protect: bool = True) -> GuardedSt
     if protect:
         sig, fr, fd = guard_encode_array(cfg, sig)
     idx = quantize_array(cfg.grid, sig)
-    flags = FlagStream.from_arrays(fr, fd)
 
     tables, table_ids = _stream_tables(cfg.grid, idx)
     enc = RangeEncoder()
     syms = quantize_latents(lat.y).reshape(-1) + _AMPLITUDE
     enc.encode_symbols(tables, table_ids, syms)
 
-    safeguard = encode_flags(flags, cfg.mode)
-    z_blob = lat.z.astype(">f8").tobytes()
-    header = HyperpriorHeader(h, w, c, scale_table_id=desc.table_id, z_blob=z_blob)
-    return guarded_stream(cfg, desc, flags, safeguard, header, enc.finish())
+    safeguard = encode_flags(fr, fd, cfg.mode)
+    header = HyperpriorHeader(h, w, c, z_blob=lat.z.astype(">f8").tobytes())
+    return guarded_stream(cfg, desc, len(fr), safeguard, header, enc.finish())
 
 
 def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> np.ndarray:
     """Recover the quantized latents; flag_count == 0 means unprotected."""
     cfg, flags = open_stream(stream, PayloadKind.HYPERPRIOR)
     header: HyperpriorHeader = stream.payload
-    if header.scale_table_id != stream.grid_desc.table_id:
-        raise FieldValueError("payload and grid descriptor disagree on the table")
-
     h, w, c = header.height, header.width, header.channels
     z = np.frombuffer(header.z_blob, dtype=">f8").astype(np.float64)
     if not np.all(np.isfinite(z)):

@@ -28,6 +28,7 @@ from .container import (
     GuardedStream,
     OctreeHeader,
     PayloadKind,
+    _check_depth,
     grid_desc_for,
     guarded_stream,
     open_stream,
@@ -47,7 +48,6 @@ from .errors import (
 from .platform_sim import Perturbation, splitmix64_array, unit_from_u64
 from .quantizer import QuantGrid
 from .safeguard import (
-    FlagStream,
     GuardConfig,
     GuardMode,
     guard_decode_array,
@@ -115,12 +115,6 @@ def morton_decode(codes: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # voxel clouds
-
-
-def _check_depth(bit_depth: int, error: type[Exception] = ConfigError) -> None:
-    """The one bit-depth rule; run it before any ``1 << bit_depth``."""
-    if not 1 <= bit_depth <= 21:
-        raise error(f"bit depth {bit_depth} outside [1, 21]")
 
 
 @dataclass(frozen=True)
@@ -382,10 +376,10 @@ def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> Guarded
         return occ
 
     _walk(n, len(cloud), code_level)
-    flags = FlagStream.from_arrays(np.concatenate(fr_parts), np.concatenate(fd_parts))
-    safeguard = encode_flags(flags, cfg.mode)
+    fr = np.concatenate(fr_parts)
+    safeguard = encode_flags(fr, np.concatenate(fd_parts), cfg.mode)
     header = OctreeHeader(bit_depth=n, point_count=len(cloud))
-    return guarded_stream(cfg, desc, flags, safeguard, header, enc.finish())
+    return guarded_stream(cfg, desc, len(fr), safeguard, header, enc.finish())
 
 
 def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> VoxelCloud:

@@ -23,12 +23,7 @@ from .container import (
 )
 from .entropy import encode_flags
 from .errors import FieldValueError, InvalidInputError
-from .safeguard import (
-    FlagStream,
-    GuardConfig,
-    guard_decode_array,
-    guard_encode_array,
-)
+from .safeguard import GuardConfig, guard_decode_array, guard_encode_array
 
 __all__ = ["encode_values", "decode_values", "reference_values"]
 
@@ -37,14 +32,13 @@ def encode_values(values: np.ndarray, cfg: GuardConfig) -> GuardedStream:
     v = np.asarray(values, dtype=np.float64).reshape(-1)
     desc = grid_desc_for(cfg.grid, PayloadKind.RAW)
     v_out, fr, fd = guard_encode_array(cfg, v)
-    flags = FlagStream.from_arrays(fr, fd)
     # v_out is this encoder's own array: put it in big-endian order in
     # place, so that the bytes object is the only copy of it
     if sys.byteorder == "little":
         v_out.byteswap(inplace=True)
-    safeguard = encode_flags(flags, cfg.mode)
+    safeguard = encode_flags(fr, fd, cfg.mode)
     header = RawHeader(value_count=v.shape[0])
-    return guarded_stream(cfg, desc, flags, safeguard, header, v_out.tobytes())
+    return guarded_stream(cfg, desc, len(fr), safeguard, header, v_out.tobytes())
 
 
 def reference_values(stream: GuardedStream) -> np.ndarray:

@@ -7,7 +7,8 @@ in FULL mode one direction bit per risky value, so the decoder reproduces
 the encoder's protected value bit-exactly from its own perturbed copy,
 provided the perturbation stays under ``epsilon`` and every bin is wider
 than ``4 * epsilon``.  CENTER protects a risky value to its boundary, FULL
-to the nearer bin center, which its direction bit names.
+to the nearer bin center, which its direction bit names.  The flag and
+direction arrays go to ``entropy.encode_flags`` as they are.
 
 Encoder and decoder derive the protected value through one shared rule,
 so equality of the chosen boundary index implies equality of the output
@@ -22,7 +23,6 @@ malformed.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +43,6 @@ from .quantizer import (
 __all__ = [
     "GuardMode",
     "GuardConfig",
-    "FlagStream",
     "guard_encode_array",
     "guard_decode_array",
 ]
@@ -165,37 +164,4 @@ def guard_decode_array(cfg: GuardConfig, v_prime, f_r, f_d=()) -> np.ndarray:
         left = fd == 0
     v_out[risky] = _protected(cfg, m, bv, left)
     return v_out
-
-
-# ---------------------------------------------------------------------------
-# flag bookkeeping
-
-
-@dataclass(frozen=True)
-class FlagStream:
-    """Ordered risky flags, the direction bits of the risky ones, and the
-    zero-rate used to code them.
-
-    ``f_d`` holds one bit per risky flag in flag order under FULL, and is
-    empty otherwise.  ``p0_q16`` is the only probability either side of the
-    wire ever sees.
-    """
-
-    f_r: np.ndarray
-    f_d: np.ndarray
-    p0_q16: int
-
-    def __len__(self) -> int:
-        return int(self.f_r.shape[0])
-
-    @classmethod
-    def from_arrays(cls, f_r, f_d=()) -> "FlagStream":
-        fr = np.asarray(f_r, dtype=np.uint8)
-        fd = np.asarray(f_d, dtype=np.uint8)
-        n = int(fr.shape[0])
-        if n == 0:
-            return cls(fr, fd, 32768)
-        p0 = float(np.count_nonzero(fr == 0)) / n
-        p0_q16 = int(min(max(math.floor(p0 * 65536.0 + 0.5), 1), 65535))
-        return cls(fr, fd, p0_q16)
 

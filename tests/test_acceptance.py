@@ -168,7 +168,7 @@ def test_octree_interoperability(capsys):
 
 def test_overhead_trend(capsys):
     epsilons = [1e-5, 5e-6, 1e-6, 5e-7, 1e-7]
-    guard_header = 6  # p0_q16 + flag_count bytes attributable to safeguarding
+    guard_header = 4  # flag_count bytes attributable to safeguarding
     all_decreasing = True
     at_1e6 = []
     curves = []
@@ -284,7 +284,6 @@ def valid_corpus(rng, count):
         guard = rng.bytes(int(rng.integers(0, 40)))
         main = rng.bytes(int(rng.integers(0, 120)))
         eps = float(10.0 ** rng.uniform(-9, -1))
-        p0 = int(rng.integers(1, 65536))
         flags = int(rng.integers(0, 500))
         if kind == PayloadKind.OCTREE:
             depth = int(rng.integers(1, 22))
@@ -296,12 +295,11 @@ def valid_corpus(rng, count):
         elif kind == PayloadKind.HYPERPRIOR:
             h, w = 4 * int(rng.integers(1, 4)), 4 * int(rng.integers(1, 4))
             c = int(rng.integers(1, 4))
+            desc = TableDesc(table_id=int(rng.integers(1, 50)))
             payload = HyperpriorHeader(
                 height=h, width=w, channels=c,
-                scale_table_id=int(rng.integers(1, 50)),
                 z_blob=rng.bytes((h // 4) * (w // 4) * c * 8),
             )
-            desc = TableDesc(table_id=payload.scale_table_id)
         else:
             payload = RawHeader(value_count=flags)
             desc = UniformDesc(
@@ -310,10 +308,8 @@ def valid_corpus(rng, count):
         streams.append(
             GuardedStream(
                 mode=MODES[int(rng.integers(0, len(MODES)))],
-                payload_kind=kind,
                 epsilon=eps,
                 grid_desc=desc,
-                p0_q16=p0,
                 flag_count=flags,
                 payload=payload,
                 safeguard=guard,

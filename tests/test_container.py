@@ -39,10 +39,8 @@ from reproguard.safeguard import GuardMode
 def raw_stream(count=0, main=b"", safeguard=b"", mode=GuardMode.CENTER):
     return GuardedStream(
         mode=mode,
-        payload_kind=PayloadKind.RAW,
         epsilon=1e-6,
         grid_desc=UniformDesc(q=0.004, s=0.0),
-        p0_q16=32768,
         flag_count=count,
         payload=RawHeader(value_count=count),
         safeguard=safeguard,
@@ -53,10 +51,8 @@ def raw_stream(count=0, main=b"", safeguard=b"", mode=GuardMode.CENTER):
 def octree_stream():
     return GuardedStream(
         mode=GuardMode.CENTER,
-        payload_kind=PayloadKind.OCTREE,
         epsilon=1e-6,
         grid_desc=UniformDesc(q=1.0 / 250.0, s=0.0),
-        p0_q16=65000,
         flag_count=12,
         payload=OctreeHeader(bit_depth=10, point_count=4444),
         safeguard=b"\x01\x02\x03",
@@ -68,14 +64,10 @@ def hyper_stream():
     z = np.arange(2 * 2 * 3, dtype=">f8").tobytes()
     return GuardedStream(
         mode=GuardMode.FULL,
-        payload_kind=PayloadKind.HYPERPRIOR,
         epsilon=1e-4,
         grid_desc=TableDesc(table_id=1),
-        p0_q16=60000,
         flag_count=5,
-        payload=HyperpriorHeader(
-            height=8, width=8, channels=3, scale_table_id=1, z_blob=z
-        ),
+        payload=HyperpriorHeader(height=8, width=8, channels=3, z_blob=z),
         safeguard=b"\x99",
         main=b"\x10\x20",
     )
@@ -83,9 +75,9 @@ def hyper_stream():
 
 def test_minimal_raw_stream_size():
     data = write(raw_stream())
-    # magic 4 + version 1 + mode 1 + kind 1 + eps 8 + grid (1+16) + p0 2
+    # magic 4 + version 1 + mode 1 + kind 1 + eps 8 + grid (1+16)
     # + flag_count 4 + lens 8 + raw count 8
-    assert len(data) == 54
+    assert len(data) == 52
     assert read(data).payload.value_count == 0
 
 
@@ -128,10 +120,28 @@ def test_unsupported_version():
 def test_version_1_streams_are_unsupported():
     # v1 range-coded its flags; v2 Rice-codes the gaps between risky flags
     data = bytearray(write(raw_stream()))
-    assert data[4] == 2
+    assert data[4] == 3
     data[4] = 1
     with pytest.raises(UnsupportedVersionError):
         read(bytes(data))
+
+
+# A v2 stream: six raw values in FULL mode, two of them risky.  v2 headers
+# carried the flag rate p0_q16 (here 0xaaab) after the grid descriptor.
+V2_RAW = bytes.fromhex(
+    "524752440200023f4999999999999a003f900000000000000000000000000000aaab"
+    "00000006000000020000003000000000000000060220bff9a000000000003fdf8000"
+    "00000000c00a9000000000003ff4e000000000004002500000000000bfecc0000000"
+    "0000"
+)
+
+
+def test_version_2_streams_are_unsupported():
+    with pytest.raises(UnsupportedVersionError, match="version 2"):
+        read(V2_RAW)
+    # the same stream, header cut to v3, is read: only the version refuses it
+    v3 = bytes([*V2_RAW[:4], 3, *V2_RAW[5:32], *V2_RAW[34:]])
+    assert read(v3).flag_count == 6
 
 
 def test_truncated_header():
@@ -184,6 +194,17 @@ def test_bad_payload_kind():
         read(bytes(data))
 
 
+def test_payload_kind_is_the_payload_header_type():
+    makes = (octree_stream, hyper_stream, raw_stream)
+    kinds = [PayloadKind.OCTREE, PayloadKind.HYPERPRIOR, PayloadKind.RAW]
+    assert [make().payload_kind for make in makes] == kinds
+    # a payload of no frame's type has no kind byte to write
+    stray = dataclasses.replace(raw_stream(), payload=TableDesc(1))
+    assert stray.payload_kind is None
+    with pytest.raises(FieldValueError, match="payload header"):
+        write(stray)
+
+
 def test_zero_table_id_rejected():
     s = hyper_stream()
     data = bytearray(write(s))
@@ -199,10 +220,8 @@ def test_impossible_point_count_rejected():
         write(
             GuardedStream(
                 mode=GuardMode.CENTER,
-                payload_kind=PayloadKind.OCTREE,
                 epsilon=1e-6,
                 grid_desc=UniformDesc(q=0.004, s=0.0),
-                p0_q16=1,
                 flag_count=0,
                 payload=OctreeHeader(bit_depth=2, point_count=100),
                 safeguard=b"",
@@ -216,14 +235,10 @@ def test_z_blob_length_must_match_dims():
         write(
             GuardedStream(
                 mode=GuardMode.CENTER,
-                payload_kind=PayloadKind.HYPERPRIOR,
                 epsilon=1e-4,
                 grid_desc=TableDesc(table_id=1),
-                p0_q16=100,
                 flag_count=0,
-                payload=HyperpriorHeader(
-                    height=8, width=8, channels=3, scale_table_id=1, z_blob=b"xx"
-                ),
+                payload=HyperpriorHeader(height=8, width=8, channels=3, z_blob=b"xx"),
                 safeguard=b"",
                 main=b"",
             )
@@ -245,12 +260,8 @@ def _octree_at_depth_21(point_count):
 # each header field: a stream with the field set to a value, and the
 # largest value its width (or, for the point count, its bit depth) allows
 FIELD_LIMITS = {
-    "p0_q16": (lambda v: _with(raw_stream, p0_q16=v), 65535),
     "flag_count": (lambda v: _with(raw_stream, flag_count=v), 2**32 - 1),
     "table_id": (lambda v: _with(raw_stream, grid_desc=TableDesc(v)), 0xFFFF),
-    "scale_table_id": (
-        lambda v: _with(hyper_stream, payload=dict(scale_table_id=v)), 0xFFFF
-    ),
     "value_count": (
         lambda v: _with(raw_stream, payload=dict(value_count=v)), 2**64 - 1
     ),
@@ -298,7 +309,6 @@ def test_roundtrip_fuzzed_valid_streams():
         guard = rng.bytes(int(rng.integers(0, 50)))
         main = rng.bytes(int(rng.integers(0, 200)))
         eps = float(10.0 ** rng.uniform(-9, -1))
-        p0 = int(rng.integers(1, 65536))
         count = int(rng.integers(0, 1000))
         if kind == PayloadKind.OCTREE:
             depth = int(rng.integers(1, 22))
@@ -311,14 +321,13 @@ def test_roundtrip_fuzzed_valid_streams():
             h = 4 * int(rng.integers(1, 5))
             w = 4 * int(rng.integers(1, 5))
             c = int(rng.integers(1, 5))
+            desc = TableDesc(table_id=int(rng.integers(1, 100)))
             payload = HyperpriorHeader(
                 height=h,
                 width=w,
                 channels=c,
-                scale_table_id=int(rng.integers(1, 100)),
                 z_blob=rng.bytes((h // 4) * (w // 4) * c * 8),
             )
-            desc = TableDesc(table_id=payload.scale_table_id)
         else:
             payload = RawHeader(value_count=count)
             desc = UniformDesc(
@@ -326,10 +335,8 @@ def test_roundtrip_fuzzed_valid_streams():
             )
         s = GuardedStream(
             mode=mode,
-            payload_kind=kind,
             epsilon=eps,
             grid_desc=desc,
-            p0_q16=p0,
             flag_count=count,
             payload=payload,
             safeguard=guard,
@@ -400,7 +407,7 @@ def _field_sizes(fmt):
 def test_readme_container_table_matches_the_declared_layouts():
     rows = [r for r in _readme_layout_rows() if len(r) == 3]
     head = ["magic", "version", "mode", "payload kind", "epsilon", "grid kind"]
-    counts = ["p0_q16", "flag_count", "guard_len", "main_len"]
+    counts = ["flag_count", "guard_len", "main_len"]
     names = head + ["grid params"] + counts
     start = [r[0] for r in rows].index("magic")
     assert [r[0] for r in rows[start : start + len(names)]] == names  # wire order

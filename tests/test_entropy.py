@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import hypothesis.strategies as st
 from reproguard.entropy import (
     _phi,
     _rice_k,
+    _zero_p16,
     FlagReader,
     RangeDecoder,
     RangeEncoder,
@@ -26,7 +28,7 @@ from reproguard.errors import (
 )
 from reproguard.hyperprior import SCALE_TABLE_ID
 from reproguard.quantizer import dequantize_array, get_table
-from reproguard.safeguard import FlagStream, GuardMode
+from reproguard.safeguard import GuardMode
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +151,16 @@ def test_truncated_stream_rejected_at_init():
 # flag streams
 
 
+class Flags(NamedTuple):
+    """Risky flags and, in FULL mode, one direction bit per risky flag in
+    flag order: the arguments ``encode_flags`` takes before the mode."""
+
+    f_r: np.ndarray
+    f_d: np.ndarray
+
+
 def _flags(fr, fd=()):
-    """A flag stream of the risky flags ``fr`` and, in FULL mode, ``fd``:
-    one direction bit per risky flag, in flag order."""
-    return FlagStream.from_arrays(np.asarray(fr, dtype=np.uint8), fd)
+    return Flags(np.asarray(fr, dtype=np.uint8), np.asarray(fd, dtype=np.uint8))
 
 
 def _directions(rng, fr):
@@ -160,34 +168,30 @@ def _directions(rng, fr):
     return rng.integers(0, 2, int(np.count_nonzero(fr))).astype(np.uint8)
 
 
-def _take_all(data, count, p0_q16, mode) -> FlagStream:
-    """Every flag of a section in one take, kept with the wire's p0_q16."""
-    fr, fd = FlagReader(data, count, p0_q16, mode).take(count)
-    return FlagStream(fr, fd, p0_q16)
+def _take_all(data, count, mode) -> Flags:
+    """Every flag of a section in one take."""
+    return Flags(*FlagReader(data, count, mode).take(count))
 
 
 def test_sparse_flags_stay_small():
     fr = np.zeros(1000, dtype=np.uint8)
     fr[123] = 1
-    fs = _flags(fr)
-    fs = FlagStream(fs.f_r, fs.f_d, 65470)
-    data = encode_flags(fs, GuardMode.CENTER)
+    assert _zero_p16(1000, 1) == 65470
+    data = encode_flags(*_flags(fr), GuardMode.CENTER)
     assert len(data) <= 6
 
 
 def test_zero_flags_empty_stream():
-    fs = _flags([])
-    assert encode_flags(fs, GuardMode.CENTER) == b""
-    out = _take_all(b"", 0, 32768, GuardMode.CENTER)
+    assert encode_flags(*_flags([]), GuardMode.CENTER) == b""
+    out = _take_all(b"", 0, GuardMode.CENTER)
     assert len(out.f_r) == 0
 
 
 def test_full_mode_interleaves_directions():
     fr = [1, 0, 1]
     fd = [0, 1]
-    fs = _flags(fr, fd)
-    data = encode_flags(fs, GuardMode.FULL)
-    out = _take_all(data, 3, fs.p0_q16, GuardMode.FULL)
+    data = encode_flags(fr, fd, GuardMode.FULL)
+    out = _take_all(data, 3, GuardMode.FULL)
     assert out.f_r.tolist() == fr
     assert out.f_d.tolist() == fd
 
@@ -200,17 +204,16 @@ def test_flag_roundtrip_fuzz():
             fr = (rng.random(n) < 0.02).astype(np.uint8)
             fd = _directions(rng, fr)
             fs = _flags(fr, fd if mode == GuardMode.FULL else ())
-            data = encode_flags(fs, mode)
-            out = _take_all(data, n, fs.p0_q16, mode)
+            data = encode_flags(*fs, mode)
+            out = _take_all(data, n, mode)
             assert np.array_equal(out.f_r, fr)
             if mode == GuardMode.FULL:
                 assert np.array_equal(out.f_d, fd)
 
 
 def test_flag_reader_rejects_overread():
-    fs = _flags([0, 1, 0])
-    data = encode_flags(fs, GuardMode.CENTER)
-    reader = FlagReader(data, 3, fs.p0_q16, GuardMode.CENTER)
+    data = encode_flags([0, 1, 0], [], GuardMode.CENTER)
+    reader = FlagReader(data, 3, GuardMode.CENTER)
     reader.take(3)
     assert reader.exhausted
     with pytest.raises(MalformedStreamError):
@@ -218,18 +221,20 @@ def test_flag_reader_rejects_overread():
 
 
 def test_flag_reader_validates_p0():
-    with pytest.raises(MalformedStreamError):
-        FlagReader(b"", 0, 0, GuardMode.CENTER)
-    with pytest.raises(MalformedStreamError):
-        FlagReader(b"", 0, 65536, GuardMode.CENTER)
+    # the zero rate is not read but derived from the flag count and R, so
+    # the reader's check is R <= count, under which every rate is a Prob16
+    # in [1, 65535]: 4 risky flags among 3 are refused
+    with pytest.raises(FieldValueError, match="4 risky flags declared among 3"):
+        FlagReader(b"\x04\x00", 3, GuardMode.CENTER).take(0)
+    assert {_zero_p16(3, r) for r in range(4)} == {1, 21845, 43691, 65535}
 
 
 def test_missing_direction_rejected_in_full_mode():
     fr = np.array([1, 0, 1], dtype=np.uint8)
     for fd in ([], [0], [0, 1, 1]):  # one direction bit per risky flag, or none
         with pytest.raises(InvalidInputError):
-            encode_flags(FlagStream.from_arrays(fr, fd), GuardMode.FULL)
-    assert encode_flags(FlagStream.from_arrays(fr, []), GuardMode.CENTER)
+            encode_flags(fr, fd, GuardMode.FULL)
+    assert encode_flags(fr, [], GuardMode.CENTER)
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +242,57 @@ def test_missing_direction_rejected_in_full_mode():
 
 
 def test_rice_k_is_pinned():
-    # the least p0_q16 at which k reaches 1, 2, ..., 15; Kiely's closed form
-    # in floats, 1 + floor(log2(log(phi - 1) / log(p0))), puts three of
-    # them one lower (58108, 64558, 65413)
-    ks = [_rice_k(p) for p in range(1, 65536)]
+    # the least Prob16 of a safe flag at which k reaches 1, 2, ..., 15;
+    # Kiely's closed form in floats, 1 + floor(log2(log(phi - 1) / log(p0))),
+    # puts three of them one lower (58108, 64558, 65413).  p of 65536 flags
+    # safe is a Prob16 of exactly p.
+    ks = [_rice_k(65536, 65536 - p) for p in range(1, 65536)]
     assert ks[0] == 0 and max(ks) == 15
     assert all(a <= b for a, b in zip(ks, ks[1:]))
     assert [ks.index(j) + 1 for j in range(1, 16)] == [
         40504, 51522, 58109, 61711, 63595, 64559, 65046, 65291,
         65414, 65475, 65506, 65521, 65529, 65533, 65535,
     ]
+
+
+# The v2 derivation of k, kept as the reference for the one that replaced
+# it: the encoder rounded the share of safe flags to a Prob16, p0_q16, and
+# wrote it into the header; the Rice parameter was a function of p0_q16.
+
+
+def _v2_p0_q16(zeros: int, n: int) -> int:
+    """FlagStream.from_arrays's p0_q16 for ``n`` flags, ``zeros`` of them safe."""
+    if n == 0:
+        return 32768
+    p0 = float(zeros) / n
+    return int(min(max(math.floor(p0 * 65536.0 + 0.5), 1), 65535))
+
+
+def _v2_rice_k(p0_q16: int) -> int:
+    k, t = 0, p0_q16
+    while t >= 40504:
+        k += 1
+        t = (t * t) >> 16
+    return k
+
+
+def test_rice_k_matches_the_v2_header_derivation():
+    # every R <= count for count <= 2,000: the reference's k per Prob16 is
+    # looked up, since only the Prob16s need the per-pair formula
+    k_of = [_v2_rice_k(p) for p in range(65536)]
+    for count in range(2001):
+        for risky in range(count + 1):
+            p0_q16 = _v2_p0_q16(count - risky, count)
+            assert _zero_p16(count, risky) == p0_q16
+            assert _rice_k(count, risky) == k_of[p0_q16], (count, risky)
+
+
+@pytest.mark.parametrize("count", [65535, 65536, 2**20 + 7, 2**32 - 1])
+def test_rice_k_matches_the_v2_header_derivation_at_edge_counts(count):
+    for risky in (0, 1, 2, count - 1, count):
+        p0_q16 = _v2_p0_q16(count - risky, count)
+        assert _zero_p16(count, risky) == p0_q16
+        assert _rice_k(count, risky) == _v2_rice_k(p0_q16)
 
 
 def _section(bits: str) -> bytes:
@@ -256,10 +302,10 @@ def _section(bits: str) -> bytes:
     return bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
 
 
-def _rice_reference(fs: FlagStream, mode: GuardMode) -> bytes:
+def _rice_reference(fs: Flags, mode: GuardMode) -> bytes:
     """The section layout written out one gap at a time, as a bit string."""
-    k = _rice_k(fs.p0_q16)
     risky = [i for i, f in enumerate(fs.f_r.tolist()) if f]
+    k = _rice_k(len(fs.f_r), len(risky))
     gaps = [b - a - 1 for a, b in zip([-1] + risky, risky)]
     count, varint = len(risky), bytearray()
     while count > 0x7F:
@@ -285,54 +331,55 @@ def test_section_matches_a_gap_by_gap_reference(mode, n, rate, seed):
     fr = (rng.random(n) < rate).astype(np.uint8)
     fd = _directions(rng, fr)
     fs = _flags(fr, fd if mode == GuardMode.FULL else ())
-    data = encode_flags(fs, mode)
+    data = encode_flags(*fs, mode)
     assert data == _rice_reference(fs, mode)
-    out = _take_all(data, n, fs.p0_q16, mode)
+    out = _take_all(data, n, mode)
     assert np.array_equal(out.f_r, fs.f_r) and np.array_equal(out.f_d, fs.f_d)
 
 
 @pytest.mark.parametrize("mode", list(GuardMode))
 def test_no_risky_flags_take_one_byte(mode):
-    fs = _flags(np.zeros(1000, dtype=np.uint8))
-    data = encode_flags(fs, mode)
+    data = encode_flags(np.zeros(1000, dtype=np.uint8), [], mode)
     assert data == b"\x00"
-    assert not _take_all(data, 1000, fs.p0_q16, mode).f_r.any()
+    assert not _take_all(data, 1000, mode).f_r.any()
 
 
 @pytest.mark.parametrize("mode", [GuardMode.FULL, GuardMode.CENTER])
 def test_every_flag_risky(mode):
     fd = (np.arange(500) % 3 == 0).astype(np.int8)
-    fs = _flags(np.ones(500, dtype=np.uint8), fd)
-    assert fs.p0_q16 == 1 and _rice_k(1) == 0
-    data = encode_flags(fs, mode)
+    assert _zero_p16(500, 500) == 1 and _rice_k(500, 500) == 0
+    data = encode_flags(np.ones(500, dtype=np.uint8), fd, mode)
     # a 2-byte count, then one zero bit per gap and one bit per direction
     directions = 500 if mode == GuardMode.FULL else 0
     assert len(data) == 2 + math.ceil((500 + directions) / 8)
-    out = _take_all(data, 500, 1, mode)
+    out = _take_all(data, 500, mode)
     assert out.f_r.all()
     assert np.array_equal(out.f_d, fd if mode == GuardMode.FULL else [])
 
 
 def test_p0_at_its_ceiling():
-    fr = np.zeros(100_000, dtype=np.uint8)
-    fr[[0, 70_000, 99_999]] = 1
+    # 3 risky flags in 200,000 round to the top Prob16 (at most 1.5 in
+    # 65,536 risky do)
+    fr = np.zeros(200_000, dtype=np.uint8)
+    fr[[0, 70_000, 199_999]] = 1
     fd = np.array([1, 0, 1], dtype=np.uint8)
-    fs = FlagStream(fr, fd, 65535)
-    assert _rice_k(65535) == 15
-    data = encode_flags(fs, GuardMode.FULL)
-    # gaps 0, 69999 and 29998: three 15-bit remainders, quotients 0, 2 and 0
-    assert len(data) == 1 + math.ceil((3 * 15 + 5 + 3) / 8)
-    out = _take_all(data, 100_000, 65535, GuardMode.FULL)
+    assert _zero_p16(200_000, 3) == 65535 and _rice_k(200_000, 3) == 15
+    assert _zero_p16(100_000, 3) == 65534  # one step below the ceiling
+    data = encode_flags(fr, fd, GuardMode.FULL)
+    # gaps 0, 69999 and 129998: three 15-bit remainders, quotients 0, 2 and 3
+    assert len(data) == 1 + math.ceil((3 * 15 + 8 + 3) / 8)
+    out = _take_all(data, 200_000, GuardMode.FULL)
     assert np.array_equal(out.f_r, fr) and np.array_equal(out.f_d, fd)
 
 
 def test_section_is_parsed_on_the_first_take():
-    reader = FlagReader(b"\xff", 10, 32768, GuardMode.CENTER)
+    reader = FlagReader(b"\xff", 10, GuardMode.CENTER)
     with pytest.raises(TruncatedStreamError):
         reader.take(0)
 
 
-# p0_q16 = 1 gives k = 0: a gap is its unary quotient alone
+# k follows from the flag count and R: k = 1 for one risky flag among 3, so
+# a gap there is a 1-bit remainder and a unary quotient
 @pytest.mark.parametrize(
     "data, count, error",
     [
@@ -359,25 +406,28 @@ def test_section_is_parsed_on_the_first_take():
 )
 def test_hostile_sections_raise_typed(data, count, error):
     with pytest.raises(error) as info:
-        FlagReader(data, count, 1, GuardMode.CENTER).take(0)
+        FlagReader(data, count, GuardMode.CENTER).take(0)
     # a fault that no narrower class names is a FieldValueError, never the
     # bare base class
     assert type(info.value) is (FieldValueError if error is MalformedStreamError else error)
 
 
 def test_gap_that_ends_at_the_last_flag_is_accepted():
-    out = _take_all(b"\x01" + _section("110"), 3, 1, GuardMode.CENTER)
+    # gap 2 at k = 1: remainder 0, quotient 1
+    data = b"\x01" + _section("0 10")
+    assert encode_flags([0, 0, 1], [], GuardMode.CENTER) == data
+    out = _take_all(data, 3, GuardMode.CENTER)
     assert out.f_r.tolist() == [0, 0, 1]
 
 
-def _parses_canonically(data, count, p0_q16, mode) -> bool:
+def _parses_canonically(data, count, mode) -> bool:
     """Whether ``data`` parses; if it does, it must be the one coding of the
     flags it decodes to."""
     try:
-        out = _take_all(data, count, p0_q16, mode)
+        out = _take_all(data, count, mode)
     except MalformedStreamError:
         return False
-    assert encode_flags(out, mode) == data
+    assert encode_flags(*out, mode) == data
     return True
 
 
@@ -387,19 +437,18 @@ def test_random_and_bit_flipped_sections(mode):
     # which no check can see; every other change must raise typed
     rng = np.random.default_rng(2024)
     fs = _chunked_flags(mode, 12, [400])
-    data = encode_flags(fs, mode)
+    data = encode_flags(*fs, mode)
     parsed = 0
     for i in range(8 * len(data)):
         flipped = bytearray(data)
         flipped[i // 8] ^= 0x80 >> (i % 8)
-        parsed += _parses_canonically(bytes(flipped), len(fs), fs.p0_q16, mode)
+        parsed += _parses_canonically(bytes(flipped), len(fs.f_r), mode)
     assert 0 < parsed < 8 * len(data)
     parsed = 0
     for _ in range(500):
         junk = rng.bytes(int(rng.integers(0, 24)))
         count = int(rng.integers(0, 300))
-        p0 = int(rng.integers(1, 65536))
-        parsed += _parses_canonically(junk, count, p0, mode)
+        parsed += _parses_canonically(junk, count, mode)
     assert parsed < 500
 
 
@@ -533,9 +582,9 @@ def _chunked_flags(mode, seed, sizes):
 )
 def test_flag_reader_chunks_match_one_shot(mode, sizes, seed):
     fs = _chunked_flags(mode, seed, sizes)
-    n = len(fs)
-    data = encode_flags(fs, mode)
-    whole = _take_all(data, n, fs.p0_q16, mode)
+    n = len(fs.f_r)
+    data = encode_flags(*fs, mode)
+    whole = _take_all(data, n, mode)
     assert np.array_equal(whole.f_r, fs.f_r)
     assert np.array_equal(whole.f_d, fs.f_d)
 
@@ -543,7 +592,7 @@ def test_flag_reader_chunks_match_one_shot(mode, sizes, seed):
     # chunk's risky flags pick theirs, and CENTER has none
     dense = np.zeros(n, dtype=np.uint8)
     dense[fs.f_r == 1] = fs.f_d if mode == GuardMode.FULL else 0
-    reader = FlagReader(data, n, fs.p0_q16, mode)
+    reader = FlagReader(data, n, mode)
     at = 0
     for k in sizes:
         fr, fd = reader.take(k)
@@ -561,7 +610,7 @@ def test_flag_reader_chunks_match_one_shot(mode, sizes, seed):
 
 @pytest.mark.parametrize("mode", list(GuardMode))
 def test_flag_reader_take_zero(mode):
-    reader = FlagReader(b"", 0, 32768, mode)
+    reader = FlagReader(b"", 0, mode)
     fr, fd = reader.take(0)
     assert fr.shape == (0,) and fd.shape == (0,)
     assert reader.exhausted
@@ -572,13 +621,13 @@ def test_flag_reader_take_zero(mode):
 @pytest.mark.parametrize("mode", list(GuardMode))
 def test_cut_safeguard_section_raises_truncated(mode):
     fs = _chunked_flags(mode, 5, [700])
-    data = encode_flags(fs, mode)
+    data = encode_flags(*fs, mode)
     assert len(data) > 5
     # every byte holds coded bits, so a section cut anywhere is too short
     for end in range(len(data)):
-        reader = FlagReader(data[:end], len(fs), fs.p0_q16, mode)
+        reader = FlagReader(data[:end], len(fs.f_r), mode)
         with pytest.raises(TruncatedStreamError):
-            reader.take(len(fs))
+            reader.take(len(fs.f_r))
 
 
 def test_bit_batches_give_uint8_and_reject_bad_p16():

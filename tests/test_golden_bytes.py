@@ -1,10 +1,12 @@
 """Pinned container bytes of small fixed-seed streams.
 
-The v2 wire format is a promise: a faster coder must emit exactly these
+The v3 wire format is a promise: a faster coder must emit exactly these
 bytes.  Each case is encoded, written, and compared by SHA-256 against the
-digest recorded when the format last changed (v2: the safeguard section
-became Rice-coded gaps between risky flags).  The digest of each case's
-``main`` section was recorded with the v1 format and did not move with v2.
+digest recorded when the format last changed (v3: the header lost its
+second copy of the flag rate and of the hyperprior's table id).  The digest
+of each case's ``main`` section was recorded with the v1 format, and that
+of its safeguard section with v2 (which made it Rice-coded gaps between
+risky flags); neither moved with v3, which changed the header alone.
 """
 
 import hashlib
@@ -49,22 +51,22 @@ def _hyperprior_unprotected(mode: GuardMode):
 #        SHA-256 of its safeguard section)
 GOLDEN = {
     "octree-center": (lambda: _octree(GuardMode.CENTER),
-        "90f31ac448d3f5c7097d04615b7c2d8bdb5897300f16552bde32b758af9c0557",
+        "22a8bbcc519dbd074d2898339381c8b548ffbf58105c9d3720aa21f49c039f3f",
         "4f964bf18cda4736b00b0678e586f245cd39213c0097fd716105d9aa95da1bbd",
         "632450b055558aeadf3073af31e5e34d210fc68c4e340b55b5b070130d21f8c8",
     ),
     "octree-full": (lambda: _octree(GuardMode.FULL),
-        "ea4cac0aca46659cc32129eb33b5cffcf27f50a285d10b1760359db4a9b319b4",
+        "4dd372fdd03cd7890afac0dceb44f5162a9cc6abdad038a0f379db14f053f66d",
         "a17f1b739e84b4f99ec3eb1a87bfe92ccccc5e77f5d5f3d2c519b471a1229655",
         "8653d21a328e0b75f37535a0f548e7a533e5ca564160507fdf3935afbf92bc90",
     ),
     "hyperprior-center": (_hyperprior,
-        "dc5a2ea113106638029f795a4643d4289d142732971fcf5bf2e4984b3d8c276c",
+        "6b5a1c53189f910f5eb4aed9ad6f72e99f8d73629c659130851c3dbb3b30b3d3",
         "c9be78233bcdcb4146f00d8d175b3a16b4f658173abc47cffb01e13efdbf5a75",
         "a387131f02a0d8e0ec45a4994514a1b420af84b5a07b7bb7e559aa54f1e58675",
     ),
     "raw-full": (lambda: _raw(GuardMode.FULL),
-        "fc1ac61dd38afc459dea55f2260a5de92d5ea59aec4a41ae3d82edb5460feb6e",
+        "c1fab604551904b6624df28496d966fdee9e8135c971b207137f1cff2a8257a8",
         "e471a22b937b0fdd9cee3cffcca47e2628d0966dfd560b4850b1ee7d48746680",
         "0a058eec8a2f0a07144a8624459eed522ed1177f57abba9e7397f869ae22f6e7",
     ),
@@ -73,8 +75,8 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_stream_bytes_match_v1(name):
-    # the name predates v2 and is kept so the test ids stay stable; the
-    # digests are those of the v2 format
+    # the name predates v2 and v3 and is kept so the test ids stay stable;
+    # the digests are those of the v3 format
     build, digest, *_ = GOLDEN[name]
     stream = build()
     assert stream.flag_count > 0 and any(stream.safeguard)
@@ -93,17 +95,17 @@ def test_safeguard_section_kept_its_v2_bytes(name):
     assert hashlib.sha256(build().safeguard).hexdigest() == guard_digest
 
 
-# Unprotected streams: no flags, so the header carries p0_q16 32768, a flag
-# count of 0 and an empty safeguard section.  Digests of the container.
+# Unprotected streams: no flags, so the header carries a flag count of 0
+# and the safeguard section is empty.  Digests of the container.
 UNPROTECTED = {
     "octree-center": (lambda: _octree_unprotected(GuardMode.CENTER),
-        "6106dd084a1b39c329c74112b0065a39736bb1188f01d19db483d73ee01e2e6b",
+        "4523605d2db11c3621ca3bfba3cf1f318994a9a12614b1362ad9036ff355159d",
     ),
     "octree-full": (lambda: _octree_unprotected(GuardMode.FULL),
-        "db258c98694bdb43d76e7d3f584f3d054500ab4913720b7caec8a8b6360a15aa",
+        "b98c5f1d839cc965282b7172b9dbf97c013cf971f5f200d1910f4cdc6188c842",
     ),
     "hyperprior-center": (lambda: _hyperprior_unprotected(GuardMode.CENTER),
-        "24acf8d7848a3b15859f615350a2e0ad26cd8393065045c0f7c64fa5571aa0d5",
+        "6c503c9f8d129c62f81aa07627831e3bfda9693409d2fdb4d68dd9cc18d12736",
     ),
 }
 
@@ -112,5 +114,5 @@ UNPROTECTED = {
 def test_unprotected_stream_bytes(name):
     build, digest = UNPROTECTED[name]
     stream = build()
-    assert (stream.flag_count, stream.p0_q16, stream.safeguard) == (0, 32768, b"")
+    assert (stream.flag_count, stream.safeguard) == (0, b"")
     assert hashlib.sha256(container.write(stream)).hexdigest() == digest

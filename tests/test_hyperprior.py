@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from reproguard.container import GuardedStream, HyperpriorHeader, PayloadKind, read, write
+from reproguard.container import GuardedStream, read, write
 from reproguard.errors import ConfigError, FieldValueError, InvalidInputError
 from reproguard.hyperprior import (
     SCALE_TABLE_ID,
@@ -230,10 +230,8 @@ class TestCodec:
 
         raw = GuardedStream(
             mode=GuardMode.CENTER,
-            payload_kind=PayloadKind.RAW,
             epsilon=1e-4,
             grid_desc=UniformDesc(q=0.004, s=0.0),
-            p0_q16=1,
             flag_count=0,
             payload=RawHeader(value_count=0),
             safeguard=b"",
@@ -241,21 +239,6 @@ class TestCodec:
         )
         with pytest.raises(FieldValueError):
             decode(raw)
-
-    def test_table_id_disagreement(self):
-        lat = synth_latents(8, 8, 1, seed=0)
-        s = encode(lat, make_image_config(1e-4))
-        hdr = s.payload
-        tampered = GuardedStream(
-            **{
-                **s.__dict__,
-                "payload": HyperpriorHeader(
-                    hdr.height, hdr.width, hdr.channels, 2, hdr.z_blob
-                ),
-            }
-        )
-        with pytest.raises(FieldValueError):
-            decode(tampered)
 
     def test_flag_count_mismatch(self):
         lat = synth_latents(8, 8, 1, seed=0)

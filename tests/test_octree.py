@@ -9,7 +9,6 @@ from reproguard import container
 from reproguard.container import (
     GuardedStream,
     OctreeHeader,
-    PayloadKind,
     RawHeader,
     UniformDesc,
 )
@@ -36,7 +35,7 @@ from reproguard.octree import (
     write_ply,
 )
 from reproguard.platform_sim import Perturbation, splitmix64_array, unit_from_u64
-from reproguard.safeguard import FlagStream, GuardConfig, GuardMode, guard_encode_array
+from reproguard.safeguard import GuardConfig, GuardMode, guard_encode_array
 from reproguard.quantizer import QuantGrid
 
 
@@ -408,19 +407,15 @@ def reference_encode(cloud, cfg, protect):
             next_parts.append(child_codes[bits == 1])
         current = np.sort(np.concatenate(next_parts))
     assert np.array_equal(current, cloud.codes)
-    flags = FlagStream.from_arrays(
-        np.concatenate(fr_parts) if protect else np.empty(0, dtype=np.uint8),
-        np.concatenate(fd_parts) if protect else (),
-    )
+    fr = np.concatenate(fr_parts) if protect else np.empty(0, dtype=np.uint8)
+    fd = np.concatenate(fd_parts) if protect else ()
     return GuardedStream(
         mode=cfg.mode,
-        payload_kind=PayloadKind.OCTREE,
         epsilon=cfg.epsilon,
         grid_desc=UniformDesc(q=cfg.grid.q, s=cfg.grid.s),
-        p0_q16=flags.p0_q16,
-        flag_count=len(flags),
+        flag_count=len(fr),
         payload=OctreeHeader(bit_depth=cloud.bit_depth, point_count=len(cloud)),
-        safeguard=encode_flags(flags, cfg.mode),
+        safeguard=encode_flags(fr, fd, cfg.mode),
         main=enc.finish(),
     )
 
@@ -536,10 +531,8 @@ class TestDecodeErrors:
     def test_wrong_payload_kind(self):
         stream = GuardedStream(
             mode=GuardMode.CENTER,
-            payload_kind=PayloadKind.RAW,
             epsilon=1e-6,
             grid_desc=UniformDesc(q=0.004, s=0.0),
-            p0_q16=32768,
             flag_count=0,
             payload=RawHeader(value_count=0),
             safeguard=b"",

@@ -8,7 +8,6 @@ import pytest
 
 from reproguard import (
     FlagReader,
-    FlagStream,
     GuardConfig,
     GuardMode,
     QuantGrid,
@@ -215,14 +214,11 @@ def _with_flag(stream, at: int, direction: int):
     """``stream`` with one more risky flag, at value ``at``; in FULL mode its
     direction bit is ``direction`` (0 left, 1 right)."""
     n = stream.flag_count
-    fr, fd = FlagReader(stream.safeguard, n, stream.p0_q16, stream.mode).take(n)
+    fr, fd = FlagReader(stream.safeguard, n, stream.mode).take(n)
     fr[at] = 1
     if stream.mode == GuardMode.FULL:
         fd = np.insert(fd, np.count_nonzero(fr[:at]), direction)
-    flags = FlagStream.from_arrays(fr, fd)
-    return dataclasses.replace(
-        stream, p0_q16=flags.p0_q16, safeguard=encode_flags(flags, stream.mode)
-    )
+    return dataclasses.replace(stream, safeguard=encode_flags(fr, fd, stream.mode))
 
 
 def _octree_edge_flag(mode, direction, monkeypatch):
@@ -381,15 +377,13 @@ def _stream(kind, **fields):
     """A valid stream of payload ``kind`` with ``fields`` replaced."""
     payload = {
         _OCT: OctreeHeader(bit_depth=2, point_count=5),
-        _HYP: HyperpriorHeader(8, 8, 3, 1, bytes(2 * 2 * 3 * 8)),
+        _HYP: HyperpriorHeader(8, 8, 3, bytes(2 * 2 * 3 * 8)),
         _RAW: RawHeader(value_count=3),
     }[kind]
     base = dict(
         mode=GuardMode.CENTER,
-        payload_kind=kind,
         epsilon=1e-6,
         grid_desc=TableDesc(1) if kind == _HYP else UniformDesc(0.004, 0.0),
-        p0_q16=40000,
         flag_count=3,
         payload=payload,
         safeguard=b"\x01\x02",
@@ -398,9 +392,11 @@ def _stream(kind, **fields):
     return GuardedStream(**{**base, **fields})
 
 
+# None: the field follows from the stream object, so only bytes carry the
+# fault; the payload kind byte is the payload header's type
 FIELD_FAULTS = {
     "mode": (_RAW, dict(mode=7)),
-    "payload-kind": (_RAW, dict(payload_kind=5)),
+    "payload-kind": (_RAW, None),
     "epsilon-zero": (_RAW, dict(epsilon=0.0)),
     "epsilon-negative": (_OCT, dict(epsilon=-1e-6)),
     "epsilon-inf": (_RAW, dict(epsilon=float("inf"))),
@@ -411,28 +407,30 @@ FIELD_FAULTS = {
     "s-one": (_RAW, dict(grid_desc=UniformDesc(0.004, 1.0))),
     "s-negative": (_RAW, dict(grid_desc=UniformDesc(0.004, -0.25))),
     "table-id-zero": (_HYP, dict(grid_desc=TableDesc(0))),
-    "p0-zero": (_OCT, dict(p0_q16=0)),
     "bit-depth-zero": (_OCT, dict(payload=OctreeHeader(0, 1))),
     "bit-depth-22": (_OCT, dict(payload=OctreeHeader(22, 1))),
     "point-count-zero": (_OCT, dict(payload=OctreeHeader(2, 0))),
     "point-count-over": (_OCT, dict(payload=OctreeHeader(2, 65))),
-    "height-zero": (_HYP, dict(payload=HyperpriorHeader(0, 8, 3, 1, b""))),
-    "height-not-4k": (_HYP, dict(payload=HyperpriorHeader(6, 8, 3, 1, bytes(48)))),
-    "width-not-4k": (_HYP, dict(payload=HyperpriorHeader(8, 10, 3, 1, bytes(96)))),
-    "channels-zero": (_HYP, dict(payload=HyperpriorHeader(8, 8, 0, 1, b""))),
-    "scale-table-zero": (_HYP, dict(payload=HyperpriorHeader(8, 8, 3, 0, bytes(96)))),
+    "height-zero": (_HYP, dict(payload=HyperpriorHeader(0, 8, 3, b""))),
+    "height-not-4k": (_HYP, dict(payload=HyperpriorHeader(6, 8, 3, bytes(48)))),
+    "width-not-4k": (_HYP, dict(payload=HyperpriorHeader(8, 10, 3, bytes(96)))),
+    "channels-zero": (_HYP, dict(payload=HyperpriorHeader(8, 8, 0, b""))),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(FIELD_FAULTS))
 def test_read_rejects_every_field_fault_write_rejects(fault, monkeypatch):
     kind, fields = FIELD_FAULTS[fault]
-    container.read(container.write(_stream(kind)))  # the base stream is valid
-    bad = _stream(kind, **fields)
-    with pytest.raises(FieldValueError):
-        container.write(bad)
-    with monkeypatch.context() as m:  # the bytes write would emit unchecked
-        m.setattr(container, "_check_stream", lambda stream: None)
-        data = container.write(bad)
+    good = container.write(_stream(kind))
+    container.read(good)  # the base stream is valid
+    if fields is None:
+        data = bytes([*good[:6], 5, *good[7:]])  # kind 5 is no payload's
+    else:
+        bad = _stream(kind, **fields)
+        with pytest.raises(FieldValueError):
+            container.write(bad)
+        with monkeypatch.context() as m:  # the bytes write would emit unchecked
+            m.setattr(container, "_check_stream", lambda stream: None)
+            data = container.write(bad)
     with pytest.raises(FieldValueError):
         container.read(data)

@@ -11,8 +11,8 @@ from reproguard.quantizer import (
     get_table,
     quantize_array,
 )
+from reproguard.entropy import FlagReader, _zero_p16, encode_flags
 from reproguard.safeguard import (
-    FlagStream,
     GuardConfig,
     GuardMode,
     guard_decode_array,
@@ -109,32 +109,36 @@ def test_decode_full_missing_direction():
 
 
 # ---------------------------------------------------------------------------
-# flag streams
+# flag streams: the zero rate their section is coded at follows from the
+# flag count and the risky count R
 
 
 def test_finalize_mostly_safe():
-    fs = FlagStream.from_arrays(np.array([0] * 999 + [1]))
-    assert fs.p0_q16 / 65536 == pytest.approx(0.999, abs=2**-17)
-    assert fs.p0_q16 == 65470
+    p0 = _zero_p16(1000, 1)
+    assert p0 / 65536 == pytest.approx(0.999, abs=2**-17)
+    assert p0 == 65470
 
 
 def test_finalize_all_safe_clamps():
-    fs = FlagStream.from_arrays(np.zeros(100))
-    assert fs.p0_q16 == 65535
+    assert _zero_p16(100, 0) == 65535
+    assert _zero_p16(100, 100) == 1
 
 
 def test_finalize_empty_default():
-    fs = FlagStream.from_arrays(np.empty(0))
-    assert fs.p0_q16 == 32768
+    assert _zero_p16(0, 0) == 32768
 
 
 def test_from_arrays_counts_directions():
-    fr = np.array([1, 0, 1], dtype=np.uint8)
-    fs = FlagStream.from_arrays(fr, [0, 1])
-    assert len(fs) == 3
-    assert fs.f_r.tolist() == [1, 0, 1]
-    assert fs.f_d.dtype == np.uint8 and fs.f_d.tolist() == [0, 1]
-    assert FlagStream.from_arrays(fr).f_d.shape == (0,)
+    # the guard's arrays go to the flag coder as they are: one flag per
+    # value, one direction bit per risky flag in FULL mode and none in CENTER
+    _, fr, fd = guard_encode_array(cfg_for(GuardMode.FULL), [0.0203, 0.505, 0.0298])
+    assert fr.tolist() == [1, 0, 1]
+    assert fd.dtype == np.uint8 and fd.tolist() == [1, 0]
+    data = encode_flags(fr, fd, GuardMode.FULL)
+    got_fr, got_fd = FlagReader(data, 3, GuardMode.FULL).take(3)
+    assert got_fr.tolist() == [1, 0, 1] and got_fd.tolist() == [1, 0]
+    _, fr, fd = guard_encode_array(cfg_for(GuardMode.CENTER), [0.0203, 0.505, 0.0298])
+    assert fr.tolist() == [1, 0, 1] and fd.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
