@@ -3,8 +3,9 @@
 Everything is big-endian.  Each header layout is declared once, in the wire
 table below, and ``write``, ``read`` and the field checks all work from it.
 Each fact is stated once on the wire: the payload kind byte is the type of
-the payload header, the grid descriptor alone names a table, and the flag
-section's coding rate follows from the flag count and the section itself.
+the payload header, the grid descriptor alone names a table (a uniform
+grid is its step), and the flag section's coding rate follows from the flag
+count and the section itself.
 The parser is hardened: any byte buffer either parses or raises a subclass
 of MalformedStreamError, it never reads past declared lengths, and accepted
 buffers round-trip byte-identically through ``read`` then ``write``.
@@ -53,7 +54,7 @@ __all__ = [
 ]
 
 MAGIC = b"RGRD"
-VERSION = 3
+VERSION = 4
 
 
 class PayloadKind:
@@ -65,7 +66,6 @@ class PayloadKind:
 @dataclass(frozen=True)
 class UniformDesc:
     q: float
-    s: float
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def _z_len(height: int, width: int, channels: int) -> int:
 # header of the kind's frame, then the safeguard and main sections.
 _HEAD = ">4sBBBdB"
 _COUNTS = ">III"
-_GRIDS = {0: (UniformDesc, ">dd"), 1: (TableDesc, ">H")}
+_GRIDS = {0: (UniformDesc, ">d"), 1: (TableDesc, ">H")}
 _MODES = frozenset(GuardMode)  # the mode byte's values
 
 _UNIT = (0.0, 1.0)  # the probability domain every octree grid clips to
@@ -164,17 +164,17 @@ def _grid(desc: UniformDesc | TableDesc, kind: int) -> QuantGrid:
     if frame is None or not isinstance(desc, frame.descs):
         raise ConfigError(f"a payload kind {kind!r} header cannot carry {desc!r}")
     if isinstance(desc, UniformDesc):
-        return QuantGrid.uniform(desc.q, desc.s, domain=frame.domain)
+        return QuantGrid.uniform(desc.q, domain=frame.domain)
     return get_table(desc.table_id)
 
 
 def grid_desc_for(grid: QuantGrid, kind: int) -> UniformDesc | TableDesc:
     """The header descriptor of ``grid`` in a stream of payload ``kind``:
-    the uniform step and offset, or the grid's id in the table registry.
+    the uniform step, or the grid's id in the table registry.
     A decoder rebuilds the grid from the header alone, so this raises
     ConfigError unless that rebuild is exactly ``grid``."""
     if grid.is_uniform:
-        desc: UniformDesc | TableDesc = UniformDesc(q=grid.q, s=grid.s)
+        desc: UniformDesc | TableDesc = UniformDesc(q=grid.q)
     else:
         ids = [i for i, table in _TABLES.items() if table == grid]
         if not ids:
@@ -238,8 +238,6 @@ def _check_stream(stream: GuardedStream) -> None:
     if isinstance(desc, UniformDesc):
         if not (math.isfinite(desc.q) and desc.q > 0.0):
             raise FieldValueError("grid step must be finite and > 0")
-        if not (math.isfinite(desc.s) and 0.0 <= desc.s < 1.0):
-            raise FieldValueError("grid offset must be in [0, 1)")
     elif desc.table_id == 0:
         raise FieldValueError("table id 0 is reserved")
 

@@ -306,7 +306,7 @@ def make_pc_config(
     """Probability grid q = 1/k on [0, 1] with both edges clipped."""
     if k < 1:
         raise ConfigError("k must be a positive integer")
-    grid = QuantGrid.uniform(1.0 / k, 0.0, domain=_UNIT)
+    grid = QuantGrid.uniform(1.0 / k, domain=_UNIT)
     return GuardConfig(grid=grid, epsilon=epsilon, mode=mode)
 
 

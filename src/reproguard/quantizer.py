@@ -1,12 +1,12 @@
 """Scalar quantization grids and boundary operators.
 
-A grid is either uniform (step ``q``, offset ``s``) or an explicit sorted
-boundary table.  Bins are half-open ``[b_i, b_{i+1})``; a value exactly on
-the last boundary belongs to the top bin.  Values beyond a grid's domain
-clamp onto it, and a table's domain is its outer boundary pair.  All
-arithmetic is IEEE-754 double precision.  Operators work on whole arrays.
-Boundary tables that stream headers name by id are fixed: table 1 is the
-hyperprior scale ladder.
+A grid is either uniform, of step ``q``, or an explicit sorted boundary
+table.  Bins are half-open ``[b_i, b_{i+1})``, and a uniform grid's boundary
+``i`` is ``i*q``; a value exactly on the last boundary belongs to the top
+bin.  Values beyond a grid's domain clamp onto it, and a table's domain is
+its outer boundary pair.  All arithmetic is IEEE-754 double precision.
+Operators work on whole arrays.  Boundary tables that stream headers name
+by id are fixed: table 1 is the hyperprior scale ladder.
 
 Each value array is checked once, where it enters: one min/max pair finds
 non-finite values and, on a uniform grid, bin indices of magnitude 2**53 or
@@ -73,7 +73,6 @@ class QuantGrid:
     """
 
     q: float | None = None
-    s: float = 0.0
     boundaries: tuple[float, ...] | None = None
     domain: tuple[float, float] | None = None
     _b: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -87,11 +86,8 @@ class QuantGrid:
             raise ConfigError("grid needs exactly one of step q or boundaries")
         if self.q is not None:
             q = _check_finite("q", self.q)
-            s = _check_finite("s", self.s)
             if q <= 0.0:
                 raise ConfigError(f"step q must be > 0, got {q!r}")
-            if not 0.0 <= s < 1.0:
-                raise ConfigError(f"offset s must be in [0, 1), got {s!r}")
             if self.domain is not None:
                 lo, hi = self.domain
                 lo = _check_finite("domain lo", lo)
@@ -100,7 +96,7 @@ class QuantGrid:
                     raise ConfigError("domain lo must be < hi")
                 edges = []
                 for name, edge in (("lo", lo), ("hi", hi)):
-                    t = edge / q + s
+                    t = edge / q
                     if not abs(t) < _MAX_INDEX:
                         raise ConfigError(
                             f"domain {name}={edge!r} lies at bin index {t!r} of "
@@ -136,9 +132,9 @@ class QuantGrid:
 
     @classmethod
     def uniform(
-        cls, q: float, s: float = 0.0, domain: tuple[float, float] | None = None
+        cls, q: float, *, domain: tuple[float, float] | None = None
     ) -> "QuantGrid":
-        return cls(q=float(q), s=float(s), domain=domain)
+        return cls(q=float(q), domain=domain)
 
     @property
     def is_uniform(self) -> bool:
@@ -196,7 +192,7 @@ def _checked(grid: QuantGrid, v, range_error=InvalidInputError) -> np.ndarray:
             np.minimum(v, d_hi, out=v)
     else:
         with np.errstate(over="ignore"):
-            ends = np.floor(np.array([lo, hi]) / grid.q + grid.s)
+            ends = np.floor(np.array([lo, hi]) / grid.q)
         if not np.all(np.abs(ends) < _MAX_INDEX):
             raise range_error(
                 f"values in [{lo!r}, {hi!r}] reach bin index "
@@ -214,7 +210,7 @@ def _uniform_bins(grid: QuantGrid, v: np.ndarray, nearest: bool):
     twice.  Indices are float64, exact below 2**53.  Every operation writes
     in place into the three returned arrays, one block of values at a time.
     """
-    q, s = grid.q, grid.s
+    q = grid.q
     flat = v.reshape(-1)
     n = np.empty(flat.size)
     m = np.empty(flat.size) if nearest else None
@@ -223,28 +219,24 @@ def _uniform_bins(grid: QuantGrid, v: np.ndarray, nearest: bool):
         part = slice(i, i + _BLOCK)
         vb, nb = flat[part], n[part]
         np.divide(vb, q, out=nb)
-        nb += s
         np.floor(nb, out=nb)
         if not nearest:
             continue
         mb, db = m[part], d[part]
         # one-ulp repair of n into fi: the division may round across the
         # boundary, and b_fi <= v need not hold after it either
-        np.subtract(nb, s, out=db)
-        db *= q
-        down = np.greater(db, vb)  # (n - s)q > v
+        np.multiply(nb, q, out=db)
+        down = np.greater(db, vb)  # nq > v
         np.subtract(nb, down, out=mb)
-        np.add(mb, 1.0 - s, out=db)
+        np.add(mb, 1.0, out=db)
         db *= q
-        up1 = np.less_equal(db, vb)  # (fi + (1 - s))q <= v
+        up1 = np.less_equal(db, vb)  # (fi + 1)q <= v
         mb += up1
         # nearest boundary m = fi + up, ties going down: v - b_fi against
         # b_{fi+1} - v, the latter written over fi, then m rebuilt from n
-        np.subtract(mb, s, out=db)
-        db *= q
+        np.multiply(mb, q, out=db)
         np.subtract(vb, db, out=db)
         mb += 1.0
-        mb -= s
         mb *= q
         mb -= vb
         up = np.greater(db, mb)
@@ -252,8 +244,7 @@ def _uniform_bins(grid: QuantGrid, v: np.ndarray, nearest: bool):
         mb += up1
         mb += up
         # |b_m - v|, with b_m written as for any boundary index
-        np.subtract(mb, s, out=db)
-        db *= q
+        np.multiply(mb, q, out=db)
         db -= vb
         np.abs(db, out=db)
     if grid._edges is not None:
@@ -282,7 +273,7 @@ def _center(grid: QuantGrid, n: np.ndarray) -> np.ndarray:
     """Center of each bin ``n``, an array of ``n``'s shape; a uniform
     grid's float ``n`` becomes it."""
     if grid.is_uniform:
-        n += 0.5 - grid.s
+        n += 0.5
         n *= grid.q
         return n
     b = grid._b
@@ -300,7 +291,7 @@ def _nearest(grid: QuantGrid, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _boundary(grid: QuantGrid, m: np.ndarray) -> np.ndarray:
     """Value of each int64 boundary index ``m``."""
     if grid.is_uniform:
-        return (m.astype(np.float64) - grid.s) * grid.q
+        return m.astype(np.float64) * grid.q
     return grid._b[m]
 
 

@@ -55,14 +55,9 @@ class GuardMode(enum.IntEnum):
     CENTER = 3
 
 
-def parse_mode(name: str | int | GuardMode) -> GuardMode:
+def parse_mode(name: str | GuardMode) -> GuardMode:
     if isinstance(name, GuardMode):
         return name
-    if isinstance(name, int):
-        try:
-            return GuardMode(name)
-        except ValueError:
-            raise ConfigError(f"unknown guard mode {name!r}") from None
     try:
         return GuardMode[name.upper()]
     except (KeyError, AttributeError):

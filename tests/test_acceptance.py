@@ -74,7 +74,7 @@ def test_reproduction_guarantee_bit_exact(capsys):
         for q in (0.004, 0.008):
             for eps in (1e-5, 1e-6):
                 cfg = GuardConfig(
-                    grid=QuantGrid.uniform(q, 0.0),
+                    grid=QuantGrid.uniform(q),
                     epsilon=eps,
                     mode=mode,
                 )
@@ -106,7 +106,7 @@ def test_bin_drift_at_most_one(capsys):
     total = 0
 
     # uniform grid, validated for eps = 1e-5 (q > 4 eps)
-    grid = QuantGrid.uniform(0.004, 0.0)
+    grid = QuantGrid.uniform(0.004)
     eps = 1e-5
     n = 500_000
     v = rng.uniform(-2.0, 2.0, size=n)
@@ -291,7 +291,7 @@ def valid_corpus(rng, count):
                 bit_depth=depth,
                 point_count=int(rng.integers(1, min(2**18, 8**depth) + 1)),
             )
-            desc = UniformDesc(q=float(rng.uniform(1e-4, 1.0)), s=0.0)
+            desc = UniformDesc(q=float(rng.uniform(1e-4, 1.0)))
         elif kind == PayloadKind.HYPERPRIOR:
             h, w = 4 * int(rng.integers(1, 4)), 4 * int(rng.integers(1, 4))
             c = int(rng.integers(1, 4))
@@ -302,9 +302,7 @@ def valid_corpus(rng, count):
             )
         else:
             payload = RawHeader(value_count=flags)
-            desc = UniformDesc(
-                q=float(rng.uniform(1e-4, 1.0)), s=float(rng.uniform(0.0, 0.99))
-            )
+            desc = UniformDesc(q=float(rng.uniform(1e-4, 1.0)))
         streams.append(
             GuardedStream(
                 mode=MODES[int(rng.integers(0, len(MODES)))],

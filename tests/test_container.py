@@ -40,7 +40,7 @@ def raw_stream(count=0, main=b"", safeguard=b"", mode=GuardMode.CENTER):
     return GuardedStream(
         mode=mode,
         epsilon=1e-6,
-        grid_desc=UniformDesc(q=0.004, s=0.0),
+        grid_desc=UniformDesc(q=0.004),
         flag_count=count,
         payload=RawHeader(value_count=count),
         safeguard=safeguard,
@@ -52,7 +52,7 @@ def octree_stream():
     return GuardedStream(
         mode=GuardMode.CENTER,
         epsilon=1e-6,
-        grid_desc=UniformDesc(q=1.0 / 250.0, s=0.0),
+        grid_desc=UniformDesc(q=1.0 / 250.0),
         flag_count=12,
         payload=OctreeHeader(bit_depth=10, point_count=4444),
         safeguard=b"\x01\x02\x03",
@@ -75,9 +75,9 @@ def hyper_stream():
 
 def test_minimal_raw_stream_size():
     data = write(raw_stream())
-    # magic 4 + version 1 + mode 1 + kind 1 + eps 8 + grid (1+16)
+    # magic 4 + version 1 + mode 1 + kind 1 + eps 8 + grid (1+8)
     # + flag_count 4 + lens 8 + raw count 8
-    assert len(data) == 52
+    assert len(data) == 44
     assert read(data).payload.value_count == 0
 
 
@@ -120,14 +120,23 @@ def test_unsupported_version():
 def test_version_1_streams_are_unsupported():
     # v1 range-coded its flags; v2 Rice-codes the gaps between risky flags
     data = bytearray(write(raw_stream()))
-    assert data[4] == 3
+    assert data[4] == 4
     data[4] = 1
     with pytest.raises(UnsupportedVersionError):
         read(bytes(data))
 
 
+def test_version_3_streams_are_unsupported():
+    # a v3 header carried a uniform grid's offset after its step
+    data = bytearray(write(raw_stream()))
+    data[4] = 3
+    with pytest.raises(UnsupportedVersionError, match="version 3"):
+        read(bytes(data))
+
+
 # A v2 stream: six raw values in FULL mode, two of them risky.  v2 headers
-# carried the flag rate p0_q16 (here 0xaaab) after the grid descriptor.
+# carried the flag rate p0_q16 (here 0xaaab) after the grid descriptor, and
+# v2 and v3 ones a uniform grid's offset (here 0.0) after its step.
 V2_RAW = bytes.fromhex(
     "524752440200023f4999999999999a003f900000000000000000000000000000aaab"
     "00000006000000020000003000000000000000060220bff9a000000000003fdf8000"
@@ -139,9 +148,10 @@ V2_RAW = bytes.fromhex(
 def test_version_2_streams_are_unsupported():
     with pytest.raises(UnsupportedVersionError, match="version 2"):
         read(V2_RAW)
-    # the same stream, header cut to v3, is read: only the version refuses it
-    v3 = bytes([*V2_RAW[:4], 3, *V2_RAW[5:32], *V2_RAW[34:]])
-    assert read(v3).flag_count == 6
+    # the same stream, header cut to v4, is read: only the version refuses it
+    assert V2_RAW[24:32] == bytes(8)
+    v4 = bytes([*V2_RAW[:4], 4, *V2_RAW[5:24], *V2_RAW[34:]])
+    assert read(v4).flag_count == 6
 
 
 def test_truncated_header():
@@ -221,7 +231,7 @@ def test_impossible_point_count_rejected():
             GuardedStream(
                 mode=GuardMode.CENTER,
                 epsilon=1e-6,
-                grid_desc=UniformDesc(q=0.004, s=0.0),
+                grid_desc=UniformDesc(q=0.004),
                 flag_count=0,
                 payload=OctreeHeader(bit_depth=2, point_count=100),
                 safeguard=b"",
@@ -316,7 +326,7 @@ def test_roundtrip_fuzzed_valid_streams():
                 bit_depth=depth,
                 point_count=int(rng.integers(1, min(2**20, 8**depth) + 1)),
             )
-            desc = UniformDesc(q=float(rng.uniform(1e-4, 1.0)), s=0.0)
+            desc = UniformDesc(q=float(rng.uniform(1e-4, 1.0)))
         elif kind == PayloadKind.HYPERPRIOR:
             h = 4 * int(rng.integers(1, 5))
             w = 4 * int(rng.integers(1, 5))
@@ -330,9 +340,7 @@ def test_roundtrip_fuzzed_valid_streams():
             )
         else:
             payload = RawHeader(value_count=count)
-            desc = UniformDesc(
-                q=float(rng.uniform(1e-4, 1.0)), s=float(rng.uniform(0.0, 0.99))
-            )
+            desc = UniformDesc(q=float(rng.uniform(1e-4, 1.0)))
         s = GuardedStream(
             mode=mode,
             epsilon=eps,

@@ -1,12 +1,12 @@
 """Pinned container bytes of small fixed-seed streams.
 
-The v3 wire format is a promise: a faster coder must emit exactly these
+The v4 wire format is a promise: a faster coder must emit exactly these
 bytes.  Each case is encoded, written, and compared by SHA-256 against the
-digest recorded when the format last changed (v3: the header lost its
-second copy of the flag rate and of the hyperprior's table id).  The digest
-of each case's ``main`` section was recorded with the v1 format, and that
-of its safeguard section with v2 (which made it Rice-coded gaps between
-risky flags); neither moved with v3, which changed the header alone.
+digest recorded when the format last changed (v4: a uniform grid's header
+descriptor lost its offset, 8 bytes).  The digest of each case's ``main``
+section was recorded with the v1 format, and that of its safeguard section
+with v2 (which made it Rice-coded gaps between risky flags); neither moved
+with v3 or v4, which changed the header alone.
 """
 
 import hashlib
@@ -51,22 +51,22 @@ def _hyperprior_unprotected(mode: GuardMode):
 #        SHA-256 of its safeguard section)
 GOLDEN = {
     "octree-center": (lambda: _octree(GuardMode.CENTER),
-        "22a8bbcc519dbd074d2898339381c8b548ffbf58105c9d3720aa21f49c039f3f",
+        "f3697e33260e36c110c825cb5ecfe28b16f9a4f2e3af7af619a97c540c555e6f",
         "4f964bf18cda4736b00b0678e586f245cd39213c0097fd716105d9aa95da1bbd",
         "632450b055558aeadf3073af31e5e34d210fc68c4e340b55b5b070130d21f8c8",
     ),
     "octree-full": (lambda: _octree(GuardMode.FULL),
-        "4dd372fdd03cd7890afac0dceb44f5162a9cc6abdad038a0f379db14f053f66d",
+        "ef2f2d2854a735703f94e8f751d1f009f9f963adc609768b747ce2eead44ccd4",
         "a17f1b739e84b4f99ec3eb1a87bfe92ccccc5e77f5d5f3d2c519b471a1229655",
         "8653d21a328e0b75f37535a0f548e7a533e5ca564160507fdf3935afbf92bc90",
     ),
     "hyperprior-center": (_hyperprior,
-        "6b5a1c53189f910f5eb4aed9ad6f72e99f8d73629c659130851c3dbb3b30b3d3",
+        "c1c5518812af3b1d2b0879be64816e4ab23efb848e7ced3ea5d9d7922f7e9ab2",
         "c9be78233bcdcb4146f00d8d175b3a16b4f658173abc47cffb01e13efdbf5a75",
         "a387131f02a0d8e0ec45a4994514a1b420af84b5a07b7bb7e559aa54f1e58675",
     ),
     "raw-full": (lambda: _raw(GuardMode.FULL),
-        "c1fab604551904b6624df28496d966fdee9e8135c971b207137f1cff2a8257a8",
+        "535b75806701884a99ce2ea7b74daa437ba0ff8734f964f3ad452710a3232859",
         "e471a22b937b0fdd9cee3cffcca47e2628d0966dfd560b4850b1ee7d48746680",
         "0a058eec8a2f0a07144a8624459eed522ed1177f57abba9e7397f869ae22f6e7",
     ),
@@ -75,8 +75,8 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_stream_bytes_match_v1(name):
-    # the name predates v2 and v3 and is kept so the test ids stay stable;
-    # the digests are those of the v3 format
+    # the name predates v2 to v4 and is kept so the test ids stay stable;
+    # the digests are those of the v4 format
     build, digest, *_ = GOLDEN[name]
     stream = build()
     assert stream.flag_count > 0 and any(stream.safeguard)
@@ -99,13 +99,13 @@ def test_safeguard_section_kept_its_v2_bytes(name):
 # and the safeguard section is empty.  Digests of the container.
 UNPROTECTED = {
     "octree-center": (lambda: _octree_unprotected(GuardMode.CENTER),
-        "4523605d2db11c3621ca3bfba3cf1f318994a9a12614b1362ad9036ff355159d",
+        "7c1e111b6f14a40087fd4fbd8d8a792452960c07f400dadc2fd6ef8a6e466870",
     ),
     "octree-full": (lambda: _octree_unprotected(GuardMode.FULL),
-        "b98c5f1d839cc965282b7172b9dbf97c013cf971f5f200d1910f4cdc6188c842",
+        "6e28a9eb10ed8bed903ff6a6529c4b0849e296d29a974db0f927030df2ac7199",
     ),
     "hyperprior-center": (lambda: _hyperprior_unprotected(GuardMode.CENTER),
-        "6c503c9f8d129c62f81aa07627831e3bfda9693409d2fdb4d68dd9cc18d12736",
+        "77a5630886df32406aee16217b720dc4d700557efdfca41dbbc7e32b0df1a2f2",
     ),
 }
 

@@ -231,7 +231,7 @@ class TestCodec:
         raw = GuardedStream(
             mode=GuardMode.CENTER,
             epsilon=1e-4,
-            grid_desc=UniformDesc(q=0.004, s=0.0),
+            grid_desc=UniformDesc(q=0.004),
             flag_count=0,
             payload=RawHeader(value_count=0),
             safeguard=b"",

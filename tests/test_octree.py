@@ -234,27 +234,27 @@ class TestConfig:
     def test_make_pc_config(self):
         cfg = make_pc_config(1e-6, k=250)
         assert cfg.grid.q == 1.0 / 250.0
-        assert cfg.grid.s == 0.0
         assert cfg.edge_clip == (0.0, 1.0)
         assert cfg.mode == GuardMode.CENTER
 
     def test_unit_domain_forces_reciprocal_step(self):
         # a step that does not divide [0, 1] cannot even form the grid
         with pytest.raises(ConfigError):
-            QuantGrid.uniform(0.3, 0.0, domain=(0.0, 1.0))
+            QuantGrid.uniform(0.3, domain=(0.0, 1.0))
 
     def test_clip_edges_must_sit_on_boundaries(self):
         # the header names [0, 1] as the domain, so both edges must be
-        # boundaries of the grid the encoder guards with
+        # boundaries of the grid the encoder guards with, and its edges
         cloud = synth_cloud("sparse", 3, 10, 0)
-        for grid in (QuantGrid.uniform(0.3, 0.0), QuantGrid.uniform(0.01, 0.5)):
+        off_edges = QuantGrid.uniform(0.01, domain=(-1.0, 2.0))
+        for grid in (QuantGrid.uniform(0.3), off_edges):
             cfg = GuardConfig(grid=grid, epsilon=1e-6, mode=GuardMode.CENTER)
             with pytest.raises(ConfigError):
                 encode(cloud, cfg)
 
     def test_domainless_grid_rejected(self):
         # valid safeguard config, but the codec needs the [0, 1] domain
-        grid = QuantGrid.uniform(0.01, 0.0)
+        grid = QuantGrid.uniform(0.01)
         cfg = GuardConfig(grid=grid, epsilon=1e-6, mode=GuardMode.CENTER)
         cloud = synth_cloud("sparse", 3, 10, 0)
         with pytest.raises(ConfigError):
@@ -412,7 +412,7 @@ def reference_encode(cloud, cfg, protect):
     return GuardedStream(
         mode=cfg.mode,
         epsilon=cfg.epsilon,
-        grid_desc=UniformDesc(q=cfg.grid.q, s=cfg.grid.s),
+        grid_desc=UniformDesc(q=cfg.grid.q),
         flag_count=len(fr),
         payload=OctreeHeader(bit_depth=cloud.bit_depth, point_count=len(cloud)),
         safeguard=encode_flags(fr, fd, cfg.mode),
@@ -532,7 +532,7 @@ class TestDecodeErrors:
         stream = GuardedStream(
             mode=GuardMode.CENTER,
             epsilon=1e-6,
-            grid_desc=UniformDesc(q=0.004, s=0.0),
+            grid_desc=UniformDesc(q=0.004),
             flag_count=0,
             payload=RawHeader(value_count=0),
             safeguard=b"",
@@ -561,7 +561,7 @@ class TestDecodeErrors:
     def test_unusable_grid(self):
         cloud = synth_cloud("sparse", 4, 50, 0)
         s = encode(cloud, make_pc_config(1e-6))
-        bad = GuardedStream(**{**s.__dict__, "grid_desc": UniformDesc(q=0.3, s=0.0)})
+        bad = GuardedStream(**{**s.__dict__, "grid_desc": UniformDesc(q=0.3)})
         with pytest.raises(FieldValueError):
             decode(bad)
 

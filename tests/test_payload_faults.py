@@ -119,7 +119,7 @@ def test_raw_encode_rejects_a_table_outside_the_registry():
     "payload, desc",
     [
         ("octree", TableDesc(1)),
-        ("hyperprior", UniformDesc(0.5, 0.0)),
+        ("hyperprior", UniformDesc(0.5)),
         ("raw", TableDesc(2)),
     ],
 )
@@ -175,12 +175,12 @@ _NAN, _INF = float("nan"), float("inf")
     [
         ("octree", dict(epsilon=_NAN)),
         ("octree", dict(epsilon=_INF)),
-        ("octree", dict(grid_desc=UniformDesc(_NAN, 0.0))),
+        ("octree", dict(grid_desc=UniformDesc(_NAN))),
         ("hyperprior", dict(epsilon=_NAN)),
         ("hyperprior", dict(epsilon=_INF)),
         ("raw", dict(epsilon=_NAN)),
         ("raw", dict(epsilon=-_INF)),
-        ("raw", dict(grid_desc=UniformDesc(_NAN, 0.0))),
+        ("raw", dict(grid_desc=UniformDesc(_NAN))),
     ],
     ids=["octree-eps-nan", "octree-eps-inf", "octree-q-nan", "hyperprior-eps-nan",
          "hyperprior-eps-inf", "raw-eps-nan", "raw-eps-neg-inf", "raw-q-nan"],
@@ -285,7 +285,7 @@ def test_raw_flag_on_the_domain_edge_is_malformed(case):
 def test_octree_step_wider_than_the_unit_domain_is_a_malformed_stream():
     # both edges of [0, 1] round to boundary 0 of a 1e300 step
     stream, decode = _octree()
-    bad = dataclasses.replace(stream, grid_desc=UniformDesc(1e300, 0.0))
+    bad = dataclasses.replace(stream, grid_desc=UniformDesc(1e300))
     parsed = container.read(container.write(bad))
     with pytest.raises(FieldValueError):
         container.config_for_stream(parsed)
@@ -301,7 +301,7 @@ def test_raw_stream_with_bin_indices_beyond_2_53_is_malformed():
     # every value's bin index under a 1e-300 step is near 1e300
     stream, decode = _raw()
     bad = dataclasses.replace(
-        stream, grid_desc=UniformDesc(1e-300, 0.0), epsilon=1e-310
+        stream, grid_desc=UniformDesc(1e-300), epsilon=1e-310
     )
     with pytest.raises(FieldValueError):
         decode(container.read(container.write(bad)))
@@ -318,7 +318,7 @@ def _octree_tiny_step():
     top edge sits at bin index 1e200."""
     stream, _ = _octree()
     return dataclasses.replace(
-        stream, grid_desc=UniformDesc(1e-200, 0.0), epsilon=1e-210
+        stream, grid_desc=UniformDesc(1e-200), epsilon=1e-210
     )
 
 
@@ -356,7 +356,7 @@ def test_decode_pc_exits_malformed_on_hostile_streams(tmp_path, monkeypatch, cap
     stream, _ = _octree()
     hostile = {
         "edge-flag": _octree_edge_flag(GuardMode.FULL, 1, monkeypatch),
-        "wide-step": dataclasses.replace(stream, grid_desc=UniformDesc(1e300, 0.0)),
+        "wide-step": dataclasses.replace(stream, grid_desc=UniformDesc(1e300)),
         "short-of-points": _octree_short_of_points(),
     }
     for name, bad in hostile.items():
@@ -383,7 +383,7 @@ def _stream(kind, **fields):
     base = dict(
         mode=GuardMode.CENTER,
         epsilon=1e-6,
-        grid_desc=TableDesc(1) if kind == _HYP else UniformDesc(0.004, 0.0),
+        grid_desc=TableDesc(1) if kind == _HYP else UniformDesc(0.004),
         flag_count=3,
         payload=payload,
         safeguard=b"\x01\x02",
@@ -401,11 +401,9 @@ FIELD_FAULTS = {
     "epsilon-negative": (_OCT, dict(epsilon=-1e-6)),
     "epsilon-inf": (_RAW, dict(epsilon=float("inf"))),
     "epsilon-nan": (_HYP, dict(epsilon=float("nan"))),
-    "q-zero": (_RAW, dict(grid_desc=UniformDesc(0.0, 0.0))),
-    "q-negative": (_OCT, dict(grid_desc=UniformDesc(-0.5, 0.0))),
-    "q-nan": (_RAW, dict(grid_desc=UniformDesc(float("nan"), 0.0))),
-    "s-one": (_RAW, dict(grid_desc=UniformDesc(0.004, 1.0))),
-    "s-negative": (_RAW, dict(grid_desc=UniformDesc(0.004, -0.25))),
+    "q-zero": (_RAW, dict(grid_desc=UniformDesc(0.0))),
+    "q-negative": (_OCT, dict(grid_desc=UniformDesc(-0.5))),
+    "q-nan": (_RAW, dict(grid_desc=UniformDesc(float("nan")))),
     "table-id-zero": (_HYP, dict(grid_desc=TableDesc(0))),
     "bit-depth-zero": (_OCT, dict(payload=OctreeHeader(0, 1))),
     "bit-depth-22": (_OCT, dict(payload=OctreeHeader(22, 1))),

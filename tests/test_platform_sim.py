@@ -17,7 +17,7 @@ from reproguard.platform_sim import (
 )
 from reproguard.quantizer import QuantGrid, quantize_array
 
-GRID = QuantGrid.uniform(0.01, 0.0)
+GRID = QuantGrid.uniform(0.01)
 
 
 def splitmix64(*states):
@@ -177,7 +177,7 @@ class TestUniform:
     def test_deltas_fill_the_interval(self):
         p = Perturbation(e_max=1e-6, dist="uniform", seed=9)
         v = np.zeros(200_000)
-        grid = QuantGrid.uniform(1.0, 0.0)
+        grid = QuantGrid.uniform(1.0)
         d = p.perturb_array(v, grid) - v
         assert d.min() < -0.98e-6 and d.max() > 0.98e-6
         assert abs(d.mean()) < 1e-8
@@ -221,7 +221,7 @@ class TestAdversarial:
         assert np.max(np.abs(out - v)) <= 1e-6 * (1 + 1e-9)
 
     def test_domain_clip(self):
-        grid = QuantGrid.uniform(0.01, 0.0, domain=(0.0, 1.0))
+        grid = QuantGrid.uniform(0.01, domain=(0.0, 1.0))
         p = Perturbation(e_max=1e-3, dist="adversarial", seed=0)
         assert p.perturb_array([0.0], grid)[0] >= 0.0
         assert p.perturb_array([1.0], grid)[0] <= 1.0

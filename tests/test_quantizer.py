@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,7 @@ def round_index(g, v):
 
 def boundary_value(g, m):
     """Value of boundary index ``m`` of a uniform grid."""
-    return (m - g.s) * g.q
+    return m * g.q
 
 
 def round_b(g, v):
@@ -51,20 +53,17 @@ def ceil_b(g, v):
 
 
 def grids():
-    return st.builds(
-        QuantGrid.uniform,
-        st.sampled_from([0.004, 0.008, 0.01, 0.25, 1.0]),
-        st.sampled_from([0.0, 0.25, 0.5]),
-    )
+    steps = st.sampled_from([0.004, 0.008, 0.01, 0.25, 1.0])
+    return st.builds(QuantGrid.uniform, steps)
 
 
 class TestQuantize:
     def test_uniform_known_value(self):
-        g = QuantGrid.uniform(0.004, 0.0)
+        g = QuantGrid.uniform(0.004)
         assert quantize(g, 0.0103) == 2
 
     def test_zero_input_zero_offset(self):
-        g = QuantGrid.uniform(0.004, 0.0)
+        g = QuantGrid.uniform(0.004)
         assert quantize(g, 0.0) == 0
 
     def test_table_half_open_membership(self):
@@ -76,7 +75,7 @@ class TestQuantize:
         assert quantize(g, 1.0) == 1
 
     def test_non_finite_rejected(self):
-        g = QuantGrid.uniform(0.004, 0.0)
+        g = QuantGrid.uniform(0.004)
         with pytest.raises(InvalidInputError):
             quantize(g, float("nan"))
         with pytest.raises(InvalidInputError):
@@ -85,12 +84,8 @@ class TestQuantize:
 
 class TestDequantize:
     def test_uniform_bin_center(self):
-        g = QuantGrid.uniform(0.004, 0.0)
+        g = QuantGrid.uniform(0.004)
         assert dequantize(g, 2) == pytest.approx(0.01, abs=0)
-
-    def test_offset_cancels(self):
-        g = QuantGrid.uniform(1.0, 0.5)
-        assert dequantize(g, 0) == 0.0
 
     def test_table_midpoint(self):
         g = QuantGrid(boundaries=(0.0, 0.25, 1.0))
@@ -106,18 +101,18 @@ class TestDequantize:
 
 class TestBoundaryOps:
     def test_floor_ceil_round_basic(self):
-        g = QuantGrid.uniform(0.01, 0.0)
+        g = QuantGrid.uniform(0.01)
         assert floor_b(g, 0.0103) == pytest.approx(0.01, abs=0)
         assert ceil_b(g, 0.0103) == pytest.approx(0.02, abs=0)
         assert round_b(g, 0.0103) == pytest.approx(0.01, abs=0)
 
     def test_round_tie_goes_down(self):
         # 0.01 sits exactly between boundaries 0.008 and 0.012
-        g = QuantGrid.uniform(0.004, 0.0)
+        g = QuantGrid.uniform(0.004)
         assert round_b(g, 0.01) == pytest.approx(0.008, abs=0)
 
     def test_on_boundary(self):
-        g = QuantGrid.uniform(1.0, 0.0)
+        g = QuantGrid.uniform(1.0)
         assert floor_b(g, 7.0) == 7.0
         assert ceil_b(g, 7.0) == 8.0
         assert round_b(g, 7.0) == 7.0
@@ -150,7 +145,7 @@ class TestBoundaryOps:
 
 class TestRoundIndex:
     def test_matches_round_b(self):
-        g = QuantGrid.uniform(0.004, 0.5)
+        g = QuantGrid.uniform(0.004)
         for v in [0.0101, -3.7, 0.002, 0.25]:
             m, bv = round_index(g, v)
             assert bv == round_b(g, v)
@@ -165,7 +160,7 @@ class TestRoundIndex:
             assert (sm, sbv) == (m, bv)
 
     def test_ulp_adjacent_values_stay_consistent(self):
-        g = QuantGrid.uniform(0.004, 0.0)
+        g = QuantGrid.uniform(0.004)
         for k in range(1, 2000, 37):
             b = k * 0.004
             for v in (np.nextafter(b, -1.0), b, np.nextafter(b, 2.0)):
@@ -178,7 +173,7 @@ class TestGaps:
     values use them."""
 
     def test_uniform_gap_is_q(self):
-        g = QuantGrid.uniform(0.25, 0.0)
+        g = QuantGrid.uniform(0.25)
         below, above = _half_bins(g, np.array([3]))
         assert below == above == 0.125
 
@@ -191,11 +186,11 @@ class TestGaps:
 
 class TestValidate:
     def test_accepts_wide_grid(self):
-        validate(QuantGrid.uniform(0.004, 0.0), 1e-6)
+        validate(QuantGrid.uniform(0.004), 1e-6)
 
     def test_rejects_narrow_margin(self):
         with pytest.raises(ConfigError):
-            validate(QuantGrid.uniform(0.004, 0.0), 0.002)
+            validate(QuantGrid.uniform(0.004), 0.002)
 
     def test_table_margin_uses_min_gap(self):
         g = QuantGrid(boundaries=(0.0, 0.1, 0.2, 1.0))
@@ -205,17 +200,17 @@ class TestValidate:
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ConfigError):
-            validate(QuantGrid.uniform(0.004, 0.0), 0.0)
+            validate(QuantGrid.uniform(0.004), 0.0)
 
 
 class TestDomain:
     def test_domain_edges_must_be_boundaries(self):
-        QuantGrid.uniform(0.25, 0.0, domain=(0.0, 1.0))
+        QuantGrid.uniform(0.25, domain=(0.0, 1.0))
         with pytest.raises(ConfigError):
-            QuantGrid.uniform(0.25, 0.0, domain=(0.0, 0.9))
+            QuantGrid.uniform(0.25, domain=(0.0, 0.9))
 
     def test_domain_clamps_quantize(self):
-        g = QuantGrid.uniform(0.25, 0.0, domain=(0.0, 1.0))
+        g = QuantGrid.uniform(0.25, domain=(0.0, 1.0))
         assert quantize(g, -3.0) == 0
         assert quantize(g, 1.0) == 3
         assert quantize(g, 9.0) == 3
@@ -235,17 +230,17 @@ class TestDomain:
         assert round_index(g, -0.1) == (0, 0.0)
 
     @pytest.mark.parametrize(
-        "q,s,domain",
+        "q,domain",
         [
-            (1e300, 0.0, (0.0, 1.0)),
-            (4.0, 0.0, (0.0, 1e-12)),
-            (1.0, 0.5, (-0.5, -0.5 + 1e-10)),
+            (1e300, (0.0, 1.0)),
+            (4.0, (0.0, 1e-12)),
+            (1.0, (-1.0, -1.0 + 1e-10)),
         ],
     )
-    def test_uniform_domain_holds_a_whole_bin(self, q, s, domain):
+    def test_uniform_domain_holds_a_whole_bin(self, q, domain):
         with pytest.raises(ConfigError):
-            QuantGrid.uniform(q, s, domain=domain)
-        QuantGrid.uniform(q, s, domain=(domain[0], domain[0] + q))
+            QuantGrid.uniform(q, domain=domain)
+        QuantGrid.uniform(q, domain=(domain[0], domain[0] + q))
 
     @pytest.mark.parametrize(
         "q,domain",
@@ -258,10 +253,10 @@ class TestDomain:
     )
     def test_domain_edge_index_stays_below_2_53(self, q, domain):
         with pytest.raises(ConfigError, match="2\\*\\*53"):
-            QuantGrid.uniform(q, 0.0, domain=domain)
+            QuantGrid.uniform(q, domain=domain)
 
     def test_domain_edge_just_below_2_53(self):
-        g = QuantGrid.uniform(1.0, 0.0, domain=(0.0, 2.0**53 - 1.0))
+        g = QuantGrid.uniform(1.0, domain=(0.0, 2.0**53 - 1.0))
         assert quantize(g, 2.0**60) == 2**53 - 2
 
 
@@ -270,23 +265,23 @@ class TestIndexRange:
 
     @pytest.mark.parametrize("v", [2.0**53, -(2.0**53) - 2.0, 1e300])
     def test_values_beyond_are_rejected(self, v):
-        g = QuantGrid.uniform(1.0, 0.0)
+        g = QuantGrid.uniform(1.0)
         for op in (quantize_array, round_index_array):
             with pytest.raises(InvalidInputError, match="2\\*\\*53"):
                 op(g, np.array([0.5, v]))
 
     def test_values_just_inside_are_exact(self):
-        g = QuantGrid.uniform(1.0, 0.0)
+        g = QuantGrid.uniform(1.0)
         v = np.array([2.0**53 - 1.0, -(2.0**53) + 1.0])
         assert quantize_array(g, v).tolist() == [2**53 - 1, -(2**53) + 1]
 
     def test_tiny_step_overflowing_to_inf_is_rejected(self):
-        g = QuantGrid.uniform(1e-300, 0.0)
+        g = QuantGrid.uniform(1e-300)
         with pytest.raises(InvalidInputError):
             quantize_array(g, np.array([1e10]))
 
     def test_empty_input(self):
-        g = QuantGrid.uniform(1.0, 0.0)
+        g = QuantGrid.uniform(1.0)
         assert quantize_array(g, np.array([])).shape == (0,)
         m, bv = round_index_array(g, np.array([]))
         assert m.shape == bv.shape == (0,)
@@ -303,12 +298,12 @@ class TestBinDrift:
     )
     def test_drift_at_most_one(self, qe, v, u):
         q, eps = qe
-        g = QuantGrid.uniform(q, 0.0)
+        g = QuantGrid.uniform(q)
         delta = u * eps
         assert abs(quantize(g, v) - quantize(g, v + delta)) <= 1
 
     def test_drift_near_boundaries(self):
-        g = QuantGrid.uniform(0.004, 0.0)
+        g = QuantGrid.uniform(0.004)
         eps = 1e-6
         for k in range(250):
             b = k * 0.004
@@ -330,22 +325,28 @@ class TestRegistry:
 class TestConstruction:
     def test_exactly_one_kind(self):
         with pytest.raises(ConfigError):
-            QuantGrid(q=0.1, s=0.0, boundaries=(0.0, 1.0))
+            QuantGrid(q=0.1, boundaries=(0.0, 1.0))
+
+    def test_uniform_grid_is_its_step(self):
+        fields = [f.name for f in dataclasses.fields(QuantGrid) if f.init]
+        assert fields == ["q", "boundaries", "domain"]
+        # the domain is keyword-only, so a leftover positional offset fails
+        with pytest.raises(TypeError):
+            QuantGrid.uniform(0.1, 0.5)
 
     def test_boundaries_must_increase(self):
         with pytest.raises(ConfigError):
             QuantGrid(boundaries=(0.0, 0.5, 0.5, 1.0))
 
     def test_bad_step(self):
-        with pytest.raises(ConfigError):
-            QuantGrid.uniform(0.0, 0.0)
-        with pytest.raises(ConfigError):
-            QuantGrid.uniform(0.1, 1.0)
+        for q in (0.0, -0.1):
+            with pytest.raises(ConfigError):
+                QuantGrid.uniform(q)
 
     def test_min_gap(self):
         g = QuantGrid(boundaries=(0.0, 0.1, 0.45, 1.0))
         assert g.min_gap == pytest.approx(0.1)
-        assert QuantGrid.uniform(0.25, 0.0).min_gap == 0.25
+        assert QuantGrid.uniform(0.25).min_gap == 0.25
 
     def test_boundary_array_is_derived_not_passed(self):
         with pytest.raises(TypeError):

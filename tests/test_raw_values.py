@@ -21,7 +21,7 @@ from reproguard.raw_values import (
 )
 from reproguard.safeguard import GuardConfig, GuardMode
 
-GRID = QuantGrid.uniform(0.01, 0.0)
+GRID = QuantGrid.uniform(0.01)
 EPS = 1e-3
 
 

@@ -20,7 +20,7 @@ from reproguard.safeguard import (
     parse_mode,
 )
 
-GRID = QuantGrid.uniform(0.01, 0.0)
+GRID = QuantGrid.uniform(0.01)
 EPS = 0.001
 
 ALL_MODES = list(GuardMode)
@@ -158,7 +158,7 @@ def _rng_cases(rng, grid, eps, n):
 @pytest.mark.parametrize("mode", ALL_MODES)
 @pytest.mark.parametrize("q,eps", [(0.004, 1e-5), (0.008, 1e-6)])
 def test_guarantee_randomized(mode, q, eps):
-    grid = QuantGrid.uniform(q, 0.0, domain=(0.0, 1.0))
+    grid = QuantGrid.uniform(q, domain=(0.0, 1.0))
     cfg = GuardConfig(grid=grid, epsilon=eps, mode=mode)
     rng = np.random.default_rng(1234)
     v = _rng_cases(rng, grid, eps, 20000)
@@ -212,7 +212,7 @@ def test_zero_d_risky_value_on_a_table_grid(mode):
     st.floats(-0.999, 0.999),
 )
 def test_guarantee_scalar(mode, v, u):
-    grid = QuantGrid.uniform(0.01, 0.0, domain=(0.0, 1.0))
+    grid = QuantGrid.uniform(0.01, domain=(0.0, 1.0))
     cfg = GuardConfig(grid=grid, epsilon=0.001, mode=mode)
     v_out, fr, fd = guard_encode_array(cfg, [v])
     got = guard_decode_array(cfg, [v + u * 0.001], fr, fd)
@@ -228,7 +228,7 @@ def test_risky_rounding_is_stable():
     from reproguard.quantizer import round_index_array
 
     rng = np.random.default_rng(5)
-    grid = QuantGrid.uniform(0.004, 0.0)
+    grid = QuantGrid.uniform(0.004)
     cfg = GuardConfig(grid=grid, epsilon=1e-5, mode=GuardMode.CENTER)
     v = rng.uniform(0.0, 1.0, 50000)
     _, fr, _ = guard_encode_array(cfg, v)
@@ -242,7 +242,7 @@ def test_risky_rounding_is_stable():
 
 def test_safe_bin_is_stable():
     rng = np.random.default_rng(6)
-    grid = QuantGrid.uniform(0.004, 0.0)
+    grid = QuantGrid.uniform(0.004)
     cfg = GuardConfig(grid=grid, epsilon=1e-5, mode=GuardMode.CENTER)
     v = rng.uniform(0.0, 1.0, 50000)
     _, fr, _ = guard_encode_array(cfg, v)
@@ -270,7 +270,7 @@ def test_safe_vout_is_bin_center():
 
 def test_flag_rate_matches_two_epsilon_per_bin():
     rng = np.random.default_rng(7)
-    grid = QuantGrid.uniform(1.0 / 250.0, 0.0, domain=(0.0, 1.0))
+    grid = QuantGrid.uniform(1.0 / 250.0, domain=(0.0, 1.0))
     eps = 1e-4
     cfg = GuardConfig(grid=grid, epsilon=eps, mode=GuardMode.CENTER)
     n = 500000
@@ -286,7 +286,7 @@ def test_flag_rate_matches_two_epsilon_per_bin():
 
 
 def test_edge_zone_forces_safe_flag():
-    grid = QuantGrid.uniform(0.01, 0.0, domain=(0.0, 1.0))
+    grid = QuantGrid.uniform(0.01, domain=(0.0, 1.0))
     cfg = GuardConfig(grid=grid, epsilon=0.001, mode=GuardMode.CENTER)
     _, fr, _ = guard_encode_array(cfg, [0.0, 0.0005, 0.001, 0.9995, 1.0])
     assert not fr.any()
@@ -299,15 +299,14 @@ def test_edge_zone_forces_safe_flag():
 
 def test_config_requires_margin():
     with pytest.raises(ConfigError):
-        GuardConfig(grid=QuantGrid.uniform(0.004, 0.0), epsilon=0.002)
+        GuardConfig(grid=QuantGrid.uniform(0.004), epsilon=0.002)
 
 
-def test_parse_mode_accepts_names_and_ints():
+def test_parse_mode_accepts_names_only():
     assert parse_mode("center") == GuardMode.CENTER
-    assert parse_mode(3) == GuardMode.CENTER
     assert parse_mode(GuardMode.FULL) == GuardMode.FULL
-    # the one-sided modes, wire values 1 and 2, are gone
-    for gone in ("sideways", "left", "right", 1, 2):
+    # a wire value is the container's to read; the one-sided modes are gone
+    for gone in ("sideways", "left", "right", 0, 3, 1, 2):
         with pytest.raises(ConfigError):
             parse_mode(gone)
 

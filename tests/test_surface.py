@@ -33,9 +33,9 @@ PACKAGE_ALL = [
 # Scalar twins of the batch forms, helpers nothing but tests called,
 # boundary operators and their error that only the guard needed, a second
 # derivation of a header's z-blob length, the one-sided guard modes, the
-# encoder's carry into bytes already written, and the header's second copies
+# encoder's carry into bytes already written, the header's second copies
 # of the flag rate and the hyperprior's table id, with the pair of arrays
-# that carried the rate.
+# that carried the rate, and a uniform grid's offset.
 DELETED = [
     "entropy.RangeEncoder.encode_bit",
     "entropy.RangeEncoder.encode_symbol",
@@ -67,6 +67,8 @@ DELETED = [
     "safeguard.FlagStream",
     "container.GuardedStream.p0_q16",
     "container.HyperpriorHeader.scale_table_id",
+    "quantizer.QuantGrid.s",
+    "container.UniformDesc.s",
 ]
 
 

@@ -1,9 +1,9 @@
 """The float-domain uniform-grid kernel against the int64 operators it
 replaced, and the memory it works in.
 
-The reference below is the earlier int64 path, kept here verbatim in its
-arithmetic: floor index, one-ulp repair, nearest boundary with ties going
-down, bin center, and the guard's encode and decode composed from them.
+The reference below is the earlier int64 path, in its arithmetic: floor
+index, one-ulp repair, nearest boundary with ties going down, bin center,
+and the guard's encode and decode composed from them.
 Every output of the kernel path must equal it bit for bit.
 """
 
@@ -51,26 +51,26 @@ def _ref_clamp(grid, v):
 
 
 def _ref_quantize(grid, v):
-    n = np.floor(v / grid.q + grid.s).astype(np.int64)
+    n = np.floor(v / grid.q).astype(np.int64)
     if grid._edges is not None:
         n = np.clip(n, grid._edges[0], grid._edges[1] - 1)
     return n
 
 
 def _ref_dequantize(grid, n):
-    return (n.astype(np.float64) + (0.5 - grid.s)) * grid.q
+    return (n.astype(np.float64) + 0.5) * grid.q
 
 
 def _ref_boundary(grid, m):
-    return (m.astype(np.float64) - grid.s) * grid.q
+    return m.astype(np.float64) * grid.q
 
 
 def _ref_floor_index(grid, v):
-    q, s = grid.q, grid.s
-    n = np.floor(v / q + s).astype(np.int64)
-    bl = (n.astype(np.float64) - s) * q
+    q = grid.q
+    n = np.floor(v / q).astype(np.int64)
+    bl = n.astype(np.float64) * q
     n = np.where(bl > v, n - 1, n)
-    bu = (n.astype(np.float64) + (1.0 - s)) * q
+    bu = (n.astype(np.float64) + 1.0) * q
     n = np.where(bu <= v, n + 1, n)
     return n
 
@@ -131,30 +131,29 @@ def _ref_decode(cfg, vp, f_r, f_d):
 # grids and value families
 
 
-def _grid(q, s, domain_bins):
+def _grid(q, domain_bins):
     if domain_bins is None:
-        return QuantGrid.uniform(q, s)
+        return QuantGrid.uniform(q)
     lo, hi = domain_bins
-    return QuantGrid.uniform(q, s, domain=((lo - s) * q, (hi - s) * q))
+    return QuantGrid.uniform(q, domain=(lo * q, hi * q))
 
 
 GRIDS = {
-    f"q{q}-s{s}-{'dom' if bins else 'free'}": _grid(q, s, bins)
+    f"q{q}-{'dom' if bins else 'free'}": _grid(q, bins)
     for q in (0.1, 1.0 / 64.0)
-    for s in (0.0, 0.3, 0.5)
     for bins in (None, (-40, 37))
 }
 
 
 def _families(grid, eps):
     """Values on, beside, half a bin from and beyond boundaries."""
-    q, s = grid.q, grid.s
+    q = grid.q
     # small indices, large ones, and ones near 2**52 and 2**53, where a bin
     # is only a few ulps of its values wide
     big = [1e9, -1e9 + 3, 2.0**40 + 7, 2.0**52 - 3, 2.0**52 + 1, -(2.0**52) + 2]
     k = np.concatenate([np.arange(-45.0, 46.0), big, [2.0**53 - 64]])
-    # a boundary as the repair writes it and as the nearest-boundary step does
-    b = np.concatenate([(k - s) * q, (k + (1.0 - s)) * q, ((k + 1.0) - s) * q])
+    # each boundary k*q, and the one above it
+    b = np.concatenate([k * q, (k + 1.0) * q])
     fam = [
         b,
         np.nextafter(b, -np.inf),
@@ -238,7 +237,7 @@ def test_guard_matches_the_int_path(name, case):
                 assert _same(guard_decode_array(cfg, vp, f_r, fd), expected)
 
 
-@pytest.mark.parametrize("name", ["q0.1-s0.3-free", "q0.015625-s0.5-dom"])
+@pytest.mark.parametrize("name", ["q0.1-free", "q0.015625-dom"])
 def test_guard_matches_the_int_path_across_kernel_blocks(name):
     # the kernel works through long arrays a block at a time
     grid = GRIDS[name]
@@ -256,9 +255,9 @@ def test_guard_matches_the_int_path_across_kernel_blocks(name):
 def test_some_values_need_the_one_ulp_repair():
     # the families above reach the repair on both sides, and values whose
     # unrepaired bin differs from their repaired one
-    grid = GRIDS["q0.1-s0.3-free"]
+    grid = GRIDS["q0.1-free"]
     v = _families(grid, grid.q / 200.0)
-    n = np.floor(v / grid.q + grid.s)
+    n = np.floor(v / grid.q)
     fi = _ref_floor_index(grid, v).astype(np.float64)
     assert np.any(fi < n) and np.any(fi > n)
 
