@@ -16,7 +16,6 @@ from .errors import (
 from .quantizer import (
     QuantGrid,
     dequantize_array,
-    get_table,
     quantize_array,
     validate,
 )
@@ -39,8 +38,6 @@ from .container import (
     OctreeHeader,
     PayloadKind,
     RawHeader,
-    TableDesc,
-    UniformDesc,
     read,
     read_file,
     write,
@@ -68,7 +65,6 @@ __all__ = [
     "validate",
     "quantize_array",
     "dequantize_array",
-    "get_table",
     "GuardMode",
     "GuardConfig",
     "guard_encode_array",
@@ -80,8 +76,6 @@ __all__ = [
     "gaussian_cdf_table",
     "GuardedStream",
     "PayloadKind",
-    "UniformDesc",
-    "TableDesc",
     "OctreeHeader",
     "HyperpriorHeader",
     "RawHeader",

@@ -155,7 +155,7 @@ def _sweep_row(payload, cfg, k, eps, seed, size):
     p0 = entropy._zero_p16(stream.flag_count, entropy._risky_count(stream.safeguard)[0])
     return {
         "payload": payload,
-        "kind": "uniform" if k is not None else f"table:{hyperprior.SCALE_TABLE_ID}",
+        "kind": "uniform" if k is not None else "table",
         "n": n,
         "q": _q_column(k),
         "epsilon": repr(eps),

@@ -3,8 +3,9 @@
 Everything is big-endian.  Each header layout is declared once, in the wire
 table below, and ``write``, ``read`` and the field checks all work from it.
 Each fact is stated once on the wire: the payload kind byte is the type of
-the payload header, the grid descriptor alone names a table (a uniform
-grid is its step), and the flag section's coding rate follows from the flag
+the payload header, the payload kind fixes the kind of grid (the octree
+and raw headers carry a uniform grid's step, and the hyperprior's grid is
+the scale table), and the flag section's coding rate follows from the flag
 count and the section itself.
 The parser is hardened: any byte buffer either parses or raises a subclass
 of MalformedStreamError, it never reads past declared lengths, and accepted
@@ -30,15 +31,13 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .entropy import FlagReader
-from .quantizer import _TABLES, QuantGrid, get_table
+from .quantizer import QuantGrid, default_scale_table
 from .safeguard import GuardConfig, GuardMode
 
 __all__ = [
     "MAGIC",
     "VERSION",
     "PayloadKind",
-    "UniformDesc",
-    "TableDesc",
     "OctreeHeader",
     "HyperpriorHeader",
     "RawHeader",
@@ -47,14 +46,14 @@ __all__ = [
     "read",
     "write_file",
     "read_file",
-    "grid_desc_for",
+    "check_grid",
     "guarded_stream",
     "config_for_stream",
     "open_stream",
 ]
 
 MAGIC = b"RGRD"
-VERSION = 4
+VERSION = 5
 
 
 class PayloadKind:
@@ -64,19 +63,10 @@ class PayloadKind:
 
 
 @dataclass(frozen=True)
-class UniformDesc:
-    q: float
-
-
-@dataclass(frozen=True)
-class TableDesc:
-    table_id: int
-
-
-@dataclass(frozen=True)
 class OctreeHeader:
     bit_depth: int
     point_count: int
+    q: float  # the step of the probability grid on [0, 1]
 
 
 @dataclass(frozen=True)
@@ -90,13 +80,13 @@ class HyperpriorHeader:
 @dataclass(frozen=True)
 class RawHeader:
     value_count: int
+    q: float  # the step of the values' grid, which has no domain
 
 
 @dataclass(frozen=True)
 class GuardedStream:
     mode: GuardMode
     epsilon: float
-    grid_desc: UniformDesc | TableDesc
     flag_count: int
     payload: OctreeHeader | HyperpriorHeader | RawHeader
     safeguard: bytes
@@ -105,7 +95,7 @@ class GuardedStream:
     @property
     def payload_kind(self) -> int | None:
         """The payload kind byte: the one the payload header's type has."""
-        return _kind_of(self.payload, _FRAMES)
+        return _KINDS.get(type(self.payload))
 
 
 _MAX_DEPTH = 21  # an octree's bit depth is in [1, _MAX_DEPTH]
@@ -124,12 +114,10 @@ def _z_len(height: int, width: int, channels: int) -> int:
 
 
 # The wire table.  A stream is _HEAD (magic, version, mode, payload kind,
-# epsilon, grid kind), the grid descriptor the grid-kind byte names in
-# _GRIDS, _COUNTS (flag_count, safeguard and main lengths), the payload
+# epsilon), _COUNTS (flag_count, safeguard and main lengths), the payload
 # header of the kind's frame, then the safeguard and main sections.
-_HEAD = ">4sBBBdB"
+_HEAD = ">4sBBBd"
 _COUNTS = ">III"
-_GRIDS = {0: (UniformDesc, ">d"), 1: (TableDesc, ">H")}
 _MODES = frozenset(GuardMode)  # the mode byte's values
 
 _UNIT = (0.0, 1.0)  # the probability domain every octree grid clips to
@@ -139,64 +127,42 @@ class _Frame(NamedTuple):
     header: type  # the payload header type; its fields in order are ...
     layout: str  # ... this struct format's, then the blob if there is one
     blob: Callable[..., int] | None  # the blob's length, from the layout's fields
-    descs: tuple  # the descriptor kinds the header may name the grid by
-    domain: tuple | None = None  # a uniform grid's domain (a table has its own)
+    grid: Callable[..., QuantGrid]  # the guard's grid, from the header alone
 
 
 _FRAMES = {
-    PayloadKind.OCTREE: _Frame(OctreeHeader, ">BQ", None, (UniformDesc,), _UNIT),
-    PayloadKind.HYPERPRIOR: _Frame(HyperpriorHeader, ">III", _z_len, (TableDesc,)),
-    PayloadKind.RAW: _Frame(RawHeader, ">Q", None, (UniformDesc, TableDesc)),
+    PayloadKind.OCTREE: _Frame(
+        OctreeHeader, ">BQd", None, lambda h: QuantGrid.uniform(h.q, domain=_UNIT)
+    ),
+    PayloadKind.HYPERPRIOR: _Frame(
+        HyperpriorHeader, ">III", _z_len, lambda h: default_scale_table()
+    ),
+    PayloadKind.RAW: _Frame(RawHeader, ">Qd", None, lambda h: QuantGrid.uniform(h.q)),
 }
+_KINDS = {frame.header: kind for kind, frame in _FRAMES.items()}
 
 
-def _kind_of(value: object, table: dict) -> int | None:
-    """The key of the ``table`` row whose type ``value`` is, or None."""
-    for key, row in table.items():
-        if type(value) is row[0]:
-            return key
-    return None
-
-
-def _grid(desc: UniformDesc | TableDesc, kind: int) -> QuantGrid:
-    """The grid ``desc`` names in the header of a payload ``kind`` stream."""
-    frame = _FRAMES.get(kind)
-    if frame is None or not isinstance(desc, frame.descs):
-        raise ConfigError(f"a payload kind {kind!r} header cannot carry {desc!r}")
-    if isinstance(desc, UniformDesc):
-        return QuantGrid.uniform(desc.q, domain=frame.domain)
-    return get_table(desc.table_id)
-
-
-def grid_desc_for(grid: QuantGrid, kind: int) -> UniformDesc | TableDesc:
-    """The header descriptor of ``grid`` in a stream of payload ``kind``:
-    the uniform step, or the grid's id in the table registry.
-    A decoder rebuilds the grid from the header alone, so this raises
-    ConfigError unless that rebuild is exactly ``grid``."""
-    if grid.is_uniform:
-        desc: UniformDesc | TableDesc = UniformDesc(q=grid.q)
-    else:
-        ids = [i for i, table in _TABLES.items() if table == grid]
-        if not ids:
-            raise ConfigError("a boundary grid outside the table registry has no name")
-        desc = TableDesc(table_id=ids[0])
-    if _grid(desc, kind) != grid:
-        raise ConfigError(f"stream header {desc} cannot name the guard grid")
-    return desc
+def check_grid(
+    grid: QuantGrid, header: OctreeHeader | HyperpriorHeader | RawHeader
+) -> None:
+    """Raise ConfigError unless ``header`` rebuilds exactly ``grid``, as a
+    decoder does from the stream alone.  Only a uniform grid has a step for
+    a header to carry (a table's ``q`` is None), and only the hyperprior's
+    header carries none."""
+    rebuild = _FRAMES[_KINDS[type(header)]].grid
+    if grid.is_uniform != hasattr(header, "q") or rebuild(header) != grid:
+        raise ConfigError(f"a {type(header).__name__} cannot carry the guard grid")
 
 
 def guarded_stream(
-    cfg: GuardConfig, desc: UniformDesc | TableDesc, flag_count: int,
-    safeguard: bytes, payload: OctreeHeader | HyperpriorHeader | RawHeader,
-    main: bytes,
+    cfg: GuardConfig, flag_count: int, safeguard: bytes,
+    payload: OctreeHeader | HyperpriorHeader | RawHeader, main: bytes,
 ) -> GuardedStream:
-    """The stream of ``payload`` guarded by ``cfg`` under the descriptor
-    ``grid_desc_for`` gave, with ``safeguard`` its ``flag_count`` coded
-    flags."""
+    """The stream of ``payload`` guarded by ``cfg``, with ``safeguard`` its
+    ``flag_count`` coded flags."""
     return GuardedStream(
         mode=cfg.mode,
         epsilon=cfg.epsilon,
-        grid_desc=desc,
         flag_count=flag_count,
         payload=payload,
         safeguard=safeguard,
@@ -206,11 +172,14 @@ def guarded_stream(
 
 def config_for_stream(stream: GuardedStream) -> GuardConfig:
     """The guard configuration the stream's header describes.  A header the
-    configuration rejects (such as a descriptor its payload kind does not
-    carry, an epsilon that breaks the 4*epsilon margin, or a non-finite
+    configuration rejects (such as an epsilon that breaks the 4*epsilon
+    margin, an octree step with no whole bin on [0, 1], or a non-finite
     epsilon or step) is a malformed stream."""
+    frame = _FRAMES.get(stream.payload_kind)
+    if frame is None:
+        raise FieldValueError(f"bad payload header {type(stream.payload)}")
     try:
-        grid = _grid(stream.grid_desc, stream.payload_kind)
+        grid = frame.grid(stream.payload)
         return GuardConfig(grid=grid, epsilon=stream.epsilon, mode=stream.mode)
     except (ConfigError, InvalidInputError) as exc:
         raise FieldValueError(f"stream header unusable: {exc}") from None
@@ -232,18 +201,13 @@ def _check_stream(stream: GuardedStream) -> None:
         raise FieldValueError(f"bad mode {stream.mode!r}")
     if not (math.isfinite(stream.epsilon) and stream.epsilon > 0.0):
         raise FieldValueError(f"epsilon must be finite and > 0, got {stream.epsilon!r}")
-    desc = stream.grid_desc
-    if _kind_of(desc, _GRIDS) is None:
-        raise FieldValueError(f"bad grid descriptor {desc!r}")
-    if isinstance(desc, UniformDesc):
-        if not (math.isfinite(desc.q) and desc.q > 0.0):
-            raise FieldValueError("grid step must be finite and > 0")
-    elif desc.table_id == 0:
-        raise FieldValueError("table id 0 is reserved")
 
     p = stream.payload
     if stream.payload_kind is None:
         raise FieldValueError(f"bad payload header {type(p)}")
+    if isinstance(p, (OctreeHeader, RawHeader)):
+        if not (math.isfinite(p.q) and p.q > 0.0):
+            raise FieldValueError("grid step must be finite and > 0")
     if isinstance(p, OctreeHeader):
         _check_depth(p.bit_depth, FieldValueError)
         if not 1 <= p.point_count <= 1 << (3 * p.bit_depth):
@@ -261,7 +225,6 @@ def _check_stream(stream: GuardedStream) -> None:
 
 def write(stream: GuardedStream) -> bytes:
     _check_stream(stream)
-    grid_kind = _kind_of(stream.grid_desc, _GRIDS)
     kind = stream.payload_kind
     frame = _FRAMES[kind]
     # vars(), not dataclasses.astuple: the header's fields in order, uncopied
@@ -269,9 +232,7 @@ def write(stream: GuardedStream) -> bytes:
     n = len(fields) - (frame.blob is not None)
     try:
         head = (
-            struct.pack(_HEAD, MAGIC, VERSION, stream.mode, kind, stream.epsilon,
-                        grid_kind),
-            struct.pack(_GRIDS[grid_kind][1], *vars(stream.grid_desc).values()),
+            struct.pack(_HEAD, MAGIC, VERSION, stream.mode, kind, stream.epsilon),
             struct.pack(_COUNTS, stream.flag_count, len(stream.safeguard),
                         len(stream.main)),
             struct.pack(frame.layout, *fields[:n]),
@@ -304,7 +265,7 @@ def read(data: bytes) -> GuardedStream:
     # kind after it), so a short buffer with a bad magic is a BadMagicError
     size = struct.calcsize(_HEAD)
     have, head = len(r.data), r.data[:size].ljust(size, b"\0")
-    magic, version, mode_b, kind, epsilon, grid_kind = struct.unpack(_HEAD, head)
+    magic, version, mode_b, kind, epsilon = struct.unpack(_HEAD, head)
     if have >= 4 and magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r}")
     if have >= 5 and version != VERSION:
@@ -312,10 +273,6 @@ def read(data: bytes) -> GuardedStream:
     if have >= 7 and mode_b not in _MODES:
         raise FieldValueError(f"bad mode byte {mode_b}")
     r.take(size, "header")
-    if grid_kind not in _GRIDS:
-        raise FieldValueError(f"bad grid kind {grid_kind}")
-    desc_type, fmt = _GRIDS[grid_kind]
-    grid_desc = desc_type(*r.unpack(fmt, desc_type.__name__))
     flag_count, guard_len, main_len = r.unpack(_COUNTS, "stream lengths")
     if kind not in _FRAMES:
         raise FieldValueError(f"bad payload kind {kind}")
@@ -336,7 +293,7 @@ def read(data: bytes) -> GuardedStream:
     # a read-only view of the input, not a copy: main can be megabytes
     main = memoryview(r.data)[r.pos :]
     # the stream's fields are in wire order
-    stream = GuardedStream(GuardMode(mode_b), epsilon, grid_desc, flag_count,
+    stream = GuardedStream(GuardMode(mode_b), epsilon, flag_count,
                            frame.header(*fields), safeguard, main)
     _check_stream(stream)
     return stream

@@ -20,7 +20,7 @@ from .container import (
     GuardedStream,
     HyperpriorHeader,
     PayloadKind,
-    grid_desc_for,
+    check_grid,
     guarded_stream,
     open_stream,
 )
@@ -34,11 +34,9 @@ from .entropy import (
 from .errors import FieldValueError, InvalidInputError
 from .platform_sim import Perturbation, unit_draws
 from .quantizer import (
-    SCALE_TABLE_ID,
     QuantGrid,
     default_scale_table,
     dequantize_array,
-    get_table,
     quantize_array,
 )
 from .safeguard import (
@@ -53,7 +51,6 @@ __all__ = [
     "synth_latents",
     "hyper_synthesis",
     "default_scale_table",
-    "SCALE_TABLE_ID",
     "make_image_config",
     "quantize_latents",
     "encode",
@@ -66,7 +63,7 @@ _AMPLITUDE = 32
 def make_image_config(
     epsilon: float, mode: GuardMode | str = GuardMode.CENTER
 ) -> GuardConfig:
-    return GuardConfig(grid=get_table(SCALE_TABLE_ID), epsilon=epsilon, mode=mode)
+    return GuardConfig(grid=default_scale_table(), epsilon=epsilon, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +162,11 @@ def _stream_tables(grid: QuantGrid, idx: np.ndarray) -> tuple[SymbolTables, np.n
 
 def encode(lat: LatentGrid, cfg: GuardConfig, protect: bool = True) -> GuardedStream:
     """Code rounded latents conditioned on safeguarded scale bins."""
-    desc = grid_desc_for(cfg.grid, PayloadKind.HYPERPRIOR)
     h, w, c = lat.dims
+    header = HyperpriorHeader(h, w, c, z_blob=lat.z.astype(">f8").tobytes())
+    check_grid(cfg.grid, header)
     sig = hyper_synthesis(lat.z).reshape(-1)
-    fr = fd = np.empty(0, dtype=np.int8)  # an unprotected stream has no flags
+    fr = fd = np.empty(0, dtype=np.uint8)  # an unprotected stream has no flags
     if protect:
         sig, fr, fd = guard_encode_array(cfg, sig)
     idx = quantize_array(cfg.grid, sig)
@@ -179,8 +177,7 @@ def encode(lat: LatentGrid, cfg: GuardConfig, protect: bool = True) -> GuardedSt
     enc.encode_symbols(tables, table_ids, syms)
 
     safeguard = encode_flags(fr, fd, cfg.mode)
-    header = HyperpriorHeader(h, w, c, z_blob=lat.z.astype(">f8").tobytes())
-    return guarded_stream(cfg, desc, len(fr), safeguard, header, enc.finish())
+    return guarded_stream(cfg, len(fr), safeguard, header, enc.finish())
 
 
 def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> np.ndarray:

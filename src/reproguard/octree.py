@@ -29,7 +29,7 @@ from .container import (
     OctreeHeader,
     PayloadKind,
     _check_depth,
-    grid_desc_for,
+    check_grid,
     guarded_stream,
     open_stream,
 )
@@ -348,8 +348,9 @@ def _walk(bit_depth: int, point_count: int, code_level) -> tuple:
 
 def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> GuardedStream:
     """Code a voxel cloud; returns the container object."""
-    desc = grid_desc_for(cfg.grid, PayloadKind.OCTREE)
     n = cloud.bit_depth
+    header = OctreeHeader(bit_depth=n, point_count=len(cloud), q=cfg.grid.q)
+    check_grid(cfg.grid, header)
     enc = RangeEncoder()
     # an unprotected stream keeps just these empty flag arrays
     fr_parts = [np.empty(0, dtype=np.uint8)]
@@ -378,8 +379,7 @@ def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> Guarded
     _walk(n, len(cloud), code_level)
     fr = np.concatenate(fr_parts)
     safeguard = encode_flags(fr, np.concatenate(fd_parts), cfg.mode)
-    header = OctreeHeader(bit_depth=n, point_count=len(cloud))
-    return guarded_stream(cfg, desc, len(fr), safeguard, header, enc.finish())
+    return guarded_stream(cfg, len(fr), safeguard, header, enc.finish())
 
 
 def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> VoxelCloud:

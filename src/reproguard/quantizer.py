@@ -5,8 +5,8 @@ table.  Bins are half-open ``[b_i, b_{i+1})``, and a uniform grid's boundary
 ``i`` is ``i*q``; a value exactly on the last boundary belongs to the top
 bin.  Values beyond a grid's domain clamp onto it, and a table's domain is
 its outer boundary pair.  All arithmetic is IEEE-754 double precision.
-Operators work on whole arrays.  Boundary tables that stream headers name
-by id are fixed: table 1 is the hyperprior scale ladder.
+Operators work on whole arrays.  The one fixed boundary table is the
+hyperprior's scale ladder, :func:`default_scale_table`.
 
 Each value array is checked once, where it enters: one min/max pair finds
 non-finite values and, on a uniform grid, bin indices of magnitude 2**53 or
@@ -22,13 +22,13 @@ the domain-edge rule from private helpers here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigError, FieldValueError, InvalidInputError
+from .errors import ConfigError, InvalidInputError
 
 __all__ = [
     "QuantGrid",
@@ -36,9 +36,7 @@ __all__ = [
     "dequantize_array",
     "round_index_array",
     "validate",
-    "SCALE_TABLE_ID",
     "default_scale_table",
-    "get_table",
 ]
 
 # Relative tolerance when checking that a domain edge sits on a grid
@@ -343,16 +341,17 @@ def round_index_array(grid: QuantGrid, v) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# boundary tables named in stream headers by a 16-bit id
+# the hyperprior's scale table, the grid of every hyperprior stream
 
-SCALE_TABLE_ID = 1
 _SCALE_LO = 0.11
 _SCALE_HI = 256.0
 _SCALE_STEPS = 64
 
 
+@functools.cache
 def default_scale_table() -> QuantGrid:
-    """Geometric boundary ladder standing in for learned scale boundaries."""
+    """Geometric boundary ladder standing in for learned scale boundaries,
+    built once."""
     k = np.arange(_SCALE_STEPS, dtype=np.float64)
     b = np.exp(
         math.log(_SCALE_LO)
@@ -361,13 +360,3 @@ def default_scale_table() -> QuantGrid:
     b[0] = _SCALE_LO
     b[-1] = _SCALE_HI
     return QuantGrid(boundaries=tuple(b.tolist()))
-
-
-_TABLES = MappingProxyType({SCALE_TABLE_ID: default_scale_table()})
-
-
-def get_table(table_id: int) -> QuantGrid:
-    try:
-        return _TABLES[table_id]
-    except KeyError:
-        raise FieldValueError(f"unknown boundary table id {table_id}") from None

@@ -17,7 +17,7 @@ from .container import (
     GuardedStream,
     PayloadKind,
     RawHeader,
-    grid_desc_for,
+    check_grid,
     guarded_stream,
     open_stream,
 )
@@ -30,15 +30,15 @@ __all__ = ["encode_values", "decode_values", "reference_values"]
 
 def encode_values(values: np.ndarray, cfg: GuardConfig) -> GuardedStream:
     v = np.asarray(values, dtype=np.float64).reshape(-1)
-    desc = grid_desc_for(cfg.grid, PayloadKind.RAW)
+    header = RawHeader(value_count=v.shape[0], q=cfg.grid.q)
+    check_grid(cfg.grid, header)
     v_out, fr, fd = guard_encode_array(cfg, v)
     # v_out is this encoder's own array: put it in big-endian order in
     # place, so that the bytes object is the only copy of it
     if sys.byteorder == "little":
         v_out.byteswap(inplace=True)
     safeguard = encode_flags(fr, fd, cfg.mode)
-    header = RawHeader(value_count=v.shape[0])
-    return guarded_stream(cfg, desc, len(fr), safeguard, header, v_out.tobytes())
+    return guarded_stream(cfg, len(fr), safeguard, header, v_out.tobytes())
 
 
 def reference_values(stream: GuardedStream) -> np.ndarray:

@@ -70,7 +70,7 @@ class GuardConfig:
 
     grid: QuantGrid
     epsilon: float
-    mode: GuardMode = GuardMode.FULL
+    mode: GuardMode = GuardMode.CENTER
 
     def __post_init__(self) -> None:
         validate(self.grid, self.epsilon)

@@ -15,8 +15,6 @@ from reproguard.container import (
     OctreeHeader,
     PayloadKind,
     RawHeader,
-    TableDesc,
-    UniformDesc,
     read,
     write,
 )
@@ -33,7 +31,7 @@ from reproguard.octree import make_pc_config, synth_cloud
 from reproguard.octree import decode as pc_decode
 from reproguard.octree import encode as pc_encode
 from reproguard.platform_sim import Perturbation
-from reproguard.quantizer import QuantGrid, get_table, quantize_array
+from reproguard.quantizer import QuantGrid, default_scale_table, quantize_array
 from reproguard.safeguard import (
     GuardConfig,
     GuardMode,
@@ -116,7 +114,7 @@ def test_bin_drift_at_most_one(capsys):
     total += n
 
     # learned-style boundary table, validated for eps = 1e-4
-    table = get_table(1)
+    table = default_scale_table()
     eps = 1e-4
     v = rng.uniform(0.11, 256.0, size=n)
     delta = rng.uniform(-eps, eps, size=n)
@@ -290,24 +288,21 @@ def valid_corpus(rng, count):
             payload = OctreeHeader(
                 bit_depth=depth,
                 point_count=int(rng.integers(1, min(2**18, 8**depth) + 1)),
+                q=float(rng.uniform(1e-4, 1.0)),
             )
-            desc = UniformDesc(q=float(rng.uniform(1e-4, 1.0)))
         elif kind == PayloadKind.HYPERPRIOR:
             h, w = 4 * int(rng.integers(1, 4)), 4 * int(rng.integers(1, 4))
             c = int(rng.integers(1, 4))
-            desc = TableDesc(table_id=int(rng.integers(1, 50)))
             payload = HyperpriorHeader(
                 height=h, width=w, channels=c,
                 z_blob=rng.bytes((h // 4) * (w // 4) * c * 8),
             )
         else:
-            payload = RawHeader(value_count=flags)
-            desc = UniformDesc(q=float(rng.uniform(1e-4, 1.0)))
+            payload = RawHeader(value_count=flags, q=float(rng.uniform(1e-4, 1.0)))
         streams.append(
             GuardedStream(
                 mode=MODES[int(rng.integers(0, len(MODES)))],
                 epsilon=eps,
-                grid_desc=desc,
                 flag_count=flags,
                 payload=payload,
                 safeguard=guard,

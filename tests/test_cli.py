@@ -222,7 +222,7 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert rows[0]["payload"] == "image"
-        assert rows[0]["kind"] == "table:1"
+        assert rows[0]["kind"] == "table"
         assert rows[0]["exact"] == "true"
 
 

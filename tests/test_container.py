@@ -11,15 +11,12 @@ import pytest
 from reproguard.container import (
     _COUNTS,
     _FRAMES,
-    _GRIDS,
     _HEAD,
     GuardedStream,
     HyperpriorHeader,
     OctreeHeader,
     PayloadKind,
     RawHeader,
-    TableDesc,
-    UniformDesc,
     read,
     read_file,
     write,
@@ -40,9 +37,8 @@ def raw_stream(count=0, main=b"", safeguard=b"", mode=GuardMode.CENTER):
     return GuardedStream(
         mode=mode,
         epsilon=1e-6,
-        grid_desc=UniformDesc(q=0.004),
         flag_count=count,
-        payload=RawHeader(value_count=count),
+        payload=RawHeader(value_count=count, q=0.004),
         safeguard=safeguard,
         main=main,
     )
@@ -52,9 +48,8 @@ def octree_stream():
     return GuardedStream(
         mode=GuardMode.CENTER,
         epsilon=1e-6,
-        grid_desc=UniformDesc(q=1.0 / 250.0),
         flag_count=12,
-        payload=OctreeHeader(bit_depth=10, point_count=4444),
+        payload=OctreeHeader(bit_depth=10, point_count=4444, q=1.0 / 250.0),
         safeguard=b"\x01\x02\x03",
         main=b"\xaa" * 40,
     )
@@ -65,7 +60,6 @@ def hyper_stream():
     return GuardedStream(
         mode=GuardMode.FULL,
         epsilon=1e-4,
-        grid_desc=TableDesc(table_id=1),
         flag_count=5,
         payload=HyperpriorHeader(height=8, width=8, channels=3, z_blob=z),
         safeguard=b"\x99",
@@ -75,9 +69,9 @@ def hyper_stream():
 
 def test_minimal_raw_stream_size():
     data = write(raw_stream())
-    # magic 4 + version 1 + mode 1 + kind 1 + eps 8 + grid (1+8)
-    # + flag_count 4 + lens 8 + raw count 8
-    assert len(data) == 44
+    # magic 4 + version 1 + mode 1 + kind 1 + eps 8
+    # + flag_count 4 + lens 8 + raw count 8 + step 8
+    assert len(data) == 43
     assert read(data).payload.value_count == 0
 
 
@@ -120,7 +114,7 @@ def test_unsupported_version():
 def test_version_1_streams_are_unsupported():
     # v1 range-coded its flags; v2 Rice-codes the gaps between risky flags
     data = bytearray(write(raw_stream()))
-    assert data[4] == 4
+    assert data[4] == 5
     data[4] = 1
     with pytest.raises(UnsupportedVersionError):
         read(bytes(data))
@@ -136,7 +130,8 @@ def test_version_3_streams_are_unsupported():
 
 # A v2 stream: six raw values in FULL mode, two of them risky.  v2 headers
 # carried the flag rate p0_q16 (here 0xaaab) after the grid descriptor, and
-# v2 and v3 ones a uniform grid's offset (here 0.0) after its step.
+# v2 and v3 ones a uniform grid's offset (here 0.0) after its step.  Up to
+# v4 a grid-kind byte (here 0, uniform) and the step followed epsilon.
 V2_RAW = bytes.fromhex(
     "524752440200023f4999999999999a003f900000000000000000000000000000aaab"
     "00000006000000020000003000000000000000060220bff9a000000000003fdf8000"
@@ -148,10 +143,36 @@ V2_RAW = bytes.fromhex(
 def test_version_2_streams_are_unsupported():
     with pytest.raises(UnsupportedVersionError, match="version 2"):
         read(V2_RAW)
-    # the same stream, header cut to v4, is read: only the version refuses it
-    assert V2_RAW[24:32] == bytes(8)
-    v4 = bytes([*V2_RAW[:4], 4, *V2_RAW[5:24], *V2_RAW[34:]])
-    assert read(v4).flag_count == 6
+    # the same stream, header cut to v5, is read: only the version refuses it
+    assert V2_RAW[15] == 0 and V2_RAW[24:32] == bytes(8)
+    counts, value_count, step = V2_RAW[34:46], V2_RAW[46:54], V2_RAW[16:24]
+    v5 = bytes([*V2_RAW[:4], 5, *V2_RAW[5:15], *counts, *value_count, *step,
+                *V2_RAW[54:]])
+    assert read(v5).flag_count == 6
+    assert read(v5).payload.q == 1.0 / 64.0
+
+
+# A v4 stream: five raw values on the step 1/64 in FULL mode.  Its header
+# had a grid-kind byte (0, uniform) after epsilon, then the step, which v5
+# carries after the value count.
+V4_RAW = bytes.fromhex(
+    "524752440400023f4999999999999a003f900000000000000000000500000002000000"
+    "280000000000000005034c3fe04000000000003f80000000000000bff3e00000000000"
+    "3fa40000000000003fba000000000000"
+)
+
+
+def test_version_4_streams_are_unsupported():
+    with pytest.raises(UnsupportedVersionError, match="version 4"):
+        read(V4_RAW)
+    # the v5 twin: version 5, the grid-kind byte cut, the step moved
+    assert V4_RAW[15] == 0
+    step, counts, value_count = V4_RAW[16:24], V4_RAW[24:36], V4_RAW[36:44]
+    v5 = bytes([*V4_RAW[:4], 5, *V4_RAW[5:15], *counts, *value_count, *step,
+                *V4_RAW[44:]])
+    stream = read(v5)
+    assert stream.payload == RawHeader(value_count=5, q=1.0 / 64.0)
+    assert write(stream) == v5
 
 
 def test_truncated_header():
@@ -209,20 +230,10 @@ def test_payload_kind_is_the_payload_header_type():
     kinds = [PayloadKind.OCTREE, PayloadKind.HYPERPRIOR, PayloadKind.RAW]
     assert [make().payload_kind for make in makes] == kinds
     # a payload of no frame's type has no kind byte to write
-    stray = dataclasses.replace(raw_stream(), payload=TableDesc(1))
+    stray = dataclasses.replace(raw_stream(), payload=object())
     assert stray.payload_kind is None
     with pytest.raises(FieldValueError, match="payload header"):
         write(stray)
-
-
-def test_zero_table_id_rejected():
-    s = hyper_stream()
-    data = bytearray(write(s))
-    # table id sits right after the grid-desc kind byte
-    idx = 4 + 1 + 1 + 1 + 8 + 1
-    data[idx : idx + 2] = b"\x00\x00"
-    with pytest.raises(FieldValueError):
-        read(bytes(data))
 
 
 def test_impossible_point_count_rejected():
@@ -231,9 +242,8 @@ def test_impossible_point_count_rejected():
             GuardedStream(
                 mode=GuardMode.CENTER,
                 epsilon=1e-6,
-                grid_desc=UniformDesc(q=0.004),
                 flag_count=0,
-                payload=OctreeHeader(bit_depth=2, point_count=100),
+                payload=OctreeHeader(bit_depth=2, point_count=100, q=0.004),
                 safeguard=b"",
                 main=b"",
             )
@@ -246,7 +256,6 @@ def test_z_blob_length_must_match_dims():
             GuardedStream(
                 mode=GuardMode.CENTER,
                 epsilon=1e-4,
-                grid_desc=TableDesc(table_id=1),
                 flag_count=0,
                 payload=HyperpriorHeader(height=8, width=8, channels=3, z_blob=b"xx"),
                 safeguard=b"",
@@ -271,7 +280,6 @@ def _octree_at_depth_21(point_count):
 # largest value its width (or, for the point count, its bit depth) allows
 FIELD_LIMITS = {
     "flag_count": (lambda v: _with(raw_stream, flag_count=v), 2**32 - 1),
-    "table_id": (lambda v: _with(raw_stream, grid_desc=TableDesc(v)), 0xFFFF),
     "value_count": (
         lambda v: _with(raw_stream, payload=dict(value_count=v)), 2**64 - 1
     ),
@@ -325,13 +333,12 @@ def test_roundtrip_fuzzed_valid_streams():
             payload = OctreeHeader(
                 bit_depth=depth,
                 point_count=int(rng.integers(1, min(2**20, 8**depth) + 1)),
+                q=float(rng.uniform(1e-4, 1.0)),
             )
-            desc = UniformDesc(q=float(rng.uniform(1e-4, 1.0)))
         elif kind == PayloadKind.HYPERPRIOR:
             h = 4 * int(rng.integers(1, 5))
             w = 4 * int(rng.integers(1, 5))
             c = int(rng.integers(1, 5))
-            desc = TableDesc(table_id=int(rng.integers(1, 100)))
             payload = HyperpriorHeader(
                 height=h,
                 width=w,
@@ -339,12 +346,10 @@ def test_roundtrip_fuzzed_valid_streams():
                 z_blob=rng.bytes((h // 4) * (w // 4) * c * 8),
             )
         else:
-            payload = RawHeader(value_count=count)
-            desc = UniformDesc(q=float(rng.uniform(1e-4, 1.0)))
+            payload = RawHeader(value_count=count, q=float(rng.uniform(1e-4, 1.0)))
         s = GuardedStream(
             mode=mode,
             epsilon=eps,
-            grid_desc=desc,
             flag_count=count,
             payload=payload,
             safeguard=guard,
@@ -414,16 +419,14 @@ def _field_sizes(fmt):
 
 def test_readme_container_table_matches_the_declared_layouts():
     rows = [r for r in _readme_layout_rows() if len(r) == 3]
-    head = ["magic", "version", "mode", "payload kind", "epsilon", "grid kind"]
+    head = ["magic", "version", "mode", "payload kind", "epsilon"]
     counts = ["flag_count", "guard_len", "main_len"]
-    names = head + ["grid params"] + counts
+    names = head + counts
     start = [r[0] for r in rows].index("magic")
     assert [r[0] for r in rows[start : start + len(names)]] == names  # wire order
     sizes = {r[0]: r[1] for r in rows}
     assert [sizes[n] for n in head] == _field_sizes(_HEAD)
     assert [sizes[n] for n in counts] == _field_sizes(_COUNTS)
-    grid_sizes = [str(struct.calcsize(fmt)) for _, fmt in _GRIDS.values()]
-    assert sizes["grid params"] == " or ".join(grid_sizes)
 
 
 @pytest.mark.parametrize(

@@ -26,8 +26,7 @@ from reproguard.errors import (
     TrailingDataError,
     TruncatedStreamError,
 )
-from reproguard.hyperprior import SCALE_TABLE_ID
-from reproguard.quantizer import dequantize_array, get_table
+from reproguard.quantizer import default_scale_table, dequantize_array
 from reproguard.safeguard import GuardMode
 
 
@@ -519,8 +518,8 @@ def _table_margins(sigma, amplitude=32):
 def test_scale_bin_tables_hold_a_float_margin():
     # Both sides build each scale bin's table with math.exp, unguarded: a
     # libm's exp error (an ulp, ~1e-16) must stay far from every decision.
-    # Over the 63 bin centres of table 1 the margins are 6.2e-8 and 4.8e-4.
-    grid = get_table(SCALE_TABLE_ID)
+    # Over the 63 bin centres of the scale table the margins are 6.2e-8 and 4.8e-4.
+    grid = default_scale_table()
     mids = dequantize_array(grid, np.arange(len(grid.boundaries) - 1)).tolist()
     margins = [_table_margins(m) for m in mids]
     # the mirror builds every table, so the shrink loop never runs
@@ -674,7 +673,7 @@ def test_bit_batches_must_be_one_dimensional():
 
 
 def _scale_bin_tables():
-    grid = get_table(SCALE_TABLE_ID)
+    grid = default_scale_table()
     mids = dequantize_array(grid, np.arange(len(grid.boundaries) - 1)).tolist()
     return SymbolTables([gaussian_cdf_table(m, 32) for m in mids])
 

@@ -1,12 +1,13 @@
 """Pinned container bytes of small fixed-seed streams.
 
-The v4 wire format is a promise: a faster coder must emit exactly these
+The v5 wire format is a promise: a faster coder must emit exactly these
 bytes.  Each case is encoded, written, and compared by SHA-256 against the
-digest recorded when the format last changed (v4: a uniform grid's header
-descriptor lost its offset, 8 bytes).  The digest of each case's ``main``
-section was recorded with the v1 format, and that of its safeguard section
-with v2 (which made it Rice-coded gaps between risky flags); neither moved
-with v3 or v4, which changed the header alone.
+digest recorded when the format last changed (v5: the grid-kind byte went,
+the octree and raw headers carry the step, and the hyperprior's table id
+went).  The digest of each case's ``main`` section was recorded with the
+v1 format, and that of its safeguard section with v2 (which made it
+Rice-coded gaps between risky flags); neither moved with v3, v4 or v5,
+which changed the header alone.
 """
 
 import hashlib
@@ -51,22 +52,22 @@ def _hyperprior_unprotected(mode: GuardMode):
 #        SHA-256 of its safeguard section)
 GOLDEN = {
     "octree-center": (lambda: _octree(GuardMode.CENTER),
-        "f3697e33260e36c110c825cb5ecfe28b16f9a4f2e3af7af619a97c540c555e6f",
+        "99aeb1e8489144e9def970b3f15f948c56da618b2d624eb9f5306756a3b941d3",
         "4f964bf18cda4736b00b0678e586f245cd39213c0097fd716105d9aa95da1bbd",
         "632450b055558aeadf3073af31e5e34d210fc68c4e340b55b5b070130d21f8c8",
     ),
     "octree-full": (lambda: _octree(GuardMode.FULL),
-        "ef2f2d2854a735703f94e8f751d1f009f9f963adc609768b747ce2eead44ccd4",
+        "301d63e8942639fbd21f0043bb3edc5ab25e8904a8f9c0671ffa66262eec0277",
         "a17f1b739e84b4f99ec3eb1a87bfe92ccccc5e77f5d5f3d2c519b471a1229655",
         "8653d21a328e0b75f37535a0f548e7a533e5ca564160507fdf3935afbf92bc90",
     ),
     "hyperprior-center": (_hyperprior,
-        "c1c5518812af3b1d2b0879be64816e4ab23efb848e7ced3ea5d9d7922f7e9ab2",
+        "73416adc342610b22c32edd9e9d9d1a1891a3ce2495fe7e717e51bfb4138294f",
         "c9be78233bcdcb4146f00d8d175b3a16b4f658173abc47cffb01e13efdbf5a75",
         "a387131f02a0d8e0ec45a4994514a1b420af84b5a07b7bb7e559aa54f1e58675",
     ),
     "raw-full": (lambda: _raw(GuardMode.FULL),
-        "535b75806701884a99ce2ea7b74daa437ba0ff8734f964f3ad452710a3232859",
+        "8e5e977a57ac0c0bbaf005420beb629cb74b5d0f4d3c5d1286745d53725bc456",
         "e471a22b937b0fdd9cee3cffcca47e2628d0966dfd560b4850b1ee7d48746680",
         "0a058eec8a2f0a07144a8624459eed522ed1177f57abba9e7397f869ae22f6e7",
     ),
@@ -75,8 +76,8 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_stream_bytes_match_v1(name):
-    # the name predates v2 to v4 and is kept so the test ids stay stable;
-    # the digests are those of the v4 format
+    # the name predates v2 to v5 and is kept so the test ids stay stable;
+    # the digests are those of the v5 format
     build, digest, *_ = GOLDEN[name]
     stream = build()
     assert stream.flag_count > 0 and any(stream.safeguard)
@@ -99,13 +100,13 @@ def test_safeguard_section_kept_its_v2_bytes(name):
 # and the safeguard section is empty.  Digests of the container.
 UNPROTECTED = {
     "octree-center": (lambda: _octree_unprotected(GuardMode.CENTER),
-        "7c1e111b6f14a40087fd4fbd8d8a792452960c07f400dadc2fd6ef8a6e466870",
+        "e0aaa71ba380142282a2466939ff425f6b47acdd3a357839dc18254afec25d6f",
     ),
     "octree-full": (lambda: _octree_unprotected(GuardMode.FULL),
-        "6e28a9eb10ed8bed903ff6a6529c4b0849e296d29a974db0f927030df2ac7199",
+        "849db711e5bd62324bad7f6f3fd5312ddf1f3e086ecbf1d4f6c77b480d367b1b",
     ),
     "hyperprior-center": (lambda: _hyperprior_unprotected(GuardMode.CENTER),
-        "77a5630886df32406aee16217b720dc4d700557efdfca41dbbc7e32b0df1a2f2",
+        "68fe3272219a16c1bfbd279e93466a05c0078af30532cabcd3e1004513138b2c",
     ),
 }
 

@@ -6,10 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from reproguard.container import GuardedStream, read, write
+from reproguard.container import GuardedStream, config_for_stream, read, write
 from reproguard.errors import ConfigError, FieldValueError, InvalidInputError
 from reproguard.hyperprior import (
-    SCALE_TABLE_ID,
     LatentGrid,
     decode,
     default_scale_table,
@@ -51,11 +50,12 @@ class TestScaleTable:
         with pytest.raises(ConfigError):
             make_image_config(0.004)
 
-    def test_registered_as_table_one(self):
-        from reproguard.quantizer import get_table
-
-        assert SCALE_TABLE_ID == 1
-        assert get_table(1) == default_scale_table()
+    def test_built_once_and_fixed_by_the_payload_kind(self):
+        # no header field names it: every hyperprior stream is on this table
+        assert default_scale_table() is default_scale_table()
+        lat = synth_latents(8, 8, 2, seed=0)
+        stream = read(write(encode(lat, make_image_config(1e-4))))
+        assert config_for_stream(stream).grid is default_scale_table()
 
 
 class TestSynthLatents:
@@ -226,14 +226,13 @@ class TestCodec:
         assert sizes[1] >= sizes[2]
 
     def test_wrong_payload_kind(self):
-        from reproguard.container import RawHeader, UniformDesc
+        from reproguard.container import RawHeader
 
         raw = GuardedStream(
             mode=GuardMode.CENTER,
             epsilon=1e-4,
-            grid_desc=UniformDesc(q=0.004),
             flag_count=0,
-            payload=RawHeader(value_count=0),
+            payload=RawHeader(value_count=0, q=0.004),
             safeguard=b"",
             main=b"",
         )

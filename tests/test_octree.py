@@ -10,7 +10,6 @@ from reproguard.container import (
     GuardedStream,
     OctreeHeader,
     RawHeader,
-    UniformDesc,
 )
 from reproguard.entropy import RangeEncoder, encode_flags, prob_to_p16_array
 from reproguard.errors import (
@@ -412,9 +411,10 @@ def reference_encode(cloud, cfg, protect):
     return GuardedStream(
         mode=cfg.mode,
         epsilon=cfg.epsilon,
-        grid_desc=UniformDesc(q=cfg.grid.q),
         flag_count=len(fr),
-        payload=OctreeHeader(bit_depth=cloud.bit_depth, point_count=len(cloud)),
+        payload=OctreeHeader(
+            bit_depth=cloud.bit_depth, point_count=len(cloud), q=cfg.grid.q
+        ),
         safeguard=encode_flags(fr, fd, cfg.mode),
         main=enc.finish(),
     )
@@ -532,9 +532,8 @@ class TestDecodeErrors:
         stream = GuardedStream(
             mode=GuardMode.CENTER,
             epsilon=1e-6,
-            grid_desc=UniformDesc(q=0.004),
             flag_count=0,
-            payload=RawHeader(value_count=0),
+            payload=RawHeader(value_count=0, q=0.004),
             safeguard=b"",
             main=b"",
         )
@@ -553,7 +552,8 @@ class TestDecodeErrors:
         s = encode(cloud, make_pc_config(1e-6))
         hdr = s.payload
         shrunk = GuardedStream(
-            **{**s.__dict__, "payload": type(hdr)(hdr.bit_depth, hdr.point_count // 4)}
+            **{**s.__dict__, "payload": type(hdr)(hdr.bit_depth, hdr.point_count // 4,
+                                                  hdr.q)}
         )
         with pytest.raises(MalformedStreamError):
             decode(shrunk)
@@ -561,7 +561,9 @@ class TestDecodeErrors:
     def test_unusable_grid(self):
         cloud = synth_cloud("sparse", 4, 50, 0)
         s = encode(cloud, make_pc_config(1e-6))
-        bad = GuardedStream(**{**s.__dict__, "grid_desc": UniformDesc(q=0.3)})
+        # [0, 1] does not end on a boundary of the step 0.3
+        header = OctreeHeader(s.payload.bit_depth, s.payload.point_count, q=0.3)
+        bad = GuardedStream(**{**s.__dict__, "payload": header})
         with pytest.raises(FieldValueError):
             decode(bad)
 

@@ -14,7 +14,6 @@ from reproguard import (
     cli,
     container,
     encode_flags,
-    get_table,
     hyperprior,
     octree,
     raw_values,
@@ -25,8 +24,6 @@ from reproguard.container import (
     OctreeHeader,
     PayloadKind,
     RawHeader,
-    TableDesc,
-    UniformDesc,
 )
 from reproguard.errors import (
     ConfigError,
@@ -36,6 +33,7 @@ from reproguard.errors import (
     TrailingDataError,
     TruncatedStreamError,
 )
+from reproguard.quantizer import default_scale_table
 
 
 def _octree(protect=True):
@@ -60,6 +58,14 @@ def _raw():
 PAYLOADS = {"octree": _octree, "hyperprior": _hyperprior, "raw": _raw}
 
 
+def _replaced(stream, q=None, **fields):
+    """``stream`` with ``fields`` replaced and, given ``q``, its payload
+    header's step."""
+    if q is not None:
+        fields["payload"] = dataclasses.replace(stream.payload, q=q)
+    return dataclasses.replace(stream, **fields)
+
+
 @pytest.mark.parametrize("payload", sorted(PAYLOADS))
 def test_epsilon_breaking_the_margin_is_a_malformed_stream(payload):
     stream, decode = PAYLOADS[payload]()
@@ -79,16 +85,58 @@ def test_cut_main_section_is_truncated(payload):
 
 
 # ---------------------------------------------------------------------------
-# encoders reject a grid the stream header cannot name
+# the header rebuilds the encoder's grid, and an encoder rejects any other
 
 
-def test_raw_grid_domain_the_header_cannot_name_is_rejected_at_encode():
+def _grid_cases():
+    """(encode, config) of each payload on each grid case."""
+    cloud = octree.synth_cloud("dense", 4, 60, seed=3)
+    values = np.random.default_rng(3).normal(0.0, 1.0, 200)
+    lat = hyperprior.synth_latents(8, 8, 4, seed=3)
+    cases = {
+        f"octree-k{k}": (lambda c: octree.encode(cloud, c),
+                         octree.make_pc_config(1e-5, k))
+        for k in (1, 7, 250, 4096)
+    }
+    for q in (2.0**-6, 0.1, 1e-3):
+        cfg = GuardConfig(grid=QuantGrid.uniform(q), epsilon=q / 100.0)
+        cases[f"raw-q{q!r}"] = (lambda c: raw_values.encode_values(values, c), cfg)
+    cases["hyperprior"] = (lambda c: hyperprior.encode(lat, c),
+                           hyperprior.make_image_config(1e-4))
+    return cases
+
+
+GRID_CASES = _grid_cases()
+
+
+@pytest.mark.parametrize("case", list(GRID_CASES))
+def test_header_rebuilds_the_encoder_grid(case):
+    encode, cfg = GRID_CASES[case]
+    stream = container.read(container.write(encode(cfg)))
+    assert container.config_for_stream(stream) == cfg
+
+
+def _rejects_before_coding(module, encode, monkeypatch):
+    """``encode()`` raises ConfigError before ``module`` guards or codes a
+    value."""
+    def never(*args):
+        raise AssertionError("coding began before the grid check")
+
+    for name in ("guard_encode_array", "encode_flags"):
+        monkeypatch.setattr(module, name, never)
+    with pytest.raises(ConfigError):
+        encode()
+
+
+def test_raw_grid_domain_the_header_cannot_name_is_rejected_at_encode(monkeypatch):
     # a uniform header carries no domain, so a decoder would not clip:
     # 0.0005 read back as -0.0003 would decode to -0.005, not 0.005
     grid = QuantGrid.uniform(0.01, domain=(0.0, 1.0))
     cfg = GuardConfig(grid=grid, epsilon=1e-3, mode=GuardMode.CENTER)
-    with pytest.raises(ConfigError):
-        raw_values.encode_values(np.array([0.0005, 0.9995]), cfg)
+    _rejects_before_coding(
+        raw_values, lambda: raw_values.encode_values(np.array([0.0005, 0.9995]), cfg),
+        monkeypatch,
+    )
 
 
 @pytest.mark.parametrize(
@@ -96,42 +144,27 @@ def test_raw_grid_domain_the_header_cannot_name_is_rejected_at_encode():
     [QuantGrid(boundaries=np.geomspace(0.11, 256.0, 32)), QuantGrid.uniform(0.5)],
     ids=["foreign-table", "uniform"],
 )
-def test_hyperprior_encode_rejects_a_grid_other_than_its_table(grid):
+def test_hyperprior_encode_rejects_a_grid_other_than_its_table(grid, monkeypatch):
     cfg = GuardConfig(grid=grid, epsilon=1e-4, mode=GuardMode.CENTER)
-    with pytest.raises(ConfigError):
-        hyperprior.encode(hyperprior.synth_latents(8, 8, 4, seed=1), cfg)
+    lat = hyperprior.synth_latents(8, 8, 4, seed=1)
+    _rejects_before_coding(hyperprior, lambda: hyperprior.encode(lat, cfg), monkeypatch)
 
 
-def test_octree_encode_rejects_a_table_grid():
-    cfg = GuardConfig(grid=get_table(1), epsilon=1e-6, mode=GuardMode.CENTER)
-    with pytest.raises(ConfigError):
-        octree.encode(octree.synth_cloud("sparse", 3, 10, 0), cfg)
+def test_octree_encode_rejects_a_table_grid(monkeypatch):
+    cfg = GuardConfig(grid=default_scale_table(), epsilon=1e-6, mode=GuardMode.CENTER)
+    cloud = octree.synth_cloud("sparse", 3, 10, 0)
+    _rejects_before_coding(octree, lambda: octree.encode(cloud, cfg), monkeypatch)
 
 
-def test_raw_encode_rejects_a_table_outside_the_registry():
+def test_raw_encode_rejects_a_table_outside_the_registry(monkeypatch):
+    # a raw header carries a step and no table, so no table has a name there
+    # (tests/test_raw_values.py has the scale table's own case)
     grid = QuantGrid(boundaries=np.geomspace(0.11, 256.0, 32))
     cfg = GuardConfig(grid=grid, epsilon=1e-4, mode=GuardMode.CENTER)
-    with pytest.raises(ConfigError):
-        raw_values.encode_values(np.array([0.5, 2.0]), cfg)
-
-
-@pytest.mark.parametrize(
-    "payload, desc",
-    [
-        ("octree", TableDesc(1)),
-        ("hyperprior", UniformDesc(0.5)),
-        ("raw", TableDesc(2)),
-    ],
-)
-def test_decoders_reject_a_descriptor_their_header_cannot_carry(payload, desc):
-    # the container carries any descriptor; the payload kind decides
-    stream, decode = PAYLOADS[payload]()
-    bad = dataclasses.replace(stream, grid_desc=desc)
-    parsed = container.read(container.write(bad))
-    with pytest.raises(FieldValueError):
-        container.config_for_stream(parsed)
-    with pytest.raises(FieldValueError):
-        decode(parsed)
+    _rejects_before_coding(
+        raw_values, lambda: raw_values.encode_values(np.array([0.5, 2.0]), cfg),
+        monkeypatch,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +208,12 @@ _NAN, _INF = float("nan"), float("inf")
     [
         ("octree", dict(epsilon=_NAN)),
         ("octree", dict(epsilon=_INF)),
-        ("octree", dict(grid_desc=UniformDesc(_NAN))),
+        ("octree", dict(q=_NAN)),
         ("hyperprior", dict(epsilon=_NAN)),
         ("hyperprior", dict(epsilon=_INF)),
         ("raw", dict(epsilon=_NAN)),
         ("raw", dict(epsilon=-_INF)),
-        ("raw", dict(grid_desc=UniformDesc(_NAN))),
+        ("raw", dict(q=_NAN)),
     ],
     ids=["octree-eps-nan", "octree-eps-inf", "octree-q-nan", "hyperprior-eps-nan",
          "hyperprior-eps-inf", "raw-eps-nan", "raw-eps-neg-inf", "raw-q-nan"],
@@ -190,7 +223,7 @@ def test_non_finite_header_field_is_a_malformed_stream(payload, fields):
     # own config builder must type the fault
     stream, decode = PAYLOADS[payload]()
     with pytest.raises(FieldValueError):
-        decode(dataclasses.replace(stream, **fields))
+        decode(_replaced(stream, **fields))
 
 
 # ---------------------------------------------------------------------------
@@ -265,19 +298,6 @@ def test_hyperprior_flag_on_the_domain_edge_is_malformed(case):
         hyperprior.decode(container.read(container.write(bad)))
 
 
-@pytest.mark.parametrize("case", list(EDGE_FLAGS))
-def test_raw_flag_on_the_domain_edge_is_malformed(case):
-    mode, direction = EDGE_FLAGS[case]
-    table = hyperprior.SCALE_TABLE_ID
-    cfg = GuardConfig(grid=get_table(table), epsilon=1e-4, mode=mode)
-    values = np.array([0.05, 1.0, 300.0, 2.0])  # 0.05 clamps to 0.11, 300 to 256
-    stream = raw_values.encode_values(values, cfg)
-    top = direction == 1
-    bad = _with_flag(stream, 2 if top else 0, 1 if direction is None else direction)
-    with pytest.raises(FieldValueError, match="domain edge"):
-        raw_values.decode_values(container.read(container.write(bad)), values)
-
-
 # ---------------------------------------------------------------------------
 # a uniform domain narrower than one bin
 
@@ -285,7 +305,7 @@ def test_raw_flag_on_the_domain_edge_is_malformed(case):
 def test_octree_step_wider_than_the_unit_domain_is_a_malformed_stream():
     # both edges of [0, 1] round to boundary 0 of a 1e300 step
     stream, decode = _octree()
-    bad = dataclasses.replace(stream, grid_desc=UniformDesc(1e300))
+    bad = _replaced(stream, q=1e300)
     parsed = container.read(container.write(bad))
     with pytest.raises(FieldValueError):
         container.config_for_stream(parsed)
@@ -300,9 +320,7 @@ def test_octree_step_wider_than_the_unit_domain_is_a_malformed_stream():
 def test_raw_stream_with_bin_indices_beyond_2_53_is_malformed():
     # every value's bin index under a 1e-300 step is near 1e300
     stream, decode = _raw()
-    bad = dataclasses.replace(
-        stream, grid_desc=UniformDesc(1e-300), epsilon=1e-310
-    )
+    bad = _replaced(stream, q=1e-300, epsilon=1e-310)
     with pytest.raises(FieldValueError):
         decode(container.read(container.write(bad)))
 
@@ -317,9 +335,7 @@ def _octree_tiny_step():
     """An octree stream whose header names a 1e-200 step: the unit domain's
     top edge sits at bin index 1e200."""
     stream, _ = _octree()
-    return dataclasses.replace(
-        stream, grid_desc=UniformDesc(1e-200), epsilon=1e-210
-    )
+    return _replaced(stream, q=1e-200, epsilon=1e-210)
 
 
 def test_octree_stream_with_bin_indices_beyond_2_53_is_malformed():
@@ -356,7 +372,7 @@ def test_decode_pc_exits_malformed_on_hostile_streams(tmp_path, monkeypatch, cap
     stream, _ = _octree()
     hostile = {
         "edge-flag": _octree_edge_flag(GuardMode.FULL, 1, monkeypatch),
-        "wide-step": dataclasses.replace(stream, grid_desc=UniformDesc(1e300)),
+        "wide-step": _replaced(stream, q=1e300),
         "short-of-points": _octree_short_of_points(),
     }
     for name, bad in hostile.items():
@@ -376,20 +392,19 @@ _OCT, _HYP, _RAW = PayloadKind.OCTREE, PayloadKind.HYPERPRIOR, PayloadKind.RAW
 def _stream(kind, **fields):
     """A valid stream of payload ``kind`` with ``fields`` replaced."""
     payload = {
-        _OCT: OctreeHeader(bit_depth=2, point_count=5),
+        _OCT: OctreeHeader(bit_depth=2, point_count=5, q=0.004),
         _HYP: HyperpriorHeader(8, 8, 3, bytes(2 * 2 * 3 * 8)),
-        _RAW: RawHeader(value_count=3),
+        _RAW: RawHeader(value_count=3, q=0.004),
     }[kind]
-    base = dict(
+    base = GuardedStream(
         mode=GuardMode.CENTER,
         epsilon=1e-6,
-        grid_desc=TableDesc(1) if kind == _HYP else UniformDesc(0.004),
         flag_count=3,
         payload=payload,
         safeguard=b"\x01\x02",
         main=b"\x03" * 24,
     )
-    return GuardedStream(**{**base, **fields})
+    return _replaced(base, **fields)
 
 
 # None: the field follows from the stream object, so only bytes carry the
@@ -401,14 +416,13 @@ FIELD_FAULTS = {
     "epsilon-negative": (_OCT, dict(epsilon=-1e-6)),
     "epsilon-inf": (_RAW, dict(epsilon=float("inf"))),
     "epsilon-nan": (_HYP, dict(epsilon=float("nan"))),
-    "q-zero": (_RAW, dict(grid_desc=UniformDesc(0.0))),
-    "q-negative": (_OCT, dict(grid_desc=UniformDesc(-0.5))),
-    "q-nan": (_RAW, dict(grid_desc=UniformDesc(float("nan")))),
-    "table-id-zero": (_HYP, dict(grid_desc=TableDesc(0))),
-    "bit-depth-zero": (_OCT, dict(payload=OctreeHeader(0, 1))),
-    "bit-depth-22": (_OCT, dict(payload=OctreeHeader(22, 1))),
-    "point-count-zero": (_OCT, dict(payload=OctreeHeader(2, 0))),
-    "point-count-over": (_OCT, dict(payload=OctreeHeader(2, 65))),
+    "q-zero": (_RAW, dict(q=0.0)),
+    "q-negative": (_OCT, dict(q=-0.5)),
+    "q-nan": (_RAW, dict(q=float("nan"))),
+    "bit-depth-zero": (_OCT, dict(payload=OctreeHeader(0, 1, 0.004))),
+    "bit-depth-22": (_OCT, dict(payload=OctreeHeader(22, 1, 0.004))),
+    "point-count-zero": (_OCT, dict(payload=OctreeHeader(2, 0, 0.004))),
+    "point-count-over": (_OCT, dict(payload=OctreeHeader(2, 65, 0.004))),
     "height-zero": (_HYP, dict(payload=HyperpriorHeader(0, 8, 3, b""))),
     "height-not-4k": (_HYP, dict(payload=HyperpriorHeader(6, 8, 3, bytes(48)))),
     "width-not-4k": (_HYP, dict(payload=HyperpriorHeader(8, 10, 3, bytes(96)))),

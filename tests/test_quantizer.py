@@ -10,7 +10,6 @@ from reproguard.quantizer import (
     QuantGrid,
     _half_bins,
     dequantize_array,
-    get_table,
     quantize_array,
     round_index_array,
     validate,
@@ -310,16 +309,6 @@ class TestBinDrift:
             for v in (b - eps, b - eps / 2, b, b + eps / 2, b + eps):
                 for d in (-eps, eps):
                     assert abs(quantize(g, v) - quantize(g, v + d)) <= 1
-
-
-class TestRegistry:
-    """The fixed map from header table ids to boundary tables."""
-
-    def test_unknown_id(self):
-        from reproguard.errors import FieldValueError
-
-        with pytest.raises(FieldValueError):
-            get_table(64000)
 
 
 class TestConstruction:

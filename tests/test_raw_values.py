@@ -5,15 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from reproguard import raw_values
 from reproguard.container import (
     GuardedStream,
-    TableDesc,
     config_for_stream,
     read,
     write,
 )
-from reproguard.errors import FieldValueError, InvalidInputError
-from reproguard.quantizer import QuantGrid, get_table
+from reproguard.errors import ConfigError, FieldValueError, InvalidInputError
+from reproguard.quantizer import QuantGrid, default_scale_table
 from reproguard.raw_values import (
     decode_values,
     encode_values,
@@ -69,23 +69,13 @@ def test_identity_decode_without_perturbation():
     )
 
 
-def test_table_grid_payload():
-    grid = get_table(1)
-    cfg = GuardConfig(grid=grid, epsilon=1e-4, mode=GuardMode.CENTER)
-    rng = np.random.default_rng(5)
-    v = rng.uniform(0.11, 256.0, size=500)
-    stream = encode_values(v, cfg)
-    want = reference_values(stream)
-    delta = rng.uniform(-0.999e-4, 0.999e-4, size=v.shape)
-    got = decode_values(stream, np.clip(v + delta, 0.11, 256.0))
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-def test_table_grid_is_named_by_its_registered_id():
-    cfg = GuardConfig(grid=get_table(1), epsilon=1e-4, mode=GuardMode.CENTER)
-    stream = encode_values(np.array([0.5, 2.0, 300.0]), cfg)
-    assert stream.grid_desc == TableDesc(table_id=1)
-    assert config_for_stream(read(write(stream))) == cfg
+def test_table_grid_payload(monkeypatch):
+    # a raw header carries a uniform step only, so even the scale table is
+    # rejected, before any value is guarded
+    cfg = GuardConfig(grid=default_scale_table(), epsilon=1e-4, mode=GuardMode.CENTER)
+    monkeypatch.setattr(raw_values, "guard_encode_array", None)
+    with pytest.raises(ConfigError):
+        encode_values(np.array([0.5, 2.0, 300.0]), cfg)
 
 
 def test_container_roundtrip_keeps_the_contract():

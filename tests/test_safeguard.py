@@ -5,10 +5,9 @@ import hypothesis.strategies as st
 
 from reproguard.errors import ConfigError, InvalidInputError
 from reproguard.quantizer import (
-    SCALE_TABLE_ID,
     QuantGrid,
+    default_scale_table,
     dequantize_array,
-    get_table,
     quantize_array,
 )
 from reproguard.entropy import FlagReader, _zero_p16, encode_flags
@@ -194,7 +193,7 @@ def test_guarantee_table_grid(mode):
 @pytest.mark.parametrize("mode", ALL_MODES)
 def test_zero_d_risky_value_on_a_table_grid(mode):
     # a 0-d value takes the same path as a 1-element array, on both sides
-    cfg = GuardConfig(grid=get_table(SCALE_TABLE_ID), epsilon=1e-4, mode=mode)
+    cfg = GuardConfig(grid=default_scale_table(), epsilon=1e-4, mode=mode)
     v = np.asarray(cfg.grid.boundaries[10] + 1e-5)
     v_out, fr, fd = guard_encode_array(cfg, v)
     want, want_fr, want_fd = guard_encode_array(cfg, v.reshape(1))

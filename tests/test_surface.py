@@ -23,9 +23,9 @@ PACKAGE_ALL = [
     "InvalidInputError", "LengthOverflowError", "MalformedStreamError",
     "OctreeHeader", "PRESETS", "PayloadKind", "Perturbation", "PlyParseError",
     "QuantGrid", "RangeDecoder", "RangeEncoder", "RawHeader", "ReproGuardError",
-    "TableDesc", "TrailingDataError", "TruncatedStreamError", "UniformDesc",
+    "TrailingDataError", "TruncatedStreamError",
     "UnsupportedVersionError", "__version__", "dequantize_array", "encode_flags",
-    "gaussian_cdf_table", "get_table", "guard_decode_array", "guard_encode_array",
+    "gaussian_cdf_table", "guard_decode_array", "guard_encode_array",
     "hyperprior", "octree", "preset", "quantize_array", "raw_values", "read",
     "read_file", "validate", "write", "write_file",
 ]
@@ -35,7 +35,9 @@ PACKAGE_ALL = [
 # derivation of a header's z-blob length, the one-sided guard modes, the
 # encoder's carry into bytes already written, the header's second copies
 # of the flag rate and the hyperprior's table id, with the pair of arrays
-# that carried the rate, and a uniform grid's offset.
+# that carried the rate, a uniform grid's offset, and the grid descriptors
+# with the one-table registry they named tables in (the payload kind fixes
+# the grid).
 DELETED = [
     "entropy.RangeEncoder.encode_bit",
     "entropy.RangeEncoder.encode_symbol",
@@ -69,6 +71,13 @@ DELETED = [
     "container.HyperpriorHeader.scale_table_id",
     "quantizer.QuantGrid.s",
     "container.UniformDesc.s",
+    "container.UniformDesc",
+    "container.TableDesc",
+    "container.GuardedStream.grid_desc",
+    "container.grid_desc_for",
+    "quantizer.get_table",
+    "quantizer.SCALE_TABLE_ID",
+    "hyperprior.SCALE_TABLE_ID",
 ]
 
 
