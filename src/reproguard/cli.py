@@ -1,11 +1,10 @@
 """Command-line surface: encode/decode files, interoperability trials,
-overhead sweeps with CSV/SVG output, and the latent-codec demo."""
+overhead sweeps with CSV output, and the latent-codec demo."""
 
 from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 
 import numpy as np
@@ -130,7 +129,6 @@ def _cmd_synth_pc(args) -> int:
 
 _CSV_FIELDS = [
     "payload",
-    "kind",
     "n",
     "q",
     "epsilon",
@@ -144,8 +142,11 @@ _CSV_FIELDS = [
 
 
 def _q_column(k: int | None) -> str:
-    # no k (the latent codec) or k < 1 (rejected by make_pc_config) has no q
-    return repr(1.0 / k) if k is not None and k >= 1 else ""
+    # no k is the latent codec, whose step is the scale table's on log
+    # sigma; k < 1 (rejected by make_pc_config) has no q
+    if k is None:
+        return repr(hyperprior.default_scale_table().q)
+    return repr(1.0 / k) if k >= 1 else ""
 
 
 def _sweep_row(payload, cfg, k, eps, seed, size):
@@ -155,7 +156,6 @@ def _sweep_row(payload, cfg, k, eps, seed, size):
     p0 = entropy._zero_p16(stream.flag_count, entropy._risky_count(stream.safeguard)[0])
     return {
         "payload": payload,
-        "kind": "uniform" if k is not None else "table",
         "n": n,
         "q": _q_column(k),
         "epsilon": repr(eps),
@@ -221,91 +221,7 @@ def _cmd_sweep(args) -> int:
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {args.out}")
-    if args.svg:
-        _write_svg(args.svg, rows)
-        print(f"wrote plot to {args.svg}")
     return EXIT_OK
-
-
-def _write_svg(path, rows) -> None:
-    """Overhead vs epsilon, one polyline per grid, log-x, no dependencies."""
-    series: dict[str, list[tuple[float, float]]] = {}
-    for r in rows:
-        if not r["overhead_pct"]:
-            continue
-        label = f"q={r['q']}" if r["q"] else r["kind"]
-        series.setdefault(label, []).append(
-            (float(r["epsilon"]), float(r["overhead_pct"]))
-        )
-    width, height, pad = 640, 420, 56
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    pts_all = [p for pts in series.values() for p in pts]
-    if pts_all:
-        xs = [math.log10(p[0]) for p in pts_all]
-        ys = [p[1] for p in pts_all]
-        x0, x1 = min(xs), max(xs)
-        y0, y1 = 0.0, max(ys) * 1.08 or 1.0
-        if x1 == x0:
-            x1 = x0 + 1.0
-
-        def sx(x):
-            return pad + (math.log10(x) - x0) / (x1 - x0) * (width - 2 * pad)
-
-        def sy(y):
-            return height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
-
-        parts.append(
-            f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
-            f'y2="{height - pad}" stroke="black"/>'
-        )
-        parts.append(
-            f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" '
-            f'stroke="black"/>'
-        )
-        for e in sorted({p[0] for p in pts_all}):
-            parts.append(
-                f'<text x="{sx(e):.1f}" y="{height - pad + 16}" '
-                f'text-anchor="middle">{e:g}</text>'
-            )
-        for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-            yv = y0 + frac * (y1 - y0)
-            parts.append(
-                f'<text x="{pad - 6}" y="{sy(yv):.1f}" '
-                f'text-anchor="end">{yv:.2f}</text>'
-            )
-        parts.append(
-            f'<text x="{width / 2:.0f}" y="{height - 12}" text-anchor="middle">'
-            "epsilon (log scale)</text>"
-        )
-        parts.append(
-            f'<text x="16" y="{height / 2:.0f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {height / 2:.0f})">overhead %</text>'
-        )
-        colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
-        for i, (label, pts) in enumerate(sorted(series.items())):
-            pts = sorted(pts)
-            color = colors[i % len(colors)]
-            path_d = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in pts)
-            parts.append(
-                f'<polyline points="{path_d}" fill="none" stroke="{color}" '
-                'stroke-width="1.5"/>'
-            )
-            for x, y in pts:
-                parts.append(
-                    f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="2.5" '
-                    f'fill="{color}"/>'
-                )
-            parts.append(
-                f'<text x="{width - pad + 4}" y="{pad + 14 * i + 10}" '
-                f'fill="{color}">{label}</text>'
-            )
-    parts.append("</svg>")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(parts) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--out", required=True)
     syn.set_defaults(fn=_cmd_synth_pc)
 
-    sw = sub.add_parser("sweep", help="overhead grid -> CSV (+ optional SVG)")
+    sw = sub.add_parser("sweep", help="overhead grid -> CSV")
     sw.add_argument("--payload", required=True, choices=["pc", "image"])
     sw.add_argument("--epsilons", required=True, help="comma-separated")
     sw.add_argument("--ks", default="250", help="comma-separated (pc only)")
@@ -398,7 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--depth", type=int, default=9)
     sw.add_argument("--count", type=int, default=20000)
     sw.add_argument("--out", required=True)
-    sw.add_argument("--svg", default=None)
     sw.set_defaults(fn=_cmd_sweep)
 
     it = sub.add_parser("interop", help="seeded encode/decode agreement trials")

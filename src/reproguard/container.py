@@ -3,9 +3,9 @@
 Everything is big-endian.  Each header layout is declared once, in the wire
 table below, and ``write``, ``read`` and the field checks all work from it.
 Each fact is stated once on the wire: the payload kind byte is the type of
-the payload header, the payload kind fixes the kind of grid (the octree
-and raw headers carry a uniform grid's step, and the hyperprior's grid is
-the scale table), and the flag section's coding rate follows from the flag
+the payload header, the payload kind fixes the grid (the octree and raw
+headers carry its step, and the hyperprior's grid is the scale table on
+log sigma), and the flag section's coding rate follows from the flag
 count and the section itself.
 The parser is hardened: any byte buffer either parses or raises a subclass
 of MalformedStreamError, it never reads past declared lengths, and accepted
@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 MAGIC = b"RGRD"
-VERSION = 5
+VERSION = 6
 
 
 class PayloadKind:
@@ -146,11 +146,9 @@ def check_grid(
     grid: QuantGrid, header: OctreeHeader | HyperpriorHeader | RawHeader
 ) -> None:
     """Raise ConfigError unless ``header`` rebuilds exactly ``grid``, as a
-    decoder does from the stream alone.  Only a uniform grid has a step for
-    a header to carry (a table's ``q`` is None), and only the hyperprior's
-    header carries none."""
+    decoder does from the stream alone."""
     rebuild = _FRAMES[_KINDS[type(header)]].grid
-    if grid.is_uniform != hasattr(header, "q") or rebuild(header) != grid:
+    if rebuild(header) != grid:
         raise ConfigError(f"a {type(header).__name__} cannot carry the guard grid")
 
 
@@ -195,18 +193,26 @@ def open_stream(stream: GuardedStream, kind: int) -> tuple[GuardConfig, FlagRead
     )
 
 
+def _positive(x) -> bool:
+    """Whether ``x`` is a finite number above 0 (None is no number)."""
+    try:
+        return math.isfinite(x) and x > 0.0
+    except TypeError:
+        return False
+
+
 def _check_stream(stream: GuardedStream) -> None:
     """What the field widths of the wire table do not already check."""
     if not isinstance(stream.mode, GuardMode):
         raise FieldValueError(f"bad mode {stream.mode!r}")
-    if not (math.isfinite(stream.epsilon) and stream.epsilon > 0.0):
+    if not _positive(stream.epsilon):
         raise FieldValueError(f"epsilon must be finite and > 0, got {stream.epsilon!r}")
 
     p = stream.payload
     if stream.payload_kind is None:
         raise FieldValueError(f"bad payload header {type(p)}")
     if isinstance(p, (OctreeHeader, RawHeader)):
-        if not (math.isfinite(p.q) and p.q > 0.0):
+        if not _positive(p.q):
             raise FieldValueError("grid step must be finite and > 0")
     if isinstance(p, OctreeHeader):
         _check_depth(p.bit_depth, FieldValueError)

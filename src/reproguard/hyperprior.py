@@ -1,11 +1,13 @@
 """Scale-conditioned latent codec with a safeguarded scale lookup.
 
 A deterministic synthetic hyper-synthesis stands in for a trained network:
-it maps side information z to per-position Gaussian scales.  The selected
-scale-table bin is the coder-critical value; safeguarding it keeps the bin
-index, and therefore every CDF table, bit-identical on a decoder whose
-recomputed scales differ by up to the error bound.  z itself travels
-losslessly in the container header, so it needs no protection.
+it maps side information z to per-position log Gaussian scales.  The
+selected bin of the scale table, a uniform grid on log sigma, is the
+coder-critical value; safeguarding it keeps the bin index, and therefore
+every CDF table, bit-identical on a decoder whose recomputed log scales
+differ by up to the error bound.  Bin ``n`` codes against the Gaussian of
+scale ``exp`` of its center.  z itself travels losslessly in the container
+header, so it needs no protection.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .errors import FieldValueError, InvalidInputError
 from .platform_sim import Perturbation, unit_draws
 from .quantizer import (
     QuantGrid,
+    _first_bin,
     default_scale_table,
     dequantize_array,
     quantize_array,
@@ -119,8 +122,9 @@ def _unit_draws(tag: int, n: int) -> np.ndarray:
 
 
 def hyper_synthesis(z: np.ndarray) -> np.ndarray:
-    """sigma = softplus(A z + c) per pooled cell, nearest-upsampled with a
-    fixed per-cell-position offset, computed entirely in double precision."""
+    """log sigma, with sigma = softplus(A z + c) per pooled cell,
+    nearest-upsampled with a fixed per-cell-position offset, computed
+    entirely in double precision; finite for every finite z."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 3:
         raise InvalidInputError("z must be (H/4, W/4, C)")
@@ -134,8 +138,10 @@ def hyper_synthesis(z: np.ndarray) -> np.ndarray:
     t = z @ a + bias  # (H/4, W/4, C)
     t = np.repeat(np.repeat(t, _POOL, axis=0), _POOL, axis=1)
     t = t + np.tile(pos, (z.shape[0], z.shape[1]))[:, :, None]
-    # numerically stable softplus
-    return np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
+    # numerically stable softplus, then its log: below t = -40 softplus(t)
+    # is e^t to within rounding and may underflow to 0, so the log is t
+    sigma = np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
+    return np.log(sigma, out=t, where=t >= -40.0)
 
 
 def quantize_latents(y: np.ndarray) -> np.ndarray:
@@ -152,12 +158,14 @@ def quantize_latents(y: np.ndarray) -> np.ndarray:
 def _stream_tables(grid: QuantGrid, idx: np.ndarray) -> tuple[SymbolTables, np.ndarray]:
     """One CDF table per scale bin in use, built once for the stream, and the
     table each position codes against."""
-    used = np.flatnonzero(np.bincount(idx))
-    mids = dequantize_array(grid, used).tolist()
-    tables = SymbolTables([gaussian_cdf_table(m, _AMPLITUDE) for m in mids])
+    first = _first_bin(grid)
+    place = idx - first  # each bin's place in the domain, from 0
+    used = np.flatnonzero(np.bincount(place))
+    sigmas = np.exp(dequantize_array(grid, used + first)).tolist()
+    tables = SymbolTables([gaussian_cdf_table(s, _AMPLITUDE) for s in sigmas])
     slot = np.zeros(used[-1] + 1, dtype=np.int64)
     slot[used] = np.arange(used.shape[0])
-    return tables, slot[idx]
+    return tables, slot[place]
 
 
 def encode(lat: LatentGrid, cfg: GuardConfig, protect: bool = True) -> GuardedStream:
@@ -165,11 +173,11 @@ def encode(lat: LatentGrid, cfg: GuardConfig, protect: bool = True) -> GuardedSt
     h, w, c = lat.dims
     header = HyperpriorHeader(h, w, c, z_blob=lat.z.astype(">f8").tobytes())
     check_grid(cfg.grid, header)
-    sig = hyper_synthesis(lat.z).reshape(-1)
+    log_sig = hyper_synthesis(lat.z).reshape(-1)
     fr = fd = np.empty(0, dtype=np.uint8)  # an unprotected stream has no flags
     if protect:
-        sig, fr, fd = guard_encode_array(cfg, sig)
-    idx = quantize_array(cfg.grid, sig)
+        log_sig, fr, fd = guard_encode_array(cfg, log_sig)
+    idx = quantize_array(cfg.grid, log_sig)
 
     tables, table_ids = _stream_tables(cfg.grid, idx)
     enc = RangeEncoder()
@@ -189,16 +197,16 @@ def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> np.nda
     if not np.all(np.isfinite(z)):
         raise FieldValueError("z holds a non-finite value")
     z = z.reshape(h // _POOL, w // _POOL, c)
-    sig = hyper_synthesis(z).reshape(-1)
+    log_sig = hyper_synthesis(z).reshape(-1)
     if perturb is not None:
-        sig = perturb.perturb_array(sig, cfg.grid)
+        log_sig = perturb.perturb_array(log_sig, cfg.grid)
 
     if stream.flag_count > 0:
-        fr, fd = flags.take(sig.shape[0])
+        fr, fd = flags.take(log_sig.shape[0])
         if not flags.exhausted:
             raise FieldValueError("flag count does not match the latent count")
-        sig = guard_decode_array(cfg, sig, fr, fd)
-    idx = quantize_array(cfg.grid, sig)
+        log_sig = guard_decode_array(cfg, log_sig, fr, fd)
+    idx = quantize_array(cfg.grid, log_sig)
 
     tables, table_ids = _stream_tables(cfg.grid, idx)
     syms = RangeDecoder(stream.main).decode_symbols(tables, table_ids)

@@ -1,23 +1,22 @@
 """Scalar quantization grids and boundary operators.
 
-A grid is either uniform, of step ``q``, or an explicit sorted boundary
-table.  Bins are half-open ``[b_i, b_{i+1})``, and a uniform grid's boundary
-``i`` is ``i*q``; a value exactly on the last boundary belongs to the top
-bin.  Values beyond a grid's domain clamp onto it, and a table's domain is
-its outer boundary pair.  All arithmetic is IEEE-754 double precision.
-Operators work on whole arrays.  The one fixed boundary table is the
-hyperprior's scale ladder, :func:`default_scale_table`.
+Every grid is uniform, of step ``q``: boundary ``i`` is ``i*q``, and bins
+are half-open ``[i*q, (i+1)*q)``.  A grid's domain is optional; values
+beyond it clamp onto it, and a value exactly on its top edge belongs to the
+top bin.  All arithmetic is IEEE-754 double precision.  Operators work on
+whole arrays.  The one fixed grid is the hyperprior's scale table,
+:func:`default_scale_table`, a grid on log sigma.
 
 Each value array is checked once, where it enters: one min/max pair finds
-non-finite values and, on a uniform grid, bin indices of magnitude 2**53 or
-more, which are refused (a uniform domain's edges are held to the same
-bound).  Below that bound float64 holds every index exactly, so one
-uniform-grid kernel works on indices as floats: from a few in-place passes
-over three work arrays it gives each value's bin, its nearest boundary and
-that boundary's distance, with the same bits as integer indices would.
-Table grids find bins with ``searchsorted``.  No other module reads a
-grid's boundaries or edges: the guard gets boundary values, half-bins and
-the domain-edge rule from private helpers here.
+non-finite values and, on a grid without a domain, bin indices of
+magnitude 2**53 or more, which are refused (a domain's edges are held to
+the same bound).  Below that bound float64 holds every index exactly, so
+one kernel works on indices as floats: from a few in-place passes over
+three work arrays it gives each value's bin, its nearest boundary and that
+boundary's distance, with the same bits as integer indices would.  No other
+module reads a grid's domain edges: the guard gets boundary values and the
+domain-edge rule from private helpers here, and the hyperprior its first
+bin.
 """
 
 from __future__ import annotations
@@ -54,7 +53,10 @@ _BLOCK = 1 << 15
 
 
 def _check_finite(name: str, x: float) -> float:
-    x = float(x)
+    try:
+        x = float(x)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} must be a number, got {x!r}") from None
     if not math.isfinite(x):
         raise InvalidInputError(f"{name} must be finite, got {x!r}")
     return x
@@ -62,87 +64,62 @@ def _check_finite(name: str, x: float) -> float:
 
 @dataclass(frozen=True)
 class QuantGrid:
-    """Uniform or boundary-table quantization grid.
+    """Uniform quantization grid of step ``q``: bin ``n`` is ``[n*q, (n+1)*q)``.
 
-    Build a uniform grid with :meth:`uniform`; its optional domain must
-    hold at least one whole bin, with both edges on grid boundaries.  Build
-    a table with ``QuantGrid(boundaries=b)``; its domain is always
-    ``(b[0], b[-1])``, and naming any other domain is a ConfigError.
+    Build one with :meth:`uniform`.  Its optional domain must hold at least
+    one whole bin, with each edge on a grid boundary.
     """
 
-    q: float | None = None
-    boundaries: tuple[float, ...] | None = None
+    q: float
     domain: tuple[float, float] | None = None
-    _b: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     # boundary indices of the domain's edges, None without a domain
     _edges: tuple[int, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        if (self.q is None) == (self.boundaries is None):
-            raise ConfigError("grid needs exactly one of step q or boundaries")
-        if self.q is not None:
-            q = _check_finite("q", self.q)
-            if q <= 0.0:
-                raise ConfigError(f"step q must be > 0, got {q!r}")
-            if self.domain is not None:
-                lo, hi = self.domain
-                lo = _check_finite("domain lo", lo)
-                hi = _check_finite("domain hi", hi)
-                if lo >= hi:
-                    raise ConfigError("domain lo must be < hi")
-                edges = []
-                for name, edge in (("lo", lo), ("hi", hi)):
-                    t = edge / q
-                    if not abs(t) < _MAX_INDEX:
-                        raise ConfigError(
-                            f"domain {name}={edge!r} lies at bin index {t!r} of "
-                            f"step {q!r}, beyond 2**53"
-                        )
-                    if abs(t - round(t)) > _EDGE_REL_TOL * max(1.0, abs(t)):
-                        raise ConfigError(
-                            f"domain {name}={edge!r} does not lie on a grid boundary"
-                        )
-                    edges.append(round(t))
-                if edges[0] == edges[1]:
-                    raise ConfigError(
-                        f"domain {self.domain!r} holds no whole bin of step {q!r}"
-                    )
-                object.__setattr__(self, "_edges", tuple(edges))
-        else:
-            b = np.asarray(self.boundaries, dtype=np.float64)
-            if b.ndim != 1 or b.size < 2:
-                raise ConfigError("boundary table needs at least two boundaries")
-            if not np.all(np.isfinite(b)):
-                raise InvalidInputError("boundaries must be finite")
-            if not np.all(np.diff(b) > 0.0):
-                raise ConfigError("boundaries must be strictly increasing")
-            object.__setattr__(self, "boundaries", tuple(float(x) for x in b))
-            object.__setattr__(self, "_b", b)
-            if self.domain is None:
-                object.__setattr__(self, "domain", (float(b[0]), float(b[-1])))
-            elif tuple(self.domain) != (b[0], b[-1]):
+        q = _check_finite("q", self.q)
+        if q <= 0.0:
+            raise ConfigError(f"step q must be > 0, got {q!r}")
+        object.__setattr__(self, "q", q)
+        if self.domain is None:
+            return
+        lo, hi = self.domain
+        lo = _check_finite("domain lo", lo)
+        hi = _check_finite("domain hi", hi)
+        if lo >= hi:
+            raise ConfigError("domain lo must be < hi")
+        edges = []
+        for name, edge in (("lo", lo), ("hi", hi)):
+            t = edge / q
+            if not abs(t) < _MAX_INDEX:
                 raise ConfigError(
-                    "boundary-grid domain must coincide with the outer boundaries"
+                    f"domain {name}={edge!r} lies at bin index {t!r} of "
+                    f"step {q!r}, beyond 2**53"
                 )
-            object.__setattr__(self, "_edges", (0, b.size - 1))
+            if abs(t - round(t)) > _EDGE_REL_TOL * max(1.0, abs(t)):
+                raise ConfigError(
+                    f"domain {name}={edge!r} does not lie on a grid boundary"
+                )
+            edges.append(round(t))
+        if edges[0] == edges[1]:
+            raise ConfigError(
+                f"domain {self.domain!r} holds no whole bin of step {q!r}"
+            )
+        object.__setattr__(self, "_edges", tuple(edges))
 
     @classmethod
     def uniform(
         cls, q: float, *, domain: tuple[float, float] | None = None
     ) -> "QuantGrid":
-        return cls(q=float(q), domain=domain)
+        return cls(q, domain=domain)
 
     @property
     def is_uniform(self) -> bool:
-        return self.q is not None
-
-    @property
-    def min_gap(self) -> float:
-        if self.is_uniform:
-            return float(self.q)
-        return float(np.min(np.diff(self._b)))
+        """Always True: every grid is uniform.  ``perfbench/tracer.py``'s
+        ``_bin_widths`` still reads it, and ROADMAP item 5 deletes that
+        reader."""
+        return True
 
 
 def validate(grid: QuantGrid, epsilon: float) -> None:
@@ -154,18 +131,17 @@ def validate(grid: QuantGrid, epsilon: float) -> None:
     epsilon = _check_finite("epsilon", epsilon)
     if epsilon <= 0.0:
         raise ConfigError(f"epsilon must be > 0, got {epsilon!r}")
-    if not grid.min_gap > 4.0 * epsilon:
+    if not grid.q > 4.0 * epsilon:
         raise ConfigError(
-            f"grid min gap {grid.min_gap!r} must exceed 4*epsilon = {4.0 * epsilon!r}"
+            f"grid step {grid.q!r} must exceed 4*epsilon = {4.0 * epsilon!r}"
         )
 
 
 # ---------------------------------------------------------------------------
-# value entry, bins and boundaries
+# value entry, bins and boundary values
 #
 # Boundary index m names the boundary below bin m, so bin n spans boundary
-# indices [n, n+1].  On uniform grids the lattice extends beyond any domain;
-# on boundary grids indices are confined to the table.
+# indices [n, n+1].  The lattice extends beyond any domain.
 
 
 def _checked(grid: QuantGrid, v, range_error=InvalidInputError) -> np.ndarray:
@@ -173,8 +149,8 @@ def _checked(grid: QuantGrid, v, range_error=InvalidInputError) -> np.ndarray:
     value array gets, where it enters an operator.
 
     One min/max pair finds non-finite values (NaN and inf propagate through
-    it) and, on a uniform grid without a domain, values whose bin index
-    reaches 2**53, which raise ``range_error``.  ``v`` itself is never
+    it) and, on a grid without a domain, values whose bin index reaches
+    2**53, which raise ``range_error``.  ``v`` itself is never
     written to.
     """
     v = np.asarray(v, dtype=np.float64)
@@ -183,7 +159,7 @@ def _checked(grid: QuantGrid, v, range_error=InvalidInputError) -> np.ndarray:
     lo, hi = v.min(), v.max()
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidInputError("values must be finite")
-    if grid.domain is not None:  # every table grid has one
+    if grid.domain is not None:
         d_lo, d_hi = grid.domain
         if lo < d_lo or hi > d_hi:
             v = np.maximum(v, d_lo, out=np.empty_like(v))
@@ -199,8 +175,8 @@ def _checked(grid: QuantGrid, v, range_error=InvalidInputError) -> np.ndarray:
     return v
 
 
-def _uniform_bins(grid: QuantGrid, v: np.ndarray, nearest: bool):
-    """The uniform-grid kernel over clamped values ``v``.
+def _bins(grid: QuantGrid, v: np.ndarray, nearest: bool = False):
+    """The grid kernel over clamped values ``v``.
 
     Returns ``(n, m, d)``: the bin index of each value, clamped to the
     domain's bins; with ``nearest``, the index of its nearest boundary
@@ -251,51 +227,26 @@ def _uniform_bins(grid: QuantGrid, v: np.ndarray, nearest: bool):
     return tuple(None if a is None else a.reshape(v.shape) for a in (n, m, d))
 
 
-def _bins(grid: QuantGrid, v: np.ndarray, nearest: bool = False):
-    """``(n, m, d)`` as :func:`_uniform_bins` gives them, for either grid;
-    a table's indices are int64 and come from one ``searchsorted``."""
-    if grid.is_uniform:
-        return _uniform_bins(grid, v, nearest)
-    b = grid._b
-    # values beyond the domain, and on its top edge, land in end bins
-    n = np.minimum(np.maximum(np.searchsorted(b, v, side="right") - 1, 0), b.size - 2)
-    if not nearest:
-        return n, None, None
-    bl = b[n]
-    bu = b[n + 1]
-    up = (v - bl) > (bu - v)
-    return n, n + up, np.abs(np.where(up, bu, bl) - v)
-
-
 def _center(grid: QuantGrid, n: np.ndarray) -> np.ndarray:
-    """Center of each bin ``n``, an array of ``n``'s shape; a uniform
-    grid's float ``n`` becomes it."""
-    if grid.is_uniform:
-        n += 0.5
-        n *= grid.q
-        return n
-    b = grid._b
-    c = np.add(b[n], b[n + 1], out=np.empty(np.shape(n)))
-    c *= 0.5
-    return c
+    """Center of each bin ``n``: the float array ``n`` becomes it."""
+    n += 0.5
+    n *= grid.q
+    return n
 
 
 def _nearest(grid: QuantGrid, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(int64 index, value) of the nearest boundary of each clamped value."""
-    m = np.asarray(_bins(grid, v, nearest=True)[1], dtype=np.int64)
+    m = _bins(grid, v, nearest=True)[1].astype(np.int64)
     return m, _boundary(grid, m)
 
 
 def _boundary(grid: QuantGrid, m: np.ndarray) -> np.ndarray:
     """Value of each int64 boundary index ``m``."""
-    if grid.is_uniform:
-        return m.astype(np.float64) * grid.q
-    return grid._b[m]
+    return m.astype(np.float64) * grid.q
 
 
 def _inside(grid: QuantGrid, m: np.ndarray) -> np.ndarray:
-    """Whether boundary ``m`` has a bin of the domain on both sides, which
-    is where :func:`_half_bins` is defined.
+    """Whether boundary ``m`` has a bin of the domain on both sides.
 
     Only such a boundary can be risky: values beyond a domain edge clamp
     onto it, so no drift carries a value across the edge.  Without a domain
@@ -307,13 +258,10 @@ def _inside(grid: QuantGrid, m: np.ndarray) -> np.ndarray:
     return (m > lo) & (m < hi)
 
 
-def _half_bins(grid: QuantGrid, m: np.ndarray) -> tuple:
-    """Half the width of the bin below and of the bin above each boundary
-    ``m`` that is :func:`_inside`."""
-    if grid.is_uniform:
-        return grid.q * 0.5, grid.q * 0.5
-    b = grid._b
-    return (b[m] - b[m - 1]) * 0.5, (b[m + 1] - b[m]) * 0.5
+def _first_bin(grid: QuantGrid) -> int:
+    """Index of the lowest bin of a grid with a domain: bin ``n`` has place
+    ``n - _first_bin(grid)`` among the domain's bins, counting from 0."""
+    return grid._edges[0]
 
 
 def quantize_array(grid: QuantGrid, v) -> np.ndarray:
@@ -323,12 +271,7 @@ def quantize_array(grid: QuantGrid, v) -> np.ndarray:
 
 def dequantize_array(grid: QuantGrid, n) -> np.ndarray:
     """Bin center of each index (float64 array)."""
-    n = np.asarray(n, dtype=np.int64)
-    if grid.is_uniform:
-        return _center(grid, n.astype(np.float64))
-    if np.any(n < 0) or np.any(n >= len(grid._b) - 1):
-        raise InvalidInputError("bin index outside boundary table")
-    return _center(grid, n)
+    return _center(grid, np.asarray(n, dtype=np.int64).astype(np.float64))
 
 
 def round_index_array(grid: QuantGrid, v) -> tuple[np.ndarray, np.ndarray]:
@@ -342,21 +285,18 @@ def round_index_array(grid: QuantGrid, v) -> tuple[np.ndarray, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # the hyperprior's scale table, the grid of every hyperprior stream
+#
+# It quantizes log sigma with the step of a geometric ladder of 64 scales
+# from 0.11 to 256 (CompressAI's default scale table): 64 bins from
+# boundary -18 to 46, sigma ~ 0.109 to 287.
 
-_SCALE_LO = 0.11
-_SCALE_HI = 256.0
-_SCALE_STEPS = 64
+_SCALE_STEP = (math.log(256.0) - math.log(0.11)) / 63
 
 
 @functools.cache
 def default_scale_table() -> QuantGrid:
-    """Geometric boundary ladder standing in for learned scale boundaries,
+    """The uniform grid on log sigma standing in for learned scale bins,
     built once."""
-    k = np.arange(_SCALE_STEPS, dtype=np.float64)
-    b = np.exp(
-        math.log(_SCALE_LO)
-        + k * (math.log(_SCALE_HI) - math.log(_SCALE_LO)) / (_SCALE_STEPS - 1)
+    return QuantGrid.uniform(
+        _SCALE_STEP, domain=(-18 * _SCALE_STEP, 46 * _SCALE_STEP)
     )
-    b[0] = _SCALE_LO
-    b[-1] = _SCALE_HI
-    return QuantGrid(boundaries=tuple(b.tolist()))

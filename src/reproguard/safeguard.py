@@ -34,7 +34,6 @@ from .quantizer import (
     _boundary,
     _center,
     _checked,
-    _half_bins,
     _inside,
     _nearest,
     validate,
@@ -76,16 +75,11 @@ class GuardConfig:
         validate(self.grid, self.epsilon)
         object.__setattr__(self, "mode", parse_mode(self.mode))
 
-    @property
-    def edge_clip(self) -> tuple[float, float] | None:
-        """The range values are clipped to: the grid's domain, if any."""
-        return self.grid.domain
-
 
 def _protected(
-    cfg: GuardConfig, m: np.ndarray, bv: np.ndarray, left: np.ndarray | None
+    cfg: GuardConfig, bv: np.ndarray, left: np.ndarray | None
 ) -> np.ndarray:
-    """The protected value of risky values nearest boundary ``m`` (at ``bv``).
+    """The protected value of risky values nearest the boundaries at ``bv``.
 
     CENTER gives the boundary; FULL gives the center of the bin below it
     where ``left`` holds, and of the bin above it elsewhere.  Encoder and
@@ -94,8 +88,8 @@ def _protected(
     """
     if cfg.mode == GuardMode.CENTER:
         return bv
-    below, above = _half_bins(cfg.grid, m)
-    return np.where(left, bv - below, bv + above)
+    half = cfg.grid.q * 0.5
+    return np.where(left, bv - half, bv + half)
 
 
 def guard_encode_array(
@@ -126,7 +120,7 @@ def guard_encode_array(
         go_left = bv > v[risky]
         if cfg.mode == GuardMode.FULL:
             f_d = (~go_left).view(np.uint8)
-        v_out[risky] = _protected(cfg, m, bv, go_left)
+        v_out[risky] = _protected(cfg, bv, go_left)
     return v_out, risky.view(np.uint8), f_d
 
 
@@ -157,6 +151,6 @@ def guard_decode_array(cfg: GuardConfig, v_prime, f_r, f_d=()) -> np.ndarray:
         if fd.shape != (m.shape[0],):
             raise InvalidInputError("FULL mode needs one direction bit per risky flag")
         left = fd == 0
-    v_out[risky] = _protected(cfg, m, bv, left)
+    v_out[risky] = _protected(cfg, bv, left)
     return v_out
 

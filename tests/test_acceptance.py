@@ -113,13 +113,13 @@ def test_bin_drift_at_most_one(capsys):
     violations += int(np.count_nonzero(drift > 1))
     total += n
 
-    # learned-style boundary table, validated for eps = 1e-4
+    # the hyperprior's scale table on log sigma, validated for eps = 1e-4
     table = default_scale_table()
     eps = 1e-4
-    v = rng.uniform(0.11, 256.0, size=n)
+    v = rng.uniform(*table.domain, size=n)
     delta = rng.uniform(-eps, eps, size=n)
     drift = np.abs(
-        quantize_array(table, v) - quantize_array(table, np.clip(v + delta, 0.11, 256.0))
+        quantize_array(table, v) - quantize_array(table, np.clip(v + delta, *table.domain))
     )
     violations += int(np.count_nonzero(drift > 1))
     total += n

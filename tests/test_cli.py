@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reproguard import cli, octree
+from reproguard import cli, hyperprior, octree
 from reproguard.safeguard import GuardMode
 
 
@@ -131,18 +131,15 @@ def test_negative_bit_depth_is_a_typed_error(case, small_ply, tmp_path, capsys):
 class TestSweep:
     def test_pc_grid(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
-        svg = tmp_path / "s.svg"
         assert run("sweep", "--payload", "pc", "--epsilons", "1e-5,1e-6",
                    "--ks", "250", "--seeds", "0", "--depth", "7",
-                   "--count", "2000", "--out", str(out), "--svg", str(svg)) == 0
+                   "--count", "2000", "--out", str(out)) == 0
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["epsilon"] for r in rows] == ["1e-05", "1e-06"]
         assert all(r["exact"] == "true" for r in rows)
         assert float(rows[0]["overhead_pct"]) > float(rows[1]["overhead_pct"])
         assert all(r["q"] == repr(1.0 / 250) for r in rows)
-        text = svg.read_text()
-        assert text.startswith("<svg") and "polyline" in text
 
     def test_invalid_pair_becomes_skip_row(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
@@ -222,7 +219,8 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert rows[0]["payload"] == "image"
-        assert rows[0]["kind"] == "table"
+        # the step of the scale table on log sigma
+        assert rows[0]["q"] == repr(hyperprior.default_scale_table().q)
         assert rows[0]["exact"] == "true"
 
 

@@ -114,9 +114,19 @@ def test_unsupported_version():
 def test_version_1_streams_are_unsupported():
     # v1 range-coded its flags; v2 Rice-codes the gaps between risky flags
     data = bytearray(write(raw_stream()))
-    assert data[4] == 5
+    assert data[4] == 6
     data[4] = 1
     with pytest.raises(UnsupportedVersionError):
+        read(bytes(data))
+
+
+def test_version_5_streams_are_unsupported():
+    # a v5 hyperprior stream guarded sigma on a boundary table, and a v6 one
+    # guards log sigma on a uniform grid; the layouts are the same
+    data = bytearray(write(hyper_stream()))
+    assert read(bytes(data)) == hyper_stream()
+    data[4] = 5
+    with pytest.raises(UnsupportedVersionError, match="version 5"):
         read(bytes(data))
 
 
@@ -143,18 +153,18 @@ V2_RAW = bytes.fromhex(
 def test_version_2_streams_are_unsupported():
     with pytest.raises(UnsupportedVersionError, match="version 2"):
         read(V2_RAW)
-    # the same stream, header cut to v5, is read: only the version refuses it
+    # the same stream, header cut to v6, is read: only the version refuses it
     assert V2_RAW[15] == 0 and V2_RAW[24:32] == bytes(8)
     counts, value_count, step = V2_RAW[34:46], V2_RAW[46:54], V2_RAW[16:24]
-    v5 = bytes([*V2_RAW[:4], 5, *V2_RAW[5:15], *counts, *value_count, *step,
+    v6 = bytes([*V2_RAW[:4], 6, *V2_RAW[5:15], *counts, *value_count, *step,
                 *V2_RAW[54:]])
-    assert read(v5).flag_count == 6
-    assert read(v5).payload.q == 1.0 / 64.0
+    assert read(v6).flag_count == 6
+    assert read(v6).payload.q == 1.0 / 64.0
 
 
 # A v4 stream: five raw values on the step 1/64 in FULL mode.  Its header
 # had a grid-kind byte (0, uniform) after epsilon, then the step, which v5
-# carries after the value count.
+# and v6 carry after the value count.
 V4_RAW = bytes.fromhex(
     "524752440400023f4999999999999a003f900000000000000000000500000002000000"
     "280000000000000005034c3fe04000000000003f80000000000000bff3e00000000000"
@@ -165,14 +175,14 @@ V4_RAW = bytes.fromhex(
 def test_version_4_streams_are_unsupported():
     with pytest.raises(UnsupportedVersionError, match="version 4"):
         read(V4_RAW)
-    # the v5 twin: version 5, the grid-kind byte cut, the step moved
+    # the v6 twin: version 6, the grid-kind byte cut, the step moved
     assert V4_RAW[15] == 0
     step, counts, value_count = V4_RAW[16:24], V4_RAW[24:36], V4_RAW[36:44]
-    v5 = bytes([*V4_RAW[:4], 5, *V4_RAW[5:15], *counts, *value_count, *step,
+    v6 = bytes([*V4_RAW[:4], 6, *V4_RAW[5:15], *counts, *value_count, *step,
                 *V4_RAW[44:]])
-    stream = read(v5)
+    stream = read(v6)
     assert stream.payload == RawHeader(value_count=5, q=1.0 / 64.0)
-    assert write(stream) == v5
+    assert write(stream) == v6
 
 
 def test_truncated_header():

@@ -26,7 +26,7 @@ from reproguard.errors import (
     TrailingDataError,
     TruncatedStreamError,
 )
-from reproguard.quantizer import default_scale_table, dequantize_array
+from reproguard.quantizer import default_scale_table, dequantize_array, quantize_array
 from reproguard.safeguard import GuardMode
 
 
@@ -515,20 +515,28 @@ def _table_margins(sigma, amplitude=32):
     return to_integer, cutoff, m[::-1] + [65536 - 2 * sum(m)] + m
 
 
-def test_scale_bin_tables_hold_a_float_margin():
-    # Both sides build each scale bin's table with math.exp, unguarded: a
-    # libm's exp error (an ulp, ~1e-16) must stay far from every decision.
-    # Over the 63 bin centres of the scale table the margins are 6.2e-8 and 4.8e-4.
+def _scale_bin_sigmas():
+    """The scale each of the scale table's 64 bins codes against: exp of its
+    center on log sigma, as the hyperprior computes it."""
     grid = default_scale_table()
-    mids = dequantize_array(grid, np.arange(len(grid.boundaries) - 1)).tolist()
+    lo, hi = quantize_array(grid, np.array(grid.domain))
+    return np.exp(dequantize_array(grid, np.arange(lo, hi + 1))).tolist()
+
+
+def test_scale_bin_tables_hold_a_float_margin():
+    # Both sides build each scale bin's sigma with exp and its table with
+    # math.exp, unguarded: a libm's exp error (an ulp, ~1e-16) must stay far
+    # from every decision.  Over the 64 bins of the scale table the margins
+    # are 7.3e-8 and 1.9e-4.
+    mids = _scale_bin_sigmas()
     margins = [_table_margins(m) for m in mids]
     # the mirror builds every table, so the shrink loop never runs
     for sigma, (_, _, freq) in zip(mids, margins):
         assert freq == np.diff(gaussian_cdf_table(sigma, 32)).tolist()
-    assert len(margins) == 63
+    assert len(margins) == 64
     assert min(t for t, _, _ in margins) >= 1e-9
     cutoffs = [c for _, c, _ in margins if c is not None]
-    assert len(cutoffs) == 31
+    assert len(cutoffs) == 33
     assert min(cutoffs) >= 1e-9
 
 
@@ -673,8 +681,7 @@ def test_bit_batches_must_be_one_dimensional():
 
 
 def _scale_bin_tables():
-    grid = default_scale_table()
-    mids = dequantize_array(grid, np.arange(len(grid.boundaries) - 1)).tolist()
+    mids = _scale_bin_sigmas()
     return SymbolTables([gaussian_cdf_table(m, 32) for m in mids])
 
 
@@ -692,7 +699,7 @@ def _bisect(cum, targets):
 
 def test_inverse_lookup_matches_bisect_for_every_target():
     tables = _scale_bin_tables()
-    assert len(tables) == 63
+    assert len(tables) == 64
     inverse = np.array(tables.inverse, dtype=np.int64)
     cum = np.array(tables.cum, dtype=np.int64)
     targets = np.arange(65536, dtype=np.int64)

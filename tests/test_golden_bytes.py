@@ -1,13 +1,15 @@
 """Pinned container bytes of small fixed-seed streams.
 
-The v5 wire format is a promise: a faster coder must emit exactly these
+The v6 wire format is a promise: a faster coder must emit exactly these
 bytes.  Each case is encoded, written, and compared by SHA-256 against the
-digest recorded when the format last changed (v5: the grid-kind byte went,
-the octree and raw headers carry the step, and the hyperprior's table id
-went).  The digest of each case's ``main`` section was recorded with the
-v1 format, and that of its safeguard section with v2 (which made it
-Rice-coded gaps between risky flags); neither moved with v3, v4 or v5,
-which changed the header alone.
+digest recorded when the format last changed (v6: the hyperprior guards
+log sigma on a uniform grid, not sigma on a boundary table, so its streams
+changed meaning and every container its version byte).  The digest of each
+octree and raw case's ``main`` section was recorded with the v1 format,
+and that of its safeguard section with v2 (which made it Rice-coded gaps
+between risky flags); neither moved with v3 to v6, which changed only the
+header of those payloads.  The hyperprior's ``main`` and safeguard digests
+were recorded with v6.
 """
 
 import hashlib
@@ -52,22 +54,22 @@ def _hyperprior_unprotected(mode: GuardMode):
 #        SHA-256 of its safeguard section)
 GOLDEN = {
     "octree-center": (lambda: _octree(GuardMode.CENTER),
-        "99aeb1e8489144e9def970b3f15f948c56da618b2d624eb9f5306756a3b941d3",
+        "ffb86ecd8acd2a80eb2eac53c1e2a9eb11e21df64918dc9a8a72f2f918a31486",
         "4f964bf18cda4736b00b0678e586f245cd39213c0097fd716105d9aa95da1bbd",
         "632450b055558aeadf3073af31e5e34d210fc68c4e340b55b5b070130d21f8c8",
     ),
     "octree-full": (lambda: _octree(GuardMode.FULL),
-        "301d63e8942639fbd21f0043bb3edc5ab25e8904a8f9c0671ffa66262eec0277",
+        "ef1591bbf9698f6f115e505fbd52fba588e01258573cd683bf9a3daf2068dece",
         "a17f1b739e84b4f99ec3eb1a87bfe92ccccc5e77f5d5f3d2c519b471a1229655",
         "8653d21a328e0b75f37535a0f548e7a533e5ca564160507fdf3935afbf92bc90",
     ),
     "hyperprior-center": (_hyperprior,
-        "73416adc342610b22c32edd9e9d9d1a1891a3ce2495fe7e717e51bfb4138294f",
-        "c9be78233bcdcb4146f00d8d175b3a16b4f658173abc47cffb01e13efdbf5a75",
-        "a387131f02a0d8e0ec45a4994514a1b420af84b5a07b7bb7e559aa54f1e58675",
+        "c1c171de2cbb81c01fa259b5c5da0dcf1999ee914790e15fc64ae6c73920edb3",
+        "2be133ecdeb5578394a3eed6329c477702d32e2bbb1bf0fc005cd813bfdf684e",
+        "3a487e4db7aae9077a0132aa56edd4f92c7f0df2104b6451c73c687a89dcae73",
     ),
     "raw-full": (lambda: _raw(GuardMode.FULL),
-        "8e5e977a57ac0c0bbaf005420beb629cb74b5d0f4d3c5d1286745d53725bc456",
+        "c0cee8531d4b636954ee8ad41780644369879dce01679fc3358f60be8f7b849b",
         "e471a22b937b0fdd9cee3cffcca47e2628d0966dfd560b4850b1ee7d48746680",
         "0a058eec8a2f0a07144a8624459eed522ed1177f57abba9e7397f869ae22f6e7",
     ),
@@ -76,8 +78,8 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_stream_bytes_match_v1(name):
-    # the name predates v2 to v5 and is kept so the test ids stay stable;
-    # the digests are those of the v5 format
+    # the name predates v2 to v6 and is kept so the test ids stay stable;
+    # the digests are those of the v6 format
     build, digest, *_ = GOLDEN[name]
     stream = build()
     assert stream.flag_count > 0 and any(stream.safeguard)
@@ -100,13 +102,13 @@ def test_safeguard_section_kept_its_v2_bytes(name):
 # and the safeguard section is empty.  Digests of the container.
 UNPROTECTED = {
     "octree-center": (lambda: _octree_unprotected(GuardMode.CENTER),
-        "e0aaa71ba380142282a2466939ff425f6b47acdd3a357839dc18254afec25d6f",
+        "2628713de7f40ee1abbc142c3a48942a3ed24c04e410cc47e50de21bbe67caaf",
     ),
     "octree-full": (lambda: _octree_unprotected(GuardMode.FULL),
-        "849db711e5bd62324bad7f6f3fd5312ddf1f3e086ecbf1d4f6c77b480d367b1b",
+        "000220e1e27162d38e8334cc2e46e05528d4441a87ed3c0a3c86d54bf1f4b09d",
     ),
     "hyperprior-center": (lambda: _hyperprior_unprotected(GuardMode.CENTER),
-        "68fe3272219a16c1bfbd279e93466a05c0078af30532cabcd3e1004513138b2c",
+        "0d361537381265f5fadfdeb70083567a658ed36b11f71a3577e55b88c5bc49de",
     ),
 }
 

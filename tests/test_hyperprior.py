@@ -2,12 +2,14 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from reproguard.container import GuardedStream, config_for_stream, read, write
 from reproguard.errors import ConfigError, FieldValueError, InvalidInputError
+from reproguard import hyperprior
 from reproguard.hyperprior import (
     LatentGrid,
     decode,
@@ -24,14 +26,21 @@ from reproguard.safeguard import GuardMode, guard_encode_array
 
 
 class TestScaleTable:
+    """A uniform grid on log sigma with the step of the geometric ladder of
+    64 scales from 0.11 to 256."""
+
     def test_endpoints(self):
         grid = default_scale_table()
-        assert grid.boundaries[0] == 0.11
-        assert grid.boundaries[-1] == 256.0
+        lo, hi = grid.domain
+        assert (lo, hi) == (-18 * grid.q, 46 * grid.q)
+        # 64 bins, sigma from about 0.109 to 287
+        assert quantize_array(grid, np.array([lo, hi])).tolist() == [-18, 45]
+        assert math.exp(lo) == pytest.approx(0.1092, abs=1e-4)
+        assert math.exp(hi) == pytest.approx(287.3, abs=0.1)
 
     def test_geometric_spacing(self):
-        b = np.asarray(default_scale_table().boundaries)
-        assert np.all(np.diff(b) > 0)
+        grid = default_scale_table()
+        b = np.exp(np.arange(-18, 47) * grid.q)
         ratios = b[1:] / b[:-1]
         expected = (256.0 / 0.11) ** (1.0 / 63.0)
         assert expected == pytest.approx(1.1305, abs=1e-3)
@@ -39,16 +48,18 @@ class TestScaleTable:
 
     def test_min_gap(self):
         grid = default_scale_table()
-        assert grid.min_gap == pytest.approx(0.11 * ((256 / 0.11) ** (1 / 63) - 1), rel=1e-9)
-        assert grid.min_gap == pytest.approx(0.0144, abs=1e-4)
+        assert grid.q == pytest.approx(math.log(256 / 0.11) / 63, rel=1e-12)
+        assert grid.q == pytest.approx(0.1231, abs=1e-4)
 
     def test_validates_for_small_epsilon(self):
         validate(default_scale_table(), 1e-5)
         validate(default_scale_table(), 1e-4)
 
     def test_rejects_wide_epsilon(self):
+        # the margin is a quarter of the step on log sigma, about 0.0308
+        make_image_config(0.03)
         with pytest.raises(ConfigError):
-            make_image_config(0.004)
+            make_image_config(0.031)
 
     def test_built_once_and_fixed_by_the_payload_kind(self):
         # no header field names it: every hyperprior stream is on this table
@@ -102,27 +113,39 @@ class TestHyperSynthesis:
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_positive(self):
+        # the output is log sigma: every scale it names is finite and > 0
         for seed in range(10):
             z = synth_latents(16, 16, 4, seed=seed).z
-            assert np.all(hyper_synthesis(z) > 0)
+            sigma = np.exp(hyper_synthesis(z))
+            assert np.all(np.isfinite(sigma)) and np.all(sigma > 0)
+
+    def test_log_scale_is_finite_where_softplus_underflows(self):
+        # one channel: t = a*z + bias + offset, with bias and offset within
+        # 1.4 of 0; z here puts t near -800, where softplus(t) is 0
+        a = (hyperprior._unit_draws(1, 1)[0] * 2.0 - 1.0) * 0.9
+        z = np.full((1, 1, 1), -800.0 / a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_sigma = hyper_synthesis(z)
+        assert np.all(np.isfinite(log_sigma))
+        assert np.all(np.abs(log_sigma + 800.0) < 1.5)
 
     # sha256 of hyper_synthesis(z).tobytes() for z ~ N(0, scale) of each
     # shape and seed; the last z saturates the softplus on both sides.  The
-    # digests were recorded while the function still ended in a clip at
-    # zero, so they show the clip never changed a bit.
+    # digests were recorded when the function began to return log sigma.
     @pytest.mark.parametrize(
         "shape, seed, scale, digest",
         [
             ((1, 1, 1), 0, 3.0,
-             "c39d7251e4278517ec3fccebc4a4b150acd43d405c04837b2ed6139b8536c5ed"),
+             "7d28d81839fa58aedd513eca77d30ff0dfd3d34f5ed7c144736f5c50eaa6711e"),
             ((2, 3, 5), 1, 3.0,
-             "b6b6bd03550a4957df9e854f43dd6940fe97b8598fa0d77937a693e0705eac64"),
+             "e367a5837fa44236e50fb058c978c7584083637f20b343b6db83665d496a74ba"),
             ((4, 4, 64), 2, 3.0,
-             "fc7558a438830719199f098a04e8756f10c75b44a6852fe45fafa26557ea115b"),
+             "4bacecb8ae7f5864f105fcc0d122573fd6c3e1e3f6040c7bed429d2d0358d27e"),
             ((8, 2, 16), 3, 3.0,
-             "c5a408dbcab4395e91972576fe409beb82e5bb5792de0b8ec600e94af615de67"),
+             "2e932fd2997dba6363beb7a0724f987400f86443734ee2add55a6f46908720f7"),
             ((2, 2, 8), 4, 1e4,
-             "4c7a14364141579ccc78cc1f421b8310b765477b69dd2d614afce2af64d3639f"),
+             "72e91bb5b3d35e9af3d362fda7dc1d7ffee2452705eb9b84aefc78c36497710a"),
         ],
         ids=["1x1x1", "2x3x5", "4x4x64", "8x2x16", "saturated"],
     )
@@ -146,11 +169,12 @@ class TestHyperSynthesis:
             assert np.array_equal(quantize_array(cfg.grid, got), idx)
 
     def test_lowest_boundary_never_risky(self):
-        # scales at or below the first boundary clamp into the edge zone,
-        # where flags are forced safe
+        # log scales at or below the first boundary clamp onto it, where
+        # flags are forced safe
         cfg = make_image_config(1e-4)
-        sig = np.array([0.01, 0.11, 0.11 + 0.5e-4, 0.109999])
-        _, fr, _ = guard_encode_array(cfg, sig)
+        lo = cfg.grid.domain[0]
+        log_sig = np.array([-5.0, lo, lo + 0.5e-4, np.nextafter(lo, -9.0)])
+        _, fr, _ = guard_encode_array(cfg, log_sig)
         assert not fr.any()
 
 
@@ -255,12 +279,12 @@ class TestCodec:
         from reproguard.quantizer import dequantize_array
         from reproguard.safeguard import guard_encode_array
 
-        sig = hyper_synthesis(lat.z).reshape(-1)
-        v_out, _, _ = guard_encode_array(cfg, sig)
+        log_sig = hyper_synthesis(lat.z).reshape(-1)
+        v_out, _, _ = guard_encode_array(cfg, log_sig)
         mids = dequantize_array(cfg.grid, quantize_array(cfg.grid, v_out))
         syms = quantize_latents(lat.y).reshape(-1) + 32
         bits = 0.0
-        for m, s in zip(mids.tolist(), syms.tolist()):
+        for m, s in zip(np.exp(mids).tolist(), syms.tolist()):
             cum = gaussian_cdf_table(m, 32)
             bits -= math.log2((cum[s + 1] - cum[s]) / 65536.0)
         assert len(stream.main) * 8 >= bits

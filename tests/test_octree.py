@@ -233,7 +233,7 @@ class TestConfig:
     def test_make_pc_config(self):
         cfg = make_pc_config(1e-6, k=250)
         assert cfg.grid.q == 1.0 / 250.0
-        assert cfg.edge_clip == (0.0, 1.0)
+        assert cfg.grid.domain == (0.0, 1.0)
         assert cfg.mode == GuardMode.CENTER
 
     def test_unit_domain_forces_reciprocal_step(self):

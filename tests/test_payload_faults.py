@@ -58,11 +58,11 @@ def _raw():
 PAYLOADS = {"octree": _octree, "hyperprior": _hyperprior, "raw": _raw}
 
 
-def _replaced(stream, q=None, **fields):
-    """``stream`` with ``fields`` replaced and, given ``q``, its payload
+def _replaced(stream, **fields):
+    """``stream`` with ``fields`` replaced, where ``q`` is its payload
     header's step."""
-    if q is not None:
-        fields["payload"] = dataclasses.replace(stream.payload, q=q)
+    if "q" in fields:
+        fields["payload"] = dataclasses.replace(stream.payload, q=fields.pop("q"))
     return dataclasses.replace(stream, **fields)
 
 
@@ -139,10 +139,12 @@ def test_raw_grid_domain_the_header_cannot_name_is_rejected_at_encode(monkeypatc
     )
 
 
+# a grid on log sigma with a domain, but not the scale table
+_FOREIGN_TABLE = QuantGrid.uniform(0.25, domain=(-2.0, 6.0))
+
+
 @pytest.mark.parametrize(
-    "grid",
-    [QuantGrid(boundaries=np.geomspace(0.11, 256.0, 32)), QuantGrid.uniform(0.5)],
-    ids=["foreign-table", "uniform"],
+    "grid", [_FOREIGN_TABLE, QuantGrid.uniform(0.5)], ids=["foreign-table", "uniform"]
 )
 def test_hyperprior_encode_rejects_a_grid_other_than_its_table(grid, monkeypatch):
     cfg = GuardConfig(grid=grid, epsilon=1e-4, mode=GuardMode.CENTER)
@@ -157,10 +159,9 @@ def test_octree_encode_rejects_a_table_grid(monkeypatch):
 
 
 def test_raw_encode_rejects_a_table_outside_the_registry(monkeypatch):
-    # a raw header carries a step and no table, so no table has a name there
-    # (tests/test_raw_values.py has the scale table's own case)
-    grid = QuantGrid(boundaries=np.geomspace(0.11, 256.0, 32))
-    cfg = GuardConfig(grid=grid, epsilon=1e-4, mode=GuardMode.CENTER)
+    # a raw header carries a step and no domain, so no table has a name
+    # there (tests/test_raw_values.py has the scale table's own case)
+    cfg = GuardConfig(grid=_FOREIGN_TABLE, epsilon=1e-4, mode=GuardMode.CENTER)
     _rejects_before_coding(
         raw_values, lambda: raw_values.encode_values(np.array([0.5, 2.0]), cfg),
         monkeypatch,
@@ -214,16 +215,22 @@ _NAN, _INF = float("nan"), float("inf")
         ("raw", dict(epsilon=_NAN)),
         ("raw", dict(epsilon=-_INF)),
         ("raw", dict(q=_NAN)),
+        ("raw", dict(epsilon=None)),
+        ("octree", dict(q=None)),
     ],
     ids=["octree-eps-nan", "octree-eps-inf", "octree-q-nan", "hyperprior-eps-nan",
-         "hyperprior-eps-inf", "raw-eps-nan", "raw-eps-neg-inf", "raw-q-nan"],
+         "hyperprior-eps-inf", "raw-eps-nan", "raw-eps-neg-inf", "raw-q-nan",
+         "raw-eps-none", "octree-q-none"],
 )
 def test_non_finite_header_field_is_a_malformed_stream(payload, fields):
     # an in-memory stream skips container.read's checks, so the decoder's
-    # own config builder must type the fault
+    # own config builder must type the fault, as write's checks do
     stream, decode = PAYLOADS[payload]()
+    bad = _replaced(stream, **fields)
     with pytest.raises(FieldValueError):
-        decode(_replaced(stream, **fields))
+        decode(bad)
+    with pytest.raises(FieldValueError):
+        container.write(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +293,14 @@ def test_octree_flag_on_the_domain_edge_is_malformed(case, monkeypatch):
 @pytest.mark.parametrize("case", list(EDGE_FLAGS))
 def test_hyperprior_flag_on_the_domain_edge_is_malformed(case):
     mode, direction = EDGE_FLAGS[case]
-    # z this large drives every scale past an end of the table, 0.11 or 256
+    # z this large drives every log scale past an end of the table
     lat = hyperprior.synth_latents(8, 8, 4, seed=1)
     lat = dataclasses.replace(lat, z=np.full(lat.z.shape, 1e6))
     stream = hyperprior.encode(lat, hyperprior.make_image_config(1e-4, mode))
-    sig = hyperprior.hyper_synthesis(lat.z).reshape(-1)
+    log_sig = hyperprior.hyper_synthesis(lat.z).reshape(-1)
+    lo, hi = default_scale_table().domain
     top = direction == 1
-    at = np.flatnonzero(sig >= 256.0 if top else sig <= 0.11)[0]
+    at = np.flatnonzero(log_sig >= hi if top else log_sig <= lo)[0]
     bad = _with_flag(stream, int(at), 1 if direction is None else direction)
     with pytest.raises(FieldValueError, match="domain edge"):
         hyperprior.decode(container.read(container.write(bad)))

@@ -8,12 +8,13 @@ import hypothesis.strategies as st
 from reproguard.errors import ConfigError, InvalidInputError
 from reproguard.quantizer import (
     QuantGrid,
-    _half_bins,
+    default_scale_table,
     dequantize_array,
     quantize_array,
     round_index_array,
     validate,
 )
+from reproguard.safeguard import GuardConfig, GuardMode, guard_encode_array
 
 
 def quantize(g, v):
@@ -51,6 +52,12 @@ def ceil_b(g, v):
     return boundary_value(g, m + 1) if bv <= v else bv
 
 
+# the hyperprior's scale table: the one grid with a fixed domain, 64 bins
+# of step q on log sigma from boundary -18 to boundary 46
+TABLE = default_scale_table()
+Q = TABLE.q
+
+
 def grids():
     steps = st.sampled_from([0.004, 0.008, 0.01, 0.25, 1.0])
     return st.builds(QuantGrid.uniform, steps)
@@ -66,12 +73,13 @@ class TestQuantize:
         assert quantize(g, 0.0) == 0
 
     def test_table_half_open_membership(self):
-        g = QuantGrid(boundaries=(0.0, 0.25, 1.0))
-        assert quantize(g, 0.3) == 1
+        # an inner boundary belongs to the bin above it
+        assert quantize(TABLE, 3 * Q) == 3
+        assert quantize(TABLE, np.nextafter(3 * Q, 0.0)) == 2
 
     def test_table_top_value_maps_to_last_bin(self):
-        g = QuantGrid(boundaries=(0.0, 0.25, 1.0))
-        assert quantize(g, 1.0) == 1
+        assert quantize(TABLE, 46 * Q) == 45
+        assert quantize(TABLE, -18 * Q) == -18
 
     def test_non_finite_rejected(self):
         g = QuantGrid.uniform(0.004)
@@ -87,15 +95,8 @@ class TestDequantize:
         assert dequantize(g, 2) == pytest.approx(0.01, abs=0)
 
     def test_table_midpoint(self):
-        g = QuantGrid(boundaries=(0.0, 0.25, 1.0))
-        assert dequantize(g, 1) == 0.625
-
-    def test_table_bad_index(self):
-        g = QuantGrid(boundaries=(0.0, 0.25, 1.0))
-        with pytest.raises(InvalidInputError):
-            dequantize(g, 2)
-        with pytest.raises(InvalidInputError):
-            dequantize(g, -1)
+        assert dequantize(TABLE, -18) == -17.5 * Q
+        assert dequantize(TABLE, 45) == 45.5 * Q
 
 
 class TestBoundaryOps:
@@ -117,9 +118,8 @@ class TestBoundaryOps:
         assert round_b(g, 7.0) == 7.0
 
     def test_past_table_end_clamps_onto_top(self):
-        g = QuantGrid(boundaries=(0.0, 0.25, 1.0))
         # a value past the end clamps onto the top boundary
-        assert round_index(g, 1.5) == (2, 1.0)
+        assert round_index(TABLE, 9.0) == (46, 46 * Q)
 
     @given(grids(), st.floats(-100, 100))
     def test_sandwich(self, g, v):
@@ -151,8 +151,8 @@ class TestRoundIndex:
             assert boundary_value(g, m) == bv
 
     def test_array_agrees_with_scalar(self):
-        g = QuantGrid(boundaries=(0.0, 0.1, 0.45, 1.0))
-        vs = np.array([0.0, 0.09, 0.3, 0.71, 1.0])
+        g = QuantGrid.uniform(0.25, domain=(0.0, 1.0))
+        vs = np.array([-0.5, 0.0, 0.09, 0.3, 0.71, 1.0, 1.5])
         ms, bvs = round_index_array(g, vs)
         for v, m, bv in zip(vs, ms, bvs):
             sm, sbv = round_index(g, float(v))
@@ -168,19 +168,27 @@ class TestRoundIndex:
 
 
 class TestGaps:
-    """Half the bin below and above a boundary, as the guard's protected
-    values use them."""
+    """Half the bin below and above a boundary, as the guard's FULL mode
+    protects a risky value: to the center of its bin, half a step from the
+    boundary."""
+
+    @staticmethod
+    def offsets(g, m, eps):
+        """The protected values of risky values just below and just above
+        boundary ``m``, less the boundary."""
+        cfg = GuardConfig(grid=g, epsilon=eps, mode=GuardMode.FULL)
+        b = m * g.q
+        v_out, fr, _ = guard_encode_array(cfg, np.array([b - eps / 2, b + eps / 2]))
+        assert fr.tolist() == [1, 1]
+        return (v_out - b).tolist()
 
     def test_uniform_gap_is_q(self):
-        g = QuantGrid.uniform(0.25)
-        below, above = _half_bins(g, np.array([3]))
-        assert below == above == 0.125
+        assert self.offsets(QuantGrid.uniform(0.25), 3, 1e-3) == [-0.125, 0.125]
 
     def test_table_gaps(self):
-        g = QuantGrid(boundaries=(0.0, 0.1, 0.45, 1.0))
-        below, above = _half_bins(g, np.array([1]))
-        assert below[0] == pytest.approx(0.05)
-        assert above[0] == pytest.approx(0.175)
+        below, above = self.offsets(TABLE, 3, 1e-4)
+        assert below == pytest.approx(-Q / 2, rel=1e-12)
+        assert above == pytest.approx(Q / 2, rel=1e-12)
 
 
 class TestValidate:
@@ -192,10 +200,10 @@ class TestValidate:
             validate(QuantGrid.uniform(0.004), 0.002)
 
     def test_table_margin_uses_min_gap(self):
-        g = QuantGrid(boundaries=(0.0, 0.1, 0.2, 1.0))
-        validate(g, 0.02)
+        # every bin of the table is one step wide, so the step is its margin
+        validate(TABLE, Q / 4 * (1 - 1e-12))
         with pytest.raises(ConfigError):
-            validate(g, 0.025)
+            validate(TABLE, Q / 4)
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ConfigError):
@@ -215,18 +223,16 @@ class TestDomain:
         assert quantize(g, 9.0) == 3
 
     def test_table_domain_is_its_outer_boundaries(self):
-        b = (0.0, 0.5, 1.0)
-        assert QuantGrid(boundaries=b).domain == (b[0], b[-1])
-        assert QuantGrid(boundaries=b, domain=(0.0, 1.0)) == QuantGrid(boundaries=b)
-        for domain in [(0.0, 0.5), (0.5, 1.0), (-1.0, 1.0), (0.0, 2.0)]:
-            with pytest.raises(ConfigError):
-                QuantGrid(boundaries=b, domain=domain)
+        assert TABLE == QuantGrid.uniform(Q, domain=(-18 * Q, 46 * Q))
+        lo, hi = TABLE.domain
+        assert (round_index(TABLE, lo), round_index(TABLE, hi)) == (
+            (-18, lo), (46, hi)
+        )
 
     def test_table_clamps_outside_values(self):
-        g = QuantGrid(boundaries=(0.0, 0.5, 1.0))
-        assert quantize(g, -0.1) == 0
-        assert quantize(g, 7.0) == 1
-        assert round_index(g, -0.1) == (0, 0.0)
+        assert quantize(TABLE, -9.0) == -18
+        assert quantize(TABLE, 7.0) == 45
+        assert round_index(TABLE, -9.0) == (-18, -18 * Q)
 
     @pytest.mark.parametrize(
         "q,domain",
@@ -313,19 +319,23 @@ class TestBinDrift:
 
 class TestConstruction:
     def test_exactly_one_kind(self):
-        with pytest.raises(ConfigError):
+        # a grid is its step: no boundary table can be named
+        with pytest.raises(TypeError):
             QuantGrid(q=0.1, boundaries=(0.0, 1.0))
+        assert QuantGrid.uniform(0.1).is_uniform and TABLE.is_uniform
 
     def test_uniform_grid_is_its_step(self):
         fields = [f.name for f in dataclasses.fields(QuantGrid) if f.init]
-        assert fields == ["q", "boundaries", "domain"]
+        assert fields == ["q", "domain"]
         # the domain is keyword-only, so a leftover positional offset fails
         with pytest.raises(TypeError):
             QuantGrid.uniform(0.1, 0.5)
 
     def test_boundaries_must_increase(self):
-        with pytest.raises(ConfigError):
-            QuantGrid(boundaries=(0.0, 0.5, 0.5, 1.0))
+        # the domain's edge boundaries, lo below hi
+        for domain in [(0.5, 0.5), (1.0, 0.0)]:
+            with pytest.raises(ConfigError):
+                QuantGrid.uniform(0.5, domain=domain)
 
     def test_bad_step(self):
         for q in (0.0, -0.1):
@@ -333,13 +343,21 @@ class TestConstruction:
                 QuantGrid.uniform(q)
 
     def test_min_gap(self):
-        g = QuantGrid(boundaries=(0.0, 0.1, 0.45, 1.0))
-        assert g.min_gap == pytest.approx(0.1)
-        assert QuantGrid.uniform(0.25).min_gap == 0.25
+        # the narrowest bin is one step wide: the margin rule reads q
+        validate(QuantGrid.uniform(0.25), 0.0625 * (1 - 1e-12))
+        with pytest.raises(ConfigError, match="grid step 0.25"):
+            validate(QuantGrid.uniform(0.25), 0.0625)
+
+    def test_not_a_number_is_typed(self):
+        for q in (None, "x"):
+            with pytest.raises(InvalidInputError):
+                QuantGrid.uniform(q)
+        with pytest.raises(InvalidInputError):
+            validate(QuantGrid.uniform(0.25), None)
 
     def test_boundary_array_is_derived_not_passed(self):
+        # the domain's edge indices are derived from it
         with pytest.raises(TypeError):
-            QuantGrid(q=0.1, _b=np.array([0.0, 5.0]))
-        assert QuantGrid.uniform(0.1)._b is None
-        g = QuantGrid(boundaries=(0.0, 0.5, 2.0))
-        assert g._b.tolist() == [0.0, 0.5, 2.0]
+            QuantGrid(q=0.1, _edges=(0, 5))
+        assert QuantGrid.uniform(0.1)._edges is None
+        assert TABLE._edges == (-18, 46)

@@ -109,7 +109,7 @@ def test_config_for_stream_reconstructs():
     assert cfg.grid == GRID
     assert cfg.mode == GuardMode.FULL
     assert cfg.epsilon == EPS
-    assert cfg.edge_clip is None
+    assert cfg.grid.domain is None
 
 
 def test_empty_vector():

@@ -172,17 +172,19 @@ def test_guarantee_randomized(mode, q, eps):
 
 @pytest.mark.parametrize("mode", ALL_MODES)
 def test_guarantee_table_grid(mode):
-    grid = QuantGrid(boundaries=(0.0, 0.07, 0.21, 0.5, 0.55, 1.0))
+    # the hyperprior's scale table, a grid on log sigma with a domain
+    grid = default_scale_table()
+    lo, hi = grid.domain
     eps = 0.01
     cfg = GuardConfig(grid=grid, epsilon=eps, mode=mode)
     rng = np.random.default_rng(99)
-    v = rng.uniform(0.0, 1.0, 30000)
+    v = rng.uniform(lo - 1.0, hi + 1.0, 30000)
     planted = np.concatenate(
-        [b + s * u * eps for b in (0.07, 0.21, 0.5, 0.55)
+        [b + s * u * eps for b in np.arange(-18, 47) * grid.q
          for s in (-1.0, 1.0)
          for u in (np.array([0.0, 0.5, 0.999, 1.0, 1.001, 2.0]),)]
     )
-    v = np.clip(np.concatenate([v, planted]), 0.0, 1.0)
+    v = np.clip(np.concatenate([v, planted]), lo, hi)
     delta = rng.uniform(-0.999 * eps, 0.999 * eps, v.shape[0])
 
     v_out, fr, fd = guard_encode_array(cfg, v)
@@ -194,7 +196,7 @@ def test_guarantee_table_grid(mode):
 def test_zero_d_risky_value_on_a_table_grid(mode):
     # a 0-d value takes the same path as a 1-element array, on both sides
     cfg = GuardConfig(grid=default_scale_table(), epsilon=1e-4, mode=mode)
-    v = np.asarray(cfg.grid.boundaries[10] + 1e-5)
+    v = np.asarray(-8 * cfg.grid.q + 1e-5)
     v_out, fr, fd = guard_encode_array(cfg, v)
     want, want_fr, want_fd = guard_encode_array(cfg, v.reshape(1))
     assert np.shape(v_out) == () and int(fr) == want_fr[0] == 1

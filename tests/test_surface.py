@@ -35,9 +35,10 @@ PACKAGE_ALL = [
 # derivation of a header's z-blob length, the one-sided guard modes, the
 # encoder's carry into bytes already written, the header's second copies
 # of the flag rate and the hyperprior's table id, with the pair of arrays
-# that carried the rate, a uniform grid's offset, and the grid descriptors
+# that carried the rate, a uniform grid's offset, the grid descriptors
 # with the one-table registry they named tables in (the payload kind fixes
-# the grid).
+# the grid), the boundary-table grid (every grid is uniform), the guard's
+# second name for the grid's domain, and the sweep's SVG plot of its CSV.
 DELETED = [
     "entropy.RangeEncoder.encode_bit",
     "entropy.RangeEncoder.encode_symbol",
@@ -78,6 +79,12 @@ DELETED = [
     "quantizer.get_table",
     "quantizer.SCALE_TABLE_ID",
     "hyperprior.SCALE_TABLE_ID",
+    "quantizer.QuantGrid.boundaries",
+    "quantizer.QuantGrid._b",
+    "quantizer.QuantGrid.min_gap",
+    "quantizer._half_bins",
+    "safeguard.GuardConfig.edge_clip",
+    "cli._write_svg",
 ]
 
 
