@@ -5,7 +5,6 @@ from .errors import (
     ConfigError,
     FieldValueError,
     InvalidInputError,
-    LengthOverflowError,
     MalformedStreamError,
     PlyParseError,
     ReproGuardError,
@@ -57,7 +56,6 @@ __all__ = [
     "BadMagicError",
     "UnsupportedVersionError",
     "TruncatedStreamError",
-    "LengthOverflowError",
     "FieldValueError",
     "TrailingDataError",
     "PlyParseError",

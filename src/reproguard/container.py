@@ -6,7 +6,9 @@ Each fact is stated once on the wire: the payload kind byte is the type of
 the payload header, the payload kind fixes the grid (the octree and raw
 headers carry its step, and the hyperprior's grid is the scale table on
 log sigma), and the flag section's coding rate follows from the flag
-count and the section itself.
+count and the section itself.  Every payload header is one fixed-size
+struct: the hyperprior's side information travels coded in its main
+section, not in the header.
 The parser is hardened: any byte buffer either parses or raises a subclass
 of MalformedStreamError, it never reads past declared lengths, and accepted
 buffers round-trip byte-identically through ``read`` then ``write``.
@@ -25,7 +27,6 @@ from .errors import (
     ConfigError,
     FieldValueError,
     InvalidInputError,
-    LengthOverflowError,
     TrailingDataError,
     TruncatedStreamError,
     UnsupportedVersionError,
@@ -53,7 +54,7 @@ __all__ = [
 ]
 
 MAGIC = b"RGRD"
-VERSION = 6
+VERSION = 7
 
 
 class PayloadKind:
@@ -74,7 +75,6 @@ class HyperpriorHeader:
     height: int
     width: int
     channels: int
-    z_blob: bytes  # raw big-endian doubles, kept opaque for byte fidelity
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,6 @@ def _check_depth(bit_depth: int, error: type[Exception] = ConfigError) -> None:
         raise error(f"bit depth {bit_depth} outside [1, {_MAX_DEPTH}]")
 
 
-def _z_len(height: int, width: int, channels: int) -> int:
-    """Bytes of a hyperprior header's z blob: a double per pooled value."""
-    return (height // _POOL) * (width // _POOL) * channels * 8
-
-
 # The wire table.  A stream is _HEAD (magic, version, mode, payload kind,
 # epsilon), _COUNTS (flag_count, safeguard and main lengths), the payload
 # header of the kind's frame, then the safeguard and main sections.
@@ -125,19 +120,18 @@ _UNIT = (0.0, 1.0)  # the probability domain every octree grid clips to
 
 class _Frame(NamedTuple):
     header: type  # the payload header type; its fields in order are ...
-    layout: str  # ... this struct format's, then the blob if there is one
-    blob: Callable[..., int] | None  # the blob's length, from the layout's fields
+    layout: str  # ... this struct format's
     grid: Callable[..., QuantGrid]  # the guard's grid, from the header alone
 
 
 _FRAMES = {
     PayloadKind.OCTREE: _Frame(
-        OctreeHeader, ">BQd", None, lambda h: QuantGrid.uniform(h.q, domain=_UNIT)
+        OctreeHeader, ">BQd", lambda h: QuantGrid.uniform(h.q, domain=_UNIT)
     ),
     PayloadKind.HYPERPRIOR: _Frame(
-        HyperpriorHeader, ">III", _z_len, lambda h: default_scale_table()
+        HyperpriorHeader, ">III", lambda h: default_scale_table()
     ),
-    PayloadKind.RAW: _Frame(RawHeader, ">Qd", None, lambda h: QuantGrid.uniform(h.q)),
+    PayloadKind.RAW: _Frame(RawHeader, ">Qd", lambda h: QuantGrid.uniform(h.q)),
 }
 _KINDS = {frame.header: kind for kind, frame in _FRAMES.items()}
 
@@ -225,28 +219,23 @@ def _check_stream(stream: GuardedStream) -> None:
             raise FieldValueError(
                 f"latent height and width must be multiples of {_POOL}"
             )
-        if len(p.z_blob) != _z_len(p.height, p.width, p.channels):
-            raise FieldValueError("z blob length does not match the dimensions")
 
 
 def write(stream: GuardedStream) -> bytes:
     _check_stream(stream)
     kind = stream.payload_kind
-    frame = _FRAMES[kind]
-    # vars(), not dataclasses.astuple: the header's fields in order, uncopied
-    fields = tuple(vars(stream.payload).values())
-    n = len(fields) - (frame.blob is not None)
     try:
         head = (
             struct.pack(_HEAD, MAGIC, VERSION, stream.mode, kind, stream.epsilon),
             struct.pack(_COUNTS, stream.flag_count, len(stream.safeguard),
                         len(stream.main)),
-            struct.pack(frame.layout, *fields[:n]),
+            # vars(), not dataclasses.astuple: the header's fields in order
+            struct.pack(_FRAMES[kind].layout, *vars(stream.payload).values()),
         )
     except struct.error as exc:
         raise FieldValueError(f"a header field does not fit its width: {exc}") from None
     # one join, so that each section is copied once
-    return b"".join((*head, *fields[n:], stream.safeguard, stream.main))
+    return b"".join((*head, stream.safeguard, stream.main))
 
 
 class _Reader:
@@ -284,11 +273,6 @@ def read(data: bytes) -> GuardedStream:
         raise FieldValueError(f"bad payload kind {kind}")
     frame = _FRAMES[kind]
     fields = r.unpack(frame.layout, frame.header.__name__)
-    if frame.blob is not None:
-        blob_len = frame.blob(*fields)
-        if blob_len > len(r.data) - r.pos:
-            raise LengthOverflowError("declared z blob exceeds the buffer")
-        fields += (r.take(blob_len, "z blob"),)
 
     extra = len(r.data) - r.pos - guard_len - main_len
     if extra < 0:

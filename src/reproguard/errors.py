@@ -34,10 +34,6 @@ class TruncatedStreamError(MalformedStreamError):
     """Buffer ended before a declared field or section."""
 
 
-class LengthOverflowError(MalformedStreamError):
-    """Declared section lengths exceed the bytes actually present."""
-
-
 class FieldValueError(MalformedStreamError):
     """A header field holds a value outside its legal range, or a payload
     section disagrees with its header or with itself."""

@@ -6,8 +6,10 @@ selected bin of the scale table, a uniform grid on log sigma, is the
 coder-critical value; safeguarding it keeps the bin index, and therefore
 every CDF table, bit-identical on a decoder whose recomputed log scales
 differ by up to the error bound.  Bin ``n`` codes against the Gaussian of
-scale ``exp`` of its center.  z itself travels losslessly in the container
-header, so it needs no protection.
+scale ``exp`` of its center.  z is rounded to integers like y, and the
+rounded z is range-coded ahead of y in the main section against one fixed
+Gaussian table; it is an exact input on both sides, so it needs no
+protection, and the synthesis runs on it, never on z itself.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .entropy import (
     encode_flags,
     gaussian_cdf_table,
 )
-from .errors import FieldValueError, InvalidInputError
+from .errors import FieldValueError, InvalidInputError, TruncatedStreamError
 from .platform_sim import Perturbation, unit_draws
 from .quantizer import (
     QuantGrid,
@@ -61,6 +63,10 @@ __all__ = [
 ]
 
 _AMPLITUDE = 32
+_Z_SCALE = 3.0  # z's std is about 2.7 for synth_latents' scales
+_Z_TABLES = SymbolTables([gaussian_cdf_table(_Z_SCALE, _AMPLITUDE)])
+# the fewest bits a rounded z value takes: that of the table's likeliest symbol
+_Z_MIN_BITS = math.log2(65536 / int(np.diff(_Z_TABLES.cum).max()))
 
 
 def make_image_config(
@@ -91,6 +97,8 @@ class LatentGrid:
             raise InvalidInputError(f"H and W must be multiples of {_POOL}")
         if self.z.shape != (h // _POOL, w // _POOL, c):
             raise InvalidInputError("z shape does not match pooled y")
+        if not (np.all(np.isfinite(self.y)) and np.all(np.isfinite(self.z))):
+            raise InvalidInputError("y and z must be finite")
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -169,11 +177,13 @@ def _stream_tables(grid: QuantGrid, idx: np.ndarray) -> tuple[SymbolTables, np.n
 
 
 def encode(lat: LatentGrid, cfg: GuardConfig, protect: bool = True) -> GuardedStream:
-    """Code rounded latents conditioned on safeguarded scale bins."""
+    """Code rounded z, then rounded latents conditioned on safeguarded scale
+    bins, in one main section."""
     h, w, c = lat.dims
-    header = HyperpriorHeader(h, w, c, z_blob=lat.z.astype(">f8").tobytes())
+    header = HyperpriorHeader(h, w, c)
     check_grid(cfg.grid, header)
-    log_sig = hyper_synthesis(lat.z).reshape(-1)
+    z_hat = quantize_latents(lat.z)
+    log_sig = hyper_synthesis(z_hat).reshape(-1)
     fr = fd = np.empty(0, dtype=np.uint8)  # an unprotected stream has no flags
     if protect:
         log_sig, fr, fd = guard_encode_array(cfg, log_sig)
@@ -181,6 +191,8 @@ def encode(lat: LatentGrid, cfg: GuardConfig, protect: bool = True) -> GuardedSt
 
     tables, table_ids = _stream_tables(cfg.grid, idx)
     enc = RangeEncoder()
+    z_syms = z_hat.reshape(-1) + _AMPLITUDE
+    enc.encode_symbols(_Z_TABLES, np.zeros_like(z_syms), z_syms)
     syms = quantize_latents(lat.y).reshape(-1) + _AMPLITUDE
     enc.encode_symbols(tables, table_ids, syms)
 
@@ -193,11 +205,15 @@ def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> np.nda
     cfg, flags = open_stream(stream, PayloadKind.HYPERPRIOR)
     header: HyperpriorHeader = stream.payload
     h, w, c = header.height, header.width, header.channels
-    z = np.frombuffer(header.z_blob, dtype=">f8").astype(np.float64)
-    if not np.all(np.isfinite(z)):
-        raise FieldValueError("z holds a non-finite value")
-    z = z.reshape(h // _POOL, w // _POOL, c)
-    log_sig = hyper_synthesis(z).reshape(-1)
+    z_count = (h // _POOL) * (w // _POOL) * c
+    # before anything the header sizes is allocated: even at its likeliest
+    # symbol every rounded z value takes _Z_MIN_BITS of main
+    if z_count * _Z_MIN_BITS > 8 * len(stream.main):
+        raise TruncatedStreamError("main section too short for the declared z")
+    dec = RangeDecoder(stream.main)
+    z_hat = dec.decode_symbols(_Z_TABLES, np.zeros(z_count, dtype=np.int64))
+    z_hat -= _AMPLITUDE
+    log_sig = hyper_synthesis(z_hat.reshape(h // _POOL, w // _POOL, c)).reshape(-1)
     if perturb is not None:
         log_sig = perturb.perturb_array(log_sig, cfg.grid)
 
@@ -209,5 +225,5 @@ def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> np.nda
     idx = quantize_array(cfg.grid, log_sig)
 
     tables, table_ids = _stream_tables(cfg.grid, idx)
-    syms = RangeDecoder(stream.main).decode_symbols(tables, table_ids)
+    syms = dec.decode_symbols(tables, table_ids)
     return (syms - _AMPLITUDE).reshape(h, w, c)

@@ -293,10 +293,7 @@ def valid_corpus(rng, count):
         elif kind == PayloadKind.HYPERPRIOR:
             h, w = 4 * int(rng.integers(1, 4)), 4 * int(rng.integers(1, 4))
             c = int(rng.integers(1, 4))
-            payload = HyperpriorHeader(
-                height=h, width=w, channels=c,
-                z_blob=rng.bytes((h // 4) * (w // 4) * c * 8),
-            )
+            payload = HyperpriorHeader(height=h, width=w, channels=c)
         else:
             payload = RawHeader(value_count=flags, q=float(rng.uniform(1e-4, 1.0)))
         streams.append(

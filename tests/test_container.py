@@ -56,12 +56,11 @@ def octree_stream():
 
 
 def hyper_stream():
-    z = np.arange(2 * 2 * 3, dtype=">f8").tobytes()
     return GuardedStream(
         mode=GuardMode.FULL,
         epsilon=1e-4,
         flag_count=5,
-        payload=HyperpriorHeader(height=8, width=8, channels=3, z_blob=z),
+        payload=HyperpriorHeader(height=8, width=8, channels=3),
         safeguard=b"\x99",
         main=b"\x10\x20",
     )
@@ -114,15 +113,26 @@ def test_unsupported_version():
 def test_version_1_streams_are_unsupported():
     # v1 range-coded its flags; v2 Rice-codes the gaps between risky flags
     data = bytearray(write(raw_stream()))
-    assert data[4] == 6
+    assert data[4] == 7
     data[4] = 1
     with pytest.raises(UnsupportedVersionError):
         read(bytes(data))
 
 
+def test_version_6_streams_are_unsupported():
+    # a v6 hyperprior header carried z as raw doubles after its dims; a v7
+    # one is the dims alone, and the rounded z is coded in main
+    data = bytearray(write(hyper_stream()))
+    fixed = struct.calcsize(_HEAD) + struct.calcsize(_COUNTS) + 12
+    assert len(data) == fixed + 1 + 2  # then a safeguard byte and two of main
+    data[4] = 6
+    with pytest.raises(UnsupportedVersionError, match="version 6"):
+        read(bytes(data))
+
+
 def test_version_5_streams_are_unsupported():
-    # a v5 hyperprior stream guarded sigma on a boundary table, and a v6 one
-    # guards log sigma on a uniform grid; the layouts are the same
+    # a v5 hyperprior stream guarded sigma on a boundary table, and a v7 one
+    # guards log sigma on a uniform grid
     data = bytearray(write(hyper_stream()))
     assert read(bytes(data)) == hyper_stream()
     data[4] = 5
@@ -153,18 +163,18 @@ V2_RAW = bytes.fromhex(
 def test_version_2_streams_are_unsupported():
     with pytest.raises(UnsupportedVersionError, match="version 2"):
         read(V2_RAW)
-    # the same stream, header cut to v6, is read: only the version refuses it
+    # the same stream, header cut to v7, is read: only the version refuses it
     assert V2_RAW[15] == 0 and V2_RAW[24:32] == bytes(8)
     counts, value_count, step = V2_RAW[34:46], V2_RAW[46:54], V2_RAW[16:24]
-    v6 = bytes([*V2_RAW[:4], 6, *V2_RAW[5:15], *counts, *value_count, *step,
+    v7 = bytes([*V2_RAW[:4], 7, *V2_RAW[5:15], *counts, *value_count, *step,
                 *V2_RAW[54:]])
-    assert read(v6).flag_count == 6
-    assert read(v6).payload.q == 1.0 / 64.0
+    assert read(v7).flag_count == 6
+    assert read(v7).payload.q == 1.0 / 64.0
 
 
 # A v4 stream: five raw values on the step 1/64 in FULL mode.  Its header
 # had a grid-kind byte (0, uniform) after epsilon, then the step, which v5
-# and v6 carry after the value count.
+# to v7 carry after the value count.
 V4_RAW = bytes.fromhex(
     "524752440400023f4999999999999a003f900000000000000000000500000002000000"
     "280000000000000005034c3fe04000000000003f80000000000000bff3e00000000000"
@@ -175,14 +185,14 @@ V4_RAW = bytes.fromhex(
 def test_version_4_streams_are_unsupported():
     with pytest.raises(UnsupportedVersionError, match="version 4"):
         read(V4_RAW)
-    # the v6 twin: version 6, the grid-kind byte cut, the step moved
+    # the v7 twin: version 7, the grid-kind byte cut, the step moved
     assert V4_RAW[15] == 0
     step, counts, value_count = V4_RAW[16:24], V4_RAW[24:36], V4_RAW[36:44]
-    v6 = bytes([*V4_RAW[:4], 6, *V4_RAW[5:15], *counts, *value_count, *step,
+    v7 = bytes([*V4_RAW[:4], 7, *V4_RAW[5:15], *counts, *value_count, *step,
                 *V4_RAW[44:]])
-    stream = read(v6)
+    stream = read(v7)
     assert stream.payload == RawHeader(value_count=5, q=1.0 / 64.0)
-    assert write(stream) == v6
+    assert write(stream) == v7
 
 
 def test_truncated_header():
@@ -195,15 +205,6 @@ def test_truncated_sections():
     data = write(octree_stream())
     with pytest.raises(TruncatedStreamError):
         read(data[:-5])
-
-
-def test_z_blob_overrun_is_length_overflow():
-    from reproguard.errors import LengthOverflowError
-
-    data = write(hyper_stream())
-    # cut inside the z blob so the declared dims imply more bytes than exist
-    with pytest.raises(LengthOverflowError):
-        read(data[:-60])
 
 
 def test_trailing_bytes_rejected():
@@ -260,20 +261,6 @@ def test_impossible_point_count_rejected():
         )
 
 
-def test_z_blob_length_must_match_dims():
-    with pytest.raises(FieldValueError):
-        write(
-            GuardedStream(
-                mode=GuardMode.CENTER,
-                epsilon=1e-4,
-                flag_count=0,
-                payload=HyperpriorHeader(height=8, width=8, channels=3, z_blob=b"xx"),
-                safeguard=b"",
-                main=b"",
-            )
-        )
-
-
 def _with(make, payload=None, **fields):
     """``make()`` with stream ``fields`` and payload header fields replaced."""
     s = make()
@@ -316,7 +303,6 @@ def test_field_past_its_width_is_a_field_error(field, side):
 
 @pytest.mark.parametrize("dim", ["height", "width", "channels"])
 def test_latent_dim_past_32_bits_is_a_field_error(dim):
-    # only one past the limit: a dim at 2**32 - 1 needs a z blob of gigabytes
     with pytest.raises(FieldValueError):
         write(_with(hyper_stream, payload={dim: 2**32}))
 
@@ -349,12 +335,7 @@ def test_roundtrip_fuzzed_valid_streams():
             h = 4 * int(rng.integers(1, 5))
             w = 4 * int(rng.integers(1, 5))
             c = int(rng.integers(1, 5))
-            payload = HyperpriorHeader(
-                height=h,
-                width=w,
-                channels=c,
-                z_blob=rng.bytes((h // 4) * (w // 4) * c * 8),
-            )
+            payload = HyperpriorHeader(height=h, width=w, channels=c)
         else:
             payload = RawHeader(value_count=count, q=float(rng.uniform(1e-4, 1.0)))
         s = GuardedStream(
@@ -448,7 +429,4 @@ def test_readme_payload_table_matches_the_declared_layouts(payload, kind):
     rows = [r[1:3] for r in _readme_layout_rows() if len(r) == 4 and r[0] == payload]
     frame = _FRAMES[kind]
     names = [f.name for f in dataclasses.fields(frame.header)]
-    fixed = list(zip(names, _field_sizes(frame.layout)))
-    assert [tuple(r) for r in rows[: len(fixed)]] == fixed
-    # a blob after the fixed fields is the header's last field
-    assert [r[0] for r in rows[len(fixed) :]] == names[len(fixed) :]
+    assert [tuple(r) for r in rows] == list(zip(names, _field_sizes(frame.layout)))

@@ -26,6 +26,7 @@ from reproguard.errors import (
     TrailingDataError,
     TruncatedStreamError,
 )
+from reproguard import hyperprior
 from reproguard.quantizer import default_scale_table, dequantize_array, quantize_array
 from reproguard.safeguard import GuardMode
 
@@ -538,6 +539,15 @@ def test_scale_bin_tables_hold_a_float_margin():
     cutoffs = [c for _, c, _ in margins if c is not None]
     assert len(cutoffs) == 33
     assert min(cutoffs) >= 1e-9
+
+
+def test_z_table_holds_a_float_margin():
+    # the hyperprior's rounded z codes against one table, built by the same
+    # unguarded float steps; its margin is 1.76e-5, and no remainder cutoff
+    to_integer, cutoff, freq = _table_margins(hyperprior._Z_SCALE)
+    assert freq == np.diff(gaussian_cdf_table(hyperprior._Z_SCALE, 32)).tolist()
+    assert to_integer >= 1e-9
+    assert cutoff is None or cutoff >= 1e-9
 
 
 def test_symbol_roundtrip_through_coder():

@@ -1,15 +1,16 @@
 """Pinned container bytes of small fixed-seed streams.
 
-The v6 wire format is a promise: a faster coder must emit exactly these
+The v7 wire format is a promise: a faster coder must emit exactly these
 bytes.  Each case is encoded, written, and compared by SHA-256 against the
-digest recorded when the format last changed (v6: the hyperprior guards
-log sigma on a uniform grid, not sigma on a boundary table, so its streams
-changed meaning and every container its version byte).  The digest of each
-octree and raw case's ``main`` section was recorded with the v1 format,
-and that of its safeguard section with v2 (which made it Rice-coded gaps
-between risky flags); neither moved with v3 to v6, which changed only the
-header of those payloads.  The hyperprior's ``main`` and safeguard digests
-were recorded with v6.
+digest recorded when the format last changed (v7: the hyperprior's rounded
+z is range-coded ahead of y in ``main`` and its header lost the raw z
+doubles, so its streams changed and every container its version byte).
+The digest of each octree and raw case's ``main`` section was recorded
+with the v1 format, and that of its safeguard section with v2 (which made
+it Rice-coded gaps between risky flags); neither moved with v3 to v7,
+which changed only the header of those payloads.  The hyperprior's
+``main`` and safeguard digests were recorded with v7: the synthesis runs
+on the rounded z, so its guarded log scales moved too.
 """
 
 import hashlib
@@ -54,22 +55,22 @@ def _hyperprior_unprotected(mode: GuardMode):
 #        SHA-256 of its safeguard section)
 GOLDEN = {
     "octree-center": (lambda: _octree(GuardMode.CENTER),
-        "ffb86ecd8acd2a80eb2eac53c1e2a9eb11e21df64918dc9a8a72f2f918a31486",
+        "d01ab0296b033ed049ddd5006276416d622af81c4429651e2efced1928f984be",
         "4f964bf18cda4736b00b0678e586f245cd39213c0097fd716105d9aa95da1bbd",
         "632450b055558aeadf3073af31e5e34d210fc68c4e340b55b5b070130d21f8c8",
     ),
     "octree-full": (lambda: _octree(GuardMode.FULL),
-        "ef1591bbf9698f6f115e505fbd52fba588e01258573cd683bf9a3daf2068dece",
+        "8ba71b39482a9c4550ec87e421d995ab30e63b20ac681f8f0af310129fcb6e3b",
         "a17f1b739e84b4f99ec3eb1a87bfe92ccccc5e77f5d5f3d2c519b471a1229655",
         "8653d21a328e0b75f37535a0f548e7a533e5ca564160507fdf3935afbf92bc90",
     ),
     "hyperprior-center": (_hyperprior,
-        "c1c171de2cbb81c01fa259b5c5da0dcf1999ee914790e15fc64ae6c73920edb3",
-        "2be133ecdeb5578394a3eed6329c477702d32e2bbb1bf0fc005cd813bfdf684e",
-        "3a487e4db7aae9077a0132aa56edd4f92c7f0df2104b6451c73c687a89dcae73",
+        "b81738e5d2c548b6afd7ae6d61105aec9dc488e7f37576db6e4cd3871ad10eed",
+        "1e5e9407545534e443477fa63a198a4f93a64137c6e1fe7c2e8893773dc97d0c",
+        "34706b51b29170233f1390910211e15961b0b4ffe02ce14a73a5b7346a64c978",
     ),
     "raw-full": (lambda: _raw(GuardMode.FULL),
-        "c0cee8531d4b636954ee8ad41780644369879dce01679fc3358f60be8f7b849b",
+        "e2df718917642e590a7e6fcfb746b147fb941a9b51456b0645e4a868a09246fd",
         "e471a22b937b0fdd9cee3cffcca47e2628d0966dfd560b4850b1ee7d48746680",
         "0a058eec8a2f0a07144a8624459eed522ed1177f57abba9e7397f869ae22f6e7",
     ),
@@ -78,8 +79,8 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_stream_bytes_match_v1(name):
-    # the name predates v2 to v6 and is kept so the test ids stay stable;
-    # the digests are those of the v6 format
+    # the name predates v2 to v7 and is kept so the test ids stay stable;
+    # the digests are those of the v7 format
     build, digest, *_ = GOLDEN[name]
     stream = build()
     assert stream.flag_count > 0 and any(stream.safeguard)
@@ -102,13 +103,13 @@ def test_safeguard_section_kept_its_v2_bytes(name):
 # and the safeguard section is empty.  Digests of the container.
 UNPROTECTED = {
     "octree-center": (lambda: _octree_unprotected(GuardMode.CENTER),
-        "2628713de7f40ee1abbc142c3a48942a3ed24c04e410cc47e50de21bbe67caaf",
+        "60e150a721bf65f98aacb4c1da42d3fce90f1b5331cc09b418f25efdb29afa55",
     ),
     "octree-full": (lambda: _octree_unprotected(GuardMode.FULL),
-        "000220e1e27162d38e8334cc2e46e05528d4441a87ed3c0a3c86d54bf1f4b09d",
+        "dd631c6323e8a4f8dfb6bf070dd4279d86504fa6296661cc119d79c4dce8941e",
     ),
     "hyperprior-center": (lambda: _hyperprior_unprotected(GuardMode.CENTER),
-        "0d361537381265f5fadfdeb70083567a658ed36b11f71a3577e55b88c5bc49de",
+        "5a14263b8f224fd9e12324e29622029d1e46c231132172a60c310116da2fa6e9",
     ),
 }
 

@@ -104,6 +104,15 @@ class TestSynthLatents:
                 sigma_true=np.ones(2),
             )
 
+    @pytest.mark.parametrize("field", ["y", "z"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_latents_rejected(self, field, bad):
+        # rounding would code each of them as some integer without a word
+        arrays = {"y": np.zeros((8, 8, 2)), "z": np.zeros((2, 2, 2))}
+        arrays[field][1, 1, 1] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            LatentGrid(**arrays, sigma_true=np.ones(2))
+
 
 class TestHyperSynthesis:
     def test_deterministic(self):
@@ -225,14 +234,18 @@ class TestCodec:
                 failures += 1
         assert failures >= 4
 
-    def test_z_travels_bit_exact(self):
+    def test_stream_depends_on_z_only_through_its_rounding(self):
         lat = synth_latents(16, 16, 3, seed=9)
-        stream = encode(lat, make_image_config(1e-4))
-        assert stream.payload.z_blob == lat.z.astype(">f8").tobytes()
-        back = np.frombuffer(stream.payload.z_blob, dtype=">f8").astype(np.float64)
-        assert np.array_equal(
-            back.view(np.uint64), lat.z.reshape(-1).view(np.uint64)
-        )
+        z_hat = quantize_latents(lat.z)
+        assert not np.array_equal(z_hat, lat.z)
+        rounded = LatentGrid(y=lat.y, z=z_hat.astype(np.float64),
+                             sigma_true=lat.sigma_true)
+        cfg = make_image_config(1e-4)
+        for protect in (True, False):
+            a = encode(lat, cfg, protect=protect)
+            b = encode(rounded, cfg, protect=protect)
+            assert a.main == b.main
+            assert write(a) == write(b)
 
     def test_container_roundtrip_preserves_decode(self):
         lat = synth_latents(16, 16, 2, seed=3)
@@ -279,12 +292,15 @@ class TestCodec:
         from reproguard.quantizer import dequantize_array
         from reproguard.safeguard import guard_encode_array
 
-        log_sig = hyper_synthesis(lat.z).reshape(-1)
+        z_hat = quantize_latents(lat.z)
+        log_sig = hyper_synthesis(z_hat).reshape(-1)
         v_out, _, _ = guard_encode_array(cfg, log_sig)
         mids = dequantize_array(cfg.grid, quantize_array(cfg.grid, v_out))
-        syms = quantize_latents(lat.y).reshape(-1) + 32
+        # main codes the rounded z against one table, then the latents
+        sigmas = [hyperprior._Z_SCALE] * z_hat.size + np.exp(mids).tolist()
+        syms = np.concatenate([z_hat, quantize_latents(lat.y)], axis=None)
         bits = 0.0
-        for m, s in zip(np.exp(mids).tolist(), syms.tolist()):
+        for m, s in zip(sigmas, (syms + 32).tolist()):
             cum = gaussian_cdf_table(m, 32)
             bits -= math.log2((cum[s + 1] - cum[s]) / 65536.0)
         assert len(stream.main) * 8 >= bits

@@ -2,6 +2,7 @@
 and field faults that the container's reader and writer must agree on."""
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -191,14 +192,40 @@ def test_unprotected_stream_with_a_safeguard_section_is_trailing_data(payload):
         decode(container.read(container.write(bad)))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_hyperprior_non_finite_z_is_a_malformed_stream(bad):
+def test_hyperprior_flipped_z_head_decodes_or_is_typed():
+    # main opens with the rounded z, which the synthesis reads: a stream
+    # with any one bit of that head flipped decodes, or raises a subclass of
+    # MalformedStreamError
+    lat = hyperprior.synth_latents(8, 8, 4, seed=1)
     stream, decode = _hyperprior()
-    z = np.frombuffer(stream.payload.z_blob, dtype=">f8").copy()
-    z[1] = bad
-    payload = dataclasses.replace(stream.payload, z_blob=z.tobytes())
-    with pytest.raises(FieldValueError):
-        decode(dataclasses.replace(stream, payload=payload))
+    want = hyperprior.quantize_latents(lat.y)
+    main = bytes(stream.main)
+    head = 8  # bytes; coded alone, the 16 rounded z values take 6, then a flush
+    changed = 0
+    for bit in range(8 * head):
+        flipped = bytearray(main)
+        flipped[bit // 8] ^= 0x80 >> (bit % 8)
+        try:
+            got = decode(dataclasses.replace(stream, main=bytes(flipped)))
+        except MalformedStreamError as exc:
+            assert type(exc) is not MalformedStreamError
+            changed += 1
+            continue
+        changed += not np.array_equal(got, want)
+    assert changed == 8 * head  # every flip there reaches the decoded latents
+
+
+@pytest.mark.parametrize("dim", ["height", "channels"])
+def test_hyperprior_hostile_dims_are_cheap_and_typed(dim):
+    # about 2**31 in one dim declares billions of rounded z values: the
+    # decoder refuses them for main's length before it sizes any array
+    stream, decode = _hyperprior()
+    payload = dataclasses.replace(stream.payload, **{dim: 2**31})
+    data = container.write(dataclasses.replace(stream, payload=payload))
+    start = time.perf_counter()
+    with pytest.raises(TruncatedStreamError):
+        decode(container.read(data))
+    assert time.perf_counter() - start < 0.5
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -293,14 +320,14 @@ def test_octree_flag_on_the_domain_edge_is_malformed(case, monkeypatch):
 @pytest.mark.parametrize("case", list(EDGE_FLAGS))
 def test_hyperprior_flag_on_the_domain_edge_is_malformed(case):
     mode, direction = EDGE_FLAGS[case]
-    # z this large drives every log scale past an end of the table
+    # z this large rounds to 32, which drives log scales below the table's
+    # low end; its top end, sigma near 287, is beyond any rounded z's reach
     lat = hyperprior.synth_latents(8, 8, 4, seed=1)
     lat = dataclasses.replace(lat, z=np.full(lat.z.shape, 1e6))
     stream = hyperprior.encode(lat, hyperprior.make_image_config(1e-4, mode))
-    log_sig = hyperprior.hyper_synthesis(lat.z).reshape(-1)
-    lo, hi = default_scale_table().domain
-    top = direction == 1
-    at = np.flatnonzero(log_sig >= hi if top else log_sig <= lo)[0]
+    z_hat = hyperprior.quantize_latents(lat.z)
+    log_sig = hyperprior.hyper_synthesis(z_hat).reshape(-1)
+    at = np.flatnonzero(log_sig <= default_scale_table().domain[0])[0]
     bad = _with_flag(stream, int(at), 1 if direction is None else direction)
     with pytest.raises(FieldValueError, match="domain edge"):
         hyperprior.decode(container.read(container.write(bad)))
@@ -401,7 +428,7 @@ def _stream(kind, **fields):
     """A valid stream of payload ``kind`` with ``fields`` replaced."""
     payload = {
         _OCT: OctreeHeader(bit_depth=2, point_count=5, q=0.004),
-        _HYP: HyperpriorHeader(8, 8, 3, bytes(2 * 2 * 3 * 8)),
+        _HYP: HyperpriorHeader(8, 8, 3),
         _RAW: RawHeader(value_count=3, q=0.004),
     }[kind]
     base = GuardedStream(
@@ -431,10 +458,10 @@ FIELD_FAULTS = {
     "bit-depth-22": (_OCT, dict(payload=OctreeHeader(22, 1, 0.004))),
     "point-count-zero": (_OCT, dict(payload=OctreeHeader(2, 0, 0.004))),
     "point-count-over": (_OCT, dict(payload=OctreeHeader(2, 65, 0.004))),
-    "height-zero": (_HYP, dict(payload=HyperpriorHeader(0, 8, 3, b""))),
-    "height-not-4k": (_HYP, dict(payload=HyperpriorHeader(6, 8, 3, bytes(48)))),
-    "width-not-4k": (_HYP, dict(payload=HyperpriorHeader(8, 10, 3, bytes(96)))),
-    "channels-zero": (_HYP, dict(payload=HyperpriorHeader(8, 8, 0, b""))),
+    "height-zero": (_HYP, dict(payload=HyperpriorHeader(0, 8, 3))),
+    "height-not-4k": (_HYP, dict(payload=HyperpriorHeader(6, 8, 3))),
+    "width-not-4k": (_HYP, dict(payload=HyperpriorHeader(8, 10, 3))),
+    "channels-zero": (_HYP, dict(payload=HyperpriorHeader(8, 8, 0))),
 }
 
 

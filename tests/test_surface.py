@@ -20,7 +20,7 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(reproguard.__path__))
 PACKAGE_ALL = [
     "BadMagicError", "ConfigError", "FieldValueError", "FlagReader", "GuardConfig",
     "GuardMode", "GuardedStream", "HyperpriorHeader",
-    "InvalidInputError", "LengthOverflowError", "MalformedStreamError",
+    "InvalidInputError", "MalformedStreamError",
     "OctreeHeader", "PRESETS", "PayloadKind", "Perturbation", "PlyParseError",
     "QuantGrid", "RangeDecoder", "RangeEncoder", "RawHeader", "ReproGuardError",
     "TrailingDataError", "TruncatedStreamError",
@@ -38,7 +38,9 @@ PACKAGE_ALL = [
 # that carried the rate, a uniform grid's offset, the grid descriptors
 # with the one-table registry they named tables in (the payload kind fixes
 # the grid), the boundary-table grid (every grid is uniform), the guard's
-# second name for the grid's domain, and the sweep's SVG plot of its CSV.
+# second name for the grid's domain, the sweep's SVG plot of its CSV, and
+# the hyperprior header's raw z doubles with the error only their length
+# raised (the rounded z is coded in main).
 DELETED = [
     "entropy.RangeEncoder.encode_bit",
     "entropy.RangeEncoder.encode_symbol",
@@ -85,6 +87,9 @@ DELETED = [
     "quantizer._half_bins",
     "safeguard.GuardConfig.edge_clip",
     "cli._write_svg",
+    "container.HyperpriorHeader.z_blob",
+    "container._z_len",
+    "errors.LengthOverflowError",
 ]
 
 
