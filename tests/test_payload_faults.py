@@ -215,6 +215,21 @@ def test_hyperprior_flipped_z_head_decodes_or_is_typed():
     assert changed == 8 * head  # every flip there reaches the decoded latents
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hyperprior_non_finite_z_is_a_malformed_stream(bad):
+    # z travels as rounded integers, so the one way left for a non-finite
+    # value to reach it is a dim that sizes it: an in-memory stream skips
+    # container.read's checks, so the decoder must type the fault itself
+    stream, decode = _hyperprior()
+    for dim in ("height", "width", "channels"):
+        payload = dataclasses.replace(stream.payload, **{dim: bad})
+        bad_stream = dataclasses.replace(stream, payload=payload)
+        with pytest.raises(FieldValueError):
+            decode(bad_stream)
+        with pytest.raises(FieldValueError):
+            container.write(bad_stream)
+
+
 @pytest.mark.parametrize("dim", ["height", "channels"])
 def test_hyperprior_hostile_dims_are_cheap_and_typed(dim):
     # about 2**31 in one dim declares billions of rounded z values: the
