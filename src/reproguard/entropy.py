@@ -18,6 +18,7 @@ derived here alone and never travels.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -172,13 +173,17 @@ class RangeEncoder:
         end.  The encoder is left as it was."""
         nb = self._nb
         # the addends at one byte count and the range left after them sum
-        # to at most the range at that count, so each sum fits 32 bits
-        acc = np.zeros(nb + 1, dtype=">u4")
+        # to at most the range at that count, so each sum fits 32 bits; they
+        # are added in place, then put in big-endian order in place
+        acc = np.zeros(nb + 1, dtype=np.uint32)
         if self._adds:
-            at = np.frombuffer(self._at, dtype=np.uintc)
-            first = np.flatnonzero(np.r_[True, at[1:] != at[:-1]])
-            adds = np.frombuffer(self._adds, dtype=np.uintc)
-            acc[at[first]] = np.add.reduceat(adds, first)
+            np.add.at(
+                acc,
+                np.frombuffer(self._at, dtype=np.uintc),
+                np.frombuffer(self._adds, dtype=np.uintc),
+            )
+        if sys.byteorder == "little":
+            acc.byteswap(inplace=True)
         # the sum at count i fills bytes i to i + 3, most significant first;
         # adding its four byte planes as big integers carries across them
         planes = acc.view(np.uint8)
@@ -384,7 +389,8 @@ def encode_flags(f_r, f_d, mode: GuardMode) -> bytes:
     f_r = np.asarray(f_r)
     if f_r.shape[0] == 0:
         return b""
-    risky = np.flatnonzero(f_r)
+    # positions found on a bool view: several times faster than on uint8
+    risky = np.flatnonzero(f_r.astype(bool, copy=False))
     k = _rice_k(f_r.shape[0], risky.shape[0])
     gaps = np.diff(risky, prepend=-1) - 1
     quotients = gaps >> k

@@ -10,13 +10,16 @@ whole arrays.  The one fixed grid is the hyperprior's scale table,
 Each value array is checked once, where it enters: one min/max pair finds
 non-finite values and, on a grid without a domain, bin indices of
 magnitude 2**53 or more, which are refused (a domain's edges are held to
-the same bound).  Below that bound float64 holds every index exactly, so
-one kernel works on indices as floats: from a few in-place passes over
-three work arrays it gives each value's bin, its nearest boundary and that
-boundary's distance, with the same bits as integer indices would.  No other
-module reads a grid's domain edges: the guard gets boundary values and the
-domain-edge rule from private helpers here, and the hyperprior its first
-bin.
+the same bound); the pair also bounds the values' magnitude.  Below that
+bound float64 holds every index exactly, so the operators work on indices
+as floats, with the same bits as integer indices would give.  One blocked
+pass gives each value's bin and, given a margin epsilon, the candidates:
+the values whose v/q lies within epsilon/q and a few ulps of an integer.
+One kernel of a few in-place passes gives a value's nearest boundary and
+that boundary's distance; the guard's encoder runs it on the candidates
+alone, its decoder on the flagged values.  No other module reads a grid's
+domain edges: the guard gets boundary values and the domain-edge rule
+from private helpers here, and the hyperprior its first bin.
 """
 
 from __future__ import annotations
@@ -144,9 +147,12 @@ def validate(grid: QuantGrid, epsilon: float) -> None:
 # indices [n, n+1].  The lattice extends beyond any domain.
 
 
-def _checked(grid: QuantGrid, v, range_error=InvalidInputError) -> np.ndarray:
-    """``v`` as float64 and clamped to the grid's domain: the one check a
-    value array gets, where it enters an operator.
+def _checked(
+    grid: QuantGrid, v, range_error=InvalidInputError
+) -> tuple[np.ndarray, float]:
+    """``v`` as float64 and clamped to the grid's domain, with the largest
+    magnitude among the clamped values (0 when there are none): the one
+    check a value array gets, where it enters an operator.
 
     One min/max pair finds non-finite values (NaN and inf propagate through
     it) and, on a grid without a domain, values whose bin index reaches
@@ -155,7 +161,7 @@ def _checked(grid: QuantGrid, v, range_error=InvalidInputError) -> np.ndarray:
     """
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
-        return v
+        return v, 0.0
     lo, hi = v.min(), v.max()
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidInputError("values must be finite")
@@ -164,6 +170,7 @@ def _checked(grid: QuantGrid, v, range_error=InvalidInputError) -> np.ndarray:
         if lo < d_lo or hi > d_hi:
             v = np.maximum(v, d_lo, out=np.empty_like(v))
             np.minimum(v, d_hi, out=v)
+        lo, hi = min(max(lo, d_lo), d_hi), min(max(hi, d_lo), d_hi)
     else:
         with np.errstate(over="ignore"):
             ends = np.floor(np.array([lo, hi]) / grid.q)
@@ -172,31 +179,90 @@ def _checked(grid: QuantGrid, v, range_error=InvalidInputError) -> np.ndarray:
                 f"values in [{lo!r}, {hi!r}] reach bin index "
                 f"{float(np.max(np.abs(ends)))!r} of step {grid.q!r}, beyond 2**53"
             )
-    return v
+    return v, float(max(-lo, hi))
 
 
-def _bins(grid: QuantGrid, v: np.ndarray, nearest: bool = False):
-    """The grid kernel over clamped values ``v``.
+def _bins(grid: QuantGrid, v: np.ndarray, near: tuple[float, float] | None = None):
+    """The bin index of each clamped value ``v``, clamped to the domain's
+    bins, as float64 (exact below 2**53).
 
-    Returns ``(n, m, d)``: the bin index of each value, clamped to the
-    domain's bins; with ``nearest``, the index of its nearest boundary
-    (ties go down) and that boundary's distance ``|b_m - v|``, else None
-    twice.  Indices are float64, exact below 2**53.  Every operation writes
-    in place into the three returned arrays, one block of values at a time.
+    Returns ``(n, cand)``.  With ``near = (epsilon, top)``, where ``top``
+    bounds ``|v|`` as :func:`_checked` gives it, ``cand`` holds the flat
+    positions, ascending, of the *candidates*: a superset of the values
+    whose nearest boundary by :func:`_kernel` lies closer than ``epsilon``.
+    Without it ``cand`` is None.  One pass over the values, a block at a
+    time, gives both.
     """
     q = grid.q
     flat = v.reshape(-1)
     n = np.empty(flat.size)
-    m = np.empty(flat.size) if nearest else None
-    d = np.empty(flat.size) if nearest else None
+    cand = None
+    if near is not None:
+        epsilon, top = near
+        # A candidate has t = v/q within thr of an integer: r = t - floor(t),
+        # exact in floating point, has r < thr or r > 1 - thr.  Forward
+        # error, with u = 2**-53 and T = max(top/q, 1) >= |t| (the division
+        # is monotone): the kernel's d = |fl(fl(m*q) - v)| < epsilon gives
+        # |m*q - v| < epsilon/(1-u) + |m*q|*u, and with |m*q| <= |v| +
+        # |m*q - v|, |m - v/q| < (epsilon/q)*(1+3u) + |v/q|*u*(1+2u).  As
+        # |t - v/q| <= |v/q|*u, |v/q| <= T*(1+2u) and epsilon/q < 1/4 (see
+        # validate), the distance of t to the integer m is below
+        # epsilon/q + 3*T*u.  The slack 16*T*u, less the roundings of
+        # epsilon/q and of the sum (under u/4 + u/4 + 16*T*u*u) and of
+        # 1 - thr (under u/2), keeps both tests more than 10*T*u wide of
+        # that, so every value with d < epsilon is a candidate.  From
+        # T = 2**48 thr passes 1/2 and every value is a candidate.
+        thr = epsilon / q + 8.0 * 2.0**-52 * max(top / q, 1.0)
+        thr_hi = 1.0 - thr
+        r = np.empty(min(flat.size, _BLOCK))
+        low, high = np.empty(r.size, dtype=bool), np.empty(r.size, dtype=bool)
+        cand = [np.empty(0, dtype=np.intp)]
     for i in range(0, flat.size, _BLOCK):
         part = slice(i, i + _BLOCK)
         vb, nb = flat[part], n[part]
+        if near is None:
+            np.divide(vb, q, out=nb)
+            np.floor(nb, out=nb)
+            continue
+        k = nb.size
+        rb, lb, hb = r[:k], low[:k], high[:k]
+        np.divide(vb, q, out=rb)
+        np.floor(rb, out=nb)
+        rb -= nb
+        np.less(rb, thr, out=lb)
+        np.greater(rb, thr_hi, out=hb)
+        lb |= hb
+        at = np.flatnonzero(lb)
+        if at.size:
+            at += i
+            cand.append(at)
+    if grid._edges is not None:
+        np.maximum(n, grid._edges[0], out=n)
+        np.minimum(n, grid._edges[1] - 1, out=n)
+    if cand is not None:
+        cand = np.concatenate(cand)
+    return n.reshape(v.shape), cand
+
+
+def _kernel(grid: QuantGrid, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact nearest boundary of each clamped value ``v``.
+
+    Returns ``(m, d)``: the index of the nearest boundary (ties go down),
+    as float64, and its distance ``|b_m - v|``, with the same bits as
+    integer indices would give.  Every operation writes in place, one block
+    of values at a time.
+    """
+    q = grid.q
+    flat = v.reshape(-1)
+    m = np.empty(flat.size)
+    d = np.empty(flat.size)
+    n = np.empty(min(flat.size, _BLOCK))
+    for i in range(0, flat.size, _BLOCK):
+        part = slice(i, i + _BLOCK)
+        vb, mb, db = flat[part], m[part], d[part]
+        nb = n[: vb.size]
         np.divide(vb, q, out=nb)
         np.floor(nb, out=nb)
-        if not nearest:
-            continue
-        mb, db = m[part], d[part]
         # one-ulp repair of n into fi: the division may round across the
         # boundary, and b_fi <= v need not hold after it either
         np.multiply(nb, q, out=db)
@@ -221,10 +287,7 @@ def _bins(grid: QuantGrid, v: np.ndarray, nearest: bool = False):
         np.multiply(mb, q, out=db)
         db -= vb
         np.abs(db, out=db)
-    if grid._edges is not None:
-        np.maximum(n, grid._edges[0], out=n)
-        np.minimum(n, grid._edges[1] - 1, out=n)
-    return tuple(None if a is None else a.reshape(v.shape) for a in (n, m, d))
+    return m.reshape(v.shape), d.reshape(v.shape)
 
 
 def _center(grid: QuantGrid, n: np.ndarray) -> np.ndarray:
@@ -236,7 +299,7 @@ def _center(grid: QuantGrid, n: np.ndarray) -> np.ndarray:
 
 def _nearest(grid: QuantGrid, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(int64 index, value) of the nearest boundary of each clamped value."""
-    m = _bins(grid, v, nearest=True)[1].astype(np.int64)
+    m = _kernel(grid, v)[0].astype(np.int64)
     return m, _boundary(grid, m)
 
 
@@ -266,7 +329,7 @@ def _first_bin(grid: QuantGrid) -> int:
 
 def quantize_array(grid: QuantGrid, v) -> np.ndarray:
     """Bin index of each value (int64 array)."""
-    return _bins(grid, _checked(grid, v))[0].astype(np.int64, copy=False)
+    return _bins(grid, _checked(grid, v)[0])[0].astype(np.int64, copy=False)
 
 
 def dequantize_array(grid: QuantGrid, n) -> np.ndarray:
@@ -280,7 +343,7 @@ def round_index_array(grid: QuantGrid, v) -> tuple[np.ndarray, np.ndarray]:
     The index form is what decoders rely on: a perturbed value on the other
     side of the boundary still maps to the same index.
     """
-    return _nearest(grid, _checked(grid, v))
+    return _nearest(grid, _checked(grid, v)[0])
 
 
 # ---------------------------------------------------------------------------

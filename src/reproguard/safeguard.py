@@ -12,9 +12,11 @@ direction arrays go to ``entropy.encode_flags`` as they are.
 
 Encoder and decoder derive the protected value through one shared rule,
 so equality of the chosen boundary index implies equality of the output
-doubles.  Both sides get bin centers, and the encoder nearest boundaries
-and their distances, from one pass of the grid's kernel in ``quantizer``;
-boundary indices, boundary values and protected values are then built for
+doubles.  Both sides get bin centers from one pass over the values in
+``quantizer``; the encoder's pass also picks the candidates, the values
+near a boundary, and the grid's exact kernel gives nearest boundaries and
+their distances of those alone, a small share of them (about 2*epsilon/q).
+Boundary indices, boundary values and protected values are then built for
 the risky values alone.  A boundary on a domain edge is never risky, since
 values beyond it clamp onto it; a stream with a risky flag there is
 malformed.
@@ -35,6 +37,7 @@ from .quantizer import (
     _center,
     _checked,
     _inside,
+    _kernel,
     _nearest,
     validate,
 )
@@ -99,29 +102,35 @@ def guard_encode_array(
 
     Returns ``(v_out, f_r, f_d)``: ``f_r`` is the uint8 risky flag of each
     value, and ``f_d`` the uint8 direction bit of each risky value in flag
-    order (1 where it went right), empty in CENTER mode.  One pass of the
-    grid's kernel gives every value's bin center, nearest boundary and
-    distance to it; boundary values and protected values are built for the
-    risky values only.
+    order (1 where it went right), empty in CENTER mode.  One pass over the
+    values gives every bin center and the candidates, the values near a
+    boundary; the grid's exact kernel then gives the nearest boundary and
+    its distance of the candidates alone, and boundary values and
+    protected values are built for the risky values only.
     """
     grid = cfg.grid
-    v = _checked(grid, v)
-    n, m, d = _bins(grid, v, nearest=True)
+    v, top = _checked(grid, v)
+    n, cand = _bins(grid, v, near=(cfg.epsilon, top))
     v_out = _center(grid, n)
-    risky = d < cfg.epsilon
-    risky &= _inside(grid, m)
+    f_r = np.zeros(v.shape, dtype=np.uint8)
     f_d = np.empty(0, dtype=np.uint8)
 
+    vc = v.reshape(-1)[cand]
+    m, d = _kernel(grid, vc)
+    risky = d < cfg.epsilon
+    risky &= _inside(grid, m)
     if np.any(risky):
+        at = cand[risky]
         m = m[risky].astype(np.int64)
         bv = _boundary(grid, m)
         # a risky value strictly below its boundary has the nearer bin
         # center on its left
-        go_left = bv > v[risky]
+        go_left = bv > vc[risky]
         if cfg.mode == GuardMode.FULL:
             f_d = (~go_left).view(np.uint8)
-        v_out[risky] = _protected(cfg, bv, go_left)
-    return v_out, risky.view(np.uint8), f_d
+        v_out.reshape(-1)[at] = _protected(cfg, bv, go_left)
+        f_r.reshape(-1)[at] = 1
+    return v_out, f_r, f_d
 
 
 def guard_decode_array(cfg: GuardConfig, v_prime, f_r, f_d=()) -> np.ndarray:
@@ -132,7 +141,7 @@ def guard_decode_array(cfg: GuardConfig, v_prime, f_r, f_d=()) -> np.ndarray:
     risky flag on a domain edge, or a value whose bin index reaches 2**53,
     raises FieldValueError."""
     grid = cfg.grid
-    vp = _checked(grid, v_prime, range_error=FieldValueError)
+    vp = _checked(grid, v_prime, range_error=FieldValueError)[0]
     f_r = np.asarray(f_r)
     if f_r.shape != vp.shape:
         raise InvalidInputError("flag array shape mismatch")

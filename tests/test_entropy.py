@@ -181,6 +181,18 @@ def test_sparse_flags_stay_small():
     assert len(data) <= 6
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, bool, np.int64, np.float64])
+def test_any_nonzero_flag_is_risky(dtype):
+    # the risky positions are those of the nonzero flags, whatever their
+    # type and value
+    rng = np.random.default_rng(31)
+    fr = (rng.random(5000) < 0.02).astype(np.uint8)
+    fd = _directions(rng, fr)
+    want = encode_flags(fr, fd, GuardMode.FULL)
+    scaled = fr.astype(dtype) * rng.integers(1, 100, fr.size).astype(dtype)
+    assert encode_flags(scaled, fd, GuardMode.FULL) == want
+
+
 def test_zero_flags_empty_stream():
     assert encode_flags(*_flags([]), GuardMode.CENTER) == b""
     out = _take_all(b"", 0, GuardMode.CENTER)
@@ -969,3 +981,22 @@ def test_encoder_keeps_about_eight_bytes_per_addend():
     # lists would hold an 8-byte pointer and an int object per entry
     assert retained <= 9 * addends
     assert len(enc.finish()) > n // 8
+
+
+def test_finish_holds_few_stream_sized_copies():
+    # the byte-count sums (4 bytes a stream byte) and the big integers their
+    # byte planes are added as; index arrays as long as the addends, or a
+    # copy of every plane at once, would take several times more
+    n = 10**6
+    rng = np.random.default_rng(23)
+    enc = RangeEncoder()
+    enc.encode_bits(rng.integers(0, 2, n).astype(np.uint8), rng.integers(1, 65536, n))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        data = enc.finish()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(data) > n // 8
+    assert peak <= 8 * len(data)

@@ -4,7 +4,10 @@ replaced, and the memory it works in.
 The reference below is the earlier int64 path, in its arithmetic: floor
 index, one-ulp repair, nearest boundary with ties going down, bin center,
 and the guard's encode and decode composed from them.
-Every output of the kernel path must equal it bit for bit.
+Every output of the kernel path must equal it bit for bit.  The guard's
+encoder runs the kernel only on candidates, the values near a boundary; the
+filter that picks them must pass every value the reference finds within
+epsilon of a boundary.
 """
 
 import tracemalloc
@@ -15,7 +18,10 @@ import pytest
 from reproguard import container
 from reproguard.errors import FieldValueError
 from reproguard.quantizer import (
+    _BLOCK,
     QuantGrid,
+    _bins,
+    _checked,
     dequantize_array,
     quantize_array,
     round_index_array,
@@ -263,6 +269,166 @@ def test_some_values_need_the_one_ulp_repair():
 
 
 # ---------------------------------------------------------------------------
+# candidates: the values the encoder sends to the kernel
+
+
+def _candidates(grid, v, eps):
+    """Flat positions of the values the encoder's filter passes."""
+    vc, top = _checked(grid, v)
+    return _bins(grid, vc, near=(eps, top))[1]
+
+
+def _ref_near(grid, v, eps):
+    """Flat positions of the values whose reference nearest boundary lies
+    closer than ``eps``, inside the domain or not."""
+    vc = _ref_clamp(grid, v).reshape(-1)
+    _, bv = _ref_round_index(grid, vc)
+    return np.flatnonzero(np.abs(bv - vc) < eps)
+
+
+def _by_magnitude(grid, v):
+    """``v`` split into batches of one binary order of ``max(|v/q|, 1)``:
+    the filter's slack follows a batch's largest value, so each value meets
+    a slack within a factor of two of its own."""
+    order = np.frexp(np.maximum(np.abs(_ref_clamp(grid, v)) / grid.q, 1.0))[1]
+    return [v[order == e] for e in np.unique(order)]
+
+
+def _assert_superset(grid, v, eps):
+    cand = _candidates(grid, v, eps)
+    assert np.all(np.diff(cand) > 0)
+    assert np.isin(_ref_near(grid, v, eps), cand).all()
+    return cand
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_candidates_hold_every_value_near_a_boundary(name):
+    grid = GRIDS[name]
+    for eps in _epsilons(grid):
+        v = _families(grid, eps)
+        _assert_superset(grid, v, eps)
+        for batch in _by_magnitude(grid, v):
+            _assert_superset(grid, batch, eps)
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_the_filter_passes_few_values_where_all_are_small(name):
+    # about 2*eps/q of the values lie within eps of a boundary; the slack
+    # adds a few ulps of the largest |v/q| to each side.  The values stay
+    # inside the domain: a clamped value sits on an edge and is a candidate
+    grid = GRIDS[name]
+    eps = grid.q / 200.0
+    v = np.random.default_rng(11).normal(0.0, 8.0 * grid.q, 200_000)
+    if grid.domain is not None:
+        v = v[(v > grid.domain[0]) & (v < grid.domain[1])]
+    cand = _assert_superset(grid, v, eps)
+    assert cand.size <= 1.2 * (2.0 * eps / grid.q) * v.size
+
+
+@pytest.mark.parametrize("case", list(CASES))
+@pytest.mark.parametrize("top", [2.0**40, 2.0**48, 2.0**52 + 1, 2.0**53 - 64])
+def test_large_indices_send_every_value_through(top, case):
+    # from |t| = 2**48 the slack reaches half a bin: every value of the batch
+    # is a candidate, and the guard still equals the reference
+    grid = GRIDS["q0.1-free"]
+    mode, _ = CASES[case]
+    cfg = GuardConfig(grid=grid, epsilon=grid.q / 200.0, mode=mode)
+    rng = np.random.default_rng(5)
+    k = np.concatenate(
+        [[top, -top], top - rng.integers(0, 1000, 300), rng.uniform(-50, 50, 300)]
+    )
+    b = k * grid.q
+    v = np.concatenate(
+        [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), b + 0.5 * grid.q]
+    )
+    cand = _assert_superset(grid, v, cfg.epsilon)
+    if top >= 2.0**48:
+        assert _same(cand, np.arange(v.size))
+    else:
+        assert cand.size < v.size
+    for g, w in zip(guard_encode_array(cfg, v), _ref_encode(cfg, v)):
+        assert _same(g, w)
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_epsilon_far_below_an_ulp_of_t(name):
+    # at |t| of 2**20 to 2**46 an ulp of v is far wider than epsilon, so only
+    # values whose boundary distance rounds to 0 are near a boundary
+    grid = GRIDS[name]
+    q = grid.q
+    k = np.ldexp(1.0, np.arange(20, 47)) + np.arange(27)
+    b = np.concatenate([k, -k]) * q
+    v = np.concatenate(
+        [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), b + 0.25 * q]
+    )
+    for eps in (1e-12 * q, 1e-200 * q, 5e-324):
+        cfg = GuardConfig(grid=grid, epsilon=eps, mode=GuardMode.FULL)
+        for batch in [v] + _by_magnitude(grid, v):
+            _assert_superset(grid, batch, eps)
+            for g, w in zip(guard_encode_array(cfg, batch), _ref_encode(cfg, batch)):
+                assert _same(g, w)
+
+
+@pytest.mark.parametrize("mode", [GuardMode.FULL, GuardMode.CENTER])
+def test_planted_boundaries_across_kernel_blocks_match_the_reference(mode):
+    # raw-full's shape: 1M normal values on q = 2**-6, with 60,000 of them
+    # moved onto boundaries or one ulp beside one, some at the ends of the
+    # filter's blocks
+    q = 1.0 / 64.0
+    cfg = GuardConfig(grid=QuantGrid.uniform(q), epsilon=q / 200.0, mode=mode)
+    rng = np.random.default_rng(17)
+    v = rng.normal(0.0, 4.0, 1_000_000)
+    edges = np.arange(_BLOCK, v.size, _BLOCK)
+    at = np.unique(
+        np.concatenate([edges - 1, edges, rng.choice(v.size, 60_000, replace=False)])
+    )
+    b = np.round(v[at] / q) * q
+    step = rng.integers(-1, 2, at.size)
+    v[at] = np.where(
+        step < 0,
+        np.nextafter(b, -np.inf),
+        np.where(step > 0, np.nextafter(b, np.inf), b),
+    )
+    _assert_superset(cfg.grid, v, cfg.epsilon)
+    got, want = guard_encode_array(cfg, v), _ref_encode(cfg, v)
+    for g, w in zip(got, want):
+        assert _same(g, w)
+    assert np.count_nonzero(got[1]) > at.size
+
+
+@pytest.mark.parametrize("name", ["q0.1-dom", "q0.015625-dom"])
+def test_clamped_values_are_candidates_but_never_risky(name):
+    grid = GRIDS[name]
+    q = grid.q
+    lo, hi = grid.domain
+    edges = np.array([lo, hi])
+    beyond = np.concatenate(
+        [[lo - 1e6, hi + 1e6], lo - q * np.arange(1, 50), hi + q * np.arange(1, 50)]
+    )
+    inside = np.random.default_rng(9).uniform(lo, hi, 500)
+    v = np.concatenate(
+        [
+            edges,
+            beyond,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            inside,
+        ]
+    )
+    clamped = np.flatnonzero(_ref_clamp(grid, v) != v)
+    clamped = np.union1d(clamped, np.flatnonzero(np.isin(v, edges)))
+    for eps in _epsilons(grid):
+        cand = _assert_superset(grid, v, eps)
+        assert np.isin(clamped, cand).all()
+        for case in CASES.values():
+            cfg = GuardConfig(grid=grid, epsilon=eps, mode=case[0])
+            got = guard_encode_array(cfg, v)
+            assert not got[1][clamped].any()
+            for g, w in zip(got, _ref_encode(cfg, v)):
+                assert _same(g, w)
+
+
+# ---------------------------------------------------------------------------
 # memory
 
 _MIB = 1024.0 * 1024.0
@@ -285,10 +451,11 @@ def _raw_full_inputs():
 
 
 def test_guard_encode_peak_memory():
-    # three 8 MB work arrays and the 1 MB flag arrays; the int64 path
-    # peaked at 39.1 MiB here
+    # the 8 MB bin array that becomes v_out and the 1 MB flag array; the
+    # kernel's work arrays hold only the candidates.  The int64 path peaked
+    # at 39.1 MiB here, the kernel run on every value at 24.0 MiB
     cfg, v = _raw_full_inputs()
-    assert _traced_peak(guard_encode_array, cfg, v) <= 34.0
+    assert _traced_peak(guard_encode_array, cfg, v) <= 12.0
 
 
 def test_raw_read_and_decode_peak_memory():
