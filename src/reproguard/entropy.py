@@ -462,9 +462,10 @@ def _parse_flags(
 class FlagReader:
     """Sequential flag decoder, consumed in lockstep with critical values.
 
-    The section is parsed on the first ``take``; each take then hands out
-    the next chunk of flags from the parsed risky positions, with the
-    direction bits of that chunk's risky flags.  A stream without flags
+    The section is parsed on the first ``take``; each take then hands out,
+    for the next chunk of flags, the positions of its risky flags, counted
+    from the chunk's start, with their direction bits: a slice of the
+    parsed positions, and no per-value flag mask.  A stream without flags
     must have an empty section."""
 
     def __init__(self, data: bytes, count: int, mode: GuardMode) -> None:
@@ -479,8 +480,9 @@ class FlagReader:
         self._next = 0  # index of the first risky position not yet taken
 
     def take(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The next ``k`` risky flags, and one direction bit per risky flag
-        among them (none in CENTER mode)."""
+        """The positions, ascending and below ``k``, of the risky flags among
+        the next ``k`` flags, and one direction bit per risky flag among
+        them (none in CENTER mode)."""
         if self._taken + k > self._count:
             raise FieldValueError("more flags requested than declared")
         if self._risky is None:
@@ -488,11 +490,10 @@ class FlagReader:
                 self._data, self._count, self._full
             )
         lo, hi = self._next, int(self._risky.searchsorted(self._taken + k))
-        f_r = np.zeros(k, dtype=np.uint8)
-        f_r[self._risky[lo:hi] - self._taken] = 1
+        at = self._risky[lo:hi] - self._taken
         self._taken += k
         self._next = hi
-        return f_r, self._directions[lo:hi]
+        return at, self._directions[lo:hi]
 
     @property
     def exhausted(self) -> bool:

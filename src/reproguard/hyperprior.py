@@ -48,7 +48,7 @@ from .quantizer import (
 from .safeguard import (
     GuardConfig,
     GuardMode,
-    guard_decode_array,
+    _guard_decode as guard_decode_array,
     guard_encode_array,
 )
 

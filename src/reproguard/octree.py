@@ -50,7 +50,7 @@ from .quantizer import QuantGrid
 from .safeguard import (
     GuardConfig,
     GuardMode,
-    guard_decode_array,
+    _guard_decode as guard_decode_array,
     guard_encode_array,
 )
 

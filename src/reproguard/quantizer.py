@@ -7,14 +7,17 @@ top bin.  All arithmetic is IEEE-754 double precision.  Operators work on
 whole arrays.  The one fixed grid is the hyperprior's scale table,
 :func:`default_scale_table`, a grid on log sigma.
 
-Each value array is checked once, where it enters: one min/max pair finds
-non-finite values and, on a grid without a domain, bin indices of
-magnitude 2**53 or more, which are refused (a domain's edges are held to
-the same bound); the pair also bounds the values' magnitude.  Below that
-bound float64 holds every index exactly, so the operators work on indices
-as floats, with the same bits as integer indices would give.  One blocked
-pass gives each value's bin and, given a margin epsilon, the candidates:
-the values whose v/q lies within epsilon/q and a few ulps of an integer.
+Values are checked where they enter, by one blocked pass that works
+through them a block at a time while the block is in cache.  Per block, a
+min/max pair taken before any clamp finds non-finite values and, on a
+grid without a domain, bin indices of magnitude 2**53 or more, which are
+refused (a domain's edges are held to the same bound).  Below that bound
+float64 holds every index exactly, so the operators work on indices as
+floats, with the same bits as integer indices would give.  The same pass
+clamps the block to the domain and gives each value's bin or bin center
+and, given a margin epsilon, the candidates: the values whose v/q lies
+within epsilon/q and a few ulps of an integer, the ulps of the block's
+largest magnitude.
 One kernel of a few in-place passes gives a value's nearest boundary and
 that boundary's distance; the guard's encoder runs it on the candidates
 alone, its decoder on the flagged values.  No other module reads a grid's
@@ -148,97 +151,106 @@ def validate(grid: QuantGrid, epsilon: float) -> None:
 
 
 def _checked(
-    grid: QuantGrid, v, range_error=InvalidInputError
+    grid: QuantGrid, v, range_error=InvalidInputError, out=None
 ) -> tuple[np.ndarray, float]:
     """``v`` as float64 and clamped to the grid's domain, with the largest
-    magnitude among the clamped values (0 when there are none): the one
-    check a value array gets, where it enters an operator.
+    magnitude among the clamped values (0 when there are none): the check
+    values get where they enter an operator, a block at a time in _bins.
 
-    One min/max pair finds non-finite values (NaN and inf propagate through
-    it) and, on a grid without a domain, values whose bin index reaches
-    2**53, which raise ``range_error``.  ``v`` itself is never
-    written to.
+    One min/max pair, taken before any clamp, finds non-finite values (NaN
+    and inf propagate through it) and, on a grid without a domain, values
+    whose bin index reaches 2**53, which raise ``range_error``.  ``v``
+    itself is never written to: clamped values go to ``out``, or to a new
+    array.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         return v, 0.0
-    lo, hi = v.min(), v.max()
+    lo, hi = float(v.min()), float(v.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidInputError("values must be finite")
     if grid.domain is not None:
         d_lo, d_hi = grid.domain
         if lo < d_lo or hi > d_hi:
-            v = np.maximum(v, d_lo, out=np.empty_like(v))
+            v = np.maximum(v, d_lo, out=np.empty_like(v) if out is None else out)
             np.minimum(v, d_hi, out=v)
         lo, hi = min(max(lo, d_lo), d_hi), min(max(hi, d_lo), d_hi)
-    else:
-        with np.errstate(over="ignore"):
-            ends = np.floor(np.array([lo, hi]) / grid.q)
-        if not np.all(np.abs(ends) < _MAX_INDEX):
-            raise range_error(
-                f"values in [{lo!r}, {hi!r}] reach bin index "
-                f"{float(np.max(np.abs(ends)))!r} of step {grid.q!r}, beyond 2**53"
-            )
-    return v, float(max(-lo, hi))
+    # floor(t) stays within 2**53 exactly when t does: from 2**52 on every
+    # double is an integer
+    elif not (-_MAX_INDEX < lo / grid.q and hi / grid.q < _MAX_INDEX):
+        raise range_error(
+            f"values in [{lo!r}, {hi!r}] reach a bin index of step "
+            f"{grid.q!r} beyond 2**53"
+        )
+    return v, max(-lo, hi)
 
 
-def _bins(grid: QuantGrid, v: np.ndarray, near: tuple[float, float] | None = None):
-    """The bin index of each clamped value ``v``, clamped to the domain's
-    bins, as float64 (exact below 2**53).
+def _bins(
+    grid: QuantGrid,
+    v,
+    near: float | None = None,
+    range_error=InvalidInputError,
+    center: bool = False,
+):
+    """The bin of each value ``v``, clamped to the domain's bins: its index
+    as float64 (exact below 2**53), or with ``center`` its center.
 
-    Returns ``(n, cand)``.  With ``near = (epsilon, top)``, where ``top``
-    bounds ``|v|`` as :func:`_checked` gives it, ``cand`` holds the flat
-    positions, ascending, of the *candidates*: a superset of the values
-    whose nearest boundary by :func:`_kernel` lies closer than ``epsilon``.
-    Without it ``cand`` is None.  One pass over the values, a block at a
-    time, gives both.
+    Returns ``(n, cand)``.  With a margin ``near`` (epsilon), ``cand`` holds
+    the flat positions, ascending, of the *candidates*: a superset of the
+    values whose nearest boundary by :func:`_kernel` lies closer than
+    ``epsilon``.  Without it ``cand`` is None.  One pass over the values, a
+    block at a time while it is in cache, checks and clamps them as
+    :func:`_checked` does and gives both.
     """
     q = grid.q
+    v = np.asarray(v, dtype=np.float64)
     flat = v.reshape(-1)
     n = np.empty(flat.size)
     cand = None
     if near is not None:
-        epsilon, top = near
-        # A candidate has t = v/q within thr of an integer: r = t - floor(t),
-        # exact in floating point, has r < thr or r > 1 - thr.  Forward
-        # error, with u = 2**-53 and T = max(top/q, 1) >= |t| (the division
-        # is monotone): the kernel's d = |fl(fl(m*q) - v)| < epsilon gives
-        # |m*q - v| < epsilon/(1-u) + |m*q|*u, and with |m*q| <= |v| +
-        # |m*q - v|, |m - v/q| < (epsilon/q)*(1+3u) + |v/q|*u*(1+2u).  As
-        # |t - v/q| <= |v/q|*u, |v/q| <= T*(1+2u) and epsilon/q < 1/4 (see
-        # validate), the distance of t to the integer m is below
-        # epsilon/q + 3*T*u.  The slack 16*T*u, less the roundings of
-        # epsilon/q and of the sum (under u/4 + u/4 + 16*T*u*u) and of
-        # 1 - thr (under u/2), keeps both tests more than 10*T*u wide of
-        # that, so every value with d < epsilon is a candidate.  From
-        # T = 2**48 thr passes 1/2 and every value is a candidate.
-        thr = epsilon / q + 8.0 * 2.0**-52 * max(top / q, 1.0)
-        thr_hi = 1.0 - thr
         r = np.empty(min(flat.size, _BLOCK))
         low, high = np.empty(r.size, dtype=bool), np.empty(r.size, dtype=bool)
         cand = [np.empty(0, dtype=np.intp)]
     for i in range(0, flat.size, _BLOCK):
-        part = slice(i, i + _BLOCK)
-        vb, nb = flat[part], n[part]
+        nb = n[i : i + _BLOCK]
+        vb, top = _checked(grid, flat[i : i + _BLOCK], range_error, out=nb)
         if near is None:
             np.divide(vb, q, out=nb)
             np.floor(nb, out=nb)
-            continue
-        k = nb.size
-        rb, lb, hb = r[:k], low[:k], high[:k]
-        np.divide(vb, q, out=rb)
-        np.floor(rb, out=nb)
-        rb -= nb
-        np.less(rb, thr, out=lb)
-        np.greater(rb, thr_hi, out=hb)
-        lb |= hb
-        at = np.flatnonzero(lb)
-        if at.size:
-            at += i
-            cand.append(at)
-    if grid._edges is not None:
-        np.maximum(n, grid._edges[0], out=n)
-        np.minimum(n, grid._edges[1] - 1, out=n)
+        else:
+            # A candidate has t = v/q within thr of an integer: r = t -
+            # floor(t), exact in floating point, has r < thr or r > 1 - thr.
+            # Forward error, with u = 2**-53 and T = max(top/q, 1) >= |t|
+            # over the block (the division is monotone): the kernel's d =
+            # |fl(fl(m*q) - v)| < epsilon gives |m*q - v| < epsilon/(1-u) +
+            # |m*q|*u, and with |m*q| <= |v| + |m*q - v|, |m - v/q| <
+            # (epsilon/q)*(1+3u) + |v/q|*u*(1+2u).  As |t - v/q| <= |v/q|*u,
+            # |v/q| <= T*(1+2u) and epsilon/q < 1/4 (see validate), the
+            # distance of t to the integer m is below epsilon/q + 3*T*u.
+            # The slack 16*T*u, less the roundings of epsilon/q and of the
+            # sum (under u/4 + u/4 + 16*T*u*u) and of 1 - thr (under u/2),
+            # keeps both tests more than 10*T*u wide of that, so every value
+            # with d < epsilon is a candidate.  From T = 2**48 thr passes
+            # 1/2 and every value of the block is a candidate.
+            thr = near / q + 8.0 * 2.0**-52 * max(top / q, 1.0)
+            k = nb.size
+            rb, lb, hb = r[:k], low[:k], high[:k]
+            np.divide(vb, q, out=rb)
+            np.floor(rb, out=nb)
+            rb -= nb
+            np.less(rb, thr, out=lb)
+            np.greater(rb, 1.0 - thr, out=hb)
+            lb |= hb
+            at = np.flatnonzero(lb)
+            if at.size:
+                at += i
+                cand.append(at)
+        if grid._edges is not None:
+            np.maximum(nb, grid._edges[0], out=nb)
+            np.minimum(nb, grid._edges[1] - 1, out=nb)
+        if center:
+            nb += 0.5
+            nb *= q
     if cand is not None:
         cand = np.concatenate(cand)
     return n.reshape(v.shape), cand
@@ -290,13 +302,6 @@ def _kernel(grid: QuantGrid, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m.reshape(v.shape), d.reshape(v.shape)
 
 
-def _center(grid: QuantGrid, n: np.ndarray) -> np.ndarray:
-    """Center of each bin ``n``: the float array ``n`` becomes it."""
-    n += 0.5
-    n *= grid.q
-    return n
-
-
 def _nearest(grid: QuantGrid, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(int64 index, value) of the nearest boundary of each clamped value."""
     m = _kernel(grid, v)[0].astype(np.int64)
@@ -329,12 +334,15 @@ def _first_bin(grid: QuantGrid) -> int:
 
 def quantize_array(grid: QuantGrid, v) -> np.ndarray:
     """Bin index of each value (int64 array)."""
-    return _bins(grid, _checked(grid, v)[0])[0].astype(np.int64, copy=False)
+    return _bins(grid, v)[0].astype(np.int64, copy=False)
 
 
 def dequantize_array(grid: QuantGrid, n) -> np.ndarray:
     """Bin center of each index (float64 array)."""
-    return _center(grid, np.asarray(n, dtype=np.int64).astype(np.float64))
+    c = np.asarray(n, dtype=np.int64).astype(np.float64)
+    c += 0.5
+    c *= grid.q
+    return c
 
 
 def round_index_array(grid: QuantGrid, v) -> tuple[np.ndarray, np.ndarray]:

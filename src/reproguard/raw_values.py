@@ -23,7 +23,8 @@ from .container import (
 )
 from .entropy import encode_flags
 from .errors import FieldValueError, InvalidInputError
-from .safeguard import GuardConfig, guard_decode_array, guard_encode_array
+from .safeguard import GuardConfig, guard_encode_array
+from .safeguard import _guard_decode as guard_decode_array
 
 __all__ = ["encode_values", "decode_values", "reference_values"]
 

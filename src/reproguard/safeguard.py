@@ -12,12 +12,15 @@ direction arrays go to ``entropy.encode_flags`` as they are.
 
 Encoder and decoder derive the protected value through one shared rule,
 so equality of the chosen boundary index implies equality of the output
-doubles.  Both sides get bin centers from one pass over the values in
-``quantizer``; the encoder's pass also picks the candidates, the values
-near a boundary, and the grid's exact kernel gives nearest boundaries and
-their distances of those alone, a small share of them (about 2*epsilon/q).
-Boundary indices, boundary values and protected values are then built for
-the risky values alone.  A boundary on a domain edge is never risky, since
+doubles.  Both sides get bin centers from one blocked pass over the values
+in ``quantizer``, which also checks them; the encoder's pass also picks the
+candidates, the values near a boundary, and the grid's exact kernel gives
+nearest boundaries and their distances of those alone, a small share of
+them (about 2*epsilon/q).  The decoder works from the positions of the
+risky flags, as ``FlagReader.take`` hands them out: past the one pass it
+touches the flagged values alone, and builds no per-value flag mask.
+Boundary indices, boundary values and protected values are built for the
+risky values alone.  A boundary on a domain edge is never risky, since
 values beyond it clamp onto it; a stream with a risky flag there is
 malformed.
 """
@@ -34,7 +37,6 @@ from .quantizer import (
     QuantGrid,
     _bins,
     _boundary,
-    _center,
     _checked,
     _inside,
     _kernel,
@@ -109,13 +111,12 @@ def guard_encode_array(
     protected values are built for the risky values only.
     """
     grid = cfg.grid
-    v, top = _checked(grid, v)
-    n, cand = _bins(grid, v, near=(cfg.epsilon, top))
-    v_out = _center(grid, n)
+    v = np.asarray(v, dtype=np.float64)
+    v_out, cand = _bins(grid, v, near=cfg.epsilon, center=True)
     f_r = np.zeros(v.shape, dtype=np.uint8)
     f_d = np.empty(0, dtype=np.uint8)
 
-    vc = v.reshape(-1)[cand]
+    vc = _checked(grid, v.reshape(-1)[cand])[0]
     m, d = _kernel(grid, vc)
     risky = d < cfg.epsilon
     risky &= _inside(grid, m)
@@ -140,26 +141,35 @@ def guard_decode_array(cfg: GuardConfig, v_prime, f_r, f_d=()) -> np.ndarray:
     order; a length other than the risky count raises InvalidInputError.  A
     risky flag on a domain edge, or a value whose bin index reaches 2**53,
     raises FieldValueError."""
-    grid = cfg.grid
-    vp = _checked(grid, v_prime, range_error=FieldValueError)[0]
+    v = np.asarray(v_prime, dtype=np.float64)
     f_r = np.asarray(f_r)
-    if f_r.shape != vp.shape:
+    if f_r.shape != v.shape:
         raise InvalidInputError("flag array shape mismatch")
+    return _guard_decode(cfg, v, np.flatnonzero(f_r), f_d)
 
-    v_out = _center(grid, _bins(grid, vp)[0])
-    risky = f_r != 0
-    if not np.any(risky):
+
+def _guard_decode(cfg: GuardConfig, v_prime, at: np.ndarray, f_d=()) -> np.ndarray:
+    """:func:`guard_decode_array` given ``at``, the flat positions, ascending,
+    of the risky flags, as ``FlagReader.take`` hands them out.
+
+    Past the one pass that gives every bin center, work touches the flagged
+    values alone.  The payload decoders bind this as ``guard_decode_array``,
+    the name under which a per-layer trace times the guard's decode.
+    """
+    grid = cfg.grid
+    v = np.asarray(v_prime, dtype=np.float64)
+    v_out = _bins(grid, v, range_error=FieldValueError, center=True)[0]
+    if not at.size:
         return v_out
 
-    m, bv = _nearest(grid, vp[risky])
+    m, bv = _nearest(grid, _checked(grid, v.reshape(-1)[at], FieldValueError)[0])
     if not np.all(_inside(grid, m)):
         raise FieldValueError("risky flag on a domain edge, where no encoder sets one")
     left = None
     if cfg.mode == GuardMode.FULL:
         fd = np.asarray(f_d)
-        if fd.shape != (m.shape[0],):
+        if fd.shape != at.shape:
             raise InvalidInputError("FULL mode needs one direction bit per risky flag")
         left = fd == 0
-    v_out[risky] = _protected(cfg, bv, left)
+    v_out.reshape(-1)[at] = _protected(cfg, bv, left)
     return v_out
-

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from reproguard.entropy import (
+    _parse_flags,
     _phi,
     _rice_k,
     _zero_p16,
@@ -168,9 +169,17 @@ def _directions(rng, fr):
     return rng.integers(0, 2, int(np.count_nonzero(fr))).astype(np.uint8)
 
 
+def _dense(at, count):
+    """The uint8 flags of ``count`` values with risky ones at ``at``."""
+    fr = np.zeros(count, dtype=np.uint8)
+    fr[at] = 1
+    return fr
+
+
 def _take_all(data, count, mode) -> Flags:
-    """Every flag of a section in one take."""
-    return Flags(*FlagReader(data, count, mode).take(count))
+    """Every flag of a section in one take, as dense flags."""
+    at, fd = FlagReader(data, count, mode).take(count)
+    return Flags(_dense(at, count), fd)
 
 
 def test_sparse_flags_stay_small():
@@ -624,16 +633,52 @@ def test_flag_reader_chunks_match_one_shot(mode, sizes, seed):
     reader = FlagReader(data, n, mode)
     at = 0
     for k in sizes:
-        fr, fd = reader.take(k)
+        pos, fd = reader.take(k)
         want_fr = fs.f_r[at : at + k]
         want_fd = dense[at : at + k][want_fr == 1]
         if mode == GuardMode.CENTER:
             want_fd = want_fd[:0]
-        assert fr.dtype == np.uint8 and np.array_equal(fr, want_fr)
+        assert np.array_equal(pos, np.flatnonzero(want_fr))
         assert fd.dtype == np.uint8 and np.array_equal(fd, want_fd)
         at += k
     assert reader.exhausted
     with pytest.raises(MalformedStreamError):
+        reader.take(1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    mode=st.sampled_from(list(GuardMode)),
+    n=st.integers(0, 3000),
+    rate=st.sampled_from([0.0, 0.01, 0.2, 1.0]),
+    cuts=st.lists(st.integers(0, 3000), max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_take_hands_out_the_parsed_positions(mode, n, rate, cuts, seed):
+    # a random section taken in random chunks: each chunk's positions are
+    # ascending and below its size, and shifted by the chunk's offset they
+    # concatenate to the parser's positions, directions alike
+    rng = np.random.default_rng(seed)
+    fr = (rng.random(n) < rate).astype(np.uint8)
+    fs = _flags(fr, _directions(rng, fr) if mode == GuardMode.FULL else ())
+    data = encode_flags(*fs, mode)
+    positions, directions = _parse_flags(data, n, mode == GuardMode.FULL)
+    bounds = np.unique(np.clip([0, n, *cuts], 0, n))
+    reader = FlagReader(data, n, mode)
+    got_at, got_fd = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.uint8)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        assert not reader.exhausted
+        pos, fd = reader.take(int(hi - lo))
+        assert pos.dtype.kind == "i" and np.all(np.diff(pos) > 0)
+        assert np.all((pos >= 0) & (pos < hi - lo))
+        assert fd.shape == (pos.size if mode == GuardMode.FULL else 0,)
+        got_at.append(pos + lo)
+        got_fd.append(fd)
+    assert np.array_equal(np.concatenate(got_at), positions)
+    assert np.array_equal(np.concatenate(got_fd), directions)
+    assert np.array_equal(positions, np.flatnonzero(fr))
+    assert reader.exhausted
+    with pytest.raises(FieldValueError, match="more flags requested than declared"):
         reader.take(1)
 
 

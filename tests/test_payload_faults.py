@@ -296,7 +296,9 @@ def _with_flag(stream, at: int, direction: int):
     """``stream`` with one more risky flag, at value ``at``; in FULL mode its
     direction bit is ``direction`` (0 left, 1 right)."""
     n = stream.flag_count
-    fr, fd = FlagReader(stream.safeguard, n, stream.mode).take(n)
+    risky, fd = FlagReader(stream.safeguard, n, stream.mode).take(n)
+    fr = np.zeros(n, dtype=np.uint8)
+    fr[risky] = 1
     fr[at] = 1
     if stream.mode == GuardMode.FULL:
         fd = np.insert(fd, np.count_nonzero(fr[:at]), direction)
@@ -314,9 +316,9 @@ def _octree_edge_flag(mode, direction, monkeypatch):
     seen = []
     guard = octree.guard_decode_array
 
-    def record(cfg, v, f_r, f_d=()):
+    def record(cfg, v, at, f_d=()):
         seen.append(np.asarray(v))
-        return guard(cfg, v, f_r, f_d)
+        return guard(cfg, v, at, f_d)
 
     with monkeypatch.context() as m:
         m.setattr(octree, "guard_decode_array", record)

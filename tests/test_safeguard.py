@@ -134,8 +134,8 @@ def test_from_arrays_counts_directions():
     assert fr.tolist() == [1, 0, 1]
     assert fd.dtype == np.uint8 and fd.tolist() == [1, 0]
     data = encode_flags(fr, fd, GuardMode.FULL)
-    got_fr, got_fd = FlagReader(data, 3, GuardMode.FULL).take(3)
-    assert got_fr.tolist() == [1, 0, 1] and got_fd.tolist() == [1, 0]
+    got_at, got_fd = FlagReader(data, 3, GuardMode.FULL).take(3)
+    assert got_at.tolist() == [0, 2] and got_fd.tolist() == [1, 0]
     _, fr, fd = guard_encode_array(cfg_for(GuardMode.CENTER), [0.0203, 0.505, 0.0298])
     assert fr.tolist() == [1, 0, 1] and fd.shape == (0,)
 

@@ -15,13 +15,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reproguard import container
-from reproguard.errors import FieldValueError
+from reproguard import container, octree, quantizer
+from reproguard.entropy import FlagReader, encode_flags
+from reproguard.errors import FieldValueError, InvalidInputError
 from reproguard.quantizer import (
     _BLOCK,
     QuantGrid,
     _bins,
-    _checked,
     dequantize_array,
     quantize_array,
     round_index_array,
@@ -30,6 +30,7 @@ from reproguard.raw_values import decode_values, encode_values
 from reproguard.safeguard import (
     GuardConfig,
     GuardMode,
+    _guard_decode,
     guard_decode_array,
     guard_encode_array,
 )
@@ -274,8 +275,7 @@ def test_some_values_need_the_one_ulp_repair():
 
 def _candidates(grid, v, eps):
     """Flat positions of the values the encoder's filter passes."""
-    vc, top = _checked(grid, v)
-    return _bins(grid, vc, near=(eps, top))[1]
+    return _bins(grid, v, near=eps)[1]
 
 
 def _ref_near(grid, v, eps):
@@ -429,6 +429,138 @@ def test_clamped_values_are_candidates_but_never_risky(name):
 
 
 # ---------------------------------------------------------------------------
+# the entry check, a block at a time
+#
+# The one pass over the values checks each block before it clamps it, so a
+# fault in the last block of a 3-block array raises as one in the first
+# would, and a domain grid does not clamp an infinity onto its edge.
+
+_THREE = 2 * _BLOCK + 1000
+_LAST_BLOCK = (2 * _BLOCK, _THREE - 1)
+
+
+def _with_fault(at, x):
+    """Values inside both grids' domains but for ``x`` at ``at``."""
+    v = np.random.default_rng(4).uniform(-3.0, 3.0, _THREE)
+    v[at] = x
+    return v
+
+
+def _raw_decode(cfg, v):
+    # the stream of the values before the fault, with no flag where it goes:
+    # the decode touches only the flagged values after the one pass
+    stream = encode_values(_with_fault(0, 0.0), cfg)
+    risky = FlagReader(stream.safeguard, v.size, cfg.mode).take(v.size)[0]
+    assert risky.size and not np.isin(_LAST_BLOCK, risky).any()
+    return decode_values(stream, v)
+
+
+# entry point: (call on a config and values, whether it decodes)
+ENTRIES = {
+    "guard_decode_array": (
+        lambda cfg, v: guard_decode_array(cfg, v, np.zeros(v.size, np.uint8)),
+        True,
+    ),
+    "guard_encode_array": (guard_encode_array, False),
+    "quantize_array": (lambda cfg, v: quantize_array(cfg.grid, v), False),
+    "decode_values": (_raw_decode, True),
+}
+
+
+@pytest.mark.parametrize("at", _LAST_BLOCK)
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "entry, grid",
+    # a raw stream's grid has no domain
+    [(e, g) for e in ENTRIES for g in ("q0.1-free", "q0.1-dom")
+     if (e, g) != ("decode_values", "q0.1-dom")],
+)
+def test_non_finite_value_in_the_last_block_raises(entry, grid, x, at):
+    cfg = GuardConfig(grid=GRIDS[grid], epsilon=1e-4, mode=GuardMode.CENTER)
+    call, _ = ENTRIES[entry]
+    with pytest.raises(InvalidInputError, match="finite"):
+        call(cfg, _with_fault(at, x))
+
+
+@pytest.mark.parametrize("at", _LAST_BLOCK)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("entry", list(ENTRIES))
+def test_bin_index_2_53_in_the_last_block_raises(entry, sign, at):
+    grid = GRIDS["q0.1-free"]
+    cfg = GuardConfig(grid=grid, epsilon=1e-4, mode=GuardMode.CENTER)
+    call, decodes = ENTRIES[entry]
+    v = _with_fault(at, sign * 2.0**53 * grid.q)
+    assert abs(np.floor(v[at] / grid.q)) == 2.0**53
+    error = FieldValueError if decodes else InvalidInputError
+    with pytest.raises(error, match="2\\*\\*53"):
+        call(cfg, v)
+    # one bin below raises nothing
+    call(cfg, _with_fault(at, sign * (2.0**53 - 1.0) * grid.q))
+
+
+class _FaultInBigPass:
+    """Stands in for a perturbation: plants ``x`` in the last block of the
+    first octant pass that spans three blocks."""
+
+    def __init__(self, x):
+        self.x, self.planted = x, False
+
+    def perturb_array(self, v, grid):
+        v = np.array(v, dtype=np.float64)
+        if not self.planted and v.size > 2 * quantizer._BLOCK:
+            v[-1] = self.x
+            self.planted = True
+        return v
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+def test_octree_decode_checks_the_last_block(x, monkeypatch):
+    # the predictor's passes of a small cloud span three blocks only when
+    # blocks are small; the pass reads the block size when it runs
+    cloud = octree.synth_cloud("dense", 6, 600, seed=5)
+    stream = octree.encode(cloud, octree.make_pc_config(5e-4))
+    monkeypatch.setattr(quantizer, "_BLOCK", 64)
+    fault = _FaultInBigPass(x)
+    with pytest.raises(InvalidInputError, match="finite"):
+        octree.decode(stream, fault)
+    assert fault.planted
+
+
+# ---------------------------------------------------------------------------
+# risky positions: the decoders' path and the public dense one
+
+
+@pytest.mark.parametrize("mode", [GuardMode.FULL, GuardMode.CENTER])
+def test_positions_and_dense_flags_decode_alike(mode):
+    # [1/8]'s cases: values planted around boundaries, decoded from copies
+    # drifted by up to 0.999 epsilon.  The core, given the positions a
+    # FlagReader hands out chunk by chunk, gives the bytes of the public
+    # decode given the encoder's dense flags, and both the encoder's output
+    rng = np.random.default_rng(8)
+    for q, eps in ((0.004, 1e-5), (0.008, 1e-6)):
+        cfg = GuardConfig(grid=QuantGrid.uniform(q), epsilon=eps, mode=mode)
+        n = 3 * _BLOCK
+        v = rng.uniform(-2.0, 2.0, n)
+        half = n // 2
+        u = rng.choice([0.0, 0.5, 0.999, 1.0, 1.001, 2.0], half)
+        sgn = rng.choice([-1.0, 1.0], half)
+        v[:half] = rng.integers(-400, 400, half) * q + sgn * u * eps
+        v = rng.permutation(v)
+        vp = v + rng.uniform(-0.999 * eps, 0.999 * eps, n)
+        v_out, f_r, f_d = guard_encode_array(cfg, v)
+        dense = guard_decode_array(cfg, vp, f_r, f_d)
+        reader = FlagReader(encode_flags(f_r, f_d, mode), n, mode)
+        cuts = np.unique(np.concatenate([[0, n], rng.integers(0, n, 5)]))
+        parts = []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            at, fd = reader.take(int(hi - lo))
+            parts.append(_guard_decode(cfg, vp[lo:hi], at, fd))
+        assert np.count_nonzero(f_r) > 100
+        assert _same(np.concatenate(parts), dense)
+        assert _same(dense, v_out)
+
+
+# ---------------------------------------------------------------------------
 # memory
 
 _MIB = 1024.0 * 1024.0
@@ -459,12 +591,23 @@ def test_guard_encode_peak_memory():
 
 
 def test_raw_read_and_decode_peak_memory():
-    # the 8 MB main section, the 8 MB output and the flags; the int64 path
-    # peaked at 24.9 MiB here
+    # main is a view of the blob, so the 8 MB output and the risky
+    # positions; a dense flag mask peaked at 10.0 MiB here, the int64 path
+    # at 24.9 MiB
     cfg, v = _raw_full_inputs()
     blob = container.write(encode_values(v, cfg))
 
     def read_and_decode():
         decode_values(container.read(blob), v)
 
-    assert _traced_peak(read_and_decode) <= 21.0
+    assert _traced_peak(read_and_decode) <= 9.0
+
+
+def test_guard_decode_of_values_beyond_the_domain_peak_memory():
+    # probabilities drifted past both edges of [0, 1]: each block is clamped
+    # in its own work array, so the 8 MB output is all; a clamped copy of
+    # the whole input peaked at 16.2 MiB here
+    cfg = octree.make_pc_config(1e-6)
+    p = np.random.default_rng(2).uniform(-0.01, 1.01, _N)
+    f_r = np.zeros(_N, dtype=np.uint8)
+    assert _traced_peak(guard_decode_array, cfg, p, f_r) <= 9.0
