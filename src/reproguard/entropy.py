@@ -5,7 +5,10 @@ renormalization that keeps ``range >= 2**24`` between symbols.  The
 encoder's loop carries only the range and the count of bytes emitted; each
 addend to the interval's low end is recorded with that count, and
 ``finish()`` sums the addends, shifted into place, with their carries, in
-numpy and big-integer arithmetic.  Probabilities are 16-bit
+numpy and big-integer arithmetic.  The decoder's loops keep
+``0 <= code < range``, so its code register needs no 32-bit mask; the two
+inputs that would break that, which no encoder writes, raise a
+FieldValueError (see RangeDecoder).  Probabilities are 16-bit
 (``Prob16``, the chance of bit 0, clamped to [1, 65535]) so both ends of
 the wire share the exact same integers.  The safeguard's flags do not go
 through the range coder: their section is a Rice code of the gaps between
@@ -45,11 +48,12 @@ __all__ = [
 ]
 
 _TOP = 1 << 24
-_MASK32 = 0xFFFFFFFF
+_RANGE0 = 0xFFFFFFFF  # the range a coder starts from
 _P16_ONE = 1 << 16
 _BLOCK_BITS = 4  # the inverse lookup resolves a target to a block of 16
 _TABLE_SHIFT = 16 - _BLOCK_BITS  # a table's blocks take the low 12 bits
 _ENDED = "range-coded stream ended early"
+_TAIL = "range-coded symbol falls in the unused tail of the interval"
 
 
 def prob_to_p16_array(v) -> np.ndarray:
@@ -62,13 +66,13 @@ def prob_to_p16_array(v) -> np.ndarray:
     return np.minimum(np.maximum(p, 1), 65535)  # np.clip's wrapper costs more
 
 
-def _p16_list(p16s) -> list[int]:
+def _checked_p16(p16s) -> np.ndarray:
     p = np.asarray(p16s, dtype=np.int64)
     if p.ndim != 1:
         raise InvalidInputError("Prob16s must be a 1-D sequence")
     if p.size and (p.min() < 1 or p.max() > 65535):
         raise InvalidInputError("Prob16 outside [1, 65535]")
-    return p.tolist()
+    return p
 
 
 def _uint32_view(values) -> memoryview:
@@ -149,7 +153,7 @@ class RangeEncoder:
     """
 
     def __init__(self) -> None:
-        self.range = _MASK32
+        self.range = _RANGE0
         self._nb = 0  # bytes emitted so far
         self._adds = array("I")
         self._at = array("I")  # the byte count at each addend, never falling
@@ -158,10 +162,10 @@ class RangeEncoder:
         """Code ``bits[i]`` (any nonzero value is a one) at ``p16s[i]``, the
         Prob16 of a zero.  Both are 1-D and of one length."""
         bits = np.asarray(bits)
-        p16s = _p16_list(p16s)
-        if bits.ndim != 1 or bits.shape[0] != len(p16s):
+        p16s = _checked_p16(p16s)
+        if bits.ndim != 1 or bits.shape[0] != p16s.shape[0]:
             raise InvalidInputError("one Prob16 per bit, both 1-D, is needed")
-        _encode_bits(self, (bits != 0).tobytes(), p16s)
+        _encode_bits(self, (bits != 0).tobytes(), p16s.tolist())
 
     def encode_symbols(self, tables: SymbolTables, table_ids, symbols) -> None:
         """Code ``symbols[i]`` against table ``table_ids[i]`` of ``tables``."""
@@ -194,20 +198,31 @@ class RangeEncoder:
 
 
 class RangeDecoder:
-    """Mirror of RangeEncoder; raises TruncatedStreamError past the end."""
+    """Mirror of RangeEncoder.
+
+    The coding loops keep ``0 <= code < range``, so the code register never
+    needs a 32-bit mask.  Two inputs would break it, and no encoder writes
+    either, so both raise FieldValueError: a ``main`` that opens with
+    ``FF FF FF FF`` (the coded value lies below ``0xFFFFFFFF * 256**nb``),
+    and a symbol whose target falls in the interval's unused tail
+    ``[65536 * (range >> 16), range)``.  Reading past the end raises
+    TruncatedStreamError.
+    """
 
     def __init__(self, data: bytes) -> None:
         if len(data) < 4:
             raise TruncatedStreamError(_ENDED)
-        self._data = bytes(data)  # a memoryview indexes ~20% slower, per byte
-        self._pos = 4
-        self.range = _MASK32
+        self.range = _RANGE0
         self.code = int.from_bytes(data[:4], "big")
+        if self.code >= self.range:
+            raise FieldValueError("range-coded stream opens with FF FF FF FF")
+        self._byte = iter(bytes(data[4:])).__next__  # the next byte of main
 
     def decode_bits(self, p16s) -> np.ndarray:
         """One bit per Prob16 of the 1-D ``p16s``, as a uint8 array."""
-        p16s = _p16_list(p16s)
-        return np.frombuffer(_decode_bits(self, p16s, len(p16s)), dtype=np.uint8)
+        p16s = _checked_p16(p16s)
+        bits = _decode_bits(self, _uint32_view(p16s), p16s.shape[0])
+        return np.frombuffer(bits, dtype=np.uint8)
 
     def decode_symbols(self, tables: SymbolTables, table_ids) -> np.ndarray:
         """One symbol per entry of ``table_ids``, each against its table."""
@@ -224,8 +239,11 @@ class RangeDecoder:
 # methods only convert their arguments and call a loop, which keeps the
 # coder state in locals for the whole batch.  The encoder loops carry only
 # the range and the byte count: an addend to the low end is appended with
-# the count, and RangeEncoder.finish() sums them with their carries.  In the
-# decoders, reading past the end of the data is the only IndexError.
+# the count, and RangeEncoder.finish() sums them with their carries.  The
+# decoders read main through an iterator, whose StopIteration means the data
+# ended.  A coding step leaves at least ``range >> 16 >= 2**8`` (a Prob16
+# lies in [1, 65535], a frequency is at least 1), so two renormalization
+# steps always restore ``range >= 2**24``, and they are written out.
 
 
 def _encode_bits(enc: RangeEncoder, bits: Iterable[int], p16s: Iterable[int]) -> None:
@@ -268,9 +286,9 @@ def _encode_ranges(
 
 def _decode_bits(dec: RangeDecoder, p16s: Iterable[int], n: int) -> bytearray:
     """The next ``n`` bits, one for each of the ``n`` Prob16s of a zero."""
-    top, mask = _TOP, _MASK32
+    top = _TOP
     out = bytearray(n)
-    code, rng, data, pos = dec.code, dec.range, dec._data, dec._pos
+    code, rng, byte = dec.code, dec.range, dec._byte
     try:
         for i, p16 in enumerate(p16s):
             r0 = (rng >> 16) * p16
@@ -280,13 +298,15 @@ def _decode_bits(dec: RangeDecoder, p16s: Iterable[int], n: int) -> bytearray:
                 out[i] = 1
                 code -= r0
                 rng -= r0
-            while rng < top:
-                code = ((code << 8) | data[pos]) & mask
-                pos += 1
+            if rng < top:
+                code = (code << 8) | byte()
                 rng <<= 8
-    except IndexError:
+                if rng < top:
+                    code = (code << 8) | byte()
+                    rng <<= 8
+    except StopIteration:
         raise TruncatedStreamError(_ENDED) from None
-    dec.code, dec.range, dec._pos = code, rng, pos
+    dec.code, dec.range = code, rng
     return out
 
 
@@ -298,16 +318,16 @@ def _decode_symbols(
 ) -> array:
     """One symbol per key ``t << 12`` of its table, as flat indices (see
     SymbolTables)."""
-    top, mask, block_bits = _TOP, _MASK32, _BLOCK_BITS
+    top, block_bits = _TOP, _BLOCK_BITS
     out = array("I")
     put = out.append
-    code, rng, data, pos = dec.code, dec.range, dec._data, dec._pos
+    code, rng, byte = dec.code, dec.range, dec._byte
     try:
         for key in keys:
             r = rng >> 16
             target = code // r
             if target > 65535:
-                target = 65535
+                raise FieldValueError(_TAIL)
             s = inverse[key | (target >> block_bits)]
             lo, hi = spans[s]
             while hi <= target:
@@ -315,14 +335,16 @@ def _decode_symbols(
                 lo, hi = spans[s]
             code -= r * lo
             rng = r * (hi - lo)
-            while rng < top:
-                code = ((code << 8) | data[pos]) & mask
-                pos += 1
+            if rng < top:
+                code = (code << 8) | byte()
                 rng <<= 8
+                if rng < top:
+                    code = (code << 8) | byte()
+                    rng <<= 8
             put(s)
-    except IndexError:
+    except StopIteration:
         raise TruncatedStreamError(_ENDED) from None
-    dec.code, dec.range, dec._pos = code, rng, pos
+    dec.code, dec.range = code, rng
     return out
 
 

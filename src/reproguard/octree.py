@@ -313,10 +313,12 @@ def make_pc_config(
 def _children(parents: np.ndarray, occ: np.ndarray, point_count: int) -> tuple:
     """The parent index and the code of every occupied child in a level's
     (8, parents) occupancy, parent-major, so the codes come out sorted."""
-    at, octant = np.nonzero(occ.T)
-    if at.shape[0] > point_count:
+    # one pass over a C-order copy, whose flat index is parent * 8 + octant
+    flat = np.flatnonzero(occ.T.ravel())
+    if flat.shape[0] > point_count:
         raise FieldValueError("decoded occupancy exceeds the declared point count")
-    return at, (parents[at] << _U(3)) | octant.astype(np.uint64)
+    at = flat >> 3
+    return at, (parents[at] << _U(3)) | (flat & 7).astype(np.uint64)
 
 
 def _walk(bit_depth: int, point_count: int, code_level) -> tuple:

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from collections import Counter
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -1045,3 +1047,219 @@ def test_finish_holds_few_stream_sized_copies():
         tracemalloc.stop()
     assert len(data) > n // 8
     assert peak <= 8 * len(data)
+
+
+# ---------------------------------------------------------------------------
+# the decoder against its reference
+#
+# The reference is the decoder as it was before its loops relied on
+# ``0 <= code < range``: it masks the code register to 32 bits, indexes the
+# data by position, and decodes a symbol target past 65535 as 65535.  It
+# records that clamp, the one state where the decoders part: the decoder
+# raises a FieldValueError there instead.
+
+
+class _ReferenceDecoder:
+    def __init__(self, data):
+        if len(data) < 4:
+            raise TruncatedStreamError("range-coded stream ended early")
+        self._data = bytes(data)
+        self._pos = 4
+        self.range = _MASK32
+        self.code = int.from_bytes(data[:4], "big")
+        self.clamped = False
+
+    def decode_bits(self, p16s):
+        p16s = np.asarray(p16s, dtype=np.int64).tolist()
+        return np.frombuffer(_reference_decode_bits(self, p16s), dtype=np.uint8)
+
+    def decode_symbols(self, tables, table_ids):
+        t = np.asarray(table_ids, dtype=np.int64).reshape(-1)
+        flat = _reference_decode_symbols(
+            self, (t << 12).tolist(), tables.inverse, tables.spans
+        )
+        return np.array(flat, dtype=np.int64) - tables.base[t]
+
+
+def _reference_decode_bits(dec, p16s):
+    top, mask = 1 << 24, _MASK32
+    out = bytearray(len(p16s))
+    code, rng, data, pos = dec.code, dec.range, dec._data, dec._pos
+    try:
+        for i, p16 in enumerate(p16s):
+            r0 = (rng >> 16) * p16
+            if code < r0:
+                rng = r0
+            else:
+                out[i] = 1
+                code -= r0
+                rng -= r0
+            while rng < top:
+                code = ((code << 8) | data[pos]) & mask
+                pos += 1
+                rng <<= 8
+    except IndexError:
+        raise TruncatedStreamError("range-coded stream ended early") from None
+    dec.code, dec.range, dec._pos = code, rng, pos
+    return out
+
+
+def _reference_decode_symbols(dec, keys, inverse, spans):
+    top, mask = 1 << 24, _MASK32
+    out = []
+    code, rng, data, pos = dec.code, dec.range, dec._data, dec._pos
+    try:
+        for key in keys:
+            r = rng >> 16
+            target = code // r
+            if target > 65535:
+                target = 65535
+                dec.clamped = True
+            s = inverse[key | (target >> 4)]
+            lo, hi = spans[s]
+            while hi <= target:
+                s += 1
+                lo, hi = spans[s]
+            code -= r * lo
+            rng = r * (hi - lo)
+            while rng < top:
+                code = ((code << 8) | data[pos]) & mask
+                pos += 1
+                rng <<= 8
+            out.append(s)
+    except IndexError:
+        raise TruncatedStreamError("range-coded stream ended early") from None
+    dec.code, dec.range, dec._pos = code, rng, pos
+    return out
+
+
+@lru_cache(maxsize=1)
+def _shared_scale_bin_tables():
+    return _scale_bin_tables()
+
+
+def _unread(dec) -> int:
+    """The bytes of main the decoder has not read yet; it reads no more."""
+    return len(list(iter(dec._byte, None)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    chunks=st.lists(
+        st.tuples(st.sampled_from(["bits", "symbols"]), st.integers(0, 300)),
+        min_size=1,
+        max_size=12,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mixed_chunks_decode_as_the_reference(chunks, seed):
+    # one decoder, one iterator over main, handed from loop to loop
+    tables = _shared_scale_bin_tables()
+    rng = np.random.default_rng(seed)
+    enc, calls = RangeEncoder(), []
+    for kind, n in chunks:
+        if kind == "bits":
+            p16 = rng.integers(1, 65536, n)
+            bits = (rng.integers(0, 65536, n) >= p16).astype(np.uint8)
+            enc.encode_bits(bits, p16)
+            calls.append(("decode_bits", (p16,), bits))
+        else:
+            ids = rng.integers(0, len(tables), n)
+            syms = rng.integers(0, tables.size[ids])
+            enc.encode_symbols(tables, ids, syms)
+            calls.append(("decode_symbols", (tables, ids), syms))
+    data = enc.finish()
+    dec, ref = RangeDecoder(data), _ReferenceDecoder(data)
+    for name, args, want in calls:
+        got = getattr(dec, name)(*args)
+        assert np.array_equal(got, getattr(ref, name)(*args))
+        assert np.array_equal(got, want)
+        assert (dec.code, dec.range) == (ref.code, ref.range)
+    assert not ref.clamped
+    assert _unread(dec) == len(data) - ref._pos
+
+
+def _outcome(decode, args):
+    """The decoded array, or the class of the exception the decode raised."""
+    try:
+        return decode(*args)
+    except MalformedStreamError as exc:
+        return type(exc)
+
+
+def test_random_mains_decode_as_the_reference_or_raise_alike():
+    # random bytes that do not open with FF FF FF FF, in random chunks of
+    # bits and symbols: every call gives the reference's output or raises
+    # the class it raised, except where the reference clamped a target
+    tables = _shared_scale_bin_tables()
+    rng = np.random.default_rng(2025)
+    seen = Counter()
+    for _ in range(1500):
+        main = rng.bytes(int(rng.integers(4, 400)))
+        if main[:4] == b"\xff\xff\xff\xff":
+            continue
+        dec, ref = RangeDecoder(main), _ReferenceDecoder(main)
+        while True:
+            n = int(rng.integers(0, 200))
+            if rng.random() < 0.5:
+                name, args = "decode_bits", (rng.integers(1, 65536, n),)
+            else:
+                name, args = "decode_symbols", (tables, rng.integers(0, len(tables), n))
+            want = _outcome(getattr(ref, name), args)
+            got = _outcome(getattr(dec, name), args)
+            if ref.clamped:
+                assert got is FieldValueError
+                seen["tail"] += 1
+                break
+            if isinstance(want, type):
+                assert got is want
+                seen[want.__name__] += 1
+                break
+            assert np.array_equal(got, want)
+            seen[name] += 1
+    assert seen["tail"] >= 100 and seen["TruncatedStreamError"] >= 1000
+    assert seen["decode_bits"] >= 1000 and seen["decode_symbols"] >= 1000
+
+
+def test_main_opening_with_ff_ff_ff_ff_is_refused():
+    # the coded value lies below 0xFFFFFFFF * 256**nb, so no encoder
+    # writes this opening, and a code register at the range would break
+    # the decoder's 0 <= code < range
+    for tail in (b"", bytes(8), b"\xff" * 8):
+        with pytest.raises(FieldValueError, match="opens with FF FF FF FF"):
+            RangeDecoder(b"\xff\xff\xff\xff" + tail)
+    # the greatest opening the decoder takes
+    assert RangeDecoder(b"\xff\xff\xff\xfe").decode_bits([]).shape == (0,)
+
+
+def test_symbol_target_in_the_unused_tail_is_refused():
+    # target 0xFFFFFFFE // 0xFFFF = 65536 lies in [65536 * (range >> 16),
+    # range), which no symbol owns: the masked reference clamped it to the
+    # last symbol and decoded on
+    data = b"\xff\xff\xff\xfe" + bytes(8)
+    tables = SymbolTables([gaussian_cdf_table(1.0, 4)])
+    ref = _ReferenceDecoder(data)
+    assert ref.decode_symbols(tables, [0]).tolist() == [8] and ref.clamped
+    with pytest.raises(FieldValueError, match="unused tail"):
+        RangeDecoder(data).decode_symbols(tables, [0])
+    # a bit splits the whole interval, so bits decode from the same bytes
+    assert RangeDecoder(data).decode_bits([1, 1]).tolist() == [1, 1]
+
+
+def test_highest_streams_open_below_ff_ff_ff_ff():
+    # every step takes the top slice of the interval: a one-bit at the
+    # least Prob16 of a zero, and each table's last symbol
+    tables = _shared_scale_bin_tables()
+    ids = np.arange(len(tables))
+    enc = RangeEncoder()
+    for _ in range(50):
+        enc.encode_bits(np.ones(40, dtype=np.uint8), np.ones(40, dtype=np.int64))
+        enc.encode_symbols(tables, ids, tables.size - 1)
+    data = enc.finish()
+    # each step's slice is a multiple of range >> 16, so the stream falls
+    # short of the top
+    assert data[:4] == b"\xff\xff\xfc\xf2"
+    dec = RangeDecoder(data)
+    for _ in range(50):
+        assert dec.decode_bits(np.ones(40, dtype=np.int64)).all()
+        assert np.array_equal(dec.decode_symbols(tables, ids), tables.size - 1)

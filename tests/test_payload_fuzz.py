@@ -4,8 +4,10 @@ Small containers of every payload in every mode get a few seeded bit flips
 each.  Every flipped container that ``container.read`` accepts is decoded,
 and the decode either succeeds or raises a typed subclass of
 MalformedStreamError: hostile bytes never surface as a config, input or
-guard error, nor as the bare base class."""
+guard error, nor as the bare base class.  The range decoder alone is fuzzed
+the same way, with random main sections under valid headers."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 
 from reproguard import GuardConfig, GuardMode, QuantGrid, container
 from reproguard import hyperprior, octree, raw_values
-from reproguard.errors import MalformedStreamError
+from reproguard.errors import FieldValueError, MalformedStreamError
 
 _RAW_VALUES = np.random.default_rng(3).normal(0.0, 0.3, 64)
 
@@ -85,3 +87,36 @@ def test_flipped_containers_decode_or_raise_malformed(seed):
     assert untyped == []
     # enough flips get past the reader for the decoders to be exercised
     assert outcomes["decoded"] + outcomes["malformed"] > 1000
+
+
+@pytest.mark.parametrize("payload", ["octree", "hyperprior"])
+def test_random_mains_under_valid_headers_raise_typed(payload):
+    # a valid stream's headers and flags with its main section replaced by
+    # random bytes, and by the two openings that would break the range
+    # decoder's code < range, which it refuses
+    rng = np.random.default_rng(7)
+    stream = BUILDERS[payload](GuardMode.FULL)
+    size = len(stream.main)
+    ff = b"\xff\xff\xff\xff" + bytes(size - 4)
+    tail = b"\xff\xff\xff\xfe" + bytes(size - 4)
+    with pytest.raises(FieldValueError, match="opens with FF FF FF FF"):
+        _decode(dataclasses.replace(stream, main=ff))
+    if payload == "hyperprior":
+        # the rounded z comes first, and its first target is 65536; a bit
+        # has no unused tail, so the octree decodes on
+        with pytest.raises(FieldValueError, match="unused tail"):
+            _decode(dataclasses.replace(stream, main=tail))
+    mains = [ff, tail]
+    mains += [rng.bytes(int(rng.integers(0, 2 * size))) for _ in range(TRIALS)]
+    outcomes = Counter()
+    untyped = []
+    for main in mains:
+        try:
+            _decode(dataclasses.replace(stream, main=main))
+            outcomes["decoded"] += 1
+        except Exception as exc:  # noqa: BLE001 - the fault under test
+            outcomes[type(exc).__name__] += 1
+            if not _typed(exc):
+                untyped.append(repr(exc))
+    assert untyped == []
+    assert outcomes["TruncatedStreamError"] and outcomes["FieldValueError"]
