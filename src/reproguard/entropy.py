@@ -50,8 +50,6 @@ __all__ = [
 _TOP = 1 << 24
 _RANGE0 = 0xFFFFFFFF  # the range a coder starts from
 _P16_ONE = 1 << 16
-_BLOCK_BITS = 4  # the inverse lookup resolves a target to a block of 16
-_TABLE_SHIFT = 16 - _BLOCK_BITS  # a table's blocks take the low 12 bits
 _ENDED = "range-coded stream ended early"
 _TAIL = "range-coded symbol falls in the unused tail of the interval"
 
@@ -112,18 +110,17 @@ class SymbolTables:
 
     @cached_property
     def inverse(self) -> memoryview:
-        """Decoder lookup: ``(t << 12) | (target >> 4)`` to the flat index of
-        the symbol that owns the first target of that 16-wide block of table
-        ``t``.  The decoder steps forward from there past the symbols that
-        start inside the block.  At 4 bytes an entry it takes 16 KiB a table.
+        """Decoder lookup: ``(t << 16) | target`` to the flat index of the
+        symbol of table ``t`` whose span holds ``target``, one entry per
+        target.  An entry takes 2 bytes while every flat index fits 16 bits,
+        128 KiB a table, and 4 bytes otherwise.
         """
-        # block b starts at target 16*b: a symbol owns the blocks that start
-        # inside its slice, and the end of each table owns none
-        first = (self.cum + (1 << _BLOCK_BITS) - 1) >> _BLOCK_BITS
-        owned = np.diff(first, append=0)
+        # the end of each table owns no target
+        owned = np.diff(self.cum, append=0)
         owned[self.base + self.size] = 0
-        symbols = np.arange(self.cum.shape[0], dtype=np.uintc)
-        return _uint32_view(np.repeat(symbols, owned))
+        n = self.cum.shape[0]
+        symbols = np.arange(n, dtype=np.uint16 if n <= 1 << 16 else np.uintc)
+        return memoryview(np.repeat(symbols, owned))
 
     def _checked_ids(self, table_ids) -> np.ndarray:
         t = np.asarray(table_ids, dtype=np.int64).reshape(-1)
@@ -227,7 +224,7 @@ class RangeDecoder:
     def decode_symbols(self, tables: SymbolTables, table_ids) -> np.ndarray:
         """One symbol per entry of ``table_ids``, each against its table."""
         t = tables._checked_ids(table_ids)
-        keys = _uint32_view(t << _TABLE_SHIFT)
+        keys = memoryview(t << 16)
         flat = _decode_symbols(self, keys, tables.inverse, tables.spans)
         return np.frombuffer(flat, dtype=np.uintc) - tables.base[t]
 
@@ -316,9 +313,9 @@ def _decode_symbols(
     inverse: memoryview,
     spans: list[tuple[int, int]],
 ) -> array:
-    """One symbol per key ``t << 12`` of its table, as flat indices (see
-    SymbolTables)."""
-    top, block_bits = _TOP, _BLOCK_BITS
+    """One symbol per key ``t << 16`` of its table, as flat indices (see
+    SymbolTables); the exact inverse gives each symbol in one lookup."""
+    top = _TOP
     out = array("I")
     put = out.append
     code, rng, byte = dec.code, dec.range, dec._byte
@@ -326,13 +323,10 @@ def _decode_symbols(
         for key in keys:
             r = rng >> 16
             target = code // r
-            if target > 65535:
+            if target > 65535:  # else it would index the next table
                 raise FieldValueError(_TAIL)
-            s = inverse[key | (target >> block_bits)]
+            s = inverse[key | target]
             lo, hi = spans[s]
-            while hi <= target:
-                s += 1
-                lo, hi = spans[s]
             code -= r * lo
             rng = r * (hi - lo)
             if rng < top:

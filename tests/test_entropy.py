@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
@@ -767,22 +768,54 @@ def _bisect(cum, targets):
 
 
 def test_inverse_lookup_matches_bisect_for_every_target():
-    tables = _scale_bin_tables()
-    assert len(tables) == 64
-    inverse = np.array(tables.inverse, dtype=np.int64)
-    cum = np.array(tables.cum, dtype=np.int64)
     targets = np.arange(65536, dtype=np.int64)
-    for t in range(len(tables)):
-        # the decoder's lookup: a block entry, then forward steps
-        s = inverse[(t << 12) | (targets >> 4)]
-        while True:
-            step = cum[s + 1] <= targets
-            if not step.any():
-                break
-            s += step
-        base = int(tables.base[t])
-        table_cum = cum[base: base + int(tables.size[t]) + 1]
-        assert np.array_equal(s - base, _bisect(table_cum, targets)), t
+    for tables in (_scale_bin_tables(), hyperprior._Z_TABLES):
+        inverse = np.array(tables.inverse, dtype=np.int64)
+        assert len(inverse) == 65536 * len(tables)
+        assert tables.inverse.itemsize == 2
+        for t in range(len(tables)):
+            s = inverse[(t << 16) | targets]
+            base = int(tables.base[t])
+            table_cum = tables.cum[base: base + int(tables.size[t]) + 1]
+            assert np.array_equal(s - base, _bisect(table_cum, targets)), t
+
+
+def test_symbol_tables_past_16_bit_flat_indices_roundtrip():
+    # two tables of 40,000 symbols: flat indices reach 80,000, so the
+    # inverse takes 4-byte entries, where 2-byte ones would wrap
+    cum = np.round(np.linspace(0, 65536, 40001)).astype(np.int64).tolist()
+    tables = SymbolTables([cum, cum])
+    assert tables.inverse.itemsize == 4
+    rng = np.random.default_rng(11)
+    n = 5000
+    table_ids = rng.integers(0, 2, n)
+    syms = rng.integers(0, 40000, n)
+    syms[:2], table_ids[:2] = 39999, 1  # the greatest flat index
+    enc = RangeEncoder()
+    enc.encode_symbols(tables, table_ids, syms)
+    got = RangeDecoder(enc.finish()).decode_symbols(tables, table_ids)
+    assert np.array_equal(got, syms)
+
+
+def test_symbol_decode_peak_memory_over_every_scale_bin():
+    # the inverse is built on the first decode: 2 bytes for each of the
+    # 65,536 targets of each of the 64 tables, 8 MiB.  The whole decode
+    # peaked at 8.14 MiB here; 4-byte entries would take 16 MiB
+    tables = _scale_bin_tables()
+    ids = np.arange(4096) % len(tables)
+    syms = np.minimum(tables.size[ids] - 1, np.arange(4096) % 65)
+    enc = RangeEncoder()
+    enc.encode_symbols(tables, ids, syms)
+    dec = RangeDecoder(enc.finish())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = dec.decode_symbols(tables, ids)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, syms)
+    assert peak <= 8.5 * 2**20
 
 
 def test_symbol_batch_roundtrip_over_every_scale_bin():
@@ -1056,7 +1089,9 @@ def test_finish_holds_few_stream_sized_copies():
 # ``0 <= code < range``: it masks the code register to 32 bits, indexes the
 # data by position, and decodes a symbol target past 65535 as 65535.  It
 # records that clamp, the one state where the decoders part: the decoder
-# raises a FieldValueError there instead.
+# raises a FieldValueError there instead.  It finds each symbol by a bisect
+# over its table's cumulative frequencies, so it shares no lookup with the
+# decoder.
 
 
 class _ReferenceDecoder:
@@ -1075,10 +1110,11 @@ class _ReferenceDecoder:
 
     def decode_symbols(self, tables, table_ids):
         t = np.asarray(table_ids, dtype=np.int64).reshape(-1)
-        flat = _reference_decode_symbols(
-            self, (t << 12).tolist(), tables.inverse, tables.spans
+        bounds = list(zip(tables.base.tolist(), (tables.base + tables.size).tolist()))
+        return np.array(
+            _reference_decode_symbols(self, t.tolist(), tables.cum.tolist(), bounds),
+            dtype=np.int64,
         )
-        return np.array(flat, dtype=np.int64) - tables.base[t]
 
 
 def _reference_decode_bits(dec, p16s):
@@ -1104,29 +1140,29 @@ def _reference_decode_bits(dec, p16s):
     return out
 
 
-def _reference_decode_symbols(dec, keys, inverse, spans):
+def _reference_decode_symbols(dec, table_ids, cum, bounds):
+    """Table ``t`` is ``cum[first : end + 1]`` for ``(first, end) = bounds[t]``;
+    each symbol is found by a bisect over its table."""
     top, mask = 1 << 24, _MASK32
     out = []
     code, rng, data, pos = dec.code, dec.range, dec._data, dec._pos
     try:
-        for key in keys:
+        for t in table_ids:
+            first, end = bounds[t]
             r = rng >> 16
             target = code // r
             if target > 65535:
                 target = 65535
                 dec.clamped = True
-            s = inverse[key | (target >> 4)]
-            lo, hi = spans[s]
-            while hi <= target:
-                s += 1
-                lo, hi = spans[s]
+            s = bisect_right(cum, target, first, end) - 1
+            lo, hi = cum[s], cum[s + 1]
             code -= r * lo
             rng = r * (hi - lo)
             while rng < top:
                 code = ((code << 8) | data[pos]) & mask
                 pos += 1
                 rng <<= 8
-            out.append(s)
+            out.append(s - first)
     except IndexError:
         raise TruncatedStreamError("range-coded stream ended early") from None
     dec.code, dec.range, dec._pos = code, rng, pos
