@@ -80,7 +80,8 @@ def _trial(payload, cfg, size, seed, pert, protect=True) -> str:
 
 def _cmd_encode_pc(args) -> int:
     cloud = octree.read_ply(args.input, bit_depth=args.depth)
-    cfg = octree.make_pc_config(args.epsilon, k=args.k, mode=args.mode)
+    mode = GuardMode[args.mode.upper()]
+    cfg = octree.make_pc_config(args.epsilon, k=args.k, mode=mode)
     stream = octree.encode(cloud, cfg, protect=not args.no_protect)
     container.write_file(args.output, stream)
     bpp = len(stream.main) * 8.0 / len(cloud)

@@ -50,7 +50,6 @@ __all__ = [
     "read_file",
     "check_grid",
     "check_latent_dims",
-    "guarded_stream",
     "config_for_stream",
     "open_stream",
 ]
@@ -146,22 +145,6 @@ def check_grid(
     rebuild = _FRAMES[_KINDS[type(header)]].grid
     if rebuild(header) != grid:
         raise ConfigError(f"a {type(header).__name__} cannot carry the guard grid")
-
-
-def guarded_stream(
-    cfg: GuardConfig, flag_count: int, safeguard: bytes,
-    payload: OctreeHeader | HyperpriorHeader | RawHeader, main: bytes,
-) -> GuardedStream:
-    """The stream of ``payload`` guarded by ``cfg``, with ``safeguard`` its
-    ``flag_count`` coded flags."""
-    return GuardedStream(
-        mode=cfg.mode,
-        epsilon=cfg.epsilon,
-        flag_count=flag_count,
-        payload=payload,
-        safeguard=safeguard,
-        main=main,
-    )
 
 
 def config_for_stream(stream: GuardedStream) -> GuardConfig:

@@ -26,7 +26,6 @@ from .container import (
     PayloadKind,
     check_grid,
     check_latent_dims,
-    guarded_stream,
     open_stream,
 )
 from .entropy import (
@@ -48,7 +47,7 @@ from .quantizer import (
 from .safeguard import (
     GuardConfig,
     GuardMode,
-    _guard_decode as guard_decode_array,
+    guard_decode_array,
     guard_encode_array,
 )
 
@@ -71,7 +70,7 @@ _Z_MIN_BITS = math.log2(65536 / int(np.diff(_Z_TABLES.cum).max()))
 
 
 def make_image_config(
-    epsilon: float, mode: GuardMode | str = GuardMode.CENTER
+    epsilon: float, mode: GuardMode = GuardMode.CENTER
 ) -> GuardConfig:
     return GuardConfig(grid=default_scale_table(), epsilon=epsilon, mode=mode)
 
@@ -198,7 +197,9 @@ def encode(lat: LatentGrid, cfg: GuardConfig, protect: bool = True) -> GuardedSt
     enc.encode_symbols(tables, table_ids, syms)
 
     safeguard = encode_flags(fr, fd, cfg.mode)
-    return guarded_stream(cfg, len(fr), safeguard, header, enc.finish())
+    return GuardedStream(
+        cfg.mode, cfg.epsilon, len(fr), header, safeguard, enc.finish()
+    )
 
 
 def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> np.ndarray:

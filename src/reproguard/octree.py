@@ -30,7 +30,6 @@ from .container import (
     PayloadKind,
     _check_depth,
     check_grid,
-    guarded_stream,
     open_stream,
 )
 from .entropy import (
@@ -50,7 +49,7 @@ from .quantizer import QuantGrid
 from .safeguard import (
     GuardConfig,
     GuardMode,
-    _guard_decode as guard_decode_array,
+    guard_decode_array,
     guard_encode_array,
 )
 
@@ -301,7 +300,7 @@ _GROUP_BUDGET = 1 << 15
 
 
 def make_pc_config(
-    epsilon: float, k: int = 250, mode: GuardMode | str = GuardMode.CENTER
+    epsilon: float, k: int = 250, mode: GuardMode = GuardMode.CENTER
 ) -> GuardConfig:
     """Probability grid q = 1/k on [0, 1] with both edges clipped."""
     if k < 1:
@@ -381,7 +380,9 @@ def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> Guarded
     _walk(n, len(cloud), code_level)
     fr = np.concatenate(fr_parts)
     safeguard = encode_flags(fr, np.concatenate(fd_parts), cfg.mode)
-    return guarded_stream(cfg, len(fr), safeguard, header, enc.finish())
+    return GuardedStream(
+        cfg.mode, cfg.epsilon, len(fr), header, safeguard, enc.finish()
+    )
 
 
 def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> VoxelCloud:

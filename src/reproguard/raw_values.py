@@ -18,13 +18,11 @@ from .container import (
     PayloadKind,
     RawHeader,
     check_grid,
-    guarded_stream,
     open_stream,
 )
 from .entropy import encode_flags
 from .errors import FieldValueError, InvalidInputError
-from .safeguard import GuardConfig, guard_encode_array
-from .safeguard import _guard_decode as guard_decode_array
+from .safeguard import GuardConfig, guard_decode_array, guard_encode_array
 
 __all__ = ["encode_values", "decode_values", "reference_values"]
 
@@ -39,7 +37,9 @@ def encode_values(values: np.ndarray, cfg: GuardConfig) -> GuardedStream:
     if sys.byteorder == "little":
         v_out.byteswap(inplace=True)
     safeguard = encode_flags(fr, fd, cfg.mode)
-    return guarded_stream(cfg, len(fr), safeguard, header, v_out.tobytes())
+    return GuardedStream(
+        cfg.mode, cfg.epsilon, len(fr), header, safeguard, v_out.tobytes()
+    )
 
 
 def reference_values(stream: GuardedStream) -> np.ndarray:

@@ -16,9 +16,10 @@ doubles.  Both sides get bin centers from one blocked pass over the values
 in ``quantizer``, which also checks them; the encoder's pass also picks the
 candidates, the values near a boundary, and the grid's exact kernel gives
 nearest boundaries and their distances of those alone, a small share of
-them (about 2*epsilon/q).  The decoder works from the positions of the
-risky flags, as ``FlagReader.take`` hands them out: past the one pass it
-touches the flagged values alone, and builds no per-value flag mask.
+them (about 2*epsilon/q).  The decoder takes the flat positions of the
+risky flags, strictly ascending, as ``FlagReader.take`` hands them out:
+past the one pass it touches the flagged values alone, and builds no
+per-value flag mask.
 Boundary indices, boundary values and protected values are built for the
 risky values alone.  A boundary on a domain edge is never risky, since
 values beyond it clamp onto it; a stream with a risky flag there is
@@ -59,15 +60,6 @@ class GuardMode(enum.IntEnum):
     CENTER = 3
 
 
-def parse_mode(name: str | GuardMode) -> GuardMode:
-    if isinstance(name, GuardMode):
-        return name
-    try:
-        return GuardMode[name.upper()]
-    except (KeyError, AttributeError):
-        raise ConfigError(f"unknown guard mode {name!r}") from None
-
-
 @dataclass(frozen=True)
 class GuardConfig:
     """Grid, margin and mode; values are clipped to the grid's domain."""
@@ -78,7 +70,8 @@ class GuardConfig:
 
     def __post_init__(self) -> None:
         validate(self.grid, self.epsilon)
-        object.__setattr__(self, "mode", parse_mode(self.mode))
+        if not isinstance(self.mode, GuardMode):
+            raise ConfigError(f"guard mode {self.mode!r} is not a GuardMode")
 
 
 def _protected(
@@ -134,30 +127,24 @@ def guard_encode_array(
     return v_out, f_r, f_d
 
 
-def guard_decode_array(cfg: GuardConfig, v_prime, f_r, f_d=()) -> np.ndarray:
+def guard_decode_array(cfg: GuardConfig, v_prime, at, f_d=()) -> np.ndarray:
     """Reproduce the encoder's protected values from perturbed copies.
 
-    In FULL mode ``f_d`` holds one direction bit per risky flag, in flag
-    order; a length other than the risky count raises InvalidInputError.  A
-    risky flag on a domain edge, or a value whose bin index reaches 2**53,
-    raises FieldValueError."""
-    v = np.asarray(v_prime, dtype=np.float64)
-    f_r = np.asarray(f_r)
-    if f_r.shape != v.shape:
-        raise InvalidInputError("flag array shape mismatch")
-    return _guard_decode(cfg, v, np.flatnonzero(f_r), f_d)
-
-
-def _guard_decode(cfg: GuardConfig, v_prime, at: np.ndarray, f_d=()) -> np.ndarray:
-    """:func:`guard_decode_array` given ``at``, the flat positions, ascending,
-    of the risky flags, as ``FlagReader.take`` hands them out.
-
-    Past the one pass that gives every bin center, work touches the flagged
-    values alone.  The payload decoders bind this as ``guard_decode_array``,
-    the name under which a per-layer trace times the guard's decode.
+    ``at`` holds the flat positions of the risky flags, strictly ascending,
+    as ``FlagReader.take`` hands them out; anything else, such as the
+    encoder's dense flag array, raises InvalidInputError.  In FULL mode
+    ``f_d`` holds one direction bit per risky flag, in flag order; a length
+    other than the risky count raises InvalidInputError.  A risky flag on a
+    domain edge, or a value whose bin index reaches 2**53, raises
+    FieldValueError.  Past the one pass that gives every bin center, work
+    touches the flagged values alone.
     """
     grid = cfg.grid
     v = np.asarray(v_prime, dtype=np.float64)
+    if not (isinstance(at, np.ndarray) and at.ndim == 1 and at.dtype.kind == "i"):
+        raise InvalidInputError("risky positions must be a 1-d signed-integer array")
+    if at.size and not (0 <= at[0] and at[-1] < v.size and np.all(at[1:] > at[:-1])):
+        raise InvalidInputError("risky positions must ascend strictly in [0, v.size)")
     v_out = _bins(grid, v, range_error=FieldValueError, center=True)[0]
     if not at.size:
         return v_out

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reproguard import cli, hyperprior, octree
+from reproguard import cli, container, hyperprior, octree
 from reproguard.safeguard import GuardMode
 
 
@@ -38,6 +38,16 @@ class TestEncodeDecode:
                        "--perturb-e", "5e-7", "--perturb-seed", seed)
             assert code == 0
             assert "EXACT" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["full", "center"])
+    def test_mode_option_names_the_stream_mode(self, name, small_ply, tmp_path, capsys):
+        rgd = tmp_path / "c.rgd"
+        assert run("encode-pc", "--input", str(small_ply), "--output", str(rgd),
+                   "--mode", name) == 0
+        assert container.read_file(rgd).mode is GuardMode[name.upper()]
+        assert run("decode-pc", "--input", str(rgd), "--expect", str(small_ply),
+                   "--perturb-e", "5e-7") == 0
+        assert "EXACT" in capsys.readouterr().out
 
     def test_zero_perturbation_is_exact(self, small_ply, tmp_path, capsys):
         rgd = tmp_path / "c.rgd"

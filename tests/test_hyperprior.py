@@ -174,7 +174,7 @@ class TestHyperSynthesis:
             from reproguard.safeguard import guard_decode_array
 
             shifted = np.clip(sig + delta, *cfg.grid.domain)
-            got = guard_decode_array(cfg, shifted, fr, fd)
+            got = guard_decode_array(cfg, shifted, np.flatnonzero(fr), fd)
             assert np.array_equal(quantize_array(cfg.grid, got), idx)
 
     def test_lowest_boundary_never_risky(self):

@@ -16,11 +16,12 @@ from reproguard.safeguard import (
     GuardMode,
     guard_decode_array,
     guard_encode_array,
-    parse_mode,
 )
 
 GRID = QuantGrid.uniform(0.01)
 EPS = 0.001
+AT0 = np.array([0])  # the risky positions of a batch whose first value is risky
+NO_RISKY = np.empty(0, dtype=np.int64)
 
 ALL_MODES = list(GuardMode)
 
@@ -77,7 +78,7 @@ def test_center_major_outputs_boundary():
 
 
 def test_decode_full_left_direction():
-    assert guard_decode_array(cfg_for(GuardMode.FULL), [0.0197], [1], [0])[0] == 0.015
+    assert guard_decode_array(cfg_for(GuardMode.FULL), [0.0197], AT0, [0])[0] == 0.015
 
 
 # LeftMajor's and RightMajor's rules, the bin below or above, are FULL's two
@@ -85,26 +86,30 @@ def test_decode_full_left_direction():
 
 
 def test_left_major_shifts_left_even_from_the_right():
-    assert guard_decode_array(cfg_for(GuardMode.FULL), [0.0203], [1], [0])[0] == 0.015
+    assert guard_decode_array(cfg_for(GuardMode.FULL), [0.0203], AT0, [0])[0] == 0.015
 
 
 def test_right_major_mirrors():
-    assert guard_decode_array(cfg_for(GuardMode.FULL), [0.0197], [1], [1])[0] == 0.025
+    assert guard_decode_array(cfg_for(GuardMode.FULL), [0.0197], AT0, [1])[0] == 0.025
 
 
 def test_decode_safe_path():
-    assert guard_decode_array(cfg_for(GuardMode.FULL), [0.0168], [0])[0] == 0.015
+    assert guard_decode_array(cfg_for(GuardMode.FULL), [0.0168], NO_RISKY)[0] == 0.015
 
 
 def test_decode_center_major():
-    assert guard_decode_array(cfg_for(GuardMode.CENTER), [0.0186], [1])[0] == 0.02
+    assert guard_decode_array(cfg_for(GuardMode.CENTER), [0.0186], AT0)[0] == 0.02
 
 
 def test_decode_full_missing_direction():
-    # one direction bit per risky flag: none, two or a 2-d one are refused
-    for f_d in ([], [0, 1], [[0]]):
-        with pytest.raises(InvalidInputError):
-            guard_decode_array(cfg_for(GuardMode.FULL), [0.0203, 0.0168], [1, 0], f_d)
+    # one direction bit per risky position: too few, too many or a 2-d array
+    # of them are refused
+    cfg, v = cfg_for(GuardMode.FULL), [0.0203, 0.0168, 0.0197]
+    at2 = np.array([0, 2])
+    cases = [(AT0, []), (AT0, [0, 1]), (AT0, [[0]]), (at2, [1]), (at2, [1, 0, 1])]
+    for at, f_d in cases:
+        with pytest.raises(InvalidInputError, match="direction bit"):
+            guard_decode_array(cfg, v, at, f_d)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +169,7 @@ def test_guarantee_randomized(mode, q, eps):
     delta = rng.uniform(-0.999 * eps, 0.999 * eps, v.shape[0])
 
     v_out, fr, fd = guard_encode_array(cfg, v)
-    got = guard_decode_array(cfg, v + delta, fr, fd)
+    got = guard_decode_array(cfg, v + delta, np.flatnonzero(fr), fd)
     assert np.array_equal(
         v_out.view(np.uint64), got.view(np.uint64)
     ), "decoder output differs bitwise"
@@ -188,7 +193,7 @@ def test_guarantee_table_grid(mode):
     delta = rng.uniform(-0.999 * eps, 0.999 * eps, v.shape[0])
 
     v_out, fr, fd = guard_encode_array(cfg, v)
-    got = guard_decode_array(cfg, v + delta, fr, fd)
+    got = guard_decode_array(cfg, v + delta, np.flatnonzero(fr), fd)
     assert np.array_equal(v_out.view(np.uint64), got.view(np.uint64))
 
 
@@ -201,7 +206,7 @@ def test_zero_d_risky_value_on_a_table_grid(mode):
     want, want_fr, want_fd = guard_encode_array(cfg, v.reshape(1))
     assert np.shape(v_out) == () and int(fr) == want_fr[0] == 1
     assert v_out.item() == want[0] and np.array_equal(fd, want_fd)
-    got = guard_decode_array(cfg, np.asarray(v - 5e-5), fr, fd)
+    got = guard_decode_array(cfg, np.asarray(v - 5e-5), np.flatnonzero(fr), fd)
     assert isinstance(got, np.ndarray) and got.shape == ()
     assert got.view(np.uint64) == v_out.view(np.uint64)
 
@@ -216,7 +221,7 @@ def test_guarantee_scalar(mode, v, u):
     grid = QuantGrid.uniform(0.01, domain=(0.0, 1.0))
     cfg = GuardConfig(grid=grid, epsilon=0.001, mode=mode)
     v_out, fr, fd = guard_encode_array(cfg, [v])
-    got = guard_decode_array(cfg, [v + u * 0.001], fr, fd)
+    got = guard_decode_array(cfg, [v + u * 0.001], np.flatnonzero(fr), fd)
     assert got[0] == v_out[0]
 
 
@@ -303,13 +308,39 @@ def test_config_requires_margin():
         GuardConfig(grid=QuantGrid.uniform(0.004), epsilon=0.002)
 
 
-def test_parse_mode_accepts_names_only():
-    assert parse_mode("center") == GuardMode.CENTER
-    assert parse_mode(GuardMode.FULL) == GuardMode.FULL
-    # a wire value is the container's to read; the one-sided modes are gone
-    for gone in ("sideways", "left", "right", 0, 3, 1, 2):
+def test_config_takes_guard_modes_only():
+    # a mode is a GuardMode: its name is the CLI's to convert, its wire value
+    # the container's to read, and the one-sided modes are gone
+    assert cfg_for(GuardMode.FULL).mode is GuardMode.FULL
+    for other in ("center", 3, "sideways", "left", 0, 1, 2):
         with pytest.raises(ConfigError):
-            parse_mode(gone)
+            cfg_for(other)
+
+
+# ---------------------------------------------------------------------------
+# risky positions: the decode's one form of the flags
+
+V4 = np.array([0.0197, 0.0168, 0.0203, 0.0168])  # risky, safe, risky, safe
+_, F_R, _ = guard_encode_array(cfg_for(GuardMode.CENTER), V4)
+
+NOT_POSITIONS = {
+    "dense-uint8-flags": F_R,
+    "bool-mask": F_R.astype(bool),
+    "float": np.array([0.0, 2.0]),
+    "2-d": np.array([[0, 2]]),
+    "negative": np.array([-1, 2]),
+    "at-size": np.array([0, 4]),
+    "repeated": np.array([0, 2, 2]),
+    "descending": np.array([2, 0]),
+}
+
+
+@pytest.mark.parametrize("name", NOT_POSITIONS)
+def test_decode_takes_strictly_ascending_positions_only(name):
+    # the encoder's dense flags and every other misreadable form are refused
+    assert np.array_equal(np.flatnonzero(F_R), [0, 2])
+    with pytest.raises(InvalidInputError, match="risky positions"):
+        guard_decode_array(cfg_for(GuardMode.CENTER), V4, NOT_POSITIONS[name])
 
 
 def test_decode_array_requires_directions_in_full_mode():
@@ -317,4 +348,4 @@ def test_decode_array_requires_directions_in_full_mode():
     v = np.array([0.0195])
     _, fr, fd = guard_encode_array(cfg, v)
     with pytest.raises(InvalidInputError):
-        guard_decode_array(cfg, v, fr, None)
+        guard_decode_array(cfg, v, np.flatnonzero(fr), None)

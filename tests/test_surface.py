@@ -40,7 +40,10 @@ PACKAGE_ALL = [
 # the grid), the boundary-table grid (every grid is uniform), the guard's
 # second name for the grid's domain, the sweep's SVG plot of its CSV, and
 # the hyperprior header's raw z doubles with the error only their length
-# raised (the rounded z is coded in main).
+# raised (the rounded z is coded in main), the guard decode's private core
+# behind a dense-flag adapter (the decode takes risky positions), a stream
+# builder that only renamed GuardedStream's fields, and the mode parser
+# (a mode is a GuardMode).
 DELETED = [
     "entropy.RangeEncoder.encode_bit",
     "entropy.RangeEncoder.encode_symbol",
@@ -90,6 +93,9 @@ DELETED = [
     "container.HyperpriorHeader.z_blob",
     "container._z_len",
     "errors.LengthOverflowError",
+    "safeguard._guard_decode",
+    "container.guarded_stream",
+    "safeguard.parse_mode",
 ]
 
 
@@ -108,6 +114,16 @@ def test_deleted_name_stays_deleted(path):
         assert attrs[-1] not in {f.name for f in dataclasses.fields(owner)}
     assert attrs[-1] not in reproguard.__all__
     assert attrs[-1] not in getattr(owner, "__all__", ())
+
+
+@pytest.mark.parametrize("module", ["octree", "hyperprior", "raw_values"])
+def test_payloads_bind_the_public_guard_and_flag_coder(module):
+    # a per-layer trace wraps these names in each payload module, so each
+    # must be the public function itself, not a private alias of its core
+    payload = importlib.import_module(f"reproguard.{module}")
+    assert payload.guard_encode_array is reproguard.safeguard.guard_encode_array
+    assert payload.guard_decode_array is reproguard.safeguard.guard_decode_array
+    assert payload.encode_flags is reproguard.entropy.encode_flags
 
 
 def test_package_exports_resolve():

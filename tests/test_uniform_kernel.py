@@ -30,7 +30,6 @@ from reproguard.raw_values import decode_values, encode_values
 from reproguard.safeguard import (
     GuardConfig,
     GuardMode,
-    _guard_decode,
     guard_decode_array,
     guard_encode_array,
 )
@@ -239,9 +238,10 @@ def test_guard_matches_the_int_path(name, case):
                 expected = _ref_decode(cfg, vp, f_r, fd)
             except FieldValueError:
                 with pytest.raises(FieldValueError):
-                    guard_decode_array(cfg, vp, f_r, fd)
+                    guard_decode_array(cfg, vp, np.flatnonzero(f_r), fd)
             else:
-                assert _same(guard_decode_array(cfg, vp, f_r, fd), expected)
+                got = guard_decode_array(cfg, vp, np.flatnonzero(f_r), fd)
+                assert _same(got, expected)
 
 
 @pytest.mark.parametrize("name", ["q0.1-free", "q0.015625-dom"])
@@ -256,7 +256,8 @@ def test_guard_matches_the_int_path_across_kernel_blocks(name):
         assert _same(g, w)
     _, f_r, f_d = _ref_encode(cfg, v)
     vp = v + 0.5 * cfg.epsilon
-    assert _same(guard_decode_array(cfg, vp, f_r, f_d), _ref_decode(cfg, vp, f_r, f_d))
+    got = guard_decode_array(cfg, vp, np.flatnonzero(f_r), f_d)
+    assert _same(got, _ref_decode(cfg, vp, f_r, f_d))
 
 
 def test_some_values_need_the_one_ulp_repair():
@@ -458,7 +459,7 @@ def _raw_decode(cfg, v):
 # entry point: (call on a config and values, whether it decodes)
 ENTRIES = {
     "guard_decode_array": (
-        lambda cfg, v: guard_decode_array(cfg, v, np.zeros(v.size, np.uint8)),
+        lambda cfg, v: guard_decode_array(cfg, v, np.empty(0, np.int64)),
         True,
     ),
     "guard_encode_array": (guard_encode_array, False),
@@ -527,15 +528,14 @@ def test_octree_decode_checks_the_last_block(x, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# risky positions: the decoders' path and the public dense one
+# risky positions, as a FlagReader hands them out chunk by chunk
 
 
 @pytest.mark.parametrize("mode", [GuardMode.FULL, GuardMode.CENTER])
-def test_positions_and_dense_flags_decode_alike(mode):
+def test_flag_reader_chunks_decode_to_the_encoders_output(mode):
     # [1/8]'s cases: values planted around boundaries, decoded from copies
-    # drifted by up to 0.999 epsilon.  The core, given the positions a
-    # FlagReader hands out chunk by chunk, gives the bytes of the public
-    # decode given the encoder's dense flags, and both the encoder's output
+    # drifted by up to 0.999 epsilon.  The decode, given the positions a
+    # FlagReader hands out chunk by chunk, gives the encoder's output
     rng = np.random.default_rng(8)
     for q, eps in ((0.004, 1e-5), (0.008, 1e-6)):
         cfg = GuardConfig(grid=QuantGrid.uniform(q), epsilon=eps, mode=mode)
@@ -548,16 +548,14 @@ def test_positions_and_dense_flags_decode_alike(mode):
         v = rng.permutation(v)
         vp = v + rng.uniform(-0.999 * eps, 0.999 * eps, n)
         v_out, f_r, f_d = guard_encode_array(cfg, v)
-        dense = guard_decode_array(cfg, vp, f_r, f_d)
         reader = FlagReader(encode_flags(f_r, f_d, mode), n, mode)
         cuts = np.unique(np.concatenate([[0, n], rng.integers(0, n, 5)]))
         parts = []
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             at, fd = reader.take(int(hi - lo))
-            parts.append(_guard_decode(cfg, vp[lo:hi], at, fd))
+            parts.append(guard_decode_array(cfg, vp[lo:hi], at, fd))
         assert np.count_nonzero(f_r) > 100
-        assert _same(np.concatenate(parts), dense)
-        assert _same(dense, v_out)
+        assert _same(np.concatenate(parts), v_out)
 
 
 # ---------------------------------------------------------------------------
@@ -609,5 +607,4 @@ def test_guard_decode_of_values_beyond_the_domain_peak_memory():
     # the whole input peaked at 16.2 MiB here
     cfg = octree.make_pc_config(1e-6)
     p = np.random.default_rng(2).uniform(-0.01, 1.01, _N)
-    f_r = np.zeros(_N, dtype=np.uint8)
-    assert _traced_peak(guard_decode_array, cfg, p, f_r) <= 9.0
+    assert _traced_peak(guard_decode_array, cfg, p, np.empty(0, np.int64)) <= 9.0
