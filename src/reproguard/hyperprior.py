@@ -153,10 +153,13 @@ def hyper_synthesis(z: np.ndarray) -> np.ndarray:
 
 
 def quantize_latents(y: np.ndarray) -> np.ndarray:
-    """Round to integers and clamp to the coded alphabet."""
-    q = np.rint(np.asarray(y, dtype=np.float64)).astype(np.int64)
-    np.clip(q, -_AMPLITUDE, _AMPLITUDE, out=q)
-    return q
+    """Round to integers and clamp to the coded alphabet.  The clamp comes
+    before the cast, so values past the int64 range keep their sign."""
+    r = np.rint(np.asarray(y, dtype=np.float64))
+    if not np.all(np.isfinite(r)):
+        raise InvalidInputError("latents must be finite")
+    np.clip(r, -_AMPLITUDE, _AMPLITUDE, out=r)
+    return r.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

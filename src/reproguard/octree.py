@@ -9,10 +9,13 @@ context once: every term but the count of coded siblings.  The coding
 order is the same on both sides, but the decoder codes one pass at a time,
 adding only the coded-sibling term, since each pass needs the bits of the
 passes before it, while the encoder knows every bit in advance and codes a
-whole group per call, taking each level's occupancy from the leaf codes
-and the walk's parents.  Every predicted occupancy probability is a
-coder-critical value: it is safeguarded, and the entropy coder only ever
-sees the protected copy.
+whole group per call.  The encoder builds every level's occupancy before
+the walk, in one bottom-up pass over distinct nodes: a level's nodes,
+shifted right by 3, are the level above with each node repeated in a run,
+so the work per level follows that level's node count.  The pass relies on
+the leaf codes being sorted and unique, which ``VoxelCloud`` checks.  Every
+predicted occupancy probability is a coder-critical value: it is
+safeguarded, and the entropy coder only ever sees the protected copy.
 """
 
 from __future__ import annotations
@@ -118,13 +121,28 @@ def morton_decode(codes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VoxelCloud:
-    """Deduplicated voxels of a point cloud, Morton-sorted."""
+    """Deduplicated voxels of a point cloud, Morton-sorted.
+
+    ``codes`` is a non-empty 1-d uint64 array, strictly ascending, each code
+    below ``1 << 3 * bit_depth``; anything else raises InvalidInputError.
+    The encoder relies on it: it takes every level's nodes from the leaf
+    codes in one bottom-up pass that drops a shifted node only where it
+    repeats the node before it."""
 
     bit_depth: int
     codes: np.ndarray  # sorted unique uint64
 
     def __post_init__(self) -> None:
         _check_depth(self.bit_depth)
+        c = self.codes
+        if not isinstance(c, np.ndarray) or c.dtype != np.uint64 or c.ndim != 1:
+            raise InvalidInputError("codes must be a 1-d uint64 array")
+        if c.shape[0] < 1:
+            raise InvalidInputError("codes must be non-empty")
+        if not np.all(c[1:] > c[:-1]):
+            raise InvalidInputError("codes must be strictly ascending")
+        if int(c[-1]) >> (3 * self.bit_depth):
+            raise InvalidInputError("a code lies outside the bit depth's grid")
 
     def __len__(self) -> int:
         return int(self.codes.shape[0])
@@ -347,6 +365,28 @@ def _walk(bit_depth: int, point_count: int, code_level) -> tuple:
         siblings = occ.sum(axis=0, dtype=np.uint8)[at]
 
 
+def _occupancies(codes: np.ndarray, bit_depth: int) -> list[np.ndarray]:
+    """Every level's (8, parents) occupancy, leaf level first, in one
+    bottom-up pass from the sorted unique leaf codes.  A level's parents are
+    its nodes shifted right by 3 with repeats dropped; the nodes are sorted,
+    so repeats form runs, and a node's parent index is the count of run
+    starts up to it, less one.  Each level costs O(its node count)."""
+    occs = []
+    nodes = codes
+    for _ in range(bit_depth):
+        up = nodes >> _U(3)
+        start = np.empty(up.shape[0], dtype=bool)
+        start[0] = True
+        np.not_equal(up[1:], up[:-1], out=start[1:])
+        at = np.cumsum(start)
+        at -= 1
+        occ = np.zeros((8, int(at[-1]) + 1), dtype=np.uint8)
+        occ[nodes & _U(7), at] = 1
+        occs.append(occ)
+        nodes = up[start]
+    return occs
+
+
 def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> GuardedStream:
     """Code a voxel cloud; returns the container object."""
     n = cloud.bit_depth
@@ -356,15 +396,15 @@ def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> Guarded
     # an unprotected stream keeps just these empty flag arrays
     fr_parts = [np.empty(0, dtype=np.uint8)]
     fd_parts = [np.empty(0, dtype=np.uint8)]
+    # root level last, so the walk pops them in its order and each is freed
+    # once the walk has taken the next level from it
+    occs = _occupancies(cloud.codes, n)
 
     def code_level(depth, parents, groups):
         # every child's occupancy is known, so a child's coded siblings are
         # an exclusive cumsum over octants, and a group of octant passes
-        # codes in one call, in the order the decoder codes them one by one;
-        # the level's children are the leaves' ancestors, sorted with repeats
-        children = cloud.codes >> _U(3 * (n - depth))
-        occ = np.zeros((8, parents.shape[0]), dtype=np.uint8)
-        occ[children & _U(7), np.searchsorted(parents, children >> _U(3))] = 1
+        # codes in one call, in the order the decoder codes them one by one
+        occ = occs.pop()
         coded = np.cumsum(occ, axis=0, dtype=np.uint8) - occ
         for terms in groups:
             rows = slice(terms.octants.start, terms.octants.stop)

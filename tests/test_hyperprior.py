@@ -197,6 +197,27 @@ class TestQuantizeLatents:
         y = np.array([[1e9, -1e9, 32.7]])
         assert quantize_latents(y).tolist() == [[32, -32, 32]]
 
+    def test_values_past_int64_keep_their_sign(self):
+        y = np.array([1e300, 1e19, 9.3e18, 2.0**63, -1e300, -1e19, -9.3e18])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quantize_latents(y)
+        assert got.tolist() == [32, 32, 32, 32, -32, -32, -32]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            quantize_latents(np.array([0.0, bad]))
+
+    def test_huge_latents_decode_to_the_alphabet_edge(self):
+        lat = synth_latents(16, 16, 3, seed=4)
+        y = lat.y.copy()
+        y[0, 0, 0], y[5, 7, 1], y[15, 15, 2] = 1e300, 9.3e18, -1e19
+        lat = LatentGrid(y=y, z=lat.z, sigma_true=lat.sigma_true)
+        out = decode(encode(lat, make_image_config(1e-4)))
+        assert np.array_equal(out, quantize_latents(y))
+        assert [out[0, 0, 0], out[5, 7, 1], out[15, 15, 2]] == [32, 32, -32]
+
 
 class TestCodec:
     def test_plain_roundtrip(self):

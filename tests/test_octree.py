@@ -121,6 +121,38 @@ class TestVoxelize:
         assert np.all(np.diff(cloud.codes.astype(np.int64)) > 0)
 
 
+def _codes(*values):
+    return np.array(values, dtype=np.uint64)
+
+
+class TestVoxelCloudInvariant:
+    # depth 6: codes lie in [0, 2**18)
+    @pytest.mark.parametrize("codes", [
+        _codes(3, 3, 9),
+        _codes(9, 3),
+        _codes(1 << 18),
+        _codes(1 << 40),
+        np.array([1, 2], dtype=np.int64),
+        np.array([1, 2], dtype=np.uint32),
+        np.array([1.0, 2.0]),
+        _codes(),
+        _codes(1, 2).reshape(1, 2),
+        [1, 2],
+    ], ids=[
+        "repeated", "descending", "at-the-grid", "far-past-the-grid", "int64",
+        "uint32", "float", "empty", "2-d", "list",
+    ])
+    def test_codes_outside_the_invariant_are_rejected(self, codes):
+        with pytest.raises(InvalidInputError):
+            VoxelCloud(bit_depth=6, codes=codes)
+
+    @pytest.mark.parametrize("depth", [1, 6, 21])
+    def test_the_grids_last_code_is_accepted(self, depth):
+        last = (1 << 3 * depth) - 1
+        cloud = VoxelCloud(bit_depth=depth, codes=_codes(0, last))
+        assert len(cloud) == 2
+
+
 class TestSynth:
     def test_deterministic(self):
         a = synth_cloud("dense", 10, 100_000, 7)
@@ -418,6 +450,57 @@ def reference_encode(cloud, cfg, protect):
         safeguard=encode_flags(fr, fd, cfg.mode),
         main=enc.finish(),
     )
+
+
+def reference_coded_siblings(cloud):
+    """(depth, octant, parent count, coded siblings) of every octant pass,
+    each level's occupancy found as the encoder once found it: every leaf
+    code shifted to the level's depth and placed under its parent by a
+    binary search, the parents of the next level taken by ``np.unique``."""
+    n = cloud.bit_depth
+    parents = np.zeros(1, dtype=np.uint64)
+    rows = []
+    for depth in range(1, n + 1):
+        children = cloud.codes >> np.uint64(3 * (n - depth))
+        occ = np.zeros((8, parents.shape[0]), dtype=np.uint8)
+        at = np.searchsorted(parents, children >> np.uint64(3))
+        occ[children & np.uint64(7), at] = 1
+        coded = np.cumsum(occ, axis=0, dtype=np.uint8) - occ
+        rows += [(depth, o, parents.shape[0], coded[o]) for o in range(8)]
+        parents = np.unique(children)
+    return rows
+
+
+def corner_voxel(depth):
+    side = (1 << depth) - 1
+    return VoxelCloud.from_voxels(np.array([[side, side, side]]), depth)
+
+
+PASS_CLOUDS = {
+    "one-voxel-depth1": lambda: VoxelCloud.from_voxels(np.array([[1, 0, 1]]), 1),
+    "full-depth1": lambda: VoxelCloud.from_voxels(
+        np.argwhere(np.ones((2, 2, 2), dtype=bool)), 1
+    ),
+    "corner-depth1": lambda: corner_voxel(1),
+    "corner-depth10": lambda: corner_voxel(10),
+    "corner-depth21": lambda: corner_voxel(21),
+    "sparse-depth12": lambda: synth_cloud("sparse", 12, 2000, 9),
+    "sparse-depth21": lambda: synth_cloud("sparse", 21, 2000, 4),
+    "dense-depth10": lambda: synth_cloud("dense", 10, 100_000, 1),
+}
+
+
+class TestBottomUpOccupancy:
+    @pytest.mark.parametrize("cloud_name", list(PASS_CLOUDS))
+    def test_coded_siblings_equal_a_per_level_search(self, monkeypatch, cloud_name):
+        cloud = PASS_CLOUDS[cloud_name]()
+        passes = record_passes(monkeypatch)
+        stream = encode(cloud, make_pc_config(1e-6))
+        want = reference_coded_siblings(cloud)
+        assert [row[:3] for row in passes] == [row[:3] for row in want]
+        for got, ref in zip(passes, want):
+            assert np.array_equal(got[3], ref[3])
+        assert np.array_equal(decode(stream).codes, cloud.codes)
 
 
 CLOUDS = {
