@@ -164,9 +164,12 @@ def config_for_stream(stream: GuardedStream) -> GuardConfig:
 
 def open_stream(stream: GuardedStream, kind: int) -> tuple[GuardConfig, FlagReader]:
     """What every decoder starts from: the guard configuration of a payload
-    ``kind`` stream, and the reader of its safeguard section."""
+    ``kind`` stream, and the reader of its safeguard section.  It runs the
+    header checks ``read`` and ``write`` run, which an in-memory stream has
+    not been through."""
     if stream.payload_kind != kind:
         raise FieldValueError(f"payload kind {stream.payload_kind!r}, expected {kind}")
+    _check_stream(stream)
     return config_for_stream(stream), FlagReader(
         stream.safeguard, stream.flag_count, stream.mode
     )

@@ -499,6 +499,8 @@ class FlagReader:
         """The positions, ascending and below ``k``, of the risky flags among
         the next ``k`` flags, and one direction bit per risky flag among
         them (none in CENTER mode)."""
+        if k < 0:
+            raise InvalidInputError(f"cannot take {k} flags")
         if self._taken + k > self._count:
             raise FieldValueError("more flags requested than declared")
         if self._risky is None:

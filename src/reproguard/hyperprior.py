@@ -25,7 +25,6 @@ from .container import (
     HyperpriorHeader,
     PayloadKind,
     check_grid,
-    check_latent_dims,
     open_stream,
 )
 from .entropy import (
@@ -209,7 +208,6 @@ def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> np.nda
     """Recover the quantized latents; flag_count == 0 means unprotected."""
     cfg, flags = open_stream(stream, PayloadKind.HYPERPRIOR)
     header: HyperpriorHeader = stream.payload
-    check_latent_dims(header)  # an in-memory stream skips container.read's checks
     h, w, c = header.height, header.width, header.channels
     z_count = (h // _POOL) * (w // _POOL) * c
     # before anything the header sizes is allocated: even at its likeliest

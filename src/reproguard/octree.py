@@ -1,18 +1,16 @@
 """Octree occupancy codec with safeguarded context probabilities.
 
-Geometry is stored as Morton codes.  Coding walks the tree one level at a
-time with exactly eight octant passes per level; within a pass the context
-of a child depends only on data coded in earlier passes or levels, so both
-sides can evaluate the predictor on whole batches.  Each level is split
-into groups of consecutive passes, and both sides build a group's model
-context once: every term but the count of coded siblings.  The coding
-order is the same on both sides, but the decoder codes one pass at a time,
-adding only the coded-sibling term, since each pass needs the bits of the
-passes before it, while the encoder knows every bit in advance and codes a
-whole group per call.  The encoder builds every level's occupancy before
-the walk, in one bottom-up pass over distinct nodes: a level's nodes,
-shifted right by 3, are the level above with each node repeated in a run,
-so the work per level follows that level's node count.  The pass relies on
+Geometry is stored as Morton codes.  Encoder and decoder each code the tree
+in one loop over its levels, eight octant passes per level; within a pass
+the context of a child depends only on data coded in earlier passes or
+levels, so both sides evaluate the predictor on whole batches.  Both loops
+take a level's groups of consecutive passes from ``_groups``, which builds
+each group's model context once: every term but the count of coded
+siblings.  The decoder codes one pass at a time, since each needs the bits
+of the passes before it, and takes the next level from the occupancy it
+decoded.  The encoder knows every bit in advance: it derives every level in
+one bottom-up pass over distinct nodes, whose work per level follows that
+level's node count, and codes a whole group per call.  The pass relies on
 the leaf codes being sorted and unique, which ``VoxelCloud`` checks.  Every
 predicted occupancy probability is a coder-critical value: it is
 safeguarded, and the entropy coder only ever sees the protected copy.
@@ -251,35 +249,47 @@ def _ancestral_unit(
 _SIBLING_TERM = _W[2] * (np.arange(8) / 7.0)
 
 
+# How many values one group of octant passes may hold, unless one pass alone
+# is larger (the rule is in ``_groups``).  It bounds a group's model context
+# on both sides and the arrays of one encoder call, and with them what
+# grouping adds to either side's memory.
+_GROUP_BUDGET = 1 << 15
+
+
 class _GroupTerms(NamedTuple):
     """The model terms of one group of consecutive octant passes that do not
-    depend on coded siblings, built once per group: rows are the group's
-    octants, columns its level's parents."""
+    depend on coded siblings: rows are the group's octants, columns its
+    level's parents."""
 
     depth: int
     octants: range
     head: np.ndarray  # bias, level phase and octant terms, (octants, 1)
-    parent: np.ndarray  # parent-sibling term, (parents,)
+    parent: np.ndarray  # parent-sibling term, (parents,), one per level
     grandparent: float
     ancestral: np.ndarray  # (octants, parents)
 
 
-def _group_terms(
-    depth: int,
-    bit_depth: int,
-    octants: range,
-    parent_siblings: np.ndarray,
-    parent_codes: np.ndarray,
-) -> _GroupTerms:
-    octant = np.arange(octants.start, octants.stop)[:, None]
-    return _GroupTerms(
-        depth,
-        octants,
-        _BIAS + _W[0] * (depth / bit_depth) + _W[1] * (octant / 7.0),
-        _W[3] * (parent_siblings / 8.0),
-        _W[4] * (1.0 if depth >= 3 else 0.0),
-        _W[5] * _ancestral_unit(parent_codes, depth, octant),
-    )
+def _groups(depth: int, bit_depth: int, parents: np.ndarray, siblings: np.ndarray):
+    """The ``_GroupTerms`` of a level's groups of max(1, min(8,
+    _GROUP_BUDGET // n)) consecutive octants, n its parent count, in coding
+    order.  ``siblings`` holds each parent's sibling count.  A group is built
+    in its ``yield`` when reached, so no local of the generator holds its
+    arrays once the caller drops it."""
+    g = max(1, min(8, _GROUP_BUDGET // parents.shape[0]))
+    phase = _BIAS + _W[0] * (depth / bit_depth)
+    parent = _W[3] * (siblings / 8.0)
+    grandparent = _W[4] * (1.0 if depth >= 3 else 0.0)
+    for lo in range(0, 8, g):
+        octants = range(lo, min(lo + g, 8))
+        octant = np.arange(octants.start, octants.stop)[:, None]
+        yield _GroupTerms(
+            depth,
+            octants,
+            phase + _W[1] * (octant / 7.0),
+            parent,
+            grandparent,
+            _W[5] * _ancestral_unit(parents, depth, octant),
+        )
 
 
 def _probabilities(
@@ -309,14 +319,6 @@ def _probabilities(
 # codec
 
 
-# How many values one group of octant passes may hold, unless one pass alone
-# is larger: a level of n parents is coded in groups of
-# max(1, min(8, _GROUP_BUDGET // n)) octants.  It bounds a group's model
-# context on both sides and the arrays of one encoder call, and with them
-# what grouping adds to either side's memory.
-_GROUP_BUDGET = 1 << 15
-
-
 def make_pc_config(
     epsilon: float, k: int = 250, mode: GuardMode = GuardMode.CENTER
 ) -> GuardConfig:
@@ -327,52 +329,16 @@ def make_pc_config(
     return GuardConfig(grid=grid, epsilon=epsilon, mode=mode)
 
 
-def _children(parents: np.ndarray, occ: np.ndarray, point_count: int) -> tuple:
-    """The parent index and the code of every occupied child in a level's
-    (8, parents) occupancy, parent-major, so the codes come out sorted."""
-    # one pass over a C-order copy, whose flat index is parent * 8 + octant
-    flat = np.flatnonzero(occ.T.ravel())
-    if flat.shape[0] > point_count:
-        raise FieldValueError("decoded occupancy exceeds the declared point count")
-    at = flat >> 3
-    return at, (parents[at] << _U(3)) | (flat & 7).astype(np.uint64)
-
-
-def _walk(bit_depth: int, point_count: int, code_level) -> tuple:
-    """The level walk that encoder and decoder share.
-
-    ``code_level(depth, parents, groups)`` codes the eight octant passes of
-    one level and returns its (8, parents) uint8 occupancy.  ``groups``
-    yields, in coding order, the ``_GroupTerms`` of each group of
-    consecutive octants, built only when the group is reached: a level of n
-    parents has groups of max(1, min(8, _GROUP_BUDGET // n)) octants.  A
-    child's sibling count is its parent's occupied-child count.  Returns
-    the leaf level's parents and occupancy, which only the decoder turns
-    into codes.
-    """
-    parents = np.zeros(1, dtype=np.uint64)  # the root
-    siblings = np.ones(1, dtype=np.uint8)  # the root is an only child
-    for depth in range(1, bit_depth + 1):
-        g = max(1, min(8, _GROUP_BUDGET // parents.shape[0]))
-        groups = (
-            _group_terms(depth, bit_depth, range(lo, min(lo + g, 8)), siblings, parents)
-            for lo in range(0, 8, g)
-        )
-        occ = code_level(depth, parents, groups)
-        if depth == bit_depth:
-            return parents, occ
-        at, parents = _children(parents, occ, point_count)
-        siblings = occ.sum(axis=0, dtype=np.uint8)[at]
-
-
-def _occupancies(codes: np.ndarray, bit_depth: int) -> list[np.ndarray]:
-    """Every level's (8, parents) occupancy, leaf level first, in one
-    bottom-up pass from the sorted unique leaf codes.  A level's parents are
-    its nodes shifted right by 3 with repeats dropped; the nodes are sorted,
-    so repeats form runs, and a node's parent index is the count of run
-    starts up to it, less one.  Each level costs O(its node count)."""
-    occs = []
-    nodes = codes
+def _levels(codes: np.ndarray, bit_depth: int) -> list[tuple]:
+    """Every level's parents, their sibling counts and its (8, parents)
+    occupancy, leaf level first, in one bottom-up pass from the sorted unique
+    leaf codes.  A level's parents are its nodes shifted right by 3 with
+    repeats dropped; the nodes are sorted, so repeats form runs, and a node's
+    parent index is the count of run starts up to it, less one.  A parent's
+    sibling count is its own parent's column sum in the level above.  Each
+    level costs O(its node count)."""
+    levels = []
+    nodes, below = codes, None
     for _ in range(bit_depth):
         up = nodes >> _U(3)
         start = np.empty(up.shape[0], dtype=bool)
@@ -382,9 +348,11 @@ def _occupancies(codes: np.ndarray, bit_depth: int) -> list[np.ndarray]:
         at -= 1
         occ = np.zeros((8, int(at[-1]) + 1), dtype=np.uint8)
         occ[nodes & _U(7), at] = 1
-        occs.append(occ)
-        nodes = up[start]
-    return occs
+        if below is not None:  # ``nodes`` are the parents of the level below
+            levels.append((nodes, occ.sum(axis=0, dtype=np.uint8)[at], below))
+        nodes, below = up[start], occ
+    levels.append((nodes, np.ones(1, dtype=np.uint8), below))  # the root, an only child
+    return levels
 
 
 def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> GuardedStream:
@@ -396,17 +364,15 @@ def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> Guarded
     # an unprotected stream keeps just these empty flag arrays
     fr_parts = [np.empty(0, dtype=np.uint8)]
     fd_parts = [np.empty(0, dtype=np.uint8)]
-    # root level last, so the walk pops them in its order and each is freed
-    # once the walk has taken the next level from it
-    occs = _occupancies(cloud.codes, n)
-
-    def code_level(depth, parents, groups):
+    levels = _levels(cloud.codes, n)
+    for depth in range(1, n + 1):
+        # popped root first, so each level is freed once the next is popped
+        parents, siblings, occ = levels.pop()
         # every child's occupancy is known, so a child's coded siblings are
         # an exclusive cumsum over octants, and a group of octant passes
         # codes in one call, in the order the decoder codes them one by one
-        occ = occs.pop()
         coded = np.cumsum(occ, axis=0, dtype=np.uint8) - occ
-        for terms in groups:
+        for terms in _groups(depth, n, parents, siblings):
             rows = slice(terms.octants.start, terms.octants.stop)
             p = _probabilities(terms, terms.octants, coded[rows].ravel())
             del terms  # freed before the guard makes its arrays
@@ -415,9 +381,7 @@ def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> Guarded
                 fr_parts.append(fr)
                 fd_parts.append(fd)
             enc.encode_bits(occ[rows].ravel(), prob_to_p16_array(p))
-        return occ
-
-    _walk(n, len(cloud), code_level)
+    del parents, siblings, occ, coded, p  # the leaf level's, before the flags
     fr = np.concatenate(fr_parts)
     safeguard = encode_flags(fr, np.concatenate(fd_parts), cfg.mode)
     return GuardedStream(
@@ -430,14 +394,16 @@ def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> VoxelC
     simulated platform.  flag_count == 0 means the stream was unprotected."""
     cfg, flags = open_stream(stream, PayloadKind.OCTREE)
     header: OctreeHeader = stream.payload
+    n = header.bit_depth
     dec = RangeDecoder(stream.main)
-
-    def code_level(depth, parents, groups):
+    parents = np.zeros(1, dtype=np.uint64)  # the root
+    siblings = np.ones(1, dtype=np.uint8)  # the root is an only child
+    for depth in range(1, n + 1):
         # one pass per octant: each needs the bits of the passes before it,
         # and adds only their coded-sibling term to its group's context
         occ = np.empty((8, parents.shape[0]), dtype=np.uint8)
         coded = np.zeros(parents.shape[0], dtype=np.uint8)
-        for terms in groups:
+        for terms in _groups(depth, n, parents, siblings):
             for octant in terms.octants:
                 p = _probabilities(terms, range(octant, octant + 1), coded)
                 if octant + 1 == terms.octants.stop:
@@ -449,15 +415,23 @@ def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> VoxelC
                     p = guard_decode_array(cfg, p, fr, fd)
                 occ[octant] = dec.decode_bits(prob_to_p16_array(p))
                 coded += occ[octant]
-        return occ
-
-    parents, occ = _walk(header.bit_depth, header.point_count, code_level)
-    codes = _children(parents, occ, header.point_count)[1]
-    if codes.shape[0] != header.point_count:
+        # the occupied children, parent-major, so their codes come out
+        # sorted: ``coded`` now holds each parent's child count, and one pass
+        # over a C-order copy, whose flat index is parent * 8 + octant, gives
+        # each child's octant
+        octants = np.flatnonzero(occ.T.ravel())
+        if octants.shape[0] > header.point_count:
+            raise FieldValueError("decoded occupancy exceeds the declared point count")
+        octants &= 7
+        parents = np.repeat(parents, coded)
+        parents <<= _U(3)
+        parents |= octants.astype(np.uint64)
+        siblings = np.repeat(coded, coded)
+    if parents.shape[0] != header.point_count:
         raise FieldValueError("decoded leaves fall short of the declared point count")
     if not flags.exhausted:
         raise FieldValueError("flag count does not match the decoded tree")
-    return VoxelCloud(bit_depth=header.bit_depth, codes=codes)
+    return VoxelCloud(bit_depth=n, codes=parents)
 
 
 # ---------------------------------------------------------------------------

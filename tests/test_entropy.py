@@ -695,6 +695,17 @@ def test_flag_reader_take_zero(mode):
         reader.take(1)
 
 
+def test_flag_reader_refuses_a_negative_take():
+    # a take of -1 would step the reader back, and a take of 11 after it
+    # would hand out positions shifted by one and report the reader exhausted
+    data = encode_flags(*_flags(_dense([2, 7], 10)), GuardMode.CENTER)
+    reader = FlagReader(data, 10, GuardMode.CENTER)
+    with pytest.raises(InvalidInputError):
+        reader.take(-1)
+    assert reader.take(10)[0].tolist() == [2, 7]
+    assert reader.exhausted
+
+
 @pytest.mark.parametrize("mode", list(GuardMode))
 def test_cut_safeguard_section_raises_truncated(mode):
     fs = _chunked_flags(mode, 5, [700])

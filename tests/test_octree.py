@@ -183,9 +183,9 @@ class TestSynth:
 
 
 def record_passes(monkeypatch):
-    """Record (depth, octant, parent count, coded siblings, probabilities)
-    of every octant pass, one row per octant also where a call predicts a
-    group of them."""
+    """Record (depth, octant, parent count, coded siblings, probabilities,
+    parent-sibling term) of every octant pass, one row per octant also where
+    a call predicts a group of them."""
     rows = []
     probabilities = octree._probabilities
 
@@ -195,7 +195,9 @@ def record_passes(monkeypatch):
         for i, octant in enumerate(octants):
             row = slice(i * n, (i + 1) * n)
             # the decoder goes on counting in its array after the call
-            rows.append((terms.depth, octant, n, coded[row].copy(), p[row]))
+            rows.append(
+                (terms.depth, octant, n, coded[row].copy(), p[row], terms.parent)
+            )
         return p
 
     monkeypatch.setattr(octree, "_probabilities", recording)
@@ -204,14 +206,17 @@ def record_passes(monkeypatch):
 
 def predict_contexts(depth=3, n=10, contexts=()):
     """The model's probability of each (octant, coded, parent, grandparent,
-    parent code) context, each from a group of one octant and one parent."""
+    parent code) context, each from the group of its octant in a level of
+    one parent."""
     out = []
     for octant, coded, parent, g, code in contexts:
         octants = range(octant, octant + 1)
-        terms = octree._group_terms(
-            depth, n, octants, np.array([parent], dtype=np.uint8),
-            np.array([code], dtype=np.uint64),
-        )._replace(grandparent=octree._W[4] * float(g))
+        groups = octree._groups(
+            depth, n, np.array([code], dtype=np.uint64),
+            np.array([parent], dtype=np.uint8),
+        )
+        terms = next(t for t in groups if octant in t.octants)
+        terms = terms._replace(grandparent=octree._W[4] * float(g))
         coded_siblings = np.array([coded], dtype=np.uint8)
         out.append(octree._probabilities(terms, octants, coded_siblings))
     return np.concatenate(out)
@@ -324,7 +329,7 @@ class TestRoundtrip:
         passes = record_passes(monkeypatch)
         encode(cloud, make_pc_config(1e-6))
         seen = []
-        for depth, octant, n_parents, coded, p in passes:
+        for depth, octant, n_parents, coded, p, _ in passes:
             seen.append((depth, octant))
             # a child can have seen at most `octant` coded siblings
             assert coded.shape == p.shape == (n_parents,)
@@ -453,10 +458,11 @@ def reference_encode(cloud, cfg, protect):
 
 
 def reference_coded_siblings(cloud):
-    """(depth, octant, parent count, coded siblings) of every octant pass,
-    each level's occupancy found as the encoder once found it: every leaf
-    code shifted to the level's depth and placed under its parent by a
-    binary search, the parents of the next level taken by ``np.unique``."""
+    """(depth, octant, parent count, coded siblings, parent-sibling term) of
+    every octant pass, each level's occupancy found as the encoder once
+    found it: every leaf code shifted to the level's depth and placed under
+    its parent by a binary search, the parents of the next level taken by
+    ``np.unique``, and the parents' sibling counts by ``sibling_counts``."""
     n = cloud.bit_depth
     parents = np.zeros(1, dtype=np.uint64)
     rows = []
@@ -466,7 +472,8 @@ def reference_coded_siblings(cloud):
         at = np.searchsorted(parents, children >> np.uint64(3))
         occ[children & np.uint64(7), at] = 1
         coded = np.cumsum(occ, axis=0, dtype=np.uint8) - occ
-        rows += [(depth, o, parents.shape[0], coded[o]) for o in range(8)]
+        term = octree._W[3] * (sibling_counts(parents) / 8.0)
+        rows += [(depth, o, parents.shape[0], coded[o], term) for o in range(8)]
         parents = np.unique(children)
     return rows
 
@@ -500,6 +507,7 @@ class TestBottomUpOccupancy:
         assert [row[:3] for row in passes] == [row[:3] for row in want]
         for got, ref in zip(passes, want):
             assert np.array_equal(got[3], ref[3])
+            assert np.array_equal(got[5].view(np.uint64), ref[4].view(np.uint64))
         assert np.array_equal(decode(stream).codes, cloud.codes)
 
 
@@ -597,7 +605,9 @@ def traced_peak(run):
 
 class TestLevelStepMemory:
     # the model sums its terms as they broadcast, without an (n, 6) float64
-    # feature tensor, and the walk takes the next level from the occupancy
+    # feature tensor; each side's level loop frees a level once it has the
+    # next: the encoder pops its bottom-up levels root first, and the
+    # decoder takes the next level's parents from the occupancy it decoded
 
     def test_peak_memory_of_a_dense_depth8_encode(self):
         cloud = synth_cloud("dense", 8, 4000, 3001)

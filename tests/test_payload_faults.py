@@ -275,6 +275,23 @@ def test_non_finite_header_field_is_a_malformed_stream(payload, fields):
         container.write(bad)
 
 
+@pytest.mark.parametrize(
+    "bit_depth,point_count",
+    [(0, 1), (22, 1), (5, 0), (5, 8**5 + 1)],
+    ids=["depth-0", "depth-22", "points-0", "points-over"],
+)
+def test_impossible_octree_header_in_memory_is_a_malformed_stream(
+    bit_depth, point_count
+):
+    # open_stream runs the header checks write runs, so the decoder refuses
+    # the header itself, not whatever decoding it would lead to
+    stream, decode = _octree()
+    bad = _replaced(stream, payload=OctreeHeader(bit_depth, point_count, 0.004))
+    for refuse in (decode, container.write):
+        with pytest.raises(FieldValueError, match=r"outside \[1, 21\]|impossible"):
+            refuse(bad)
+
+
 # ---------------------------------------------------------------------------
 # a risky flag on a domain edge, where no encoder sets one
 #

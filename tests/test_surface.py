@@ -42,8 +42,10 @@ PACKAGE_ALL = [
 # the hyperprior header's raw z doubles with the error only their length
 # raised (the rounded z is coded in main), the guard decode's private core
 # behind a dense-flag adapter (the decode takes risky positions), a stream
-# builder that only renamed GuardedStream's fields, and the mode parser
-# (a mode is a GuardMode).
+# builder that only renamed GuardedStream's fields, the mode parser (a
+# mode is a GuardMode), and the octree's callback level walk with its
+# top-down child step, per-group term builder and separate bottom-up
+# occupancy pass (each side has one level loop over ``_groups``).
 DELETED = [
     "entropy.RangeEncoder.encode_bit",
     "entropy.RangeEncoder.encode_symbol",
@@ -96,6 +98,10 @@ DELETED = [
     "safeguard._guard_decode",
     "container.guarded_stream",
     "safeguard.parse_mode",
+    "octree._walk",
+    "octree._children",
+    "octree._occupancies",
+    "octree._group_terms",
 ]
 
 
