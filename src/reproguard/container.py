@@ -49,7 +49,6 @@ __all__ = [
     "write_file",
     "read_file",
     "check_grid",
-    "check_latent_dims",
     "config_for_stream",
     "open_stream",
 ]
@@ -183,20 +182,6 @@ def _positive(x) -> bool:
         return False
 
 
-def check_latent_dims(header: HyperpriorHeader) -> None:
-    """Raise FieldValueError unless the header's dims, which size z and y,
-    are whole numbers >= 1 with height and width multiples of the pool."""
-    dims = (header.height, header.width, header.channels)
-    if not all(isinstance(d, numbers.Integral) for d in dims):
-        raise FieldValueError(f"latent dims must be whole numbers, got {dims!r}")
-    if min(dims) < 1:
-        raise FieldValueError("latent height, width and channels must be >= 1")
-    if header.height % _POOL or header.width % _POOL:
-        raise FieldValueError(
-            f"latent height and width must be multiples of {_POOL}"
-        )
-
-
 def _check_stream(stream: GuardedStream) -> None:
     """What the field widths of the wire table do not already check."""
     if not isinstance(stream.mode, GuardMode):
@@ -215,7 +200,17 @@ def _check_stream(stream: GuardedStream) -> None:
         if not 1 <= p.point_count <= 1 << (3 * p.bit_depth):
             raise FieldValueError("point count impossible for this bit depth")
     elif isinstance(p, HyperpriorHeader):
-        check_latent_dims(p)
+        # the dims size z and y: whole numbers >= 1, height and width
+        # multiples of the pool
+        dims = (p.height, p.width, p.channels)
+        if not all(isinstance(d, numbers.Integral) for d in dims):
+            raise FieldValueError(f"latent dims must be whole numbers, got {dims!r}")
+        if min(dims) < 1:
+            raise FieldValueError("latent height, width and channels must be >= 1")
+        if p.height % _POOL or p.width % _POOL:
+            raise FieldValueError(
+                f"latent height and width must be multiples of {_POOL}"
+            )
 
 
 def write(stream: GuardedStream) -> bytes:

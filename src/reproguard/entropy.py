@@ -401,8 +401,10 @@ def _varint(n: int) -> bytes:
 def encode_flags(f_r, f_d, mode: GuardMode) -> bytes:
     """The safeguard section of the risky flags ``f_r``: Rice-coded gaps
     between the risky ones, then, in FULL mode, their direction bits ``f_d``
-    as they are, one per risky flag."""
+    as they are, one per risky flag.  ``f_r`` is 1-D."""
     f_r = np.asarray(f_r)
+    if f_r.ndim != 1:
+        raise InvalidInputError("risky flags must be 1-D")
     if f_r.shape[0] == 0:
         return b""
     # positions found on a bool view: several times faster than on uint8

@@ -38,7 +38,6 @@ from .errors import FieldValueError, InvalidInputError, TruncatedStreamError
 from .platform_sim import Perturbation, unit_draws
 from .quantizer import (
     QuantGrid,
-    _first_bin,
     default_scale_table,
     dequantize_array,
     quantize_array,
@@ -168,8 +167,8 @@ def quantize_latents(y: np.ndarray) -> np.ndarray:
 def _stream_tables(grid: QuantGrid, idx: np.ndarray) -> tuple[SymbolTables, np.ndarray]:
     """One CDF table per scale bin in use, built once for the stream, and the
     table each position codes against."""
-    first = _first_bin(grid)
-    place = idx - first  # each bin's place in the domain, from 0
+    first = idx.min()
+    place = idx - first  # each bin's place above the lowest in use
     used = np.flatnonzero(np.bincount(place))
     sigmas = np.exp(dequantize_array(grid, used + first)).tolist()
     tables = SymbolTables([gaussian_cdf_table(s, _AMPLITUDE) for s in sigmas])

@@ -18,11 +18,13 @@ clamps the block to the domain and gives each value's bin or bin center
 and, given a margin epsilon, the candidates: the values whose v/q lies
 within epsilon/q and a few ulps of an integer, the ulps of the block's
 largest magnitude.
-One kernel of a few in-place passes gives a value's nearest boundary and
-that boundary's distance; the guard's encoder runs it on the candidates
-alone, its decoder on the flagged values.  No other module reads a grid's
-domain edges: the guard gets boundary values and the domain-edge rule
-from private helpers here, and the hyperprior its first bin.
+One function, :func:`_nearest`, gives the exact nearest boundary of a
+batch of values: its index, its value, its signed distance and whether a
+drift can carry a value across it (the domain-edge rule).  The guard's
+encoder calls it on the candidates alone, its decoder on the flagged
+values, and ``round_index_array`` on every value it is given.  No other
+module reads a grid's domain edges: ``_bins`` and ``_nearest`` are the
+only private names other modules take from here.
 """
 
 from __future__ import annotations
@@ -49,12 +51,12 @@ __all__ = [
 _EDGE_REL_TOL = 1e-9
 
 # Bound on the magnitude of a bin index.  Below it float64 holds every
-# integer exactly, so the uniform-grid kernel keeps indices as floats; an
-# index beyond it would name some other bin.
+# integer exactly, so the operators keep indices as floats; an index beyond
+# it would name some other bin.
 _MAX_INDEX = 2.0**53
 
-# Values per block of the uniform-grid kernel: a block's work arrays stay
-# in a core's cache across the kernel's passes.
+# Values per block of the one pass over the values in _bins: a block's work
+# arrays stay in a core's cache across the pass's steps.
 _BLOCK = 1 << 15
 
 
@@ -155,7 +157,8 @@ def _checked(
 ) -> tuple[np.ndarray, float]:
     """``v`` as float64 and clamped to the grid's domain, with the largest
     magnitude among the clamped values (0 when there are none): the check
-    values get where they enter an operator, a block at a time in _bins.
+    values get where they enter an operator, a block at a time in _bins
+    and once over the batch in _nearest.
 
     One min/max pair, taken before any clamp, finds non-finite values (NaN
     and inf propagate through it) and, on a grid without a domain, values
@@ -197,7 +200,7 @@ def _bins(
 
     Returns ``(n, cand)``.  With a margin ``near`` (epsilon), ``cand`` holds
     the flat positions, ascending, of the *candidates*: a superset of the
-    values whose nearest boundary by :func:`_kernel` lies closer than
+    values whose nearest boundary by :func:`_nearest` lies closer than
     ``epsilon``.  Without it ``cand`` is None.  One pass over the values, a
     block at a time while it is in cache, checks and clamps them as
     :func:`_checked` does and gives both.
@@ -221,7 +224,7 @@ def _bins(
             # A candidate has t = v/q within thr of an integer: r = t -
             # floor(t), exact in floating point, has r < thr or r > 1 - thr.
             # Forward error, with u = 2**-53 and T = max(top/q, 1) >= |t|
-            # over the block (the division is monotone): the kernel's d =
+            # over the block (the division is monotone): _nearest's |s| =
             # |fl(fl(m*q) - v)| < epsilon gives |m*q - v| < epsilon/(1-u) +
             # |m*q|*u, and with |m*q| <= |v| + |m*q - v|, |m - v/q| <
             # (epsilon/q)*(1+3u) + |v/q|*u*(1+2u).  As |t - v/q| <= |v/q|*u,
@@ -230,7 +233,7 @@ def _bins(
             # The slack 16*T*u, less the roundings of epsilon/q and of the
             # sum (under u/4 + u/4 + 16*T*u*u) and of 1 - thr (under u/2),
             # keeps both tests more than 10*T*u wide of that, so every value
-            # with d < epsilon is a candidate.  From T = 2**48 thr passes
+            # with |s| < epsilon is a candidate.  From T = 2**48 thr passes
             # 1/2 and every value of the block is a candidate.
             thr = near / q + 8.0 * 2.0**-52 * max(top / q, 1.0)
             k = nb.size
@@ -256,80 +259,50 @@ def _bins(
     return n.reshape(v.shape), cand
 
 
-def _kernel(grid: QuantGrid, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The exact nearest boundary of each clamped value ``v``.
+def _nearest(grid: QuantGrid, v, range_error=InvalidInputError):
+    """The exact nearest boundary of each value ``v``, checked and clamped
+    as by :func:`_checked`.
 
-    Returns ``(m, d)``: the index of the nearest boundary (ties go down),
-    as float64, and its distance ``|b_m - v|``, with the same bits as
-    integer indices would give.  Every operation writes in place, one block
-    of values at a time.
+    Returns ``(m, bv, s, inside)``, each of ``v``'s shape: the int64 index
+    of the nearest boundary (ties go down), its value ``bv``, the signed
+    distance ``s = bv - v`` of the clamped value, and the domain-edge rule,
+    whether the boundary has a bin of the domain on both sides.  Only such
+    a boundary can be risky: values beyond a domain edge clamp onto it, so
+    no drift carries a value across the edge.  Without a domain, or
+    without values, ``inside`` is ``np.True_``.  Boundary values and
+    distances have the same bits as integer indices would give.  The steps
+    work on a flat view of the values and write in place.
     """
     q = grid.q
-    flat = v.reshape(-1)
-    m = np.empty(flat.size)
-    d = np.empty(flat.size)
-    n = np.empty(min(flat.size, _BLOCK))
-    for i in range(0, flat.size, _BLOCK):
-        part = slice(i, i + _BLOCK)
-        vb, mb, db = flat[part], m[part], d[part]
-        nb = n[: vb.size]
-        np.divide(vb, q, out=nb)
-        np.floor(nb, out=nb)
-        # one-ulp repair of n into fi: the division may round across the
-        # boundary, and b_fi <= v need not hold after it either
-        np.multiply(nb, q, out=db)
-        down = np.greater(db, vb)  # nq > v
-        np.subtract(nb, down, out=mb)
-        np.add(mb, 1.0, out=db)
-        db *= q
-        up1 = np.less_equal(db, vb)  # (fi + 1)q <= v
-        mb += up1
-        # nearest boundary m = fi + up, ties going down: v - b_fi against
-        # b_{fi+1} - v, the latter written over fi, then m rebuilt from n
-        np.multiply(mb, q, out=db)
-        np.subtract(vb, db, out=db)
-        mb += 1.0
-        mb *= q
-        mb -= vb
-        up = np.greater(db, mb)
-        np.subtract(nb, down, out=mb)
-        mb += up1
-        mb += up
-        # |b_m - v|, with b_m written as for any boundary index
-        np.multiply(mb, q, out=db)
-        db -= vb
-        np.abs(db, out=db)
-    return m.reshape(v.shape), d.reshape(v.shape)
-
-
-def _nearest(grid: QuantGrid, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(int64 index, value) of the nearest boundary of each clamped value."""
-    m = _kernel(grid, v)[0].astype(np.int64)
-    return m, _boundary(grid, m)
-
-
-def _boundary(grid: QuantGrid, m: np.ndarray) -> np.ndarray:
-    """Value of each int64 boundary index ``m``."""
-    return m.astype(np.float64) * grid.q
-
-
-def _inside(grid: QuantGrid, m: np.ndarray) -> np.ndarray:
-    """Whether boundary ``m`` has a bin of the domain on both sides.
-
-    Only such a boundary can be risky: values beyond a domain edge clamp
-    onto it, so no drift carries a value across the edge.  Without a domain
-    every boundary is inside.
-    """
-    if grid._edges is None:
-        return np.True_
-    lo, hi = grid._edges
-    return (m > lo) & (m < hi)
-
-
-def _first_bin(grid: QuantGrid) -> int:
-    """Index of the lowest bin of a grid with a domain: bin ``n`` has place
-    ``n - _first_bin(grid)`` among the domain's bins, counting from 0."""
-    return grid._edges[0]
+    v = np.asarray(v, dtype=np.float64)
+    if not v.size:
+        return np.empty(v.shape, dtype=np.int64), v, v, np.True_
+    vc = _checked(grid, v.reshape(-1), range_error)[0]
+    # floor index n with a one-ulp repair: the division may round across
+    # the boundary, and b_n <= v need not hold after it either
+    n = np.divide(vc, q)
+    np.floor(n, out=n)
+    bv = np.multiply(n, q)
+    n -= bv > vc  # nq > v
+    np.add(n, 1.0, out=bv)
+    bv *= q
+    n += bv <= vc  # (n + 1)q <= v
+    # nearest boundary, ties going down: v - b_n against b_{n+1} - v
+    s = np.add(n, 1.0)
+    s *= q
+    s -= vc
+    np.multiply(n, q, out=bv)
+    np.subtract(vc, bv, out=bv)
+    n += bv > s
+    # b_m, written as for any boundary index, and its signed distance
+    np.multiply(n, q, out=bv)
+    np.subtract(bv, vc, out=s)
+    m = n.astype(np.int64).reshape(v.shape)
+    inside = np.True_
+    if grid._edges is not None:
+        lo, hi = grid._edges
+        inside = (m > lo) & (m < hi)
+    return m, bv.reshape(v.shape), s.reshape(v.shape), inside
 
 
 def quantize_array(grid: QuantGrid, v) -> np.ndarray:
@@ -351,7 +324,7 @@ def round_index_array(grid: QuantGrid, v) -> tuple[np.ndarray, np.ndarray]:
     The index form is what decoders rely on: a perturbed value on the other
     side of the boundary still maps to the same index.
     """
-    return _nearest(grid, _checked(grid, v)[0])
+    return _nearest(grid, v)[:2]
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,18 @@ direction arrays go to ``entropy.encode_flags`` as they are.
 
 Encoder and decoder derive the protected value through one shared rule,
 so equality of the chosen boundary index implies equality of the output
-doubles.  Both sides get bin centers from one blocked pass over the values
-in ``quantizer``, which also checks them; the encoder's pass also picks the
-candidates, the values near a boundary, and the grid's exact kernel gives
-nearest boundaries and their distances of those alone, a small share of
-them (about 2*epsilon/q).  The decoder takes the flat positions of the
+doubles.  Two private ``quantizer`` functions carry the grid's side of it.
+``_bins`` is one blocked pass over the values that checks them and gives
+every bin center; the encoder's pass also picks the candidates, the values
+near a boundary, a small share of them (about 2*epsilon/q).  ``_nearest``
+gives the exact nearest boundary, its value, its signed distance and the
+domain-edge rule, in one call on the encoder's candidates or on the
+decoder's flagged values.  The decoder takes the flat positions of the
 risky flags, strictly ascending, as ``FlagReader.take`` hands them out:
 past the one pass it touches the flagged values alone, and builds no
-per-value flag mask.
-Boundary indices, boundary values and protected values are built for the
-risky values alone.  A boundary on a domain edge is never risky, since
-values beyond it clamp onto it; a stream with a risky flag there is
-malformed.
+per-value flag mask.  Protected values are built for the risky values
+alone.  A boundary on a domain edge is never risky, since values beyond it
+clamp onto it; a stream with a risky flag there is malformed.
 """
 
 from __future__ import annotations
@@ -34,16 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FieldValueError, InvalidInputError
-from .quantizer import (
-    QuantGrid,
-    _bins,
-    _boundary,
-    _checked,
-    _inside,
-    _kernel,
-    _nearest,
-    validate,
-)
+from .quantizer import QuantGrid, _bins, _nearest, validate
 
 __all__ = [
     "GuardMode",
@@ -99,9 +90,9 @@ def guard_encode_array(
     value, and ``f_d`` the uint8 direction bit of each risky value in flag
     order (1 where it went right), empty in CENTER mode.  One pass over the
     values gives every bin center and the candidates, the values near a
-    boundary; the grid's exact kernel then gives the nearest boundary and
-    its distance of the candidates alone, and boundary values and
-    protected values are built for the risky values only.
+    boundary; one ``_nearest`` call then gives the nearest boundary and its
+    signed distance of the candidates alone, and protected values are built
+    for the risky values only.
     """
     grid = cfg.grid
     v = np.asarray(v, dtype=np.float64)
@@ -109,20 +100,17 @@ def guard_encode_array(
     f_r = np.zeros(v.shape, dtype=np.uint8)
     f_d = np.empty(0, dtype=np.uint8)
 
-    vc = _checked(grid, v.reshape(-1)[cand])[0]
-    m, d = _kernel(grid, vc)
-    risky = d < cfg.epsilon
-    risky &= _inside(grid, m)
+    _, bv, s, inside = _nearest(grid, v.reshape(-1)[cand])
+    risky = np.abs(s) < cfg.epsilon
+    risky &= inside
     if np.any(risky):
         at = cand[risky]
-        m = m[risky].astype(np.int64)
-        bv = _boundary(grid, m)
-        # a risky value strictly below its boundary has the nearer bin
-        # center on its left
-        go_left = bv > vc[risky]
+        # a risky value strictly below its boundary, s > 0, has the nearer
+        # bin center on its left
+        go_left = s[risky] > 0
         if cfg.mode == GuardMode.FULL:
             f_d = (~go_left).view(np.uint8)
-        v_out.reshape(-1)[at] = _protected(cfg, bv, go_left)
+        v_out.reshape(-1)[at] = _protected(cfg, bv[risky], go_left)
         f_r.reshape(-1)[at] = 1
     return v_out, f_r, f_d
 
@@ -149,8 +137,8 @@ def guard_decode_array(cfg: GuardConfig, v_prime, at, f_d=()) -> np.ndarray:
     if not at.size:
         return v_out
 
-    m, bv = _nearest(grid, _checked(grid, v.reshape(-1)[at], FieldValueError)[0])
-    if not np.all(_inside(grid, m)):
+    _, bv, _, inside = _nearest(grid, v.reshape(-1)[at], FieldValueError)
+    if not np.all(inside):
         raise FieldValueError("risky flag on a domain edge, where no encoder sets one")
     left = None
     if cfg.mode == GuardMode.FULL:

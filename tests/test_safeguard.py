@@ -145,6 +145,21 @@ def test_from_arrays_counts_directions():
     assert fr.tolist() == [1, 0, 1] and fd.shape == (0,)
 
 
+def test_flag_coder_refuses_flags_of_any_shape_but_1d():
+    # the guard's flags keep the values' shape; read by their first axis,
+    # (2, 2) flags would code 2 flags with risky positions 0 and 2, a
+    # section no parser takes
+    v = [[0.0203, 0.505], [0.0298, 0.515]]
+    _, fr, fd = guard_encode_array(cfg_for(GuardMode.FULL), v)
+    assert fr.shape == (2, 2) and np.flatnonzero(fr).tolist() == [0, 2]
+    for flags in (fr, fr[0, 0], np.zeros((0, 3))):
+        with pytest.raises(InvalidInputError, match="1-D"):
+            encode_flags(flags, fd, GuardMode.FULL)
+    data = encode_flags(fr.ravel(), fd, GuardMode.FULL)
+    got_at, got_fd = FlagReader(data, 4, GuardMode.FULL).take(4)
+    assert got_at.tolist() == [0, 2] and got_fd.tolist() == fd.tolist()
+
+
 # ---------------------------------------------------------------------------
 # the reproduction guarantee
 

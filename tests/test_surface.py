@@ -45,7 +45,11 @@ PACKAGE_ALL = [
 # builder that only renamed GuardedStream's fields, the mode parser (a
 # mode is a GuardMode), and the octree's callback level walk with its
 # top-down child step, per-group term builder and separate bottom-up
-# occupancy pass (each side has one level loop over ``_groups``).
+# occupancy pass (each side has one level loop over ``_groups``), the
+# guard's boundary kernel, boundary value and domain-edge helpers with the
+# hyperprior's first-bin helper (``quantizer._nearest`` gives all the
+# guard needs, and a stream's tables start at its own lowest bin), and the
+# latent-dims check that only the container's own header checks ran.
 DELETED = [
     "entropy.RangeEncoder.encode_bit",
     "entropy.RangeEncoder.encode_symbol",
@@ -102,6 +106,11 @@ DELETED = [
     "octree._children",
     "octree._occupancies",
     "octree._group_terms",
+    "quantizer._kernel",
+    "quantizer._boundary",
+    "quantizer._inside",
+    "quantizer._first_bin",
+    "container.check_latent_dims",
 ]
 
 

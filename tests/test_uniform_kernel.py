@@ -5,9 +5,9 @@ The reference below is the earlier int64 path, in its arithmetic: floor
 index, one-ulp repair, nearest boundary with ties going down, bin center,
 and the guard's encode and decode composed from them.
 Every output of the kernel path must equal it bit for bit.  The guard's
-encoder runs the kernel only on candidates, the values near a boundary; the
-filter that picks them must pass every value the reference finds within
-epsilon of a boundary.
+encoder runs ``quantizer._nearest`` only on candidates, the values near a
+boundary; the filter that picks them must pass every value the reference
+finds within epsilon of a boundary.
 """
 
 import tracemalloc
@@ -246,7 +246,8 @@ def test_guard_matches_the_int_path(name, case):
 
 @pytest.mark.parametrize("name", ["q0.1-free", "q0.015625-dom"])
 def test_guard_matches_the_int_path_across_kernel_blocks(name):
-    # the kernel works through long arrays a block at a time
+    # the one pass over the values works through long arrays a block at a
+    # time; the nearest-boundary call takes the candidates of every block
     grid = GRIDS[name]
     cfg = GuardConfig(grid=grid, epsilon=grid.q / 200.0, mode=GuardMode.FULL)
     v = _families(grid, cfg.epsilon)
@@ -271,7 +272,7 @@ def test_some_values_need_the_one_ulp_repair():
 
 
 # ---------------------------------------------------------------------------
-# candidates: the values the encoder sends to the kernel
+# candidates: the values the encoder sends to the nearest-boundary call
 
 
 def _candidates(grid, v, eps):
@@ -582,8 +583,9 @@ def _raw_full_inputs():
 
 def test_guard_encode_peak_memory():
     # the 8 MB bin array that becomes v_out and the 1 MB flag array; the
-    # kernel's work arrays hold only the candidates.  The int64 path peaked
-    # at 39.1 MiB here, the kernel run on every value at 24.0 MiB
+    # nearest-boundary call's work arrays hold only the candidates.  The
+    # int64 path peaked at 39.1 MiB here, the kernel run on every value at
+    # 24.0 MiB
     cfg, v = _raw_full_inputs()
     assert _traced_peak(guard_encode_array, cfg, v) <= 12.0
 
@@ -599,6 +601,17 @@ def test_raw_read_and_decode_peak_memory():
         decode_values(container.read(blob), v)
 
     assert _traced_peak(read_and_decode) <= 9.0
+
+
+def test_full_guard_decode_of_every_value_flagged_peak_memory():
+    # the most the one nearest-boundary call carries: all 1M raw-full values
+    # flagged, so it runs on all of them at once.  The 8 MB output, the
+    # flagged values, the call's work arrays, then FULL's protected values;
+    # the kernel that worked a block at a time peaked at 46.7 MiB here
+    cfg, v = _raw_full_inputs()
+    at = np.arange(_N)
+    f_d = np.random.default_rng(2).integers(0, 2, _N).astype(np.uint8)
+    assert _traced_peak(guard_decode_array, cfg, v, at, f_d) <= 49.0
 
 
 def test_guard_decode_of_values_beyond_the_domain_peak_memory():
