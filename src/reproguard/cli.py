@@ -214,7 +214,8 @@ def _cmd_sweep(args) -> int:
             r["payload"],
             float(r["q"]) if r["q"] else 0.0,
             -float(r["epsilon"]),
-            str(r["seed"]),
+            r["seed"] != "",  # a skipped row has no seed and comes first
+            r["seed"] or 0,
         )
     )
     with open(args.out, "w", newline="", encoding="ascii") as fh:

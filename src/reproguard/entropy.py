@@ -1,8 +1,10 @@
 """Binary/multi-symbol range coder, the flag section and probability tables.
 
 Pure integer arithmetic throughout: a 32-bit range and byte-at-a-time
-renormalization that keeps ``range >= 2**24`` between symbols.  The
-encoder's loop carries only the range and the count of bytes emitted; each
+renormalization that keeps ``range >= 2**24`` between symbols.  Each
+coding step exists once, in the coder method that runs it, whose loop keeps
+the coder state in locals for the whole batch.  The encoder's loops carry
+only the range and the count of bytes emitted; each
 addend to the interval's low end is recorded with that count, and
 ``finish()`` sums the addends, shifted into place, with their carries, in
 numpy and big-integer arithmetic.  The decoder's loops keep
@@ -25,7 +27,7 @@ import sys
 from array import array
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -162,12 +164,39 @@ class RangeEncoder:
         p16s = _checked_p16(p16s)
         if bits.ndim != 1 or bits.shape[0] != p16s.shape[0]:
             raise InvalidInputError("one Prob16 per bit, both 1-D, is needed")
-        _encode_bits(self, (bits != 0).tobytes(), p16s.tolist())
+        top = _TOP
+        rng, nb = self.range, self._nb
+        add, at = self._adds.append, self._at.append
+        for bit, p16 in zip((bits != 0).tobytes(), _uint32_view(p16s)):
+            r0 = (rng >> 16) * p16
+            if bit:
+                add(r0)
+                at(nb)
+                rng -= r0
+            else:
+                rng = r0
+            while rng < top:
+                rng <<= 8
+                nb += 1
+        self.range, self._nb = rng, nb
 
     def encode_symbols(self, tables: SymbolTables, table_ids, symbols) -> None:
-        """Code ``symbols[i]`` against table ``table_ids[i]`` of ``tables``."""
-        start, size = tables.ranges(table_ids, symbols)
-        _encode_ranges(self, _uint32_view(start), _uint32_view(size))
+        """Code ``symbols[i]`` against table ``table_ids[i]`` of ``tables``,
+        as its slice ``[start, start + size)`` of 65536."""
+        starts, sizes = tables.ranges(table_ids, symbols)
+        top = _TOP
+        rng, nb = self.range, self._nb
+        add, at = self._adds.append, self._at.append
+        for start, size in zip(_uint32_view(starts), _uint32_view(sizes)):
+            r = rng >> 16
+            if start:
+                add(r * start)
+                at(nb)
+            rng = r * size
+            while rng < top:
+                rng <<= 8
+                nb += 1
+        self.range, self._nb = rng, nb
 
     def finish(self) -> bytes:
         """The stream so far: the emitted bytes and four bytes of the low
@@ -202,8 +231,12 @@ class RangeDecoder:
     either, so both raise FieldValueError: a ``main`` that opens with
     ``FF FF FF FF`` (the coded value lies below ``0xFFFFFFFF * 256**nb``),
     and a symbol whose target falls in the interval's unused tail
-    ``[65536 * (range >> 16), range)``.  Reading past the end raises
-    TruncatedStreamError.
+    ``[65536 * (range >> 16), range)``.  A coding step leaves at least
+    ``range >> 16 >= 2**8`` (a Prob16 lies in [1, 65535], a frequency is
+    at least 1), so two renormalization steps always restore
+    ``range >= 2**24``, and the loops write them out.  ``main`` is read
+    through an iterator, whose StopIteration means it has ended: that
+    raises TruncatedStreamError.
     """
 
     def __init__(self, data: bytes) -> None:
@@ -218,128 +251,59 @@ class RangeDecoder:
     def decode_bits(self, p16s) -> np.ndarray:
         """One bit per Prob16 of the 1-D ``p16s``, as a uint8 array."""
         p16s = _checked_p16(p16s)
-        bits = _decode_bits(self, _uint32_view(p16s), p16s.shape[0])
-        return np.frombuffer(bits, dtype=np.uint8)
+        top = _TOP
+        out = bytearray(p16s.shape[0])
+        code, rng, byte = self.code, self.range, self._byte
+        try:
+            for i, p16 in enumerate(_uint32_view(p16s)):
+                r0 = (rng >> 16) * p16
+                if code < r0:
+                    rng = r0
+                else:
+                    out[i] = 1
+                    code -= r0
+                    rng -= r0
+                if rng < top:
+                    code = (code << 8) | byte()
+                    rng <<= 8
+                    if rng < top:
+                        code = (code << 8) | byte()
+                        rng <<= 8
+        except StopIteration:
+            raise TruncatedStreamError(_ENDED) from None
+        self.code, self.range = code, rng
+        return np.frombuffer(out, dtype=np.uint8)
 
     def decode_symbols(self, tables: SymbolTables, table_ids) -> np.ndarray:
-        """One symbol per entry of ``table_ids``, each against its table."""
+        """One symbol per entry of ``table_ids``, each against its table;
+        the exact inverse gives each symbol in one lookup."""
         t = tables._checked_ids(table_ids)
-        keys = memoryview(t << 16)
-        flat = _decode_symbols(self, keys, tables.inverse, tables.spans)
-        return np.frombuffer(flat, dtype=np.uintc) - tables.base[t]
-
-
-# ---------------------------------------------------------------------------
-# the coding loops
-#
-# Each coding step exists once, in one of the loops below.  The coder
-# methods only convert their arguments and call a loop, which keeps the
-# coder state in locals for the whole batch.  The encoder loops carry only
-# the range and the byte count: an addend to the low end is appended with
-# the count, and RangeEncoder.finish() sums them with their carries.  The
-# decoders read main through an iterator, whose StopIteration means the data
-# ended.  A coding step leaves at least ``range >> 16 >= 2**8`` (a Prob16
-# lies in [1, 65535], a frequency is at least 1), so two renormalization
-# steps always restore ``range >= 2**24``, and they are written out.
-
-
-def _encode_bits(enc: RangeEncoder, bits: Iterable[int], p16s: Iterable[int]) -> None:
-    """Code each bit at the Prob16 of a zero paired with it."""
-    top = _TOP
-    rng, nb = enc.range, enc._nb
-    add, at = enc._adds.append, enc._at.append
-    for bit, p16 in zip(bits, p16s):
-        r0 = (rng >> 16) * p16
-        if bit:
-            add(r0)
-            at(nb)
-            rng -= r0
-        else:
-            rng = r0
-        while rng < top:
-            rng <<= 8
-            nb += 1
-    enc.range, enc._nb = rng, nb
-
-
-def _encode_ranges(
-    enc: RangeEncoder, starts: Iterable[int], sizes: Iterable[int]
-) -> None:
-    """Code each symbol as its slice ``[start, start + size)`` of 65536."""
-    top = _TOP
-    rng, nb = enc.range, enc._nb
-    add, at = enc._adds.append, enc._at.append
-    for start, size in zip(starts, sizes):
-        r = rng >> 16
-        if start:
-            add(r * start)
-            at(nb)
-        rng = r * size
-        while rng < top:
-            rng <<= 8
-            nb += 1
-    enc.range, enc._nb = rng, nb
-
-
-def _decode_bits(dec: RangeDecoder, p16s: Iterable[int], n: int) -> bytearray:
-    """The next ``n`` bits, one for each of the ``n`` Prob16s of a zero."""
-    top = _TOP
-    out = bytearray(n)
-    code, rng, byte = dec.code, dec.range, dec._byte
-    try:
-        for i, p16 in enumerate(p16s):
-            r0 = (rng >> 16) * p16
-            if code < r0:
-                rng = r0
-            else:
-                out[i] = 1
-                code -= r0
-                rng -= r0
-            if rng < top:
-                code = (code << 8) | byte()
-                rng <<= 8
+        inverse, spans = tables.inverse, tables.spans
+        top = _TOP
+        out = array("I")  # flat indices (see SymbolTables)
+        put = out.append
+        code, rng, byte = self.code, self.range, self._byte
+        try:
+            for key in memoryview(t << 16):
+                r = rng >> 16
+                target = code // r
+                if target > 65535:  # else it would index the next table
+                    raise FieldValueError(_TAIL)
+                s = inverse[key | target]
+                lo, hi = spans[s]
+                code -= r * lo
+                rng = r * (hi - lo)
                 if rng < top:
                     code = (code << 8) | byte()
                     rng <<= 8
-    except StopIteration:
-        raise TruncatedStreamError(_ENDED) from None
-    dec.code, dec.range = code, rng
-    return out
-
-
-def _decode_symbols(
-    dec: RangeDecoder,
-    keys: Iterable[int],
-    inverse: memoryview,
-    spans: list[tuple[int, int]],
-) -> array:
-    """One symbol per key ``t << 16`` of its table, as flat indices (see
-    SymbolTables); the exact inverse gives each symbol in one lookup."""
-    top = _TOP
-    out = array("I")
-    put = out.append
-    code, rng, byte = dec.code, dec.range, dec._byte
-    try:
-        for key in keys:
-            r = rng >> 16
-            target = code // r
-            if target > 65535:  # else it would index the next table
-                raise FieldValueError(_TAIL)
-            s = inverse[key | target]
-            lo, hi = spans[s]
-            code -= r * lo
-            rng = r * (hi - lo)
-            if rng < top:
-                code = (code << 8) | byte()
-                rng <<= 8
-                if rng < top:
-                    code = (code << 8) | byte()
-                    rng <<= 8
-            put(s)
-    except StopIteration:
-        raise TruncatedStreamError(_ENDED) from None
-    dec.code, dec.range = code, rng
-    return out
+                    if rng < top:
+                        code = (code << 8) | byte()
+                        rng <<= 8
+                put(s)
+        except StopIteration:
+            raise TruncatedStreamError(_ENDED) from None
+        self.code, self.range = code, rng
+        return np.frombuffer(out, dtype=np.uintc) - tables.base[t]
 
 
 # ---------------------------------------------------------------------------

@@ -165,16 +165,14 @@ def quantize_latents(y: np.ndarray) -> np.ndarray:
 
 
 def _stream_tables(grid: QuantGrid, idx: np.ndarray) -> tuple[SymbolTables, np.ndarray]:
-    """One CDF table per scale bin in use, built once for the stream, and the
-    table each position codes against."""
+    """One CDF table per scale bin from the stream's lowest bin to its
+    highest, built once for the stream, and the table each position codes
+    against."""
     first = idx.min()
-    place = idx - first  # each bin's place above the lowest in use
-    used = np.flatnonzero(np.bincount(place))
-    sigmas = np.exp(dequantize_array(grid, used + first)).tolist()
+    bins = np.arange(first, idx.max() + 1)
+    sigmas = np.exp(dequantize_array(grid, bins)).tolist()
     tables = SymbolTables([gaussian_cdf_table(s, _AMPLITUDE) for s in sigmas])
-    slot = np.zeros(used[-1] + 1, dtype=np.int64)
-    slot[used] = np.arange(used.shape[0])
-    return tables, slot[place]
+    return tables, idx - first
 
 
 def encode(lat: LatentGrid, cfg: GuardConfig, protect: bool = True) -> GuardedStream:

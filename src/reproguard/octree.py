@@ -498,6 +498,12 @@ def read_ply(path, bit_depth: int | None = None) -> VoxelCloud:
                 if len(parts) != 3:
                     raise PlyParseError(f"bad element line {line!r}")
                 in_vertex = parts[1] == "vertex"
+                if not in_vertex and vertex_count is None:
+                    # its rows would come first and be read as vertices
+                    raise PlyParseError(
+                        f"element {parts[1]!r} precedes element vertex, "
+                        "which must come first"
+                    )
                 if in_vertex:
                     try:
                         vertex_count = int(parts[2])

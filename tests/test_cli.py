@@ -221,6 +221,18 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert [(r["epsilon"], r["seed"]) for r in rows] == [("1e-06", "0")]
 
+    def test_seeds_sort_as_integers(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--payload", "pc", "--epsilons", "1e-6,0.002",
+                   "--ks", "250", "--seeds", "10,2", "--depth", "5",
+                   "--count", "200", "--out", str(out)) == 0
+        assert "skipping" in capsys.readouterr().err
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["epsilon"], r["seed"]) for r in rows] == [
+            ("0.002", ""), ("1e-06", "2"), ("1e-06", "10"),
+        ]
+
     def test_image_payload(self, tmp_path):
         out = tmp_path / "s.csv"
         assert run("sweep", "--payload", "image", "--epsilons", "1e-4",

@@ -748,3 +748,16 @@ class TestPly:
         )
         with pytest.raises(PlyParseError):
             read_ply(path)
+
+    def test_element_before_vertex_is_a_parse_error(self, tmp_path):
+        # the face row would be read as the first vertex and (4, 5, 6) lost
+        path = tmp_path / "x.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\ncomment bit_depth 4\n"
+            "element face 1\nproperty list uchar int vertex_indices\n"
+            "element vertex 2\n"
+            "property int x\nproperty int y\nproperty int z\n"
+            "end_header\n3 0 1 2\n1 2 3\n4 5 6\n"
+        )
+        with pytest.raises(PlyParseError, match="vertex, which must come first"):
+            read_ply(path)

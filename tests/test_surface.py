@@ -48,8 +48,10 @@ PACKAGE_ALL = [
 # occupancy pass (each side has one level loop over ``_groups``), the
 # guard's boundary kernel, boundary value and domain-edge helpers with the
 # hyperprior's first-bin helper (``quantizer._nearest`` gives all the
-# guard needs, and a stream's tables start at its own lowest bin), and the
-# latent-dims check that only the container's own header checks ran.
+# guard needs, and a stream's tables start at its own lowest bin), the
+# latent-dims check that only the container's own header checks ran, and
+# the four range-coding loops, each of which had one caller once the scalar
+# coder methods were gone (each loop now lives in the method that runs it).
 DELETED = [
     "entropy.RangeEncoder.encode_bit",
     "entropy.RangeEncoder.encode_symbol",
@@ -111,6 +113,10 @@ DELETED = [
     "quantizer._inside",
     "quantizer._first_bin",
     "container.check_latent_dims",
+    "entropy._encode_bits",
+    "entropy._encode_ranges",
+    "entropy._decode_bits",
+    "entropy._decode_symbols",
 ]
 
 
@@ -150,6 +156,15 @@ def test_package_exports_resolve():
 def test_module_exports_resolve(name):
     module = importlib.import_module(f"reproguard.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_readme_names_every_package_export():
+    text = README.read_text()
+    missing = [
+        n for n in reproguard.__all__
+        if n != "__version__" and not re.search(rf"\b{re.escape(n)}\b", text)
+    ]
     assert missing == []
 
 
