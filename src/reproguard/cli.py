@@ -35,14 +35,6 @@ def _overhead_pct(stream: container.GuardedStream) -> float:
     return (len(stream.safeguard) + _GUARD_HEADER_BYTES) / len(stream.main) * 100.0
 
 
-def _perturbation(e: float, dist: str, seed: int) -> Perturbation | None:
-    if e < 0.0:
-        raise ConfigError("perturbation magnitude must be >= 0")
-    if e == 0.0 or dist == "none":
-        return None
-    return Perturbation(e_max=e, dist=dist, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # one encode -> decode -> compare path per payload
 
@@ -98,7 +90,7 @@ def _cmd_encode_pc(args) -> int:
 
 def _cmd_decode_pc(args) -> int:
     stream = container.read_file(args.input)
-    pert = _perturbation(args.perturb_e, args.perturb_dist, args.perturb_seed)
+    pert = Perturbation(args.perturb_e, args.perturb_dist, args.perturb_seed)
     try:
         cloud = octree.decode(stream, perturb=pert)
     except MalformedStreamError as exc:
@@ -142,15 +134,7 @@ _CSV_FIELDS = [
 ]
 
 
-def _q_column(k: int | None) -> str:
-    # no k is the latent codec, whose step is the scale table's on log
-    # sigma; k < 1 (rejected by make_pc_config) has no q
-    if k is None:
-        return repr(hyperprior.default_scale_table().q)
-    return repr(1.0 / k) if k >= 1 else ""
-
-
-def _sweep_row(payload, cfg, k, eps, seed, size):
+def _sweep_row(payload, cfg, q, eps, seed, size):
     pert = Perturbation(e_max=eps / 2.0, dist="uniform", seed=seed + 7777)
     stream, n, exact = _roundtrip(payload, cfg, size, seed, pert)
     # the zero rate the flags were coded at, as the flag coder derives it
@@ -158,7 +142,7 @@ def _sweep_row(payload, cfg, k, eps, seed, size):
     return {
         "payload": payload,
         "n": n,
-        "q": _q_column(k),
+        "q": q,
         "epsilon": repr(eps),
         "seed": seed,
         "main_bytes": len(stream.main),
@@ -188,26 +172,30 @@ def _list_arg(flag: str, text: str, kind) -> list:
 def _cmd_sweep(args) -> int:
     epsilons = _list_arg("--epsilons", args.epsilons, float)
     seeds = _list_arg("--seeds", args.seeds, int)
+    # each grid once: (q column, warning label, config builder); k < 1,
+    # which make_pc_config rejects, has no q, and the latent codec's one
+    # grid is the scale table on log sigma
     if args.payload == "pc":
-        ks = _list_arg("--ks", args.ks, int)
+        grids = [
+            (repr(1.0 / k) if k >= 1 else "", f"k={k} ",
+             lambda eps, k=k: octree.make_pc_config(eps, k=k))
+            for k in _list_arg("--ks", args.ks, int)
+        ]
         size = (args.depth, args.count)
     else:
-        ks = [None]  # the latent codec has one grid, the scale table
+        grids = [(repr(hyperprior.default_scale_table().q), "",
+                  hyperprior.make_image_config)]
         size = _IMAGE_SIZE
     rows = []
-    for k in ks:
+    for q, where, make_config in grids:
         for eps in epsilons:
             try:
-                if k is None:
-                    cfg = hyperprior.make_image_config(eps)
-                else:
-                    cfg = octree.make_pc_config(eps, k=k)
+                cfg = make_config(eps)
             except (ConfigError, InvalidInputError) as exc:
-                where = "" if k is None else f"k={k} "
                 print(f"warning: skipping {where}eps={eps}: {exc}", file=sys.stderr)
-                rows.append(_skip_row(args.payload, _q_column(k), eps, exc))
+                rows.append(_skip_row(args.payload, q, eps, exc))
                 continue
-            rows.extend(_sweep_row(args.payload, cfg, k, eps, s, size) for s in seeds)
+            rows.extend(_sweep_row(args.payload, cfg, q, eps, s, size) for s in seeds)
 
     rows.sort(
         key=lambda r: (
@@ -240,7 +228,7 @@ def _cmd_interop(args) -> int:
     exact = 0
     for seed in range(args.trials):
         cfg = make_config(args.epsilon)
-        pert = _perturbation(args.e, args.dist, seed + 31337)
+        pert = Perturbation(args.e, args.dist, seed + 31337)
         exact += _trial(args.payload, cfg, size, seed, pert) == "EXACT"
     in_contract = args.e < args.epsilon
     tag = "" if in_contract else "  [OUT OF CONTRACT]"
@@ -257,7 +245,7 @@ def _cmd_demo_image(args) -> int:
     failures = 0
     for t in range(args.trials):
         seed = args.seed + t
-        pert = _perturbation(args.e, args.dist, seed + 424242)
+        pert = Perturbation(args.e, args.dist, seed + 424242)
         status = _trial("image", cfg, _IMAGE_SIZE, seed, pert, not args.no_protect)
         if status != "EXACT":
             failures += 1

@@ -49,7 +49,6 @@ __all__ = [
     "write_file",
     "read_file",
     "check_grid",
-    "config_for_stream",
     "open_stream",
 ]
 
@@ -146,32 +145,24 @@ def check_grid(
         raise ConfigError(f"a {type(header).__name__} cannot carry the guard grid")
 
 
-def config_for_stream(stream: GuardedStream) -> GuardConfig:
-    """The guard configuration the stream's header describes.  A header the
-    configuration rejects (such as an epsilon that breaks the 4*epsilon
-    margin, an octree step with no whole bin on [0, 1], or a non-finite
-    epsilon or step) is a malformed stream."""
-    frame = _FRAMES.get(stream.payload_kind)
-    if frame is None:
-        raise FieldValueError(f"bad payload header {type(stream.payload)}")
-    try:
-        grid = frame.grid(stream.payload)
-        return GuardConfig(grid=grid, epsilon=stream.epsilon, mode=stream.mode)
-    except (ConfigError, InvalidInputError) as exc:
-        raise FieldValueError(f"stream header unusable: {exc}") from None
-
-
 def open_stream(stream: GuardedStream, kind: int) -> tuple[GuardConfig, FlagReader]:
-    """What every decoder starts from: the guard configuration of a payload
-    ``kind`` stream, and the reader of its safeguard section.  It runs the
-    header checks ``read`` and ``write`` run, which an in-memory stream has
-    not been through."""
+    """What every decoder starts from, and the one way from a stream to its
+    guard configuration: the configuration of a payload ``kind`` stream, as
+    its header describes it, and the reader of its safeguard section.  It
+    runs the header checks ``read`` and ``write`` run, which an in-memory
+    stream has not been through.  A header the configuration rejects (such
+    as an epsilon that breaks the 4*epsilon margin, an octree step with no
+    whole bin on [0, 1], or a non-finite epsilon or step) is a malformed
+    stream."""
     if stream.payload_kind != kind:
         raise FieldValueError(f"payload kind {stream.payload_kind!r}, expected {kind}")
     _check_stream(stream)
-    return config_for_stream(stream), FlagReader(
-        stream.safeguard, stream.flag_count, stream.mode
-    )
+    try:
+        grid = _FRAMES[kind].grid(stream.payload)
+        cfg = GuardConfig(grid=grid, epsilon=stream.epsilon, mode=stream.mode)
+    except (ConfigError, InvalidInputError) as exc:
+        raise FieldValueError(f"stream header unusable: {exc}") from None
+    return cfg, FlagReader(stream.safeguard, stream.flag_count, stream.mode)
 
 
 def _positive(x) -> bool:

@@ -489,19 +489,16 @@ class FlagReader:
 
 
 def _phi(x: float) -> float:
-    """Standard normal CDF via the Abramowitz-Stegun 7.1.26 erf polynomial."""
+    """Standard normal CDF at ``x >= 0`` via the Abramowitz-Stegun 7.1.26
+    erf polynomial."""
     z = x / math.sqrt(2.0)
-    sign = 1.0
-    if z < 0.0:
-        sign = -1.0
-        z = -z
     t = 1.0 / (1.0 + 0.3275911 * z)
     poly = t * (
         0.254829592
         + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429)))
     )
     erf = 1.0 - poly * math.exp(-z * z)
-    return 0.5 * (1.0 + sign * erf)
+    return 0.5 * (1.0 + erf)
 
 
 @lru_cache(maxsize=512)

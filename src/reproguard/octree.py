@@ -505,6 +505,9 @@ def read_ply(path, bit_depth: int | None = None) -> VoxelCloud:
                         "which must come first"
                     )
                 if in_vertex:
+                    if vertex_count is not None:
+                        # its properties would extend the first's
+                        raise PlyParseError("a second element vertex")
                     try:
                         vertex_count = int(parts[2])
                     except ValueError:

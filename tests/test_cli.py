@@ -281,6 +281,22 @@ def test_no_trials_is_a_config_error(argv, capsys):
     assert "exact" not in out and "--trials must be >= 1" in err
 
 
+@pytest.mark.parametrize("case", ["decode-pc", "interop", "demo-image"])
+def test_negative_drift_is_a_config_error(case, small_ply, tmp_path, capsys):
+    rgd = tmp_path / "c.rgd"
+    assert run("encode-pc", "--input", str(small_ply), "--output", str(rgd)) == 0
+    capsys.readouterr()
+    argv = {
+        "decode-pc": ["decode-pc", "--input", str(rgd), "--perturb-e", "-1"],
+        "interop": ["interop", "--payload", "pc", "--trials", "1", "--e", "-1"],
+        "demo-image": ["demo-image", "--trials", "1", "--e", "-1"],
+    }[case]
+    assert run(*argv) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert "exact" not in out and "EXACT" not in out
+    assert "e_max must be finite and >= 0" in err
+
+
 class TestDemoImage:
     def test_protected_exact(self, capsys):
         assert run("demo-image", "--trials", "2", "--epsilon", "1e-4",
@@ -324,3 +340,10 @@ def test_readme_modes_and_mode_choices_follow_guard_mode():
     )
     mode = next(a for a in sub.choices["encode-pc"]._actions if a.dest == "mode")
     assert list(mode.choices) == names
+
+
+def test_readme_exit_codes_are_the_cli_exit_codes():
+    section = README.read_text(encoding="utf-8").split("\n### Exit codes\n")[1]
+    section = section.split("\n#")[0]
+    codes = [int(c) for c in re.findall(r"^\| (\d+) \|", section, re.MULTILINE)]
+    assert codes == sorted(v for n, v in vars(cli).items() if n.startswith("EXIT_"))

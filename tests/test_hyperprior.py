@@ -7,7 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
-from reproguard.container import GuardedStream, config_for_stream, read, write
+from reproguard.container import (
+    GuardedStream,
+    PayloadKind,
+    open_stream,
+    read,
+    write,
+)
 from reproguard.errors import ConfigError, FieldValueError, InvalidInputError
 from reproguard import hyperprior
 from reproguard.hyperprior import (
@@ -66,7 +72,8 @@ class TestScaleTable:
         assert default_scale_table() is default_scale_table()
         lat = synth_latents(8, 8, 2, seed=0)
         stream = read(write(encode(lat, make_image_config(1e-4))))
-        assert config_for_stream(stream).grid is default_scale_table()
+        cfg, _ = open_stream(stream, PayloadKind.HYPERPRIOR)
+        assert cfg.grid is default_scale_table()
 
 
 class TestSynthLatents:

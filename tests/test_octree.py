@@ -761,3 +761,18 @@ class TestPly:
         )
         with pytest.raises(PlyParseError, match="vertex, which must come first"):
             read_ply(path)
+
+    def test_second_vertex_element_is_a_parse_error(self, tmp_path):
+        # its properties would extend the first's and its count replace it,
+        # so (7, 8, 9) would be lost and a row read as six properties
+        path = tmp_path / "x.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\ncomment bit_depth 4\n"
+            "element vertex 1\n"
+            "property int x\nproperty int y\nproperty int z\n"
+            "element vertex 1\n"
+            "property int a\nproperty int b\nproperty int c\n"
+            "end_header\n1 2 3 4 5 6\n7 8 9\n"
+        )
+        with pytest.raises(PlyParseError, match="second element vertex"):
+            read_ply(path)

@@ -114,7 +114,7 @@ GRID_CASES = _grid_cases()
 def test_header_rebuilds_the_encoder_grid(case):
     encode, cfg = GRID_CASES[case]
     stream = container.read(container.write(encode(cfg)))
-    assert container.config_for_stream(stream) == cfg
+    assert container.open_stream(stream, stream.payload_kind)[0] == cfg
 
 
 def _rejects_before_coding(module, encode, monkeypatch):
@@ -377,7 +377,7 @@ def test_octree_step_wider_than_the_unit_domain_is_a_malformed_stream():
     bad = _replaced(stream, q=1e300)
     parsed = container.read(container.write(bad))
     with pytest.raises(FieldValueError):
-        container.config_for_stream(parsed)
+        container.open_stream(parsed, container.PayloadKind.OCTREE)
     with pytest.raises(FieldValueError):
         decode(parsed)
 
@@ -410,7 +410,7 @@ def _octree_tiny_step():
 def test_octree_stream_with_bin_indices_beyond_2_53_is_malformed():
     parsed = container.read(container.write(_octree_tiny_step()))
     with pytest.raises(FieldValueError, match="2\\*\\*53"):
-        container.config_for_stream(parsed)
+        container.open_stream(parsed, container.PayloadKind.OCTREE)
     with pytest.raises(FieldValueError, match="2\\*\\*53"):
         octree.decode(parsed)
 

@@ -8,7 +8,8 @@ import pytest
 from reproguard import raw_values
 from reproguard.container import (
     GuardedStream,
-    config_for_stream,
+    PayloadKind,
+    open_stream,
     read,
     write,
 )
@@ -102,10 +103,10 @@ def test_read_gives_main_as_a_view_of_its_input():
     assert stream.main == blob[-8_000_000:]
 
 
-def test_config_for_stream_reconstructs():
+def test_open_stream_reconstructs_the_config():
     v = sample_values(50, seed=2)
     stream = encode_values(v, cfg_for(GuardMode.FULL))
-    cfg = config_for_stream(stream)
+    cfg, _ = open_stream(stream, PayloadKind.RAW)
     assert cfg.grid == GRID
     assert cfg.mode == GuardMode.FULL
     assert cfg.epsilon == EPS

@@ -51,7 +51,11 @@ PACKAGE_ALL = [
 # guard needs, and a stream's tables start at its own lowest bin), the
 # latent-dims check that only the container's own header checks ran, and
 # the four range-coding loops, each of which had one caller once the scalar
-# coder methods were gone (each loop now lives in the method that runs it).
+# coder methods were gone (each loop now lives in the method that runs it),
+# a second way from a stream to its guard configuration (``open_stream``
+# is the one way), and two CLI stand-ins: a ``Perturbation`` builder that
+# repeated the class's own checks and no-op cases, and the sweep's q-column
+# helper behind a ``k = None`` sentinel (each payload lists its grids once).
 DELETED = [
     "entropy.RangeEncoder.encode_bit",
     "entropy.RangeEncoder.encode_symbol",
@@ -117,6 +121,9 @@ DELETED = [
     "entropy._encode_ranges",
     "entropy._decode_bits",
     "entropy._decode_symbols",
+    "container.config_for_stream",
+    "cli._perturbation",
+    "cli._q_column",
 ]
 
 
