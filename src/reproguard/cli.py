@@ -192,8 +192,11 @@ def _cmd_sweep(args) -> int:
             try:
                 cfg = make_config(eps)
             except (ConfigError, InvalidInputError) as exc:
-                print(f"warning: skipping {where}eps={eps}: {exc}", file=sys.stderr)
-                rows.append(_skip_row(args.payload, q, eps, exc))
+                # the row names its grid as the warning does: a skip row has
+                # no k column, and k < 1 has no q
+                reason = f"{where}eps={eps}: {exc}"
+                print(f"warning: skipping {reason}", file=sys.stderr)
+                rows.append(_skip_row(args.payload, q, eps, reason))
                 continue
             rows.extend(_sweep_row(args.payload, cfg, q, eps, s, size) for s in seeds)
 

@@ -150,14 +150,36 @@ class VoxelCloud:
 
     @classmethod
     def from_voxels(cls, voxels: np.ndarray, bit_depth: int) -> "VoxelCloud":
+        """The cloud of the (N, 3) integral coordinates ``voxels``, each in
+        ``[0, 1 << bit_depth)``; a float coordinate must be a whole number.
+        Duplicates are dropped with one in-place sort of the Morton codes
+        and the run-start rule of the encoder's bottom-up pass."""
         _check_depth(bit_depth)
-        v = np.asarray(voxels, dtype=np.int64)
+        v = np.asarray(voxels)
         if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 1:
             raise InvalidInputError("voxels must be a non-empty (N, 3) array")
-        if np.any(v < 0) or np.any(v >= (1 << bit_depth)):
+        # every check runs before morton_encode's cast to uint64, which
+        # would truncate a fraction and turn a non-finite or huge value
+        # into garbage with a warning
+        if v.dtype.kind not in "biuf":
+            raise InvalidInputError("voxel coordinates must be real numbers")
+        if v.dtype.kind == "f" and not np.all(np.isfinite(v) & (np.floor(v) == v)):
+            raise InvalidInputError("voxel coordinates must be finite integers")
+        if v.min() < 0 or v.max() >= 1 << bit_depth:
             raise InvalidInputError("voxel coordinates outside the grid")
-        codes = np.unique(morton_encode(v))
-        return cls(bit_depth=bit_depth, codes=codes)
+        codes = morton_encode(v)
+        codes.sort()
+        return cls(bit_depth=bit_depth, codes=codes[_run_starts(codes)])
+
+
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """A mask of where each run of equal values in the non-empty ``x``
+    starts: its first value and each one unlike the value before it.  On
+    sorted ``x``, ``x[_run_starts(x)]`` is its distinct values, ascending."""
+    start = np.empty(x.shape[0], dtype=bool)
+    start[0] = True
+    np.not_equal(x[1:], x[:-1], out=start[1:])
+    return start
 
 
 def voxelize(points: np.ndarray, bit_depth: int) -> VoxelCloud:
@@ -341,9 +363,7 @@ def _levels(codes: np.ndarray, bit_depth: int) -> list[tuple]:
     nodes, below = codes, None
     for _ in range(bit_depth):
         up = nodes >> _U(3)
-        start = np.empty(up.shape[0], dtype=bool)
-        start[0] = True
-        np.not_equal(up[1:], up[:-1], out=start[1:])
+        start = _run_starts(up)
         at = np.cumsum(start)
         at -= 1
         occ = np.zeros((8, int(at[-1]) + 1), dtype=np.uint8)
@@ -556,8 +576,7 @@ def read_ply(path, bit_depth: int | None = None) -> VoxelCloud:
     pts = np.frombuffer(coords, dtype=np.float64).reshape(vertex_count, 3)
     if not np.all(np.isfinite(pts)):
         raise PlyParseError("non-finite vertex coordinates")
-    side = 1 << depth
-    integral = np.all(pts == np.floor(pts))
-    if integral and np.all(pts >= 0) and np.all(pts < side):
-        return VoxelCloud.from_voxels(pts.astype(np.int64), depth)
-    return voxelize(pts, depth)
+    try:  # coordinates that are all grid integers are the voxels themselves
+        return VoxelCloud.from_voxels(pts, depth)
+    except InvalidInputError:
+        return voxelize(pts, depth)

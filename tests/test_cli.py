@@ -187,6 +187,18 @@ class TestSweep:
         assert rows[0]["exact"].startswith("skipped:")
         assert rows[0]["q"] == ""
 
+    def test_skip_rows_name_their_grid(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--payload", "pc", "--epsilons", "1e-6",
+                   "--ks", "0,-3", "--seeds", "0", "--out", str(out)) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["exact"] for r in rows] == [
+            "skipped: k=0 eps=1e-06: k must be a positive integer",
+            "skipped: k=-3 eps=1e-06: k must be a positive integer",
+        ]
+        assert all(r["q"] == "" for r in rows)
+
     def test_empty_seeds_header_only(self, tmp_path):
         out = tmp_path / "s.csv"
         assert run("sweep", "--payload", "pc", "--epsilons", "1e-6",

@@ -1,7 +1,10 @@
 """Octree occupancy codec tests."""
 
+import hashlib
 import tracemalloc
 
+from hypothesis import given, settings
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -121,6 +124,79 @@ class TestVoxelize:
         assert np.all(np.diff(cloud.codes.astype(np.int64)) > 0)
 
 
+def _unique_codes(voxels):
+    """The reference dedupe: the distinct Morton codes, ascending."""
+    return np.unique(morton_encode(np.asarray(voxels, dtype=np.int64)))
+
+
+class TestFromVoxels:
+    @pytest.mark.parametrize("voxels", [
+        [[1.5, 2.7, 3.2], [1.2, 2.1, 3.9]],
+        [[1.0, 2.0, 3.0], [0.0, 0.5, 0.0]],
+        [[1.0, 2.0, -0.5]],
+    ], ids=["all-fractional", "one-fraction", "negative-fraction"])
+    def test_non_integral_coordinates_are_rejected(self, voxels):
+        with pytest.raises(InvalidInputError, match="integers"):
+            VoxelCloud.from_voxels(np.array(voxels), 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e30, -1e300])
+    def test_non_finite_or_huge_coordinates_are_typed_before_any_cast(self, bad):
+        # a cast would warn first, and under an error filter the warning
+        # would be what the caller sees
+        with pytest.raises(InvalidInputError):
+            VoxelCloud.from_voxels(np.array([[1.0, bad, 2.0]]), 4)
+
+    @pytest.mark.parametrize("voxels", [
+        np.array([[1 + 2j, 0, 0]]),
+        np.array([["1", "2", "3"]]),
+        np.array([[2**63, 0, 0]], dtype=np.uint64),
+        np.array([[0, 0, 16]], dtype=np.uint8),
+        np.array([[0, -1, 0]], dtype=np.int8),
+    ], ids=["complex", "str", "uint64-past-int64", "uint8-at-the-edge", "int8"])
+    def test_other_bad_coordinates_are_rejected(self, voxels):
+        with pytest.raises(InvalidInputError):
+            VoxelCloud.from_voxels(voxels, 4)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint16, bool])
+    def test_integral_coordinates_of_any_real_dtype_are_accepted(self, dtype):
+        ints = np.array([[1, 0, 1], [0, 1, 1], [1, 0, 1]])
+        cloud = VoxelCloud.from_voxels(ints.astype(dtype), 1)
+        assert np.array_equal(cloud.codes, _unique_codes(ints))
+
+    @pytest.mark.parametrize("depth, voxels", [
+        (4, [[3, 1, 2]] * 50 + [[0, 0, 0]] * 50 + [[15, 15, 15]]),
+        (4, [[9, 2, 2], [1, 0, 3], [15, 0, 0], [1, 0, 3], [0, 15, 0], [2, 9, 2]]),
+        (6, [[17, 40, 63]]),
+        (21, [[(1 << 21) - 1] * 3] * 7),
+        (1, [[1, 1, 1], [0, 0, 0], [1, 0, 1], [0, 0, 0], [1, 1, 1]]),
+        (1, [[x >> 2, (x >> 1) & 1, x & 1] for x in range(8)][::-1] * 3),
+        (21, [[(1 << 21) - 1, 0, 5], [0, (1 << 21) - 1, 5], [(1 << 21) - 1, 0, 5]]),
+    ], ids=[
+        "heavy-duplicates", "unsorted", "single-voxel", "all-identical-at-the-top",
+        "depth-1", "depth-1-whole-grid-descending", "depth-21-extremes",
+    ])
+    def test_codes_equal_the_distinct_sorted_codes(self, depth, voxels):
+        cloud = VoxelCloud.from_voxels(np.array(voxels, dtype=np.int64), depth)
+        assert np.array_equal(cloud.codes, _unique_codes(voxels))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        depth=st.integers(1, 21),
+        pool=st.integers(1, 64),
+        rows=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_codes_equal_the_distinct_sorted_codes_on_random_clouds(
+        self, depth, pool, rows, seed
+    ):
+        # rows drawn from a small pool of voxels, so duplicates are common
+        rng = np.random.default_rng(seed)
+        distinct = rng.integers(0, 1 << depth, size=(pool, 3), dtype=np.int64)
+        voxels = distinct[rng.integers(0, pool, size=rows)]
+        cloud = VoxelCloud.from_voxels(voxels, depth)
+        assert np.array_equal(cloud.codes, _unique_codes(voxels))
+
+
 def _codes(*values):
     return np.array(values, dtype=np.uint64)
 
@@ -180,6 +256,23 @@ class TestSynth:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             synth_cloud("shell", 10, 100, 0)
+
+    # SHA-256 of the codes of the benchmark's clouds (pc-dense at seed 1, two
+    # small-streams clouds) and of a sparse one, so that an edit to the input
+    # path cannot change a workload's input, and so its stream bytes, unseen
+    @pytest.mark.parametrize("args, digest", [
+        (("dense", 10, 100_000, 1),
+         "87846bba62096eb8de9f0e76bc6c7923e5f65383782e77076808b8c5cb0bf64c"),
+        (("dense", 8, 4000, 1000),
+         "caaad14851adadccc8991aee2c21d4a8d942eec4467dc121223807ccbde5015a"),
+        (("dense", 8, 4000, 1127),
+         "a544b41bfdfdefd3ad811c431b0880f016510fcfaf7e9a1a2676208e3c3fab61"),
+        (("sparse", 4, 5000, 2),
+         "967cd0270f836341a86aea3474d12dab50e14f67a294d2dc010f7698ddc43156"),
+    ], ids=["pc-dense", "small-streams-first", "small-streams-last", "sparse"])
+    def test_codes_are_pinned(self, args, digest):
+        codes = synth_cloud(*args).codes
+        assert hashlib.sha256(codes.tobytes()).hexdigest() == digest
 
 
 def record_passes(monkeypatch):
@@ -619,6 +712,22 @@ class TestLevelStepMemory:
         drift = Perturbation(5e-7, "uniform", 1)
         assert traced_peak(lambda: decode(stream, perturb=drift)) <= 4.5 * 2**20
 
+    def test_peak_memory_of_a_dense_depth10_dedupe(self, monkeypatch):
+        # the 100,000 voxels synth_cloud hands over, 75,044 of them distinct:
+        # Morton encoding peaks at three uint64 arrays of the input's length
+        # (2.29 MiB), and the sort, the run-start mask and the kept codes
+        # stay below that
+        build = VoxelCloud.from_voxels.__func__
+        handed = []
+        monkeypatch.setattr(VoxelCloud, "from_voxels", classmethod(
+            lambda cls, voxels, depth: handed.append(voxels) or build(cls, voxels, depth)
+        ))
+        synth_cloud("dense", 10, 100_000, 1)
+        monkeypatch.undo()
+        (voxels,) = handed
+        assert voxels.shape == (100_000, 3) and voxels.dtype == np.int64
+        assert traced_peak(lambda: VoxelCloud.from_voxels(voxels, 10)) <= 2.5 * 2**20
+
 
 class TestDecodeErrors:
     def test_wrong_payload_kind(self):
@@ -676,12 +785,15 @@ class TestPly:
         write_ply(path, cloud)
         assert np.array_equal(read_ply(path).codes, cloud.codes)
 
-    def test_float_vertices_are_voxelized(self, tmp_path):
+    @pytest.mark.parametrize("rows", [
+        "0.0 0.0 0.0\n1.0 1.0 1.0\n", "0.2 0.0 0.0\n0.9 1.0 1.0\n", "0 0 0\n5 5 5\n",
+    ], ids=["on-the-grid", "fractional", "past-the-grid"])
+    def test_float_vertices_are_voxelized(self, rows, tmp_path):
         path = tmp_path / "f.ply"
         path.write_text(
             "ply\nformat ascii 1.0\nelement vertex 2\n"
             "property float x\nproperty float y\nproperty float z\n"
-            "end_header\n0.0 0.0 0.0\n1.0 1.0 1.0\n"
+            "end_header\n" + rows
         )
         cloud = read_ply(path, bit_depth=1)
         assert cloud.points().tolist() == [[0, 0, 0], [1, 1, 1]]

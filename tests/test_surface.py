@@ -2,6 +2,7 @@
 exported name resolves, names deleted from the surface stay deleted, and
 README's library quickstart runs as written."""
 
+import ast
 import dataclasses
 import importlib
 import pkgutil
@@ -13,6 +14,7 @@ import pytest
 import reproguard
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SOURCES = sorted(Path(reproguard.__file__).parent.glob("*.py"))
 MODULES = sorted(m.name for m in pkgutil.iter_modules(reproguard.__path__))
 
 
@@ -152,6 +154,22 @@ def test_payloads_bind_the_public_guard_and_flag_coder(module):
     assert payload.guard_encode_array is reproguard.safeguard.guard_encode_array
     assert payload.guard_decode_array is reproguard.safeguard.guard_decode_array
     assert payload.encode_flags is reproguard.entropy.encode_flags
+
+
+# numpy >= 2.3's ``np.unique`` hashes before it sorts, which on the Morton
+# codes a voxel cloud is deduped from is 11x slower than one sort and a
+# run-start mask (``octree._run_starts``), and numpy < 2.3 sorts anyway
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_calls_np_unique(path):
+    tree = ast.parse(path.read_text(), str(path))
+    calls = [
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "unique"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+        or (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+            and any(alias.name == "unique" for alias in node.names))
+    ]
+    assert calls == []
 
 
 def test_package_exports_resolve():
