@@ -62,8 +62,16 @@ def prob_to_p16_array(v) -> np.ndarray:
     # written so that a NaN, which compares false, fails it too
     if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):
         raise InvalidInputError("probability outside [0, 1] after clipping")
-    p = 65536 - np.floor(v * 65536.0 + 0.5).astype(np.int64)
-    return np.minimum(np.maximum(p, 1), 65535)  # np.clip's wrapper costs more
+    # one float buffer (an array even for 0-d input): after the floor every
+    # step is exact on its integer-valued doubles, so the one cast gives
+    # 65536 - floor(v * 65536 + 0.5), clamped to [1, 65535], in integers
+    p = np.multiply(v, 65536.0, out=np.empty_like(v))
+    p += 0.5
+    np.floor(p, out=p)
+    np.subtract(65536.0, p, out=p)
+    np.maximum(p, 1.0, out=p)  # np.clip's wrapper costs more
+    np.minimum(p, 65535.0, out=p)
+    return p.astype(np.int64)
 
 
 def _checked_p16(p16s) -> np.ndarray:

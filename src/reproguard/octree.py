@@ -45,7 +45,7 @@ from .errors import (
     InvalidInputError,
     PlyParseError,
 )
-from .platform_sim import Perturbation, splitmix64_array, unit_from_u64
+from .platform_sim import Perturbation, unit_hash_inplace
 from .quantizer import QuantGrid
 from .safeguard import (
     GuardConfig,
@@ -261,10 +261,13 @@ _HASH_C2 = 0xA5A5A5A5A5A5A5A5
 def _ancestral_unit(
     parent_codes: np.ndarray, depth: int, octant: int | np.ndarray
 ) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        x = parent_codes.astype(np.uint64) * _U(_HASH_C1) + _U(depth) * _U(_HASH_C2)
-        # the broadcast to (octants, parents) is freed before the unit map
-        return unit_from_u64(splitmix64_array(x + _U(octant)))
+    """Draws in [0, 1) hashed from each uint64 parent code times C1, plus
+    depth times C2, plus the octant, mod 2**64; a column of octants gives
+    (octants, parents)."""
+    x = parent_codes * _U(_HASH_C1)
+    x += _U(depth * _HASH_C2 % 2**64)
+    # the broadcast is the one array the hash makes its draws in
+    return unit_hash_inplace(np.add(x, np.asarray(octant, dtype=np.uint64)))
 
 
 # coded siblings are always 0..7, so their term is one of eight values
@@ -325,7 +328,8 @@ def _probabilities(
         octants.start - terms.octants.start, octants.stop - terms.octants.start
     )
     # the terms add in one fixed order, so both sides get the same doubles
-    t = terms.head[rows] + _SIBLING_TERM[coded_siblings.reshape(len(octants), -1)]
+    t = _SIBLING_TERM[coded_siblings.reshape(len(octants), -1)]
+    t += terms.head[rows]  # head + sibling term, the same double either way
     t += terms.parent
     t += terms.grandparent
     t += terms.ancestral[rows]

@@ -31,7 +31,13 @@ from reproguard.errors import (
     TruncatedStreamError,
 )
 from reproguard import hyperprior
-from reproguard.quantizer import default_scale_table, dequantize_array, quantize_array
+from reproguard.octree import make_pc_config
+from reproguard.quantizer import (
+    default_scale_table,
+    dequantize_array,
+    quantize_array,
+    round_index_array,
+)
 from reproguard.safeguard import GuardMode
 
 
@@ -64,10 +70,30 @@ def test_p16_rejects_nan():
             prob_to_p16_array(v)
 
 
+def _pc_grid_values(k):
+    """Every bin centre and interior boundary of the octree's grid at k: the
+    probabilities a guarded octree decode hands the coder."""
+    grid = make_pc_config(1e-6, k).grid
+    centres = dequantize_array(grid, np.arange(k))
+    _, boundaries = round_index_array(grid, np.arange(1, k) * grid.q)
+    return np.concatenate([centres, boundaries])
+
+
+def _p16_ties():
+    """Each rounding tie (j + 0.5) / 65536 with its 1-ulp neighbours, then 0,
+    1 and the smallest subnormal."""
+    ties = (np.arange(65536) + 0.5) / 65536.0
+    edges = [0.0, 1.0, 5e-324]
+    return np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, 1.0), edges])
+
+
 def test_p16_array_matches_scalar():
-    v = np.linspace(0.0, 1.0, 1001)
-    arr = prob_to_p16_array(v)
-    assert arr.tolist() == [_p16_reference(float(x)) for x in v]
+    inputs = [np.linspace(0.0, 1.0, 1001), _p16_ties()]
+    inputs += [_pc_grid_values(k) for k in (250, 10, 1)]
+    for v in inputs:
+        arr = prob_to_p16_array(v)
+        assert arr.dtype == np.int64
+        assert arr.tolist() == [_p16_reference(float(x)) for x in v]
 
 
 # ---------------------------------------------------------------------------
