@@ -4,23 +4,23 @@ Geometry is stored as Morton codes.  Encoder and decoder each code the tree
 in one loop over its levels, eight octant passes per level; within a pass
 the context of a child depends only on data coded in earlier passes or
 levels, so both sides evaluate the predictor on whole batches.  Both loops
-take a level's groups of consecutive passes from ``_groups``, which builds
-each group's model context once: every term but the count of coded
-siblings.  The decoder codes one pass at a time, since each needs the bits
-of the passes before it, and takes the next level from the occupancy it
-decoded.  The encoder knows every bit in advance: it derives every level in
-one bottom-up pass over distinct nodes, whose work per level follows that
-level's node count, and codes a whole group per call.  The pass relies on
-the leaf codes being sorted and unique, which ``VoxelCloud`` checks.  Every
-predicted occupancy probability is a coder-critical value: it is
-safeguarded, and the entropy coder only ever sees the protected copy.
+take a level's groups of consecutive passes from ``_groups``, which sums
+each group's logits once: every model term but the coded-sibling one.
+The decoder codes one pass at a time, since each needs the bits of the
+passes before it, adds that term to the pass's row of logits, and takes
+the next level from the occupancy it decoded.  The encoder knows every bit
+in advance: it derives every level in one bottom-up pass over distinct
+nodes, whose work per level follows that level's node count, and codes a
+whole group per call.  The pass relies on the leaf codes being sorted and
+unique, which ``VoxelCloud`` checks.  Every predicted occupancy
+probability is a coder-critical value: it is safeguarded, and the entropy
+coder only ever sees the protected copy.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -275,31 +275,19 @@ _SIBLING_TERM = _W[2] * (np.arange(8) / 7.0)
 
 
 # How many values one group of octant passes may hold, unless one pass alone
-# is larger (the rule is in ``_groups``).  It bounds a group's model context
-# on both sides and the arrays of one encoder call, and with them what
+# is larger (the rule is in ``_groups``).  It bounds a group's logits on
+# both sides and the arrays of one encoder call, and with them what
 # grouping adds to either side's memory.
 _GROUP_BUDGET = 1 << 15
 
 
-class _GroupTerms(NamedTuple):
-    """The model terms of one group of consecutive octant passes that do not
-    depend on coded siblings: rows are the group's octants, columns its
-    level's parents."""
-
-    depth: int
-    octants: range
-    head: np.ndarray  # bias, level phase and octant terms, (octants, 1)
-    parent: np.ndarray  # parent-sibling term, (parents,), one per level
-    grandparent: float
-    ancestral: np.ndarray  # (octants, parents)
-
-
 def _groups(depth: int, bit_depth: int, parents: np.ndarray, siblings: np.ndarray):
-    """The ``_GroupTerms`` of a level's groups of max(1, min(8,
-    _GROUP_BUDGET // n)) consecutive octants, n its parent count, in coding
-    order.  ``siblings`` holds each parent's sibling count.  A group is built
-    in its ``yield`` when reached, so no local of the generator holds its
-    arrays once the caller drops it."""
+    """A level's groups of max(1, min(8, _GROUP_BUDGET // n)) consecutive
+    octants, n its parent count, in coding order, each as ``(octants,
+    logits)``: ``logits`` is the (octants, parents) sum of every model term
+    but the coded-sibling one.  ``siblings`` holds each parent's sibling
+    count.  A group's logits are built in its ``yield`` when reached, so no
+    local of the generator holds them once the caller drops them."""
     g = max(1, min(8, _GROUP_BUDGET // parents.shape[0]))
     phase = _BIAS + _W[0] * (depth / bit_depth)
     parent = _W[3] * (siblings / 8.0)
@@ -307,32 +295,36 @@ def _groups(depth: int, bit_depth: int, parents: np.ndarray, siblings: np.ndarra
     for lo in range(0, 8, g):
         octants = range(lo, min(lo + g, 8))
         octant = np.arange(octants.start, octants.stop)[:, None]
-        yield _GroupTerms(
-            depth,
-            octants,
+        yield octants, _logits(
+            _ancestral_unit(parents, depth, octant),
             phase + _W[1] * (octant / 7.0),
             parent,
             grandparent,
-            _W[5] * _ancestral_unit(parents, depth, octant),
         )
 
 
-def _probabilities(
-    terms: _GroupTerms, octants: range, coded_siblings: np.ndarray
+def _logits(
+    ancestral: np.ndarray, head: np.ndarray, parent: np.ndarray, grandparent: float
 ) -> np.ndarray:
-    """Occupancy probabilities of the children in ``octants`` (a run
-    of ``terms.octants``) of every parent, octant-major: the only way either
-    side gets them.  ``coded_siblings`` holds, in the same order, how many
-    earlier siblings of each child were coded occupied."""
-    rows = slice(
-        octants.start - terms.octants.start, octants.stop - terms.octants.start
-    )
-    # the terms add in one fixed order, so both sides get the same doubles
-    t = _SIBLING_TERM[coded_siblings.reshape(len(octants), -1)]
-    t += terms.head[rows]  # head + sibling term, the same double either way
-    t += terms.parent
-    t += terms.grandparent
-    t += terms.ancestral[rows]
+    """The terms of a group in the one order both sides sum them, in the
+    hash's output buffer ``ancestral``: its weighted draws, then the head
+    column (bias, level phase and octant), the parent-sibling row and the
+    grandparent constant."""
+    ancestral *= _W[5]
+    ancestral += head
+    ancestral += parent
+    ancestral += grandparent
+    return ancestral
+
+
+def _probabilities(logits: np.ndarray, coded_siblings: np.ndarray) -> np.ndarray:
+    """Occupancy probabilities of the children whose ``_groups`` logits are
+    ``logits``, a whole group or one of its rows, flat in the same order:
+    the only way either side gets them.  ``coded_siblings``, of the same
+    shape, holds how many earlier siblings of each child were coded
+    occupied."""
+    t = _SIBLING_TERM[coded_siblings]
+    t += logits
     np.negative(t, out=t)
     np.exp(t, out=t)
     t += 1.0
@@ -396,10 +388,10 @@ def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> Guarded
         # an exclusive cumsum over octants, and a group of octant passes
         # codes in one call, in the order the decoder codes them one by one
         coded = np.cumsum(occ, axis=0, dtype=np.uint8) - occ
-        for terms in _groups(depth, n, parents, siblings):
-            rows = slice(terms.octants.start, terms.octants.stop)
-            p = _probabilities(terms, terms.octants, coded[rows].ravel())
-            del terms  # freed before the guard makes its arrays
+        for octants, logits in _groups(depth, n, parents, siblings):
+            rows = slice(octants.start, octants.stop)
+            p = _probabilities(logits, coded[rows])
+            del logits  # freed before the guard makes its arrays
             if protect:
                 p, fr, fd = guard_encode_array(cfg, p)
                 fr_parts.append(fr)
@@ -424,14 +416,15 @@ def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> VoxelC
     siblings = np.ones(1, dtype=np.uint8)  # the root is an only child
     for depth in range(1, n + 1):
         # one pass per octant: each needs the bits of the passes before it,
-        # and adds only their coded-sibling term to its group's context
+        # and adds only their coded-sibling term to its row of the group's
+        # logits
         occ = np.empty((8, parents.shape[0]), dtype=np.uint8)
         coded = np.zeros(parents.shape[0], dtype=np.uint8)
-        for terms in _groups(depth, n, parents, siblings):
-            for octant in terms.octants:
-                p = _probabilities(terms, range(octant, octant + 1), coded)
-                if octant + 1 == terms.octants.stop:
-                    terms = None  # freed before the group's last pass is guarded
+        for octants, logits in _groups(depth, n, parents, siblings):
+            for octant in octants:
+                p = _probabilities(logits[octant - octants.start], coded)
+                if octant + 1 == octants.stop:
+                    logits = None  # freed before the group's last pass is guarded
                 if perturb is not None:
                     p = perturb.perturb_array(p, cfg.grid)
                 if stream.flag_count > 0:

@@ -21,8 +21,6 @@ from .errors import ConfigError, InvalidInputError
 from .quantizer import QuantGrid, round_index_array
 
 __all__ = [
-    "splitmix64_array",
-    "unit_from_u64",
     "unit_hash_inplace",
     "unit_draws",
     "Perturbation",
@@ -39,7 +37,7 @@ _S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
 _UNIT = 2.0 ** -53
 
 # Array operations wrap mod 2**64 without a warning (only numpy's scalar
-# operators warn), so each step below writes into an array, 0-d ones too.
+# operators warn), so each step below writes into an array.
 
 
 def _splitmix64(z: np.ndarray, t: np.ndarray) -> None:
@@ -56,23 +54,11 @@ def _splitmix64(z: np.ndarray, t: np.ndarray) -> None:
     z ^= t
 
 
-def splitmix64_array(x: np.ndarray) -> np.ndarray:
-    """One splitmix64 finalization of each 64-bit state; ``x`` is not
-    written."""
-    z = np.array(x, dtype=np.uint64)  # a copy, and an array even when 0-d
-    _splitmix64(z, np.empty_like(z))
-    return z if z.ndim else z[()]  # a scalar for 0-d input, as numpy gives
-
-
-def unit_from_u64(z: np.ndarray) -> np.ndarray:
-    """Map 64-bit words to doubles in [0, 1) using the top 53 bits."""
-    return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-
-
 def unit_hash_inplace(z: np.ndarray) -> np.ndarray:
-    """``unit_from_u64(splitmix64_array(z))`` for a uint64 array ``z`` the
-    caller owns: ``z`` is the workspace and is overwritten, and the draws
-    land in the mix's scratch array."""
+    """Doubles in [0, 1) from the top 53 bits of one splitmix64
+    finalization of each state in the uint64 array ``z``, which the caller
+    owns: ``z`` is the workspace and is overwritten, and the draws land in
+    the mix's scratch array."""
     t = np.empty_like(z)
     _splitmix64(z, t)
     z >>= _S11

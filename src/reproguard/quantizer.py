@@ -259,7 +259,7 @@ def _bins(
     return n.reshape(v.shape), cand
 
 
-def _nearest(grid: QuantGrid, v, range_error=InvalidInputError):
+def _nearest(grid: QuantGrid, v):
     """The exact nearest boundary of each value ``v``, checked and clamped
     as by :func:`_checked`.
 
@@ -277,7 +277,7 @@ def _nearest(grid: QuantGrid, v, range_error=InvalidInputError):
     v = np.asarray(v, dtype=np.float64)
     if not v.size:
         return np.empty(v.shape, dtype=np.int64), v, v, np.True_
-    vc = _checked(grid, v.reshape(-1), range_error)[0]
+    vc = _checked(grid, v.reshape(-1))[0]
     # floor index n with a one-ulp repair: the division may round across
     # the boundary, and b_n <= v need not hold after it either
     n = np.divide(vc, q)

@@ -137,7 +137,7 @@ def guard_decode_array(cfg: GuardConfig, v_prime, at, f_d=()) -> np.ndarray:
     if not at.size:
         return v_out
 
-    _, bv, _, inside = _nearest(grid, v.reshape(-1)[at], FieldValueError)
+    _, bv, _, inside = _nearest(grid, v.reshape(-1)[at])
     if not np.all(inside):
         raise FieldValueError("risky flag on a domain edge, where no encoder sets one")
     left = None

@@ -36,7 +36,7 @@ from reproguard.octree import (
     voxelize,
     write_ply,
 )
-from reproguard.platform_sim import Perturbation, splitmix64_array, unit_from_u64
+from reproguard.platform_sim import Perturbation, unit_draws
 from reproguard.safeguard import GuardConfig, GuardMode, guard_encode_array
 from reproguard.quantizer import QuantGrid
 
@@ -277,46 +277,52 @@ class TestSynth:
 
 def record_passes(monkeypatch):
     """Record (depth, octant, parent count, coded siblings, probabilities,
-    parent-sibling term) of every octant pass, one row per octant also where
-    a call predicts a group of them."""
+    parents' sibling counts) of every octant pass, one row per octant also
+    where a call predicts a group of them: depth, octants and sibling
+    counts come from the group the pass's logits were yielded in."""
     rows = []
-    probabilities = octree._probabilities
+    group = {}
+    groups, probabilities = octree._groups, octree._probabilities
 
-    def recording(terms, octants, coded):
-        p = probabilities(terms, octants, coded)
-        n = terms.parent.shape[0]
-        for i, octant in enumerate(octants):
-            row = slice(i * n, (i + 1) * n)
+    def recording_groups(depth, bit_depth, parents, siblings):
+        for octants, logits in groups(depth, bit_depth, parents, siblings):
+            group.update(depth=depth, octants=iter(octants), siblings=siblings)
+            yield octants, logits
+
+    def recording(logits, coded):
+        p = probabilities(logits, coded)
+        n = logits.shape[-1]
+        for c, q in zip(coded.reshape(-1, n), p.reshape(-1, n)):
             # the decoder goes on counting in its array after the call
-            rows.append(
-                (terms.depth, octant, n, coded[row].copy(), p[row], terms.parent)
-            )
+            octant = next(group["octants"])
+            rows.append((group["depth"], octant, n, c.copy(), q, group["siblings"]))
         return p
 
+    monkeypatch.setattr(octree, "_groups", recording_groups)
     monkeypatch.setattr(octree, "_probabilities", recording)
     return rows
 
 
 def predict_contexts(depth=3, n=10, contexts=()):
-    """The model's probability of each (octant, coded, parent, grandparent,
-    parent code) context, each from the group of its octant in a level of
-    one parent."""
+    """The model's probability of each (octant, coded, parent, parent code)
+    context, each from the group of its octant in a level of one parent;
+    the grandparent term follows from the depth."""
     out = []
-    for octant, coded, parent, g, code in contexts:
-        octants = range(octant, octant + 1)
+    for octant, coded, parent, code in contexts:
         groups = octree._groups(
             depth, n, np.array([code], dtype=np.uint64),
             np.array([parent], dtype=np.uint8),
         )
-        terms = next(t for t in groups if octant in t.octants)
-        terms = terms._replace(grandparent=octree._W[4] * float(g))
+        octants, logits = next(g for g in groups if octant in g[0])
         coded_siblings = np.array([coded], dtype=np.uint8)
-        out.append(octree._probabilities(terms, octants, coded_siblings))
+        out.append(
+            octree._probabilities(logits[octant - octants.start], coded_siblings)
+        )
     return np.concatenate(out)
 
 
-def predict(depth=3, octant=0, coded=0, parent=4, g=1, code=0, n=10):
-    return predict_contexts(depth, n, [(octant, coded, parent, g, code)])
+def predict(depth=3, octant=0, coded=0, parent=4, code=0, n=10):
+    return predict_contexts(depth, n, [(octant, coded, parent, code)])
 
 
 class TestPredict:
@@ -330,8 +336,8 @@ class TestPredict:
         for depth in (1, 2, 3, 10):
             for octant in range(8):
                 ctxs = [
-                    (octant, coded, parent, g, 0)
-                    for coded in range(8) for parent in range(9) for g in (0, 1)
+                    (octant, coded, parent, 0)
+                    for coded in range(8) for parent in range(9)
                 ]
                 p = predict_contexts(depth, 10, ctxs)
                 assert np.all((0.0 < p) & (p < 1.0))
@@ -352,9 +358,7 @@ class TestPredict:
 class TestWeights:
     def test_literals_are_the_splitmix_draw(self):
         # the seven values in [-2, 2) that splitmix64 gives at seed 0xC0DEC0DE
-        step = np.arange(7, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        x = np.uint64(0xC0DEC0DE) + step
-        draw = unit_from_u64(splitmix64_array(x)) * 4.0 - 2.0
+        draw = unit_draws(0xC0DEC0DE, 0, 7) * 4.0 - 2.0
         literals = [*octree._W, octree._BIAS]
         assert [w.hex() for w in literals] == [float(d).hex() for d in draw]
 
@@ -551,9 +555,9 @@ def reference_encode(cloud, cfg, protect):
 
 
 def reference_coded_siblings(cloud):
-    """(depth, octant, parent count, coded siblings, parent-sibling term) of
-    every octant pass, each level's occupancy found as the encoder once
-    found it: every leaf code shifted to the level's depth and placed under
+    """(depth, octant, parent count, coded siblings, parents' sibling
+    counts) of every octant pass, each level's occupancy found as the
+    encoder once found it: every leaf code shifted to the level's depth and placed under
     its parent by a binary search, the parents of the next level taken by
     ``np.unique``, and the parents' sibling counts by ``sibling_counts``."""
     n = cloud.bit_depth
@@ -565,8 +569,8 @@ def reference_coded_siblings(cloud):
         at = np.searchsorted(parents, children >> np.uint64(3))
         occ[children & np.uint64(7), at] = 1
         coded = np.cumsum(occ, axis=0, dtype=np.uint8) - occ
-        term = octree._W[3] * (sibling_counts(parents) / 8.0)
-        rows += [(depth, o, parents.shape[0], coded[o], term) for o in range(8)]
+        counts = sibling_counts(parents)
+        rows += [(depth, o, parents.shape[0], coded[o], counts) for o in range(8)]
         parents = np.unique(children)
     return rows
 
@@ -600,7 +604,7 @@ class TestBottomUpOccupancy:
         assert [row[:3] for row in passes] == [row[:3] for row in want]
         for got, ref in zip(passes, want):
             assert np.array_equal(got[3], ref[3])
-            assert np.array_equal(got[5].view(np.uint64), ref[4].view(np.uint64))
+            assert np.array_equal(got[5], ref[4])
         assert np.array_equal(decode(stream).codes, cloud.codes)
 
 
@@ -609,6 +613,8 @@ CLOUDS = {
     "sparse-depth6": lambda: synth_cloud("sparse", 6, 500, 2),
     "sparse-depth12": lambda: synth_cloud("sparse", 12, 2000, 9),
     "dense-depth8": lambda: synth_cloud("dense", 8, 5000, 5),
+    # small-streams' first cloud, a benchmark input
+    "small-streams-first": lambda: synth_cloud("dense", 8, 4000, 1000),
 }
 
 
@@ -629,17 +635,25 @@ class TestGroupedEncoder:
             assert container.write(encode(cloud, cfg, protect=protect)) == want
 
     def test_group_sizes_follow_the_budget(self, monkeypatch):
-        calls = []
-        probabilities = octree._probabilities
+        groups, calls = [], []
+        level_groups, probabilities = octree._groups, octree._probabilities
 
-        def recording(terms, octants, coded):
-            calls.append((terms.depth, octants.start, octants.stop))
-            return probabilities(terms, octants, coded)
+        def recording_groups(*args):
+            for octants, logits in level_groups(*args):
+                groups.append((args[0], octants))
+                yield octants, logits
 
+        def recording(logits, coded):
+            calls.append(logits.shape)
+            return probabilities(logits, coded)
+
+        monkeypatch.setattr(octree, "_groups", recording_groups)
         monkeypatch.setattr(octree, "_probabilities", recording)
         monkeypatch.setattr(octree, "_GROUP_BUDGET", 7)
         encode(VoxelCloud.from_voxels(np.array([[1, 0, 1]]), 1), make_pc_config(1e-6))
-        assert calls == [(1, 0, 7), (1, 7, 8)]
+        # the encoder predicts a whole group per call
+        assert groups == [(1, range(0, 7)), (1, range(7, 8))]
+        assert calls == [(7, 1), (1, 1)]
 
     def test_peak_memory_of_a_dense_depth10_encode(self):
         # the budget bounds every call's arrays; coding whole levels at once
@@ -703,14 +717,18 @@ class TestLevelStepMemory:
     # decoder takes the next level's parents from the occupancy it decoded
 
     def test_peak_memory_of_a_dense_depth8_encode(self):
+        # 0.41 MiB; a generator local that held a group's logits while the
+        # group is guarded and coded read 0.51
         cloud = synth_cloud("dense", 8, 4000, 3001)
-        assert traced_peak(lambda: encode(cloud, make_pc_config(1e-6))) <= 0.85 * 2**20
+        assert traced_peak(lambda: encode(cloud, make_pc_config(1e-6))) <= 0.46 * 2**20
 
     def test_peak_memory_of_a_dense_depth10_decode(self):
+        # 3.11 MiB; a decoder that held a group's logits through the
+        # group's last pass read 3.42
         cloud = synth_cloud("dense", 10, 100_000, 1)
         stream = encode(cloud, make_pc_config(1e-6))
         drift = Perturbation(5e-7, "uniform", 1)
-        assert traced_peak(lambda: decode(stream, perturb=drift)) <= 4.5 * 2**20
+        assert traced_peak(lambda: decode(stream, perturb=drift)) <= 3.3 * 2**20
 
     def test_peak_memory_of_a_dense_depth10_dedupe(self, monkeypatch):
         # the 100,000 voxels synth_cloud hands over, 75,044 of them distinct:

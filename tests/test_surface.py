@@ -55,9 +55,12 @@ PACKAGE_ALL = [
 # the four range-coding loops, each of which had one caller once the scalar
 # coder methods were gone (each loop now lives in the method that runs it),
 # a second way from a stream to its guard configuration (``open_stream``
-# is the one way), and two CLI stand-ins: a ``Perturbation`` builder that
+# is the one way), two CLI stand-ins: a ``Perturbation`` builder that
 # repeated the class's own checks and no-op cases, and the sweep's q-column
-# helper behind a ``k = None`` sentinel (each payload lists its grids once).
+# helper behind a ``k = None`` sentinel (each payload lists its grids once),
+# the octree's record of a group's model terms (a group is its octants and
+# one array of logits), and the two hash wrappers only README and tests
+# called (``unit_draws`` and ``unit_hash_inplace`` give every draw).
 DELETED = [
     "entropy.RangeEncoder.encode_bit",
     "entropy.RangeEncoder.encode_symbol",
@@ -126,6 +129,9 @@ DELETED = [
     "container.config_for_stream",
     "cli._perturbation",
     "cli._q_column",
+    "octree._GroupTerms",
+    "platform_sim.splitmix64_array",
+    "platform_sim.unit_from_u64",
 ]
 
 
