@@ -17,7 +17,7 @@ from .errors import (
     PlyParseError,
     ReproGuardError,
 )
-from .platform_sim import Perturbation
+from .platform_sim import _DISTS, Perturbation
 from .safeguard import GuardMode
 
 EXIT_OK = 0
@@ -228,9 +228,9 @@ def _cmd_interop(args) -> int:
         make_config, size = octree.make_pc_config, (8, 4000)
     else:
         make_config, size = hyperprior.make_image_config, (16, 16, 4)
+    cfg = make_config(args.epsilon)
     exact = 0
     for seed in range(args.trials):
-        cfg = make_config(args.epsilon)
         pert = Perturbation(args.e, args.dist, seed + 31337)
         exact += _trial(args.payload, cfg, size, seed, pert) == "EXACT"
     in_contract = args.e < args.epsilon
@@ -287,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="reference PLY; compare and report EXACT/MISMATCH")
     dec.add_argument("--perturb-e", type=float, default=0.0)
     dec.add_argument("--perturb-dist", default="uniform",
-                     choices=["none", "uniform", "adversarial"])
+                     choices=_DISTS)
     dec.add_argument("--perturb-seed", type=int, default=0)
     dec.set_defaults(fn=_cmd_decode_pc)
 
@@ -315,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     it.add_argument("--epsilon", type=float, default=1e-6)
     it.add_argument("--e", type=float, default=5e-7)
     it.add_argument("--dist", default="uniform",
-                    choices=["none", "uniform", "adversarial"])
+                    choices=_DISTS)
     it.set_defaults(fn=_cmd_interop)
 
     demo = sub.add_parser("demo-image", help="latent codec reproducibility demo")
@@ -324,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--epsilon", type=float, default=1e-4)
     demo.add_argument("--e", type=float, default=8e-6)
     demo.add_argument("--dist", default="uniform",
-                      choices=["none", "uniform", "adversarial"])
+                      choices=_DISTS)
     demo.add_argument("--no-protect", action="store_true")
     demo.set_defaults(fn=_cmd_demo_image)
 

@@ -103,8 +103,20 @@ _POOL = 4  # a latent grid's height and width per z value
 
 def _check_depth(bit_depth: int, error: type[Exception] = ConfigError) -> None:
     """The one bit-depth rule; run it before any ``1 << bit_depth``."""
-    if not 1 <= bit_depth <= _MAX_DEPTH:
-        raise error(f"bit depth {bit_depth} outside [1, {_MAX_DEPTH}]")
+    if not (isinstance(bit_depth, numbers.Integral) and 1 <= bit_depth <= _MAX_DEPTH):
+        raise error(f"bit depth {bit_depth!r} outside [1, {_MAX_DEPTH}]")
+
+
+def _check_latent_dims(h: int, w: int, c: int, error: type[Exception]) -> None:
+    """The one latent-grid rule: the dims that size y (and z, pooled) are
+    whole numbers >= 1, with height and width multiples of the pool."""
+    dims = (h, w, c)
+    if not all(isinstance(d, numbers.Integral) for d in dims):
+        raise error(f"latent dims must be whole numbers, got {dims!r}")
+    if min(dims) < 1:
+        raise error("latent height, width and channels must be >= 1")
+    if h % _POOL or w % _POOL:
+        raise error(f"latent height and width must be multiples of {_POOL}")
 
 
 # The wire table.  A stream is _HEAD (magic, version, mode, payload kind,
@@ -191,17 +203,7 @@ def _check_stream(stream: GuardedStream) -> None:
         if not 1 <= p.point_count <= 1 << (3 * p.bit_depth):
             raise FieldValueError("point count impossible for this bit depth")
     elif isinstance(p, HyperpriorHeader):
-        # the dims size z and y: whole numbers >= 1, height and width
-        # multiples of the pool
-        dims = (p.height, p.width, p.channels)
-        if not all(isinstance(d, numbers.Integral) for d in dims):
-            raise FieldValueError(f"latent dims must be whole numbers, got {dims!r}")
-        if min(dims) < 1:
-            raise FieldValueError("latent height, width and channels must be >= 1")
-        if p.height % _POOL or p.width % _POOL:
-            raise FieldValueError(
-                f"latent height and width must be multiples of {_POOL}"
-            )
+        _check_latent_dims(p.height, p.width, p.channels, FieldValueError)
 
 
 def write(stream: GuardedStream) -> bytes:

@@ -23,10 +23,11 @@ derived here alone and never travels.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from array import array
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -512,7 +513,8 @@ def _phi(x: float) -> float:
 @lru_cache(maxsize=512)
 def gaussian_cdf_table(sigma: float, amplitude: int = 32) -> tuple[int, ...]:
     """Cumulative table of a quantized zero-mean Gaussian over the integers
-    in [-amplitude, amplitude]; symbol ``s`` stands for ``s - amplitude``.
+    in [-amplitude, amplitude], for a whole ``amplitude`` in [1, 127];
+    symbol ``s`` stands for ``s - amplitude``.
 
     The distribution is truncated to the alphabet and renormalized (so a very
     wide Gaussian tends to a uniform table), every frequency is at least one,
@@ -520,8 +522,10 @@ def gaussian_cdf_table(sigma: float, amplitude: int = 32) -> tuple[int, ...]:
     """
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise InvalidInputError(f"sigma must be positive and finite, got {sigma!r}")
-    if amplitude < 1:
-        raise InvalidInputError("amplitude must be >= 1")
+    if not (isinstance(amplitude, numbers.Integral) and 1 <= amplitude <= 127):
+        raise InvalidInputError(
+            f"amplitude must be a whole number in [1, 127], got {amplitude!r}"
+        )
     a = int(amplitude)
 
     # one-sided masses; the negative side mirrors them exactly.  The center
@@ -537,27 +541,16 @@ def gaussian_cdf_table(sigma: float, amplitude: int = 32) -> tuple[int, ...]:
     m = [max(1, int(math.floor(ideal[k]))) for k in range(1, a + 1)]
     rem = [ideal[k] - math.floor(ideal[k]) for k in range(1, a + 1)]
 
-    def center() -> int:
-        return 65536 - 2 * sum(m)
+    # Steer the center frequency toward its ideal share, two units per step.
+    # It needs no repair: the center bin holds at least 65536 / (2a + 1), each
+    # tail floor takes less than one unit more than its share and steering
+    # stops above ideal[0] - 1, so for 2a(2a + 1) < 65536 (a <= 127) the
+    # center frequency is at least 1.
+    c = 65536 - 2 * sum(m)
+    for i in sorted(range(a), key=lambda i: (-rem[i], i)):
+        if c <= ideal[0] + 1.0:
+            break
+        m[i] += 1
+        c -= 2
 
-    # steer the center frequency toward its ideal share, two units per step
-    order = sorted(range(a), key=lambda i: (-rem[i], i))
-    oi = 0
-    while center() > ideal[0] + 1.0 and oi < len(order):
-        m[order[oi]] += 1
-        oi += 1
-    shrink = sorted(range(a), key=lambda i: (rem[i], i))
-    si = 0
-    while center() < 1 and si < len(shrink):
-        if m[shrink[si]] > 1:
-            m[shrink[si]] -= 1
-        si += 1
-    c = center()
-    if c < 1:
-        raise InvalidInputError("cannot renormalize table to 65536")
-
-    freq = list(reversed(m)) + [c] + m
-    cum = [0]
-    for f in freq:
-        cum.append(cum[-1] + f)
-    return tuple(cum)
+    return tuple(accumulate(chain(reversed(m), [c], m), initial=0))

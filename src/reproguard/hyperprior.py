@@ -21,6 +21,7 @@ import numpy as np
 
 from .container import (
     _POOL,
+    _check_latent_dims,
     GuardedStream,
     HyperpriorHeader,
     PayloadKind,
@@ -89,10 +90,7 @@ class LatentGrid:
         if self.y.ndim != 3:
             raise InvalidInputError("y must be (H, W, C)")
         h, w, c = self.y.shape
-        if min(h, w, c) < 1:
-            raise InvalidInputError("latent dims must be >= 1")
-        if h % _POOL or w % _POOL:
-            raise InvalidInputError(f"H and W must be multiples of {_POOL}")
+        _check_latent_dims(h, w, c, InvalidInputError)
         if self.z.shape != (h // _POOL, w // _POOL, c):
             raise InvalidInputError("z shape does not match pooled y")
         if not (np.all(np.isfinite(self.y)) and np.all(np.isfinite(self.z))):
@@ -106,10 +104,7 @@ class LatentGrid:
 def synth_latents(h: int, w: int, c: int, seed: int) -> LatentGrid:
     """Gaussian latents with per-channel scales drawn log-uniform in
     [0.2, 64], pooled 4x4 and mixed across channels into z."""
-    if min(h, w, c) < 1:
-        raise InvalidInputError("latent dims must be >= 1")
-    if h % _POOL or w % _POOL:
-        raise InvalidInputError(f"H and W must be multiples of {_POOL}")
+    _check_latent_dims(h, w, c, InvalidInputError)
     rng = np.random.default_rng(seed)
     sigma_true = np.exp(rng.uniform(math.log(0.2), math.log(64.0), size=c))
     y = rng.normal(size=(h, w, c)) * sigma_true
@@ -141,9 +136,10 @@ def hyper_synthesis(z: np.ndarray) -> np.ndarray:
     bias = -0.6 + (_unit_draws(2, c) * 2.0 - 1.0) * 0.3
     pos = (_unit_draws(3, _POOL * _POOL) * 2.0 - 1.0).reshape(_POOL, _POOL) * 0.5
 
-    t = z @ a + bias  # (H/4, W/4, C)
-    t = np.repeat(np.repeat(t, _POOL, axis=0), _POOL, axis=1)
-    t = t + np.tile(pos, (z.shape[0], z.shape[1]))[:, :, None]
+    # A z + c per pooled cell, nearest-upsampled with the offset of its
+    # position in one broadcast: (H/4, 4, W/4, 4, C) -> (H, W, C)
+    t = (z @ a + bias)[:, None, :, None] + pos[:, None, :, None]
+    t = t.reshape(_POOL * z.shape[0], _POOL * z.shape[1], c)
     # numerically stable softplus, then its log: below t = -40 softplus(t)
     # is e^t to within rounding and may underflow to 0, so the log is t
     sigma = np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)

@@ -82,7 +82,7 @@ def unit_draws(base: int, start: int, n: int) -> np.ndarray:
     return unit_hash_inplace(z)
 
 
-_DISTS = ("none", "uniform", "adversarial")
+_DISTS = ("uniform", "adversarial")
 
 # worst observed reconstruction errors for the supported platform pairs
 PRESETS = {
@@ -114,13 +114,16 @@ class Perturbation:
     )
 
     def __post_init__(self) -> None:
+        """The construction rule.  The fields may be reassigned, so every
+        perturb runs it again before it draws; ``int`` is tested before the
+        ``Integral`` ABC, whose check is most of the rule's cost."""
         if not (math.isfinite(self.e_max) and self.e_max >= 0.0):
             raise ConfigError(f"e_max must be finite and >= 0, got {self.e_max!r}")
         if self.dist not in _DISTS:
             raise ConfigError(f"dist must be one of {_DISTS}, got {self.dist!r}")
-        if not isinstance(self.seed, Integral):
+        if not isinstance(self.seed, (int, Integral)):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not (isinstance(self.counter, Integral) and self.counter >= 0):
+        if not (isinstance(self.counter, (int, Integral)) and self.counter >= 0):
             raise ConfigError(
                 f"counter must be a non-negative integer, got {self.counter!r}"
             )
@@ -146,10 +149,11 @@ class Perturbation:
     def perturb_array(self, v, grid: QuantGrid) -> np.ndarray:
         """``v`` perturbed, in any shape: value ``i`` of its flat order
         takes draw ``counter + i``, as in a 1-D call."""
+        self.__post_init__()
         v = np.asarray(v, dtype=np.float64)
         if not np.isfinite(v).all():  # the method skips np.all's Python wrapper
             raise InvalidInputError("values must be finite")
-        if self.dist == "none" or self.e_max == 0.0:
+        if self.e_max == 0.0:
             out = v.copy()
         elif self.dist == "uniform":
             # v + (2u - 1) * e_max, its one array made by the first step

@@ -125,7 +125,7 @@ class QuantGrid:
     @property
     def is_uniform(self) -> bool:
         """Always True: every grid is uniform.  ``perfbench/tracer.py``'s
-        ``_bin_widths`` still reads it, and ROADMAP item 5 deletes that
+        ``_bin_widths`` still reads it, and ROADMAP item 23 deletes that
         reader."""
         return True
 

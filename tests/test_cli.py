@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reproguard import cli, container, hyperprior, octree
+from reproguard import cli, container, hyperprior, octree, platform_sim
 from reproguard.safeguard import GuardMode
 
 
@@ -352,6 +352,21 @@ def test_readme_modes_and_mode_choices_follow_guard_mode():
     )
     mode = next(a for a in sub.choices["encode-pc"]._actions if a.dest == "mode")
     assert list(mode.choices) == names
+
+
+@pytest.mark.parametrize(
+    "command, dest",
+    [("decode-pc", "perturb_dist"), ("interop", "dist"), ("demo-image", "dist")],
+)
+def test_drift_choices_are_platform_sims(command, dest):
+    # one list of drift distributions; an e of 0 is the one spelling of none
+    sub = next(
+        a for a in cli._build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    dist = next(a for a in sub.choices[command]._actions if a.dest == dest)
+    assert list(dist.choices) == list(platform_sim._DISTS)
+    assert "none" not in dist.choices
 
 
 def test_readme_exit_codes_are_the_cli_exit_codes():

@@ -538,6 +538,16 @@ def test_bad_sigma_rejected():
         gaussian_cdf_table(float("nan"), 32)
 
 
+@pytest.mark.parametrize("amplitude", [-1, 0, 2.5, 32.0, 128, "32"], ids=repr)
+def test_amplitude_outside_whole_1_to_127_rejected(amplitude):
+    with pytest.raises(InvalidInputError, match=r"amplitude"):
+        gaussian_cdf_table(1.0, amplitude)
+
+
+def test_numpy_integer_amplitude_accepted():
+    assert gaussian_cdf_table(1.0, np.int64(32)) == gaussian_cdf_table(1.0, 32)
+
+
 def _table_margins(sigma, amplitude=32):
     """``gaussian_cdf_table``'s float steps, mirrored, and how far they are
     from a decision that would change the table: the least relative
@@ -545,7 +555,8 @@ def _table_margins(sigma, amplitude=32):
     and the center-frequency stop compare against integers), and the gap
     between the last remainder the ``order`` loop bumps and the first it
     does not (None without such a cutoff).  Also returns the frequencies
-    the mirror builds, without the ``shrink`` loop."""
+    the mirror builds.  Like the function, it has no shrink step: up to an
+    amplitude of 127 the steered center frequency is at least 1."""
     w = [2.0 * (_phi(0.5 / sigma) - _phi(0.0))]
     for k in range(1, amplitude + 1):
         w.append(_phi((k + 0.5) / sigma) - _phi((k - 0.5) / sigma))
@@ -566,6 +577,16 @@ def _table_margins(sigma, amplitude=32):
     return to_integer, cutoff, m[::-1] + [65536 - 2 * sum(m)] + m
 
 
+@pytest.mark.parametrize("amplitude", [1, 2, 8, 32, 64, 127])
+def test_tables_need_no_center_repair(amplitude):
+    # over scales from 1e-3 to 1e6 every table is the mirror's, whose center
+    # frequency is never repaired, and every frequency is at least 1
+    for sigma in np.geomspace(1e-3, 1e6, 200).tolist():
+        _, _, freq = _table_margins(sigma, amplitude)
+        assert min(freq) >= 1
+        assert freq == np.diff(gaussian_cdf_table.__wrapped__(sigma, amplitude)).tolist()
+
+
 def _scale_bin_sigmas():
     """The scale each of the scale table's 64 bins codes against: exp of its
     center on log sigma, as the hyperprior computes it."""
@@ -581,7 +602,7 @@ def test_scale_bin_tables_hold_a_float_margin():
     # are 7.3e-8 and 1.9e-4.
     mids = _scale_bin_sigmas()
     margins = [_table_margins(m) for m in mids]
-    # the mirror builds every table, so the shrink loop never runs
+    # the function, like the mirror, has no shrink step
     for sigma, (_, _, freq) in zip(mids, margins):
         assert freq == np.diff(gaussian_cdf_table(sigma, 32)).tolist()
     assert len(margins) == 64

@@ -99,9 +99,22 @@ class TestSynthLatents:
         assert lat.dims == (4, 4, 1)
         assert lat.z.shape == (1, 1, 1)
 
-    def test_unpooled_dims_rejected(self):
-        with pytest.raises(InvalidInputError):
-            synth_latents(6, 8, 1, seed=0)
+    @pytest.mark.parametrize(
+        "dims",
+        [(6, 8, 1), (8, 6, 2), (0, 8, 2), (8, 8, 0), (8.0, 8, 2), (8, 8, 2.0)],
+        ids=repr,
+    )
+    def test_dims_outside_the_latent_rule_rejected(self, dims):
+        with pytest.raises(InvalidInputError, match="latent"):
+            synth_latents(*dims, seed=1)
+
+    def test_unpooled_grid_rejected(self):
+        with pytest.raises(InvalidInputError, match="multiples of 4"):
+            LatentGrid(
+                y=np.zeros((6, 8, 2)),
+                z=np.zeros((1, 2, 2)),
+                sigma_true=np.ones(2),
+            )
 
     def test_mismatched_z_rejected(self):
         with pytest.raises(InvalidInputError):

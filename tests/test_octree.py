@@ -111,11 +111,15 @@ class TestVoxelize:
     @pytest.mark.parametrize("build", [
         lambda depth: voxelize(np.zeros((1, 3)), depth),
         lambda depth: VoxelCloud.from_voxels(np.zeros((1, 3)), depth),
+        lambda depth: VoxelCloud(depth, np.zeros(1, dtype=np.uint64)),
         lambda depth: synth_cloud("sparse", depth, 10, 0),
-    ], ids=["voxelize", "from_voxels", "synth_cloud"])
-    def test_negative_depth_rejected_before_any_shift(self, build):
+        lambda depth: synth_cloud("dense", depth, 10, 0),
+    ], ids=["voxelize", "from_voxels", "VoxelCloud", "synth_sparse", "synth_dense"])
+    @pytest.mark.parametrize("depth", [-1, 6.0, 6.5, "6"], ids=repr)
+    def test_bad_depth_rejected_before_any_shift(self, build, depth):
+        # a depth is a shift count: a float is refused even when it is whole
         with pytest.raises(ConfigError, match=r"outside \[1, 21\]"):
-            build(-1)
+            build(depth)
 
     def test_from_voxels_sorts_and_dedups(self):
         vox = np.array([[3, 3, 3], [0, 0, 0], [3, 3, 3]], dtype=np.int64)

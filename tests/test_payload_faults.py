@@ -277,8 +277,8 @@ def test_non_finite_header_field_is_a_malformed_stream(payload, fields):
 
 @pytest.mark.parametrize(
     "bit_depth,point_count",
-    [(0, 1), (22, 1), (5, 0), (5, 8**5 + 1)],
-    ids=["depth-0", "depth-22", "points-0", "points-over"],
+    [(0, 1), (22, 1), (6.0, 1), (5, 0), (5, 8**5 + 1)],
+    ids=["depth-0", "depth-22", "depth-float", "points-0", "points-over"],
 )
 def test_impossible_octree_header_in_memory_is_a_malformed_stream(
     bit_depth, point_count

@@ -161,7 +161,7 @@ class TestDrawPositions:
     def test_reassigned_negative_counter_refused(self):
         p = Perturbation(e_max=1e-6, seed=5)
         p.counter = -4
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ConfigError):
             p.perturb_array(np.zeros(3), GRID)
         assert p.counter == -4
 
@@ -222,8 +222,9 @@ class TestLookAhead:
     def test_reassigned_dist_keeps_the_counter_stream(self):
         p = Perturbation(e_max=E_MAX, seed=3)
         p.perturb_array(values(20), GRID)
-        p.dist = "none"
-        assert bits(p.perturb_array(values(5), GRID)) == bits(values(5))
+        p.dist = "adversarial"  # draws nothing, but takes its 5 positions
+        want = Perturbation(E_MAX, "adversarial").perturb_array(values(5), GRID)
+        assert bits(p.perturb_array(values(5), GRID)) == bits(want)
         p.dist = "uniform"
         got = p.perturb_array(values(9), GRID)
         assert bits(got) == bits(reference_perturb(values(9), 3, 25))
@@ -311,13 +312,16 @@ class TestLookAheadMemory:
         assert peak <= 4_000_512 + 8 * platform_sim._BLOCK
 
 
-class TestNone:
+class TestNoDrift:
+    """An ``e_max`` of 0 is the one spelling of no drift, in either
+    distribution."""
+
     def test_identity(self):
-        p = Perturbation(0.0, "none")
+        p = Perturbation(0.0, "adversarial")
         assert p.perturb_array([0.42], GRID)[0] == 0.42
 
     def test_identity_array(self):
-        p = Perturbation(0.0, "none")
+        p = Perturbation(0.0)
         v = np.linspace(0.0, 1.0, 100)
         out = p.perturb_array(v, GRID)
         assert np.array_equal(out.view(np.uint64), v.view(np.uint64))
@@ -384,7 +388,7 @@ class TestShapes:
     """Any input shape gets, element for element, the values of its
     flattened 1-D call, and advances the counter by its size."""
 
-    @pytest.mark.parametrize("dist", ["none", "uniform", "adversarial"])
+    @pytest.mark.parametrize("dist", ["uniform", "adversarial"])
     @pytest.mark.parametrize("shape", [(), (3, 2), (2, 2)])
     def test_matches_the_flat_call(self, dist, shape):
         v = np.linspace(0.1, 0.9, int(np.prod(shape))).reshape(shape)
@@ -435,9 +439,37 @@ class TestValidation:
         with pytest.raises(ConfigError):
             Perturbation(e_max=-1e-6, dist="uniform", seed=0)
 
-    def test_unknown_dist_rejected(self):
+    @pytest.mark.parametrize("dist", ["gaussian", "none", "Uniform"])
+    def test_unknown_dist_rejected(self, dist):
         with pytest.raises(ConfigError):
-            Perturbation(e_max=1e-6, dist="gaussian", seed=0)
+            Perturbation(e_max=1e-6, dist=dist, seed=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dist", "Uniform"),
+            ("dist", "none"),
+            ("e_max", float("nan")),
+            ("e_max", -1e-6),
+            ("seed", 1.7),
+            ("counter", -1),
+            ("counter", 2.0),
+        ],
+        ids=repr,
+    )
+    def test_reassigned_field_refused_at_perturb(self, field, value):
+        # the construction rule runs again at every perturb: a refused call
+        # draws nothing and leaves the counter where it was
+        p = Perturbation(e_max=E_MAX, seed=3)
+        p.perturb_array(values(20), GRID)
+        setattr(p, field, value)
+        held, counter = p._ahead, p.counter
+        with pytest.raises(ConfigError):
+            p.perturb_array(values(9), GRID)
+        assert p.counter is counter and p._ahead is held
+        p.dist, p.e_max, p.seed, p.counter = "uniform", E_MAX, 3, 20
+        got = p.perturb_array(values(9), GRID)
+        assert bits(got) == bits(reference_perturb(values(9), 3, 20))
 
     @pytest.mark.parametrize(
         "kwargs",
