@@ -4,13 +4,15 @@ Pure integer arithmetic throughout: a 32-bit range and byte-at-a-time
 renormalization that keeps ``range >= 2**24`` between symbols.  Each
 coding step exists once, in the coder method that runs it, whose loop keeps
 the coder state in locals for the whole batch.  The encoder's loops carry
-only the range and the count of bytes emitted; each
-addend to the interval's low end is recorded with that count, and
-``finish()`` sums the addends, shifted into place, with their carries, in
-numpy and big-integer arithmetic.  The decoder's loops keep
+the range and one running sum of the addends to the interval's low end,
+which each byte emitted closes into a 32-bit sum per byte; ``finish()``
+adds those sums, shifted into place, with their carries, in numpy and
+big-integer arithmetic.  The decoder's loops keep
 ``0 <= code < range``, so its code register needs no 32-bit mask; the two
 inputs that would break that, which no encoder writes, raise a
-FieldValueError (see RangeDecoder).  Probabilities are 16-bit
+FieldValueError (see RangeDecoder).  The symbol decoder's lookups,
+``SymbolTables.inverse`` and ``spans``, are built for decoding only, on
+its first call.  Probabilities are 16-bit
 (``Prob16``, the chance of bit 0, clamped to [1, 65535]) so both ends of
 the wire share the exact same integers.  The safeguard's flags do not go
 through the range coder: their section is a Rice code of the gaps between
@@ -95,7 +97,8 @@ class SymbolTables:
 
     The tables sit end to end in one flat array: table ``t`` is
     ``cum[base[t] : base[t] + size[t] + 1]``, and flat index ``j`` names the
-    symbol whose slice of 65536 is ``spans[j] = (cum[j], cum[j + 1])``.
+    symbol whose slice of 65536 starts at ``cum[j]`` and is
+    ``cum[j + 1] - cum[j]`` wide.
     """
 
     def __init__(self, cums: Sequence[Sequence[int]]) -> None:
@@ -113,11 +116,15 @@ class SymbolTables:
         if np.any(steps < 1):
             raise InvalidInputError("every symbol needs a frequency of at least 1")
         self.cum = cum
-        flat = cum.tolist()
-        self.spans = list(zip(flat, flat[1:]))
 
     def __len__(self) -> int:
         return int(self.size.shape[0])
+
+    @cached_property
+    def spans(self) -> list[tuple[int, int]]:
+        """Decoder lookup: flat index ``j`` to the start and size of its
+        symbol, built on the first decode; an encode never builds it."""
+        return list(zip(self.cum.tolist(), np.diff(self.cum).tolist()))
 
     @cached_property
     def inverse(self) -> memoryview:
@@ -157,14 +164,15 @@ class RangeEncoder:
 
     The coded stream is the sum of the addends to the interval's low end,
     each shifted by the bytes emitted before it was added.  The coding
-    loops record each addend and that byte count; ``finish()`` sums them.
+    loops add the addends into one running sum, which each byte emitted
+    appends to ``_sums`` and resets: one 32-bit sum per byte count.
+    ``finish()`` adds those sums with their carries.
     """
 
     def __init__(self) -> None:
         self.range = _RANGE0
-        self._nb = 0  # bytes emitted so far
-        self._adds = array("I")
-        self._at = array("I")  # the byte count at each addend, never falling
+        self._acc = 0  # the addends since the last byte emitted
+        self._sums = array("I")  # the addends' sum at each byte count
 
     def encode_bits(self, bits, p16s) -> None:
         """Code ``bits[i]`` (any nonzero value is a one) at ``p16s[i]``, the
@@ -174,62 +182,50 @@ class RangeEncoder:
         if bits.ndim != 1 or bits.shape[0] != p16s.shape[0]:
             raise InvalidInputError("one Prob16 per bit, both 1-D, is needed")
         top = _TOP
-        rng, nb = self.range, self._nb
-        add, at = self._adds.append, self._at.append
+        rng, acc, put = self.range, self._acc, self._sums.append
         for bit, p16 in zip((bits != 0).tobytes(), _uint32_view(p16s)):
             r0 = (rng >> 16) * p16
             if bit:
-                add(r0)
-                at(nb)
+                acc += r0
                 rng -= r0
             else:
                 rng = r0
             while rng < top:
                 rng <<= 8
-                nb += 1
-        self.range, self._nb = rng, nb
+                put(acc)
+                acc = 0
+        self.range, self._acc = rng, acc
 
     def encode_symbols(self, tables: SymbolTables, table_ids, symbols) -> None:
         """Code ``symbols[i]`` against table ``table_ids[i]`` of ``tables``,
         as its slice ``[start, start + size)`` of 65536."""
         starts, sizes = tables.ranges(table_ids, symbols)
         top = _TOP
-        rng, nb = self.range, self._nb
-        add, at = self._adds.append, self._at.append
+        rng, acc, put = self.range, self._acc, self._sums.append
         for start, size in zip(_uint32_view(starts), _uint32_view(sizes)):
             r = rng >> 16
-            if start:
-                add(r * start)
-                at(nb)
+            acc += r * start
             rng = r * size
             while rng < top:
                 rng <<= 8
-                nb += 1
-        self.range, self._nb = rng, nb
+                put(acc)
+                acc = 0
+        self.range, self._acc = rng, acc
 
     def finish(self) -> bytes:
         """The stream so far: the emitted bytes and four bytes of the low
         end.  The encoder is left as it was."""
-        nb = self._nb
         # the addends at one byte count and the range left after them sum
-        # to at most the range at that count, so each sum fits 32 bits; they
-        # are added in place, then put in big-endian order in place
-        acc = np.zeros(nb + 1, dtype=np.uint32)
-        if self._adds:
-            np.add.at(
-                acc,
-                np.frombuffer(self._at, dtype=np.uintc),
-                np.frombuffer(self._adds, dtype=np.uintc),
-            )
-        if sys.byteorder == "little":
-            acc.byteswap(inplace=True)
-        # the sum at count i fills bytes i to i + 3, most significant first;
-        # adding its four byte planes as big integers carries across them
-        planes = acc.view(np.uint8)
-        low = 0
-        for k in range(4):
-            low += int.from_bytes(planes[k::4].tobytes(), "big") << (24 - 8 * k)
-        return low.to_bytes(nb + 4, "big")
+        # to at most the range at that count, so each sum fits 32 bits.  The
+        # sum at count i fills bytes i to i + 3, most significant first, so
+        # the open sum fills the last four; adding the four byte planes of
+        # the others as big integers carries across them, read in place
+        planes = np.frombuffer(self._sums, dtype=np.uint8)
+        low = self._acc
+        for k in range(4):  # byte k of each sum, most significant first
+            plane = planes[k::4] if sys.byteorder == "big" else planes[3 - k :: 4]
+            low += int.from_bytes(plane.tobytes(), "big") << (32 - 8 * k)
+        return low.to_bytes(len(self._sums) + 4, "big")
 
 
 class RangeDecoder:
@@ -299,9 +295,9 @@ class RangeDecoder:
                 if target > 65535:  # else it would index the next table
                     raise FieldValueError(_TAIL)
                 s = inverse[key | target]
-                lo, hi = spans[s]
-                code -= r * lo
-                rng = r * (hi - lo)
+                start, size = spans[s]
+                code -= r * start
+                rng = r * size
                 if rng < top:
                     code = (code << 8) | byte()
                     rng <<= 8

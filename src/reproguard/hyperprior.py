@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,6 +88,8 @@ class LatentGrid:
     sigma_true: np.ndarray  # (C,) generating scales
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.y, np.ndarray) and isinstance(self.z, np.ndarray)):
+            raise InvalidInputError("y and z must be numpy arrays")
         if self.y.ndim != 3:
             raise InvalidInputError("y must be (H, W, C)")
         h, w, c = self.y.shape
@@ -122,6 +125,19 @@ def _unit_draws(tag: int, n: int) -> np.ndarray:
     return unit_draws(tag * 0xD1B54A32D192ED03, 0, n)
 
 
+@lru_cache(maxsize=1)
+def _synthesis_weights(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The synthesis' fixed weights for ``c`` channels, read-only: A, the
+    bias and the position offsets.  They depend on ``c`` alone, and one
+    entry keeps a hostile header's c x c matrix only until the next call."""
+    a = (_unit_draws(1, c * c) * 2.0 - 1.0).reshape(c, c) * (0.9 / c)
+    bias = -0.6 + (_unit_draws(2, c) * 2.0 - 1.0) * 0.3
+    pos = (_unit_draws(3, _POOL * _POOL) * 2.0 - 1.0).reshape(_POOL, _POOL) * 0.5
+    for w in (a, bias, pos):
+        w.flags.writeable = False
+    return a, bias, pos
+
+
 def hyper_synthesis(z: np.ndarray) -> np.ndarray:
     """log sigma, with sigma = softplus(A z + c) per pooled cell,
     nearest-upsampled with a fixed per-cell-position offset, computed
@@ -132,9 +148,7 @@ def hyper_synthesis(z: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise InvalidInputError("z must be finite")
     c = z.shape[2]
-    a = (_unit_draws(1, c * c) * 2.0 - 1.0).reshape(c, c) * (0.9 / c)
-    bias = -0.6 + (_unit_draws(2, c) * 2.0 - 1.0) * 0.3
-    pos = (_unit_draws(3, _POOL * _POOL) * 2.0 - 1.0).reshape(_POOL, _POOL) * 0.5
+    a, bias, pos = _synthesis_weights(c)
 
     # A z + c per pooled cell, nearest-upsampled with the offset of its
     # position in one broadcast: (H/4, 4, W/4, 4, C) -> (H, W, C)

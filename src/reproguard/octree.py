@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -204,8 +205,10 @@ def synth_cloud(kind: str, bit_depth: int, count: int, seed: int) -> VoxelCloud:
     """Seeded synthetic clouds: a contiguous deformed-sphere shell (dense)
     or uniform random voxels (sparse)."""
     _check_depth(bit_depth)
-    if count < 1:
-        raise InvalidInputError("count must be >= 1")
+    if not (isinstance(count, (int, Integral)) and count >= 1):
+        raise InvalidInputError(f"count must be a whole number >= 1, got {count!r}")
+    if not (isinstance(seed, (int, Integral)) and seed >= 0):
+        raise InvalidInputError(f"seed must be a whole number >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     side = 1 << bit_depth
     if kind == "sparse":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -115,10 +115,16 @@ class Perturbation:
 
     def __post_init__(self) -> None:
         """The construction rule.  The fields may be reassigned, so every
-        perturb runs it again before it draws; ``int`` is tested before the
-        ``Integral`` ABC, whose check is most of the rule's cost."""
-        if not (math.isfinite(self.e_max) and self.e_max >= 0.0):
-            raise ConfigError(f"e_max must be finite and >= 0, got {self.e_max!r}")
+        perturb runs it again before it draws; ``float`` and ``int`` are
+        tested before the ``Real`` and ``Integral`` ABCs, whose checks are
+        most of the rule's cost."""
+        e_max = self.e_max
+        if not (
+            isinstance(e_max, (float, int, Real))
+            and math.isfinite(e_max)
+            and e_max >= 0.0
+        ):
+            raise ConfigError(f"e_max must be finite and >= 0, got {e_max!r}")
         if self.dist not in _DISTS:
             raise ConfigError(f"dist must be one of {_DISTS}, got {self.dist!r}")
         if not isinstance(self.seed, (int, Integral)):

@@ -914,6 +914,14 @@ def test_symbol_tables_reject_bad_input():
         RangeEncoder().encode_symbols(tables, [1], [0])
 
 
+def test_spans_hold_each_symbols_start_and_size():
+    tables = _scale_bin_tables()
+    assert "spans" not in tables.__dict__  # built for the first decode only
+    cum = tables.cum.tolist()
+    want = [(cum[j], cum[j + 1] - cum[j]) for j in range(len(cum) - 1)]
+    assert tables.spans == want
+
+
 # ---------------------------------------------------------------------------
 # the encoder against its reference
 #
@@ -1085,6 +1093,16 @@ def test_long_carries_match_reference():
     assert longest >= 3
 
 
+def test_thousands_of_addends_at_one_byte_count_match_reference():
+    # a one-bit at Prob16 1 keeps all but 1/65536 of the range, so 10,000
+    # of them emit no byte and their addends all fall in one 32-bit sum
+    n = 10_000
+    bits, p16 = np.ones(n, dtype=np.uint8), np.ones(n, dtype=np.int64)
+    got, want, _ = _both_encoders([("encode_bits", (bits, p16))])
+    assert got == want
+    assert len(got) == 4  # the low end alone: no byte was emitted
+
+
 def test_finish_leaves_the_encoder_as_it_was():
     tables = _scale_bin_tables()
     rng = np.random.default_rng(22)
@@ -1102,7 +1120,7 @@ def test_finish_leaves_the_encoder_as_it_was():
     assert twice.finish() == once.finish()
 
 
-def test_encoder_keeps_about_eight_bytes_per_addend():
+def test_encoder_keeps_four_bytes_per_emitted_byte():
     n = 10**6
     bits = np.random.default_rng(23).integers(0, 2, n).astype(np.uint8)
     p16 = np.full(n, 32768)
@@ -1114,17 +1132,19 @@ def test_encoder_keeps_about_eight_bytes_per_addend():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    addends = int(bits.sum())  # each one-bit adds to the low end once
-    # two 4-byte entries an addend and their arrays' spare room; Python
-    # lists would hold an 8-byte pointer and an int object per entry
-    assert retained <= 9 * addends
-    assert len(enc.finish()) > n // 8
+    emitted = len(enc.finish()) - 4  # a bit at Prob16 32768 emits 1/8 byte
+    assert emitted > n // 9
+    # one 4-byte sum an emitted byte and its array's spare room, however
+    # many addends fell at that count (here 4 an emitted byte); a Python
+    # list would hold an 8-byte pointer and an int object per sum
+    assert retained <= 5 * emitted
 
 
 def test_finish_holds_few_stream_sized_copies():
-    # the byte-count sums (4 bytes a stream byte) and the big integers their
-    # byte planes are added as; index arrays as long as the addends, or a
-    # copy of every plane at once, would take several times more
+    # only the big integers the byte planes are added as, about 3 bytes a
+    # stream byte: the sums are read in place, and a copy of them (4 bytes a
+    # stream byte), index arrays as long as the addends, or a copy of every
+    # plane at once would each take more
     n = 10**6
     rng = np.random.default_rng(23)
     enc = RangeEncoder()
@@ -1137,7 +1157,7 @@ def test_finish_holds_few_stream_sized_copies():
     finally:
         tracemalloc.stop()
     assert len(data) > n // 8
-    assert peak <= 8 * len(data)
+    assert peak <= 4 * len(data)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,13 @@ class TestSynthLatents:
         with pytest.raises(InvalidInputError, match="finite"):
             LatentGrid(**arrays, sigma_true=np.ones(2))
 
+    @pytest.mark.parametrize("field", ["y", "z"])
+    def test_latents_that_are_not_arrays_rejected(self, field):
+        arrays = {"y": np.zeros((8, 8, 2)), "z": np.zeros((2, 2, 2))}
+        arrays[field] = arrays[field].tolist()
+        with pytest.raises(InvalidInputError, match="numpy arrays"):
+            LatentGrid(**arrays, sigma_true=np.ones(2))
+
 
 class TestHyperSynthesis:
     def test_deterministic(self):
@@ -140,6 +147,21 @@ class TestHyperSynthesis:
         a = hyper_synthesis(z)
         b = hyper_synthesis(z)
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_alternating_channel_counts_give_identical_bits(self):
+        # the weights are cached for one channel count at a time, so every
+        # call below after the first two draws them again
+        rng = np.random.default_rng(6)
+        za, zb = rng.normal(0.0, 3.0, (2, 2, 8)), rng.normal(0.0, 3.0, (2, 3, 5))
+        first = [hyper_synthesis(z).tobytes() for z in (za, zb)]
+        for _ in range(3):
+            assert [hyper_synthesis(z).tobytes() for z in (za, zb)] == first
+
+    def test_cached_weights_are_read_only(self):
+        for w in hyperprior._synthesis_weights(8):
+            assert not w.flags.writeable
+            with pytest.raises(ValueError):
+                w.reshape(-1)[0] = 0.0
 
     def test_positive(self):
         # the output is log sigma: every scale it names is finite and > 0
@@ -287,6 +309,21 @@ class TestCodec:
             b = encode(rounded, cfg, protect=protect)
             assert a.main == b.main
             assert write(a) == write(b)
+
+    def test_spans_are_built_by_the_decode_alone(self, monkeypatch):
+        built, made = hyperprior._stream_tables, []
+
+        def stream_tables(grid, idx):
+            tables, ids = built(grid, idx)
+            made.append(tables)
+            return tables, ids
+
+        monkeypatch.setattr(hyperprior, "_stream_tables", stream_tables)
+        lat = synth_latents(16, 16, 4, seed=2)
+        stream = encode(lat, make_image_config(1e-6))
+        assert "spans" not in made[0].__dict__
+        decode(stream)
+        assert "spans" in made[1].__dict__
 
     def test_container_roundtrip_preserves_decode(self):
         lat = synth_latents(16, 16, 2, seed=3)

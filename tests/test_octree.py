@@ -261,6 +261,20 @@ class TestSynth:
         with pytest.raises(ConfigError):
             synth_cloud("shell", 10, 100, 0)
 
+    @pytest.mark.parametrize("count", [10.0, 0, -1, "10", None], ids=repr)
+    def test_count_that_is_not_a_whole_number_above_zero_rejected(self, count):
+        with pytest.raises(InvalidInputError, match="count"):
+            synth_cloud("dense", 8, count, 0)
+
+    @pytest.mark.parametrize("seed", [0.5, 1.0, -1, "1", None], ids=repr)
+    def test_seed_that_is_not_a_whole_number_rejected(self, seed):
+        with pytest.raises(InvalidInputError, match="seed"):
+            synth_cloud("dense", 8, 10, seed)
+
+    def test_numpy_integer_count_and_seed_accepted(self):
+        got = synth_cloud("sparse", 4, np.int32(50), np.uint64(2)).codes
+        assert np.array_equal(got, synth_cloud("sparse", 4, 50, 2).codes)
+
     # SHA-256 of the codes of the benchmark's clouds (pc-dense at seed 1, two
     # small-streams clouds) and of a sparse one, so that an edit to the input
     # path cannot change a workload's input, and so its stream bytes, unseen

@@ -158,6 +158,18 @@ class TestDrawPositions:
             p.perturb_array(np.zeros(1), GRID)
         assert p.counter == 2**64
 
+    @pytest.mark.parametrize("e_max", ["1e-6", None, b"1", 1j], ids=repr)
+    def test_bound_that_is_not_a_real_number_refused(self, e_max):
+        with pytest.raises(ConfigError, match="e_max"):
+            Perturbation(e_max)
+
+    def test_reassigned_bound_that_is_not_a_number_refused(self):
+        p = Perturbation(e_max=1e-6, seed=5)
+        p.e_max = None
+        with pytest.raises(ConfigError, match="e_max"):
+            p.perturb_array(np.zeros(3), GRID)
+        assert p.counter == 0
+
     def test_reassigned_negative_counter_refused(self):
         p = Perturbation(e_max=1e-6, seed=5)
         p.counter = -4
