@@ -16,8 +16,6 @@ buffers round-trip byte-identically through ``read`` then ``write``.
 
 from __future__ import annotations
 
-import math
-import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +29,8 @@ from .errors import (
     TrailingDataError,
     TruncatedStreamError,
     UnsupportedVersionError,
+    _real,
+    _whole,
 )
 from .entropy import FlagReader
 from .quantizer import QuantGrid, default_scale_table
@@ -101,20 +101,16 @@ _MAX_DEPTH = 21  # an octree's bit depth is in [1, _MAX_DEPTH]
 _POOL = 4  # a latent grid's height and width per z value
 
 
-def _check_depth(bit_depth: int, error: type[Exception] = ConfigError) -> None:
+def _check_depth(bit_depth: int, error: type[Exception] = ConfigError) -> int:
     """The one bit-depth rule; run it before any ``1 << bit_depth``."""
-    if not (isinstance(bit_depth, numbers.Integral) and 1 <= bit_depth <= _MAX_DEPTH):
-        raise error(f"bit depth {bit_depth!r} outside [1, {_MAX_DEPTH}]")
+    return _whole("bit depth", bit_depth, 1, _MAX_DEPTH, error=error)
 
 
 def _check_latent_dims(h: int, w: int, c: int, error: type[Exception]) -> None:
     """The one latent-grid rule: the dims that size y (and z, pooled) are
     whole numbers >= 1, with height and width multiples of the pool."""
-    dims = (h, w, c)
-    if not all(isinstance(d, numbers.Integral) for d in dims):
-        raise error(f"latent dims must be whole numbers, got {dims!r}")
-    if min(dims) < 1:
-        raise error("latent height, width and channels must be >= 1")
+    for name, d in (("height", h), ("width", w), ("channels", c)):
+        _whole(f"latent {name}", d, 1, error=error)
     if h % _POOL or w % _POOL:
         raise error(f"latent height and width must be multiples of {_POOL}")
 
@@ -177,30 +173,23 @@ def open_stream(stream: GuardedStream, kind: int) -> tuple[GuardConfig, FlagRead
     return cfg, FlagReader(stream.safeguard, stream.flag_count, stream.mode)
 
 
-def _positive(x) -> bool:
-    """Whether ``x`` is a finite number above 0 (None is no number)."""
-    try:
-        return math.isfinite(x) and x > 0.0
-    except TypeError:
-        return False
-
-
 def _check_stream(stream: GuardedStream) -> None:
     """What the field widths of the wire table do not already check."""
     if not isinstance(stream.mode, GuardMode):
         raise FieldValueError(f"bad mode {stream.mode!r}")
-    if not _positive(stream.epsilon):
+    if not _real("epsilon", stream.epsilon, FieldValueError) > 0.0:
         raise FieldValueError(f"epsilon must be finite and > 0, got {stream.epsilon!r}")
 
     p = stream.payload
     if stream.payload_kind is None:
         raise FieldValueError(f"bad payload header {type(p)}")
     if isinstance(p, (OctreeHeader, RawHeader)):
-        if not _positive(p.q):
+        if not _real("grid step", p.q, FieldValueError) > 0.0:
             raise FieldValueError("grid step must be finite and > 0")
     if isinstance(p, OctreeHeader):
-        _check_depth(p.bit_depth, FieldValueError)
-        if not 1 <= p.point_count <= 1 << (3 * p.bit_depth):
+        depth = _check_depth(p.bit_depth, FieldValueError)
+        n = _whole("point count", p.point_count, error=FieldValueError)
+        if not 1 <= n <= 1 << (3 * depth):
             raise FieldValueError("point count impossible for this bit depth")
     elif isinstance(p, HyperpriorHeader):
         _check_latent_dims(p.height, p.width, p.channels, FieldValueError)

@@ -25,7 +25,6 @@ derived here alone and never travels.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from array import array
 from functools import cached_property, lru_cache
@@ -39,6 +38,8 @@ from .errors import (
     InvalidInputError,
     TrailingDataError,
     TruncatedStreamError,
+    _real,
+    _whole,
 )
 from .safeguard import GuardMode
 
@@ -516,13 +517,10 @@ def gaussian_cdf_table(sigma: float, amplitude: int = 32) -> tuple[int, ...]:
     wide Gaussian tends to a uniform table), every frequency is at least one,
     and the total is exactly 65536.  Pure function of its arguments.
     """
-    if not (math.isfinite(sigma) and sigma > 0.0):
+    sigma = _real("sigma", sigma)
+    if not sigma > 0.0:
         raise InvalidInputError(f"sigma must be positive and finite, got {sigma!r}")
-    if not (isinstance(amplitude, numbers.Integral) and 1 <= amplitude <= 127):
-        raise InvalidInputError(
-            f"amplitude must be a whole number in [1, 127], got {amplitude!r}"
-        )
-    a = int(amplitude)
+    a = _whole("amplitude", amplitude, 1, 127)
 
     # one-sided masses; the negative side mirrors them exactly.  The center
     # mass is a difference against the approximation's own value at zero so

@@ -36,7 +36,7 @@ from .entropy import (
     encode_flags,
     gaussian_cdf_table,
 )
-from .errors import FieldValueError, InvalidInputError, TruncatedStreamError
+from .errors import FieldValueError, InvalidInputError, TruncatedStreamError, _whole
 from .platform_sim import Perturbation, unit_draws
 from .quantizer import (
     QuantGrid,
@@ -108,7 +108,7 @@ def synth_latents(h: int, w: int, c: int, seed: int) -> LatentGrid:
     """Gaussian latents with per-channel scales drawn log-uniform in
     [0.2, 64], pooled 4x4 and mixed across channels into z."""
     _check_latent_dims(h, w, c, InvalidInputError)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_whole("seed", seed, 0))
     sigma_true = np.exp(rng.uniform(math.log(0.2), math.log(64.0), size=c))
     y = rng.normal(size=(h, w, c)) * sigma_true
     pooled = y.reshape(h // _POOL, _POOL, w // _POOL, _POOL, c).mean(axis=(1, 3))
@@ -147,7 +147,7 @@ def hyper_synthesis(z: np.ndarray) -> np.ndarray:
         raise InvalidInputError("z must be (H/4, W/4, C)")
     if not np.all(np.isfinite(z)):
         raise InvalidInputError("z must be finite")
-    c = z.shape[2]
+    c = _whole("channels", z.shape[2], 1)
     a, bias, pos = _synthesis_weights(c)
 
     # A z + c per pooled cell, nearest-upsampled with the offset of its

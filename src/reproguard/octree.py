@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .errors import (
     FieldValueError,
     InvalidInputError,
     PlyParseError,
+    _whole,
 )
 from .platform_sim import Perturbation, unit_hash_inplace
 from .quantizer import QuantGrid
@@ -132,7 +132,7 @@ class VoxelCloud:
     codes: np.ndarray  # sorted unique uint64
 
     def __post_init__(self) -> None:
-        _check_depth(self.bit_depth)
+        object.__setattr__(self, "bit_depth", _check_depth(self.bit_depth))
         c = self.codes
         if not isinstance(c, np.ndarray) or c.dtype != np.uint64 or c.ndim != 1:
             raise InvalidInputError("codes must be a 1-d uint64 array")
@@ -155,7 +155,7 @@ class VoxelCloud:
         ``[0, 1 << bit_depth)``; a float coordinate must be a whole number.
         Duplicates are dropped with one in-place sort of the Morton codes
         and the run-start rule of the encoder's bottom-up pass."""
-        _check_depth(bit_depth)
+        bit_depth = _check_depth(bit_depth)
         v = np.asarray(voxels)
         if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 1:
             raise InvalidInputError("voxels must be a non-empty (N, 3) array")
@@ -185,7 +185,7 @@ def _run_starts(x: np.ndarray) -> np.ndarray:
 
 def voxelize(points: np.ndarray, bit_depth: int) -> VoxelCloud:
     """Min-max normalize raw points onto the integer grid, then dedupe."""
-    _check_depth(bit_depth)
+    bit_depth = _check_depth(bit_depth)
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
         raise InvalidInputError("points must be a non-empty (N, 3) array")
@@ -204,11 +204,8 @@ def voxelize(points: np.ndarray, bit_depth: int) -> VoxelCloud:
 def synth_cloud(kind: str, bit_depth: int, count: int, seed: int) -> VoxelCloud:
     """Seeded synthetic clouds: a contiguous deformed-sphere shell (dense)
     or uniform random voxels (sparse)."""
-    _check_depth(bit_depth)
-    if not (isinstance(count, (int, Integral)) and count >= 1):
-        raise InvalidInputError(f"count must be a whole number >= 1, got {count!r}")
-    if not (isinstance(seed, (int, Integral)) and seed >= 0):
-        raise InvalidInputError(f"seed must be a whole number >= 0, got {seed!r}")
+    bit_depth = _check_depth(bit_depth)
+    count, seed = _whole("count", count, 1), _whole("seed", seed, 0)
     rng = np.random.default_rng(seed)
     side = 1 << bit_depth
     if kind == "sparse":
@@ -344,8 +341,7 @@ def make_pc_config(
     epsilon: float, k: int = 250, mode: GuardMode = GuardMode.CENTER
 ) -> GuardConfig:
     """Probability grid q = 1/k on [0, 1] with both edges clipped."""
-    if k < 1:
-        raise ConfigError("k must be a positive integer")
+    k = _whole("k", k, 1, error=ConfigError)
     grid = QuantGrid.uniform(1.0 / k, domain=_UNIT)
     return GuardConfig(grid=grid, epsilon=epsilon, mode=mode)
 
@@ -555,7 +551,7 @@ def read_ply(path, bit_depth: int | None = None) -> VoxelCloud:
         depth = bit_depth if bit_depth is not None else header_depth
         if depth is None:
             raise PlyParseError("bit depth unknown: pass one or add the comment")
-        _check_depth(depth, ConfigError if bit_depth is not None else PlyParseError)
+        depth = _check_depth(depth, PlyParseError if bit_depth is None else ConfigError)
 
         # grown as rows are read, so a declared count reserves no memory
         coords = array("d")

@@ -11,13 +11,11 @@ worst case for an unprotected codec.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, _real, _whole
 from .quantizer import QuantGrid, round_index_array
 
 __all__ = [
@@ -69,10 +67,9 @@ def unit_draws(base: int, start: int, n: int) -> np.ndarray:
     """Draws ``start`` to ``start + n - 1`` of the stream at ``base``: draw
     ``i`` is ``splitmix64(base + i * golden)`` mod 2**64, mapped to [0, 1).
     A stream has 2**64 draws, so the range must lie in [0, 2**64)."""
-    if not (isinstance(start, Integral) and isinstance(n, Integral)):
-        raise InvalidInputError(f"draw positions must be integers, got {start!r}, {n!r}")
-    start, n = int(start), int(n)
-    if start < 0 or n < 0 or start + n > _SPAN:
+    base = _whole("draw base", base)
+    start, n = _whole("draw start", start, 0), _whole("draw count", n, 0)
+    if start + n > _SPAN:
         raise InvalidInputError(
             f"draws {start} to {start + n - 1} lie outside the stream's [0, 2**64)"
         )
@@ -115,26 +112,16 @@ class Perturbation:
 
     def __post_init__(self) -> None:
         """The construction rule.  The fields may be reassigned, so every
-        perturb runs it again before it draws; ``float`` and ``int`` are
-        tested before the ``Real`` and ``Integral`` ABCs, whose checks are
-        most of the rule's cost."""
-        e_max = self.e_max
-        if not (
-            isinstance(e_max, (float, int, Real))
-            and math.isfinite(e_max)
-            and e_max >= 0.0
-        ):
+        perturb runs it again before it draws, and a refusal leaves every
+        field as it was."""
+        e_max = _real("e_max", self.e_max, ConfigError)
+        if e_max < 0.0:
             raise ConfigError(f"e_max must be finite and >= 0, got {e_max!r}")
         if self.dist not in _DISTS:
             raise ConfigError(f"dist must be one of {_DISTS}, got {self.dist!r}")
-        if not isinstance(self.seed, (int, Integral)):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not (isinstance(self.counter, (int, Integral)) and self.counter >= 0):
-            raise ConfigError(
-                f"counter must be a non-negative integer, got {self.counter!r}"
-            )
-        self.seed = int(self.seed) & _M64
-        self.counter = int(self.counter)
+        seed = _whole("seed", self.seed, error=ConfigError)
+        self.counter = _whole("counter", self.counter, 0, error=ConfigError)
+        self.e_max, self.seed = e_max, seed & _M64
 
     def _draws(self, n: int) -> np.ndarray:
         """Draws ``counter`` to ``counter + n - 1`` of the stream at ``seed``,

@@ -22,9 +22,9 @@ One function, :func:`_nearest`, gives the exact nearest boundary of a
 batch of values: its index, its value, its signed distance and whether a
 drift can carry a value across it (the domain-edge rule).  The guard's
 encoder calls it on the candidates alone, its decoder on the flagged
-values, and ``round_index_array`` on every value it is given.  No other
-module reads a grid's domain edges: ``_bins`` and ``_nearest`` are the
-only private names other modules take from here.
+values, and ``round_index_array`` on every value it is given.  Only
+``Perturbation.perturb_array`` reads the domain edges elsewhere (it clamps
+to them), and only ``_bins`` and ``_nearest`` are taken from here privately.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, _real
 
 __all__ = [
     "QuantGrid",
@@ -60,16 +60,6 @@ _MAX_INDEX = 2.0**53
 _BLOCK = 1 << 15
 
 
-def _check_finite(name: str, x: float) -> float:
-    try:
-        x = float(x)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"{name} must be a number, got {x!r}") from None
-    if not math.isfinite(x):
-        raise InvalidInputError(f"{name} must be finite, got {x!r}")
-    return x
-
-
 @dataclass(frozen=True)
 class QuantGrid:
     """Uniform quantization grid of step ``q``: bin ``n`` is ``[n*q, (n+1)*q)``.
@@ -86,15 +76,15 @@ class QuantGrid:
     )
 
     def __post_init__(self) -> None:
-        q = _check_finite("q", self.q)
+        q = _real("q", self.q)
         if q <= 0.0:
             raise ConfigError(f"step q must be > 0, got {q!r}")
         object.__setattr__(self, "q", q)
         if self.domain is None:
             return
         lo, hi = self.domain
-        lo = _check_finite("domain lo", lo)
-        hi = _check_finite("domain hi", hi)
+        lo, hi = _real("domain lo", lo), _real("domain hi", hi)
+        object.__setattr__(self, "domain", (lo, hi))
         if lo >= hi:
             raise ConfigError("domain lo must be < hi")
         edges = []
@@ -130,19 +120,20 @@ class QuantGrid:
         return True
 
 
-def validate(grid: QuantGrid, epsilon: float) -> None:
-    """Check the reproduction margin; raises ConfigError when too tight.
+def validate(grid: QuantGrid, epsilon: float) -> float:
+    """The checked epsilon, as a float; raises ConfigError when too tight.
 
     Safeguarding is only sound when every bin is wider than four times the
     worst-case cross-platform error.
     """
-    epsilon = _check_finite("epsilon", epsilon)
+    epsilon = _real("epsilon", epsilon)
     if epsilon <= 0.0:
         raise ConfigError(f"epsilon must be > 0, got {epsilon!r}")
     if not grid.q > 4.0 * epsilon:
         raise ConfigError(
             f"grid step {grid.q!r} must exceed 4*epsilon = {4.0 * epsilon!r}"
         )
+    return epsilon
 
 
 # ---------------------------------------------------------------------------

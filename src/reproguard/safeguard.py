@@ -60,7 +60,8 @@ class GuardConfig:
     mode: GuardMode = GuardMode.CENTER
 
     def __post_init__(self) -> None:
-        validate(self.grid, self.epsilon)
+        # as a float: a float32 epsilon would make _bins' threshold float32
+        object.__setattr__(self, "epsilon", validate(self.grid, self.epsilon))
         if not isinstance(self.mode, GuardMode):
             raise ConfigError(f"guard mode {self.mode!r} is not a GuardMode")
 

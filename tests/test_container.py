@@ -261,6 +261,13 @@ def test_impossible_point_count_rejected():
         )
 
 
+@pytest.mark.parametrize("point_count", [None, "4"], ids=repr)
+def test_point_count_that_is_not_an_integer_rejected(point_count):
+    header = OctreeHeader(bit_depth=2, point_count=point_count, q=0.004)
+    with pytest.raises(FieldValueError, match="point count"):
+        write(dataclasses.replace(octree_stream(), payload=header))
+
+
 def _with(make, payload=None, **fields):
     """``make()`` with stream ``fields`` and payload header fields replaced."""
     s = make()

@@ -538,6 +538,12 @@ def test_bad_sigma_rejected():
         gaussian_cdf_table(float("nan"), 32)
 
 
+@pytest.mark.parametrize("sigma", ["1.0", b"1", None, 1j], ids=repr)
+def test_sigma_that_is_not_a_real_number_rejected(sigma):
+    with pytest.raises(InvalidInputError, match="sigma"):
+        gaussian_cdf_table(sigma, 32)
+
+
 @pytest.mark.parametrize("amplitude", [-1, 0, 2.5, 32.0, 128, "32"], ids=repr)
 def test_amplitude_outside_whole_1_to_127_rejected(amplitude):
     with pytest.raises(InvalidInputError, match=r"amplitude"):

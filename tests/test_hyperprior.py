@@ -108,6 +108,11 @@ class TestSynthLatents:
         with pytest.raises(InvalidInputError, match="latent"):
             synth_latents(*dims, seed=1)
 
+    @pytest.mark.parametrize("seed", [0.5, 1.0, "1", -1, None], ids=repr)
+    def test_seed_that_is_not_a_whole_number_rejected(self, seed):
+        with pytest.raises(InvalidInputError, match="seed"):
+            synth_latents(8, 8, 2, seed)
+
     def test_unpooled_grid_rejected(self):
         with pytest.raises(InvalidInputError, match="multiples of 4"):
             LatentGrid(
@@ -156,6 +161,10 @@ class TestHyperSynthesis:
         first = [hyper_synthesis(z).tobytes() for z in (za, zb)]
         for _ in range(3):
             assert [hyper_synthesis(z).tobytes() for z in (za, zb)] == first
+
+    def test_zero_channels_rejected(self):
+        with pytest.raises(InvalidInputError, match="channels"):
+            hyper_synthesis(np.zeros((1, 1, 0)))
 
     def test_cached_weights_are_read_only(self):
         for w in hyperprior._synthesis_weights(8):

@@ -388,6 +388,24 @@ class TestConfig:
         assert cfg.grid.domain == (0.0, 1.0)
         assert cfg.mode == GuardMode.CENTER
 
+    @pytest.mark.parametrize("k", [250.0, "250", None], ids=repr)
+    def test_k_that_is_not_a_positive_integer_rejected(self, k):
+        with pytest.raises(ConfigError, match="k must be a positive integer"):
+            make_pc_config(1e-6, k)
+
+    def test_domain_given_as_a_list_is_the_unit_domain(self):
+        # the domain is stored as a tuple of floats, so the grid hashes and
+        # is the grid an octree header rebuilds
+        grid = QuantGrid.uniform(0.004, domain=[0, 1])
+        assert grid.domain == (0.0, 1.0) and type(grid.domain) is tuple
+        assert all(type(edge) is float for edge in grid.domain)
+        assert hash(grid) == hash(make_pc_config(1e-6).grid)
+        cloud = synth_cloud("sparse", 3, 10, 0)
+        got = encode(cloud, GuardConfig(grid=grid, epsilon=1e-6))
+        assert container.write(got) == container.write(
+            encode(cloud, make_pc_config(1e-6))
+        )
+
     def test_unit_domain_forces_reciprocal_step(self):
         # a step that does not divide [0, 1] cannot even form the grid
         with pytest.raises(ConfigError):

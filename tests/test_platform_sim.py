@@ -141,6 +141,11 @@ class TestDrawPositions:
         with pytest.raises(InvalidInputError):
             unit_draws(0, start, n)
 
+    @pytest.mark.parametrize("base", [1.5, 1.0, "1", None], ids=repr)
+    def test_base_that_is_not_an_integer_refused(self, base):
+        with pytest.raises(InvalidInputError, match="base"):
+            unit_draws(base, 0, 3)
+
     def test_the_stream_ends_at_its_last_draw(self):
         last = unit_draws(5, 2**64 - 2, 2)
         assert bits(last) == bits(perturbation_draws(5, 2**64 - 2, 2))

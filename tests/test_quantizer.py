@@ -355,6 +355,23 @@ class TestConstruction:
         with pytest.raises(InvalidInputError):
             validate(QuantGrid.uniform(0.25), None)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: QuantGrid("0.5"),
+            lambda: QuantGrid.uniform(b"0.5"),
+            lambda: QuantGrid.uniform(0.25, domain=("0", 1)),
+            lambda: validate(QuantGrid.uniform(0.25), "1e-6"),
+            lambda: GuardConfig(QuantGrid.uniform(0.25), b"1e-6"),
+            lambda: QuantGrid.uniform(10**400),
+        ],
+        ids=["str-q", "bytes-q", "str-domain", "str-epsilon",
+             "bytes-epsilon", "int-past-the-doubles"],
+    )
+    def test_scalar_that_is_not_a_finite_real_refused(self, make):
+        with pytest.raises(InvalidInputError):
+            make()
+
     def test_boundary_array_is_derived_not_passed(self):
         # the domain's edge indices are derived from it
         with pytest.raises(TypeError):

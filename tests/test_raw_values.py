@@ -113,6 +113,21 @@ def test_open_stream_reconstructs_the_config():
     assert cfg.grid.domain is None
 
 
+@pytest.mark.parametrize("mode", [GuardMode.CENTER, GuardMode.FULL])
+def test_float32_epsilon_guards_as_its_double(mode):
+    # a float32 network's error statistic is a float32 epsilon; kept as
+    # given, it made the candidate threshold float32, where 1 - thr rounds
+    # to 0.99975 and misses values just below a boundary
+    eps = np.float32(1e-6)
+    cfg = GuardConfig(QuantGrid.uniform(0.004), eps, mode)
+    assert type(cfg.epsilon) is float and cfg.epsilon == float(eps)
+    values = np.arange(1, 1001) * 0.004 - 0.9999995 * cfg.epsilon
+    stream = encode_values(values, cfg)
+    # the decoder drifts across every boundary, by less than epsilon
+    got = decode_values(stream, values + 0.9999999 * cfg.epsilon)
+    assert np.array_equal(got, reference_values(stream))
+
+
 def test_empty_vector():
     stream = encode_values(np.empty(0), cfg_for(GuardMode.CENTER))
     assert stream.flag_count == 0
