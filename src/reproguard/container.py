@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 MAGIC = b"RGRD"
-VERSION = 7
+VERSION = 8
 
 
 class PayloadKind:

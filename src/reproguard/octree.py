@@ -1,20 +1,21 @@
-"""Octree occupancy codec with safeguarded context probabilities.
+"""Octree occupancy codec with one safeguarded probability per parent.
 
-Geometry is stored as Morton codes.  Encoder and decoder each code the tree
-in one loop over its levels, eight octant passes per level; within a pass
-the context of a child depends only on data coded in earlier passes or
-levels, so both sides evaluate the predictor on whole batches.  Both loops
-take a level's groups of consecutive passes from ``_groups``, which sums
-each group's logits once: every model term but the coded-sibling one.
-The decoder codes one pass at a time, since each needs the bits of the
-passes before it, adds that term to the pass's row of logits, and takes
-the next level from the occupancy it decoded.  The encoder knows every bit
-in advance: it derives every level in one bottom-up pass over distinct
-nodes, whose work per level follows that level's node count, and codes a
-whole group per call.  The pass relies on the leaf codes being sorted and
-unique, which ``VoxelCloud`` checks.  Every predicted occupancy
-probability is a coder-critical value: it is safeguarded, and the entropy
-coder only ever sees the protected copy.
+Geometry is stored as Morton codes.  The context model predicts one
+occupancy probability per parent from per-parent terms alone, so a level's
+values are known before any of its bits are coded.  That probability is the
+coder-critical value: it is safeguarded once, and the entropy coder only
+sees what follows from the protected copy.  Each child's Prob16 comes from
+its parent's protected value through a fixed odds factor per octant, in
+IEEE-754 basic operations alone, so equal protected values give equal bits
+on every platform.  Encoder and decoder each code the tree in one loop over
+its levels, and a level in chunks of at most ``_CHUNK`` parents, with one
+model, guard and coder call per chunk; a chunk's bits run parent-major,
+each parent's eight octants in turn.  The encoder knows every bit in
+advance: it derives every level in one bottom-up pass over distinct nodes,
+whose work per level follows that level's node count.  The pass relies on
+the leaf codes being sorted and unique, which ``VoxelCloud`` checks.  The
+decoder takes the next level's nodes, sorted, from one ``flatnonzero`` over
+the level's decoded occupancy.
 """
 
 from __future__ import annotations
@@ -234,19 +235,22 @@ def synth_cloud(kind: str, bit_depth: int, count: int, seed: int) -> VoxelCloud:
 # ---------------------------------------------------------------------------
 # context model
 #
-# A stand-in for a learned occupancy predictor: logistic regression over
-# level phase, octant, already-coded sibling occupancy, the parent's
-# sibling occupancy, grandparent presence, and a hashed ancestral identity
-# that varies smoothly per node.
+# A stand-in for a learned occupancy predictor that, like OctSqueeze and
+# VoxelContext-Net, predicts per node: logistic regression over a parent's
+# level phase, its sibling occupancy, grandparent presence and a hashed
+# ancestral identity that varies smoothly per node.  It gives one occupancy
+# probability per parent, the value the guard protects.  Each child's
+# probability then moves that value's odds by a fixed factor per octant.
 
-# six term weights, then the bias (once drawn from splitmix64 at seed
-# 0xC0DEC0DE), written in hex so that every platform reads the same doubles
+# five term weights (level phase, octant, parent siblings, grandparent,
+# hash), then the bias, once drawn from splitmix64 at seed 0xC0DEC0DE (draws
+# 0, 1, 3, 4, 5 and 6; draw 2 weighted a coded-sibling term, now gone),
+# written in hex so that every platform reads the same doubles
 _W = tuple(
     float.fromhex(w)
     for w in (
         "0x1.c0f0b428ef518p-2",
         "0x1.ba6e44342ae0cp+0",
-        "0x1.d68ae201a7616p+0",
         "0x1.85f84b1046f02p+0",
         "0x1.1358a5ff2e2e8p+0",
         "0x1.24f4eff1af4b6p+0",
@@ -254,83 +258,71 @@ _W = tuple(
 )
 _BIAS = float.fromhex("0x1.dd1dc93d4de8ap+0")
 
+# the octant factors on a parent's odds, e**(_W[1] * (o / 7)) for octants
+# 0 to 7, frozen as literals: no transcendental function runs on a guarded
+# value, so the child step is exact on every platform
+_ODDS = np.array([
+    float.fromhex(r)
+    for r in (
+        "0x1.0000000000000p+0",
+        "0x1.47b0c52dad830p+0",
+        "0x1.a37511ca67f29p+0",
+        "0x1.0c7616a4da3ffp+1",
+        "0x1.57a436e2ea41cp+1",
+        "0x1.b7e00bb0443f2p+1",
+        "0x1.198775e20aefdp+2",
+        "0x1.685e6d8c40b73p+2",
+    )
+])
+
 _HASH_C1 = 0xD6E8FEB86659FD93
 _HASH_C2 = 0xA5A5A5A5A5A5A5A5
 
+# The most parents one coding pass takes: 32,768 child bits.  It bounds the
+# arrays of every pass on both sides.
+_CHUNK = 1 << 12
 
-def _ancestral_unit(
-    parent_codes: np.ndarray, depth: int, octant: int | np.ndarray
-) -> np.ndarray:
+
+def _ancestral_unit(parent_codes: np.ndarray, depth: int) -> np.ndarray:
     """Draws in [0, 1) hashed from each uint64 parent code times C1, plus
-    depth times C2, plus the octant, mod 2**64; a column of octants gives
-    (octants, parents)."""
+    depth times C2, mod 2**64."""
     x = parent_codes * _U(_HASH_C1)
     x += _U(depth * _HASH_C2 % 2**64)
-    # the broadcast is the one array the hash makes its draws in
-    return unit_hash_inplace(np.add(x, np.asarray(octant, dtype=np.uint64)))
+    return unit_hash_inplace(x)
 
 
-# coded siblings are always 0..7, so their term is one of eight values
-_SIBLING_TERM = _W[2] * (np.arange(8) / 7.0)
-
-
-# How many values one group of octant passes may hold, unless one pass alone
-# is larger (the rule is in ``_groups``).  It bounds a group's logits on
-# both sides and the arrays of one encoder call, and with them what
-# grouping adds to either side's memory.
-_GROUP_BUDGET = 1 << 15
-
-
-def _groups(depth: int, bit_depth: int, parents: np.ndarray, siblings: np.ndarray):
-    """A level's groups of max(1, min(8, _GROUP_BUDGET // n)) consecutive
-    octants, n its parent count, in coding order, each as ``(octants,
-    logits)``: ``logits`` is the (octants, parents) sum of every model term
-    but the coded-sibling one.  ``siblings`` holds each parent's sibling
-    count.  A group's logits are built in its ``yield`` when reached, so no
-    local of the generator holds them once the caller drops them."""
-    g = max(1, min(8, _GROUP_BUDGET // parents.shape[0]))
-    phase = _BIAS + _W[0] * (depth / bit_depth)
-    parent = _W[3] * (siblings / 8.0)
-    grandparent = _W[4] * (1.0 if depth >= 3 else 0.0)
-    for lo in range(0, 8, g):
-        octants = range(lo, min(lo + g, 8))
-        octant = np.arange(octants.start, octants.stop)[:, None]
-        yield octants, _logits(
-            _ancestral_unit(parents, depth, octant),
-            phase + _W[1] * (octant / 7.0),
-            parent,
-            grandparent,
-        )
-
-
-def _logits(
-    ancestral: np.ndarray, head: np.ndarray, parent: np.ndarray, grandparent: float
+def _parent_probabilities(
+    depth: int, bit_depth: int, parents: np.ndarray, siblings: np.ndarray
 ) -> np.ndarray:
-    """The terms of a group in the one order both sides sum them, in the
-    hash's output buffer ``ancestral``: its weighted draws, then the head
-    column (bias, level phase and octant), the parent-sibling row and the
-    grandparent constant."""
-    ancestral *= _W[5]
-    ancestral += head
-    ancestral += parent
-    ancestral += grandparent
-    return ancestral
-
-
-def _probabilities(logits: np.ndarray, coded_siblings: np.ndarray) -> np.ndarray:
-    """Occupancy probabilities of the children whose ``_groups`` logits are
-    ``logits``, a whole group or one of its rows, flat in the same order:
-    the only way either side gets them.  ``coded_siblings``, of the same
-    shape, holds how many earlier siblings of each child were coded
-    occupied."""
-    t = _SIBLING_TERM[coded_siblings]
-    t += logits
+    """The occupancy probability of each parent at ``depth``, whose codes
+    are ``parents`` and sibling counts ``siblings``: the sigmoid of its
+    terms, summed in the one order both sides use (bias and level phase,
+    parent siblings, grandparent, hash).  The only way either side gets
+    them."""
+    t = _W[2] * (siblings / 8.0)
+    t += _BIAS + _W[0] * (depth / bit_depth)
+    t += _W[3] if depth >= 3 else 0.0
+    h = _ancestral_unit(parents, depth)
+    h *= _W[4]
+    t += h
     np.negative(t, out=t)
     np.exp(t, out=t)
     t += 1.0
     # no clip: for finite terms 1 + exp(-t) is at least 1, so the sigmoid
     # already lies in [0, 1], as any other model must keep it
-    return np.divide(1.0, t, out=t).ravel()
+    return np.divide(1.0, t, out=t)
+
+
+def _child_p16s(p: np.ndarray, q: float) -> np.ndarray:
+    """The Prob16s of the children of parents with (guarded) probabilities
+    ``p``, parent-major: p·r / ((1 - p) + p·r) for each octant factor r,
+    clipped to [q/2, 1 - q/2].  Only IEEE-754 basic operations run, each
+    correctly rounded, so equal ``p`` give equal Prob16s everywhere."""
+    t = np.multiply.outer(p, _ODDS)
+    t /= np.subtract(1.0, p)[:, None] + t
+    np.maximum(t, q * 0.5, out=t)
+    np.minimum(t, 1.0 - q * 0.5, out=t)
+    return prob_to_p16_array(t.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +339,12 @@ def make_pc_config(
 
 
 def _levels(codes: np.ndarray, bit_depth: int) -> list[tuple]:
-    """Every level's parents, their sibling counts and its (8, parents)
+    """Every level's parents, their sibling counts and its (parents, 8)
     occupancy, leaf level first, in one bottom-up pass from the sorted unique
     leaf codes.  A level's parents are its nodes shifted right by 3 with
     repeats dropped; the nodes are sorted, so repeats form runs, and a node's
     parent index is the count of run starts up to it, less one.  A parent's
-    sibling count is its own parent's column sum in the level above.  Each
+    sibling count is its own parent's row sum in the level above.  Each
     level costs O(its node count)."""
     levels = []
     nodes, below = codes, None
@@ -361,10 +353,10 @@ def _levels(codes: np.ndarray, bit_depth: int) -> list[tuple]:
         start = _run_starts(up)
         at = np.cumsum(start)
         at -= 1
-        occ = np.zeros((8, int(at[-1]) + 1), dtype=np.uint8)
-        occ[nodes & _U(7), at] = 1
+        occ = np.zeros((int(at[-1]) + 1, 8), dtype=np.uint8)
+        occ[at, nodes & _U(7)] = 1
         if below is not None:  # ``nodes`` are the parents of the level below
-            levels.append((nodes, occ.sum(axis=0, dtype=np.uint8)[at], below))
+            levels.append((nodes, occ.sum(axis=1, dtype=np.uint8)[at], below))
         nodes, below = up[start], occ
     levels.append((nodes, np.ones(1, dtype=np.uint8), below))  # the root, an only child
     return levels
@@ -383,20 +375,15 @@ def encode(cloud: VoxelCloud, cfg: GuardConfig, protect: bool = True) -> Guarded
     for depth in range(1, n + 1):
         # popped root first, so each level is freed once the next is popped
         parents, siblings, occ = levels.pop()
-        # every child's occupancy is known, so a child's coded siblings are
-        # an exclusive cumsum over octants, and a group of octant passes
-        # codes in one call, in the order the decoder codes them one by one
-        coded = np.cumsum(occ, axis=0, dtype=np.uint8) - occ
-        for octants, logits in _groups(depth, n, parents, siblings):
-            rows = slice(octants.start, octants.stop)
-            p = _probabilities(logits, coded[rows])
-            del logits  # freed before the guard makes its arrays
+        for lo in range(0, parents.shape[0], _CHUNK):
+            at = slice(lo, lo + _CHUNK)
+            p = _parent_probabilities(depth, n, parents[at], siblings[at])
             if protect:
                 p, fr, fd = guard_encode_array(cfg, p)
                 fr_parts.append(fr)
                 fd_parts.append(fd)
-            enc.encode_bits(occ[rows].ravel(), prob_to_p16_array(p))
-    del parents, siblings, occ, coded, p  # the leaf level's, before the flags
+            enc.encode_bits(occ[at].ravel(), _child_p16s(p, cfg.grid.q))
+    del parents, siblings, occ, p  # the leaf level's, before the flags
     fr = np.concatenate(fr_parts)
     safeguard = encode_flags(fr, np.concatenate(fd_parts), cfg.mode)
     return GuardedStream(
@@ -414,35 +401,27 @@ def decode(stream: GuardedStream, perturb: Perturbation | None = None) -> VoxelC
     parents = np.zeros(1, dtype=np.uint64)  # the root
     siblings = np.ones(1, dtype=np.uint8)  # the root is an only child
     for depth in range(1, n + 1):
-        # one pass per octant: each needs the bits of the passes before it,
-        # and adds only their coded-sibling term to its row of the group's
-        # logits
-        occ = np.empty((8, parents.shape[0]), dtype=np.uint8)
-        coded = np.zeros(parents.shape[0], dtype=np.uint8)
-        for octants, logits in _groups(depth, n, parents, siblings):
-            for octant in octants:
-                p = _probabilities(logits[octant - octants.start], coded)
-                if octant + 1 == octants.stop:
-                    logits = None  # freed before the group's last pass is guarded
-                if perturb is not None:
-                    p = perturb.perturb_array(p, cfg.grid)
-                if stream.flag_count > 0:
-                    fr, fd = flags.take(p.shape[0])
-                    p = guard_decode_array(cfg, p, fr, fd)
-                occ[octant] = dec.decode_bits(prob_to_p16_array(p))
-                coded += occ[octant]
+        occ = np.empty((parents.shape[0], 8), dtype=np.uint8)
+        for lo in range(0, parents.shape[0], _CHUNK):
+            at = slice(lo, lo + _CHUNK)
+            p = _parent_probabilities(depth, n, parents[at], siblings[at])
+            if perturb is not None:
+                p = perturb.perturb_array(p, cfg.grid)
+            if stream.flag_count > 0:
+                fr, fd = flags.take(p.shape[0])
+                p = guard_decode_array(cfg, p, fr, fd)
+            occ[at] = dec.decode_bits(_child_p16s(p, cfg.grid.q)).reshape(-1, 8)
         # the occupied children, parent-major, so their codes come out
-        # sorted: ``coded`` now holds each parent's child count, and one pass
-        # over a C-order copy, whose flat index is parent * 8 + octant, gives
-        # each child's octant
-        octants = np.flatnonzero(occ.T.ravel())
+        # sorted: a flat index of ``occ`` is parent * 8 + octant
+        octants = np.flatnonzero(occ)
         if octants.shape[0] > header.point_count:
             raise FieldValueError("decoded occupancy exceeds the declared point count")
         octants &= 7
-        parents = np.repeat(parents, coded)
+        counts = occ.sum(axis=1, dtype=np.uint8)
+        parents = np.repeat(parents, counts)
         parents <<= _U(3)
         parents |= octants.astype(np.uint64)
-        siblings = np.repeat(coded, coded)
+        siblings = np.repeat(counts, counts)
     if parents.shape[0] != header.point_count:
         raise FieldValueError("decoded leaves fall short of the declared point count")
     if not flags.exhausted:

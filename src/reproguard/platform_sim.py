@@ -89,10 +89,11 @@ PRESETS = {
 
 
 # Draws a perturbation holds ahead.  The octree decoder perturbs once per
-# octant pass, and most passes hold a few hundred values or fewer, so one
-# hash call over a block serves many of them.  2048 draws are 16 KiB, and a
-# redraw's mix scratch as much again, so a small call stays under 64 KiB;
-# 4096 and 8192 timed the same on small-streams' decode.  A call of at least
+# coding pass, one value per parent, and most passes hold a few hundred
+# values or fewer, so one hash call over a block serves many of them.  2048
+# draws are 16 KiB, and a redraw's mix scratch as much again, so a small
+# call stays under 64 KiB; 4096 and 8192 timed the same on small-streams'
+# decode when it perturbed once per child.  A call of at least
 # a block draws exactly its own size.
 _BLOCK = 2048
 
@@ -167,10 +168,7 @@ class Perturbation:
 
 
 def preset(name: str, dist: str = "uniform", seed: int = 0) -> Perturbation:
-    try:
-        e_max = PRESETS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown preset {name!r}; available: {sorted(PRESETS)}"
-        ) from None
+    e_max = PRESETS.get(name) if isinstance(name, str) else None
+    if e_max is None:
+        raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
     return Perturbation(e_max=e_max, dist=dist, seed=seed)

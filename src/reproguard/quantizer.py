@@ -82,7 +82,12 @@ class QuantGrid:
         object.__setattr__(self, "q", q)
         if self.domain is None:
             return
-        lo, hi = self.domain
+        try:
+            lo, hi = self.domain
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"domain must be a (lo, hi) pair, got {self.domain!r}"
+            ) from None
         lo, hi = _real("domain lo", lo), _real("domain hi", hi)
         object.__setattr__(self, "domain", (lo, hi))
         if lo >= hi:

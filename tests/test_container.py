@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reproguard import octree
 from reproguard.container import (
     _COUNTS,
     _FRAMES,
@@ -113,10 +114,30 @@ def test_unsupported_version():
 def test_version_1_streams_are_unsupported():
     # v1 range-coded its flags; v2 Rice-codes the gaps between risky flags
     data = bytearray(write(raw_stream()))
-    assert data[4] == 7
+    assert data[4] == 8
     data[4] = 1
     with pytest.raises(UnsupportedVersionError):
         read(bytes(data))
+
+
+# A v7 octree stream: the voxel (1, 0, 1) at depth 1, CENTER mode, epsilon
+# 1e-6, k = 250.  v7 guarded each of the root's eight child probabilities,
+# so its flag count is 8; v8 guards one probability per parent.
+V7_OCTREE = bytes.fromhex(
+    "524752440703003eb0c6f7a0b5ed8d0000000800000001000000080100000000000000"
+    "013f70624dd2f1a9fc0000000002c3933800"
+)
+
+
+def test_version_7_octree_streams_are_unsupported():
+    with pytest.raises(UnsupportedVersionError, match="version 7"):
+        read(V7_OCTREE)
+    # read as v8 its header parses, but its eight flags are not the one
+    # parent's one, so the decoder refuses it
+    stream = read(bytes([*V7_OCTREE[:4], 8, *V7_OCTREE[5:]]))
+    assert (stream.flag_count, stream.payload.point_count) == (8, 1)
+    with pytest.raises(MalformedStreamError):
+        octree.decode(stream)
 
 
 def test_version_6_streams_are_unsupported():
@@ -163,18 +184,18 @@ V2_RAW = bytes.fromhex(
 def test_version_2_streams_are_unsupported():
     with pytest.raises(UnsupportedVersionError, match="version 2"):
         read(V2_RAW)
-    # the same stream, header cut to v7, is read: only the version refuses it
+    # the same stream, header cut to v8, is read: only the version refuses it
     assert V2_RAW[15] == 0 and V2_RAW[24:32] == bytes(8)
     counts, value_count, step = V2_RAW[34:46], V2_RAW[46:54], V2_RAW[16:24]
-    v7 = bytes([*V2_RAW[:4], 7, *V2_RAW[5:15], *counts, *value_count, *step,
+    v8 = bytes([*V2_RAW[:4], 8, *V2_RAW[5:15], *counts, *value_count, *step,
                 *V2_RAW[54:]])
-    assert read(v7).flag_count == 6
-    assert read(v7).payload.q == 1.0 / 64.0
+    assert read(v8).flag_count == 6
+    assert read(v8).payload.q == 1.0 / 64.0
 
 
 # A v4 stream: five raw values on the step 1/64 in FULL mode.  Its header
 # had a grid-kind byte (0, uniform) after epsilon, then the step, which v5
-# to v7 carry after the value count.
+# to v8 carry after the value count.
 V4_RAW = bytes.fromhex(
     "524752440400023f4999999999999a003f900000000000000000000500000002000000"
     "280000000000000005034c3fe04000000000003f80000000000000bff3e00000000000"
@@ -185,14 +206,14 @@ V4_RAW = bytes.fromhex(
 def test_version_4_streams_are_unsupported():
     with pytest.raises(UnsupportedVersionError, match="version 4"):
         read(V4_RAW)
-    # the v7 twin: version 7, the grid-kind byte cut, the step moved
+    # the v8 twin: version 8, the grid-kind byte cut, the step moved
     assert V4_RAW[15] == 0
     step, counts, value_count = V4_RAW[16:24], V4_RAW[24:36], V4_RAW[36:44]
-    v7 = bytes([*V4_RAW[:4], 7, *V4_RAW[5:15], *counts, *value_count, *step,
+    v8 = bytes([*V4_RAW[:4], 8, *V4_RAW[5:15], *counts, *value_count, *step,
                 *V4_RAW[44:]])
-    stream = read(v7)
+    stream = read(v8)
     assert stream.payload == RawHeader(value_count=5, q=1.0 / 64.0)
-    assert write(stream) == v7
+    assert write(stream) == v8
 
 
 def test_truncated_header():

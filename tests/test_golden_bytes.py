@@ -1,16 +1,17 @@
 """Pinned container bytes of small fixed-seed streams.
 
-The v7 wire format is a promise: a faster coder must emit exactly these
+The v8 wire format is a promise: a faster coder must emit exactly these
 bytes.  Each case is encoded, written, and compared by SHA-256 against the
-digest recorded when the format last changed (v7: the hyperprior's rounded
-z is range-coded ahead of y in ``main`` and its header lost the raw z
-doubles, so its streams changed and every container its version byte).
-The digest of each octree and raw case's ``main`` section was recorded
-with the v1 format, and that of its safeguard section with v2 (which made
-it Rice-coded gaps between risky flags); neither moved with v3 to v7,
-which changed only the header of those payloads.  The hyperprior's
-``main`` and safeguard digests were recorded with v7: the synthesis runs
-on the rounded z, so its guarded log scales moved too.
+digest recorded when the format last changed (v8: the octree guards one
+probability per parent and codes each parent's children from it, so its
+streams changed and every container its version byte).  The digest of each
+raw case's ``main`` section was recorded with the v1 format, and that of
+its safeguard section with v2 (which made it Rice-coded gaps between risky
+flags); neither moved with v3 to v8, which changed only the header of that
+payload.  The hyperprior's ``main`` and safeguard digests were recorded
+with v7 (its rounded z is range-coded ahead of y in ``main``, and the
+synthesis runs on it) and did not move with v8.  The octree's ``main`` and
+safeguard digests were recorded with v8.
 """
 
 import hashlib
@@ -55,22 +56,22 @@ def _hyperprior_unprotected(mode: GuardMode):
 #        SHA-256 of its safeguard section)
 GOLDEN = {
     "octree-center": (lambda: _octree(GuardMode.CENTER),
-        "d01ab0296b033ed049ddd5006276416d622af81c4429651e2efced1928f984be",
-        "4f964bf18cda4736b00b0678e586f245cd39213c0097fd716105d9aa95da1bbd",
-        "632450b055558aeadf3073af31e5e34d210fc68c4e340b55b5b070130d21f8c8",
+        "85b99eedd6b0b3a11a64b28aad4a875513a6c3c112f185e804bdd5a195e2e95e",
+        "75e4bd5fd860ccee2c8db27b81a9e17c7b63337d9f08a5c34229177aab0cd4d5",
+        "ac037c3171fa6f7fd49843acc22d7b288fc083e173d27cc4e11870feb9b61516",
     ),
     "octree-full": (lambda: _octree(GuardMode.FULL),
-        "8ba71b39482a9c4550ec87e421d995ab30e63b20ac681f8f0af310129fcb6e3b",
-        "a17f1b739e84b4f99ec3eb1a87bfe92ccccc5e77f5d5f3d2c519b471a1229655",
-        "8653d21a328e0b75f37535a0f548e7a533e5ca564160507fdf3935afbf92bc90",
+        "11f9ec301618577a0249e6d1758064a5a92080adfa500c68915114ab12c8a89b",
+        "5303465544dff3c19bd35d34f1e70ef6b9caaa009d80006b323b45a0767dc699",
+        "6ebcc513737922b4923301d075924853dbb9499354f4eccfd885ba361e0fa270",
     ),
     "hyperprior-center": (_hyperprior,
-        "b81738e5d2c548b6afd7ae6d61105aec9dc488e7f37576db6e4cd3871ad10eed",
+        "ff1a66ec9acd214bf2cde6d9e9eaf9dfc157fe27f1c40149a2e28e96f863d58b",
         "1e5e9407545534e443477fa63a198a4f93a64137c6e1fe7c2e8893773dc97d0c",
         "34706b51b29170233f1390910211e15961b0b4ffe02ce14a73a5b7346a64c978",
     ),
     "raw-full": (lambda: _raw(GuardMode.FULL),
-        "e2df718917642e590a7e6fcfb746b147fb941a9b51456b0645e4a868a09246fd",
+        "6e653aa3bcdc5cf9f74d7643bac5b025852fab9cb4b6149f722dafcc9e2c61db",
         "e471a22b937b0fdd9cee3cffcca47e2628d0966dfd560b4850b1ee7d48746680",
         "0a058eec8a2f0a07144a8624459eed522ed1177f57abba9e7397f869ae22f6e7",
     ),
@@ -79,8 +80,8 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_stream_bytes_match_v1(name):
-    # the name predates v2 to v7 and is kept so the test ids stay stable;
-    # the digests are those of the v7 format
+    # the name predates v2 to v8 and is kept so the test ids stay stable;
+    # the digests are those of the v8 format
     build, digest, *_ = GOLDEN[name]
     stream = build()
     assert stream.flag_count > 0 and any(stream.safeguard)
@@ -103,13 +104,13 @@ def test_safeguard_section_kept_its_v2_bytes(name):
 # and the safeguard section is empty.  Digests of the container.
 UNPROTECTED = {
     "octree-center": (lambda: _octree_unprotected(GuardMode.CENTER),
-        "60e150a721bf65f98aacb4c1da42d3fce90f1b5331cc09b418f25efdb29afa55",
+        "7527a0af751a43e65a65e65d631f005a334f16fe01b21d90fa0afc7176374073",
     ),
     "octree-full": (lambda: _octree_unprotected(GuardMode.FULL),
-        "dd631c6323e8a4f8dfb6bf070dd4279d86504fa6296661cc119d79c4dce8941e",
+        "bac5b27d9a27e9c0b3a1e55a1820f7a2deb7a19e0f19db8340a74948b81362b2",
     ),
     "hyperprior-center": (lambda: _hyperprior_unprotected(GuardMode.CENTER),
-        "5a14263b8f224fd9e12324e29622029d1e46c231132172a60c310116da2fa6e9",
+        "68d81d5d0c3b98b2cd585bdbb263dc0a1a2a94a8c68213e0eb3cc90d196a4ede",
     ),
 }
 

@@ -1,6 +1,7 @@
 """Octree occupancy codec tests."""
 
 import hashlib
+import math
 import tracemalloc
 
 from hypothesis import given, settings
@@ -294,91 +295,131 @@ class TestSynth:
 
 
 def record_passes(monkeypatch):
-    """Record (depth, octant, parent count, coded siblings, probabilities,
-    parents' sibling counts) of every octant pass, one row per octant also
-    where a call predicts a group of them: depth, octants and sibling
-    counts come from the group the pass's logits were yielded in."""
+    """Record [depth, parent count, parents' sibling counts, probabilities,
+    Prob16s] of every coding pass, from the model and the child step, which
+    each pass calls once."""
     rows = []
-    group = {}
-    groups, probabilities = octree._groups, octree._probabilities
+    model, child = octree._parent_probabilities, octree._child_p16s
 
-    def recording_groups(depth, bit_depth, parents, siblings):
-        for octants, logits in groups(depth, bit_depth, parents, siblings):
-            group.update(depth=depth, octants=iter(octants), siblings=siblings)
-            yield octants, logits
-
-    def recording(logits, coded):
-        p = probabilities(logits, coded)
-        n = logits.shape[-1]
-        for c, q in zip(coded.reshape(-1, n), p.reshape(-1, n)):
-            # the decoder goes on counting in its array after the call
-            octant = next(group["octants"])
-            rows.append((group["depth"], octant, n, c.copy(), q, group["siblings"]))
+    def recording_model(depth, bit_depth, parents, siblings):
+        p = model(depth, bit_depth, parents, siblings)
+        rows.append([depth, parents.shape[0], siblings.copy(), p.copy()])
         return p
 
-    monkeypatch.setattr(octree, "_groups", recording_groups)
-    monkeypatch.setattr(octree, "_probabilities", recording)
+    def recording_child(p, q):
+        p16 = child(p, q)
+        rows[-1].append(p16)
+        return p16
+
+    monkeypatch.setattr(octree, "_parent_probabilities", recording_model)
+    monkeypatch.setattr(octree, "_child_p16s", recording_child)
     return rows
 
 
-def predict_contexts(depth=3, n=10, contexts=()):
-    """The model's probability of each (octant, coded, parent, parent code)
-    context, each from the group of its octant in a level of one parent;
-    the grandparent term follows from the depth."""
-    out = []
-    for octant, coded, parent, code in contexts:
-        groups = octree._groups(
-            depth, n, np.array([code], dtype=np.uint64),
-            np.array([parent], dtype=np.uint8),
-        )
-        octants, logits = next(g for g in groups if octant in g[0])
-        coded_siblings = np.array([coded], dtype=np.uint8)
-        out.append(
-            octree._probabilities(logits[octant - octants.start], coded_siblings)
-        )
-    return np.concatenate(out)
-
-
-def predict(depth=3, octant=0, coded=0, parent=4, code=0, n=10):
-    return predict_contexts(depth, n, [(octant, coded, parent, code)])
+def predict(depth=3, siblings=4, code=0, n=10):
+    """The model's probability of each parent with ``code`` and ``siblings``
+    (either may be a sequence) at ``depth`` in a tree of depth ``n``."""
+    codes, siblings = np.broadcast_arrays(
+        np.asarray(code, dtype=np.uint64), np.asarray(siblings, dtype=np.uint8)
+    )
+    return octree._parent_probabilities(depth, n, codes.ravel(), siblings.ravel())
 
 
 class TestPredict:
     def test_deterministic(self):
         a = predict()
         b = predict()
-        assert a[0] == b[0]
         assert a.view(np.uint64)[0] == b.view(np.uint64)[0]
 
     def test_open_interval_over_feasible_contexts(self):
+        # a parent has 1 to 8 siblings, itself included
+        siblings = np.repeat(np.arange(1, 9), 50)
+        codes = np.arange(siblings.shape[0]) * 977
         for depth in (1, 2, 3, 10):
-            for octant in range(8):
-                ctxs = [
-                    (octant, coded, parent, 0)
-                    for coded in range(8) for parent in range(9)
-                ]
-                p = predict_contexts(depth, 10, ctxs)
-                assert np.all((0.0 < p) & (p < 1.0))
+            p = predict(depth, siblings, codes)
+            assert np.all((0.0 < p) & (p < 1.0))
 
     def test_parent_code_moves_the_output(self):
         vals = {float(predict(code=c)[0]) for c in range(40)}
         assert len(vals) > 30
 
     def test_monotone_in_parent_siblings(self):
-        ps = [float(predict(parent=k)[0]) for k in range(9)]
+        ps = predict(siblings=np.arange(1, 9))
         diffs = np.diff(ps)
-        if octree._W[3] > 0:
+        if octree._W[2] > 0:
             assert np.all(diffs > 0)
         else:
             assert np.all(diffs < 0)
 
+    def test_a_batch_equals_its_parents_one_by_one(self):
+        # what lets a level code in chunks of any size
+        rng = np.random.default_rng(3)
+        codes = rng.integers(0, 1 << 60, 300, dtype=np.uint64)
+        siblings = rng.integers(1, 9, 300).astype(np.uint8)
+        batch = predict(7, siblings, codes)
+        one_by_one = np.concatenate(
+            [predict(7, s, c) for s, c in zip(siblings, codes)]
+        )
+        assert np.array_equal(batch.view(np.uint64), one_by_one.view(np.uint64))
+
 
 class TestWeights:
     def test_literals_are_the_splitmix_draw(self):
-        # the seven values in [-2, 2) that splitmix64 gives at seed 0xC0DEC0DE
+        # values in [-2, 2) that splitmix64 gives at seed 0xC0DEC0DE; draw 2
+        # weighted the coded-sibling term, which is gone
         draw = unit_draws(0xC0DEC0DE, 0, 7) * 4.0 - 2.0
         literals = [*octree._W, octree._BIAS]
-        assert [w.hex() for w in literals] == [float(d).hex() for d in draw]
+        drawn = [float(draw[i]).hex() for i in (0, 1, 3, 4, 5, 6)]
+        assert [w.hex() for w in literals] == drawn
+
+    @pytest.mark.parametrize("octant", range(8))
+    def test_odds_literals_are_the_octant_term(self, octant):
+        want = math.exp(octree._W[1] * (octant / 7))
+        assert abs(octree._ODDS[octant] - want) <= math.ulp(want)
+
+
+def guard_outputs(k):
+    """Every value a guard on the grid of step 1/k can output, in either
+    mode: each bin center, and each interior boundary with the bin centers
+    FULL mode derives from it."""
+    q = 1.0 / k
+    eps = q / 8.0
+    mids = (np.arange(k) + 0.5) * q
+    near = np.arange(1, k) * q
+    out = []
+    for mode in GuardMode:
+        cfg = make_pc_config(eps, k, mode)
+        for v in (mids, near - eps / 2, near + eps / 2):
+            out.append(guard_encode_array(cfg, v)[0])
+    return np.unique(np.concatenate(out))
+
+
+def python_p16(p, r, q):
+    """The child step in Python floats: p·r / ((1 - p) + p·r), clipped to
+    [q/2, 1 - q/2], then the Prob16 of a zero."""
+    x = p * r / ((1.0 - p) + p * r)
+    x = min(max(x, q * 0.5), 1.0 - q * 0.5)
+    return min(max(65536 - math.floor(x * 65536.0 + 0.5), 1), 65535)
+
+
+class TestChildStep:
+    @pytest.mark.parametrize("k", [10, 250, 1000])
+    def test_equals_python_floats_on_every_guard_output(self, k):
+        q = 1.0 / k
+        values = guard_outputs(k)
+        # centers and interior boundaries, and FULL's centers, which may
+        # differ from the others by an ulp
+        assert 2 * k - 1 <= values.shape[0] <= 3 * k
+        got = octree._child_p16s(values, q).reshape(-1, 8)
+        odds = octree._ODDS.tolist()
+        want = [[python_p16(p, r, q) for r in odds] for p in values.tolist()]
+        assert got.tolist() == want
+
+    def test_clips_to_the_grids_inner_half_bins(self):
+        q = 1.0 / 250
+        p16 = octree._child_p16s(np.array([0.0, 1e-9, 1.0 - 1e-9, 1.0]), q)
+        lo, hi = prob_to_p16_array(np.array([q / 2, 1 - q / 2]))
+        assert p16.tolist() == [lo] * 16 + [hi] * 16
 
 
 class TestConfig:
@@ -439,10 +480,10 @@ class TestRoundtrip:
         cloud = VoxelCloud.from_voxels(np.array([[1, 0, 1]]), 1)
         passes = record_passes(monkeypatch)
         stream = encode(cloud, make_pc_config(1e-6))
-        # one level, eight octant passes over the single root
-        assert [t[:3] for t in passes] == [(1, o, 1) for o in range(8)]
-        assert [t[3].tolist() for t in passes] == [[0]] * 6 + [[1]] * 2
-        assert stream.flag_count == 8
+        # one level, one pass over the single root and its eight octants
+        assert [row[:2] for row in passes] == [[1, 1]]
+        assert passes[0][4].shape == (8,)
+        assert stream.flag_count == 1
         out = decode(stream)
         assert np.array_equal(out.codes, cloud.codes)
 
@@ -457,18 +498,17 @@ class TestRoundtrip:
         assert out.bit_depth == cloud.bit_depth
         assert np.array_equal(out.codes, cloud.codes)
 
-    def test_octant_schedule_is_causal(self, monkeypatch):
+    def test_one_guarded_value_per_parent(self, monkeypatch):
         cloud = synth_cloud("dense", 6, 2000, 1)
         passes = record_passes(monkeypatch)
-        encode(cloud, make_pc_config(1e-6))
-        seen = []
-        for depth, octant, n_parents, coded, p, _ in passes:
-            seen.append((depth, octant))
-            # a child can have seen at most `octant` coded siblings
-            assert coded.shape == p.shape == (n_parents,)
-            assert np.all(coded <= octant)
-        assert len(seen) == 6 * 8
-        assert seen == sorted(seen)
+        stream = encode(cloud, make_pc_config(1e-6))
+        # every level fits one chunk, so each codes in one pass, root first,
+        # with one probability per parent and eight Prob16s after it
+        sizes = [len(codes) for codes in _level_codes(cloud)[:-1]]
+        assert [row[:2] for row in passes] == [[d + 1, m] for d, m in enumerate(sizes)]
+        assert all(row[3].shape == (row[1],) for row in passes)
+        assert all(row[4].shape == (8 * row[1],) for row in passes)
+        assert stream.flag_count == sum(sizes)
 
     def test_decoder_trace_matches_encoder(self, monkeypatch):
         cloud = synth_cloud("dense", 6, 2000, 4)
@@ -477,12 +517,7 @@ class TestRoundtrip:
         te = passes[:]
         passes.clear()
         decode(stream)
-        td = passes
-        assert len(te) == len(td) > 0
-        for a, b in zip(te, td):
-            assert a[:3] == b[:3]
-            assert np.array_equal(a[3], b[3])
-            assert np.array_equal(a[4].view(np.uint64), b[4].view(np.uint64))
+        assert_same_passes(te, passes)
 
     def test_protected_survives_uniform_noise(self):
         cloud = synth_cloud("dense", 10, 20_000, 7)
@@ -527,6 +562,16 @@ class TestRoundtrip:
         assert np.array_equal(out.codes, cloud.codes)
 
 
+def assert_same_passes(a, b):
+    """Two records of ``record_passes`` hold the same passes, bit for bit."""
+    assert len(a) == len(b) > 0
+    for x, y in zip(a, b):
+        assert x[:2] == y[:2]
+        assert np.array_equal(x[2], y[2])
+        assert np.array_equal(x[3].view(np.uint64), y[3].view(np.uint64))
+        assert np.array_equal(x[4], y[4])
+
+
 def sibling_counts(codes):
     """For each node, how many nodes (itself included) share its parent."""
     parents = codes >> np.uint64(3)
@@ -534,50 +579,52 @@ def sibling_counts(codes):
     return counts[np.searchsorted(uniq, parents)].astype(np.int64)
 
 
+def reference_levels(cloud):
+    """Every level's parents, their sibling counts and its (parents, 8)
+    occupancy, root first, found as the encoder once found them: each
+    level's codes by ``np.unique``, every child placed under its parent by a
+    binary search, and the sibling counts by ``sibling_counts``."""
+    codes = _level_codes(cloud)
+    levels = []
+    for parents, children in zip(codes, codes[1:]):
+        occ = np.zeros((parents.shape[0], 8), dtype=np.uint8)
+        at = np.searchsorted(parents, children >> np.uint64(3))
+        occ[at, children & np.uint64(7)] = 1
+        levels.append((parents, sibling_counts(parents), occ))
+    return levels
+
+
 def predict_rows(f):
-    """The model over an (n, 6) feature tensor, one weight column at a time."""
+    """The model over an (n, 4) feature tensor of (level phase, parent
+    siblings, grandparent, hash), one weight column at a time."""
     t = np.full(f.shape[0], octree._BIAS, dtype=np.float64)
-    for j in range(6):
-        t += octree._W[j] * f[:, j]
+    for w, column in zip(np.take(octree._W, [0, 2, 3, 4]), f.T):
+        t += w * column
     return 1.0 / (1.0 + np.exp(-t))
 
 
 def reference_encode(cloud, cfg, protect):
-    """The encoder as it was before it grouped octant passes: every stage
-    runs once per octant pass, on that pass's children alone, with the
-    next level and sibling counts taken from the codes and the model
-    evaluated over a feature tensor."""
-    levels = _level_codes(cloud)
+    """The encoder without chunks or the bottom-up pass: each level is
+    predicted over a feature tensor, guarded and coded in one call each,
+    with its occupancy from ``reference_levels`` and each child's Prob16
+    from ``python_p16``."""
+    n, q = cloud.bit_depth, cfg.grid.q
     enc = RangeEncoder()
-    fr_parts, fd_parts = [], []
-    current = np.zeros(1, dtype=np.uint64)
-    for depth in range(1, cloud.bit_depth + 1):
-        parents = current
-        n_par = sibling_counts(parents).astype(np.float64)
-        occ = np.zeros(parents.shape[0], dtype=np.int64)
-        next_parts = []
-        for octant in range(8):
-            child_codes = (parents << np.uint64(3)) | np.uint64(octant)
-            f = np.empty((parents.shape[0], 6), dtype=np.float64)
-            f[:, 0] = depth / cloud.bit_depth
-            f[:, 1] = octant / 7.0
-            f[:, 2] = occ.astype(np.float64) / 7.0
-            f[:, 3] = n_par / 8.0
-            f[:, 4] = 1.0 if depth >= 3 else 0.0
-            f[:, 5] = octree._ancestral_unit(parents, depth, octant)
-            p = np.clip(predict_rows(f), 0.0, 1.0)
-            bits = np.isin(child_codes, levels[depth]).astype(np.uint8)
-            if protect:
-                p, fr, fd = guard_encode_array(cfg, p)
-                fr_parts.append(fr)
-                fd_parts.append(fd)
-            enc.encode_bits(bits, prob_to_p16_array(p))
-            occ += bits
-            next_parts.append(child_codes[bits == 1])
-        current = np.sort(np.concatenate(next_parts))
-    assert np.array_equal(current, cloud.codes)
-    fr = np.concatenate(fr_parts) if protect else np.empty(0, dtype=np.uint8)
-    fd = np.concatenate(fd_parts) if protect else ()
+    fr_parts, fd_parts = [np.empty(0, dtype=np.uint8)], [np.empty(0, dtype=np.uint8)]
+    for depth, (parents, siblings, occ) in enumerate(reference_levels(cloud), 1):
+        f = np.empty((parents.shape[0], 4), dtype=np.float64)
+        f[:, 0] = depth / n
+        f[:, 1] = siblings / 8.0
+        f[:, 2] = 1.0 if depth >= 3 else 0.0
+        f[:, 3] = octree._ancestral_unit(parents, depth)
+        p = predict_rows(f)
+        if protect:
+            p, fr, fd = guard_encode_array(cfg, p)
+            fr_parts.append(fr)
+            fd_parts.append(fd)
+        p16 = [python_p16(v, r, q) for v in p.tolist() for r in octree._ODDS.tolist()]
+        enc.encode_bits(occ.ravel(), p16)
+    fr = np.concatenate(fr_parts)
     return GuardedStream(
         mode=cfg.mode,
         epsilon=cfg.epsilon,
@@ -585,30 +632,9 @@ def reference_encode(cloud, cfg, protect):
         payload=OctreeHeader(
             bit_depth=cloud.bit_depth, point_count=len(cloud), q=cfg.grid.q
         ),
-        safeguard=encode_flags(fr, fd, cfg.mode),
+        safeguard=encode_flags(fr, np.concatenate(fd_parts), cfg.mode),
         main=enc.finish(),
     )
-
-
-def reference_coded_siblings(cloud):
-    """(depth, octant, parent count, coded siblings, parents' sibling
-    counts) of every octant pass, each level's occupancy found as the
-    encoder once found it: every leaf code shifted to the level's depth and placed under
-    its parent by a binary search, the parents of the next level taken by
-    ``np.unique``, and the parents' sibling counts by ``sibling_counts``."""
-    n = cloud.bit_depth
-    parents = np.zeros(1, dtype=np.uint64)
-    rows = []
-    for depth in range(1, n + 1):
-        children = cloud.codes >> np.uint64(3 * (n - depth))
-        occ = np.zeros((8, parents.shape[0]), dtype=np.uint8)
-        at = np.searchsorted(parents, children >> np.uint64(3))
-        occ[children & np.uint64(7), at] = 1
-        coded = np.cumsum(occ, axis=0, dtype=np.uint8) - occ
-        counts = sibling_counts(parents)
-        rows += [(depth, o, parents.shape[0], coded[o], counts) for o in range(8)]
-        parents = np.unique(children)
-    return rows
 
 
 def corner_voxel(depth):
@@ -632,16 +658,24 @@ PASS_CLOUDS = {
 
 class TestBottomUpOccupancy:
     @pytest.mark.parametrize("cloud_name", list(PASS_CLOUDS))
-    def test_coded_siblings_equal_a_per_level_search(self, monkeypatch, cloud_name):
+    def test_levels_equal_a_per_level_search(self, cloud_name):
         cloud = PASS_CLOUDS[cloud_name]()
-        passes = record_passes(monkeypatch)
-        stream = encode(cloud, make_pc_config(1e-6))
-        want = reference_coded_siblings(cloud)
-        assert [row[:3] for row in passes] == [row[:3] for row in want]
-        for got, ref in zip(passes, want):
-            assert np.array_equal(got[3], ref[3])
-            assert np.array_equal(got[5], ref[4])
-        assert np.array_equal(decode(stream).codes, cloud.codes)
+        got = octree._levels(cloud.codes, cloud.bit_depth)[::-1]
+        want = reference_levels(cloud)
+        assert len(got) == len(want) == cloud.bit_depth
+        for g, w in zip(got, want):
+            assert all(np.array_equal(a, b) for a, b in zip(g, w))
+
+
+class TestReferenceEncoder:
+    @pytest.mark.parametrize("cloud_name", list(PASS_CLOUDS))
+    def test_bytes_equal_the_reference(self, cloud_name):
+        cloud = PASS_CLOUDS[cloud_name]()
+        cfg = make_pc_config(1e-6)
+        got = encode(cloud, cfg)
+        want = reference_encode(cloud, cfg, True)
+        assert container.write(got) == container.write(want)
+        assert np.array_equal(decode(got).codes, cloud.codes)
 
 
 CLOUDS = {
@@ -653,87 +687,91 @@ CLOUDS = {
     "small-streams-first": lambda: synth_cloud("dense", 8, 4000, 1000),
 }
 
+# one parent per chunk, chunks that split levels unevenly, and the default
+CHUNKS = (1, 7, octree._CHUNK)
 
-class TestGroupedEncoder:
+
+class TestChunkedEncoder:
     @pytest.mark.parametrize("protect", [True, False], ids=["protected", "unprotected"])
     @pytest.mark.parametrize("mode", list(GuardMode), ids=lambda m: m.name)
     @pytest.mark.parametrize("cloud_name", list(CLOUDS))
-    def test_bytes_equal_one_pass_per_call(
+    def test_bytes_equal_the_reference_at_any_chunk(
         self, monkeypatch, cloud_name, mode, protect
     ):
         cloud = CLOUDS[cloud_name]()
         cfg = make_pc_config(1e-6, mode=mode)
         want = container.write(reference_encode(cloud, cfg, protect))
-        # one octant per call, groups that split a level unevenly (7 + 1
-        # at the root), and the default budget
-        for budget in (1, 7, octree._GROUP_BUDGET):
-            monkeypatch.setattr(octree, "_GROUP_BUDGET", budget)
+        for chunk in CHUNKS:
+            monkeypatch.setattr(octree, "_CHUNK", chunk)
             assert container.write(encode(cloud, cfg, protect=protect)) == want
 
-    def test_group_sizes_follow_the_budget(self, monkeypatch):
-        groups, calls = [], []
-        level_groups, probabilities = octree._groups, octree._probabilities
-
-        def recording_groups(*args):
-            for octants, logits in level_groups(*args):
-                groups.append((args[0], octants))
-                yield octants, logits
-
-        def recording(logits, coded):
-            calls.append(logits.shape)
-            return probabilities(logits, coded)
-
-        monkeypatch.setattr(octree, "_groups", recording_groups)
-        monkeypatch.setattr(octree, "_probabilities", recording)
-        monkeypatch.setattr(octree, "_GROUP_BUDGET", 7)
-        encode(VoxelCloud.from_voxels(np.array([[1, 0, 1]]), 1), make_pc_config(1e-6))
-        # the encoder predicts a whole group per call
-        assert groups == [(1, range(0, 7)), (1, range(7, 8))]
-        assert calls == [(7, 1), (1, 1)]
+    def test_chunks_follow_the_constant(self, monkeypatch):
+        assert octree._CHUNK == 4096  # 32,768 child bits a pass
+        cloud = CLOUDS["sparse-depth6"]()
+        sizes = [len(codes) for codes in _level_codes(cloud)[:-1]]
+        assert max(sizes) > 7
+        passes = record_passes(monkeypatch)
+        monkeypatch.setattr(octree, "_CHUNK", 7)
+        encode(cloud, make_pc_config(1e-6))
+        want = [
+            [depth, min(7, m - lo)]
+            for depth, m in enumerate(sizes, 1) for lo in range(0, m, 7)
+        ]
+        assert [row[:2] for row in passes] == want
 
     def test_peak_memory_of_a_dense_depth10_encode(self):
-        # the budget bounds every call's arrays; coding whole levels at once
-        # would hold (8, n) float arrays of the widest level
+        # 2.69 MiB (4.25 with a guarded value per child); a chunk bounds
+        # every call's arrays, and coding whole levels at once would hold
+        # (parents, 8) float arrays of the widest level
         cloud = synth_cloud("dense", 10, 100_000, 1)
-        assert traced_peak(lambda: encode(cloud, make_pc_config(1e-6))) <= 9.5 * 2**20
+        assert traced_peak(lambda: encode(cloud, make_pc_config(1e-6))) <= 3.0 * 2**20
 
 
-class TestGroupedDecoder:
+class TestChunkedDecoder:
     @pytest.mark.parametrize("cloud_name", list(CLOUDS))
-    def test_passes_equal_the_encoders_at_any_budget(self, monkeypatch, cloud_name):
+    def test_passes_equal_the_encoders_at_any_chunk(self, monkeypatch, cloud_name):
         cloud = CLOUDS[cloud_name]()
         passes = record_passes(monkeypatch)
         stream = encode(cloud, make_pc_config(1e-6))
         want = passes[:]
-        # one octant per group, groups that split a level unevenly (7 + 1
-        # at the root), and the default budget
-        for budget in (1, 7, octree._GROUP_BUDGET):
-            monkeypatch.setattr(octree, "_GROUP_BUDGET", budget)
+        for chunk in CHUNKS:
+            monkeypatch.setattr(octree, "_CHUNK", chunk)
             passes.clear()
-            out = decode(stream)
+            out = decode(stream, perturb=Perturbation(5e-7, "uniform", 1))
             assert np.array_equal(out.codes, cloud.codes)
-            assert len(passes) == len(want)
-            for a, b in zip(want, passes):
-                assert a[:3] == b[:3]
-                assert np.array_equal(a[3], b[3])
-                assert np.array_equal(a[4].view(np.uint64), b[4].view(np.uint64))
+            if chunk == CHUNKS[-1]:
+                assert_same_passes(want, passes)
+            # at any chunk, the same values in the same order
+            for column in (2, 3, 4):
+                assert np.array_equal(
+                    np.concatenate([row[column] for row in want]).view(np.uint8),
+                    np.concatenate([row[column] for row in passes]).view(np.uint8),
+                )
 
-    def test_context_is_built_once_per_group(self, monkeypatch):
+    def test_one_call_of_each_stage_per_chunk(self, monkeypatch):
         cloud = synth_cloud("dense", 8, 4000, 3001)
-        # every level fits the budget, so each codes as one group of eight
-        assert max(map(len, _level_codes(cloud))) * 8 <= octree._GROUP_BUDGET
+        # every level fits one chunk, so each codes in one pass
+        assert max(map(len, _level_codes(cloud))) <= octree._CHUNK
         stream = encode(cloud, make_pc_config(1e-6))
         calls = []
-        ancestral = octree._ancestral_unit
 
-        def counting(*args):
-            calls.append(args[1])
-            return ancestral(*args)
+        def counting(owner, name):
+            real = getattr(owner, name)
+            monkeypatch.setattr(
+                owner, name, lambda *a, **k: calls.append(name) or real(*a, **k)
+            )
 
-        monkeypatch.setattr(octree, "_ancestral_unit", counting)
-        out = decode(stream)
+        for name in ("_ancestral_unit", "guard_decode_array", "prob_to_p16_array"):
+            counting(octree, name)
+        counting(octree.RangeDecoder, "decode_bits")
+        counting(Perturbation, "perturb_array")
+        out = decode(stream, perturb=Perturbation(5e-7, "uniform", 1))
         assert np.array_equal(out.codes, cloud.codes)
-        assert calls == list(range(1, 9))
+        assert sorted(set(calls)) == sorted(
+            ["_ancestral_unit", "guard_decode_array", "prob_to_p16_array",
+             "decode_bits", "perturb_array"]
+        )
+        assert all(calls.count(name) == 8 for name in set(calls))
 
 
 def traced_peak(run):
@@ -747,24 +785,23 @@ def traced_peak(run):
 
 
 class TestLevelStepMemory:
-    # the model sums its terms as they broadcast, without an (n, 6) float64
+    # the model sums its terms as they broadcast, without an (n, 4) float64
     # feature tensor; each side's level loop frees a level once it has the
     # next: the encoder pops its bottom-up levels root first, and the
     # decoder takes the next level's parents from the occupancy it decoded
 
     def test_peak_memory_of_a_dense_depth8_encode(self):
-        # 0.41 MiB; a generator local that held a group's logits while the
-        # group is guarded and coded read 0.51
+        # 0.36 MiB (0.40 with a guarded value per child); a child step that
+        # held its denominators through the Prob16 conversion read 0.46
         cloud = synth_cloud("dense", 8, 4000, 3001)
-        assert traced_peak(lambda: encode(cloud, make_pc_config(1e-6))) <= 0.46 * 2**20
+        assert traced_peak(lambda: encode(cloud, make_pc_config(1e-6))) <= 0.40 * 2**20
 
     def test_peak_memory_of_a_dense_depth10_decode(self):
-        # 3.11 MiB; a decoder that held a group's logits through the
-        # group's last pass read 3.42
+        # 2.54 MiB (3.11 with a guarded value per child)
         cloud = synth_cloud("dense", 10, 100_000, 1)
         stream = encode(cloud, make_pc_config(1e-6))
         drift = Perturbation(5e-7, "uniform", 1)
-        assert traced_peak(lambda: decode(stream, perturb=drift)) <= 3.3 * 2**20
+        assert traced_peak(lambda: decode(stream, perturb=drift)) <= 2.8 * 2**20
 
     def test_peak_memory_of_a_dense_depth10_dedupe(self, monkeypatch):
         # the 100,000 voxels synth_cloud hands over, 75,044 of them distinct:

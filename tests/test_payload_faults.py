@@ -326,9 +326,10 @@ def _octree_edge_flag(mode, direction, monkeypatch):
     """A depth-6 octree stream with a flag, of ``direction`` in FULL mode,
     on the first probability the decoder rounds to the top edge, 1.  The
     flags before it are the encoder's, so the decoder reaches it on the
-    encoder's tree."""
+    encoder's tree.  The model's parent probabilities lie in about [0.957,
+    0.997], so the grid is k = 10, whose top half bin holds them."""
     cloud = octree.synth_cloud("dense", 6, 600, seed=5)
-    cfg = octree.make_pc_config(5e-4, 250, mode)
+    cfg = octree.make_pc_config(5e-4, 10, mode)
     stream = octree.encode(cloud, cfg)
     seen = []
     guard = octree.guard_decode_array

@@ -529,3 +529,8 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset("tpu")
+
+    @pytest.mark.parametrize("name", [["pcc-gpu"], {}, None, 5, b"pcc-gpu"], ids=repr)
+    def test_preset_name_that_is_not_a_string_rejected(self, name):
+        with pytest.raises(ConfigError, match="unknown preset"):
+            preset(name)

@@ -260,6 +260,13 @@ class TestDomain:
         with pytest.raises(ConfigError, match="2\\*\\*53"):
             QuantGrid.uniform(q, domain=domain)
 
+    @pytest.mark.parametrize(
+        "domain", [5, (0, 1, 2), (1.0,), (), 0.5], ids=repr
+    )
+    def test_domain_that_is_not_a_pair_rejected(self, domain):
+        with pytest.raises(ConfigError, match="pair"):
+            QuantGrid.uniform(0.25, domain=domain)
+
     def test_domain_edge_just_below_2_53(self):
         g = QuantGrid.uniform(1.0, domain=(0.0, 2.0**53 - 1.0))
         assert quantize(g, 2.0**60) == 2**53 - 2

@@ -47,7 +47,7 @@ PACKAGE_ALL = [
 # builder that only renamed GuardedStream's fields, the mode parser (a
 # mode is a GuardMode), and the octree's callback level walk with its
 # top-down child step, per-group term builder and separate bottom-up
-# occupancy pass (each side has one level loop over ``_groups``), the
+# occupancy pass (each side has one level loop), the
 # guard's boundary kernel, boundary value and domain-edge helpers with the
 # hyperprior's first-bin helper (``quantizer._nearest`` gives all the
 # guard needs, and a stream's tables start at its own lowest bin), the
@@ -59,8 +59,11 @@ PACKAGE_ALL = [
 # repeated the class's own checks and no-op cases, and the sweep's q-column
 # helper behind a ``k = None`` sentinel (each payload lists its grids once),
 # the octree's record of a group's model terms (a group is its octants and
-# one array of logits), and the two hash wrappers only README and tests
-# called (``unit_draws`` and ``unit_hash_inplace`` give every draw).
+# one array of logits), the two hash wrappers only README and tests
+# called (``unit_draws`` and ``unit_hash_inplace`` give every draw), and
+# the octree's per-child model: the coded-sibling term, the octant groups
+# and their budget, and the group logits and per-child probabilities
+# (``_parent_probabilities`` gives one value per parent).
 DELETED = [
     "entropy.RangeEncoder.encode_bit",
     "entropy.RangeEncoder.encode_symbol",
@@ -132,6 +135,11 @@ DELETED = [
     "octree._GroupTerms",
     "platform_sim.splitmix64_array",
     "platform_sim.unit_from_u64",
+    "octree._SIBLING_TERM",
+    "octree._GROUP_BUDGET",
+    "octree._groups",
+    "octree._logits",
+    "octree._probabilities",
 ]
 
 

@@ -502,7 +502,7 @@ def test_bin_index_2_53_in_the_last_block_raises(entry, sign, at):
 
 class _FaultInBigPass:
     """Stands in for a perturbation: plants ``x`` in the last block of the
-    first octant pass that spans three blocks."""
+    first coding pass that spans three blocks."""
 
     def __init__(self, x):
         self.x, self.planted = x, False
